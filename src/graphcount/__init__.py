@@ -10,21 +10,9 @@ subgraph refinement, and pair (root, branching-neighbor) refinement.
 from .counting import (
     CountReport,
     InsufficientHopsError,
-    PatternCounts,
     corpus_cycle_stats,
     count,
-    count_chordal_cycle_node,
-    count_clique4_node,
-    count_cycle3_node,
-    count_cycle4_node,
-    count_cycle5_node,
-    count_cycle6_node,
-    count_path2_node,
-    count_path3_node,
     count_path4_edge,
-    count_path4_node,
-    count_tailed_triangle_node,
-    count_triangle_rectangle_node,
     count_walks,
 )
 from .extraction import (
@@ -50,6 +38,7 @@ from .graph import (
     save_graph,
     shortest_path_distances,
 )
+from .oracle import PatternCounts
 from .refinement import (
     ColorPartition,
     GraphFingerprint,
@@ -78,18 +67,7 @@ __all__ = [
     "UNREACHABLE",
     "corpus_cycle_stats",
     "count",
-    "count_chordal_cycle_node",
-    "count_clique4_node",
-    "count_cycle3_node",
-    "count_cycle4_node",
-    "count_cycle5_node",
-    "count_cycle6_node",
-    "count_path2_node",
-    "count_path3_node",
     "count_path4_edge",
-    "count_path4_node",
-    "count_tailed_triangle_node",
-    "count_triangle_rectangle_node",
     "count_walks",
     "disjoint_union",
     "distinguish",

@@ -4,7 +4,10 @@ Counting with bounded-radius subgraphs does constant work per root on
 bounded-degree graphs, so wall time should grow linearly with the node count.
 The harness times the full counting pipeline on random d-regular graphs at a
 ladder of sizes and reports the per-phase breakdown plus the growth ratio
-between successive sizes.
+between successive sizes.  One warm-up count runs first; then the ladder
+is timed ``REPEATS`` times over and each size reports its fastest run, so a
+slow spell of the host, which tends to cover consecutive runs, does not skew
+a ratio.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from dataclasses import dataclass
 
 from .counting import count
 from .generators import gen_random_regular
+
+REPEATS = 3
 
 
 @dataclass(frozen=True)
@@ -33,14 +38,20 @@ def run_bench(
     kind: str = "cycle6",
     seed: int = 7,
 ) -> list[BenchRow]:
+    graphs = [gen_random_regular(n, degree, seed) for n in sizes]
+    if graphs:
+        count(kind, graphs[0])  # warm-up
+    runs: list[list[tuple[float, dict[str, float], int]]] = [[] for _ in sizes]
+    for _ in range(REPEATS):
+        for g, size_runs in zip(graphs, runs):
+            timings: dict[str, float] = {}
+            t0 = time.perf_counter()
+            rep = count(kind, g, timings=timings)
+            size_runs.append((time.perf_counter() - t0, timings, rep.graph_count))
     rows: list[BenchRow] = []
     prev: float | None = None
-    for n in sizes:
-        g = gen_random_regular(n, degree, seed)
-        timings: dict[str, float] = {}
-        t0 = time.perf_counter()
-        rep = count(kind, g, timings=timings)
-        dt = time.perf_counter() - t0
+    for n, size_runs in zip(sizes, runs):
+        dt, timings, graph_count = min(size_runs, key=lambda run: run[0])
         ratio = dt / prev if prev else None
         rows.append(
             BenchRow(
@@ -49,7 +60,7 @@ def run_bench(
                 extraction=timings.get("extraction", 0.0),
                 message_passing=timings.get("message_passing", 0.0),
                 readout=timings.get("readout", 0.0),
-                graph_count=rep.graph_count,
+                graph_count=graph_count,
                 ratio=ratio,
             )
         )

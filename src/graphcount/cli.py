@@ -7,6 +7,8 @@ Exit code contract (for CI scripting):
   4  arithmetic integrity failure (a remainder/nonnegativity check fired;
      states are arbitrary-precision integers, so true overflow cannot occur
      and this code is effectively reserved)
+  5  internal fault (a malformed counting program or a label it needs is
+     missing: a defect in graphcount, not in the input)
 
 The ``count`` and ``oracle`` subcommands emit byte-identical CSV schemas
 (report schema v1, see README) so their outputs can be diffed directly.
@@ -23,6 +25,7 @@ from pathlib import Path
 from . import bench as bench_mod
 from . import counting, generators, oracle, refinement
 from .counting import InsufficientHopsError
+from .engine import ProgramError
 from .extraction import ego, node_deletion
 from .graph import (
     Graph,
@@ -89,11 +92,8 @@ def _oracle_report(kind: str, g: Graph, budget: int):
     # the oracle covers two cycle lengths beyond the counting programs, so
     # kinds dispatch by prefix here instead of through the program registry
     kind = counting.KIND_ALIASES.get(kind, kind)
-    walk_len = counting._parse_walk_kind(kind)
-    if walk_len is not None:
-        per_node = tuple(
-            oracle.oracle_walks(g, walk_len, i, i) for i in range(g.node_count)
-        )
+    if kind.startswith("walk"):
+        per_node = oracle.oracle_closed_walks(g, int(kind[4:]))
         return per_node, sum(per_node), None
     if kind.startswith("cycle"):
         res = oracle.oracle_cycles(g, int(kind[5:]), budget)
@@ -346,6 +346,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ProgramError as exc:
+        # a ValueError subclass, so it must be caught before input errors
+        print(f"error: internal fault: {exc}", file=sys.stderr)
+        return 5
     except (GraphFormatError, GraphValidationError, FileNotFoundError, ValueError) as exc:
         if isinstance(exc, InsufficientHopsError):
             print(f"error: {exc}", file=sys.stderr)

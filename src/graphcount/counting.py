@@ -1,16 +1,17 @@
 """Explicit message-passing counting programs with exact integer readouts.
 
-Each substructure kind maps to one fixed program (see ``engine``) plus a
-readout/aggregation recipe.  Single-identifier (per-root) programs cover
-2-paths, 3-paths, triangles, and 4-cycles; pair-identifier programs (root +
-branching neighbor) cover 4-paths, 5-/6-cycles, and the size-4/5 graphlets.
-All divisions are exact integer divisions with remainder checks, and every
-kind has an independent brute-force twin in ``oracle``.
+``KIND_SPECS`` is the plan table: per kind, a program (see ``engine``), a bag
+shape, a default and minimum subgraph radius, readouts, a combine step, and
+a graph divisor.  Root bags (one ego-network per node) cover 3-paths,
+triangles, 4-cycles, and the closed walks; pair bags (root + branching
+neighbor) cover 4-paths, 5-/6-cycles, and the size-4/5 graphlets; 2-paths run
+once over the whole graph.  One function builds a root's bag and one executor
+runs its plan.  All divisions are exact integer divisions with remainder
+checks, and every kind has an independent brute-force twin in ``oracle``.
 
-Hop requirements: each program declares the minimum subgraph radius that
-makes it exact and the default it is run at (the defaults for the pair-mode
-kinds mirror the radii needed to contain the substructure).  Larger radii
-never change results, only cost.
+Hop requirements: each plan declares the minimum subgraph radius that makes
+it exact and the default it is run at.  Larger radii never change results,
+only cost.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import time
 from dataclasses import dataclass
 from multiprocessing import get_context
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .engine import (
     Const,
@@ -37,12 +38,14 @@ from .engine import (
     run_program,
 )
 from .extraction import (
+    RootedSubgraph,
     ego,
     extract_rooted,
     identity_labeled_graph,
     with_branching,
 )
 from .graph import Graph, load_graph
+from .oracle import PatternCounts
 
 
 class InsufficientHopsError(ValueError):
@@ -53,17 +56,6 @@ class InsufficientHopsError(ValueError):
         self.kind = kind
         self.hops = hops
         self.minimum = minimum
-
-
-@dataclass(frozen=True)
-class PatternCounts:
-    """Per-node counts of the five 6-cycle decomposition patterns."""
-
-    p0: tuple[int, ...]
-    p1: tuple[int, ...]
-    p2: tuple[int, ...]
-    p3: tuple[int, ...]
-    p4: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -234,76 +226,121 @@ PROG_CYCLE6 = MPProgram(
     ),
 )
 
-_SUM = Readout(0)
-_SUM_OVER_N_ROOT = Readout(0, weight="in_n_root")
+_SUM = (Readout(0),)
+_SUM_OVER_N_ROOT = (Readout(0, weight="in_n_root"),)
+_AT_ROOT = (Readout(0, weight="is_root"),)
 _CYCLE6_READOUTS = tuple(Readout(c) for c in range(7))
 
 
+def _walk_program(length: int) -> MPProgram:
+    """Component 0 of node k ends as the number of length-L walks root -> k."""
+    layer = Layer(message=(Nbr(0),), update=(Msg(0),))
+    return MPProgram(
+        name=f"walks-{length}",
+        init=(LSelf("is_root"),),
+        layers=(layer,) * length,
+    )
+
+
 # ---------------------------------------------------------------------------
-# Kind registry.
+# Combine steps: each turns one root's readout rows (one row per subgraph of
+# its bag) into the root's output tuple, node count first.
+# ---------------------------------------------------------------------------
+
+
+def _summed(divisor: int):
+    """The bag's summed first readout, divided exactly by ``divisor``."""
+    return lambda rows: (exact_div(sum(row[0] for row in rows), divisor),)
+
+
+def _cycle6_patterns(rows: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """The 6-cycle decomposition: (c6, p0, p1, p2, p3, p4) for one root."""
+    a0 = a1 = a3 = a4 = bowtie = 0
+    for n0, n1, n3, n4, cn, xv, yv in rows:
+        a0 += n0
+        a1 += n1
+        a3 += n3
+        a4 += n4
+        bowtie += cn * xv - yv
+    p4 = exact_div(a4, 2)
+    p2 = bowtie - 2 * p4
+    closed = a0 - a1 - p2 - a3
+    if closed < 0:
+        raise ArithmeticError(f"negative 6-cycle pattern balance: {closed}")
+    return (exact_div(closed, 2), a0, a1, p2, a3, p4)
+
+
+# ---------------------------------------------------------------------------
+# Plan table.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class KindSpec:
+    """How one kind is counted.
+
+    ``mode`` is the bag shape: "mpnn" (component 0 of ``program`` run over
+    the whole graph), "root" (each root's ego-network), or "pair" (one copy
+    per neighbor of the root, marked as branching node).  Each subgraph
+    yields a row of ``readouts``; ``combine`` maps a root's rows to its count,
+    followed by the 6-cycle pattern counts when ``patterns`` is set.  The
+    graph count is the node-count sum divided by ``graph_divisor``.
+    """
+
     mode: str  # "mpnn" | "root" | "pair"
+    program: MPProgram
     default_hops: int | None
     min_hops: int | None
+    readouts: tuple[Readout, ...]
+    combine: Callable[[list[tuple[int, ...]]], tuple[int, ...]] | None
     graph_divisor: int
+    patterns: bool = False
 
 
 KIND_SPECS: dict[str, KindSpec] = {
-    "path2": KindSpec("mpnn", None, None, 2),
-    "path3": KindSpec("root", 3, 3, 2),
-    "path4": KindSpec("pair", 4, 4, 2),
-    "cycle3": KindSpec("root", 1, 1, 3),
-    "cycle4": KindSpec("root", 2, 2, 4),
-    "cycle5": KindSpec("pair", 2, 2, 5),
-    "cycle6": KindSpec("pair", 3, 3, 6),
-    "tailed_triangle": KindSpec("pair", 2, 1, 1),
-    "chordal_cycle": KindSpec("pair", 2, 2, 2),
-    "clique4": KindSpec("pair", 1, 1, 4),
-    "triangle_rectangle": KindSpec("pair", 2, 2, 1),
+    "path2": KindSpec("mpnn", PROG_PATH2, None, None, (), None, 2),
+    "path3": KindSpec("root", PROG_P3, 3, 3, _SUM, _summed(1), 2),
+    "path4": KindSpec("pair", PROG_P4, 4, 4, _SUM, _summed(1), 2),
+    "cycle3": KindSpec("root", PROG_P2, 1, 1, _SUM_OVER_N_ROOT, _summed(2), 3),
+    "cycle4": KindSpec("root", PROG_P3, 2, 2, _SUM_OVER_N_ROOT, _summed(2), 4),
+    "cycle5": KindSpec("pair", PROG_P4, 2, 2, _SUM_OVER_N_ROOT, _summed(2), 5),
+    "cycle6": KindSpec(
+        "pair", PROG_CYCLE6, 3, 3, _CYCLE6_READOUTS, _cycle6_patterns, 6, True
+    ),
+    "tailed_triangle": KindSpec("pair", PROG_TAILED, 2, 1, _SUM, _summed(2), 1),
+    "chordal_cycle": KindSpec("pair", PROG_CHORDAL, 2, 2, _SUM, _summed(2), 2),
+    "clique4": KindSpec("pair", PROG_CLIQUE4, 1, 1, _SUM, _summed(6), 4),
+    "triangle_rectangle": KindSpec(
+        "pair", PROG_TRIANGLE_RECTANGLE, 2, 2, _SUM, _summed(2), 1
+    ),
 }
+
+# Closed-walk counts, kept out of KIND_SPECS, whose keys callers list as the
+# substructure kinds.  A closed L-walk never leaves the root's
+# radius-max(1, L//2) ego-network.
+_WALK_SPECS = {
+    f"walk{n}": KindSpec(
+        "root", _walk_program(n), max(1, n // 2), max(1, n // 2), _AT_ROOT, _summed(1), 1
+    )
+    for n in range(1, 9)
+}
+_PLANS = {**KIND_SPECS, **_WALK_SPECS}
 
 # Marked-endpoint path counting and the 4-path graphlet are the same count.
 KIND_ALIASES = {"path4_graphlet": "path4"}
 
 CYCLE_KINDS = ("cycle3", "cycle4", "cycle5", "cycle6")
 
-# program, readout, and exact divisor applied to each root's accumulated value
-_ROOT_RECIPES: dict[str, tuple[MPProgram, Readout, int]] = {
-    "cycle3": (PROG_P2, _SUM_OVER_N_ROOT, 2),
-    "cycle4": (PROG_P3, _SUM_OVER_N_ROOT, 2),
-    "path3": (PROG_P3, _SUM, 1),
-}
-_PAIR_RECIPES: dict[str, tuple[MPProgram, Readout, int]] = {
-    "cycle5": (PROG_P4, _SUM_OVER_N_ROOT, 2),
-    "path4": (PROG_P4, _SUM, 1),
-    "clique4": (PROG_CLIQUE4, _SUM, 6),
-    "chordal_cycle": (PROG_CHORDAL, _SUM, 2),
-    "tailed_triangle": (PROG_TAILED, _SUM, 2),
-    "triangle_rectangle": (PROG_TRIANGLE_RECTANGLE, _SUM, 2),
-}
-
 
 def resolve_kind(kind: str) -> str:
     kind = KIND_ALIASES.get(kind, kind)
-    if kind not in KIND_SPECS and _parse_walk_kind(kind) is None:
+    if kind not in _PLANS:
         raise ValueError(f"unknown substructure kind {kind!r}")
     return kind
 
 
-def _parse_walk_kind(kind: str) -> int | None:
-    if kind.startswith("walk") and kind[4:].isdigit():
-        length = int(kind[4:])
-        if 1 <= length <= 8:
-            return length
-    return None
-
-
 def _resolve_hops(kind: str, hops: int | None) -> int:
-    spec = KIND_SPECS[kind]
+    spec = _PLANS[kind]
     k = spec.default_hops if hops is None else hops
     if k < spec.min_hops:
         raise InsufficientHopsError(kind, k, spec.min_hops)
@@ -316,84 +353,46 @@ def _resolve_hops(kind: str, hops: int | None) -> int:
 # staying deterministic: results are merged in root order.
 # ---------------------------------------------------------------------------
 
-
-class _Phases:
-    """Accumulates per-phase wall time; a no-op when disabled."""
-
-    __slots__ = ("extraction", "message_passing", "readout", "enabled")
-
-    def __init__(self, enabled: bool):
-        self.enabled = enabled
-        self.extraction = self.message_passing = self.readout = 0.0
+_PHASES = ("extraction", "message_passing", "readout")
 
 
-def _root_value(kind: str, g: Graph, hops: int, i: int, ph: _Phases) -> int | tuple:
-    if kind == "cycle6":
-        return _root_cycle6(g, hops, i, ph)
-    t0 = time.perf_counter() if ph.enabled else 0.0
-    if kind in _ROOT_RECIPES:
-        prog, readout, div = _ROOT_RECIPES[kind]
-        sub = extract_rooted(g, i, ego(hops))
-        subs = [sub]
-    else:
-        prog, readout, div = _PAIR_RECIPES[kind]
-        base = extract_rooted(g, i, ego(hops))
-        subs = [with_branching(g, base, j) for j in g.adjacency[i]]
-    if ph.enabled:
-        t1 = time.perf_counter()
-    all_states = [run_program(sub, prog) for sub in subs]
-    if ph.enabled:
-        t2 = time.perf_counter()
-    acc = 0
-    for sub, states in zip(subs, all_states):
-        acc += apply_readout(sub, states, readout)
-    value = exact_div(acc, div)
-    if ph.enabled:
-        t3 = time.perf_counter()
-        ph.extraction += t1 - t0
-        ph.message_passing += t2 - t1
-        ph.readout += t3 - t2
-    return value
-
-
-def _root_cycle6(g: Graph, hops: int, i: int, ph: _Phases) -> tuple:
-    """Return (c6, p0, p1, p2, p3, p4) for one root."""
-    t0 = time.perf_counter() if ph.enabled else 0.0
+def _root_bag(g: Graph, i: int, hops: int, mode: str) -> list[RootedSubgraph]:
+    """Root i's bag: its ego-network ("root"), or one copy of it per neighbor
+    with that neighbor marked as the branching node ("pair")."""
     base = extract_rooted(g, i, ego(hops))
-    subs = [with_branching(g, base, j) for j in g.adjacency[i]]
-    if ph.enabled:
-        t1 = time.perf_counter()
-    all_states = [run_program(sub, PROG_CYCLE6) for sub in subs]
-    if ph.enabled:
-        t2 = time.perf_counter()
-    a0 = a1 = a3 = a4 = bowtie = 0
-    for sub, states in zip(subs, all_states):
-        n0, n1, n3, n4, cn, xv, yv = (
-            apply_readout(sub, states, r) for r in _CYCLE6_READOUTS
-        )
-        a0 += n0
-        a1 += n1
-        a3 += n3
-        a4 += n4
-        bowtie += cn * xv - yv
-    p4 = exact_div(a4, 2)
-    p2 = bowtie - 2 * p4
-    closed = a0 - a1 - p2 - a3
-    if closed < 0:
-        raise ArithmeticError(f"negative 6-cycle pattern balance at node {i}: {closed}")
-    value = (exact_div(closed, 2), a0, a1, p2, a3, p4)
-    if ph.enabled:
-        t3 = time.perf_counter()
-        ph.extraction += t1 - t0
-        ph.message_passing += t2 - t1
-        ph.readout += t3 - t2
+    if mode == "root":
+        return [base]
+    return [with_branching(g, base, j) for j in g.adjacency[i]]
+
+
+def _root_value(
+    spec: KindSpec, g: Graph, hops: int, i: int, phases: list[float]
+) -> tuple:
+    """Run a plan on root i's bag and combine the readouts, adding the wall
+    time of each phase to ``phases`` (in ``_PHASES`` order)."""
+    t0 = time.perf_counter()
+    bag = _root_bag(g, i, hops, spec.mode)
+    t1 = time.perf_counter()
+    all_states = [run_program(sub, spec.program) for sub in bag]
+    t2 = time.perf_counter()
+    value = spec.combine(
+        [
+            tuple(apply_readout(sub, states, r) for r in spec.readouts)
+            for sub, states in zip(bag, all_states)
+        ]
+    )
+    phases[0] += t1 - t0
+    phases[1] += t2 - t1
+    phases[2] += time.perf_counter() - t2
     return value
 
 
-def _chunk_worker(args):
-    kind, g, hops, roots = args
-    ph = _Phases(False)
-    return [_root_value(kind, g, hops, i, ph) for i in roots]
+def _chunk_worker(
+    kind: str, g: Graph, hops: int, roots: range, phases: list[float]
+) -> list:
+    # takes the kind, not its plan, because combine steps do not pickle
+    spec = _PLANS[kind]
+    return [_root_value(spec, g, hops, i, phases) for i in roots]
 
 
 def _map_roots(
@@ -403,22 +402,20 @@ def _map_roots(
     threads: int,
     timings: dict[str, float] | None,
 ) -> list:
-    roots = list(range(g.node_count))
-    if timings is not None:
-        ph = _Phases(True)
-        values = [_root_value(kind, g, hops, i, ph) for i in roots]
-        timings["extraction"] = timings.get("extraction", 0.0) + ph.extraction
-        timings["message_passing"] = (
-            timings.get("message_passing", 0.0) + ph.message_passing
-        )
-        timings["readout"] = timings.get("readout", 0.0) + ph.readout
+    roots = range(g.node_count)
+    if timings is not None or threads <= 1 or len(roots) < 64:
+        phases = [0.0] * len(_PHASES)
+        values = _chunk_worker(kind, g, hops, roots, phases)
+        if timings is not None:
+            for name, dt in zip(_PHASES, phases):
+                timings[name] = timings.get(name, 0.0) + dt
         return values
-    if threads <= 1 or len(roots) < 64:
-        return _chunk_worker((kind, g, hops, roots))
     size = max(16, len(roots) // (threads * 8))
     chunks = [roots[i : i + size] for i in range(0, len(roots), size)]
     with get_context("fork").Pool(threads) as pool:
-        parts = pool.map(_chunk_worker, [(kind, g, hops, c) for c in chunks])
+        parts = pool.starmap(
+            _chunk_worker, [(kind, g, hops, c, [0.0] * len(_PHASES)) for c in chunks]
+        )
     return [v for part in parts for v in part]
 
 
@@ -440,79 +437,17 @@ def count(
     readout wall-time breakdown; when supplied the evaluation runs serially.
     """
     kind = resolve_kind(kind)
-    walk_len = _parse_walk_kind(kind)
-    if walk_len is not None:
-        per_node = closed_walk_counts(g, walk_len)
-        return CountReport(kind, per_node, sum(per_node))
-    spec = KIND_SPECS[kind]
+    spec = _PLANS[kind]
     if spec.mode == "mpnn":
-        return count_path2_node(g)
-    k = _resolve_hops(kind, hops)
-    values = _map_roots(kind, g, k, threads, timings)
-    if kind == "cycle6":
-        per_node = tuple(v[0] for v in values)
-        patterns = PatternCounts(
-            p0=tuple(v[1] for v in values),
-            p1=tuple(v[2] for v in values),
-            p2=tuple(v[3] for v in values),
-            p3=tuple(v[4] for v in values),
-            p4=tuple(v[5] for v in values),
-        )
-        return CountReport("cycle6", per_node, exact_div(sum(per_node), 6), patterns)
-    per_node = tuple(values)
-    return CountReport(kind, per_node, exact_div(sum(per_node), spec.graph_divisor))
-
-
-def count_path2_node(g: Graph) -> CountReport:
-    states = run(PROG_PATH2, g.adjacency, {})
-    per_node = tuple(h[0] for h in states)
-    return CountReport("path2", per_node, exact_div(sum(per_node), 2))
-
-
-def count_path3_node(g: Graph, hops: int | None = None, threads: int = 1) -> CountReport:
-    return count("path3", g, hops, threads)
-
-
-def count_cycle3_node(g: Graph, hops: int | None = None, threads: int = 1) -> CountReport:
-    return count("cycle3", g, hops, threads)
-
-
-def count_cycle4_node(g: Graph, hops: int | None = None, threads: int = 1) -> CountReport:
-    return count("cycle4", g, hops, threads)
-
-
-def count_cycle5_node(g: Graph, hops: int | None = None, threads: int = 1) -> CountReport:
-    return count("cycle5", g, hops, threads)
-
-
-def count_cycle6_node(g: Graph, hops: int | None = None, threads: int = 1) -> CountReport:
-    return count("cycle6", g, hops, threads)
-
-
-def count_path4_node(g: Graph, hops: int | None = None, threads: int = 1) -> CountReport:
-    return count("path4", g, hops, threads)
-
-
-def count_clique4_node(g: Graph, hops: int | None = None, threads: int = 1) -> CountReport:
-    return count("clique4", g, hops, threads)
-
-
-def count_chordal_cycle_node(
-    g: Graph, hops: int | None = None, threads: int = 1
-) -> CountReport:
-    return count("chordal_cycle", g, hops, threads)
-
-
-def count_tailed_triangle_node(
-    g: Graph, hops: int | None = None, threads: int = 1
-) -> CountReport:
-    return count("tailed_triangle", g, hops, threads)
-
-
-def count_triangle_rectangle_node(
-    g: Graph, hops: int | None = None, threads: int = 1
-) -> CountReport:
-    return count("triangle_rectangle", g, hops, threads)
+        values = [h[:1] for h in run(spec.program, g.adjacency, {})]
+    else:
+        values = _map_roots(kind, g, _resolve_hops(kind, hops), threads, timings)
+    per_node = tuple(v[0] for v in values)
+    patterns = None
+    if spec.patterns:
+        patterns = PatternCounts(*(tuple(v[c] for v in values) for c in range(1, 6)))
+    graph_count = exact_div(sum(per_node), spec.graph_divisor)
+    return CountReport(kind, per_node, graph_count, patterns)
 
 
 def count_path4_edge(g: Graph, hops: int = 3) -> dict[tuple[int, int], dict[int, int]]:
@@ -526,33 +461,21 @@ def count_path4_edge(g: Graph, hops: int = 3) -> dict[tuple[int, int], dict[int,
         raise InsufficientHopsError("path4_edge", hops, 3)
     table: dict[tuple[int, int], dict[int, int]] = {}
     for i in range(g.node_count):
-        base = extract_rooted(g, i, ego(hops))
-        for j in g.adjacency[i]:
-            sub = with_branching(g, base, j)
+        for sub in _root_bag(g, i, hops, "pair"):
             states = run_program(sub, PROG_P4)
-            table[(i, j)] = {
+            table[(i, sub.branching)] = {
                 sub.nodes[k]: h[0] for k, h in enumerate(states) if h[0]
             }
     return table
 
 
 def count_walks(g: Graph, length: int, i: int, j: int) -> int:
-    """Number of length-L walks from i to j via synchronous propagation."""
+    """Number of length-L walks from i to j, propagated over the whole graph."""
     if length < 1:
         raise ValueError("walk length must be >= 1")
-    layer = Layer(message=(Nbr(0),), update=(Msg(0),))
-    prog = MPProgram(
-        name=f"walks-{length}",
-        init=(LSelf("is_root"),),
-        layers=(layer,) * length,
-    )
     sub = identity_labeled_graph(g, i)
-    states = run_program(sub, prog)
+    states = run_program(sub, _walk_program(length))
     return states[j][0]
-
-
-def closed_walk_counts(g: Graph, length: int) -> tuple[int, ...]:
-    return tuple(count_walks(g, length, i, i) for i in range(g.node_count))
 
 
 @dataclass(frozen=True)

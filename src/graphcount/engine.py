@@ -153,10 +153,6 @@ class MPProgram:
     init: tuple[Expr, ...]
     layers: tuple[Layer, ...]
 
-    @property
-    def out_width(self) -> int:
-        return len(self.layers[-1].update) if self.layers else len(self.init)
-
 
 @dataclass(frozen=True)
 class Readout:
@@ -296,6 +292,12 @@ def _compiled(prog: MPProgram, layout_names: tuple[str, ...]):
     hit = _COMPILE_CACHE.get(key)
     if hit is not None:
         return hit
+    missing = required_labels(prog) - set(layout_names)
+    if missing:
+        raise MissingLabelError(
+            f"program {prog.name!r} needs labels {sorted(missing)} "
+            f"not provided by this subgraph (has {sorted(layout_names)})"
+        )
     layout = {name: i for i, name in enumerate(layout_names)}
     init_fn = _compile_init(prog, layout)
     steps = []
@@ -325,12 +327,6 @@ def run(
     per directed edge); programs that never read edge attributes ignore it.
     """
     layout_names = tuple(sorted(labels))
-    missing = required_labels(prog) - set(layout_names)
-    if missing:
-        raise MissingLabelError(
-            f"program {prog.name!r} needs labels {sorted(missing)} "
-            f"not provided by this subgraph (has {sorted(layout_names)})"
-        )
     init_fn, steps = _compiled(prog, layout_names)
     n = len(adjacency)
     cols = [labels[name] for name in layout_names]
@@ -360,24 +356,6 @@ def apply_readout(
             f"readout weight label {readout.weight!r} not in subgraph labels"
         ) from None
     return sum(h[readout.component] * w[k] for k, h in enumerate(states))
-
-
-def run_bag(
-    bag: "Sequence[RootedSubgraph]",
-    prog: MPProgram,
-    readouts: Sequence[Readout],
-) -> list[tuple[int, ...]]:
-    """Evaluate a program on every subgraph of a bag, in bag order.
-
-    Returns one tuple of readout values per subgraph.  Subgraphs are
-    independent, so any evaluation order (or parallel schedule) produces the
-    same result; this implementation is sequential and deterministic.
-    """
-    out = []
-    for sub in bag:
-        states = run_program(sub, prog)
-        out.append(tuple(apply_readout(sub, states, r) for r in readouts))
-    return out
 
 
 def exact_div(value: int, divisor: int) -> int:

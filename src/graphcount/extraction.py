@@ -61,10 +61,6 @@ class RootedSubgraph:
     labels: dict[str, tuple[int, ...]]
     edge_attrs: tuple[tuple[int, ...], ...] | None = None
 
-    @property
-    def local_index(self) -> dict[int, int]:
-        return {p: i for i, p in enumerate(self.nodes)}
-
     def label_names(self) -> tuple[str, ...]:
         return tuple(sorted(self.labels))
 
@@ -97,31 +93,25 @@ def _induced_adj(g: Graph, nodes: tuple[int, ...]) -> tuple[tuple[int, ...], ...
 def _edge_attr_rows(
     g: Graph, nodes: tuple[int, ...]
 ) -> tuple[tuple[int, ...], ...] | None:
-    if g.edge_attrs is None:
+    if g.edge_attr_rows is None:
         return None
-    lookup = {(u, v): val for u, v, val in g.edge_attrs}
-    lookup.update({(v, u): val for u, v, val in g.edge_attrs})
-    index = {p: i for i, p in enumerate(nodes)}
+    members = set(nodes)
     return tuple(
-        tuple(lookup.get((p, q), 0) for q in g.adjacency[p] if q in index)
+        tuple(
+            0 if val is None else val
+            for q, val in zip(g.adjacency[p], g.edge_attr_rows[p])
+            if q in members
+        )
         for p in nodes
     )
 
 
-def _base_labels(
-    g: Graph, nodes: tuple[int, ...], root: int, labeling: str
-) -> dict[str, tuple[int, ...]]:
+def _base_labels(g: Graph, nodes: tuple[int, ...], root: int) -> dict[str, tuple[int, ...]]:
     root_nbrs = g.neighbor_set(root)
-    labels = {
+    return {
         "is_root": tuple(1 if p == root else 0 for p in nodes),
         "in_n_root": tuple(1 if p in root_nbrs else 0 for p in nodes),
     }
-    if labeling == "spd":
-        dist = _bfs_limited(g, root, None)
-        labels["spd_root"] = tuple(dist.get(p, -1) for p in nodes)
-    elif labeling != "identity":
-        raise ValueError(f"unknown labeling {labeling!r}")
-    return labels
 
 
 def extract_rooted(
@@ -138,15 +128,24 @@ def extract_rooted(
     """
     g._check_node(root)
     if policy.kind == "ego":
-        nodes = tuple(sorted(_bfs_limited(g, root, policy.hops)))
+        dist = _bfs_limited(g, root, policy.hops)
+        nodes = tuple(sorted(dist))
     else:
+        dist = None
         nodes = tuple(p for p in range(g.node_count) if p != root)
+    labels = _base_labels(g, nodes, root)
+    if labeling == "spd":
+        if dist is None:  # node deletion keeps every other node
+            dist = _bfs_limited(g, root, None)
+        labels["spd_root"] = tuple(dist.get(p, -1) for p in nodes)
+    elif labeling != "identity":
+        raise ValueError(f"unknown labeling {labeling!r}")
     return RootedSubgraph(
         root=root,
         branching=None,
         nodes=nodes,
         adj=_induced_adj(g, nodes),
-        labels=_base_labels(g, nodes, root, labeling),
+        labels=labels,
         edge_attrs=_edge_attr_rows(g, nodes),
     )
 
@@ -162,7 +161,9 @@ def with_branching(g: Graph, sub: RootedSubgraph, branching: int) -> RootedSubgr
     labels["is_branch"] = tuple(1 if p == branching else 0 for p in sub.nodes)
     labels["in_n_branch"] = tuple(1 if p in br_nbrs else 0 for p in sub.nodes)
     if "spd_root" in labels:
-        dist = _bfs_limited(g, branching, None)
+        # every subgraph node lies within max(spd_root) of the root, hence
+        # within one hop more of the branching node
+        dist = _bfs_limited(g, branching, max(labels["spd_root"], default=0) + 1)
         labels["spd_branch"] = tuple(dist.get(p, -1) for p in sub.nodes)
     return RootedSubgraph(
         root=sub.root,
@@ -219,7 +220,7 @@ def identity_labeled_graph(g: Graph, root: int) -> RootedSubgraph:
         branching=None,
         nodes=nodes,
         adj=g.adjacency,
-        labels=_base_labels(g, nodes, root, "identity"),
+        labels=_base_labels(g, nodes, root),
         edge_attrs=_edge_attr_rows(g, nodes),
     )
 

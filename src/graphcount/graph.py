@@ -30,9 +30,10 @@ class GraphValidationError(ValueError):
 class Graph:
     """A simple undirected graph with optional integer attributes.
 
-    ``adjacency[i]`` is the sorted tuple of neighbors of node ``i``.  The
-    structure is immutable after construction and safe to share across
-    worker processes.
+    ``adjacency[i]`` is the sorted tuple of neighbors of node ``i``, and
+    ``edge_attr_rows[i]``, derived from ``edge_attrs``, holds the attribute
+    of each of those edges (None where an edge has none).  The structure is
+    immutable after construction and safe to share across worker processes.
     """
 
     adjacency: tuple[tuple[int, ...], ...]
@@ -41,11 +42,21 @@ class Graph:
     _nbr_sets: tuple[frozenset[int], ...] = field(
         init=False, repr=False, compare=False, default=()
     )
+    edge_attr_rows: tuple[tuple[int | None, ...], ...] | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "_nbr_sets", tuple(frozenset(nbrs) for nbrs in self.adjacency)
         )
+        if self.edge_attrs is not None:
+            lookup = {(u, v): val for u, v, val in self.edge_attrs}
+            rows = tuple(
+                tuple(lookup.get((u, v) if u < v else (v, u)) for v in nbrs)
+                for u, nbrs in enumerate(self.adjacency)
+            )
+            object.__setattr__(self, "edge_attr_rows", rows)
 
     @property
     def node_count(self) -> int:
@@ -80,13 +91,11 @@ class Graph:
                     yield (u, v)
 
     def edge_attr(self, u: int, v: int) -> int | None:
-        if self.edge_attrs is None:
+        if self.edge_attr_rows is None or not 0 <= u < len(self.adjacency):
             return None
-        key = (u, v) if u < v else (v, u)
-        for a, b, val in self.edge_attrs:
-            if (a, b) == key:
-                return val
-        return None
+        if v not in self._nbr_sets[u]:
+            return None
+        return self.edge_attr_rows[u][self.adjacency[u].index(v)]
 
     def _check_node(self, i: int) -> None:
         if not 0 <= i < len(self.adjacency):
@@ -273,10 +282,6 @@ def shortest_path_distances(g: Graph, source: int) -> list[int | None]:
                     nxt.append(v)
         frontier = nxt
     return dist
-
-
-def degree(g: Graph, i: int) -> int:
-    return g.degree(i)
 
 
 def permute(g: Graph, perm: Sequence[int]) -> Graph:

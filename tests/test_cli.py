@@ -4,7 +4,9 @@ import sys
 import pytest
 
 from conftest import to_graph6
+from graphcount import counting
 from graphcount.cli import main
+from graphcount.engine import MissingLabelError, ProgramError
 from graphcount.generators import gen_complete, gen_cycle, gen_random, gen_rook4x4, gen_shrikhande
 from graphcount.graph import save_graph
 
@@ -73,6 +75,19 @@ def test_missing_file_exit_2(capsys):
         ["count", "--input", "/nonexistent.el", "--substructure", "cycle3"], capsys
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("fault", [ProgramError, MissingLabelError])
+def test_internal_fault_exit_5(c6_file, capsys, monkeypatch, fault):
+    def broken(*args, **kwargs):
+        raise fault("program references state component 9")
+
+    monkeypatch.setattr(counting, "count", broken)
+    code, _, err = run_cli(
+        ["count", "--input", c6_file, "--substructure", "cycle3"], capsys
+    )
+    assert code == 5
+    assert "internal fault" in err
 
 
 def test_cycle9_usage_error(c6_file):

@@ -5,21 +5,9 @@ from graphcount import oracle
 from graphcount.counting import (
     KIND_SPECS,
     InsufficientHopsError,
-    closed_walk_counts,
     corpus_cycle_stats,
     count,
-    count_chordal_cycle_node,
-    count_clique4_node,
-    count_cycle3_node,
-    count_cycle4_node,
-    count_cycle5_node,
-    count_cycle6_node,
-    count_path2_node,
-    count_path3_node,
     count_path4_edge,
-    count_path4_node,
-    count_tailed_triangle_node,
-    count_triangle_rectangle_node,
     count_walks,
     resolve_kind,
 )
@@ -70,53 +58,53 @@ def oracle_graph_count(kind, g):
 
 
 def test_path2_examples():
-    assert count_path2_node(gen_path(3)).node_counts == (1, 0, 1)
-    assert count_path2_node(gen_complete(3)).node_counts == (2, 2, 2)
-    assert count_path2_node(gen_star(4)).node_counts == (0, 3, 3, 3, 3)
+    assert count("path2", gen_path(3)).node_counts == (1, 0, 1)
+    assert count("path2", gen_complete(3)).node_counts == (2, 2, 2)
+    assert count("path2", gen_star(4)).node_counts == (0, 3, 3, 3, 3)
 
 
 def test_path3_examples():
-    assert count_path3_node(gen_path(4)).node_counts[0] == 1
-    assert count_path3_node(gen_cycle(4)).node_counts == (2, 2, 2, 2)
+    assert count("path3", gen_path(4)).node_counts[0] == 1
+    assert count("path3", gen_cycle(4)).node_counts == (2, 2, 2, 2)
 
 
 def test_cycle3_cycle4_examples():
-    assert count_cycle3_node(gen_complete(3)).node_counts == (1, 1, 1)
-    assert count_cycle3_node(gen_complete(4)).node_counts == (3, 3, 3, 3)
-    assert count_cycle4_node(gen_complete(4)).node_counts == (3, 3, 3, 3)
-    assert count_cycle4_node(gen_cycle(4)).node_counts == (1, 1, 1, 1)
-    assert count_cycle3_node(gen_cycle(4)).node_counts == (0, 0, 0, 0)
+    assert count("cycle3", gen_complete(3)).node_counts == (1, 1, 1)
+    assert count("cycle3", gen_complete(4)).node_counts == (3, 3, 3, 3)
+    assert count("cycle4", gen_complete(4)).node_counts == (3, 3, 3, 3)
+    assert count("cycle4", gen_cycle(4)).node_counts == (1, 1, 1, 1)
+    assert count("cycle3", gen_cycle(4)).node_counts == (0, 0, 0, 0)
 
 
 def test_cycle5_examples():
-    assert count_cycle5_node(gen_cycle(5)).node_counts == (1,) * 5
+    assert count("cycle5", gen_cycle(5)).node_counts == (1,) * 5
     joined, _ = gen_coned_cycles(3)
-    assert count_cycle5_node(joined).node_counts[0] == 6
-    rep = count_cycle5_node(gen_petersen())
+    assert count("cycle5", joined).node_counts[0] == 6
+    rep = count("cycle5", gen_petersen())
     assert rep.node_counts == (6,) * 10
     assert rep.graph_count == 12
 
 
 def test_cycle6_examples():
-    rep = count_cycle6_node(gen_cycle(6))
+    rep = count("cycle6", gen_cycle(6))
     assert rep.node_counts == (1,) * 6
     assert rep.patterns.p1 == (0,) * 6
     assert rep.patterns.p2 == (0,) * 6
     assert rep.patterns.p3 == (0,) * 6
-    assert count_cycle6_node(gen_complete(4)).node_counts == (0, 0, 0, 0)
+    assert count("cycle6", gen_complete(4)).node_counts == (0, 0, 0, 0)
 
 
 def test_path4_examples():
-    assert count_path4_node(gen_path(5)).node_counts == (1, 0, 0, 0, 1)
-    assert count_path4_node(gen_cycle(5)).node_counts == (2,) * 5
+    assert count("path4", gen_path(5)).node_counts == (1, 0, 0, 0, 1)
+    assert count("path4", gen_cycle(5)).node_counts == (2,) * 5
 
 
 def test_graphlet_examples():
-    assert count_clique4_node(gen_complete(4)).node_counts == (1, 1, 1, 1)
-    assert count_chordal_cycle_node(DIAMOND).node_counts == (1, 0, 0, 1)
-    assert count_tailed_triangle_node(PAW).node_counts == (1, 0, 0, 0)
+    assert count("clique4", gen_complete(4)).node_counts == (1, 1, 1, 1)
+    assert count("chordal_cycle", DIAMOND).node_counts == (1, 0, 0, 1)
+    assert count("tailed_triangle", PAW).node_counts == (1, 0, 0, 0)
     tri_rect = from_edges(5, [(0, 1), (0, 2), (1, 2), (1, 3), (3, 4), (4, 2)])
-    assert count_triangle_rectangle_node(tri_rect).node_counts == (1, 0, 0, 0, 0)
+    assert count("triangle_rectangle", tri_rect).node_counts == (1, 0, 0, 0, 0)
 
 
 def test_path4_edge_table():
@@ -154,7 +142,7 @@ def test_walk_examples():
 
 def test_walk_is_not_path_counting():
     # nonzero closed 4-walks at a node lying on no 4-cycle
-    walks = closed_walk_counts(PAW, 4)
+    walks = count("walk4", PAW).node_counts
     cycles = oracle.oracle_cycles(PAW, 4).per_node
     assert all(w > 0 for w in walks)
     assert cycles == (0, 0, 0, 0)
@@ -224,6 +212,8 @@ def test_insufficient_hops():
         count("path4", g, hops=3)
     with pytest.raises(InsufficientHopsError):
         count("cycle4", g, hops=1)
+    with pytest.raises(InsufficientHopsError):
+        count("walk4", g, hops=1)
 
 
 def test_permutation_equivariance_counts():
@@ -253,8 +243,13 @@ def test_kind_resolution():
 
 
 def test_walk_kind_report():
-    rep = count("walk4", PAW)
-    assert rep.node_counts == closed_walk_counts(PAW, 4)
+    # the root-bag plan agrees with propagation over the whole graph
+    for g in (PAW, gen_random(12, 0.3, 5)):
+        rep = count("walk4", g)
+        assert rep.node_counts == tuple(
+            count_walks(g, 4, i, i) for i in range(g.node_count)
+        )
+        assert rep.graph_count == sum(rep.node_counts)
 
 
 def test_corpus_cycle_stats(tmp_path):

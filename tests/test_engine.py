@@ -31,8 +31,8 @@ def test_three_path_program_on_c5():
 def test_constant_zero_program():
     prog = E.MPProgram("zero", init=(E.Const(0),), layers=())
     bag = extract_bag_subgraph_mpnn(gen_cycle(5), ego(1))
-    rows = E.run_bag(bag, prog, [E.Readout(0)])
-    assert rows == [(0,)] * 5
+    rows = [E.apply_readout(sub, E.run_program(sub, prog), E.Readout(0)) for sub in bag]
+    assert rows == [0] * 5
 
 
 def test_disjoint_union_locality():

@@ -1,0 +1,55 @@
+"""Exhaustive program-vs-oracle agreement on every small labelled graph.
+
+The inputs are every labelled graph on at most five nodes, plus the 512
+six-node graphs that contain the cycle 0-1-2-3-4-5 (every chord subset), so
+each 6-cycle pattern shape occurs with every possible set of chords.
+"""
+
+from itertools import combinations
+
+from conftest import all_graphs_up_to
+from graphcount import oracle
+from graphcount.counting import KIND_SPECS, count, count_path4_edge
+from graphcount.graph import from_edges
+
+_HEXAGON = [(i, (i + 1) % 6) for i in range(6)]
+_CHORDS = [
+    p for p in combinations(range(6), 2) if p not in _HEXAGON and p[::-1] not in _HEXAGON
+]
+
+
+def _graphs():
+    yield from all_graphs_up_to(5)
+    for mask in range(1 << len(_CHORDS)):
+        yield from_edges(6, _HEXAGON + [c for b, c in enumerate(_CHORDS) if mask >> b & 1])
+
+
+def _oracle(kind, g):
+    if kind.startswith("path"):
+        res = oracle.oracle_paths(g, int(kind[4:]))
+        return res.starts_at, res.graph_count
+    if kind.startswith("cycle"):
+        res = oracle.oracle_cycles(g, int(kind[5:]))
+        return res.per_node, res.graph_count
+    res = oracle.oracle_graphlets(g, kind)
+    return res.per_node, res.graph_count
+
+
+def test_every_small_graph_matches_the_oracles():
+    checked = 0
+    for g in _graphs():
+        for kind in KIND_SPECS:
+            rep = count(kind, g)
+            assert (rep.node_counts, rep.graph_count) == _oracle(kind, g), (kind, g)
+        pats = count("cycle6", g).patterns
+        want = oracle.oracle_cycle6_patterns(g)
+        assert (pats.p0, pats.p1, pats.p2, pats.p3, pats.p4) == (
+            want.p0, want.p1, want.p2, want.p3, want.p4
+        ), g
+        for length in range(1, 9):
+            rep = count(f"walk{length}", g)
+            walks = oracle.oracle_closed_walks(g, length)
+            assert (rep.node_counts, rep.graph_count) == (walks, sum(walks)), (length, g)
+        assert count_path4_edge(g, hops=4) == oracle.oracle_path4_first_step(g), g
+        checked += 1
+    assert checked == 1100 + 512

@@ -134,3 +134,27 @@ def test_spd_labeling_for_pairs():
     sub = with_branching(g, base, 1)
     assert sub.labels["spd_root"] == (0, 1, 2, 3, 2, 1)
     assert sub.labels["spd_branch"] == (1, 0, 1, 2, 3, 2)
+
+
+def test_spd_labels_are_graph_distances():
+    # the pair BFS stops one hop past the root's farthest subgraph node
+    for g in small_random_graphs(count=4, max_n=12):
+        for hops in (1, 2):
+            for sub in extract_bag_i2(g, hops, labeling="spd"):
+                for name, src in (("spd_root", sub.root), ("spd_branch", sub.branching)):
+                    dist = shortest_path_distances(g, src)
+                    assert sub.labels[name] == tuple(dist[p] for p in sub.nodes)
+
+
+def test_edge_attr_rows_match_graph():
+    g0 = gen_random(14, 0.35, 8)
+    attrs = {(u, v): 3 * u + v for u, v in g0.edges() if (u + v) % 3}
+    g = from_edges(g0.node_count, g0.edges(), edge_attrs=attrs)
+    for u, v in g.edges():
+        assert g.edge_attr(u, v) == g.edge_attr(v, u) == attrs.get((u, v))
+    for root in range(g.node_count):
+        for sub in (extract_rooted(g, root, ego(2)), identity_labeled_graph(g, root)):
+            for k, p in enumerate(sub.nodes):
+                want = [g.edge_attr(p, sub.nodes[q]) or 0 for q in sub.adj[k]]
+                assert list(sub.edge_attrs[k]) == want
+    assert g.edge_attr(0, 0) is None
