@@ -44,9 +44,8 @@ from .refinement import (
     GraphFingerprint,
     distinguish,
     fingerprint,
-    i2_node_colors,
     i2_wl,
-    subgraph_node_colors,
+    node_colors,
     subgraph_wl,
     wl1,
 )
@@ -77,16 +76,15 @@ __all__ = [
     "extract_rooted",
     "fingerprint",
     "from_edges",
-    "i2_node_colors",
     "i2_wl",
     "load_graph",
+    "node_colors",
     "node_deletion",
     "parse_edgelist",
     "parse_graph6",
     "permute",
     "save_graph",
     "shortest_path_distances",
-    "subgraph_node_colors",
     "subgraph_wl",
     "wl1",
 ]

@@ -26,7 +26,7 @@ from . import bench as bench_mod
 from . import counting, generators, oracle, refinement
 from .counting import InsufficientHopsError
 from .engine import ProgramError
-from .extraction import ego, node_deletion
+from .extraction import node_deletion
 from .graph import (
     Graph,
     GraphFormatError,
@@ -118,14 +118,9 @@ def _cmd_oracle(args) -> int:
 
 
 def _refinement_kwargs(args) -> dict:
-    kw = {"labeling": args.labeling, "exact": args.exact_compare}
-    if args.method == "subgraph_wl":
-        if args.policy == "node_deletion":
-            kw["policy"] = node_deletion()
-        else:
-            kw["policy"] = ego(args.hops if args.hops is not None else 3)
-    elif args.method == "i2_wl":
-        kw["hops"] = args.hops if args.hops is not None else 1
+    kw = {"hops": args.hops, "labeling": args.labeling, "exact": args.exact_compare}
+    if args.method == "subgraph_wl" and args.policy == "node_deletion":
+        kw["policy"] = node_deletion()
     return kw
 
 

@@ -296,10 +296,21 @@ def permute(g: Graph, perm: Sequence[int]) -> Graph:
         for i in range(n):
             rows[perm[i]] = g.node_attrs[i]
         attrs = rows
-    return from_edges(n, edges, node_attrs=attrs)
+    eattrs = None
+    if g.edge_attrs is not None:
+        eattrs = {(perm[u], perm[v]): val for u, v, val in g.edge_attrs}
+    return from_edges(n, edges, node_attrs=attrs, edge_attrs=eattrs)
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
+    """g1 next to g2, whose node ids are shifted up by g1.node_count."""
+    if (g1.node_attrs is None) != (g2.node_attrs is None):
+        raise GraphValidationError("node attributes on only one side of a union")
     off = g1.node_count
     edges = list(g1.edges()) + [(u + off, v + off) for u, v in g2.edges()]
-    return from_edges(g1.node_count + g2.node_count, edges)
+    attrs = None if g1.node_attrs is None else g1.node_attrs + g2.node_attrs
+    eattrs = None
+    if g1.edge_attrs is not None or g2.edge_attrs is not None:
+        eattrs = {(u, v): val for u, v, val in g1.edge_attrs or ()}
+        eattrs.update({(u + off, v + off): val for u, v, val in g2.edge_attrs or ()})
+    return from_edges(off + g2.node_count, edges, node_attrs=attrs, edge_attrs=eattrs)

@@ -1,13 +1,25 @@
 """Color refinement hierarchy: plain 1-WL, per-root subgraph refinement, and
 pair (root, branching-neighbor) refinement, plus a graph-distinguishing harness.
 
-Two interchangeable kernels drive everything:
+Every method runs one pipeline.  Its bag gives each root its subgraphs: none
+for ``wl1``, which refines the graph itself; one for ``subgraph_wl`` (the
+ego-network of radius ``hops``, default 3, or the extraction ``policy``); one
+pair subgraph per neighbor for ``i2_wl``, over the root's ego-network of
+radius ``hops``, default 1.  Each subgraph is refined to stability from
+initial colors holding the parent node's attributes (if any), then the
+subgraph's labels.  The fold gives each node a key: its stable color
+(``wl1``), its subgraph's stable color histogram (``subgraph_wl``), or the
+sorted multiset of its pair histograms (``i2_wl``).  ``fingerprint``,
+``node_colors``, ``distinguish`` and the partitions ``wl1`` / ``subgraph_wl``
+/ ``i2_wl`` all read these node keys.
 
-* an id kernel that assigns canonical small-integer colors (sorted-signature
-  first-appearance order), used for reported partitions and for exact joint
-  comparisons of two graphs;
-* a content-addressed hash kernel (fixed 128-bit blake2b) whose colors are
-  comparable across separate runs and graphs, used for stable fingerprints.
+Two interchangeable kernels do the refining:
+
+* an id kernel that assigns canonical small-integer colors (ranks of the
+  sorted signatures) jointly over all subgraphs of all graphs, used for the
+  ``wl1`` partition and for exact joint comparisons of two graphs;
+* a content-addressed hash kernel (fixed 128-bit blake2b), run one subgraph
+  at a time, whose colors are comparable across separate runs and graphs.
 
 Both iterate ``new_color = combine(old_color, sorted multiset of neighbor
 colors)`` synchronously and stop as soon as one iteration no longer increases
@@ -21,7 +33,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .extraction import (
     ExtractionPolicy,
@@ -52,129 +64,44 @@ def _h(data: bytes) -> bytes:
     return hashlib.blake2b(data, digest_size=16).digest()
 
 
-# ---------------------------------------------------------------------------
-# Refinement kernels (joint over a list of graphs).
-# ---------------------------------------------------------------------------
-
-
-def _refine_ids(
-    adjs: Sequence[Sequence[Sequence[int]]],
-    inits: Sequence[Sequence[tuple]],
-) -> tuple[list[list[int]], int]:
-    """Joint refinement with canonical integer colors."""
-    keys = sorted({k for row in inits for k in row})
-    table = {k: i for i, k in enumerate(keys)}
-    colors = [[table[k] for k in row] for row in inits]
-    distinct = len(keys)
-    if distinct == 0:
-        return colors, 0
-    rounds = 0
-    while True:
-        sigs = [
-            [
-                (cs[k], tuple(sorted(cs[l] for l in adj[k])))
-                for k in range(len(adj))
-            ]
-            for adj, cs in zip(adjs, colors)
-        ]
-        uniq = sorted({s for rows in sigs for s in rows})
-        table = {s: i for i, s in enumerate(uniq)}
-        colors = [[table[s] for s in rows] for rows in sigs]
-        rounds += 1
-        if len(uniq) == distinct:
-            return colors, rounds
-        distinct = len(uniq)
-
-
-def _refine_hash(
-    adjs: Sequence[Sequence[Sequence[int]]],
-    inits: Sequence[Sequence[bytes]],
-) -> tuple[list[list[bytes]], int]:
-    """Joint refinement with content-addressed 128-bit colors."""
-    colors = [list(row) for row in inits]
-    distinct = len({c for row in colors for c in row})
-    if distinct == 0:
-        return colors, 0
-    rounds = 0
-    while True:
-        new = []
-        for adj, cs in zip(adjs, colors):
-            new.append(
-                [
-                    _h(cs[k] + b"|" + b"".join(sorted(cs[l] for l in adj[k])))
-                    for k in range(len(adj))
-                ]
-            )
-        rounds += 1
-        nd = len({c for row in new for c in row})
-        if nd == distinct:
-            return new, rounds
-        colors = new
-        distinct = nd
-
-
-def _partition_from_keys(keys: Sequence, rounds: int) -> ColorPartition:
-    order = {k: i for i, k in enumerate(sorted(set(keys)))}
-    colors = tuple(order[k] for k in keys)
-    hist = tuple(sorted(Counter(colors).items()))
-    return ColorPartition(colors, hist, rounds)
-
-
-def _digest_of(keys: Sequence[bytes]) -> str:
-    return _h(b"G:" + b",".join(sorted(keys))).hex()
+# method -> default subgraph radius; subgraph_wl refines the ego-networks of
+# radius hops unless given an extraction policy
+_DEFAULT_HOPS = {"wl1": None, "subgraph_wl": 3, "i2_wl": 1}
+METHODS = tuple(_DEFAULT_HOPS)
+DEFAULT_POLICY = ego(_DEFAULT_HOPS["subgraph_wl"])
 
 
 # ---------------------------------------------------------------------------
-# Initial colors.
+# Kernels.
 # ---------------------------------------------------------------------------
-
-
-def _graph_init_keys(g: Graph) -> list[tuple]:
-    if g.node_attrs is not None:
-        return [tuple(g.node_attrs[i]) for i in range(g.node_count)]
-    return [(0,) for _ in range(g.node_count)]
-
-
-def _subgraph_init_keys(sub: RootedSubgraph) -> list[tuple]:
-    names = sub.label_names()
-    return [
-        tuple(sub.labels[name][k] for name in names)
-        for k in range(len(sub.nodes))
-    ]
 
 
 def _key_bytes(key: tuple) -> bytes:
     return _h(repr(key).encode())
 
 
-# ---------------------------------------------------------------------------
-# 1-WL.
-# ---------------------------------------------------------------------------
+def _ids_init(inits: Sequence[Sequence[tuple]]) -> list[list[int]]:
+    table = {k: i for i, k in enumerate(sorted({k for row in inits for k in row}))}
+    return [[table[k] for k in row] for row in inits]
 
 
-def wl1(g: Graph) -> ColorPartition:
-    """Iterative (color, neighbor-color multiset) refinement to stability."""
-    colors, rounds = _refine_ids([g.adjacency], [_graph_init_keys(g)])
-    return _partition_from_keys(colors[0], rounds)
+def _ids_round(adjs, colors: list[list[int]]) -> list[list[int]]:
+    sigs = [
+        [(cs[k], tuple(sorted(cs[l] for l in nbrs))) for k, nbrs in enumerate(adj)]
+        for adj, cs in zip(adjs, colors)
+    ]
+    table = {s: i for i, s in enumerate(sorted({s for row in sigs for s in row}))}
+    return [[table[s] for s in row] for row in sigs]
 
 
-def wl1_fingerprint(g: Graph) -> GraphFingerprint:
-    colors, _ = _refine_hash(
-        [g.adjacency], [[_key_bytes(k) for k in _graph_init_keys(g)]]
-    )
-    return GraphFingerprint("wl1", _digest_of(colors[0]))
-
-
-# ---------------------------------------------------------------------------
-# Subgraph refinement: run refinement to stability inside each labeled rooted
-# subgraph; the root's color is the stable color histogram of its subgraph.
-# ---------------------------------------------------------------------------
-
-DEFAULT_POLICY = ego(3)
-
-
-def _subgraph_bag(g: Graph, policy: ExtractionPolicy, labeling: str):
-    return [extract_rooted(g, i, policy, labeling) for i in range(g.node_count)]
+def _hash_round(adjs, colors: list[list[bytes]]) -> list[list[bytes]]:
+    return [
+        [
+            _h(cs[k] + b"|" + b"".join(sorted(cs[l] for l in nbrs)))
+            for k, nbrs in enumerate(adj)
+        ]
+        for adj, cs in zip(adjs, colors)
+    ]
 
 
 def _hist_hash(colors: Sequence[bytes]) -> bytes:
@@ -182,15 +109,133 @@ def _hist_hash(colors: Sequence[bytes]) -> bytes:
     return _h(b"H:" + b",".join(c + b":%d" % n for c, n in counts))
 
 
-def _node_hashes_subgraph(g: Graph, policy, labeling) -> tuple[list[bytes], int]:
-    node_hashes = []
+class _Kernel(NamedTuple):
+    joint: bool  # refine all subgraphs together, or one at a time
+    init: Callable  # initial keys -> colors
+    step: Callable  # one synchronous refinement round
+    hist: Callable  # stable colors of one subgraph -> histogram
+    multiset: Callable  # one root's histograms -> node key
+
+
+_IDS = _Kernel(
+    True,
+    _ids_init,
+    _ids_round,
+    lambda colors: tuple(sorted(Counter(colors).items())),
+    lambda hists: tuple(sorted(hists)),
+)
+_HASH = _Kernel(
+    False,
+    lambda inits: [[_key_bytes(k) for k in row] for row in inits],
+    _hash_round,
+    _hist_hash,
+    lambda hists: _h(b"N:" + b",".join(sorted(hists))),
+)
+
+
+def _refine(units: Iterable[tuple], kernel: _Kernel, reduce: Callable):
+    """Refine (tag, adjacency, initial keys) units to stability.
+
+    Returns (tag, reduce(stable colors)) per unit in order, and the rounds the
+    slowest group of units took.  A kernel that is not joint takes the units
+    one at a time, as the iterator yields them.
+    """
+    groups = [list(units)] if kernel.joint else ([unit] for unit in units)
+    init, step = kernel.init, kernel.step
+    out = []
     rounds_max = 0
-    for sub in _subgraph_bag(g, policy, labeling):
-        inits = [[_key_bytes(k) for k in _subgraph_init_keys(sub)]]
-        colors, rounds = _refine_hash([sub.adj], inits)
+    for group in groups:
+        adjs = [adj for _, adj, _ in group]
+        colors = init([keys for _, _, keys in group])
+        distinct = len({c for row in colors for c in row})
+        rounds = 0
+        while distinct:
+            colors = step(adjs, colors)
+            rounds += 1
+            nd = len({c for row in colors for c in row})
+            if nd == distinct:
+                break
+            distinct = nd
+        out += [(tag, reduce(cs)) for (tag, _, _), cs in zip(group, colors)]
         rounds_max = max(rounds_max, rounds)
-        node_hashes.append(_hist_hash(colors[0]))
-    return node_hashes, rounds_max
+    return out, rounds_max
+
+
+# ---------------------------------------------------------------------------
+# The pipeline: bag -> stable colorings -> node keys.
+# ---------------------------------------------------------------------------
+
+
+def _init_keys(g: Graph, nodes: Sequence[int], labels: dict) -> list[tuple]:
+    """Initial color keys: the parent node's attributes, then the labels."""
+    names = sorted(labels)
+    keys = [tuple(labels[name][k] for name in names) for k in range(len(nodes))]
+    if g.node_attrs is not None:
+        return [(*g.node_attrs[p], *key) for p, key in zip(nodes, keys)]
+    return keys if names else [(0,)] * len(nodes)
+
+
+def _bag(g: Graph, method: str, policy, hops, labeling: str) -> Iterator[RootedSubgraph]:
+    """Each root's subgraphs, streamed in root order."""
+    if method == "subgraph_wl":
+        return (extract_rooted(g, i, policy, labeling) for i in range(g.node_count))
+    return iter_bag_i2(g, hops, labeling)
+
+
+def _fold(method: str, kernel: _Kernel, per_root: list[list]) -> list:
+    """Each root's key from the stable color histograms of its subgraphs."""
+    if method == "subgraph_wl":
+        return [hists[0] for hists in per_root]
+    return [kernel.multiset(hists) for hists in per_root]
+
+
+def _node_keys(
+    graphs: Sequence[Graph],
+    kernel: _Kernel,
+    method: str,
+    policy: ExtractionPolicy | None = None,
+    hops: int | None = None,
+    labeling: str = "identity",
+) -> tuple[list[list], int]:
+    """Per graph, one key per node; and the rounds to stability."""
+    if method not in _DEFAULT_HOPS:
+        raise ValueError(f"unknown refinement method {method!r}")
+    if hops is None:
+        hops = _DEFAULT_HOPS[method]
+    if method == "wl1":
+        units = [(None, g.adjacency, _init_keys(g, range(g.node_count), {})) for g in graphs]
+        stable, rounds = _refine(units, kernel, lambda colors: colors)
+        return [colors for _, colors in stable], rounds
+    if method == "subgraph_wl" and policy is None:
+        policy = ego(hops)
+    units = (
+        ((gi, sub.root), sub.adj, _init_keys(g, sub.nodes, sub.labels))
+        for gi, g in enumerate(graphs)
+        for sub in _bag(g, method, policy, hops, labeling)
+    )
+    hists, rounds = _refine(units, kernel, kernel.hist)
+    per_root = [[[] for _ in range(g.node_count)] for g in graphs]
+    for (gi, root), hist in hists:
+        per_root[gi][root].append(hist)
+    return [_fold(method, kernel, roots) for roots in per_root], rounds
+
+
+def _partition(g: Graph, kernel: _Kernel, method: str, **kw) -> ColorPartition:
+    keys, rounds = _node_keys([g], kernel, method, **kw)
+    order = {k: i for i, k in enumerate(sorted(set(keys[0])))}
+    colors = tuple(order[k] for k in keys[0])
+    return ColorPartition(colors, tuple(sorted(Counter(colors).items())), rounds)
+
+
+# ---------------------------------------------------------------------------
+# Public entry points.  The wl1 partition numbers its classes by id-kernel
+# colors, the subgraph partitions by hash-kernel node keys.
+# ---------------------------------------------------------------------------
+
+
+def wl1(g: Graph) -> ColorPartition:
+    """Iterative (color, neighbor-color multiset) refinement to stability."""
+    return _partition(g, _IDS, "wl1")
 
 
 def subgraph_wl(
@@ -198,76 +243,25 @@ def subgraph_wl(
     policy: ExtractionPolicy = DEFAULT_POLICY,
     labeling: str = "identity",
 ) -> ColorPartition:
-    node_hashes, rounds = _node_hashes_subgraph(g, policy, labeling)
-    return _partition_from_keys(node_hashes, rounds)
+    return _partition(g, _HASH, "subgraph_wl", policy=policy, labeling=labeling)
 
 
-def subgraph_wl_fingerprint(
+def i2_wl(
+    g: Graph, hops: int | None = None, labeling: str = "identity"
+) -> ColorPartition:
+    return _partition(g, _HASH, "i2_wl", hops=hops, labeling=labeling)
+
+
+def node_colors(
     g: Graph,
-    policy: ExtractionPolicy = DEFAULT_POLICY,
-    labeling: str = "identity",
-) -> GraphFingerprint:
-    node_hashes, _ = _node_hashes_subgraph(g, policy, labeling)
-    return GraphFingerprint("subgraph_wl", _digest_of(node_hashes))
-
-
-def subgraph_node_colors(
-    g: Graph,
-    policy: ExtractionPolicy = DEFAULT_POLICY,
+    method: str,
+    policy: ExtractionPolicy | None = None,
+    hops: int | None = None,
     labeling: str = "identity",
 ) -> tuple[str, ...]:
     """Per-node color fingerprints comparable across graphs (hex strings)."""
-    node_hashes, _ = _node_hashes_subgraph(g, policy, labeling)
-    return tuple(h.hex() for h in node_hashes)
-
-
-# ---------------------------------------------------------------------------
-# Pair refinement: refine each (root, branching) subgraph with both
-# identifiers in the initial colors, hash each stable histogram into a pair
-# color, then combine each root's multiset of pair colors into its node color.
-# ---------------------------------------------------------------------------
-
-
-def _node_hashes_i2(g: Graph, hops: int, labeling: str) -> tuple[list[bytes], int]:
-    pair_hashes: dict[int, list[bytes]] = {i: [] for i in range(g.node_count)}
-    rounds_max = 0
-    for sub in iter_bag_i2(g, hops, labeling):
-        inits = [[_key_bytes(k) for k in _subgraph_init_keys(sub)]]
-        colors, rounds = _refine_hash([sub.adj], inits)
-        rounds_max = max(rounds_max, rounds)
-        pair_hashes[sub.root].append(_hist_hash(colors[0]))
-    node_hashes = [
-        _h(b"N:" + b",".join(sorted(pair_hashes[i])))
-        for i in range(g.node_count)
-    ]
-    return node_hashes, rounds_max
-
-
-def i2_wl(g: Graph, hops: int = 1, labeling: str = "identity") -> ColorPartition:
-    node_hashes, rounds = _node_hashes_i2(g, hops, labeling)
-    return _partition_from_keys(node_hashes, rounds)
-
-
-def i2_wl_fingerprint(
-    g: Graph, hops: int = 1, labeling: str = "identity"
-) -> GraphFingerprint:
-    node_hashes, _ = _node_hashes_i2(g, hops, labeling)
-    return GraphFingerprint("i2_wl", _digest_of(node_hashes))
-
-
-def i2_node_colors(
-    g: Graph, hops: int = 1, labeling: str = "identity"
-) -> tuple[str, ...]:
-    """Per-node color fingerprints comparable across graphs (hex strings)."""
-    node_hashes, _ = _node_hashes_i2(g, hops, labeling)
-    return tuple(h.hex() for h in node_hashes)
-
-
-# ---------------------------------------------------------------------------
-# Distinguishing harness.
-# ---------------------------------------------------------------------------
-
-METHODS = ("wl1", "subgraph_wl", "i2_wl")
+    keys, _ = _node_keys([g], _HASH, method, policy, hops, labeling)
+    return tuple(k.hex() for k in keys[0])
 
 
 def fingerprint(
@@ -277,66 +271,8 @@ def fingerprint(
     hops: int | None = None,
     labeling: str = "identity",
 ) -> GraphFingerprint:
-    if method == "wl1":
-        return wl1_fingerprint(g)
-    if method == "subgraph_wl":
-        return subgraph_wl_fingerprint(g, policy or DEFAULT_POLICY, labeling)
-    if method == "i2_wl":
-        return i2_wl_fingerprint(g, hops if hops is not None else 1, labeling)
-    raise ValueError(f"unknown refinement method {method!r}")
-
-
-def _exact_compare_wl1(g1: Graph, g2: Graph) -> bool:
-    colors, _ = _refine_ids(
-        [g1.adjacency, g2.adjacency],
-        [_graph_init_keys(g1), _graph_init_keys(g2)],
-    )
-    return Counter(colors[0]) != Counter(colors[1])
-
-
-def _exact_node_keys_subgraph(subs_per_graph) -> list[Counter]:
-    all_subs = [sub for subs in subs_per_graph for sub in subs]
-    colors, _ = _refine_ids(
-        [sub.adj for sub in all_subs],
-        [_subgraph_init_keys(sub) for sub in all_subs],
-    )
-    hists = [tuple(sorted(Counter(c).items())) for c in colors]
-    out = []
-    pos = 0
-    for subs in subs_per_graph:
-        out.append(Counter(hists[pos : pos + len(subs)]))
-        pos += len(subs)
-    return out
-
-
-def _exact_compare_subgraph(g1, g2, policy, labeling) -> bool:
-    keys = _exact_node_keys_subgraph(
-        [_subgraph_bag(g1, policy, labeling), _subgraph_bag(g2, policy, labeling)]
-    )
-    return keys[0] != keys[1]
-
-
-def _exact_compare_i2(g1, g2, hops, labeling) -> bool:
-    bags = [list(iter_bag_i2(g1, hops, labeling)), list(iter_bag_i2(g2, hops, labeling))]
-    all_subs = [sub for bag in bags for sub in bag]
-    colors, _ = _refine_ids(
-        [sub.adj for sub in all_subs],
-        [_subgraph_init_keys(sub) for sub in all_subs],
-    )
-    hists = [tuple(sorted(Counter(c).items())) for c in colors]
-    node_keys = []
-    pos = 0
-    for g, bag in zip((g1, g2), bags):
-        per_root: dict[int, list] = {i: [] for i in range(g.node_count)}
-        for sub in bag:
-            per_root[sub.root].append(hists[pos])
-            pos += 1
-        node_keys.append(
-            Counter(
-                tuple(sorted(per_root[i])) for i in range(g.node_count)
-            )
-        )
-    return node_keys[0] != node_keys[1]
+    keys, _ = _node_keys([g], _HASH, method, policy, hops, labeling)
+    return GraphFingerprint(method, _h(b"G:" + b",".join(sorted(keys[0]))).hex())
 
 
 def distinguish(
@@ -358,10 +294,5 @@ def distinguish(
         fp1 = fingerprint(g1, method, policy, hops, labeling)
         fp2 = fingerprint(g2, method, policy, hops, labeling)
         return fp1.digest != fp2.digest
-    if method == "wl1":
-        return _exact_compare_wl1(g1, g2)
-    if method == "subgraph_wl":
-        return _exact_compare_subgraph(g1, g2, policy or DEFAULT_POLICY, labeling)
-    if method == "i2_wl":
-        return _exact_compare_i2(g1, g2, hops if hops is not None else 1, labeling)
-    raise ValueError(f"unknown refinement method {method!r}")
+    keys, _ = _node_keys([g1, g2], _IDS, method, policy, hops, labeling)
+    return Counter(keys[0]) != Counter(keys[1])

@@ -34,7 +34,7 @@ from graphcount.refinement import (
     DEFAULT_POLICY,
     distinguish,
     fingerprint,
-    subgraph_node_colors,
+    node_colors,
     wl1,
 )
 
@@ -175,8 +175,8 @@ def test_criterion_3_node_level_negative_result():
     for length in (3, 4, 5):
         joined, disjoint = gen_coned_cycles(length)
         for policy in (DEFAULT_POLICY, node_deletion()):
-            cj = subgraph_node_colors(joined, policy)
-            cd = subgraph_node_colors(disjoint, policy)
+            cj = node_colors(joined, "subgraph_wl", policy)
+            cd = node_colors(disjoint, "subgraph_wl", policy)
             ok &= cj[0] == cd[0]
         joined_count = oracle.oracle_cycles(joined, length + 2).per_node[0]
         disjoint_count = oracle.oracle_cycles(disjoint, length + 2).per_node[0]

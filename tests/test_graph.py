@@ -135,6 +135,22 @@ def test_permute_and_union():
         permute(g, [0, 0, 1, 2, 3])
 
 
+def test_permute_and_union_keep_attributes():
+    e = from_edges(3, [(0, 1), (1, 2)], node_attrs=[[5], [6], [7]], edge_attrs={(0, 1): 8})
+    p = permute(e, [2, 1, 0])
+    assert p.node_attrs == ((7,), (6,), (5,))
+    assert p.edge_attrs == ((1, 2, 8),)
+    f = from_edges(2, [(0, 1)], node_attrs=[[1], [2]], edge_attrs={(0, 1): 4})
+    u = disjoint_union(e, f)
+    assert u.node_attrs == ((5,), (6,), (7,), (1,), (2,))
+    assert u.edge_attrs == ((0, 1, 8), (3, 4, 4))
+    assert u.edge_attr(1, 2) is None
+    plain = from_edges(2, [(0, 1)])
+    assert disjoint_union(plain, plain).edge_attrs is None
+    with pytest.raises(GraphValidationError):
+        disjoint_union(e, plain)
+
+
 def test_empty_graph():
     g = parse_edgelist("0 0\n")
     assert g.node_count == 0
