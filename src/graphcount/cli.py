@@ -2,7 +2,8 @@
 
 Exit code contract (for CI scripting):
   0  success
-  2  input error (parse/validation/usage)
+  2  input error (parse/validation/usage, or an input or output file that
+     cannot be read or written)
   3  unmet precondition (insufficient subgraph radius, enumeration budget)
   4  arithmetic integrity failure (a remainder/nonnegativity check fired;
      states are arbitrary-precision integers, so true overflow cannot occur
@@ -45,6 +46,9 @@ _ORACLE_KINDS = sorted(set(_COUNT_KINDS) | {"cycle7", "cycle8"})
 
 
 def _cpu_default() -> int:
+    """The CPUs this process may run on, where the platform can tell."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -345,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
         # a ValueError subclass, so it must be caught before input errors
         print(f"error: internal fault: {exc}", file=sys.stderr)
         return 5
-    except (GraphFormatError, GraphValidationError, FileNotFoundError, ValueError) as exc:
+    except (GraphFormatError, GraphValidationError, OSError, ValueError) as exc:
         if isinstance(exc, InsufficientHopsError):
             print(f"error: {exc}", file=sys.stderr)
             return 3

@@ -13,11 +13,22 @@ are compiled once per (program, label layout) into plain Python functions.
 States are Python ints, i.e. arbitrary precision: results are exact and
 overflow cannot occur.  Programs serialize to a readable one-line-per-layer
 text form for auditing.
+
+Counting runs a program once per rooted subgraph, so ``run`` keeps its
+per-call work small and free of per-node Python loops outside the compiled
+steps.  ``label_rows`` turns the label columns into one row per node with a
+single ``zip`` (``[()] * n`` when there are no labels), after checking that
+every column has one entry per node: ``zip`` would silently stop at the
+shortest.  The compile cache is keyed by (program, label layout), and a
+program computes its hash once when built, so the lookup costs O(1) instead
+of hashing the expression tree on every call; equal programs built
+separately share one entry.  Readouts are C-level sums over the states.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter, mul
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 if TYPE_CHECKING:  # avoid a circular import; only needed for annotations
@@ -153,6 +164,19 @@ class MPProgram:
     init: tuple[Expr, ...]
     layers: tuple[Layer, ...]
 
+    def __post_init__(self) -> None:
+        # the compile cache hashes its key on every run; the tree is immutable,
+        # so hash it once here
+        object.__setattr__(self, "_hash", hash((self.name, self.init, self.layers)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes, so rebuild rather than
+        # carry the cached hash along
+        return (MPProgram, (self.name, self.init, self.layers))
+
 
 @dataclass(frozen=True)
 class Readout:
@@ -256,6 +280,9 @@ def _compile_step(layer: Layer, layout: Mapping[str, int], state_w: int):
     out_tuple = "(" + ", ".join(upd_srcs) + ("," if len(upd_srcs) == 1 else "") + ")"
     uses_ea = any("ea" in s for s in msg_srcs)
     lines = ["def _step(adj, labels, H, eattrs):", "    out = []"]
+    if uses_ea:
+        lines.append("    if eattrs is None:")
+        lines.append("        eattrs = [(0,) * len(row) for row in adj]")
     lines.append("    for _k in range(len(adj)):")
     if any("hs[" in s for s in msg_srcs + upd_srcs):
         lines.append("        hs = H[_k]")
@@ -315,6 +342,19 @@ def _compiled(prog: MPProgram, layout_names: tuple[str, ...]):
 # ---------------------------------------------------------------------------
 
 
+def label_rows(
+    labels: Mapping[str, Sequence[int]], names: Sequence[str], n: int
+) -> list[tuple[int, ...]]:
+    """Per-node rows of the named label columns, in ``names`` order."""
+    cols = [labels[name] for name in names]
+    for name, col in zip(names, cols):
+        if len(col) != n:
+            raise ProgramError(
+                f"label {name!r} has {len(col)} entries for {n} nodes"
+            )
+    return list(zip(*cols)) if cols else [()] * n
+
+
 def run(
     prog: MPProgram,
     adjacency: Sequence[Sequence[int]],
@@ -324,15 +364,12 @@ def run(
     """Run a program over raw (adjacency, labels) and return the final states.
 
     ``edge_attrs``, when given, must be aligned with ``adjacency`` (one value
-    per directed edge); programs that never read edge attributes ignore it.
+    per directed edge); programs that never read edge attributes ignore it,
+    and those that do read 0 on every edge when it is None.
     """
     layout_names = tuple(sorted(labels))
     init_fn, steps = _compiled(prog, layout_names)
-    n = len(adjacency)
-    cols = [labels[name] for name in layout_names]
-    rows = [tuple(col[k] for col in cols) for k in range(n)]
-    if edge_attrs is None:
-        edge_attrs = [()] * n
+    rows = label_rows(labels, layout_names, len(adjacency))
     state = init_fn(rows)
     for step in steps:
         state = step(adjacency, rows, state, edge_attrs)
@@ -347,15 +384,21 @@ def run_program(sub: "RootedSubgraph", prog: MPProgram) -> list[tuple[int, ...]]
 def apply_readout(
     sub: "RootedSubgraph", states: Sequence[tuple[int, ...]], readout: Readout
 ) -> int:
+    values = map(itemgetter(readout.component), states)
     if readout.weight is None:
-        return sum(h[readout.component] for h in states)
+        return sum(values)
     try:
         w = sub.labels[readout.weight]
     except KeyError:
         raise MissingLabelError(
             f"readout weight label {readout.weight!r} not in subgraph labels"
         ) from None
-    return sum(h[readout.component] * w[k] for k, h in enumerate(states))
+    if len(w) != len(states):
+        raise ProgramError(
+            f"readout weight label {readout.weight!r} has {len(w)} entries "
+            f"for {len(states)} states"
+        )
+    return sum(map(mul, values, w))
 
 
 def exact_div(value: int, divisor: int) -> int:

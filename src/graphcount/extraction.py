@@ -10,6 +10,7 @@ their very first layer.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -84,10 +85,7 @@ def _bfs_limited(g: Graph, source: int, hops: int | None) -> dict[int, int]:
 
 def _induced_adj(g: Graph, nodes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     index = {p: i for i, p in enumerate(nodes)}
-    rows = []
-    for p in nodes:
-        rows.append(tuple(index[q] for q in g.adjacency[p] if q in index))
-    return tuple(rows)
+    return tuple([tuple([index[q] for q in g.adjacency[p] if q in index]) for p in nodes])
 
 
 def _edge_attr_rows(
@@ -106,11 +104,20 @@ def _edge_attr_rows(
     )
 
 
+def _indicator(nodes: tuple[int, ...], marked) -> tuple[int, ...]:
+    """1 at the positions of the marked parent ids found in sorted ``nodes``."""
+    col = [0] * len(nodes)
+    for p in marked:
+        k = bisect_left(nodes, p)
+        if k < len(nodes) and nodes[k] == p:
+            col[k] = 1
+    return tuple(col)
+
+
 def _base_labels(g: Graph, nodes: tuple[int, ...], root: int) -> dict[str, tuple[int, ...]]:
-    root_nbrs = g.neighbor_set(root)
     return {
-        "is_root": tuple(1 if p == root else 0 for p in nodes),
-        "in_n_root": tuple(1 if p in root_nbrs else 0 for p in nodes),
+        "is_root": _indicator(nodes, (root,)),
+        "in_n_root": _indicator(nodes, g.adjacency[root]),
     }
 
 
@@ -156,10 +163,9 @@ def with_branching(g: Graph, sub: RootedSubgraph, branching: int) -> RootedSubgr
         raise ValueError(
             f"branching node {branching} is not a neighbor of root {sub.root}"
         )
-    br_nbrs = g.neighbor_set(branching)
     labels = dict(sub.labels)
-    labels["is_branch"] = tuple(1 if p == branching else 0 for p in sub.nodes)
-    labels["in_n_branch"] = tuple(1 if p in br_nbrs else 0 for p in sub.nodes)
+    labels["is_branch"] = _indicator(sub.nodes, (branching,))
+    labels["in_n_branch"] = _indicator(sub.nodes, g.adjacency[branching])
     if "spd_root" in labels:
         # every subgraph node lies within max(spd_root) of the root, hence
         # within one hop more of the branching node

@@ -35,6 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
+from .engine import label_rows
 from .extraction import (
     ExtractionPolicy,
     RootedSubgraph,
@@ -169,7 +170,7 @@ def _refine(units: Iterable[tuple], kernel: _Kernel, reduce: Callable):
 def _init_keys(g: Graph, nodes: Sequence[int], labels: dict) -> list[tuple]:
     """Initial color keys: the parent node's attributes, then the labels."""
     names = sorted(labels)
-    keys = [tuple(labels[name][k] for name in names) for k in range(len(nodes))]
+    keys = label_rows(labels, names, len(nodes))
     if g.node_attrs is not None:
         return [(*g.node_attrs[p], *key) for p, key in zip(nodes, keys)]
     return keys if names else [(0,)] * len(nodes)

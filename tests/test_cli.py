@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from conftest import to_graph6
-from graphcount import counting
+from graphcount import cli, counting
 from graphcount.cli import main
 from graphcount.engine import MissingLabelError, ProgramError
 from graphcount.generators import gen_complete, gen_cycle, gen_random, gen_rook4x4, gen_shrikhande
@@ -75,6 +75,30 @@ def test_missing_file_exit_2(capsys):
         ["count", "--input", "/nonexistent.el", "--substructure", "cycle3"], capsys
     )
     assert code == 2
+
+
+def test_directory_as_input_or_output_exit_2(c6_file, tmp_path, capsys):
+    code, _, err = run_cli(
+        ["count", "--input", str(tmp_path), "--substructure", "cycle3"], capsys
+    )
+    assert code == 2
+    assert err.startswith("error: ")
+    code, _, err = run_cli(
+        ["count", "--input", c6_file, "--substructure", "cycle3",
+         "--out", str(tmp_path)], capsys
+    )
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_threads_default_follows_cpu_affinity(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli._cpu_default() == 1
+    args = cli.build_parser().parse_args(["count", "--input", "g", "--substructure", "cycle3"])
+    assert args.threads == 1
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    assert cli._cpu_default() == 8
 
 
 @pytest.mark.parametrize("fault", [ProgramError, MissingLabelError])

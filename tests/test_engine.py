@@ -2,7 +2,7 @@ import pytest
 
 from conftest import random_permutation, small_random_graphs
 from graphcount import engine as E
-from graphcount.counting import PROG_P3, PROG_PATH2
+from graphcount.counting import PROG_P3, PROG_PATH2, _walk_program
 from graphcount.extraction import ego, extract_bag_subgraph_mpnn, extract_rooted, identity_labeled_graph
 from graphcount.generators import gen_complete, gen_cycle, gen_path, gen_star
 from graphcount.graph import disjoint_union, from_edges, permute
@@ -134,3 +134,41 @@ def test_program_text_serialization():
     assert lines[1].startswith("  init: h0 = self.in_n_root")
     assert len([ln for ln in lines if ln.startswith("  layer")]) == 2
     assert "sum_nbr" in lines[2]
+
+
+def test_edge_attr_reads_zero_without_edge_attributes():
+    prog = E.MPProgram(
+        "ea", (E.Const(1),), (E.Layer((E.EdgeAttr(),), (E.Msg(0),)),)
+    )
+    assert E.run(prog, ((1,), (0,)), {}) == [(0,), (0,)]
+    sub = extract_rooted(gen_cycle(4), 0, ego(1))
+    assert E.run_program(sub, prog) == [(0,)] * len(sub.nodes)
+
+
+def test_label_and_weight_lengths_must_match():
+    prog = E.MPProgram("root", (E.LSelf("is_root"),), ())
+    adjacency = ((1,), (0,))
+    for column in ((1,), (1, 0, 0)):
+        with pytest.raises(E.ProgramError, match="is_root"):
+            E.run(prog, adjacency, {"is_root": column})
+    sub = extract_rooted(gen_cycle(4), 0, ego(1))
+    states = E.run_program(sub, prog)
+    assert E.apply_readout(sub, states, E.Readout(0, "in_n_root")) == 0
+    with pytest.raises(E.ProgramError, match="in_n_root"):
+        E.apply_readout(sub, states[:-1], E.Readout(0, "in_n_root"))
+
+
+def test_equal_programs_share_one_compile_cache_entry():
+    a, b = _walk_program(4), _walk_program(4)
+    assert a is not b and a == b and hash(a) == hash(b)
+    adjacency = gen_path(3).adjacency
+    labels = {"is_root": (1, 0, 0)}
+    E.run(a, adjacency, labels)
+    size = len(E._COMPILE_CACHE)
+    E.run(b, adjacency, labels)
+    assert len(E._COMPILE_CACHE) == size
+    assert sum(1 for key in E._COMPILE_CACHE if key == (a, ("is_root",))) == 1
+
+
+def test_empty_graph_without_labels():
+    assert E.run(PROG_PATH2, (), {}) == []

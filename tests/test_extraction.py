@@ -158,3 +158,28 @@ def test_edge_attr_rows_match_graph():
                 want = [g.edge_attr(p, sub.nodes[q]) or 0 for q in sub.adj[k]]
                 assert list(sub.edge_attrs[k]) == want
     assert g.edge_attr(0, 0) is None
+
+
+def _assert_indicators(g, sub):
+    marks = (("is_root", "in_n_root", sub.root), ("is_branch", "in_n_branch", sub.branching))
+    for is_x, in_n_x, x in marks:
+        if is_x in sub.labels:
+            assert sub.labels[is_x] == tuple(1 if p == x else 0 for p in sub.nodes)
+            nbrs = g.neighbor_set(x)
+            assert sub.labels[in_n_x] == tuple(1 if p in nbrs else 0 for p in sub.nodes)
+
+
+def test_indicator_labels_match_set_membership():
+    # isolated nodes (the 30-node graphs at p=0.05 have several) exercise
+    # roots and subgraphs without neighbors
+    graphs = [gen_random(30, 0.05, seed) for seed in range(3)] + small_random_graphs(4)
+    assert any(not row for g in graphs for row in g.adjacency)
+    for g in graphs:
+        for root in range(g.node_count):
+            _assert_indicators(g, identity_labeled_graph(g, root))
+            for labeling in ("identity", "spd"):
+                for policy in (ego(1), ego(2), node_deletion()):
+                    sub = extract_rooted(g, root, policy, labeling)
+                    _assert_indicators(g, sub)
+                    for j in g.adjacency[root]:
+                        _assert_indicators(g, with_branching(g, sub, j))
