@@ -176,34 +176,28 @@ def _distinguish_corpus(args, kw) -> int:
     return 0
 
 
+# ``graphcount gen`` names, in the order ``--help`` lists them
+_GENERATORS = {
+    "cycle": lambda a: generators.gen_cycle(a.L),
+    "cycle-pair": lambda a: (
+        generators.gen_cycle_pair(a.L)[0 if a.variant == "disjoint" else 1]
+    ),
+    "coned": lambda a: (
+        generators.gen_coned_cycles(a.L)[0 if a.variant == "joined" else 1]
+    ),
+    "rook": lambda a: generators.gen_rook4x4(),
+    "shrikhande": lambda a: generators.gen_shrikhande(),
+    "petersen": lambda a: generators.gen_petersen(),
+    "complete": lambda a: generators.gen_complete(a.n),
+    "path": lambda a: generators.gen_path(a.n),
+    "star": lambda a: generators.gen_star(a.n),
+    "random": lambda a: generators.gen_random(a.n, a.p, a.seed),
+    "random-regular": lambda a: generators.gen_random_regular(a.n, a.d, a.seed),
+}
+
+
 def _cmd_gen(args) -> int:
-    name = args.graph
-    if name == "cycle":
-        g = generators.gen_cycle(args.L)
-    elif name == "path":
-        g = generators.gen_path(args.n)
-    elif name == "star":
-        g = generators.gen_star(args.n)
-    elif name == "complete":
-        g = generators.gen_complete(args.n)
-    elif name == "petersen":
-        g = generators.gen_petersen()
-    elif name == "rook":
-        g = generators.gen_rook4x4()
-    elif name == "shrikhande":
-        g = generators.gen_shrikhande()
-    elif name == "cycle-pair":
-        two, one = generators.gen_cycle_pair(args.L)
-        g = two if args.variant == "disjoint" else one
-    elif name == "coned":
-        joined, disjoint = generators.gen_coned_cycles(args.L)
-        g = joined if args.variant == "joined" else disjoint
-    elif name == "random":
-        g = generators.gen_random(args.n, args.p, args.seed)
-    elif name == "random-regular":
-        g = generators.gen_random_regular(args.n, args.d, args.seed)
-    else:  # pragma: no cover - argparse choices guard this
-        raise GraphFormatError(f"unknown generator {name!r}")
+    g = _GENERATORS[args.graph](args)
     text = format_edgelist(g)
     if args.out:
         Path(args.out).write_text(text)
@@ -307,11 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.set_defaults(func=_cmd_distinguish)
 
     p_gen = sub.add_parser("gen", help="generate a named graph as an edge list")
-    p_gen.add_argument(
-        "graph",
-        choices=("cycle", "cycle-pair", "coned", "rook", "shrikhande", "petersen",
-                 "complete", "path", "star", "random", "random-regular"),
-    )
+    p_gen.add_argument("graph", choices=tuple(_GENERATORS))
     p_gen.add_argument("--L", type=int, default=3, help="cycle length parameter")
     p_gen.add_argument("--n", type=int, default=8, help="node count")
     p_gen.add_argument("--p", type=float, default=0.3, help="edge probability")

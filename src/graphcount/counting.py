@@ -1,16 +1,16 @@
 """Explicit message-passing counting programs with exact integer readouts.
 
 ``KIND_SPECS`` is the plan table: per kind, a program (see ``engine``), a bag
-shape, a default and minimum subgraph radius, readouts, a combine step, and
-a graph divisor.  Root bags (one ego-network per node) cover 3-paths,
-triangles, 4-cycles, and the closed walks; pair bags (root + branching
-neighbor) cover 4-paths, 5-/6-cycles, and the size-4/5 graphlets; 2-paths run
-once over the whole graph.  One function builds a root's bag and one executor
-runs its plan.  All divisions are exact integer divisions with remainder
-checks, and every kind has an independent brute-force twin in ``oracle``.
+shape, a subgraph radius, readouts, a combine step, and a graph divisor.
+Root bags (one ego-network per node) cover 3-paths, triangles, 4-cycles, and
+the closed walks; pair bags (root + branching neighbor) cover 4-paths,
+5-/6-cycles, and the size-4/5 graphlets; 2-paths run once over the whole
+graph.  One function builds a root's bag and one executor runs its plan.
+All divisions are exact integer divisions with remainder checks, and every
+kind has an independent brute-force twin in ``oracle``.
 
-Hop requirements: each plan declares the minimum subgraph radius that makes
-it exact and the default it is run at.  Larger radii never change results,
+Hop requirements: each plan declares the smallest subgraph radius that makes
+it exact, and runs at it by default.  Larger radii never change results,
 only cost.
 """
 
@@ -281,16 +281,16 @@ class KindSpec:
 
     ``mode`` is the bag shape: "mpnn" (component 0 of ``program`` run over
     the whole graph), "root" (each root's ego-network), or "pair" (one copy
-    per neighbor of the root, marked as branching node).  Each subgraph
-    yields a row of ``readouts``; ``combine`` maps a root's rows to its count,
-    followed by the 6-cycle pattern counts when ``patterns`` is set.  The
-    graph count is the node-count sum divided by ``graph_divisor``.
+    per neighbor of the root, marked as branching node), of radius ``hops``:
+    the smallest that is exact, and the default.  Each subgraph yields a row
+    of ``readouts``; ``combine`` maps a root's rows to its count, followed by
+    the 6-cycle pattern counts when ``patterns`` is set.  The graph count is
+    the node-count sum divided by ``graph_divisor``.
     """
 
     mode: str  # "mpnn" | "root" | "pair"
     program: MPProgram
-    default_hops: int | None
-    min_hops: int | None
+    hops: int | None
     readouts: tuple[Readout, ...]
     combine: Callable[[list[tuple[int, ...]]], tuple[int, ...]] | None
     graph_divisor: int
@@ -298,20 +298,20 @@ class KindSpec:
 
 
 KIND_SPECS: dict[str, KindSpec] = {
-    "path2": KindSpec("mpnn", PROG_PATH2, None, None, (), None, 2),
-    "path3": KindSpec("root", PROG_P3, 3, 3, _SUM, _summed(1), 2),
-    "path4": KindSpec("pair", PROG_P4, 4, 4, _SUM, _summed(1), 2),
-    "cycle3": KindSpec("root", PROG_P2, 1, 1, _SUM_OVER_N_ROOT, _summed(2), 3),
-    "cycle4": KindSpec("root", PROG_P3, 2, 2, _SUM_OVER_N_ROOT, _summed(2), 4),
-    "cycle5": KindSpec("pair", PROG_P4, 2, 2, _SUM_OVER_N_ROOT, _summed(2), 5),
+    "path2": KindSpec("mpnn", PROG_PATH2, None, (), None, 2),
+    "path3": KindSpec("root", PROG_P3, 3, _SUM, _summed(1), 2),
+    "path4": KindSpec("pair", PROG_P4, 4, _SUM, _summed(1), 2),
+    "cycle3": KindSpec("root", PROG_P2, 1, _SUM_OVER_N_ROOT, _summed(2), 3),
+    "cycle4": KindSpec("root", PROG_P3, 2, _SUM_OVER_N_ROOT, _summed(2), 4),
+    "cycle5": KindSpec("pair", PROG_P4, 2, _SUM_OVER_N_ROOT, _summed(2), 5),
     "cycle6": KindSpec(
-        "pair", PROG_CYCLE6, 3, 3, _CYCLE6_READOUTS, _cycle6_patterns, 6, True
+        "pair", PROG_CYCLE6, 3, _CYCLE6_READOUTS, _cycle6_patterns, 6, True
     ),
-    "tailed_triangle": KindSpec("pair", PROG_TAILED, 2, 1, _SUM, _summed(2), 1),
-    "chordal_cycle": KindSpec("pair", PROG_CHORDAL, 2, 2, _SUM, _summed(2), 2),
-    "clique4": KindSpec("pair", PROG_CLIQUE4, 1, 1, _SUM, _summed(6), 4),
+    "tailed_triangle": KindSpec("pair", PROG_TAILED, 1, _SUM, _summed(2), 1),
+    "chordal_cycle": KindSpec("pair", PROG_CHORDAL, 2, _SUM, _summed(2), 2),
+    "clique4": KindSpec("pair", PROG_CLIQUE4, 1, _SUM, _summed(6), 4),
     "triangle_rectangle": KindSpec(
-        "pair", PROG_TRIANGLE_RECTANGLE, 2, 2, _SUM, _summed(2), 1
+        "pair", PROG_TRIANGLE_RECTANGLE, 2, _SUM, _summed(2), 1
     ),
 }
 
@@ -320,7 +320,7 @@ KIND_SPECS: dict[str, KindSpec] = {
 # radius-max(1, L//2) ego-network.
 _WALK_SPECS = {
     f"walk{n}": KindSpec(
-        "root", _walk_program(n), max(1, n // 2), max(1, n // 2), _AT_ROOT, _summed(1), 1
+        "root", _walk_program(n), max(1, n // 2), _AT_ROOT, _summed(1), 1
     )
     for n in range(1, 9)
 }
@@ -341,9 +341,9 @@ def resolve_kind(kind: str) -> str:
 
 def _resolve_hops(kind: str, hops: int | None) -> int:
     spec = _PLANS[kind]
-    k = spec.default_hops if hops is None else hops
-    if k < spec.min_hops:
-        raise InsufficientHopsError(kind, k, spec.min_hops)
+    k = spec.hops if hops is None else hops
+    if k < spec.hops:
+        raise InsufficientHopsError(kind, k, spec.hops)
     return k
 
 

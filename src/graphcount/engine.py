@@ -8,11 +8,17 @@ layers are synchronous: states at step t+1 depend only on states at step t,
 so evaluation order cannot affect the result.
 
 Expressions form a small closed AST over integer arithmetic
-({+, -, *, constants, component selects, zero/positivity indicators}); they
-are compiled once per (program, label layout) into plain Python functions.
-States are Python ints, i.e. arbitrary precision: results are exact and
-overflow cannot occur.  Programs serialize to a readable one-line-per-layer
-text form for auditing.
+({+, -, *, constants, component selects, zero/positivity indicators}).  One
+visitor walks it, with one table entry per node type: per expression it
+gives the Python source and the audit text, checks that every select stays
+in its context and width, and records what the expression reads.  ``init``
+is walked as a message-less layer over an empty state, so a program compiles,
+once per (program, label layout), into one plain Python function per step;
+each binds only the state, label and edge variables its expressions read,
+and a message-less step is one list comprehension.  ``program_text`` (one
+readable line per layer, for auditing) and ``required_labels`` come from the
+same walk.  States are Python ints, i.e. arbitrary precision: results are
+exact and overflow cannot occur.
 
 Counting runs a program once per rooted subgraph, so ``run`` keeps its
 per-call work small and free of per-node Python loops outside the compiled
@@ -27,7 +33,7 @@ separately share one entry.  Readouts are C-level sums over the states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import itemgetter, mul
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -191,121 +197,132 @@ class Readout:
 
 
 # ---------------------------------------------------------------------------
-# Compilation: AST -> Python source -> function objects, cached per
-# (program, label layout).
+# The one walk over the AST: each expression's Python source and audit text,
+# and what it reads.  Compiled steps are cached per (program, label layout).
 # ---------------------------------------------------------------------------
 
+# Composite nodes: Python form and text form, one {} per operand.
+_OPERATORS = {
+    Add: ("({} + {})", "({} + {})"),
+    Sub: ("({} - {})", "({} - {})"),
+    Mul: ("({} * {})", "({} * {})"),
+    IsZero: ("(0 if {} else 1)", "[{} == 0]"),
+    IsPos: ("(1 if {} > 0 else 0)", "[{} > 0]"),
+}
 
-def _py(e: Expr, layout: Mapping[str, int], ctx: str, widths: tuple[int, int]) -> str:
-    state_w, msg_w = widths
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, Self):
-        if not 0 <= e.index < state_w:
-            raise ProgramError(f"state select {e.index} out of width {state_w}")
-        return f"hs[{e.index}]"
-    if isinstance(e, Nbr):
-        if ctx != "message":
-            raise ProgramError("neighbor state is only visible in message expressions")
-        if not 0 <= e.index < state_w:
-            raise ProgramError(f"state select {e.index} out of width {state_w}")
-        return f"hn[{e.index}]"
-    if isinstance(e, Msg):
-        if ctx != "update":
-            raise ProgramError("message sums are only visible in update expressions")
-        if not 0 <= e.index < msg_w:
-            raise ProgramError(f"message select {e.index} out of width {msg_w}")
-        return f"_m{e.index}"
-    if isinstance(e, LSelf):
-        if e.name not in layout:
-            raise MissingLabelError(f"program needs label {e.name!r}")
-        return f"ls[{layout[e.name]}]"
-    if isinstance(e, LNbr):
-        if ctx != "message":
-            raise ProgramError("neighbor labels are only visible in message expressions")
-        if e.name not in layout:
-            raise MissingLabelError(f"program needs label {e.name!r}")
-        return f"ln[{layout[e.name]}]"
-    if isinstance(e, EdgeAttr):
-        if ctx != "message":
-            raise ProgramError("edge attributes are only visible in message expressions")
-        return "ea"
-    if isinstance(e, Add):
-        return f"({_py(e.a, layout, ctx, widths)} + {_py(e.b, layout, ctx, widths)})"
-    if isinstance(e, Sub):
-        return f"({_py(e.a, layout, ctx, widths)} - {_py(e.b, layout, ctx, widths)})"
-    if isinstance(e, Mul):
-        return f"({_py(e.a, layout, ctx, widths)} * {_py(e.b, layout, ctx, widths)})"
-    if isinstance(e, IsZero):
-        return f"(0 if {_py(e.a, layout, ctx, widths)} else 1)"
-    if isinstance(e, IsPos):
-        return f"(1 if {_py(e.a, layout, ctx, widths)} > 0 else 0)"
-    raise ProgramError(f"unknown expression node {type(e).__name__}")
+# Leaves: the variable the Python form reads ("" for none), Python form and
+# text form of the node's field, the context the node is confined to (with
+# what the error calls it), and the width that bounds its index.
+_LEAVES = {
+    Const: ("", "{!r}", "{}", None, None),
+    Self: ("hs", "hs[{}]", "self.h{}", None, "state"),
+    Nbr: ("hn", "hn[{}]", "nbr.h{}", ("message", "neighbor state is"), "state"),
+    Msg: ("", "_m{}", "m{}", ("update", "message sums are"), "message"),
+    LSelf: ("ls", "ls[{}]", "self.{}", None, None),
+    LNbr: ("ln", "ln[{}]", "nbr.{}", ("message", "neighbor labels are"), None),
+    EdgeAttr: ("ea", "ea", "edge_attr", ("message", "edge attributes are"), None),
+}
+
+
+def _visit(
+    e: Expr, ctx: str, widths: Mapping[str, int], layout: Mapping[str, int], reads: set
+) -> tuple[str, str]:
+    """(Python source, audit text) of ``e`` in context ``ctx``.
+
+    Adds what ``e`` reads to ``reads`` as (variable, index or label name)
+    tuples.  A label reads from its position in ``layout``; names outside
+    the layout never reach compilation, because ``_compiled`` rejects them.
+    """
+    kind = type(e)
+    if kind not in _OPERATORS and kind not in _LEAVES:
+        raise ProgramError(f"unknown expression node {kind.__name__}")
+    args = [getattr(e, f.name) for f in fields(e)]
+    if kind in _OPERATORS:
+        py, text = _OPERATORS[kind]
+        parts = [_visit(a, ctx, widths, layout, reads) for a in args]
+        return py.format(*(p for p, _ in parts)), text.format(*(t for _, t in parts))
+    var, py, text, confined, bound = _LEAVES[kind]
+    if confined and ctx != confined[0]:
+        raise ProgramError(f"{confined[1]} only visible in {confined[0]} expressions")
+    if bound and not 0 <= args[0] < widths[bound]:
+        raise ProgramError(f"{bound} select {args[0]} out of width {widths[bound]}")
+    if var:
+        reads.add((var, *args))
+    if var in ("ls", "ln"):
+        return py.format(layout.get(args[0])), text.format(*args)
+    return py.format(*args), text.format(*args)
+
+
+def _walk(prog: MPProgram, layout: Mapping[str, int]) -> list[tuple[list, list, set]]:
+    """Visit every expression of ``prog`` once, step by step: ``init`` first,
+    as a message-less layer over an empty state, then each layer.  A step is
+    the (Python source, text) pairs of its messages and of its updates, and
+    the set of what they read."""
+    steps = []
+    state_w = 0
+    layers = [("init", Layer((), prog.init))] + [("update", x) for x in prog.layers]
+    for ctx, layer in layers:
+        widths = {"state": state_w, "message": len(layer.message)}
+        reads: set = set()
+        messages = [_visit(e, "message", widths, layout, reads) for e in layer.message]
+        updates = [_visit(e, ctx, widths, layout, reads) for e in layer.update]
+        if ctx == "update" and not updates:
+            raise ProgramError("layer update must produce at least one component")
+        steps.append((messages, updates, reads))
+        state_w = len(updates)
+    return steps
 
 
 def required_labels(prog: MPProgram) -> frozenset[str]:
-    names: set[str] = set()
-    stack: list[Expr] = list(prog.init)
-    for layer in prog.layers:
-        stack.extend(layer.message)
-        stack.extend(layer.update)
-    while stack:
-        e = stack.pop()
-        if isinstance(e, (LSelf, LNbr)):
-            names.add(e.name)
-        for attr in ("a", "b"):
-            child = getattr(e, attr, None)
-            if isinstance(child, Expr):
-                stack.append(child)
-    return frozenset(names)
+    """Names of the labels ``prog`` reads."""
+    reads = set().union(*(step[2] for step in _walk(prog, {})))
+    return frozenset(r[1] for r in reads if r[0] in ("ls", "ln"))
 
 
-def _compile_init(prog: MPProgram, layout: Mapping[str, int]):
-    exprs = [_py(e, layout, "init", (0, 0)) for e in prog.init]
-    body = "(" + ", ".join(exprs) + ("," if len(exprs) == 1 else "") + ")"
-    if not exprs:
-        body = "()"
-    src = f"def _init(labels):\n    return [{body} for ls in labels]\n"
-    ns: dict = {}
-    exec(src, ns)
-    return ns["_init"]
+def program_text(prog: MPProgram) -> str:
+    (_, init, _), *layers = _walk(prog, {})
+    inits = "; ".join(f"h{i} = {text}" for i, (_, text) in enumerate(init)) or "-"
+    lines = [f"program {prog.name}", f"  init: {inits}"]
+    for number, (messages, updates, _) in enumerate(layers, start=1):
+        msgs = "; ".join(
+            f"m{i} = sum_nbr {text}" for i, (_, text) in enumerate(messages)
+        )
+        upds = "; ".join(f"h{i} = {text}" for i, (_, text) in enumerate(updates))
+        sep = " | " if msgs else ""
+        lines.append(f"  layer {number}: {msgs}{sep}{upds}")
+    return "\n".join(lines)
 
 
-def _compile_step(layer: Layer, layout: Mapping[str, int], state_w: int):
-    mw = len(layer.message)
-    msg_srcs = [_py(e, layout, "message", (state_w, mw)) for e in layer.message]
-    upd_srcs = [_py(e, layout, "update", (state_w, mw)) for e in layer.update]
-    if not upd_srcs:
-        raise ProgramError("layer update must produce at least one component")
-    out_tuple = "(" + ", ".join(upd_srcs) + ("," if len(upd_srcs) == 1 else "") + ")"
-    uses_ea = any("ea" in s for s in msg_srcs)
-    lines = ["def _step(adj, labels, H, eattrs):", "    out = []"]
-    if uses_ea:
-        lines.append("    if eattrs is None:")
-        lines.append("        eattrs = [(0,) * len(row) for row in adj]")
-    lines.append("    for _k in range(len(adj)):")
-    if any("hs[" in s for s in msg_srcs + upd_srcs):
-        lines.append("        hs = H[_k]")
-    if any("ls[" in s for s in msg_srcs + upd_srcs):
-        lines.append("        ls = labels[_k]")
-    if uses_ea:
-        lines.append("        _er = eattrs[_k]")
-    for i in range(mw):
-        lines.append(f"        _m{i} = 0")
-    if mw:
-        if uses_ea:
-            lines.append("        for _x, _l in enumerate(adj[_k]):")
-            lines.append("            ea = _er[_x]")
-        else:
-            lines.append("        for _l in adj[_k]:")
-        if any("hn[" in s for s in msg_srcs):
-            lines.append("            hn = H[_l]")
-        if any("ln[" in s for s in msg_srcs):
-            lines.append("            ln = labels[_l]")
-        for i, s in enumerate(msg_srcs):
-            lines.append(f"            _m{i} += {s}")
-    lines.append(f"        out.append({out_tuple})")
-    lines.append("    return out")
+# What a message step binds for each variable its expressions read, once per
+# node and once per edge.
+_NODE_BINDINGS = {"hs": "hs = H[_k]", "ls": "ls = labels[_k]", "ea": "_er = eattrs[_k]"}
+_EDGE_BINDINGS = {"ea": "ea = _er[_x]", "hn": "hn = H[_l]", "ln": "ln = labels[_l]"}
+
+
+def _compile_step(messages: list, updates: list, reads: set):
+    """One step as a Python function ``(adj, labels, H, eattrs) -> new H``,
+    binding only the variables its expressions read."""
+    names = {read[0] for read in reads}
+    upd_srcs = [py for py, _ in updates]
+    new_state = "(" + ", ".join(upd_srcs) + ("," if len(upd_srcs) == 1 else "") + ")"
+    lines = ["def _step(adj, labels, H, eattrs):"]
+    if not messages:
+        # ``init`` has state width 0, so it never reads the empty H it gets
+        loop = "hs, ls in zip(H, labels)" if "hs" in names else "ls in labels"
+        lines.append(f"    return [{new_state} for {loop}]")
+    else:
+        lines.append("    out = [None] * len(adj)")
+        if "ea" in names:
+            lines.append("    if eattrs is None:")
+            lines.append("        eattrs = [(0,) * len(row) for row in adj]")
+        edges = "_x, _l in enumerate(adj[_k])" if "ea" in names else "_l in adj[_k]"
+        lines.append("    for _k in range(len(adj)):")
+        lines += ["        " + b for v, b in _NODE_BINDINGS.items() if v in names]
+        lines += [f"        _m{i} = 0" for i in range(len(messages))]
+        lines.append(f"        for {edges}:")
+        lines += ["            " + b for v, b in _EDGE_BINDINGS.items() if v in names]
+        lines += [f"            _m{i} += {py}" for i, (py, _) in enumerate(messages)]
+        lines += [f"        out[_k] = {new_state}", "    return out"]
     ns: dict = {}
     exec("\n".join(lines), ns)
     return ns["_step"]
@@ -326,15 +343,9 @@ def _compiled(prog: MPProgram, layout_names: tuple[str, ...]):
             f"not provided by this subgraph (has {sorted(layout_names)})"
         )
     layout = {name: i for i, name in enumerate(layout_names)}
-    init_fn = _compile_init(prog, layout)
-    steps = []
-    width = len(prog.init)
-    for layer in prog.layers:
-        steps.append(_compile_step(layer, layout, width))
-        width = len(layer.update)
-    compiled = (init_fn, tuple(steps))
-    _COMPILE_CACHE[key] = compiled
-    return compiled
+    steps = tuple(_compile_step(*step) for step in _walk(prog, layout))
+    _COMPILE_CACHE[key] = steps
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +379,9 @@ def run(
     and those that do read 0 on every edge when it is None.
     """
     layout_names = tuple(sorted(labels))
-    init_fn, steps = _compiled(prog, layout_names)
+    steps = _compiled(prog, layout_names)
     rows = label_rows(labels, layout_names, len(adjacency))
-    state = init_fn(rows)
+    state: list[tuple[int, ...]] = []  # init is the first step
     for step in steps:
         state = step(adjacency, rows, state, edge_attrs)
     return state
@@ -409,48 +420,3 @@ def exact_div(value: int, divisor: int) -> int:
             f"expected {value} to be divisible by {divisor} (remainder {r})"
         )
     return q
-
-
-# ---------------------------------------------------------------------------
-# Human-readable serialization (one line per layer), for docs and tests.
-# ---------------------------------------------------------------------------
-
-
-def _text(e: Expr) -> str:
-    if isinstance(e, Const):
-        return str(e.value)
-    if isinstance(e, Self):
-        return f"self.h{e.index}"
-    if isinstance(e, Nbr):
-        return f"nbr.h{e.index}"
-    if isinstance(e, Msg):
-        return f"m{e.index}"
-    if isinstance(e, LSelf):
-        return f"self.{e.name}"
-    if isinstance(e, LNbr):
-        return f"nbr.{e.name}"
-    if isinstance(e, EdgeAttr):
-        return "edge_attr"
-    if isinstance(e, Add):
-        return f"({_text(e.a)} + {_text(e.b)})"
-    if isinstance(e, Sub):
-        return f"({_text(e.a)} - {_text(e.b)})"
-    if isinstance(e, Mul):
-        return f"({_text(e.a)} * {_text(e.b)})"
-    if isinstance(e, IsZero):
-        return f"[{_text(e.a)} == 0]"
-    if isinstance(e, IsPos):
-        return f"[{_text(e.a)} > 0]"
-    raise ProgramError(f"unknown expression node {type(e).__name__}")
-
-
-def program_text(prog: MPProgram) -> str:
-    lines = [f"program {prog.name}"]
-    init = "; ".join(f"h{i} = {_text(e)}" for i, e in enumerate(prog.init)) or "-"
-    lines.append(f"  init: {init}")
-    for t, layer in enumerate(prog.layers, start=1):
-        msgs = "; ".join(f"m{i} = sum_nbr {_text(e)}" for i, e in enumerate(layer.message))
-        upds = "; ".join(f"h{i} = {_text(e)}" for i, e in enumerate(layer.update))
-        sep = " | " if msgs else ""
-        lines.append(f"  layer {t}: {msgs}{sep}{upds}")
-    return "\n".join(lines)

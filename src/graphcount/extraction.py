@@ -62,9 +62,6 @@ class RootedSubgraph:
     labels: dict[str, tuple[int, ...]]
     edge_attrs: tuple[tuple[int, ...], ...] | None = None
 
-    def label_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self.labels))
-
 
 def _bfs_limited(g: Graph, source: int, hops: int | None) -> dict[int, int]:
     """Distances from source up to ``hops`` (all reachable when hops is None)."""

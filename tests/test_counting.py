@@ -199,8 +199,8 @@ def test_extra_hops_do_not_change_counts():
         spec = KIND_SPECS[kind]
         if spec.mode == "mpnn":
             continue
-        base = count(kind, g, hops=spec.min_hops)
-        more = count(kind, g, hops=spec.min_hops + 1)
+        base = count(kind, g, hops=spec.hops)
+        more = count(kind, g, hops=spec.hops + 1)
         assert base.node_counts == more.node_counts
 
 

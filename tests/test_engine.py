@@ -1,9 +1,18 @@
+from pathlib import Path
+
 import pytest
 
 from conftest import random_permutation, small_random_graphs
 from graphcount import engine as E
-from graphcount.counting import PROG_P3, PROG_PATH2, _walk_program
-from graphcount.extraction import ego, extract_bag_subgraph_mpnn, extract_rooted, identity_labeled_graph
+from graphcount.counting import PROG_P3, PROG_PATH2, _PLANS, _walk_program
+from graphcount.extraction import (
+    ego,
+    ego_mask_program,
+    extract_bag_subgraph_mpnn,
+    extract_rooted,
+    identity_labeled_graph,
+    spd_label_program,
+)
 from graphcount.generators import gen_complete, gen_cycle, gen_path, gen_star
 from graphcount.graph import disjoint_union, from_edges, permute
 from graphcount.oracle import oracle_paths
@@ -84,28 +93,63 @@ def test_missing_label_error():
         E.run_program(sub, prog)
 
 
-def test_width_and_context_validation():
-    bad_msg_index = E.MPProgram(
-        "bad-msg",
-        init=(),
-        layers=(E.Layer(message=(E.Const(1),), update=(E.Msg(1),)),),
-    )
-    with pytest.raises(E.ProgramError, match="message select"):
-        E.run(bad_msg_index, ((),), {})
-    nbr_in_update = E.MPProgram(
-        "bad-ctx",
-        init=(E.Const(0),),
-        layers=(E.Layer(message=(), update=(E.Nbr(0),)),),
-    )
-    with pytest.raises(E.ProgramError, match="message expressions"):
-        E.run(nbr_in_update, ((),), {})
-    bad_state = E.MPProgram(
-        "bad-state",
-        init=(),
-        layers=(E.Layer(message=(), update=(E.Self(0),)),),
-    )
-    with pytest.raises(E.ProgramError, match="state select"):
-        E.run(bad_state, ((),), {})
+class _Unknown(E.Expr):
+    """An expression node the engine does not know."""
+
+
+def _one_layer(message, update, init=(E.Const(0),)):
+    return E.MPProgram("bad", init=init, layers=(E.Layer(message, update),))
+
+
+@pytest.mark.parametrize(
+    "prog, error, message",
+    [
+        (_one_layer((), (E.Nbr(0),)), E.ProgramError,
+         "neighbor state is only visible in message expressions"),
+        (_one_layer((), (E.LNbr("is_root"),)), E.ProgramError,
+         "neighbor labels are only visible in message expressions"),
+        (_one_layer((), (E.EdgeAttr(),)), E.ProgramError,
+         "edge attributes are only visible in message expressions"),
+        (_one_layer((E.Msg(0),), (E.Msg(0),)), E.ProgramError,
+         "message sums are only visible in update expressions"),
+        (E.MPProgram("bad", init=(E.Msg(0),), layers=()), E.ProgramError,
+         "message sums are only visible in update expressions"),
+        (E.MPProgram("bad", init=(E.Self(0),), layers=()), E.ProgramError,
+         "state select 0 out of width 0"),
+        (_one_layer((), (E.Self(1),)), E.ProgramError, "state select 1 out of width 1"),
+        (_one_layer((), (E.Self(0),), init=()), E.ProgramError,
+         "state select 0 out of width 0"),
+        (_one_layer((E.Nbr(2),), (E.Msg(0),)), E.ProgramError,
+         "state select 2 out of width 1"),
+        (_one_layer((E.Const(1),), (E.Msg(1),)), E.ProgramError,
+         "message select 1 out of width 1"),
+        (_one_layer((), (E.Const(1) + _Unknown(),)), E.ProgramError,
+         "unknown expression node _Unknown"),
+        (_one_layer((E.Const(1),), ()), E.ProgramError,
+         "layer update must produce at least one component"),
+        (
+            E.MPProgram(
+                "needs",
+                init=(E.LSelf("b"), E.LSelf("a")),
+                layers=(E.Layer((E.LNbr("c"),), (E.Msg(0),)),),
+            ),
+            E.MissingLabelError,
+            "program 'needs' needs labels ['a', 'b', 'c'] not provided by this "
+            "subgraph (has ['is_root'])",
+        ),
+    ],
+    ids=[
+        "nbr-in-update", "lnbr-in-update", "edge-attr-in-update", "msg-in-message",
+        "msg-in-init", "self-in-init", "self-out-of-width", "self-over-empty-init",
+        "nbr-out-of-width", "msg-out-of-width", "unknown-node", "empty-update",
+        "missing-labels",
+    ],
+)
+def test_width_and_context_validation(prog, error, message):
+    with pytest.raises(error) as info:
+        E.run(prog, ((),), {"is_root": (1,)})
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_edge_attributes_in_messages():
@@ -134,6 +178,26 @@ def test_program_text_serialization():
     assert lines[1].startswith("  init: h0 = self.in_n_root")
     assert len([ln for ln in lines if ln.startswith("  layer")]) == 2
     assert "sum_nbr" in lines[2]
+
+
+def _audited_programs():
+    plans = {spec.program.name: spec.program for spec in _PLANS.values()}
+    return [*plans.values(), ego_mask_program(2), spd_label_program(2)]
+
+
+_FROZEN_TEXT = {
+    block.split("\n", 1)[0]: block
+    for block in (Path(__file__).parent / "program_text.txt").read_text().split("\n\n")
+}
+
+
+@pytest.mark.parametrize("prog", _audited_programs(), ids=lambda p: p.name)
+def test_program_text_is_frozen(prog):
+    assert E.program_text(prog) == _FROZEN_TEXT[f"program {prog.name}"].rstrip("\n")
+
+
+def test_frozen_program_text_covers_every_program():
+    assert sorted(_FROZEN_TEXT) == sorted(f"program {p.name}" for p in _audited_programs())
 
 
 def test_edge_attr_reads_zero_without_edge_attributes():
