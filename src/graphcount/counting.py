@@ -387,12 +387,21 @@ def _root_value(
     return value
 
 
-def _chunk_worker(
-    kind: str, g: Graph, hops: int, roots: range, phases: list[float]
-) -> list:
+# The graph a fork-pool worker counts on, handed over once per worker by
+# the pool initializer, so that chunks carry only (kind, hops, roots).
+_worker_graph: Graph | None = None
+
+
+def _set_worker_graph(g: Graph) -> None:
+    global _worker_graph
+    _worker_graph = g
+
+
+def _chunk_worker(kind: str, hops: int, roots: range) -> list:
     # takes the kind, not its plan, because combine steps do not pickle
     spec = _PLANS[kind]
-    return [_root_value(spec, g, hops, i, phases) for i in roots]
+    phases = [0.0] * len(_PHASES)
+    return [_root_value(spec, _worker_graph, hops, i, phases) for i in roots]
 
 
 def _map_roots(
@@ -404,18 +413,17 @@ def _map_roots(
 ) -> list:
     roots = range(g.node_count)
     if timings is not None or threads <= 1 or len(roots) < 64:
+        spec = _PLANS[kind]
         phases = [0.0] * len(_PHASES)
-        values = _chunk_worker(kind, g, hops, roots, phases)
+        values = [_root_value(spec, g, hops, i, phases) for i in roots]
         if timings is not None:
             for name, dt in zip(_PHASES, phases):
                 timings[name] = timings.get(name, 0.0) + dt
         return values
     size = max(16, len(roots) // (threads * 8))
-    chunks = [roots[i : i + size] for i in range(0, len(roots), size)]
-    with get_context("fork").Pool(threads) as pool:
-        parts = pool.starmap(
-            _chunk_worker, [(kind, g, hops, c, [0.0] * len(_PHASES)) for c in chunks]
-        )
+    chunks = [(kind, hops, roots[i : i + size]) for i in range(0, len(roots), size)]
+    with get_context("fork").Pool(threads, _set_worker_graph, (g,)) as pool:
+        parts = pool.starmap(_chunk_worker, chunks)
     return [v for part in parts for v in part]
 
 
@@ -439,7 +447,7 @@ def count(
     kind = resolve_kind(kind)
     spec = _PLANS[kind]
     if spec.mode == "mpnn":
-        values = [h[:1] for h in run(spec.program, g.adjacency, {})]
+        values = list(zip(run(spec.program, g.adjacency, {})[0]))
     else:
         values = _map_roots(kind, g, _resolve_hops(kind, hops), threads, timings)
     per_node = tuple(v[0] for v in values)
@@ -462,9 +470,9 @@ def count_path4_edge(g: Graph, hops: int = 3) -> dict[tuple[int, int], dict[int,
     table: dict[tuple[int, int], dict[int, int]] = {}
     for i in range(g.node_count):
         for sub in _root_bag(g, i, hops, "pair"):
-            states = run_program(sub, PROG_P4)
+            paths = run_program(sub, PROG_P4)[0]
             table[(i, sub.branching)] = {
-                sub.nodes[k]: h[0] for k, h in enumerate(states) if h[0]
+                sub.nodes[k]: p for k, p in enumerate(paths) if p
             }
     return table
 
@@ -474,8 +482,7 @@ def count_walks(g: Graph, length: int, i: int, j: int) -> int:
     if length < 1:
         raise ValueError("walk length must be >= 1")
     sub = identity_labeled_graph(g, i)
-    states = run_program(sub, _walk_program(length))
-    return states[j][0]
+    return run_program(sub, _walk_program(length))[0][j]
 
 
 @dataclass(frozen=True)

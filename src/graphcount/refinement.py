@@ -35,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .engine import label_rows
+from .engine import ProgramError
 from .extraction import (
     ExtractionPolicy,
     RootedSubgraph,
@@ -170,7 +170,14 @@ def _refine(units: Iterable[tuple], kernel: _Kernel, reduce: Callable):
 def _init_keys(g: Graph, nodes: Sequence[int], labels: dict) -> list[tuple]:
     """Initial color keys: the parent node's attributes, then the labels."""
     names = sorted(labels)
-    keys = label_rows(labels, names, len(nodes))
+    cols = [labels[name] for name in names]
+    for name, col in zip(names, cols):
+        # zip would silently stop at the shortest column
+        if len(col) != len(nodes):
+            raise ProgramError(
+                f"label {name!r} has {len(col)} entries for {len(nodes)} nodes"
+            )
+    keys = list(zip(*cols)) if cols else [()] * len(nodes)
     if g.node_attrs is not None:
         return [(*g.node_attrs[p], *key) for p, key in zip(nodes, keys)]
     return keys if names else [(0,)] * len(nodes)

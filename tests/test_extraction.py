@@ -112,13 +112,13 @@ def test_identity_labels_subsume_other_strategies():
             full = identity_labeled_graph(g, root)
             spd = shortest_path_distances(g, root)
             for k in (1, 2, 3):
-                mask = [h[0] for h in engine.run_program(full, ego_mask_program(k))]
+                mask = engine.run_program(full, ego_mask_program(k))[0]
                 ego_nodes = set(extract_rooted(g, root, ego(k)).nodes)
                 assert [bool(m) for m in mask] == [
                     i in ego_nodes for i in range(g.node_count)
                 ]
                 states = engine.run_program(full, spd_label_program(k))
-                for i, (visited, dist) in enumerate(states):
+                for i, (visited, dist) in enumerate(zip(*states)):
                     if spd[i] is not None and spd[i] <= k:
                         assert (visited, dist) == (1, spd[i])
                     else:
