@@ -8,7 +8,6 @@ subgraph refinement, and pair (root, branching-neighbor) refinement.
 """
 
 from .counting import (
-    CountReport,
     InsufficientHopsError,
     corpus_cycle_stats,
     count,
@@ -19,8 +18,6 @@ from .extraction import (
     ExtractionPolicy,
     RootedSubgraph,
     ego,
-    extract_bag_i2,
-    extract_bag_subgraph_mpnn,
     extract_rooted,
     node_deletion,
 )
@@ -38,7 +35,7 @@ from .graph import (
     save_graph,
     shortest_path_distances,
 )
-from .oracle import PatternCounts
+from .oracle import CountReport, PatternCounts
 from .refinement import (
     ColorPartition,
     GraphFingerprint,
@@ -71,8 +68,6 @@ __all__ = [
     "disjoint_union",
     "distinguish",
     "ego",
-    "extract_bag_i2",
-    "extract_bag_subgraph_mpnn",
     "extract_rooted",
     "fingerprint",
     "from_edges",

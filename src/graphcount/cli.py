@@ -29,7 +29,6 @@ from .counting import InsufficientHopsError
 from .engine import ProgramError
 from .extraction import node_deletion
 from .graph import (
-    Graph,
     GraphFormatError,
     GraphValidationError,
     format_edgelist,
@@ -39,10 +38,8 @@ from .graph import (
 
 REPORT_SCHEMA_VERSION = 1
 
-_COUNT_KINDS = sorted(counting.KIND_SPECS) + sorted(counting.KIND_ALIASES) + [
-    f"walk{n}" for n in range(2, 9)
-]
-_ORACLE_KINDS = sorted(set(_COUNT_KINDS) | {"cycle7", "cycle8"})
+_COUNT_KINDS = sorted(counting._PLANS) + sorted(counting.KIND_ALIASES)
+_ORACLE_KINDS = sorted(oracle.TWINS) + sorted(counting.KIND_ALIASES)
 
 
 def _cpu_default() -> int:
@@ -53,31 +50,28 @@ def _cpu_default() -> int:
 
 
 def _write_report(
-    out: str | None,
-    level: str,
-    per_node: tuple[int, ...],
-    graph_count: int,
-    patterns=None,
+    out: str | None, level: str, rep: oracle.CountReport, verbose: bool
 ) -> None:
+    """The report CSV, with pattern columns for ``verbose`` cycle6 reports."""
     handle = open(out, "w", newline="") if out else sys.stdout
     try:
         writer = csv.writer(handle, lineterminator="\n")
         if level == "graph":
             writer.writerow(["count"])
-            writer.writerow([graph_count])
+            writer.writerow([rep.graph_count])
             return
-        if patterns is not None:
+        pats = rep.patterns if verbose else None
+        if pats is not None:
             writer.writerow(
                 ["node", "count", "pattern0", "pattern1", "pattern2", "pattern3", "pattern4"]
             )
-            for i, c in enumerate(per_node):
+            for i, c in enumerate(rep.node_counts):
                 writer.writerow(
-                    [i, c, patterns.p0[i], patterns.p1[i], patterns.p2[i],
-                     patterns.p3[i], patterns.p4[i]]
+                    [i, c, pats.p0[i], pats.p1[i], pats.p2[i], pats.p3[i], pats.p4[i]]
                 )
         else:
             writer.writerow(["node", "count"])
-            for i, c in enumerate(per_node):
+            for i, c in enumerate(rep.node_counts):
                 writer.writerow([i, c])
     finally:
         if out:
@@ -87,37 +81,15 @@ def _write_report(
 def _cmd_count(args) -> int:
     g = load_graph(args.input, args.format)
     rep = counting.count(args.substructure, g, hops=args.hops, threads=args.threads)
-    patterns = rep.patterns if (args.verbose and rep.patterns) else None
-    _write_report(args.out, args.level, rep.node_counts, rep.graph_count, patterns)
+    _write_report(args.out, args.level, rep, args.verbose)
     return 0
-
-
-def _oracle_report(kind: str, g: Graph, budget: int):
-    # the oracle covers two cycle lengths beyond the counting programs, so
-    # kinds dispatch by prefix here instead of through the program registry
-    kind = counting.KIND_ALIASES.get(kind, kind)
-    if kind.startswith("walk"):
-        per_node = oracle.oracle_closed_walks(g, int(kind[4:]))
-        return per_node, sum(per_node), None
-    if kind.startswith("cycle"):
-        res = oracle.oracle_cycles(g, int(kind[5:]), budget)
-        patterns = (
-            oracle.oracle_cycle6_patterns(g, budget) if kind == "cycle6" else None
-        )
-        return res.per_node, res.graph_count, patterns
-    if kind.startswith("path"):
-        res = oracle.oracle_paths(g, int(kind[4:]), budget)
-        return res.starts_at, res.graph_count, None
-    res = oracle.oracle_graphlets(g, kind)
-    return res.per_node, res.graph_count, None
 
 
 def _cmd_oracle(args) -> int:
     g = load_graph(args.input, args.format)
-    per_node, graph_count, patterns = _oracle_report(args.substructure, g, args.budget)
-    if not args.verbose:
-        patterns = None
-    _write_report(args.out, args.level, per_node, graph_count, patterns)
+    kind = counting.KIND_ALIASES.get(args.substructure, args.substructure)
+    rep = oracle.TWINS[kind](g, args.budget)
+    _write_report(args.out, args.level, rep, args.verbose)
     return 0
 
 

@@ -7,7 +7,8 @@ the closed walks; pair bags (root + branching neighbor) cover 4-paths,
 5-/6-cycles, and the size-4/5 graphlets; 2-paths run once over the whole
 graph.  One function builds a root's bag and one executor runs its plan.
 All divisions are exact integer divisions with remainder checks, and every
-kind has an independent brute-force twin in ``oracle``.
+kind has an independent brute-force twin in ``oracle.TWINS`` that returns the
+same ``CountReport``.
 
 Hop requirements: each plan declares the smallest subgraph radius that makes
 it exact, and runs at it by default.  Larger radii never change results,
@@ -45,7 +46,7 @@ from .extraction import (
     with_branching,
 )
 from .graph import Graph, load_graph
-from .oracle import PatternCounts
+from .oracle import CountReport, PatternCounts
 
 
 class InsufficientHopsError(ValueError):
@@ -56,14 +57,6 @@ class InsufficientHopsError(ValueError):
         self.kind = kind
         self.hops = hops
         self.minimum = minimum
-
-
-@dataclass(frozen=True)
-class CountReport:
-    kind: str
-    node_counts: tuple[int, ...]
-    graph_count: int
-    patterns: PatternCounts | None = None
 
 
 # ---------------------------------------------------------------------------

@@ -178,13 +178,6 @@ def with_branching(g: Graph, sub: RootedSubgraph, branching: int) -> RootedSubgr
     )
 
 
-def extract_bag_subgraph_mpnn(
-    g: Graph, policy: ExtractionPolicy, labeling: str = "identity"
-) -> list[RootedSubgraph]:
-    """One rooted subgraph per node, ordered by root."""
-    return [extract_rooted(g, i, policy, labeling) for i in range(g.node_count)]
-
-
 def iter_bag_i2(
     g: Graph, hops: int, labeling: str = "identity"
 ) -> Iterator[RootedSubgraph]:
@@ -200,13 +193,6 @@ def iter_bag_i2(
         base = extract_rooted(g, i, policy, labeling)
         for j in g.adjacency[i]:
             yield with_branching(g, base, j)
-
-
-def extract_bag_i2(
-    g: Graph, hops: int, labeling: str = "identity"
-) -> list[RootedSubgraph]:
-    """Materialized pair bag; cardinality is 2|E| (handshake)."""
-    return list(iter_bag_i2(g, hops, labeling))
 
 
 def identity_labeled_graph(g: Graph, root: int) -> RootedSubgraph:

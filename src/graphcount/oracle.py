@@ -6,12 +6,17 @@ diffed.  Path/cycle enumeration is DFS with visited-set backtracking; each
 cycle is canonicalized by its minimal node and traversal direction so that
 equivalence is by edge set.  A complexity guard refuses graphs whose
 enumeration bound ``max_degree**L * n`` exceeds a configurable budget.
+
+``TWINS`` maps every counting kind (plus ``cycle7`` and ``cycle8``) to its
+oracle twin, which returns the same ``CountReport`` as ``counting.count``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
+from typing import Callable
 
 from .graph import Graph
 
@@ -33,14 +38,9 @@ class PathCounts:
 
 
 @dataclass(frozen=True)
-class CycleCounts:
-    length: int
-    per_node: tuple[int, ...]
-    graph_count: int
+class SubgraphCounts:
+    """Cycle or graphlet counts: per marked node, and per graph."""
 
-
-@dataclass(frozen=True)
-class GraphletCounts:
     kind: str
     per_node: tuple[int, ...]
     graph_count: int
@@ -62,6 +62,17 @@ class PatternCounts:
     p2: tuple[int, ...]
     p3: tuple[int, ...]
     p4: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class CountReport:
+    """One kind's counts per node and per graph, with the 6-cycle patterns
+    for cycle6; both ``counting.count`` and the ``TWINS`` return it."""
+
+    kind: str
+    node_counts: tuple[int, ...]
+    graph_count: int
+    patterns: PatternCounts | None = None
 
 
 def _check_budget(g: Graph, length: int, budget: int) -> None:
@@ -136,7 +147,9 @@ def oracle_path4_first_step(
     return table
 
 
-def oracle_cycles(g: Graph, length: int, budget: int = DEFAULT_BUDGET) -> CycleCounts:
+def oracle_cycles(
+    g: Graph, length: int, budget: int = DEFAULT_BUDGET
+) -> SubgraphCounts:
     """Exhaustive simple L-cycle counts for L in 3..8, one count per edge set.
 
     Each cycle is enumerated exactly once: from its minimal node, in the
@@ -175,7 +188,7 @@ def oracle_cycles(g: Graph, length: int, budget: int = DEFAULT_BUDGET) -> CycleC
         visited[root] = 1
         rec(root, root, length - 1)
         visited[root] = 0
-    return CycleCounts(length, tuple(per_node), total)
+    return SubgraphCounts(f"cycle{length}", tuple(per_node), total)
 
 
 def oracle_walks(g: Graph, length: int, i: int, j: int) -> int:
@@ -208,93 +221,82 @@ def oracle_closed_walks(g: Graph, length: int) -> tuple[int, ...]:
 #   chordal_cycle       -- an off-chord node (degree 2 in the pattern)
 #   tailed_triangle     -- the triangle node the tail is attached to
 #   triangle_rectangle  -- the triangle node outside the rectangle
+# Each oracle yields every occurrence once, as the tuple of its marked nodes.
+# Each budget guard uses the depth of its loop nest: dmax**3 per node, and
+# dmax**4 for triangle_rectangle.
 # ---------------------------------------------------------------------------
 
 
-def oracle_clique4(g: Graph) -> GraphletCounts:
-    n = g.node_count
-    per_node = [0] * n
+def _tally(g: Graph, kind: str, occurrences) -> SubgraphCounts:
+    per_node = [0] * g.node_count
     total = 0
-    for a in range(n):
+    for marked in occurrences:
+        total += 1
+        for x in marked:
+            per_node[x] += 1
+    return SubgraphCounts(kind, tuple(per_node), total)
+
+
+def _triangles(g: Graph):
+    """Every triangle once, as (a, b, c) with a < b < c."""
+    for a in range(g.node_count):
         for b in g.adjacency[a]:
-            if b <= a:
-                continue
-            common_ab = sorted(g.neighbor_set(a) & g.neighbor_set(b))
-            for c in common_ab:
-                if c <= b:
-                    continue
-                for d in common_ab:
-                    if d > c and d in g.neighbor_set(c):
-                        total += 1
-                        for x in (a, b, c, d):
-                            per_node[x] += 1
-    return GraphletCounts("clique4", tuple(per_node), total)
+            if b > a:
+                for c in sorted(g.neighbor_set(a) & g.neighbor_set(b)):
+                    if c > b:
+                        yield a, b, c
 
 
-def oracle_chordal_cycle(g: Graph) -> GraphletCounts:
+def oracle_clique4(g: Graph, budget: int = DEFAULT_BUDGET) -> SubgraphCounts:
+    _check_budget(g, 3, budget)
+    nbr = g.neighbor_set
+    return _tally(g, "clique4", (
+        (a, b, c, d)
+        for a, b, c in _triangles(g)
+        for d in nbr(a) & nbr(b) & nbr(c)
+        if d > c
+    ))
+
+
+def oracle_chordal_cycle(g: Graph, budget: int = DEFAULT_BUDGET) -> SubgraphCounts:
     """Diamonds (4-cycle plus one chord); marked position = off-chord node."""
-    n = g.node_count
-    per_node = [0] * n
-    total = 0
-    for u in range(n):
-        for v in g.adjacency[u]:
-            if v <= u:
-                continue
-            offs = sorted(g.neighbor_set(u) & g.neighbor_set(v))
-            for x, y in combinations(offs, 2):
-                total += 1
-                per_node[x] += 1
-                per_node[y] += 1
-    return GraphletCounts("chordal_cycle", tuple(per_node), total)
+    _check_budget(g, 3, budget)
+    nbr = g.neighbor_set
+    return _tally(g, "chordal_cycle", (
+        pair
+        for u in range(g.node_count)
+        for v in g.adjacency[u]
+        if v > u
+        for pair in combinations(sorted(nbr(u) & nbr(v)), 2)
+    ))
 
 
-def oracle_tailed_triangle(g: Graph) -> GraphletCounts:
+def oracle_tailed_triangle(g: Graph, budget: int = DEFAULT_BUDGET) -> SubgraphCounts:
     """Triangle plus a pendant edge; marked position = attachment node."""
-    n = g.node_count
-    per_node = [0] * n
-    total = 0
-    for a in range(n):
-        for b in g.adjacency[a]:
-            if b <= a:
-                continue
-            for c in sorted(g.neighbor_set(a) & g.neighbor_set(b)):
-                if c <= b:
-                    continue
-                tri = (a, b, c)
-                for attach in tri:
-                    for tail in g.adjacency[attach]:
-                        if tail not in tri:
-                            total += 1
-                            per_node[attach] += 1
-    return GraphletCounts("tailed_triangle", tuple(per_node), total)
+    _check_budget(g, 3, budget)
+    return _tally(g, "tailed_triangle", (
+        (attach,)
+        for tri in _triangles(g)
+        for attach in tri
+        for tail in g.adjacency[attach]
+        if tail not in tri
+    ))
 
 
-def oracle_triangle_rectangle(g: Graph) -> GraphletCounts:
+def oracle_triangle_rectangle(g: Graph, budget: int = DEFAULT_BUDGET) -> SubgraphCounts:
     """Triangle and 4-cycle sharing one edge; marked position = the triangle
     node that is not on the 4-cycle."""
-    n = g.node_count
-    per_node = [0] * n
-    total = 0
-    for a in range(n):
-        for b in g.adjacency[a]:
-            if b <= a:
-                continue
-            for c in sorted(g.neighbor_set(a) & g.neighbor_set(b)):
-                if c <= b:
-                    continue
-                tri = (a, b, c)
-                for apex in tri:
-                    p, q = (x for x in tri if x != apex)
-                    for w in g.adjacency[p]:
-                        if w in tri:
-                            continue
-                        for x in g.adjacency[q]:
-                            if x in tri or x == w:
-                                continue
-                            if x in g.neighbor_set(w):
-                                total += 1
-                                per_node[apex] += 1
-    return GraphletCounts("triangle_rectangle", tuple(per_node), total)
+    _check_budget(g, 4, budget)
+    nbr = g.neighbor_set
+    return _tally(g, "triangle_rectangle", (
+        (apex,)
+        for a, b, c in _triangles(g)
+        for apex, p, q in ((a, b, c), (b, a, c), (c, a, b))
+        for w in g.adjacency[p]
+        if w not in (a, b, c)
+        for x in g.adjacency[q]
+        if x not in (a, b, c) and x != w and x in nbr(w)
+    ))
 
 
 def oracle_cycle6_patterns(g: Graph, budget: int = DEFAULT_BUDGET) -> PatternCounts:
@@ -318,7 +320,7 @@ def oracle_cycle6_patterns(g: Graph, budget: int = DEFAULT_BUDGET) -> PatternCou
                     p2[i] += 1
                 elif m == a:
                     p3[i] += 1
-    p4 = oracle_chordal_cycle(g).per_node
+    p4 = oracle_chordal_cycle(g, budget).per_node
     return PatternCounts(tuple(p0), tuple(p1), tuple(p2), tuple(p3), p4)
 
 
@@ -330,8 +332,45 @@ _GRAPHLET_ORACLES = {
 }
 
 
-def oracle_graphlets(g: Graph, kind: str) -> GraphletCounts:
-    try:
-        return _GRAPHLET_ORACLES[kind](g)
-    except KeyError:
-        raise ValueError(f"unknown graphlet kind {kind!r}") from None
+def oracle_graphlets(
+    g: Graph, kind: str, budget: int = DEFAULT_BUDGET
+) -> SubgraphCounts:
+    if kind not in _GRAPHLET_ORACLES:
+        raise ValueError(f"unknown graphlet kind {kind!r}")
+    return _GRAPHLET_ORACLES[kind](g, budget)
+
+
+# ---------------------------------------------------------------------------
+# Oracle twins: one per counting kind, each returning the CountReport that
+# ``counting.count`` returns for it.  Closed walks are a matrix power, not an
+# enumeration, so their twin needs no budget.
+# ---------------------------------------------------------------------------
+
+
+def _path_twin(length: int, g: Graph, budget: int) -> CountReport:
+    res = oracle_paths(g, length, budget)
+    return CountReport(f"path{length}", res.starts_at, res.graph_count)
+
+
+def _cycle_twin(length: int, g: Graph, budget: int) -> CountReport:
+    res = oracle_cycles(g, length, budget)
+    patterns = oracle_cycle6_patterns(g, budget) if length == 6 else None
+    return CountReport(res.kind, res.per_node, res.graph_count, patterns)
+
+
+def _graphlet_twin(kind: str, g: Graph, budget: int) -> CountReport:
+    res = _GRAPHLET_ORACLES[kind](g, budget)
+    return CountReport(kind, res.per_node, res.graph_count)
+
+
+def _walk_twin(length: int, g: Graph, budget: int) -> CountReport:
+    per_node = oracle_closed_walks(g, length)
+    return CountReport(f"walk{length}", per_node, sum(per_node))
+
+
+TWINS: dict[str, Callable[[Graph, int], CountReport]] = {
+    **{f"path{n}": partial(_path_twin, n) for n in range(2, 5)},
+    **{f"cycle{n}": partial(_cycle_twin, n) for n in range(3, 9)},
+    **{kind: partial(_graphlet_twin, kind) for kind in _GRAPHLET_ORACLES},
+    **{f"walk{n}": partial(_walk_twin, n) for n in range(1, 9)},
+}

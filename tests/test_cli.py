@@ -145,21 +145,32 @@ def test_oracle_budget_exit_3(tmp_path, capsys):
     assert "budget" in err
 
 
+def test_graphlet_oracle_budget_exit_3(tmp_path, capsys):
+    k20 = tmp_path / "k20.el"
+    save_graph(gen_complete(20), k20)
+    for kind in ("clique4", "chordal_cycle", "tailed_triangle", "triangle_rectangle"):
+        code, _, err = run_cli(
+            ["oracle", "--input", str(k20), "--substructure", kind, "--budget", "1"],
+            capsys,
+        )
+        assert code == 3, kind
+        assert "budget" in err
+
+
 def test_count_and_oracle_outputs_diff_clean(tmp_path, capsys):
+    runs = [(kind, level, []) for kind in cli._COUNT_KINDS for level in ("node", "graph")]
+    runs.append(("cycle6", "node", ["--verbose"]))
     for seed in range(3):
         g = gen_random(10, 0.35, seed)
         path = tmp_path / f"g{seed}.el"
         save_graph(g, path)
-        for kind in ("cycle4", "cycle6", "path3", "clique4", "walk4"):
-            code, count_out, _ = run_cli(
-                ["count", "--input", str(path), "--substructure", kind], capsys
-            )
+        for kind, level, extra in runs:
+            args = ["--input", str(path), "--substructure", kind, "--level", level]
+            code, count_out, _ = run_cli(["count"] + args + extra, capsys)
             assert code == 0
-            code, oracle_out, _ = run_cli(
-                ["oracle", "--input", str(path), "--substructure", kind], capsys
-            )
+            code, oracle_out, _ = run_cli(["oracle"] + args + extra, capsys)
             assert code == 0
-            assert count_out == oracle_out
+            assert count_out == oracle_out, (kind, level, extra)
 
 
 def test_count_out_file(c6_file, tmp_path, capsys):

@@ -11,7 +11,6 @@ from graphcount.counting import PROG_P3, PROG_PATH2, _PLANS, _walk_program
 from graphcount.extraction import (
     ego,
     ego_mask_program,
-    extract_bag_subgraph_mpnn,
     extract_rooted,
     identity_labeled_graph,
     spd_label_program,
@@ -48,7 +47,7 @@ def test_three_path_program_on_c5():
 
 def test_constant_zero_program():
     prog = E.MPProgram("zero", init=(E.Const(0),), layers=())
-    bag = extract_bag_subgraph_mpnn(gen_cycle(5), ego(1))
+    bag = [extract_rooted(gen_cycle(5), i, ego(1)) for i in range(5)]
     rows = [E.apply_readout(sub, E.run_program(sub, prog), E.Readout(0)) for sub in bag]
     assert rows == [0] * 5
 

@@ -13,7 +13,7 @@ from itertools import combinations
 
 from conftest import all_graphs_up_to, random_permutation
 from graphcount import oracle
-from graphcount.counting import KIND_SPECS, count, count_path4_edge
+from graphcount.counting import _PLANS, count, count_path4_edge
 from graphcount.graph import from_edges, permute
 from graphcount.refinement import METHODS, distinguish
 
@@ -29,32 +29,11 @@ def _graphs():
         yield from_edges(6, _HEXAGON + [c for b, c in enumerate(_CHORDS) if mask >> b & 1])
 
 
-def _oracle(kind, g):
-    if kind.startswith("path"):
-        res = oracle.oracle_paths(g, int(kind[4:]))
-        return res.starts_at, res.graph_count
-    if kind.startswith("cycle"):
-        res = oracle.oracle_cycles(g, int(kind[5:]))
-        return res.per_node, res.graph_count
-    res = oracle.oracle_graphlets(g, kind)
-    return res.per_node, res.graph_count
-
-
 def test_every_small_graph_matches_the_oracles():
     checked = 0
     for g in _graphs():
-        for kind in KIND_SPECS:
-            rep = count(kind, g)
-            assert (rep.node_counts, rep.graph_count) == _oracle(kind, g), (kind, g)
-        pats = count("cycle6", g).patterns
-        want = oracle.oracle_cycle6_patterns(g)
-        assert (pats.p0, pats.p1, pats.p2, pats.p3, pats.p4) == (
-            want.p0, want.p1, want.p2, want.p3, want.p4
-        ), g
-        for length in range(1, 9):
-            rep = count(f"walk{length}", g)
-            walks = oracle.oracle_closed_walks(g, length)
-            assert (rep.node_counts, rep.graph_count) == (walks, sum(walks)), (length, g)
+        for kind in _PLANS:
+            assert count(kind, g) == oracle.TWINS[kind](g, oracle.DEFAULT_BUDGET), (kind, g)
         assert count_path4_edge(g, hops=4) == oracle.oracle_path4_first_step(g), g
         checked += 1
     assert checked == 1100 + 512

@@ -6,10 +6,9 @@ from graphcount.extraction import (
     ExtractionPolicy,
     ego,
     ego_mask_program,
-    extract_bag_i2,
-    extract_bag_subgraph_mpnn,
     extract_rooted,
     identity_labeled_graph,
+    iter_bag_i2,
     node_deletion,
     spd_label_program,
     with_branching,
@@ -53,30 +52,29 @@ def test_ego_does_not_cross_components():
 
 
 def test_bag_subgraph_mpnn():
-    bag = extract_bag_subgraph_mpnn(gen_complete(3), ego(1))
+    bag = [extract_rooted(gen_complete(3), i, ego(1)) for i in range(3)]
     assert [s.root for s in bag] == [0, 1, 2]
     assert all(len(s.nodes) == 3 for s in bag)
-    c6bag = extract_bag_subgraph_mpnn(gen_cycle(6), ego(2))
+    c6bag = [extract_rooted(gen_cycle(6), i, ego(2)) for i in range(6)]
     for s in c6bag:
         assert len(s.nodes) == 5
         degs = sorted(len(r) for r in s.adj)
         assert degs == [1, 1, 2, 2, 2]  # a 5-node path
-    assert extract_bag_subgraph_mpnn(from_edges(0, []), ego(1)) == []
+    assert list(iter_bag_i2(from_edges(0, []), 1)) == []
 
 
 def test_bag_i2_cardinality_and_order():
     g = gen_random(10, 0.4, 2)
-    bag = extract_bag_i2(g, 2)
+    bag = list(iter_bag_i2(g, 2))
     assert len(bag) == 2 * g.edge_count
     pairs = [(s.root, s.branching) for s in bag]
     assert pairs == sorted(pairs)
-    k3bag = extract_bag_i2(gen_complete(3), 1)
+    k3bag = list(iter_bag_i2(gen_complete(3), 1))
     assert len(k3bag) == 6
 
 
 def test_i2_full_cycle_subgraph():
-    bag = extract_bag_i2(gen_cycle(6), 3)
-    for s in bag:
+    for s in iter_bag_i2(gen_cycle(6), 3):
         assert len(s.nodes) == 6
         assert sum(s.labels["is_root"]) == 1
         assert sum(s.labels["is_branch"]) == 1
@@ -84,7 +82,7 @@ def test_i2_full_cycle_subgraph():
 
 def test_pair_label_invariants():
     g = gen_random(12, 0.35, 4)
-    for sub in extract_bag_i2(g, 2):
+    for sub in iter_bag_i2(g, 2):
         i, j = sub.root, sub.branching
         assert j in g.neighbor_set(i)
         li = sub.nodes.index(i)
@@ -140,7 +138,7 @@ def test_spd_labels_are_graph_distances():
     # the pair BFS stops one hop past the root's farthest subgraph node
     for g in small_random_graphs(count=4, max_n=12):
         for hops in (1, 2):
-            for sub in extract_bag_i2(g, hops, labeling="spd"):
+            for sub in iter_bag_i2(g, hops, labeling="spd"):
                 for name, src in (("spd_root", sub.root), ("spd_branch", sub.branching)):
                     dist = shortest_path_distances(g, src)
                     assert sub.labels[name] == tuple(dist[p] for p in sub.nodes)

@@ -132,3 +132,17 @@ def test_budget_guard():
         oracle_cycles(k20, 8)
     # a raised budget lets the same call proceed on a smaller graph
     assert oracle_cycles(gen_complete(6), 6, budget=10**7).graph_count > 0
+
+
+def test_graphlet_budget_guard():
+    k6 = gen_complete(6)  # n = 6, dmax = 5
+    bounds = {
+        "clique4": 6 * 5**3,
+        "chordal_cycle": 6 * 5**3,
+        "tailed_triangle": 6 * 5**3,
+        "triangle_rectangle": 6 * 5**4,
+    }
+    for kind, bound in bounds.items():
+        with pytest.raises(OracleBudgetError):
+            oracle_graphlets(k6, kind, budget=bound - 1)
+        assert oracle_graphlets(k6, kind, budget=bound) == oracle_graphlets(k6, kind)
