@@ -118,7 +118,8 @@ def _cmd_distinguish(args) -> int:
 
 def _distinguish_corpus(args, kw) -> int:
     """Corpus mode over graph6 files: two files pair up line by line, a
-    single file is compared all-against-all."""
+    single file is compared all-against-all.  Digest mode fingerprints each
+    graph once."""
     files = args.graphs
     if len(files) == 2:
         left = list(iter_graph6(files[0]))
@@ -127,21 +128,28 @@ def _distinguish_corpus(args, kw) -> int:
             raise GraphFormatError(
                 f"corpus files hold {len(left)} vs {len(right)} graphs"
             )
-        pairs = [((i, i), (left[i], right[i])) for i in range(len(left))]
+        pairs = [(i, i) for i in range(len(left))]
     elif len(files) == 1:
-        graphs = list(iter_graph6(files[0]))
-        pairs = [
-            ((i, j), (graphs[i], graphs[j]))
-            for i in range(len(graphs))
-            for j in range(i + 1, len(graphs))
-        ]
+        left = right = list(iter_graph6(files[0]))
+        pairs = [(i, j) for i in range(len(left)) for j in range(i + 1, len(left))]
     else:
         raise GraphFormatError("corpus mode takes one or two graph6 files")
+    kw = dict(kw)
+    if kw.pop("exact"):
+        verdicts = (
+            refinement.distinguish(left[i], right[j], args.method, exact=True, **kw)
+            for i, j in pairs
+        )
+    else:
+        left_fp = [refinement.fingerprint(g, args.method, **kw).digest for g in left]
+        right_fp = left_fp if right is left else [
+            refinement.fingerprint(g, args.method, **kw).digest for g in right
+        ]
+        verdicts = (left_fp[i] != right_fp[j] for i, j in pairs)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["pair", "verdict"])
     n_dist = 0
-    for (i, j), (g1, g2) in pairs:
-        d = refinement.distinguish(g1, g2, args.method, **kw)
+    for (i, j), d in zip(pairs, verdicts):
         n_dist += d
         writer.writerow([f"{i}-{j}", _verdict(d)])
     print(f"distinguished {n_dist}/{len(pairs)}", file=sys.stderr)

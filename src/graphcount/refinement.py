@@ -16,16 +16,21 @@ sorted multiset of its pair histograms (``i2_wl``).  ``fingerprint``,
 Two interchangeable kernels do the refining:
 
 * an id kernel that assigns canonical small-integer colors (ranks of the
-  sorted signatures) jointly over all subgraphs of all graphs, used for the
-  ``wl1`` partition and for exact joint comparisons of two graphs;
+  sorted signatures, ranked jointly over all subgraphs of all graphs), used
+  for the ``wl1`` partition and for exact joint comparisons of two graphs;
 * a content-addressed hash kernel (fixed 128-bit blake2b), run one subgraph
   at a time, whose colors are comparable across separate runs and graphs.
 
 Both iterate ``new_color = combine(old_color, sorted multiset of neighbor
-colors)`` synchronously and stop as soon as one iteration no longer increases
-the number of colors.  Fingerprints of genuinely different stable histograms
-could in principle collide in the hash kernel; ``distinguish(..., exact=True)``
-re-checks with the collision-free joint kernel.
+colors)`` synchronously, and each subgraph (for ``wl1``, each graph) stops
+as soon as one iteration no longer increases its own number of colors.  The
+id kernel refines, round by round, only the subgraphs still gaining colors,
+and numbers each round's signatures above every id issued before, so a
+subgraph that stopped at one round shares no color with a subgraph that
+stopped at another.  Two subgraphs thus get equal stable histograms exactly
+when color refinement does not tell them apart.  Fingerprints of genuinely
+different stable histograms could in principle collide in the hash kernel;
+``distinguish(..., exact=True)`` re-checks with the collision-free id kernel.
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .engine import ProgramError
@@ -61,8 +68,12 @@ class GraphFingerprint:
     digest: str
 
 
+# the hash kernel's hot loops call this directly, without a Python frame
+_blake = partial(hashlib.blake2b, digest_size=16)
+
+
 def _h(data: bytes) -> bytes:
-    return hashlib.blake2b(data, digest_size=16).digest()
+    return _blake(data).digest()
 
 
 # method -> default subgraph radius; subgraph_wl refines the ego-networks of
@@ -77,32 +88,67 @@ DEFAULT_POLICY = ego(_DEFAULT_HOPS["subgraph_wl"])
 # ---------------------------------------------------------------------------
 
 
-def _key_bytes(key: tuple) -> bytes:
-    return _h(repr(key).encode())
+def _ids_refine(units: Iterable[tuple], reduce: Callable) -> tuple[list, int]:
+    """Canonical small-integer colors, ranked jointly over all units.
 
-
-def _ids_init(inits: Sequence[Sequence[tuple]]) -> list[list[int]]:
+    Each round refines only the units whose color count grew in the round
+    before, and numbers their signatures from above every id issued so far,
+    so a unit frozen at one round shares no color with a unit that goes on.
+    """
+    units = list(units)
+    adjs = [adj for _, adj, _ in units]
+    inits = [keys for _, _, keys in units]
     table = {k: i for i, k in enumerate(sorted({k for row in inits for k in row}))}
-    return [[table[k] for k in row] for row in inits]
-
-
-def _ids_round(adjs, colors: list[list[int]]) -> list[list[int]]:
-    sigs = [
-        [(cs[k], tuple(sorted(cs[l] for l in nbrs))) for k, nbrs in enumerate(adj)]
-        for adj, cs in zip(adjs, colors)
-    ]
-    table = {s: i for i, s in enumerate(sorted({s for row in sigs for s in row}))}
-    return [[table[s] for s in row] for row in sigs]
-
-
-def _hash_round(adjs, colors: list[list[bytes]]) -> list[list[bytes]]:
-    return [
-        [
-            _h(cs[k] + b"|" + b"".join(sorted(cs[l] for l in nbrs)))
-            for k, nbrs in enumerate(adj)
+    colors = [[table[k] for k in row] for row in inits]
+    issued = len(table)
+    distinct = [len(set(cs)) for cs in colors]
+    active = [u for u, d in enumerate(distinct) if d]
+    rounds = 0
+    while active:
+        sigs = [
+            [(c, tuple(sorted(map(cs.__getitem__, nbrs)))) for c, nbrs in zip(cs, adjs[u])]
+            for u in active
+            for cs in (colors[u],)
         ]
-        for adj, cs in zip(adjs, colors)
-    ]
+        table = {
+            s: issued + i for i, s in enumerate(sorted({s for row in sigs for s in row}))
+        }
+        issued += len(table)
+        rounds += 1
+        growing = []
+        for u, row in zip(active, sigs):
+            colors[u] = [table[s] for s in row]
+            nd = len(set(row))
+            if nd != distinct[u]:
+                distinct[u] = nd
+                growing.append(u)
+        active = growing
+        del sigs, table  # never hold two rounds' signatures at once
+    return [(tag, reduce(cs)) for (tag, _, _), cs in zip(units, colors)], rounds
+
+
+def _hash_refine(units: Iterable[tuple], reduce: Callable) -> tuple[list, int]:
+    """Content-addressed colors, one unit at a time as the iterator yields them."""
+    out = []
+    rounds_max = 0
+    for tag, adj, keys in units:
+        colors = [_blake(repr(k).encode()).digest() for k in keys]
+        distinct = len(set(colors))
+        rounds = 0
+        while distinct:
+            prev = colors
+            colors = [
+                _blake(c + b"|" + b"".join(sorted(map(prev.__getitem__, nbrs)))).digest()
+                for c, nbrs in zip(prev, adj)
+            ]
+            rounds += 1
+            nd = len(set(colors))
+            if nd == distinct:
+                break
+            distinct = nd
+        out.append((tag, reduce(colors)))
+        rounds_max = max(rounds_max, rounds)
+    return out, rounds_max
 
 
 def _hist_hash(colors: Sequence[bytes]) -> bytes:
@@ -111,55 +157,23 @@ def _hist_hash(colors: Sequence[bytes]) -> bytes:
 
 
 class _Kernel(NamedTuple):
-    joint: bool  # refine all subgraphs together, or one at a time
-    init: Callable  # initial keys -> colors
-    step: Callable  # one synchronous refinement round
+    # (tag, adjacency, initial keys) units, reduce -> (tag, reduce(stable
+    # colors)) per unit in order, and the most rounds any unit took
+    refine: Callable
     hist: Callable  # stable colors of one subgraph -> histogram
     multiset: Callable  # one root's histograms -> node key
 
 
 _IDS = _Kernel(
-    True,
-    _ids_init,
-    _ids_round,
+    _ids_refine,
     lambda colors: tuple(sorted(Counter(colors).items())),
     lambda hists: tuple(sorted(hists)),
 )
 _HASH = _Kernel(
-    False,
-    lambda inits: [[_key_bytes(k) for k in row] for row in inits],
-    _hash_round,
+    _hash_refine,
     _hist_hash,
     lambda hists: _h(b"N:" + b",".join(sorted(hists))),
 )
-
-
-def _refine(units: Iterable[tuple], kernel: _Kernel, reduce: Callable):
-    """Refine (tag, adjacency, initial keys) units to stability.
-
-    Returns (tag, reduce(stable colors)) per unit in order, and the rounds the
-    slowest group of units took.  A kernel that is not joint takes the units
-    one at a time, as the iterator yields them.
-    """
-    groups = [list(units)] if kernel.joint else ([unit] for unit in units)
-    init, step = kernel.init, kernel.step
-    out = []
-    rounds_max = 0
-    for group in groups:
-        adjs = [adj for _, adj, _ in group]
-        colors = init([keys for _, _, keys in group])
-        distinct = len({c for row in colors for c in row})
-        rounds = 0
-        while distinct:
-            colors = step(adjs, colors)
-            rounds += 1
-            nd = len({c for row in colors for c in row})
-            if nd == distinct:
-                break
-            distinct = nd
-        out += [(tag, reduce(cs)) for (tag, _, _), cs in zip(group, colors)]
-        rounds_max = max(rounds_max, rounds)
-    return out, rounds_max
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +198,12 @@ def _init_keys(g: Graph, nodes: Sequence[int], labels: dict) -> list[tuple]:
 
 
 def _bag(g: Graph, method: str, policy, hops, labeling: str) -> Iterator[RootedSubgraph]:
-    """Each root's subgraphs, streamed in root order."""
+    """Each root's subgraphs, streamed in root order (by ``map``, which adds
+    no generator frame per subgraph)."""
     if method == "subgraph_wl":
-        return (extract_rooted(g, i, policy, labeling) for i in range(g.node_count))
+        return map(
+            extract_rooted, repeat(g), range(g.node_count), repeat(policy), repeat(labeling)
+        )
     return iter_bag_i2(g, hops, labeling)
 
 
@@ -212,7 +229,7 @@ def _node_keys(
         hops = _DEFAULT_HOPS[method]
     if method == "wl1":
         units = [(None, g.adjacency, _init_keys(g, range(g.node_count), {})) for g in graphs]
-        stable, rounds = _refine(units, kernel, lambda colors: colors)
+        stable, rounds = kernel.refine(units, lambda colors: colors)
         return [colors for _, colors in stable], rounds
     if method == "subgraph_wl" and policy is None:
         policy = ego(hops)
@@ -221,7 +238,7 @@ def _node_keys(
         for gi, g in enumerate(graphs)
         for sub in _bag(g, method, policy, hops, labeling)
     )
-    hists, rounds = _refine(units, kernel, kernel.hist)
+    hists, rounds = kernel.refine(units, kernel.hist)
     per_root = [[[] for _ in range(g.node_count)] for g in graphs]
     for (gi, root), hist in hists:
         per_root[gi][root].append(hist)
@@ -295,8 +312,9 @@ def distinguish(
     """True when the method's stable colorings separate the two graphs.
 
     The default path compares fingerprints; ``exact=True`` re-runs the
-    refinement jointly on both graphs and compares full histograms, removing
-    any dependence on hash-collision luck.
+    refinement on both graphs with the id kernel, numbering colors jointly
+    over both, and compares full histograms, removing any dependence on
+    hash-collision luck.
     """
     if not exact:
         fp1 = fingerprint(g1, method, policy, hops, labeling)

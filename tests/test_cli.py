@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from conftest import to_graph6
-from graphcount import cli, counting
+from graphcount import cli, counting, refinement
 from graphcount.cli import main
 from graphcount.engine import MissingLabelError, ProgramError
 from graphcount.generators import gen_complete, gen_cycle, gen_random, gen_rook4x4, gen_shrikhande
@@ -263,6 +263,30 @@ def test_distinguish_corpus_mode(tmp_path, capsys):
         ["distinguish", "--corpus", "--method", "wl1", str(a)], capsys
     )
     assert out.splitlines() == ["pair,verdict", "0-1,distinguished"]
+
+
+def test_distinguish_corpus_fingerprints_each_graph_once(tmp_path, capsys, monkeypatch):
+    graphs = [gen_rook4x4(), gen_shrikhande(), gen_cycle(8), gen_cycle(8)]
+    corpus = tmp_path / "c.g6"
+    corpus.write_text("".join(to_graph6(g) + "\n" for g in graphs))
+    calls = []
+    fingerprint = refinement.fingerprint
+
+    def counted(g, *args, **kw):
+        calls.append(g)
+        return fingerprint(g, *args, **kw)
+
+    monkeypatch.setattr(refinement, "fingerprint", counted)
+    code, out, err = run_cli(
+        ["distinguish", "--corpus", "--method", "i2_wl", str(corpus)], capsys
+    )
+    assert code == 0
+    assert len(calls) == len(graphs)
+    assert out.splitlines() == [
+        "pair,verdict", "0-1,distinguished", "0-2,distinguished", "0-3,distinguished",
+        "1-2,distinguished", "1-3,distinguished", "2-3,not_distinguished",
+    ]
+    assert err == "distinguished 5/6\n"
 
 
 def test_gen_subcommands(tmp_path, capsys):

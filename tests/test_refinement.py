@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import random_permutation
+from graphcount import refinement
 from graphcount.extraction import ego, node_deletion
 from graphcount.generators import (
     gen_complete,
@@ -12,6 +13,7 @@ from graphcount.generators import (
     gen_cycle_pair,
     gen_path,
     gen_random,
+    gen_random_regular,
     gen_rook4x4,
     gen_shrikhande,
     gen_star,
@@ -323,3 +325,92 @@ def test_node_attributes_seen_by_every_method():
         assert distinguish(a, b, method, exact=True), method
         assert not distinguish(a, permute(a, [1, 0]), method), method
         assert not distinguish(a, permute(a, [1, 0]), method, exact=True), method
+
+
+def test_exact_colors_of_different_rounds_never_collide():
+    # wl1 stops the two graphs at different rounds, and the ids the later
+    # round hands out would repeat the earlier graph's stable histogram if
+    # every round numbered its colors from zero
+    g1 = from_edges(5, [(0, 1), (0, 2)])
+    g2 = from_edges(5, [(0, 2), (0, 4), (1, 2), (1, 3)])
+    assert (wl1(g1).rounds_to_stability, wl1(g2).rounds_to_stability) == (2, 3)
+    assert distinguish(g1, g2, "wl1")
+    assert distinguish(g1, g2, "wl1", exact=True)
+
+
+def _lockstep_refine(units, reduce):
+    """Reference joint id kernel: every unit refines in lockstep until the
+    color count over all units stops growing, so each unit runs as many
+    rounds as the slowest one."""
+    units = list(units)
+    adjs = [adj for _, adj, _ in units]
+    inits = [keys for _, _, keys in units]
+    table = {k: i for i, k in enumerate(sorted({k for row in inits for k in row}))}
+    colors = [[table[k] for k in row] for row in inits]
+    distinct = len({c for row in colors for c in row})
+    rounds = 0
+    while distinct:
+        sigs = [
+            [(cs[k], tuple(sorted(cs[l] for l in nbrs))) for k, nbrs in enumerate(adj)]
+            for adj, cs in zip(adjs, colors)
+        ]
+        table = {s: i for i, s in enumerate(sorted({s for row in sigs for s in row}))}
+        colors = [[table[s] for s in row] for row in sigs]
+        rounds += 1
+        nd = len({c for row in colors for c in row})
+        if nd == distinct:
+            break
+        distinct = nd
+    return [(tag, reduce(cs)) for (tag, _, _), cs in zip(units, colors)], rounds
+
+
+_DIFFERENTIAL_METHODS = (
+    ("wl1", {}),
+    ("subgraph_wl", {"policy": ego(2)}),
+    ("subgraph_wl", {"policy": node_deletion()}),
+    ("subgraph_wl", {"policy": ego(2), "labeling": "spd"}),
+    ("i2_wl", {"hops": 1}),
+    ("i2_wl", {"hops": 2}),
+    ("i2_wl", {"hops": 1, "labeling": "spd"}),
+)
+
+
+def _attributed(n, seed):
+    g = gen_random(n, 0.35, seed)
+    rng = random.Random(seed)
+    return from_edges(n, g.edges(), node_attrs=[(rng.randrange(2),) for _ in range(n)])
+
+
+def _differential_pairs():
+    pairs = [gen_cycle_pair(length) for length in range(3, 8)]
+    pairs += [gen_coned_cycles(length) for length in range(3, 7)]
+    pairs.append((gen_rook4x4(), gen_shrikhande()))
+    for n in range(10, 25, 2):
+        pairs.append((gen_random_regular(n, 3, n), gen_random_regular(n, 3, n + 1)))
+    for seed in range(6):
+        n = 6 + seed
+        g = _attributed(n, seed)
+        pairs.append((g, _attributed(n, seed + 100)))
+        pairs.append((g, permute(g, random_permutation(n, seed))))
+    return pairs
+
+
+def _exact_verdicts_and_wl1(pairs):
+    verdicts = [
+        distinguish(g1, g2, method, exact=True, **kw)
+        for g1, g2 in pairs
+        for method, kw in _DIFFERENTIAL_METHODS
+    ]
+    return verdicts, [(wl1(g1), wl1(g2)) for g1, g2 in pairs]
+
+
+def test_per_subgraph_stopping_matches_the_lockstep_joint_kernel(monkeypatch):
+    pairs = _differential_pairs()
+    got = _exact_verdicts_and_wl1(pairs)
+    with monkeypatch.context() as m:
+        m.setattr(refinement, "_IDS", refinement._IDS._replace(refine=_lockstep_refine))
+        want = _exact_verdicts_and_wl1(pairs)
+    assert got == want
+    # every method both separates and fails to separate some of the pairs
+    k = len(_DIFFERENTIAL_METHODS)
+    assert all({True, False} == set(got[0][j::k]) for j in range(k))

@@ -2,13 +2,14 @@
 
 The tracer patches graphcount by module attribute, so a rename inside
 graphcount breaks ``perfbench/run.py --trace 1``; and the workloads check
-counts against their own kind-to-oracle dispatch and ``graphcount oracle``.
-These guards make such a break fail the tests instead."""
+counts against their own kind-to-oracle dispatch and ``graphcount oracle``,
+and verdicts against the README's witness verdicts.  These guards make such a
+break fail the tests instead."""
 
 import importlib
 from pathlib import Path
 
-from graphcount import cli, oracle
+from graphcount import cli, oracle, refinement
 from graphcount.generators import gen_random
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -40,3 +41,15 @@ def test_workload_oracle_dispatch_matches_the_twins(monkeypatch):
 def test_workload_cli_kinds_are_oracle_choices(monkeypatch):
     workloads = _perfbench_module(monkeypatch, "workloads")
     assert set(workloads.CLI_KINDS) <= set(cli._ORACLE_KINDS)
+
+
+def test_workload_readme_verdicts_match_distinguish(monkeypatch):
+    workloads = _perfbench_module(monkeypatch, "workloads")
+    pairs = {tag: (g1, g2) for tag, g1, g2 in workloads.RefinePairs()._witness_pairs()}
+    methods = {label: (method, kw) for label, method, kw in workloads.REFINE_METHODS}
+    assert workloads.README_VERDICTS
+    for (tag, label), want in workloads.README_VERDICTS.items():
+        method, kw = methods[label]
+        for exact in (False, True):
+            got = refinement.distinguish(*pairs[tag], method, exact=exact, **kw)
+            assert got == want, (tag, label, exact)
