@@ -21,6 +21,7 @@ import argparse
 import csv
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -119,7 +120,9 @@ def _cmd_distinguish(args) -> int:
 def _distinguish_corpus(args, kw) -> int:
     """Corpus mode over graph6 files: two files pair up line by line, a
     single file is compared all-against-all.  Digest mode fingerprints each
-    graph once."""
+    graph once; exact mode refines every graph in one id-kernel run, whose
+    colors are canonical across all of them, and compares node-key
+    multisets per pair."""
     files = args.graphs
     if len(files) == 2:
         left = list(iter_graph6(files[0]))
@@ -136,10 +139,11 @@ def _distinguish_corpus(args, kw) -> int:
         raise GraphFormatError("corpus mode takes one or two graph6 files")
     kw = dict(kw)
     if kw.pop("exact"):
-        verdicts = (
-            refinement.distinguish(left[i], right[j], args.method, exact=True, **kw)
-            for i, j in pairs
-        )
+        graphs = left if right is left else left + right
+        keys, _ = refinement._node_keys(graphs, refinement._IDS, args.method, **kw)
+        hists = [Counter(k) for k in keys]
+        offset = len(graphs) - len(right)
+        verdicts = (hists[i] != hists[offset + j] for i, j in pairs)
     else:
         left_fp = [refinement.fingerprint(g, args.method, **kw).digest for g in left]
         right_fp = left_fp if right is left else [

@@ -5,14 +5,14 @@ shape, a subgraph radius, readouts, a combine step, and a graph divisor.
 Root bags (one ego-network per node) cover 3-paths, triangles, 4-cycles, and
 the closed walks; pair bags (root + branching neighbor) cover 4-paths,
 5-/6-cycles, and the size-4/5 graphlets; 2-paths run once over the whole
-graph.  One function builds a root's bag and one executor runs its plan.
-All divisions are exact integer divisions with remainder checks, and every
-kind has an independent brute-force twin in ``oracle.TWINS`` that returns the
-same ``CountReport``.
+graph.  One executor, ``engine.RootedRun``, runs a plan root by root on the
+parent graph itself: no subgraph is extracted, and the radius bounds which
+nodes each step computes.  All divisions are exact integer divisions with
+remainder checks, and every kind has an independent brute-force twin in
+``oracle.TWINS`` that returns the same ``CountReport``.
 
 Hop requirements: each plan declares the smallest subgraph radius that makes
-it exact, and runs at it by default.  Larger radii never change results,
-only cost.
+it exact, and runs at it by default.  Larger radii never change results.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from multiprocessing import get_context
 from pathlib import Path
 from typing import Callable, Sequence
 
+# apply_readout, extract_rooted and with_branching are no longer called here,
+# but perfbench's tracer wraps them by their names on this module.
 from .engine import (
     Const,
     Layer,
@@ -32,6 +34,7 @@ from .engine import (
     Msg,
     Nbr,
     Readout,
+    RootedRun,
     Self,
     apply_readout,
     exact_div,
@@ -39,8 +42,6 @@ from .engine import (
     run_program,
 )
 from .extraction import (
-    RootedSubgraph,
-    ego,
     extract_rooted,
     identity_labeled_graph,
     with_branching,
@@ -341,42 +342,41 @@ def _resolve_hops(kind: str, hops: int | None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Per-root evaluation.  One root is one unit of work, so the bag can be
-# evaluated in chunks (and, with threads > 1, in worker processes) while
-# staying deterministic: results are merged in root order.
+# Per-root evaluation.  One root is one unit of work, so the roots can be
+# evaluated in chunks (and, with threads > 1, in worker processes, each with
+# its own executor and buffers) while staying deterministic: results are
+# merged in root order.
 # ---------------------------------------------------------------------------
 
 _PHASES = ("extraction", "message_passing", "readout")
 
 
-def _root_bag(g: Graph, i: int, hops: int, mode: str) -> list[RootedSubgraph]:
-    """Root i's bag: its ego-network ("root"), or one copy of it per neighbor
-    with that neighbor marked as the branching node ("pair")."""
-    base = extract_rooted(g, i, ego(hops))
-    if mode == "root":
-        return [base]
-    return [with_branching(g, base, j) for j in g.adjacency[i]]
+def _rooted_run(spec: KindSpec, g: Graph, hops: int) -> RootedRun:
+    return RootedRun(
+        spec.program, g.adjacency, hops, spec.readouts, spec.mode == "pair", g.edge_attr_rows
+    )
 
 
 def _root_value(
-    spec: KindSpec, g: Graph, hops: int, i: int, phases: list[float]
+    spec: KindSpec, runner: RootedRun, i: int, phases: list[float]
 ) -> tuple:
-    """Run a plan on root i's bag and combine the readouts, adding the wall
-    time of each phase to ``phases`` (in ``_PHASES`` order)."""
+    """Run a plan on root i's subgraphs and combine the readouts, adding the
+    wall time of each phase to ``phases`` (in ``_PHASES`` order): the root's
+    ball and labels, the steps, and the readouts with the combine step."""
     t0 = time.perf_counter()
-    bag = _root_bag(g, i, hops, spec.mode)
+    runner.root(i)
     t1 = time.perf_counter()
-    all_states = [run_program(sub, spec.program) for sub in bag]
-    t2 = time.perf_counter()
-    value = spec.combine(
-        [
-            tuple(apply_readout(sub, states, r) for r in spec.readouts)
-            for sub, states in zip(bag, all_states)
-        ]
-    )
+    rows = []
+    steps = 0.0
+    for j in runner.adjacency[i] if spec.mode == "pair" else (None,):
+        ta = time.perf_counter()
+        runner.run(j)
+        steps += time.perf_counter() - ta
+        rows.append(runner.readouts())
+    value = spec.combine(rows)
     phases[0] += t1 - t0
-    phases[1] += t2 - t1
-    phases[2] += time.perf_counter() - t2
+    phases[1] += steps
+    phases[2] += time.perf_counter() - t1 - steps
     return value
 
 
@@ -393,8 +393,9 @@ def _set_worker_graph(g: Graph) -> None:
 def _chunk_worker(kind: str, hops: int, roots: range) -> list:
     # takes the kind, not its plan, because combine steps do not pickle
     spec = _PLANS[kind]
+    runner = _rooted_run(spec, _worker_graph, hops)
     phases = [0.0] * len(_PHASES)
-    return [_root_value(spec, _worker_graph, hops, i, phases) for i in roots]
+    return [_root_value(spec, runner, i, phases) for i in roots]
 
 
 def _map_roots(
@@ -407,8 +408,9 @@ def _map_roots(
     roots = range(g.node_count)
     if timings is not None or threads <= 1 or len(roots) < 64:
         spec = _PLANS[kind]
+        runner = _rooted_run(spec, g, hops)
         phases = [0.0] * len(_PHASES)
-        values = [_root_value(spec, g, hops, i, phases) for i in roots]
+        values = [_root_value(spec, runner, i, phases) for i in roots]
         if timings is not None:
             for name, dt in zip(_PHASES, phases):
                 timings[name] = timings.get(name, 0.0) + dt
@@ -434,8 +436,9 @@ def count(
 ) -> CountReport:
     """Count one substructure kind at node and graph level.
 
-    ``timings`` (optional dict) accumulates an extraction / message passing /
-    readout wall-time breakdown; when supplied the evaluation runs serially.
+    ``timings`` (optional dict) accumulates a wall-time breakdown: extraction
+    (each root's ball and labels), message passing and readout; when
+    supplied the evaluation runs serially.
     """
     kind = resolve_kind(kind)
     spec = _PLANS[kind]
@@ -460,13 +463,14 @@ def count_path4_edge(g: Graph, hops: int = 3) -> dict[tuple[int, int], dict[int,
     """
     if hops < 3:
         raise InsufficientHopsError("path4_edge", hops, 3)
+    runner = RootedRun(PROG_P4, g.adjacency, hops, _SUM, True)
     table: dict[tuple[int, int], dict[int, int]] = {}
     for i in range(g.node_count):
-        for sub in _root_bag(g, i, hops, "pair"):
-            paths = run_program(sub, PROG_P4)[0]
-            table[(i, sub.branching)] = {
-                sub.nodes[k]: p for k, p in enumerate(paths) if p
-            }
+        runner.root(i)
+        for j in g.adjacency[i]:
+            runner.run(j)
+            paths = runner.state[0]
+            table[(i, j)] = {k: paths[k] for k in sorted(runner.support(0)) if paths[k]}
     return table
 
 

@@ -4,8 +4,9 @@ A rooted subgraph keeps its parent-graph node ids plus a dense local
 reindexing; message-passing programs run on local indices and results are
 reported in parent ids.  Identifier indicators for the root (and branching
 node, in pair mode) and for their neighborhoods are precomputed into the
-label vectors, because the hand-built counting programs consume them in
-their very first layer.
+label vectors, because refinement starts its colors from them.  Counting
+extracts nothing: it runs its programs on the parent graph (see
+``engine.RootedRun``).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
 
-from . import engine
 from .graph import Graph
 
 LABELINGS = ("identity", "spd")
@@ -198,9 +198,9 @@ def iter_bag_i2(
 def identity_labeled_graph(g: Graph, root: int) -> RootedSubgraph:
     """The whole graph as a rooted subgraph with only the root identifier.
 
-    This is the reference strategy that subsumes the others: masking programs
-    over it can reproduce ego-network membership and hop distances (see
-    ego_mask_program / spd_label_program).
+    This is the reference strategy that subsumes the others: message-passing
+    programs over it can reproduce ego-network membership and hop distances
+    from the root identifier alone.
     """
     g._check_node(root)
     nodes = tuple(range(g.node_count))
@@ -211,41 +211,4 @@ def identity_labeled_graph(g: Graph, root: int) -> RootedSubgraph:
         adj=g.adjacency,
         labels=_base_labels(g, nodes, root),
         edge_attrs=_edge_attr_rows(g, nodes),
-    )
-
-
-def ego_mask_program(hops: int) -> engine.MPProgram:
-    """K rounds of reachability propagation from the root identifier.
-
-    The final state component is 1 exactly on nodes within ``hops`` of the
-    root, i.e. the ego-network membership mask.
-    """
-    layer = engine.Layer(
-        message=(engine.Nbr(0),),
-        update=(engine.IsPos(engine.Self(0) + engine.Msg(0)),),
-    )
-    return engine.MPProgram(
-        name=f"ego-mask-{hops}",
-        init=(engine.LSelf("is_root"),),
-        layers=(layer,) * hops,
-    )
-
-
-def spd_label_program(hops: int) -> engine.MPProgram:
-    """K rounds of (visited, distance) propagation from the root identifier.
-
-    After round t, nodes first reached at round t hold distance t; the final
-    states equal the hop distances of all nodes within ``hops`` of the root
-    (component 1), with component 0 as the reached mask.
-    """
-    layers = []
-    for t in range(1, hops + 1):
-        visited = engine.IsPos(engine.Self(0) + engine.Msg(0))
-        newly = engine.IsZero(engine.Self(0)) * engine.IsPos(engine.Msg(0))
-        dist = engine.Self(1) + engine.Const(t) * newly
-        layers.append(engine.Layer(message=(engine.Nbr(0),), update=(visited, dist)))
-    return engine.MPProgram(
-        name=f"spd-labels-{hops}",
-        init=(engine.LSelf("is_root"), engine.Const(0)),
-        layers=tuple(layers),
     )

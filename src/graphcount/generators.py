@@ -153,22 +153,3 @@ def gen_random_regular(n: int, d: int, seed: int) -> Graph:
         if ok:
             return from_edges(n, sorted(seen))
     raise RuntimeError(f"failed to sample a simple {d}-regular graph on {n} nodes")
-
-
-def strongly_regular_parameters(g: Graph) -> tuple[int, int, int, int] | None:
-    """Return (n, d, lambda, mu) when g is strongly regular, else None."""
-    n = g.node_count
-    if n == 0:
-        return None
-    degs = {g.degree(i) for i in range(n)}
-    if len(degs) != 1:
-        return None
-    d = degs.pop()
-    lams, mus = set(), set()
-    for u in range(n):
-        for v in range(u + 1, n):
-            common = len(g.neighbor_set(u) & g.neighbor_set(v))
-            (lams if g.has_edge(u, v) else mus).add(common)
-    if len(lams) > 1 or len(mus) > 1:
-        return None
-    return (n, d, lams.pop() if lams else 0, mus.pop() if mus else 0)

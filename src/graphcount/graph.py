@@ -66,10 +66,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(len(nbrs) for nbrs in self.adjacency) // 2
 
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        self._check_node(i)
-        return self.adjacency[i]
-
     def neighbor_set(self, i: int) -> frozenset[int]:
         self._check_node(i)
         return self._nbr_sets[i]

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import pytest
 
 from conftest import random_permutation
-from graphcount import oracle
+from graphcount import engine, oracle
 from graphcount.bench import run_bench
-from graphcount.counting import count
+from graphcount.counting import _PLANS, count
 from graphcount.extraction import node_deletion
 from graphcount.generators import (
     gen_complete,
@@ -26,6 +26,7 @@ from graphcount.generators import (
     gen_cycle_pair,
     gen_petersen,
     gen_random,
+    gen_random_regular,
     gen_rook4x4,
     gen_shrikhande,
 )
@@ -304,4 +305,43 @@ def test_criterion_10_near_linear_scaling():
         f"cycle6 wall time on 4-regular graphs, N=1000/2000/4000: doubling "
         f"ratios {[f'{r:.2f}' for r in ratios]} within [1.6, 2.6], "
         f"total {dt:.1f}s < 300s",
+    )
+
+
+# Mean node evaluations per root (nodes summed over every step of every
+# subgraph), per kind, on criterion 10's ladder: the work of a count grows
+# with N only through the number of roots.
+_WORK_PER_ROOT = {"path4": (215.0, 240.0), "cycle6": (260.0, 285.0)}
+
+
+def test_criterion_10_work_per_root_is_flat():
+    means = {}
+    for kind, (low, high) in _WORK_PER_ROOT.items():
+        spec = _PLANS[kind]
+        key = (spec.program, engine._ROOTED_LABELS[spec.mode == "pair"])
+        count(kind, gen_random_regular(40, 4, 7))  # fills the compile cache
+        real = engine._COMPILE_CACHE[key]
+        evaluated = []
+        engine._COMPILE_CACHE[key] = tuple(
+            (lambda *a, fn=fn: evaluated.append(len(a[4])) or fn(*a), step)
+            for fn, step in real
+        )
+        try:
+            for n in (1000, 2000, 4000):
+                evaluated.clear()
+                count(kind, gen_random_regular(n, 4, 7))
+                means[kind, n] = sum(evaluated) / n
+        finally:
+            engine._COMPILE_CACHE[key] = real
+    ok = all(
+        low <= means[kind, n] <= high
+        for kind, (low, high) in _WORK_PER_ROOT.items()
+        for n in (1000, 2000, 4000)
+    )
+    _report(
+        10,
+        ok,
+        "node evaluations per root on 4-regular graphs, N=1000/2000/4000: "
+        + ", ".join(f"{kind} {means[kind, n]:.1f}" for kind, n in means)
+        + f" within {_WORK_PER_ROOT}",
     )

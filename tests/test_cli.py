@@ -7,7 +7,16 @@ from conftest import to_graph6
 from graphcount import cli, counting, refinement
 from graphcount.cli import main
 from graphcount.engine import MissingLabelError, ProgramError
-from graphcount.generators import gen_complete, gen_cycle, gen_random, gen_rook4x4, gen_shrikhande
+from graphcount.extraction import node_deletion
+from graphcount.generators import (
+    gen_complete,
+    gen_coned_cycles,
+    gen_cycle,
+    gen_cycle_pair,
+    gen_random,
+    gen_rook4x4,
+    gen_shrikhande,
+)
 from graphcount.graph import save_graph
 
 
@@ -288,6 +297,39 @@ def test_distinguish_corpus_fingerprints_each_graph_once(tmp_path, capsys, monke
     ]
     assert err == "distinguished 5/6\n"
 
+
+
+@pytest.mark.parametrize(
+    "method, extra",
+    [("wl1", []), ("subgraph_wl", []), ("i2_wl", []), ("i2_wl", ["--labeling", "spd"]),
+     ("i2_wl", ["--hops", "2"]), ("subgraph_wl", ["--policy", "node_deletion"])],
+)
+def test_exact_corpus_verdicts_match_pairwise_distinguish(tmp_path, capsys, method, extra):
+    graphs = [gen_rook4x4(), gen_shrikhande(), *gen_cycle_pair(4), *gen_coned_cycles(3)]
+    graphs += [gen_random(9, 0.4, seed) for seed in range(3)] + [gen_cycle(8)]
+    left, right = graphs[::2], graphs[1::2]
+    files = []
+    for name, corpus in (("all", graphs), ("left", left), ("right", right)):
+        files.append(tmp_path / f"{name}.g6")
+        files[-1].write_text("".join(to_graph6(g) + "\n" for g in corpus))
+    kw = {"hops": int(extra[1]) if "--hops" in extra else None}
+    if "spd" in extra:
+        kw["labeling"] = "spd"
+    if "node_deletion" in extra:
+        kw["policy"] = node_deletion()
+    for inputs, pairs in (
+        ([files[0]], [(a, b) for i, a in enumerate(graphs) for b in graphs[i + 1 :]]),
+        (files[1:], list(zip(left, right))),
+    ):
+        code, out, _ = run_cli(
+            ["distinguish", "--corpus", "--exact-compare", "--method", method,
+             *extra, *map(str, inputs)],
+            capsys,
+        )
+        assert code == 0
+        verdicts = [line.split(",")[1] == "distinguished" for line in out.splitlines()[1:]]
+        want = [refinement.distinguish(a, b, method, exact=True, **kw) for a, b in pairs]
+        assert verdicts == want
 
 def test_gen_subcommands(tmp_path, capsys):
     code, out, _ = run_cli(["gen", "rook"], capsys)

@@ -1,8 +1,10 @@
 import pytest
 
-from conftest import random_permutation
+from conftest import exhaustive_graphs, random_permutation
+from graphcount import engine as E
 from graphcount import oracle
 from graphcount.counting import (
+    _PLANS,
     KIND_SPECS,
     InsufficientHopsError,
     corpus_cycle_stats,
@@ -11,7 +13,7 @@ from graphcount.counting import (
     count_walks,
     resolve_kind,
 )
-from graphcount.extraction import ego, extract_rooted
+from graphcount.extraction import ego, extract_rooted, with_branching
 from graphcount.generators import (
     gen_complete,
     gen_coned_cycles,
@@ -19,9 +21,10 @@ from graphcount.generators import (
     gen_path,
     gen_petersen,
     gen_random,
+    gen_random_regular,
     gen_star,
 )
-from graphcount.graph import disjoint_union, from_edges, permute
+from graphcount.graph import disjoint_union, from_edges, permute, shortest_path_distances
 
 PAW = from_edges(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
 DIAMOND = from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
@@ -275,3 +278,93 @@ def test_empty_graph_reports():
         rep = count(kind, empty)
         assert rep.node_counts == ()
         assert rep.graph_count == 0
+
+
+# ---------------------------------------------------------------------------
+# Counting on the parent graph against the extracted subgraphs.
+# ---------------------------------------------------------------------------
+
+ROOTED = sorted(k for k, spec in _PLANS.items() if spec.mode != "mpnn")
+
+
+def _ego_states(sub, prog):
+    """Per step, the state of ``prog`` on an extracted subgraph, every step
+    run over all of its nodes."""
+    state, states = (), []
+    for fn, step in E._compiled(prog, tuple(sorted(sub.labels))):
+        out = [[0] * len(sub.nodes) for s in step.copies if s is None]
+        state = fn(sub.adj, sub.labels, state, out, range(len(sub.nodes)), None, ())
+        states.append(state)
+    return states
+
+
+def _assert_parent_states_match_egos(g, kind, hops, steps, within):
+    """On every node within a step's radius of the root, each column a step
+    computes on the parent graph equals that of the extracted subgraph; on
+    every other node it is 0."""
+    spec = _PLANS[kind]
+    pairs = spec.mode == "pair"
+    runner = E.RootedRun(spec.program, g.adjacency, hops, spec.readouts, pairs)
+    seen = []
+    runner._plan = [
+        (lambda *a, fn=fn: seen.append(fn(*a)) or seen[-1], *rest)
+        for fn, *rest in runner._plan
+    ]
+    at_all = range(g.node_count)
+    for root in at_all:
+        dist = shortest_path_distances(g, root)
+        base = extract_rooted(g, root, ego(hops))
+        runner.root(root)
+        for j in g.adjacency[root] if pairs else (None,):
+            sub = base if j is None else with_branching(g, base, j)
+            seen.clear()
+            runner.run(j)
+            at = {p: k for k, p in enumerate(sub.nodes)}
+            ego_states = _ego_states(sub, spec.program)
+            for s, (step, radius, ego_state) in enumerate(zip(steps, within, ego_states)):
+                inside = [d is not None and d <= radius for d in dist]
+                for c, source in enumerate(step.copies):
+                    if source is None:
+                        want = [ego_state[c][at[p]] if inside[p] else 0 for p in at_all]
+                        assert seen[s][c] == want, (kind, hops, root, j, s, c)
+
+
+@pytest.mark.parametrize("kind", ROOTED)
+def test_parent_graph_states_equal_the_extracted_subgraphs(kind):
+    spec = _PLANS[kind]
+    graphs = list(exhaustive_graphs())
+    # graphs of 32 nodes or more run sparse steps
+    graphs += [gen_random(40, 0.1, 3), _hub_cliques(8, 6)]
+    compiled = E._compiled(spec.program, E._ROOTED_LABELS[spec.mode == "pair"])
+    steps = [step for _, step in compiled]
+    for hops in (spec.hops, spec.hops + 1):
+        within, _ = E._radii(spec.program, steps, hops, spec.readouts)
+        for g in graphs:
+            _assert_parent_states_match_egos(g, kind, hops, steps, within)
+
+
+def _hub_cliques(cliques: int, size: int):
+    """``cliques`` copies of K_size, each joined to one extra hub node by
+    two of its nodes."""
+    edges = []
+    for c in range(cliques):
+        nodes = range(c * size, (c + 1) * size)
+        edges += [(u, v) for u in nodes for v in nodes if u < v]
+        edges += [(nodes[0], cliques * size), (nodes[1], cliques * size)]
+    return from_edges(cliques * size + 1, edges)
+
+
+def _regular_with_hub():
+    """A random 4-regular graph, N=1000, plus one node joined to 50 of it."""
+    g = gen_random_regular(1000, 4, 7)
+    return from_edges(1001, list(g.edges()) + [(k, 1000) for k in range(0, 1000, 20)])
+
+
+_HUB_BUDGET = 10**14  # the degree-50 hub puts the enumeration bound above the default
+
+
+def test_hub_family_matches_the_twins():
+    kinds = sorted(KIND_SPECS) + ["walk4"]
+    for g in (_regular_with_hub(), _hub_cliques(8, 6)):
+        for kind in kinds:
+            assert count(kind, g) == oracle.TWINS[kind](g, _HUB_BUDGET), kind

@@ -5,16 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_permutation, small_random_graphs
-from graphcount import engine as E
-from graphcount.counting import PROG_P3, PROG_PATH2, _PLANS, _walk_program
-from graphcount.extraction import (
-    ego,
+from conftest import (
     ego_mask_program,
-    extract_rooted,
-    identity_labeled_graph,
+    random_permutation,
+    small_random_graphs,
     spd_label_program,
 )
+from graphcount import engine as E
+from graphcount.counting import PROG_P3, PROG_PATH2, _PLANS, _walk_program
+from graphcount.extraction import ego, extract_rooted, identity_labeled_graph
 from graphcount.generators import (
     gen_complete,
     gen_cycle,
@@ -246,28 +245,82 @@ def test_empty_graph_without_labels():
     assert E.run(PROG_PATH2, (), {}) == ([],)
 
 
-# Steps (0 is init) that run over live nodes only, per audited program.
+# Steps (0 is init) that have a witness, and so run over the nodes where one
+# of their sources is nonzero, per audited program.  Every plan step does,
+# except path2's, whose messages are Const(1) and Nbr(0) - 1.
 _SPARSE_STEPS = {
-    "path2-endpoints": [],
-    "two-paths-from-root": [],
-    "three-paths-from-root": [2],
-    "four-paths-root-branch": [1, 2],
-    "triangle-rectangle": [1, 2, 3],
-    "four-cliques": [1],
-    "chordal-cycles": [1],
-    "tailed-triangles": [1],
-    "six-cycle-patterns": [2, 3],  # layer 1 reads LNbr, layer 4 LSelf alone
-    **{f"walks-{n}": list(range(1, n + 1)) for n in range(1, 9)},
-    "ego-mask-2": [1, 2],
-    "spd-labels-2": [1, 2],
+    "path2-endpoints": [0],
+    "two-paths-from-root": [0, 1],
+    "three-paths-from-root": [0, 1, 2],
+    "four-paths-root-branch": [0, 1, 2],
+    "triangle-rectangle": [0, 1, 2, 3],
+    "four-cliques": [0, 1],
+    "chordal-cycles": [0, 1],
+    "tailed-triangles": [0, 1],
+    "six-cycle-patterns": [0, 1, 2, 3, 4],
+    **{f"walks-{n}": list(range(n + 1)) for n in range(1, 9)},
+    "ego-mask-2": [0, 1, 2],
+    "spd-labels-2": [0, 1, 2],
 }
 
 
 @pytest.mark.parametrize("prog", _audited_programs(), ids=lambda p: p.name)
 def test_vanishing_steps_are_frozen(prog):
     steps = E._walk(prog, {})
-    sparse = [i for i, step in enumerate(steps) if step.live is not None]
+    sparse = [i for i, step in enumerate(steps) if step.sources is not None]
     assert sparse == _SPARSE_STEPS[prog.name]
+
+
+# Per plan at its own radius: the radius each step (init first) is cut to
+# around the root, "-" for none.
+_PLAN_RADII = {
+    "path3": "- - -",
+    "path4": "- - -",
+    "cycle3": "- 1",
+    "cycle4": "- - 1",
+    "cycle5": "- 2 1",
+    "cycle6": "- 2 - 2 -",
+    "tailed_triangle": "- -",
+    "chordal_cycle": "- -",
+    "clique4": "- -",
+    "triangle_rectangle": "- 2 1 -",
+    "walk1": "- 0",
+    "walk2": "- - 0",
+    "walk3": "- - 1 0",
+    "walk4": "- - - 1 0",
+    "walk5": "- - - 2 1 0",
+    "walk6": "- - - - 2 1 0",
+    "walk7": "- - - - 3 2 1 0",
+    "walk8": "- - - - - 3 2 1 0",
+}
+
+
+def _cuts(spec, hops):
+    compiled = E._compiled(spec.program, E._ROOTED_LABELS[spec.mode == "pair"])
+    _, cuts = E._radii(spec.program, [step for _, step in compiled], hops, spec.readouts)
+    return " ".join("-" if cut is None else str(cut) for cut in cuts)
+
+
+@pytest.mark.parametrize("kind", sorted(_PLAN_RADII))
+def test_plan_radii_are_frozen(kind):
+    spec = _PLANS[kind]
+    assert _cuts(spec, spec.hops) == _PLAN_RADII[kind]
+    assert _cuts(spec, spec.hops + 1) == _PLAN_RADII[kind]
+
+
+def test_frozen_plan_radii_cover_every_rooted_plan():
+    assert sorted(_PLAN_RADII) == sorted(k for k, s in _PLANS.items() if s.mode != "mpnn")
+
+
+def test_plans_reading_beyond_their_radius_are_refused():
+    # in_n_branch reaches two hops, so at radius 1 a node on the rim would
+    # hear from neighbors outside the subgraph
+    prog = E.MPProgram("too-far", (), (E.Layer((E.LNbr("in_n_branch"),), (E.Msg(0),)),))
+    with pytest.raises(E.ProgramError, match="reads beyond subgraph radius 1"):
+        E.RootedRun(prog, (), 1, (E.Readout(0),), True)
+    E.RootedRun(prog, (), 2, (E.Readout(0),), True)
+    # a weighted readout needs the column only on the weight's support
+    E.RootedRun(prog, (), 1, (E.Readout(0, "is_root"),), True)
 
 
 def test_copied_components_are_passed_through():
@@ -284,27 +337,40 @@ def test_copied_components_are_passed_through():
     assert state[1] is state[2]  # one column, passed through twice
 
 
-def test_sparse_rule():
-    adjacency = gen_path(40).adjacency
-    one = ([0] * 20 + [3] + [0] * 19,)
-    assert E._live_nodes(adjacency, one, False) == {20}
-    assert E._live_nodes(adjacency, one, True) == {19, 20, 21}
-    nine = ([1] * 9 + [0] * 31, [0] * 40)
-    assert E._live_nodes(adjacency, nine, True) == set(range(10))
-    assert E._live_nodes(adjacency, ([1] * 10 + [0] * 30,), False) is None
-    # below 32 nodes every step runs dense
-    calls = []
-    real = E._live_nodes
-    E._live_nodes = lambda *args: calls.append(len(args[0])) or real(*args)
+def _step_nodes(prog, adjacency, labels):
+    """The node set each step of ``prog`` runs over in ``E.run``."""
+    seen = []
+    key = (prog, tuple(sorted(labels)))
+    real = E._compiled(prog, key[1])
+    E._COMPILE_CACHE[key] = tuple(
+        (lambda *a, fn=fn: seen.append(a[4]) or fn(*a), step) for fn, step in real
+    )
     try:
-        for n in (31, 32):
-            path = gen_path(n)
-            root = (1,) + (0,) * (n - 1)
-            walks = E.run(_walk_program(3), path.adjacency, {"is_root": root})[0]
-            assert walks == [0, 2] + [0, 1] + [0] * (n - 4)
+        state = E.run(prog, adjacency, labels)
     finally:
-        E._live_nodes = real
-    assert calls == [32] * 3
+        E._COMPILE_CACHE[key] = real
+    return state, seen
+
+
+def test_sparse_rule():
+    walks = _walk_program(3)
+    path = gen_path(40).adjacency
+    root = tuple(int(k == 20) for k in range(40))
+    state, seen = _step_nodes(walks, path, {"is_root": root})
+    assert state[0] == [0] * 17 + [1, 0, 3, 0, 3, 0, 1] + [0] * 16
+    # the root, then each layer the neighbors of the one before
+    assert [sorted(s) for s in seen] == [[20], [19, 21], [18, 20, 22], [17, 19, 21, 23]]
+    # however many nodes are live
+    wide = tuple(int(k < 10) for k in range(40))
+    assert [len(s) for s in _step_nodes(walks, path, {"is_root": wide})[1]] == [10, 11, 12, 13]
+    # in a graph under 32 nodes, every node, unless the step has one source,
+    # read at the node itself, whose node list it can take as it is
+    small = gen_path(31).adjacency
+    _, seen = _step_nodes(walks, small, {"is_root": (1,) + (0,) * 30})
+    assert seen == [[0]] + [range(31)] * 3
+    # a step with no witness runs over every node
+    _, seen = _step_nodes(PROG_PATH2, path, {})
+    assert seen[1:] == [range(40)] * 2
 
 
 # ---------------------------------------------------------------------------

@@ -9,29 +9,16 @@ Refinement: on every pair of labelled graphs on at most four nodes, digest
 and exact verdicts agree and the wl1 => subgraph_wl => i2_wl hierarchy holds.
 """
 
-from itertools import combinations
-
-from conftest import all_graphs_up_to, random_permutation
+from conftest import all_graphs_up_to, exhaustive_graphs, random_permutation
 from graphcount import oracle
 from graphcount.counting import _PLANS, count, count_path4_edge
-from graphcount.graph import from_edges, permute
+from graphcount.graph import permute
 from graphcount.refinement import METHODS, distinguish
-
-_HEXAGON = [(i, (i + 1) % 6) for i in range(6)]
-_CHORDS = [
-    p for p in combinations(range(6), 2) if p not in _HEXAGON and p[::-1] not in _HEXAGON
-]
-
-
-def _graphs():
-    yield from all_graphs_up_to(5)
-    for mask in range(1 << len(_CHORDS)):
-        yield from_edges(6, _HEXAGON + [c for b, c in enumerate(_CHORDS) if mask >> b & 1])
 
 
 def test_every_small_graph_matches_the_oracles():
     checked = 0
-    for g in _graphs():
+    for g in exhaustive_graphs():
         for kind in _PLANS:
             assert count(kind, g) == oracle.TWINS[kind](g, oracle.DEFAULT_BUDGET), (kind, g)
         assert count_path4_edge(g, hops=4) == oracle.oracle_path4_first_step(g), g

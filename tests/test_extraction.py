@@ -1,16 +1,14 @@
 import pytest
 
-from conftest import small_random_graphs
+from conftest import ego_mask_program, small_random_graphs, spd_label_program
 from graphcount import engine
 from graphcount.extraction import (
     ExtractionPolicy,
     ego,
-    ego_mask_program,
     extract_rooted,
     identity_labeled_graph,
     iter_bag_i2,
     node_deletion,
-    spd_label_program,
     with_branching,
 )
 from graphcount.generators import gen_complete, gen_cycle, gen_path, gen_random, gen_star

@@ -11,10 +11,29 @@ from graphcount.generators import (
     gen_rook4x4,
     gen_shrikhande,
     gen_star,
-    strongly_regular_parameters,
 )
+from graphcount.graph import Graph
 from graphcount.oracle import oracle_cycles, oracle_paths
 from graphcount.refinement import wl1
+
+
+def strongly_regular_parameters(g: Graph) -> tuple[int, int, int, int] | None:
+    """Return (n, d, lambda, mu) when g is strongly regular, else None."""
+    n = g.node_count
+    if n == 0:
+        return None
+    degs = {g.degree(i) for i in range(n)}
+    if len(degs) != 1:
+        return None
+    d = degs.pop()
+    lams, mus = set(), set()
+    for u in range(n):
+        for v in range(u + 1, n):
+            common = len(g.neighbor_set(u) & g.neighbor_set(v))
+            (lams if g.has_edge(u, v) else mus).add(common)
+    if len(lams) > 1 or len(mus) > 1:
+        return None
+    return (n, d, lams.pop() if lams else 0, mus.pop() if mus else 0)
 
 
 def test_gen_cycle():
