@@ -6,10 +6,11 @@ Root bags (one ego-network per node) cover 3-paths, triangles, 4-cycles, and
 the closed walks; pair bags (root + branching neighbor) cover 4-paths,
 5-/6-cycles, and the size-4/5 graphlets; 2-paths run once over the whole
 graph.  One executor, ``engine.RootedRun``, runs a plan root by root on the
-parent graph itself: no subgraph is extracted, and the radius bounds which
-nodes each step computes.  All divisions are exact integer divisions with
-remainder checks, and every kind has an independent brute-force twin in
-``oracle.TWINS`` that returns the same ``CountReport``.
+parent graph itself, one call of the plan's generated kernel per root: no
+subgraph is extracted, and the radius bounds which nodes each step computes.
+All divisions are exact integer divisions with remainder checks, and every
+kind has an independent brute-force twin in ``oracle.TWINS`` that returns
+the same ``CountReport``.
 
 Hop requirements: each plan declares the smallest subgraph radius that makes
 it exact, and runs at it by default.  Larger radii never change results.
@@ -344,58 +345,57 @@ def _resolve_hops(kind: str, hops: int | None) -> int:
 # ---------------------------------------------------------------------------
 # Per-root evaluation.  One root is one unit of work, so the roots can be
 # evaluated in chunks (and, with threads > 1, in worker processes, each with
-# its own executor and buffers) while staying deterministic: results are
+# its own copy of the buffers) while staying deterministic: results are
 # merged in root order.
 # ---------------------------------------------------------------------------
 
 _PHASES = ("extraction", "message_passing", "readout")
 
 
-def _rooted_run(spec: KindSpec, g: Graph, hops: int) -> RootedRun:
+def _rooted_run(spec: KindSpec, g: Graph, hops: int, hook=None) -> RootedRun:
     return RootedRun(
-        spec.program, g.adjacency, hops, spec.readouts, spec.mode == "pair", g.edge_attr_rows
+        spec.program, g.adjacency, hops, spec.readouts, spec.mode == "pair",
+        g.edge_attr_rows, hook,
     )
 
 
-def _root_value(
-    spec: KindSpec, runner: RootedRun, i: int, phases: list[float]
-) -> tuple:
-    """Run a plan on root i's subgraphs and combine the readouts, adding the
-    wall time of each phase to ``phases`` (in ``_PHASES`` order): the root's
-    ball and labels, the steps, and the readouts with the combine step."""
-    t0 = time.perf_counter()
-    runner.root(i)
-    t1 = time.perf_counter()
-    rows = []
-    steps = 0.0
-    for j in runner.adjacency[i] if spec.mode == "pair" else (None,):
-        ta = time.perf_counter()
-        runner.run(j)
-        steps += time.perf_counter() - ta
-        rows.append(runner.readouts())
-    value = spec.combine(rows)
-    phases[0] += t1 - t0
-    phases[1] += steps
-    phases[2] += time.perf_counter() - t1 - steps
-    return value
-
-
-# The graph a fork-pool worker counts on, handed over once per worker by
-# the pool initializer, so that chunks carry only (kind, hops, roots).
-_worker_graph: Graph | None = None
-
-
-def _set_worker_graph(g: Graph) -> None:
-    global _worker_graph
-    _worker_graph = g
-
-
-def _chunk_worker(kind: str, hops: int, roots: range) -> list:
-    # takes the kind, not its plan, because combine steps do not pickle
-    spec = _PLANS[kind]
-    runner = _rooted_run(spec, _worker_graph, hops)
+def _timed_values(
+    spec: KindSpec, runner: RootedRun, roots: range, timings: dict[str, float]
+) -> list:
+    """Each root's value, adding the wall time of each phase to ``timings``
+    (names in ``_PHASES``): the root's labels and balls, the kernel call
+    (every subgraph's steps and readout sums) and the combine step."""
     phases = [0.0] * len(_PHASES)
-    return [_root_value(spec, runner, i, phases) for i in roots]
+    values = []
+    for i in roots:
+        t0 = time.perf_counter()
+        runner.root(i)
+        t1 = time.perf_counter()
+        rows = runner.kernel(i)
+        t2 = time.perf_counter()
+        values.append(spec.combine(rows))
+        phases[0] += t1 - t0
+        phases[1] += t2 - t1
+        phases[2] += time.perf_counter() - t2
+    for name, dt in zip(_PHASES, phases):
+        timings[name] = timings.get(name, 0.0) + dt
+    return values
+
+
+# The plan's combine step and run a fork-pool worker counts with, built in
+# the parent before the pool forks, so that workers inherit the compiled
+# kernel and chunks carry only their roots.
+_worker: tuple = ()
+
+
+def _set_worker(combine, runner: RootedRun) -> None:
+    global _worker
+    _worker = (combine, runner)
+
+
+def _chunk_worker(roots: range) -> list:
+    combine, runner = _worker
+    return [combine(runner.rows(i)) for i in roots]
 
 
 def _map_roots(
@@ -405,20 +405,17 @@ def _map_roots(
     threads: int,
     timings: dict[str, float] | None,
 ) -> list:
+    spec = _PLANS[kind]
+    runner = _rooted_run(spec, g, hops)
     roots = range(g.node_count)
-    if timings is not None or threads <= 1 or len(roots) < 64:
-        spec = _PLANS[kind]
-        runner = _rooted_run(spec, g, hops)
-        phases = [0.0] * len(_PHASES)
-        values = [_root_value(spec, runner, i, phases) for i in roots]
-        if timings is not None:
-            for name, dt in zip(_PHASES, phases):
-                timings[name] = timings.get(name, 0.0) + dt
-        return values
+    if timings is not None:
+        return _timed_values(spec, runner, roots, timings)
+    if threads <= 1 or len(roots) < 64:
+        return [spec.combine(runner.rows(i)) for i in roots]
     size = max(16, len(roots) // (threads * 8))
-    chunks = [(kind, hops, roots[i : i + size]) for i in range(0, len(roots), size)]
-    with get_context("fork").Pool(threads, _set_worker_graph, (g,)) as pool:
-        parts = pool.starmap(_chunk_worker, chunks)
+    chunks = [roots[i : i + size] for i in range(0, len(roots), size)]
+    with get_context("fork").Pool(threads, _set_worker, (spec.combine, runner)) as pool:
+        parts = pool.map(_chunk_worker, chunks)
     return [v for part in parts for v in part]
 
 
@@ -436,9 +433,10 @@ def count(
 ) -> CountReport:
     """Count one substructure kind at node and graph level.
 
-    ``timings`` (optional dict) accumulates a wall-time breakdown: extraction
-    (each root's ball and labels), message passing and readout; when
-    supplied the evaluation runs serially.
+    ``timings`` (optional dict) accumulates a wall-time breakdown per root:
+    extraction (the root's labels and balls), message passing (the kernel
+    call: every subgraph's steps and readout sums) and readout (the combine
+    step); when supplied the evaluation runs serially.
     """
     kind = resolve_kind(kind)
     spec = _PLANS[kind]
@@ -463,14 +461,16 @@ def count_path4_edge(g: Graph, hops: int = 3) -> dict[tuple[int, int], dict[int,
     """
     if hops < 3:
         raise InsufficientHopsError("path4_edge", hops, 3)
-    runner = RootedRun(PROG_P4, g.adjacency, hops, _SUM, True)
     table: dict[tuple[int, int], dict[int, int]] = {}
+
+    def record(j, steps):
+        # PROG_P4's last step computes column 0, which is 0 off its nodes
+        (paths, *_), nodes = steps[-1]
+        table[i, j] = {k: paths[k] for k in sorted(nodes) if paths[k]}
+
+    runner = RootedRun(PROG_P4, g.adjacency, hops, _SUM, True, hook=record)
     for i in range(g.node_count):
-        runner.root(i)
-        for j in g.adjacency[i]:
-            runner.run(j)
-            paths = runner.state[0]
-            table[(i, j)] = {k: paths[k] for k in sorted(runner.support(0)) if paths[k]}
+        runner.rows(i)
     return table
 
 

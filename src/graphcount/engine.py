@@ -13,11 +13,11 @@ visitor walks it, with one table entry per node type: per expression it
 gives the Python source and the audit text, checks that every select stays
 in its context and width, records what the expression reads, and gives its
 witness (below).  ``init`` is walked as a message-less layer over an empty
-state, so a program compiles, once per (program, label layout), into one
-plain Python function per step.  ``program_text`` (one readable line per
-layer, for auditing) and ``required_labels`` come from the same walk.  States
-are Python ints, i.e. arbitrary precision: results are exact and overflow
-cannot occur.
+state, so every step has one form, and the kernel generator (below) puts
+the walked sources together.  ``program_text`` (one readable line per
+layer, for auditing) and ``required_labels`` come from the same walk.
+States are Python ints, i.e. arbitrary precision: results are exact and
+overflow cannot occur.
 
 States are columnar: a state is a tuple with one list per component, indexed
 ``state[c][k]`` for component c of node k, and labels are read straight from
@@ -63,10 +63,35 @@ every node (within its radius) when the graph has fewer than
 ``_SPARSE_MIN_NODES`` = 32 nodes; a step with one source, read at the node
 itself and not cut, takes that source's node list as it is.  CPU time
 without the floor, as a ratio to with it, over the 200 corpus-small graphs
-(n 8-20), best of 3 on a shared 2-core host: 1.27 for all kinds together,
-1.22-1.42 for each kind whose steps build sets.  A second rule, running
+(n 8-20), best of 5 on a shared 2-core host, with the kernels below: 1.53
+for all kinds together, 1.08-1.93 for each kind whose steps build sets.  A second rule, running
 every node once a quarter of them would be computed, measured 1.01-1.03
 against none on 24 graphs G(n, p) with n 40-80, so there is none.
+
+One kernel per plan.  A plan compiles, once per (program, label layout,
+cuts, small-graph flag, readouts), into one generated Python function, its
+kernel (``_kernel``).  A rooted kernel marks the branch labels, loops over
+the root's branches, runs every step inline and appends each subgraph's
+readout row; ``run`` (path2, ``count_walks``) runs the same step code once
+over given labels.  Each state column is a node-indexed buffer named after
+the step and column that computed it (``_origins``); each step's node set
+is chosen by the rules above when the kernel is generated; after each
+subgraph the kernel zeroes what it wrote.  A step scatters its messages
+(``_scatters``) when it has no cut, reads no edge attribute, and its
+sources cover the witness of each message: every message is added from the
+nodes where a sender-side read of its witness is nonzero into its
+neighbors' message buffers, then pulled only at the nodes where a
+receiver-side read is nonzero, from the neighbors not scattered from.  A
+scatter walks each edge from its sender, so it needs a symmetric adjacency,
+and would read an edge attribute from the wrong end.  Every other step
+pulls each message at each node it computes.  Serial CPU time of every kind
+on ``gen_random_regular(1000, 4, 7)``, best of 9 interleaved runs on a
+shared 2-core host, per-step functions (before kernels) / kernels that pull
+every step / kernels with scatter: all kinds 809 / 595 / 497 ms, path4
+195 / 150 / 113, path3 45.5 / 31.5 / 25.8, cycle6 299 / 256 / 211.
+Scattering the cut steps as well, each message added only at the step's
+nodes, was slower in each of three such runs: in this one all kinds 517,
+cycle4 18.5 against 14.9, cycle5 38.5 against 36.3, cycle6 222 against 211.
 """
 
 from __future__ import annotations
@@ -309,7 +334,7 @@ def _visit(
     index or label name, hop) reads such that ``e`` is 0 wherever all of them
     are, or None when there is none.  Adds what ``e`` reads to ``reads`` in
     the same form.  A label reads from its position in ``layout``; names
-    outside the layout never reach compilation, because ``_compiled`` rejects
+    outside the layout never reach compilation, because ``_steps`` rejects
     them.
     """
     kind = type(e)
@@ -406,72 +431,37 @@ def program_text(prog: MPProgram) -> str:
     return "\n".join(lines)
 
 
-def _compile_step(step: _Step, layout: Mapping[str, int]):
-    """One step as a Python function ``(adj, labels, H, O, nodes, eattrs,
-    stale) -> new H``.  It binds only the state and label columns its
-    expressions read, zeroes its output buffers ``O`` (one per computed
-    column) at the ``stale`` nodes, computes each computed column at
-    ``nodes`` only, and passes copied columns through.  ``eattrs`` holds one
-    attribute per directed edge when the step reads them."""
-    edges = any(r[0] == "ea" for r in step.reads)
-    computed = [c for c, source in enumerate(step.copies) if source is None]
-    lines = ["def _step(adj, labels, H, O, nodes, eattrs, stale):"]
-    for var, *key in sorted({r[:2] for r in step.reads}):
-        if var == "H":
-            lines.append(f"    H{key[0]} = H[{key[0]}]")
-        elif var == "L":
-            lines.append(f"    L{layout[key[0]]} = labels[{key[0]!r}]")
-    if computed:
-        lines.append(f"    {''.join(f'O{c}, ' for c in computed)}= O")
-        lines.append("    for _k in stale:")
-        lines += [f"        O{c}[_k] = 0" for c in computed]
-        lines.append("    for _k in nodes:")
-        if step.messages:
-            lines += [f"        _m{i} = 0" for i in range(len(step.messages))]
-            if edges:
-                lines.append("        _er = eattrs[_k]")
-                lines.append("        for _x, _l in enumerate(adj[_k]):")
-                lines.append("            ea = _er[_x]")
-            else:
-                lines.append("        for _l in adj[_k]:")
-            lines += [f"            _m{i} += {m[0]}" for i, m in enumerate(step.messages)]
-        lines += [f"        O{c}[_k] = {step.updates[c][0]}" for c in computed]
-    columns = [f"O{c}" if s is None else f"H[{s}]" for c, s in enumerate(step.copies)]
-    lines.append(f"    return ({''.join(col + ', ' for col in columns)})")
-    ns: dict = {}
-    exec("\n".join(lines), ns)
-    return ns["_step"]
-
-
-# (program, label layout) -> one (compiled step, walked step) pair per step
-_COMPILE_CACHE: dict[tuple[MPProgram, tuple[str, ...]], tuple] = {}
-
-
-def _compiled(prog: MPProgram, layout_names: tuple[str, ...]) -> tuple:
-    key = (prog, layout_names)
-    hit = _COMPILE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    missing = required_labels(prog) - set(layout_names)
+def _steps(prog: MPProgram, layout: tuple[str, ...]) -> list[_Step]:
+    """The walked steps of ``prog`` over a label layout, which must hold every
+    label the program reads."""
+    steps = _walk(prog, {name: i for i, name in enumerate(layout)})
+    missing = {r[1] for step in steps for r in step.reads if r[0] == "L"} - set(layout)
     if missing:
         raise MissingLabelError(
             f"program {prog.name!r} needs labels {sorted(missing)} "
-            f"not provided by this subgraph (has {sorted(layout_names)})"
+            f"not provided by this subgraph (has {sorted(layout)})"
         )
-    layout = {name: i for i, name in enumerate(layout_names)}
-    steps = tuple((_compile_step(step, layout), step) for step in _walk(prog, layout))
-    _COMPILE_CACHE[key] = steps
     return steps
 
 
 # ---------------------------------------------------------------------------
-# Execution
+# Execution: one generated kernel per plan
 # ---------------------------------------------------------------------------
 
 # A step that would build a node set runs over every node (of the graph, or
 # within its radius) when the graph has fewer nodes than this; the module
 # docstring gives the measurements behind it.
 _SPARSE_MIN_NODES = 32
+
+# The labels of a rooted run, without and with a branching node, and the
+# node list each is 1 on, for root i and branching node j.
+_ROOTED_LABELS = {
+    False: ("in_n_root", "is_root"),
+    True: ("in_n_branch", "in_n_root", "is_branch", "is_root"),
+}
+_SUPPORTS = {
+    "is_root": "(i,)", "in_n_root": "adj[i]", "is_branch": "(j,)", "in_n_branch": "adj[j]",
+}
 
 
 def _origins(steps: Sequence[_Step]) -> list[tuple[tuple[int, int], ...]]:
@@ -484,7 +474,11 @@ def _origins(steps: Sequence[_Step]) -> list[tuple[tuple[int, int], ...]]:
     return out
 
 
-def _radii(prog: MPProgram, steps: Sequence[_Step], hops: int, readouts) -> tuple[list, list]:
+# (program, label layout, radius, readouts) -> (radii, cuts)
+_RADII: dict[tuple, tuple] = {}
+
+
+def _radii(prog: MPProgram, layout: tuple[str, ...], hops: int, readouts: tuple) -> tuple:
     """Per step, on a rooted subgraph of radius ``hops``: the radius R it
     computes within, and the radius it is cut to (None: no cut), from the
     reach and demand of its columns.
@@ -498,6 +492,11 @@ def _radii(prog: MPProgram, steps: Sequence[_Step], hops: int, readouts) -> tupl
     a neighbor outside adds 0 only if each message is 0 whenever its sender
     lies beyond ``hops``; a program where that fails raises ProgramError.
     """
+    key = (prog, layout, hops, readouts)
+    hit = _RADII.get(key)
+    if hit is not None:
+        return hit
+    steps = _steps(prog, layout)
     origin = _origins(steps)
     demand: dict = {}
 
@@ -515,8 +514,8 @@ def _radii(prog: MPProgram, steps: Sequence[_Step], hops: int, readouts) -> tupl
             default=-1,
         )
         if within[s] >= 0:
-            for var, key, hop in (r for r in step.reads if r[0] == "H"):
-                need(origin[s - 1][key], within[s] + hop)
+            for _, column, hop in (r for r in step.reads if r[0] == "H"):
+                need(origin[s - 1][column], within[s] + hop)
     cuts, spread, reach = [], (), ()
     for s, step in enumerate(steps):
         natural = _reach(step.sources, spread)
@@ -533,107 +532,239 @@ def _radii(prog: MPProgram, steps: Sequence[_Step], hops: int, readouts) -> tupl
             for src in step.copies
         )
         reach = step.reach
-    return within, cuts
-
-
-def _schedule(prog: MPProgram, layout: tuple[str, ...], cuts: tuple) -> tuple:
-    """Where each step of ``prog`` finds its sources, cached per (program,
-    layout, cuts): per step, the slots it reads at the node itself and at
-    its neighbors, whether it has no witness, its cut and its number of
-    computed columns; then the slot of each final column, the slot of each
-    label, and whether the program reads edge attributes.
-
-    Slots are node lists: one per step (the nodes it computed last), then
-    one per label (its support).  A column whose witness is one source read
-    at the node itself lies in that source's slot; any other column lies in
-    its step's."""
-    key = (prog, layout, cuts)
-    hit = _SCHEDULES.get(key)
-    if hit is not None:
-        return hit
-    steps = [step for _, step in _compiled(prog, layout)]
-    origins = _origins(steps)
-    label_slot = {name: len(steps) + i for i, name in enumerate(layout)}
-    slot: dict = {}  # (step, column) -> slot
-    rules = []
-    for s, step in enumerate(steps):
-
-        def source(var, key, s=s):
-            return slot[origins[s - 1][key]] if var == "H" else label_slot[key]
-
-        where: list = [set(), set()]
-        for var, key, hop in step.sources or ():
-            where[hop].add(source(var, key))
-        for c, (_, _, witness) in enumerate(step.updates):
-            slot[s, c] = s
-            if cuts[s] is None and witness is not None and len(witness) == 1:
-                ((var, key, hop),) = witness
-                if hop == 0:
-                    slot[s, c] = source(var, key)
-        width = step.copies.count(None)
-        rules.append((*map(tuple, map(sorted, where)), step.sources is None, cuts[s], width))
-    final = [slot[o] for o in origins[-1]] if origins else []
-    edges = any(r[0] == "ea" for step in steps for r in step.reads)
-    _SCHEDULES[key] = hit = (rules, final, label_slot, edges)
+    _RADII[key] = hit = (tuple(within), tuple(cuts))
     return hit
 
 
-_SCHEDULES: dict[tuple, tuple] = {}
+def _scatters(step: _Step, cut: int | None) -> bool:
+    """Whether a step scatters its messages from their senders instead of
+    pulling them at each node it computes: it computes a column, has no cut,
+    reads no edge attribute (a scatter reads each edge from the sender's
+    end), and the step's sources cover each message's witness, so that every
+    message sum that can be nonzero lies on a node it computes."""
+    return (
+        bool(step.messages)
+        and None in step.copies
+        and cut is None
+        and not any(r[0] == "ea" for r in step.reads)
+        and all(
+            m[2] is not None and (step.sources is None or m[2] <= step.sources)
+            for m in step.messages
+        )
+    )
 
 
-class _Runner:
-    """Runs a program's compiled steps over an adjacency, each at the nodes
-    where one of its sources is nonzero (with their neighbors, for sources
-    read across an edge), cut to its radius around the root, if any; over
-    every node (within the radius) when the step has no witness or the graph
-    is small.  Each step's output buffers are zero off the nodes it computed
-    last; the step zeroes those before it writes the next."""
+def _first(column: str, before: list, at: str) -> str:
+    """The test that ``column`` is nonzero at ``at`` and no column ``before``
+    it is."""
+    test = f"{column}[{at}]"
+    if before:
+        test += f" and not ({' or '.join(f'{col}[{at}]' for col, _ in before)})"
+    return test
 
-    def __init__(self, prog, layout, cuts, adjacency, labels, edge_attrs) -> None:
-        rules, self._final, self._label_slot, edges = _schedule(prog, layout, tuple(cuts))
-        n = len(adjacency)
-        self.adjacency, self.labels = adjacency, labels
-        # a step with one source read at the node itself and no cut takes that
-        # source's node list as it is, which costs nothing to build
-        self._plan = [
-            (fn, [[0] * n for _ in range(width)], here, near, cut,
-             dense or n < _SPARSE_MIN_NODES and (near or len(here) != 1 or cut is not None))
-            for (fn, _), (here, near, dense, cut, width) in zip(_compiled(prog, layout), rules)
-        ]
-        self._slots: list = [()] * (len(rules) + len(layout))
-        self._balls: dict = {}
-        self._eattrs = None
-        if edges:
-            rows = edge_attrs or [(None,) * len(row) for row in adjacency]
-            self._eattrs = [tuple(0 if v is None else v for v in row) for row in rows]
-        self.state: tuple = ()
 
-    def run(self) -> None:
-        adjacency, slots, balls = self.adjacency, self._slots, self._balls
-        state: tuple = ()
-        for s, (fn, out, here, near, cut, dense) in enumerate(self._plan):
-            if dense:
-                nodes = range(len(adjacency)) if cut is None else balls[cut]
-            elif near or len(here) != 1 or cut is not None:
-                nodes = set()
-                if near:  # the neighbors of a union are the union of the neighbors
-                    base = slots[near[0]] if len(near) == 1 else set().union(*map(slots.__getitem__, near))
-                    nodes.update(chain.from_iterable(map(adjacency.__getitem__, base)))
-                nodes.update(*map(slots.__getitem__, here))
-                if cut is not None:
-                    nodes &= balls[cut]
+def _step_source(step: _Step, s: int, cut, small: bool, column) -> tuple[list, list, list]:
+    """Step ``s`` as Python lines, with the buffers they write and the lines
+    that zero its columns again.  The lines bind the step's nodes, chosen by
+    the rules of the module docstring, as ``_N<s>`` and write column c to
+    ``O<s>_<c>``; ``column(var, key)`` gives the name and the node list of a
+    read."""
+    computed = [c for c, src in enumerate(step.copies) if src is None]
+    if not computed:
+        return [f"_N{s} = ()"], [], []
+    lines = []
+    where: list = [set(), set()]
+    for var, key, hop in step.sources or ():
+        where[hop].add(column(var, key)[1])
+    here, near = sorted(where[0]), sorted(where[1])
+    ball = "set()" if cut is not None and cut < 0 else f"_B{cut}"
+    full = step.sources is None or small and (near or len(here) != 1 or cut is not None)
+    if full:
+        lines.append(f"_N{s} = {'_all' if cut is None else ball}")
+    elif near or len(here) != 1 or cut is not None:
+        if near:  # the neighbors of a union are the union of the neighbors
+            base = near[0] if len(near) == 1 else f"{{{', '.join(f'*{x}' for x in near)}}}"
+            lines.append(f"_N{s} = set(_chain(map(_adj, {base})))")
+            lines += [f"_N{s}.update({', '.join(here)})"] if here else []
+        else:
+            union = f"{{{', '.join(f'*{x}' for x in here)}}}" if here else "set()"
+            lines.append(f"_N{s} = {union}")
+        lines += [f"_N{s} &= {ball}"] if cut is not None else []
+    else:
+        lines.append(f"_N{s} = {here[0]}")
+    outs = [f"O{s}_{c}" for c in computed]
+    updates = [f"    O{s}_{c}[_k] = {step.updates[c][0]}" for c in computed]
+    # a step over every node rewrites every node
+    reset = [f"for _k in _N{s}:"] + [f"    {o}[_k] = 0" for o in outs]
+    if full and cut is None:
+        reset = []
+    messages = step.messages
+    if not _scatters(step, cut):
+        lines.append(f"for _k in _N{s}:")
+        if messages:
+            lines += [f"    _m{m} = 0" for m in range(len(messages))]
+            if any(r[0] == "ea" for r in step.reads):
+                lines += ["    _er = _E[_k]", "    for _x, _l in enumerate(adj[_k]):"]
+                lines.append("        ea = _er[_x]")
             else:
-                nodes = slots[here[0]]
-            stale = slots[s]
-            if type(stale) is set:  # the step writes every node it computes
-                stale = stale.difference(nodes)
-            state = fn(adjacency, self.labels, state, out, nodes, self._eattrs, stale)
-            slots[s] = nodes
-        self.state = state
+                lines.append("    for _l in adj[_k]:")
+            lines += [f"        _m{m} += {msg[0]}" for m, msg in enumerate(messages)]
+        return lines + updates, outs, reset
+    sums = [f"M{s}_{m}" for m in range(len(messages))]
+    for total, (msg, _, witness) in zip(sums, messages):
+        receivers, senders = (
+            [column(var, key) for var, key in sorted((v, k) for v, k, h in witness if h == hop)]
+            for hop in (0, 1)
+        )
+        for t, (col, nodes) in enumerate(senders):
+            lines += [f"for _l in {nodes}:", f"    if {_first(col, senders[:t], '_l')}:"]
+            lines += ["        for _k in adj[_l]:", f"            {total}[_k] += {msg}"]
+        for t, (col, nodes) in enumerate(receivers):
+            lines += [f"for _k in {nodes}:", f"    if {_first(col, receivers[:t], '_k')}:"]
+            lines += ["        _a = 0", "        for _l in adj[_k]:"]
+            if senders:  # every edge from a sender above is summed already
+                lines.append(f"            if not ({' or '.join(f'{c}[_l]' for c, _ in senders)}):")
+            lines += [f"{' ' * (16 if senders else 12)}_a += {msg}", f"        {total}[_k] += _a"]
+    lines.append(f"for _k in _N{s}:")
+    for m, name in enumerate(sums):
+        lines += [f"    _m{m} = {name}[_k]", f"    {name}[_k] = 0"]
+    return lines + updates, outs + sums, reset
 
-    def support(self, component: int):
-        """The nodes off which the last run's final column ``component`` is 0."""
-        return self._slots[self._final[component]]
+
+def _indent(lines: list, depth: int) -> list:
+    return [" " * (4 * depth) + x for x in lines]
+
+
+def _generate(prog: MPProgram, layout: tuple, cuts, small: bool, readouts) -> object:
+    """Compile one kernel factory; ``_kernel`` gives the arguments."""
+    steps = _steps(prog, layout)
+    cuts = cuts or (None,) * len(steps)
+    origins = _origins(steps)
+    index = {name: i for i, name in enumerate(layout)}
+    slot: dict = {}  # (step, column) -> a node list off which the column is 0
+    body, buffers, reset = [], [], []
+    for s, (step, cut) in enumerate(zip(steps, cuts)):
+
+        def column(var, key, s=s):
+            if var == "H":
+                return f"H{key}", slot[origins[s - 1][key]]
+            return f"L{index[key]}", f"_U{index[key]}"
+
+        # the state columns the step reads, as H<c>
+        reads = sorted({r[1] for r in step.reads if r[0] == "H"})
+        body += ["H{} = O{}_{}".format(key, *origins[s - 1][key]) for key in reads]
+        lines, written, zero = _step_source(step, s, cut, small, column)
+        body, buffers, reset = body + lines, buffers + written, reset + zero
+        for c, (_, _, witness) in enumerate(step.updates):
+            if step.copies[c] is None:
+                slot[s, c] = f"_N{s}"
+                # a column whose witness is one read at the node lies in its node list
+                if cut is None and witness is not None and len(witness) == 1:
+                    ((var, key, hop),) = witness
+                    if hop == 0:
+                        slot[s, c] = column(var, key)[1]
+    edges = any(r[0] == "ea" for step in steps for r in step.reads)
+    marked = sorted({index[r[1]] for step in steps for r in step.reads if r[0] == "L"})
+    states = "".join(
+        f"(({''.join('O{}_{}, '.format(*o) for o in origin)}), _N{s}), "
+        for s, origin in enumerate(origins)
+    )
+    hook = ["if hook is not None:", f"    hook(j, ({states}))"]
+    setup = ["n = len(adj)", "_all = range(n)", "_adj = adj.__getitem__"]
+    setup += ["_E = _edge_rows(adj, eattrs)"] if edges else []
+    setup += [f"L{i} = labels[{layout[i]!r}]" for i in marked]
+    setup += [f"{name} = [0] * n" for name in buffers]
+    if readouts is None:
+        lines = ["def _run(adj, labels, eattrs, supports, hook):", *_indent(setup, 1)]
+        if layout:
+            lines.append(f"    {''.join(f'_U{i}, ' for i in range(len(layout)))}= supports")
+        final = "".join("O{}_{}, ".format(*o) for o in origins[-1])
+        lines += _indent(["j = None", *body, *hook, f"return ({final})"], 1)
+        return _exec(lines, "_run")
+
+    def mark(names, value):
+        return [
+            line
+            for i in marked if layout[i] in names
+            for line in (f"for _k in {_SUPPORTS[layout[i]]}:", f"    L{i}[_k] = {value}")
+        ]
+
+    per_root, per_branch = ("is_root", "in_n_root"), ("is_branch", "in_n_branch")
+    depth = max((c for c in cuts if c is not None), default=-1)
+    balls = [f"_B{d}" for d in range(depth + 1)]
+    root = ([f"nonlocal {', '.join(balls)}", "_B0 = {i}"] if balls else []) + mark(per_root, 1)
+    for d in range(1, depth + 1):
+        frontier = "adj[i]" if d == 1 else f"_chain(map(_adj, _B{d - 1} - _B{d - 2}))"
+        root.append(f"_B{d} = _B{d - 1}.union({frontier})")
+    row = "".join(
+        "sum(map({}.__getitem__, {})), ".format(
+            "O{}_{}".format(*origins[-1][r.component]),
+            slot[origins[-1][r.component]] if r.weight is None else f"_U{index[r.weight]}",
+        )
+        for r in readouts
+    )
+    subgraph = [*body, f"_rows.append(({row}))", *hook, *reset]
+    kernel = ["_rows = []"] + [f"_U{index[x]} = {_SUPPORTS[x]}" for x in per_root if x in index]
+    if "is_branch" in index:
+        kernel.append("for j in adj[i]:")
+        branch = [f"_U{index[x]} = {_SUPPORTS[x]}" for x in per_branch]
+        kernel += _indent(branch + mark(per_branch, 1) + subgraph + mark(per_branch, 0), 1)
+    else:
+        kernel += ["j = None", *subgraph]
+    kernel += [*mark(per_root, 0), "return _rows"]
+    # the kernel takes what it reads as defaults, so its loops read locals
+    bound = ", ".join(
+        f"{x}={x}"
+        for x in ["adj", "_adj", "_all", "hook", *(f"L{i}" for i in marked), *buffers]
+        + (["_E"] if edges else [])
+    )
+    lines = ["def _make(adj, labels, eattrs, hook):", *_indent(setup, 1)]
+    lines += [f"    {x} = None" for x in balls]
+    lines += ["    def _root(i):", *_indent(root or ["pass"], 2)]
+    lines += [f"    def _kernel(i, {bound}):", *_indent(kernel, 2)]
+    lines.append("    return _root, _kernel")
+    return _exec(lines, "_make")
+
+
+def _edge_rows(adjacency, edge_attrs) -> list:
+    """One attribute per directed edge, 0 where the edge has none."""
+    rows = edge_attrs or [(None,) * len(row) for row in adjacency]
+    return [tuple(0 if v is None else v for v in row) for row in rows]
+
+
+def _exec(lines: list, name: str):
+    namespace = {"_chain": chain.from_iterable, "_edge_rows": _edge_rows}
+    exec("\n".join(lines), namespace)
+    return namespace[name]
+
+
+# (program, label layout, cuts, small-graph flag, readouts) -> kernel factory
+_KERNELS: dict[tuple, object] = {}
+
+
+def _kernel(prog: MPProgram, layout: tuple, cuts: tuple | None, small: bool, readouts):
+    """The kernel factory of one plan, generated once per (program, label
+    layout, cuts, small-graph flag, readouts).
+
+    For a rooted run (``readouts`` a tuple), ``make(adj, labels, eattrs,
+    hook)`` allocates the run's buffers and returns ``(root, kernel)``:
+    ``root(i)`` sets root i's labels and balls, and ``kernel(i)`` runs its
+    subgraphs and returns their readout rows.  ``labels`` holds one
+    node-indexed 0/1 buffer per label, all 0.  For a plain run
+    (``readouts`` None, no cuts), ``run(adj, labels, eattrs, supports,
+    hook)`` runs once over the given label columns, with the nonzero nodes
+    of each in ``supports``, and returns the final state.
+
+    ``hook(j, steps)``, unless None, is called after each subgraph with its
+    branching node (None without one) and, per step (init first), the state
+    after it and the nodes it computed.  The buffers are reused, so a hook
+    copies what it keeps.
+    """
+    key = (prog, layout, cuts, small, readouts)
+    hit = _KERNELS.get(key)
+    if hit is None:
+        hit = _KERNELS[key] = _generate(*key)
+    return hit
 
 
 def run(
@@ -649,29 +780,19 @@ def run(
     per directed edge); programs that never read edge attributes ignore it,
     and those that do read 0 on every edge when it is None.
     """
-    layout_names = tuple(sorted(labels))
-    cuts = [None] * len(_compiled(prog, layout_names))
+    layout = tuple(sorted(labels))
     n = len(adjacency)
-    for name in layout_names:
+    make = _kernel(prog, layout, None, n < _SPARSE_MIN_NODES, None)
+    for name in layout:
         if len(labels[name]) != n:
             raise ProgramError(
                 f"label {name!r} has {len(labels[name])} entries for {n} nodes"
             )
-    runner = _Runner(prog, layout_names, cuts, adjacency, labels, edge_attrs)
-    for name in layout_names:
-        runner._slots[runner._label_slot[name]] = list(compress(range(n), labels[name]))
-    runner.run()
-    return runner.state
+    supports = [list(compress(range(n), labels[name])) for name in layout]
+    return make(adjacency, labels, edge_attrs, supports, None)
 
 
-# The labels of a rooted run, without and with a branching node.
-_ROOTED_LABELS = {
-    False: ("in_n_root", "is_root"),
-    True: ("in_n_branch", "in_n_root", "is_branch", "is_root"),
-}
-
-
-class RootedRun(_Runner):
+class RootedRun:
     """One program, run subgraph by subgraph on a parent graph's adjacency.
 
     Each subgraph is a root's ego-network of radius ``hops``, or, with
@@ -681,10 +802,9 @@ class RootedRun(_Runner):
     state is that of the extracted subgraph.  State columns and indicator
     labels are node-indexed buffers, allocated once.
 
-    ``root(i)`` moves to root i; ``run(j)`` runs the subgraph with branching
-    node j (None without one), after which ``state`` holds its final state,
-    ``support(c)`` the nodes off which column c is 0, and ``readouts()`` its
-    readout row.
+    ``rows(i)`` gives root i's readout rows, one per subgraph: ``root(i)``
+    sets the root's labels and balls, then ``kernel(i)`` runs its subgraphs.
+    ``hook`` is called after each subgraph (see ``_kernel``).
     """
 
     def __init__(
@@ -695,6 +815,7 @@ class RootedRun(_Runner):
         readouts: Sequence[Readout],
         branching: bool,
         edge_attrs: Sequence[Sequence[int | None]] | None = None,
+        hook=None,
     ) -> None:
         names = _ROOTED_LABELS[branching]
         for r in readouts:
@@ -702,47 +823,15 @@ class RootedRun(_Runner):
                 raise MissingLabelError(
                     f"readout weight label {r.weight!r} not in subgraph labels"
                 )
-        _, cuts = _radii(prog, [step for _, step in _compiled(prog, names)], hops, readouts)
+        readouts = tuple(readouts)
+        _, cuts = _radii(prog, names, hops, readouts)
+        make = _kernel(prog, names, cuts, len(adjacency) < _SPARSE_MIN_NODES, readouts)
         labels = {name: [0] * len(adjacency) for name in names}
-        super().__init__(prog, names, cuts, adjacency, labels, edge_attrs)
-        self._depth = max((c for c in cuts if c is not None), default=None)
-        self._readouts = [
-            (r.component, self._final[r.component] if r.weight is None else self._label_slot[r.weight])
-            for r in readouts
-        ]
+        self.root, self.kernel = make(adjacency, labels, edge_attrs, hook)
 
-    def _mark(self, name: str, nodes) -> None:
-        column, slot = self.labels[name], self._label_slot[name]
-        for k in self._slots[slot]:
-            column[k] = 0
-        for k in nodes:
-            column[k] = 1
-        self._slots[slot] = nodes
-
-    def root(self, i: int) -> None:
-        self._mark("is_root", (i,))
-        self._mark("in_n_root", self.adjacency[i])
-        if self._depth is not None:
-            # {R: the set of nodes within R hops of the root}
-            seen, frontier, self._balls = {i}, (i,), {-1: set()}
-            for d in range(self._depth + 1):
-                if d:
-                    frontier = set(chain.from_iterable(map(self.adjacency.__getitem__, frontier)))
-                    frontier -= seen
-                    seen |= frontier
-                self._balls[d] = set(seen)
-
-    def run(self, branching: int | None = None) -> None:
-        if branching is not None:
-            self._mark("is_branch", (branching,))
-            self._mark("in_n_branch", self.adjacency[branching])
-        super().run()
-
-    def readouts(self) -> tuple[int, ...]:
-        """The last subgraph's readout row.  A weight is an indicator label,
-        1 exactly on its support, so a weighted sum runs over that."""
-        slots, state = self._slots, self.state
-        return tuple(sum(map(state[c].__getitem__, slots[i])) for c, i in self._readouts)
+    def rows(self, i: int) -> list[tuple[int, ...]]:
+        self.root(i)
+        return self.kernel(i)
 
 
 def run_program(sub: "RootedSubgraph", prog: MPProgram) -> tuple[list[int], ...]:

@@ -1,10 +1,12 @@
 """Shared test helpers: a graph6 encoder (write-side oracle for the read-only
-parser), deterministic random corpora, and two reference programs that
-rebuild ego-network membership and hop distances from the root identifier."""
+parser), deterministic random corpora, two reference programs that rebuild
+ego-network membership and hop distances from the root identifier, and a
+dense reference interpreter for message-passing programs."""
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -117,3 +119,79 @@ def spd_label_program(hops: int) -> engine.MPProgram:
         init=(engine.LSelf("is_root"), engine.Const(0)),
         layers=tuple(layers),
     )
+
+
+_OPERATORS = {engine.Add: "+", engine.Sub: "-", engine.Mul: "*"}
+
+
+def _row_source(e) -> str:
+    """Python source of an expression over node rows, written independently
+    of the engine's compiler: ``H[node][component]``, ``L[name][node]``, with
+    ``k`` the receiving node and ``l`` the sending one."""
+    kind = type(e)
+    if kind is engine.Const:
+        return repr(e.value)
+    if kind in (engine.Self, engine.Nbr):
+        return f"H[{'k' if kind is engine.Self else 'l'}][{e.index}]"
+    if kind is engine.Msg:
+        return f"M[{e.index}]"
+    if kind in (engine.LSelf, engine.LNbr):
+        return f"L[{e.name!r}][{'k' if kind is engine.LSelf else 'l'}]"
+    if kind is engine.EdgeAttr:
+        return "ea"
+    if kind is engine.IsZero:
+        return f"int({_row_source(e.a)} == 0)"
+    if kind is engine.IsPos:
+        return f"int({_row_source(e.a)} > 0)"
+    return f"({_row_source(e.a)} {_OPERATORS[kind]} {_row_source(e.b)})"
+
+
+@lru_cache(maxsize=256)
+def _row_functions(prog) -> tuple:
+    """Per step (init first), one function per message and per update."""
+
+    def functions(exprs):
+        return [eval(f"lambda k, l, H, L, M, ea: {_row_source(e)}") for e in exprs]
+
+    steps = [engine.Layer((), prog.init), *prog.layers]
+    return tuple((functions(x.message), functions(x.update)) for x in steps)
+
+
+def reference_states(prog, adjacency, labels, edge_attrs=None) -> list[list[tuple]]:
+    """A dense interpreter, independent of the engine's generated kernels:
+    per step (init first), the state of ``prog`` as one row per node, every
+    step evaluated at every node and on every edge."""
+    n = len(adjacency)
+    (_, init), *layers = _row_functions(prog)
+    H = [tuple(f(k, None, (), labels, (), 0) for f in init) for k in range(n)]
+    states = [H]
+    for messages, updates in layers:
+        new = []
+        for k in range(n):
+            M = [0] * len(messages)
+            for x, l in enumerate(adjacency[k]):
+                ea = edge_attrs[k][x] if edge_attrs is not None else 0
+                for i, f in enumerate(messages):
+                    M[i] += f(k, l, H, labels, (), ea)
+            new.append(tuple(f(k, None, H, labels, M, 0) for f in updates))
+        H = new
+        states.append(H)
+    return states
+
+
+def assert_states_match_ego(states, ego_states, nodes, dist, steps, within, where=()):
+    """On every node within a step's radius of the root, each column the
+    step computes, as ``states`` holds it on the parent graph (per step, one
+    list per column), equals that of the extracted subgraph whose parent ids
+    are ``nodes`` (``ego_states``: per step, one row per node); on every
+    other node it is 0.  ``dist`` holds each node's distance from the root
+    (None when unreachable) and ``within`` each step's radius."""
+    at = {p: k for k, p in enumerate(nodes)}
+    for s, (step, radius, ego_state) in enumerate(zip(steps, within, ego_states)):
+        for c, source in enumerate(step.copies):
+            if source is None:
+                want = [
+                    ego_state[at[p]][c] if d is not None and d <= radius else 0
+                    for p, d in enumerate(dist)
+                ]
+                assert states[s][c] == want, (*where, s, c)

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import pytest
 
 from conftest import random_permutation
-from graphcount import engine, oracle
+from graphcount import counting, oracle
 from graphcount.bench import run_bench
-from graphcount.counting import _PLANS, count
+from graphcount.counting import count
 from graphcount.extraction import node_deletion
 from graphcount.generators import (
     gen_complete,
@@ -315,24 +316,22 @@ _WORK_PER_ROOT = {"path4": (215.0, 240.0), "cycle6": (260.0, 285.0)}
 
 
 def test_criterion_10_work_per_root_is_flat():
+    evaluated = []
+
+    def hook(j, steps):
+        evaluated.append(sum(len(nodes) for _, nodes in steps))
+
     means = {}
-    for kind, (low, high) in _WORK_PER_ROOT.items():
-        spec = _PLANS[kind]
-        key = (spec.program, engine._ROOTED_LABELS[spec.mode == "pair"])
-        count(kind, gen_random_regular(40, 4, 7))  # fills the compile cache
-        real = engine._COMPILE_CACHE[key]
-        evaluated = []
-        engine._COMPILE_CACHE[key] = tuple(
-            (lambda *a, fn=fn: evaluated.append(len(a[4])) or fn(*a), step)
-            for fn, step in real
-        )
-        try:
+    real = counting._rooted_run
+    counting._rooted_run = partial(real, hook=hook)
+    try:
+        for kind in _WORK_PER_ROOT:
             for n in (1000, 2000, 4000):
                 evaluated.clear()
                 count(kind, gen_random_regular(n, 4, 7))
                 means[kind, n] = sum(evaluated) / n
-        finally:
-            engine._COMPILE_CACHE[key] = real
+    finally:
+        counting._rooted_run = real
     ok = all(
         low <= means[kind, n] <= high
         for kind, (low, high) in _WORK_PER_ROOT.items()

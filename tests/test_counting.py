@@ -1,12 +1,20 @@
+import os
+
 import pytest
 
-from conftest import exhaustive_graphs, random_permutation
+from conftest import (
+    assert_states_match_ego,
+    exhaustive_graphs,
+    random_permutation,
+    reference_states,
+)
 from graphcount import engine as E
 from graphcount import oracle
 from graphcount.counting import (
     _PLANS,
     KIND_SPECS,
     InsufficientHopsError,
+    KindSpec,
     corpus_cycle_stats,
     count,
     count_path4_edge,
@@ -220,6 +228,19 @@ def test_threads_do_not_change_results():
         assert serial == parallel
 
 
+def test_fork_workers_inherit_the_kernel_compiled_before_the_fork(monkeypatch):
+    parent, real = os.getpid(), E._generate
+
+    def generate(*key):
+        assert os.getpid() == parent, "a fork-pool worker compiled a kernel"
+        return real(*key)
+
+    monkeypatch.setattr(E, "_KERNELS", {})
+    monkeypatch.setattr(E, "_generate", generate)
+    g = gen_random(80, 0.1, 21)
+    assert count("cycle5", g, threads=2) == count("cycle5", g, threads=1)
+
+
 def test_kind_resolution():
     assert resolve_kind("path4_graphlet") == "path4"
     assert resolve_kind("walk4") == "walk4"
@@ -286,61 +307,63 @@ def test_empty_graph_reports():
 
 ROOTED = sorted(k for k, spec in _PLANS.items() if spec.mode != "mpnn")
 
+# Every rooted plan, and one more whose scattering step also pulls at its
+# receivers (no plan's does: in each, every neighbor of a receiver that can
+# hear a nonzero message is a sender the scatter reaches): each neighbor of
+# the root counts its neighbors outside the root's neighborhood.
+_PARITY_PLANS = {
+    **{kind: _PLANS[kind] for kind in ROOTED},
+    "outside-degree": KindSpec(
+        "root",
+        E.MPProgram(
+            "outside-degree",
+            (E.LSelf("in_n_root"),),
+            (E.Layer((E.Self(0) + E.Nbr(0),), (E.Msg(0),)),),
+        ),
+        2,
+        (E.Readout(0),),
+        None,
+        1,
+    ),
+}
 
-def _ego_states(sub, prog):
-    """Per step, the state of ``prog`` on an extracted subgraph, every step
-    run over all of its nodes."""
-    state, states = (), []
-    for fn, step in E._compiled(prog, tuple(sorted(sub.labels))):
-        out = [[0] * len(sub.nodes) for s in step.copies if s is None]
-        state = fn(sub.adj, sub.labels, state, out, range(len(sub.nodes)), None, ())
-        states.append(state)
-    return states
 
-
-def _assert_parent_states_match_egos(g, kind, hops, steps, within):
+def _assert_parent_states_match_egos(g, spec, hops, steps, within):
     """On every node within a step's radius of the root, each column a step
-    computes on the parent graph equals that of the extracted subgraph; on
-    every other node it is 0."""
-    spec = _PLANS[kind]
+    computes on the parent graph equals that of the extracted subgraph, run
+    through the reference interpreter; on every other node it is 0."""
     pairs = spec.mode == "pair"
-    runner = E.RootedRun(spec.program, g.adjacency, hops, spec.readouts, pairs)
-    seen = []
-    runner._plan = [
-        (lambda *a, fn=fn: seen.append(fn(*a)) or seen[-1], *rest)
-        for fn, *rest in runner._plan
-    ]
-    at_all = range(g.node_count)
-    for root in at_all:
+    seen = {}
+
+    def record(j, states):
+        seen[j] = [[list(column) for column in state] for state, _ in states]
+
+    runner = E.RootedRun(spec.program, g.adjacency, hops, spec.readouts, pairs, hook=record)
+    for root in range(g.node_count):
         dist = shortest_path_distances(g, root)
         base = extract_rooted(g, root, ego(hops))
-        runner.root(root)
+        seen.clear()
+        runner.rows(root)
         for j in g.adjacency[root] if pairs else (None,):
             sub = base if j is None else with_branching(g, base, j)
-            seen.clear()
-            runner.run(j)
-            at = {p: k for k, p in enumerate(sub.nodes)}
-            ego_states = _ego_states(sub, spec.program)
-            for s, (step, radius, ego_state) in enumerate(zip(steps, within, ego_states)):
-                inside = [d is not None and d <= radius for d in dist]
-                for c, source in enumerate(step.copies):
-                    if source is None:
-                        want = [ego_state[c][at[p]] if inside[p] else 0 for p in at_all]
-                        assert seen[s][c] == want, (kind, hops, root, j, s, c)
+            ego_states = reference_states(spec.program, sub.adj, sub.labels)
+            assert_states_match_ego(
+                seen[j], ego_states, sub.nodes, dist, steps, within, (hops, root, j)
+            )
 
 
-@pytest.mark.parametrize("kind", ROOTED)
+@pytest.mark.parametrize("kind", sorted(_PARITY_PLANS))
 def test_parent_graph_states_equal_the_extracted_subgraphs(kind):
-    spec = _PLANS[kind]
+    spec = _PARITY_PLANS[kind]
     graphs = list(exhaustive_graphs())
     # graphs of 32 nodes or more run sparse steps
     graphs += [gen_random(40, 0.1, 3), _hub_cliques(8, 6)]
-    compiled = E._compiled(spec.program, E._ROOTED_LABELS[spec.mode == "pair"])
-    steps = [step for _, step in compiled]
+    layout = E._ROOTED_LABELS[spec.mode == "pair"]
+    steps = E._steps(spec.program, layout)
     for hops in (spec.hops, spec.hops + 1):
-        within, _ = E._radii(spec.program, steps, hops, spec.readouts)
+        within, _ = E._radii(spec.program, layout, hops, spec.readouts)
         for g in graphs:
-            _assert_parent_states_match_egos(g, kind, hops, steps, within)
+            _assert_parent_states_match_egos(g, spec, hops, steps, within)
 
 
 def _hub_cliques(cliques: int, size: int):

@@ -2,18 +2,20 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    assert_states_match_ego,
     ego_mask_program,
     random_permutation,
+    reference_states,
     small_random_graphs,
     spd_label_program,
 )
 from graphcount import engine as E
-from graphcount.counting import PROG_P3, PROG_PATH2, _PLANS, _walk_program
-from graphcount.extraction import ego, extract_rooted, identity_labeled_graph
+from graphcount.counting import PROG_P3, PROG_PATH2, _PLANS, _walk_program, count
+from graphcount.extraction import ego, extract_rooted, identity_labeled_graph, with_branching
 from graphcount.generators import (
     gen_complete,
     gen_cycle,
@@ -21,7 +23,7 @@ from graphcount.generators import (
     gen_random,
     gen_star,
 )
-from graphcount.graph import disjoint_union, from_edges, permute
+from graphcount.graph import disjoint_union, from_edges, permute, shortest_path_distances
 from graphcount.oracle import oracle_paths
 
 
@@ -235,10 +237,10 @@ def test_equal_programs_share_one_compile_cache_entry():
     adjacency = gen_path(3).adjacency
     labels = {"is_root": (1, 0, 0)}
     E.run(a, adjacency, labels)
-    size = len(E._COMPILE_CACHE)
+    size = len(E._KERNELS)
     E.run(b, adjacency, labels)
-    assert len(E._COMPILE_CACHE) == size
-    assert sum(1 for key in E._COMPILE_CACHE if key == (a, ("is_root",))) == 1
+    assert len(E._KERNELS) == size
+    assert sum(1 for key in E._KERNELS if key[:2] == (a, ("is_root",))) == 1
 
 
 def test_empty_graph_without_labels():
@@ -296,8 +298,8 @@ _PLAN_RADII = {
 
 
 def _cuts(spec, hops):
-    compiled = E._compiled(spec.program, E._ROOTED_LABELS[spec.mode == "pair"])
-    _, cuts = E._radii(spec.program, [step for _, step in compiled], hops, spec.readouts)
+    layout = E._ROOTED_LABELS[spec.mode == "pair"]
+    _, cuts = E._radii(spec.program, layout, hops, spec.readouts)
     return " ".join("-" if cut is None else str(cut) for cut in cuts)
 
 
@@ -310,6 +312,70 @@ def test_plan_radii_are_frozen(kind):
 
 def test_frozen_plan_radii_cover_every_rooted_plan():
     assert sorted(_PLAN_RADII) == sorted(k for k, s in _PLANS.items() if s.mode != "mpnn")
+
+
+# Per plan at its own radius and one more: whether each step (init first)
+# scatters its messages from their senders ("s") or pulls them at each node
+# it computes ("p"), "-" for a step without messages.
+_PLAN_SCATTERS = {
+    "path3": "- s s",
+    "path4": "- s s",
+    "cycle3": "- p",
+    "cycle4": "- s p",
+    "cycle5": "- p p",
+    "cycle6": "- p s p -",
+    "tailed_triangle": "- p",
+    "chordal_cycle": "- p",
+    "clique4": "- p",
+    "triangle_rectangle": "- p p -",
+    "walk1": "- p",
+    "walk2": "- s p",
+    "walk3": "- s p p",
+    "walk4": "- s s p p",
+    "walk5": "- s s p p p",
+    "walk6": "- s s s p p p",
+    "walk7": "- s s s p p p p",
+    "walk8": "- s s s s p p p p",
+}
+
+
+def _scatters(spec, hops):
+    layout = E._ROOTED_LABELS[spec.mode == "pair"]
+    _, cuts = E._radii(spec.program, layout, hops, spec.readouts)
+    return " ".join(
+        "-" if not step.messages else "s" if E._scatters(step, cut) else "p"
+        for step, cut in zip(E._steps(spec.program, layout), cuts)
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(_PLAN_SCATTERS))
+def test_plan_scatters_are_frozen(kind):
+    spec = _PLANS[kind]
+    assert _scatters(spec, spec.hops) == _PLAN_SCATTERS[kind]
+    assert _scatters(spec, spec.hops + 1) == _PLAN_SCATTERS[kind]
+    assert sorted(_PLAN_SCATTERS) == sorted(_PLAN_RADII)
+
+
+def test_a_second_count_compiles_and_analyses_nothing(monkeypatch):
+    kinds = sorted(_PLANS)
+    for kind in kinds:
+        count(kind, gen_random(40, 0.1, 1))
+
+    def refuse(*args):
+        raise AssertionError("analysed again")
+
+    monkeypatch.setattr(E, "_walk", refuse)
+    monkeypatch.setattr(E, "_generate", refuse)
+    for kind in kinds:  # the same size class: 32 nodes or more
+        count(kind, gen_random(45, 0.1, 2))
+    for prog, layout, cuts, small, readouts in E._KERNELS:
+        assert type(prog) is E.MPProgram and type(small) is bool
+        assert type(layout) is tuple and all(type(name) is str for name in layout)
+        assert cuts is None or type(cuts) is tuple and len(cuts) == len(prog.layers) + 1
+        assert readouts is None or type(readouts) is tuple
+    for prog, layout, hops, readouts in E._RADII:
+        assert type(prog) is E.MPProgram and type(layout) is tuple
+        assert type(hops) is int and type(readouts) is tuple
 
 
 def test_plans_reading_beyond_their_radius_are_refused():
@@ -338,17 +404,20 @@ def test_copied_components_are_passed_through():
 
 
 def _step_nodes(prog, adjacency, labels):
-    """The node set each step of ``prog`` runs over in ``E.run``."""
+    """The node set each step of ``prog`` runs over in ``E.run``, as the
+    kernel's hook sees it."""
     seen = []
-    key = (prog, tuple(sorted(labels)))
-    real = E._compiled(prog, key[1])
-    E._COMPILE_CACHE[key] = tuple(
-        (lambda *a, fn=fn: seen.append(a[4]) or fn(*a), step) for fn, step in real
-    )
+    real = E._kernel
+
+    def observed(*key):
+        kernel = real(*key)
+        return lambda *args: kernel(*args[:-1], lambda j, steps: seen.extend(n for _, n in steps))
+
+    E._kernel = observed
     try:
         state = E.run(prog, adjacency, labels)
     finally:
-        E._COMPILE_CACHE[key] = real
+        E._kernel = real
     return state, seen
 
 
@@ -374,61 +443,24 @@ def test_sparse_rule():
 
 
 # ---------------------------------------------------------------------------
-# Differential test: the compiled engine against a dense tree-walking
+# Differential tests: the generated kernels against a dense reference
 # interpreter, on random programs over every node type.
 # ---------------------------------------------------------------------------
-
-
-def _eval(e, k, l, H, labels, M, ea):
-    kind = type(e)
-    if kind is E.Const:
-        return e.value
-    if kind in (E.Self, E.Nbr):
-        return H[k if kind is E.Self else l][e.index]
-    if kind is E.Msg:
-        return M[e.index]
-    if kind in (E.LSelf, E.LNbr):
-        return labels[e.name][k if kind is E.LSelf else l]
-    if kind is E.EdgeAttr:
-        return ea
-    a = _eval(e.a, k, l, H, labels, M, ea)
-    if kind is E.IsZero:
-        return int(a == 0)
-    if kind is E.IsPos:
-        return int(a > 0)
-    b = _eval(e.b, k, l, H, labels, M, ea)
-    return a + b if kind is E.Add else a - b if kind is E.Sub else a * b
-
-
-def _reference(prog, adjacency, labels, edge_attrs):
-    """Per-node state rows, node by node and edge by edge."""
-    n = len(adjacency)
-    H = [tuple(_eval(e, k, None, [], labels, [], 0) for e in prog.init) for k in range(n)]
-    for layer in prog.layers:
-        new = []
-        for k in range(n):
-            M = [0] * len(layer.message)
-            for x, l in enumerate(adjacency[k]):
-                ea = edge_attrs[k][x] if edge_attrs is not None else 0
-                for i, e in enumerate(layer.message):
-                    M[i] += _eval(e, k, l, H, labels, [], ea)
-            new.append(tuple(_eval(e, k, None, H, labels, M, 0) for e in layer.update))
-        H = new
-    return H
 
 
 _LABELS = ("a", "is_root", "mark")
 
 
-def _exprs(state_w: int, ctx: str, msg_w: int = 0):
+def _exprs(state_w: int, ctx: str, msg_w: int = 0, labels=_LABELS, edges=True):
     leaves = [
         st.builds(E.Const, st.sampled_from((0, 0, 1, 2, -1))),
-        st.builds(E.LSelf, st.sampled_from(_LABELS)),
+        st.builds(E.LSelf, st.sampled_from(labels)),
     ]
     if state_w:
         leaves.append(st.builds(E.Self, st.integers(0, state_w - 1)))
     if ctx == "message":
-        leaves += [st.builds(E.LNbr, st.sampled_from(_LABELS)), st.just(E.EdgeAttr())]
+        leaves += [st.builds(E.LNbr, st.sampled_from(labels))]
+        leaves += [st.just(E.EdgeAttr())] if edges else []
         if state_w:
             leaves.append(st.builds(E.Nbr, st.integers(0, state_w - 1)))
     if msg_w:
@@ -492,5 +524,104 @@ def test_engine_matches_reference_interpreter(prog, n, p, seed, with_attrs):
     edge_attrs = None
     if with_attrs:
         edge_attrs = [tuple(rng.randint(-2, 3) for _ in row) for row in adjacency]
-    rows = _reference(prog, adjacency, labels, edge_attrs)
+    rows = reference_states(prog, adjacency, labels, edge_attrs)[-1]
     assert E.run(prog, adjacency, labels, edge_attrs) == tuple(map(list, zip(*rows)))
+
+
+@st.composite
+def _rooted_plans(draw):
+    """A random program for a rooted run, with its readouts.  Each init is
+    gated on an identity label, and most messages and every update on a read
+    at the sender, the receiver or both, so that most programs have bounded
+    reach and most steps a witness.  Most layers read no edge attribute and
+    sum every message in one update, so that many steps scatter."""
+    branching = draw(st.booleans())
+    names = E._ROOTED_LABELS[branching]
+    label = st.sampled_from(names)
+    width = draw(st.integers(1, 3))
+    init = tuple(E.LSelf(draw(label)) * draw(_exprs(0, "init", 0, names)) for _ in range(width))
+    layers = []
+    for _ in range(draw(st.integers(1, 3))):
+        column = st.integers(0, width - 1)
+        sender = st.one_of(st.builds(E.Nbr, column), st.builds(E.LNbr, label))
+        receiver = st.one_of(st.builds(E.Self, column), st.builds(E.LSelf, label))
+        message = _exprs(width, "message", 0, names, draw(st.sampled_from((False, False, True))))
+        messages = []
+        for _ in range(draw(st.integers(0, 3))):
+            e = draw(message)
+            gate = draw(st.sampled_from(("sender", "receiver", "both", "both", "none")))
+            if gate == "both":  # nonzero where either end is
+                e = draw(sender) * e + draw(receiver) * draw(message)
+            elif gate != "none":
+                e = draw(sender if gate == "sender" else receiver) * e
+            messages.append(e)
+        gates = [receiver]
+        if messages:
+            gates.append(st.builds(E.Msg, st.integers(0, len(messages) - 1)))
+        update = _exprs(width, "update", len(messages), names)
+        width = draw(st.integers(1, 3))
+        updates = [draw(st.one_of(gates)) * draw(update) for _ in range(width)]
+        if messages and draw(st.sampled_from((False, True, True, True))):
+            updates[0] = sum(map(E.Msg, range(1, len(messages))), E.Msg(0))
+        layers.append(E.Layer(tuple(messages), tuple(updates)))
+    weight = st.sampled_from((None, *names))
+    readouts = tuple(
+        E.Readout(draw(st.integers(0, width - 1)), draw(weight))
+        for _ in range(draw(st.integers(1, 2)))
+    )
+    return branching, E.MPProgram("random-rooted", init, tuple(layers)), readouts
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    _rooted_plans(),
+    st.integers(40, 60),
+    st.sampled_from((0.04, 0.08)),
+    st.integers(0, 2**32),
+    st.integers(1, 3),
+)
+def test_rooted_runs_match_the_reference_on_extracted_egos(plan, n, p, seed, hops):
+    branching, prog, readouts = plan
+    rng = random.Random(seed)
+    g = gen_random(n, p, seed)
+    adjacency = g.adjacency
+    # one attribute per directed edge, each edge's two ends unlike
+    attrs = [tuple(rng.randint(-2, 3) for _ in row) for row in adjacency]
+    sample = set(rng.sample(range(n), 4))
+    seen = {}
+
+    def record(j, states):
+        if watched:
+            seen[j] = [[list(column) for column in state] for state, _ in states]
+
+    try:
+        runner = E.RootedRun(prog, adjacency, hops, readouts, branching, attrs, record)
+    except E.ProgramError as error:
+        assert "reads beyond subgraph radius" in str(error)
+        reject()
+    layout = E._ROOTED_LABELS[branching]
+    steps = E._steps(prog, layout)
+    within, _ = E._radii(prog, layout, hops, readouts)
+    for i in range(n):
+        watched = i in sample
+        seen.clear()
+        rows = runner.rows(i)
+        if not watched:
+            continue
+        base = extract_rooted(g, i, ego(hops))
+        inside = set(base.nodes)
+        base_attrs = [
+            tuple(a for q, a in zip(adjacency[k], attrs[k]) if q in inside) for k in base.nodes
+        ]
+        dist = shortest_path_distances(g, i)
+        want = []
+        for j in adjacency[i] if branching else (None,):
+            sub = base if j is None else with_branching(g, base, j)
+            states = reference_states(prog, sub.adj, sub.labels, base_attrs)
+            assert_states_match_ego(seen[j], states, sub.nodes, dist, steps, within, (i, j))
+            weights = [sub.labels.get(r.weight, (1,) * len(sub.nodes)) for r in readouts]
+            want.append(tuple(
+                sum(row[r.component] * w for row, w in zip(states[-1], weight))
+                for r, weight in zip(readouts, weights)
+            ))
+        assert rows == want, i

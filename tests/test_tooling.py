@@ -4,12 +4,15 @@ The tracer patches graphcount by module attribute, so a rename inside
 graphcount breaks ``perfbench/run.py --trace 1``; and the workloads check
 counts against their own kind-to-oracle dispatch and ``graphcount oracle``,
 and verdicts against the README's witness verdicts.  These guards make such a
-break fail the tests instead."""
+break fail the tests instead.  A last guard keeps kernel compilation in
+each workload's warm-up, out of its timed ops."""
 
 import importlib
 from pathlib import Path
 
-from graphcount import cli, oracle, refinement
+import pytest
+
+from graphcount import cli, engine, oracle, refinement
 from graphcount.generators import gen_random
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -53,3 +56,16 @@ def test_workload_readme_verdicts_match_distinguish(monkeypatch):
         for exact in (False, True):
             got = refinement.distinguish(*pairs[tag], method, exact=exact, **kw)
             assert got == want, (tag, label, exact)
+
+
+@pytest.mark.parametrize("name", ["count-regular", "corpus-small"])
+def test_warm_up_compiles_every_kernel_the_timed_ops_use(monkeypatch, tmp_path, name):
+    workloads = _perfbench_module(monkeypatch, "workloads")
+    monkeypatch.setattr(engine, "_KERNELS", {})
+    monkeypatch.setattr(engine, "_RADII", {})
+    workload = workloads.WORKLOADS[name]
+    workload.warm_up(tmp_path)
+    compiled = dict(engine._KERNELS), dict(engine._RADII)
+    for op in workload.pass_ops(workload.inputs(0, tmp_path), 1):
+        op.run()
+    assert (engine._KERNELS, engine._RADII) == compiled
