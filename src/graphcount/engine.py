@@ -60,38 +60,62 @@ and a cycle6 root 272, the same at N=1000, 2000 and 4000.
 
 Building a node set costs time, so a step that would build one runs over
 every node (within its radius) when the graph has fewer than
-``_SPARSE_MIN_NODES`` = 32 nodes; a step with one source, read at the node
+``_SPARSE_MIN_NODES`` = 32 nodes, and a step cut to radius 0 or 1 runs over
+the root's ball at every size; a step with one source, read at the node
 itself and not cut, takes that source's node list as it is.  CPU time
 without the floor, as a ratio to with it, over the 200 corpus-small graphs
-(n 8-20), best of 5 on a shared 2-core host, with the kernels below: 1.53
-for all kinds together, 1.08-1.93 for each kind whose steps build sets.  A second rule, running
-every node once a quarter of them would be computed, measured 1.01-1.03
-against none on 24 graphs G(n, p) with n 40-80, so there is none.
+(n 8-20), best of 5 on a shared 2-core host: 1.53 for all kinds together,
+1.08-1.93 for each kind whose steps build sets.  Running radius-1 cuts over
+the ball instead of intersecting a superset with it measured, serial CPU
+ratio on ``gen_random_regular(1000, 4, 7)`` then on a rewired ring lattice
+(N=2000, 3 neighbors a side, 10% rewired): walk4 0.67 / 0.63,
+triangle_rectangle 1.01 / 0.77.  Radius-2 cuts keep their intersection: the
+radius-2 ball measured 1.15 for cycle5 and 1.10 for triangle_rectangle on
+the regular graph, and though it measured 0.82 for cycle6 it raises a cycle6
+root's node evaluations from 271 to 287.  A second rule, running every node
+once a quarter of them would be computed, measured 1.01-1.03 against none on
+24 graphs G(n, p) with n 40-80, so there is none.
 
 One kernel per plan.  A plan compiles, once per (program, label layout,
-cuts, small-graph flag, readouts), into one generated Python function, its
-kernel (``_kernel``).  A rooted kernel marks the branch labels, loops over
-the root's branches, runs every step inline and appends each subgraph's
-readout row; ``run`` (path2, ``count_walks``) runs the same step code once
-over given labels.  Each state column is a node-indexed buffer named after
-the step and column that computed it (``_origins``); each step's node set
-is chosen by the rules above when the kernel is generated; after each
-subgraph the kernel zeroes what it wrote.  A step scatters its messages
-(``_scatters``) when it has no cut, reads no edge attribute, and its
-sources cover the witness of each message: every message is added from the
-nodes where a sender-side read of its witness is nonzero into its
-neighbors' message buffers, then pulled only at the nodes where a
+cuts, small-graph flag, readouts, hooked), into one generated Python
+function, its kernel (``_kernel``).  A rooted kernel marks the branch
+labels, loops over the root's branches, runs every step inline and appends
+each subgraph's readout row; ``run`` (path2, ``count_walks``) runs the same
+step code once over given labels.  Each state column is a node-indexed
+buffer named after the step and column that computed it (``_origins``);
+each step's node set is chosen by the rules above when the kernel is
+generated; after each subgraph the kernel zeroes what it wrote.  A step
+scatters its messages (``_scatters``) when it has no cut, reads no edge
+attribute, and its sources cover the witness of each message: every message
+is added from the nodes where a sender-side read of its witness is nonzero
+into its neighbors' message buffers, then pulled only at the nodes where a
 receiver-side read is nonzero, from the neighbors not scattered from.  A
 scatter walks each edge from its sender, so it needs a symmetric adjacency,
 and would read an edge attribute from the wrong end.  Every other step
-pulls each message at each node it computes.  Serial CPU time of every kind
-on ``gen_random_regular(1000, 4, 7)``, best of 9 interleaved runs on a
-shared 2-core host, per-step functions (before kernels) / kernels that pull
-every step / kernels with scatter: all kinds 809 / 595 / 497 ms, path4
-195 / 150 / 113, path3 45.5 / 31.5 / 25.8, cycle6 299 / 256 / 211.
-Scattering the cut steps as well, each message added only at the step's
-nodes, was slower in each of three such runs: in this one all kinds 517,
-cycle4 18.5 against 14.9, cycle5 38.5 against 36.3, cycle6 222 against 211.
+pulls each message at each node it computes.
+
+Readouts are summed where they are computed.  In a rooted kernel without a
+hook, a column that no later step reads is not stored: each readout of it
+is a running sum that the loop computing the column adds to (``_fusion``).
+A step whose columns are all of that kind computes only what its readouts
+need: if every one is weighted by one label, it computes only at that
+label's nodes (cycle3, cycle4, cycle5, the closed walks); if it scatters
+and each column is ``coef * Msg(m)``, each message value, times coef at its
+receiver, goes straight into the sum as it is sent or pulled, with no node
+set, message buffer or final loop (path3, path4); if it has no message and
+no cut, each column is summed over its own witness's node list (cycle6's
+layer 4, triangle_rectangle's last step).  Otherwise the step computes over
+its nodes as before and adds its readout-only columns instead of storing
+them (cycle6's layer 3 column 1, clique4, chordal_cycle, tailed_triangle).
+A kernel with a hook stores every column, so that the hook sees whole
+states: ``count_path4_edge``, the per-step parity tests and the node
+evaluation counts run on it.  Serial CPU ms of each kind, best of 9 (best
+of 5 on the lattice) with this module's previous version in the same
+process, alternating, on a shared 2-core host, before / after, on
+``gen_random_regular(1000, 4, 7)``: all kinds 572 / 421, path4 121 / 62,
+path3 29.3 / 15.3, cycle6 255 / 214, walk4 19.5 / 11.1, cycle5 43.0 / 37.0;
+on the rewired ring lattice above: all 2657 / 1979, path4 551 / 345,
+cycle6 1110 / 973, cycle5 305 / 201, triangle_rectangle 315 / 216.
 """
 
 from __future__ import annotations
@@ -373,9 +397,11 @@ class _Step:
     """One walked step: the (Python source, text, witness) triples of its
     messages and updates, the state index each update copies (None when it
     computes), what the messages and computing updates read, the reach of
-    each output column, and the union of the computing updates' witnesses:
-    the reads whose supports bound the nodes the step must compute (None:
-    every node)."""
+    each output column, the union of the computing updates' witnesses: the
+    reads whose supports bound the nodes the step must compute (None: every
+    node), and per update, when it is ``coef * Msg(m)`` with a coef that
+    reads no message, (m, the coef's Python source, None for a bare
+    ``Msg(m)``), else None."""
 
     messages: list
     updates: list
@@ -383,6 +409,25 @@ class _Step:
     reads: set
     reach: tuple
     sources: frozenset | None
+    linear: list
+
+
+def _reads_message(e: Expr) -> bool:
+    return type(e) is Msg or type(e) in _OPERATORS and any(
+        _reads_message(getattr(e, f.name)) for f in fields(e)
+    )
+
+
+def _linear(e: Expr) -> tuple[int, Expr | None] | None:
+    """(m, coef) when ``e`` is ``coef * Msg(m)`` (coef None for a bare
+    ``Msg(m)``) and coef reads no message, else None."""
+    if type(e) is Msg:
+        return e.index, None
+    if type(e) is Mul:
+        for coef, msg in ((e.a, e.b), (e.b, e.a)):
+            if type(msg) is Msg and not _reads_message(coef):
+                return msg.index, coef
+    return None
 
 
 def _walk(prog: MPProgram, layout: Mapping[str, int]) -> list[_Step]:
@@ -406,10 +451,15 @@ def _walk(prog: MPProgram, layout: Mapping[str, int]) -> list[_Step]:
             raise ProgramError("layer update must produce at least one component")
         computed = [u[2] for u, c in zip(updates, copies) if c is None]
         sources = None if None in computed else frozenset().union(*computed)
+        linear = [_linear(e) for e in layer.update]
+        linear = [
+            x and (x[0], x[1] and _visit(x[1], ctx, layout, reach, witnesses, set())[0])
+            for x in linear
+        ]
         reach = tuple(
             _reach(u[2], reach) if c is None else reach[c] for u, c in zip(updates, copies)
         )
-        steps.append(_Step(messages, updates, copies, reads, reach, sources))
+        steps.append(_Step(messages, updates, copies, reads, reach, sources, linear))
     return steps
 
 
@@ -554,6 +604,56 @@ def _scatters(step: _Step, cut: int | None) -> bool:
     )
 
 
+def _fusion(steps: Sequence[_Step], cuts, readouts) -> list[tuple[str, dict]]:
+    """Per step of a rooted kernel without a hook, how it treats the columns
+    it computes that no later step reads: ``(mode, fused)``, with ``fused``
+    mapping each such column to the indices of the readouts of it, which
+    are summed where the column is computed instead of being stored.  Modes:
+
+    - "nodes": the step computes over its nodes as usual, storing its other
+      columns and adding each fused one to its readout sums;
+    - "weight": every fused readout is weighted by one label and the step
+      stores nothing, so it computes only at the label's nodes.  A step
+      without a cut is 0 off its nodes wherever it is evaluated, as every
+      read of its sources is; a step with one must not compute beyond it,
+      so there the label's reach must lie within the cut;
+    - "scatter": the step scatters, stores nothing, and each summed column
+      is ``coef * Msg(m)``, so each message value, times coef at its
+      receiver, is added to the readout sums as it is sent or pulled;
+    - "columns": the step has no message and no cut, and stores nothing, so
+      each column is summed over the nodes its own witness gives;
+    - "skip": nothing reads what the step computes.
+    """
+    origins = _origins(steps)
+    read = {
+        origins[t - 1][r[1]] for t in range(1, len(steps)) for r in steps[t].reads if r[0] == "H"
+    }
+    plan = []
+    for s, (step, cut) in enumerate(zip(steps, cuts)):
+        computed = [c for c, src in enumerate(step.copies) if src is None]
+        fused = {
+            c: [x for x, r in enumerate(readouts) if origins[-1][r.component] == (s, c)]
+            for c in computed if (s, c) not in read
+        }
+        summed = [c for c, xs in fused.items() if xs]
+        weights = {readouts[x].weight for c in summed for x in fused[c]}
+        (weight,) = weights if len(weights) == 1 else (None,)
+        if len(fused) < len(computed):
+            mode = "nodes"
+        elif not summed:
+            mode = "skip"
+        elif weight is not None and (cut is None or _LABEL_REACH[weight] <= cut):
+            mode = "weight"
+        elif _scatters(step, cut) and all(step.linear[c] for c in summed):
+            mode = "scatter"
+        elif not step.messages and cut is None:
+            mode = "columns"
+        else:
+            mode = "nodes"
+        plan.append((mode, fused))
+    return plan
+
+
 def _first(column: str, before: list, at: str) -> str:
     """The test that ``column`` is nonzero at ``at`` and no column ``before``
     it is."""
@@ -563,97 +663,179 @@ def _first(column: str, before: list, at: str) -> str:
     return test
 
 
-def _step_source(step: _Step, s: int, cut, small: bool, column) -> tuple[list, list, list]:
-    """Step ``s`` as Python lines, with the buffers they write and the lines
-    that zero its columns again.  The lines bind the step's nodes, chosen by
-    the rules of the module docstring, as ``_N<s>`` and write column c to
-    ``O<s>_<c>``; ``column(var, key)`` gives the name and the node list of a
-    read."""
-    computed = [c for c, src in enumerate(step.copies) if src is None]
-    if not computed:
-        return [f"_N{s} = ()"], [], []
-    lines = []
+def _nodes(name: str, sources, cut, small: bool, column) -> tuple[list, bool]:
+    """Lines that bind ``name`` to the nodes a step (or a column) with these
+    sources computes, by the rules of the module docstring, and whether that
+    is every node within its cut."""
     where: list = [set(), set()]
-    for var, key, hop in step.sources or ():
+    for var, key, hop in sources or ():
         where[hop].add(column(var, key)[1])
     here, near = sorted(where[0]), sorted(where[1])
     ball = "set()" if cut is not None and cut < 0 else f"_B{cut}"
-    full = step.sources is None or small and (near or len(here) != 1 or cut is not None)
-    if full:
-        lines.append(f"_N{s} = {'_all' if cut is None else ball}")
-    elif near or len(here) != 1 or cut is not None:
-        if near:  # the neighbors of a union are the union of the neighbors
-            base = near[0] if len(near) == 1 else f"{{{', '.join(f'*{x}' for x in near)}}}"
-            lines.append(f"_N{s} = set(_chain(map(_adj, {base})))")
-            lines += [f"_N{s}.update({', '.join(here)})"] if here else []
-        else:
-            union = f"{{{', '.join(f'*{x}' for x in here)}}}" if here else "set()"
-            lines.append(f"_N{s} = {union}")
-        lines += [f"_N{s} &= {ball}"] if cut is not None else []
+    build = bool(near) or len(here) != 1 or cut is not None
+    if sources is None or cut is not None and cut <= 1 or small and build:
+        return [f"{name} = {'_all' if cut is None else ball}"], True
+    if not build:
+        return [f"{name} = {here[0]}"], False
+    if near:  # the neighbors of a union are the union of the neighbors
+        base = near[0] if len(near) == 1 else f"{{{', '.join(f'*{x}' for x in near)}}}"
+        lines = [f"{name} = set(_chain(map(_adj, {base})))"]
+        lines += [f"{name}.update({', '.join(here)})"] if here else []
     else:
-        lines.append(f"_N{s} = {here[0]}")
-    outs = [f"O{s}_{c}" for c in computed]
-    updates = [f"    O{s}_{c}[_k] = {step.updates[c][0]}" for c in computed]
-    # a step over every node rewrites every node
-    reset = [f"for _k in _N{s}:"] + [f"    {o}[_k] = 0" for o in outs]
-    if full and cut is None:
-        reset = []
-    messages = step.messages
-    if not _scatters(step, cut):
-        lines.append(f"for _k in _N{s}:")
-        if messages:
-            lines += [f"    _m{m} = 0" for m in range(len(messages))]
-            if any(r[0] == "ea" for r in step.reads):
-                lines += ["    _er = _E[_k]", "    for _x, _l in enumerate(adj[_k]):"]
-                lines.append("        ea = _er[_x]")
-            else:
-                lines.append("    for _l in adj[_k]:")
-            lines += [f"        _m{m} += {msg[0]}" for m, msg in enumerate(messages)]
-        return lines + updates, outs, reset
-    sums = [f"M{s}_{m}" for m in range(len(messages))]
-    for total, (msg, _, witness) in zip(sums, messages):
+        union = f"{{{', '.join(f'*{x}' for x in here)}}}" if here else "set()"
+        lines = [f"{name} = {union}"]
+    return lines + ([f"{name} &= {ball}"] if cut is not None else []), False
+
+
+def _adds(value: str, terms: list) -> list:
+    """Lines that add ``value`` times each factor (None: 1) to its readout
+    sum, ``terms`` holding (sum, factor) pairs."""
+    lines = []
+    if len(terms) > 1:
+        lines, value = [f"_v = {value}"], "_v"
+    return lines + [f"{name} += {value if f is None else f'{f} * {value}'}" for name, f in terms]
+
+
+def _pull(step: _Step) -> list:
+    """Loop-body lines that sum each message of ``step`` over the neighbors
+    of ``_k`` into ``_m<m>``."""
+    if not step.messages:
+        return []
+    lines = [f"    _m{m} = 0" for m in range(len(step.messages))]
+    if any(r[0] == "ea" for r in step.reads):
+        lines += ["    _er = _E[_k]", "    for _x, _l in enumerate(adj[_k]):"]
+        lines.append("        ea = _er[_x]")
+    else:
+        lines.append("    for _l in adj[_k]:")
+    return lines + [f"        _m{m} += {msg[0]}" for m, msg in enumerate(step.messages)]
+
+
+def _scatter(step: _Step, sent, column, add) -> list:
+    """Lines that add each message ``m`` in ``sent`` from the nodes where a
+    sender-side read of its witness is nonzero, at each of their neighbors,
+    and then pull it at the nodes where a receiver-side read is nonzero,
+    from the neighbors not sent from; ``add(m, value)`` gives the lines that
+    add one value of message m at node ``_k``."""
+    lines = []
+    for m in sent:
+        msg, _, witness = step.messages[m]
         receivers, senders = (
             [column(var, key) for var, key in sorted((v, k) for v, k, h in witness if h == hop)]
             for hop in (0, 1)
         )
         for t, (col, nodes) in enumerate(senders):
             lines += [f"for _l in {nodes}:", f"    if {_first(col, senders[:t], '_l')}:"]
-            lines += ["        for _k in adj[_l]:", f"            {total}[_k] += {msg}"]
+            lines += ["        for _k in adj[_l]:", *_indent(add(m, msg), 3)]
         for t, (col, nodes) in enumerate(receivers):
             lines += [f"for _k in {nodes}:", f"    if {_first(col, receivers[:t], '_k')}:"]
             lines += ["        _a = 0", "        for _l in adj[_k]:"]
             if senders:  # every edge from a sender above is summed already
                 lines.append(f"            if not ({' or '.join(f'{c}[_l]' for c, _ in senders)}):")
-            lines += [f"{' ' * (16 if senders else 12)}_a += {msg}", f"        {total}[_k] += _a"]
+            lines += [f"{' ' * (16 if senders else 12)}_a += {msg}", *_indent(add(m, "_a"), 2)]
+    return lines
+
+
+def _step_source(step: _Step, s: int, cut, small: bool, column, mode: str, sums: dict):
+    """Step ``s`` as Python lines, with the buffers they write and the lines
+    that zero its columns again.  The lines bind the step's nodes, chosen by
+    the rules of the module docstring, as ``_N<s>`` and write column c to
+    ``O<s>_<c>``, except each column in ``sums``: that one they add, at each
+    node, to each readout sum ``_r<x>`` that ``sums[c]`` lists as (x, the
+    index of its weight label or None); ``mode`` is the step's mode from
+    ``_fusion``.  ``column(var, key)`` gives the name and the node list of a
+    read."""
+    computed = [c for c, src in enumerate(step.copies) if src is None]
+    if not computed:
+        return [f"_N{s} = ()"], [], []
+    if mode == "skip":
+        return [], [], []
+    summed = [c for c in computed if sums.get(c)]
+
+    def terms(c, coef=None, weighted=True):
+        """(sum, factor) per readout of column c: coef times the weight."""
+        out = []
+        for x, w in sums[c]:
+            factors = [f for f in (coef, weighted and w is not None and f"L{w}[_k]") if f]
+            out.append((f"_r{x}", " * ".join(factors) or None))
+        return out
+
+    if mode == "weight":  # the weight is 1 on the nodes looped over
+        (label,) = {w for c in summed for _, w in sums[c]}
+        lines = [f"for _k in _U{label}:", *_pull(step)]
+        for c in summed:
+            lines += _indent(_adds(step.updates[c][0], terms(c, weighted=False)), 1)
+        return lines, [], []
+    if mode == "scatter":
+        sent: dict = {}
+        for c in summed:
+            m, coef = step.linear[c]
+            sent.setdefault(m, []).extend(terms(c, coef))
+        return _scatter(step, sorted(sent), column, lambda m, value: _adds(value, sent[m])), [], []
+    if mode == "columns":
+        groups: dict = {}
+        for c in summed:
+            groups.setdefault(step.updates[c][2], []).append(c)
+        lines = []
+        for g, (witness, group) in enumerate(groups.items()):
+            nodes, _ = _nodes(f"_N{s}_{g}", witness, None, small, column)
+            lines += [*nodes, f"for _k in _N{s}_{g}:"]
+            for c in group:
+                lines += _indent(_adds(step.updates[c][0], terms(c)), 1)
+        return lines, [], []
+    stored = [c for c in computed if c not in sums]
+    lines, full = _nodes(f"_N{s}", step.sources, cut, small, column)
+    outs = [f"O{s}_{c}" for c in stored]
+    body = []
+    for c in computed:
+        value = step.updates[c][0]
+        body += [f"O{s}_{c}[_k] = {value}"] if c in stored else _adds(value, terms(c))
+    # a step over every node rewrites every node
+    reset = [] if not stored or full and cut is None else [f"for _k in _N{s}:"]
+    reset += [f"    {o}[_k] = 0" for o in outs] if reset else []
+    if not _scatters(step, cut):
+        return lines + [f"for _k in _N{s}:", *_pull(step), *_indent(body, 1)], outs, reset
+    buffers = [f"M{s}_{m}" for m in range(len(step.messages))]
+    lines += _scatter(
+        step, range(len(buffers)), column, lambda m, value: [f"{buffers[m]}[_k] += {value}"]
+    )
     lines.append(f"for _k in _N{s}:")
-    for m, name in enumerate(sums):
+    for m, name in enumerate(buffers):
         lines += [f"    _m{m} = {name}[_k]", f"    {name}[_k] = 0"]
-    return lines + updates, outs + sums, reset
+    return lines + _indent(body, 1), outs + buffers, reset
 
 
 def _indent(lines: list, depth: int) -> list:
     return [" " * (4 * depth) + x for x in lines]
 
 
-def _generate(prog: MPProgram, layout: tuple, cuts, small: bool, readouts) -> object:
+def _generate(prog: MPProgram, layout: tuple, cuts, small: bool, readouts, hooked: bool):
     """Compile one kernel factory; ``_kernel`` gives the arguments."""
     steps = _steps(prog, layout)
     cuts = cuts or (None,) * len(steps)
     origins = _origins(steps)
     index = {name: i for i, name in enumerate(layout)}
+    plan = [("nodes", {})] * len(steps)
+    if readouts is not None and not hooked:
+        plan = _fusion(steps, cuts, readouts)
+    weighted = {
+        index[readouts[x].weight]
+        for mode, fused in plan if mode != "weight"
+        for xs in fused.values() for x in xs if readouts[x].weight is not None
+    }
     slot: dict = {}  # (step, column) -> a node list off which the column is 0
     body, buffers, reset = [], [], []
-    for s, (step, cut) in enumerate(zip(steps, cuts)):
+    for s, (step, cut, (mode, fused)) in enumerate(zip(steps, cuts, plan)):
 
         def column(var, key, s=s):
             if var == "H":
                 return f"H{key}", slot[origins[s - 1][key]]
             return f"L{index[key]}", f"_U{index[key]}"
 
+        sums = {c: [(x, index.get(readouts[x].weight)) for x in xs] for c, xs in fused.items()}
         # the state columns the step reads, as H<c>
-        reads = sorted({r[1] for r in step.reads if r[0] == "H"})
+        reads = sorted({r[1] for r in step.reads if r[0] == "H"}) if mode != "skip" else []
         body += ["H{} = O{}_{}".format(key, *origins[s - 1][key]) for key in reads]
-        lines, written, zero = _step_source(step, s, cut, small, column)
+        lines, written, zero = _step_source(step, s, cut, small, column, mode, sums)
         body, buffers, reset = body + lines, buffers + written, reset + zero
         for c, (_, _, witness) in enumerate(step.updates):
             if step.copies[c] is None:
@@ -664,7 +846,7 @@ def _generate(prog: MPProgram, layout: tuple, cuts, small: bool, readouts) -> ob
                     if hop == 0:
                         slot[s, c] = column(var, key)[1]
     edges = any(r[0] == "ea" for step in steps for r in step.reads)
-    marked = sorted({index[r[1]] for step in steps for r in step.reads if r[0] == "L"})
+    marked = sorted({index[r[1]] for step in steps for r in step.reads if r[0] == "L"} | weighted)
     states = "".join(
         f"(({''.join('O{}_{}, '.format(*o) for o in origin)}), _N{s}), "
         for s, origin in enumerate(origins)
@@ -690,20 +872,24 @@ def _generate(prog: MPProgram, layout: tuple, cuts, small: bool, readouts) -> ob
         ]
 
     per_root, per_branch = ("is_root", "in_n_root"), ("is_branch", "in_n_branch")
-    depth = max((c for c in cuts if c is not None), default=-1)
+    depth = max(
+        (c for c, (mode, _) in zip(cuts, plan) if c is not None and mode == "nodes"), default=-1
+    )
     balls = [f"_B{d}" for d in range(depth + 1)]
     root = ([f"nonlocal {', '.join(balls)}", "_B0 = {i}"] if balls else []) + mark(per_root, 1)
     for d in range(1, depth + 1):
         frontier = "adj[i]" if d == 1 else f"_chain(map(_adj, _B{d - 1} - _B{d - 2}))"
         root.append(f"_B{d} = _B{d - 1}.union({frontier})")
+    summed = {x for _, fused in plan for xs in fused.values() for x in xs}
     row = "".join(
-        "sum(map({}.__getitem__, {})), ".format(
+        f"_r{x}, " if x in summed else "sum(map({}.__getitem__, {})), ".format(
             "O{}_{}".format(*origins[-1][r.component]),
             slot[origins[-1][r.component]] if r.weight is None else f"_U{index[r.weight]}",
         )
-        for r in readouts
+        for x, r in enumerate(readouts)
     )
-    subgraph = [*body, f"_rows.append(({row}))", *hook, *reset]
+    start = [f"{''.join(f'_r{x} = ' for x in sorted(summed))}0"] if summed else []
+    subgraph = [*start, *body, f"_rows.append(({row}))", *(hook if hooked else []), *reset]
     kernel = ["_rows = []"] + [f"_U{index[x]} = {_SUPPORTS[x]}" for x in per_root if x in index]
     if "is_branch" in index:
         kernel.append("for j in adj[i]:")
@@ -715,7 +901,8 @@ def _generate(prog: MPProgram, layout: tuple, cuts, small: bool, readouts) -> ob
     # the kernel takes what it reads as defaults, so its loops read locals
     bound = ", ".join(
         f"{x}={x}"
-        for x in ["adj", "_adj", "_all", "hook", *(f"L{i}" for i in marked), *buffers]
+        for x in ["adj", "_adj", "_all", *(["hook"] if hooked else [])]
+        + [*(f"L{i}" for i in marked), *buffers]
         + (["_E"] if edges else [])
     )
     lines = ["def _make(adj, labels, eattrs, hook):", *_indent(setup, 1)]
@@ -738,13 +925,15 @@ def _exec(lines: list, name: str):
     return namespace[name]
 
 
-# (program, label layout, cuts, small-graph flag, readouts) -> kernel factory
+# (program, label layout, cuts, small-graph flag, readouts, hooked) -> kernel factory
 _KERNELS: dict[tuple, object] = {}
 
 
-def _kernel(prog: MPProgram, layout: tuple, cuts: tuple | None, small: bool, readouts):
+def _kernel(
+    prog: MPProgram, layout: tuple, cuts: tuple | None, small: bool, readouts, hooked: bool
+):
     """The kernel factory of one plan, generated once per (program, label
-    layout, cuts, small-graph flag, readouts).
+    layout, cuts, small-graph flag, readouts, hooked).
 
     For a rooted run (``readouts`` a tuple), ``make(adj, labels, eattrs,
     hook)`` allocates the run's buffers and returns ``(root, kernel)``:
@@ -758,9 +947,13 @@ def _kernel(prog: MPProgram, layout: tuple, cuts: tuple | None, small: bool, rea
     ``hook(j, steps)``, unless None, is called after each subgraph with its
     branching node (None without one) and, per step (init first), the state
     after it and the nodes it computed.  The buffers are reused, so a hook
-    copies what it keeps.
+    copies what it keeps.  A rooted kernel calls it only when generated with
+    ``hooked``, and then stores every column; without, it stores only the
+    columns a later step reads and sums the others into the readout row
+    where they are computed (``_fusion``), so its steps' states are not
+    whole.  A plain run stores every column and calls ``hook`` either way.
     """
-    key = (prog, layout, cuts, small, readouts)
+    key = (prog, layout, cuts, small, readouts, hooked)
     hit = _KERNELS.get(key)
     if hit is None:
         hit = _KERNELS[key] = _generate(*key)
@@ -782,7 +975,7 @@ def run(
     """
     layout = tuple(sorted(labels))
     n = len(adjacency)
-    make = _kernel(prog, layout, None, n < _SPARSE_MIN_NODES, None)
+    make = _kernel(prog, layout, None, n < _SPARSE_MIN_NODES, None, False)
     for name in layout:
         if len(labels[name]) != n:
             raise ProgramError(
@@ -804,7 +997,8 @@ class RootedRun:
 
     ``rows(i)`` gives root i's readout rows, one per subgraph: ``root(i)``
     sets the root's labels and balls, then ``kernel(i)`` runs its subgraphs.
-    ``hook`` is called after each subgraph (see ``_kernel``).
+    ``hook`` is called after each subgraph with every step's whole state
+    (see ``_kernel``); without one, readout-only columns are not stored.
     """
 
     def __init__(
@@ -825,7 +1019,8 @@ class RootedRun:
                 )
         readouts = tuple(readouts)
         _, cuts = _radii(prog, names, hops, readouts)
-        make = _kernel(prog, names, cuts, len(adjacency) < _SPARSE_MIN_NODES, readouts)
+        small = len(adjacency) < _SPARSE_MIN_NODES
+        make = _kernel(prog, names, cuts, small, readouts, hook is not None)
         labels = {name: [0] * len(adjacency) for name in names}
         self.root, self.kernel = make(adjacency, labels, edge_attrs, hook)
 

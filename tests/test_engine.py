@@ -2,7 +2,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -356,6 +356,42 @@ def test_plan_scatters_are_frozen(kind):
     assert sorted(_PLAN_SCATTERS) == sorted(_PLAN_RADII)
 
 
+# Per plan at its own radius and one more, in a kernel without a hook: how
+# each readout is summed: as its column's messages are scattered or pulled
+# ("s"), at the nodes of its weight label ("w"), in the loop that computes
+# its column ("l"), or from a stored column ("c").
+_PLAN_FUSED = {
+    "path3": "s",
+    "path4": "s",
+    "cycle3": "w",
+    "cycle4": "w",
+    "cycle5": "w",
+    "cycle6": "l l l l c l l",
+    "tailed_triangle": "l",
+    "chordal_cycle": "l",
+    "clique4": "l",
+    "triangle_rectangle": "l",
+    **{f"walk{n}": "w" for n in range(1, 9)},
+}
+_SUMMED = {"scatter": "s", "weight": "w", "nodes": "l", "columns": "l"}
+
+
+def _fused(spec, hops):
+    layout = E._ROOTED_LABELS[spec.mode == "pair"]
+    _, cuts = E._radii(spec.program, layout, hops, spec.readouts)
+    plan = E._fusion(E._steps(spec.program, layout), cuts, spec.readouts)
+    how = {x: _SUMMED[mode] for mode, fused in plan for xs in fused.values() for x in xs}
+    return " ".join(how.get(x, "c") for x in range(len(spec.readouts)))
+
+
+@pytest.mark.parametrize("kind", sorted(_PLAN_FUSED))
+def test_plan_fused_readouts_are_frozen(kind):
+    spec = _PLANS[kind]
+    assert _fused(spec, spec.hops) == _PLAN_FUSED[kind]
+    assert _fused(spec, spec.hops + 1) == _PLAN_FUSED[kind]
+    assert sorted(_PLAN_FUSED) == sorted(_PLAN_RADII)
+
+
 def test_a_second_count_compiles_and_analyses_nothing(monkeypatch):
     kinds = sorted(_PLANS)
     for kind in kinds:
@@ -368,14 +404,22 @@ def test_a_second_count_compiles_and_analyses_nothing(monkeypatch):
     monkeypatch.setattr(E, "_generate", refuse)
     for kind in kinds:  # the same size class: 32 nodes or more
         count(kind, gen_random(45, 0.1, 2))
-    for prog, layout, cuts, small, readouts in E._KERNELS:
-        assert type(prog) is E.MPProgram and type(small) is bool
+    for prog, layout, cuts, small, readouts, hooked in E._KERNELS:
+        assert type(prog) is E.MPProgram and type(small) is bool and type(hooked) is bool
         assert type(layout) is tuple and all(type(name) is str for name in layout)
         assert cuts is None or type(cuts) is tuple and len(cuts) == len(prog.layers) + 1
         assert readouts is None or type(readouts) is tuple
     for prog, layout, hops, readouts in E._RADII:
         assert type(prog) is E.MPProgram and type(layout) is tuple
         assert type(hops) is int and type(readouts) is tuple
+
+
+def test_count_compiles_only_hook_free_kernels(monkeypatch):
+    monkeypatch.setattr(E, "_KERNELS", {})
+    for kind in sorted(_PLANS):
+        count(kind, gen_random(40, 0.1, 1))
+    assert len(E._KERNELS) == len(_PLANS)
+    assert not any(hooked for *_, hooked in E._KERNELS)
 
 
 def test_plans_reading_beyond_their_radius_are_refused():
@@ -534,22 +578,32 @@ def _rooted_plans(draw):
     gated on an identity label, and most messages and every update on a read
     at the sender, the receiver or both, so that most programs have bounded
     reach and most steps a witness.  Most layers read no edge attribute and
-    sum every message in one update, so that many steps scatter."""
+    sum every message in one update, or one message times a receiver-side
+    coefficient, so that many steps scatter.  Half the last layers send one
+    gated message, read no edge attribute and take the second form, which
+    every readout reads, so that many readouts can be summed as the messages
+    are sent.  Half the other last layers gate each update on a label
+    (column 0 on in_n_branch in a pair plan), so that a column can be
+    nonzero where its label reaches past the radius."""
     branching = draw(st.booleans())
     names = E._ROOTED_LABELS[branching]
     label = st.sampled_from(names)
     width = draw(st.integers(1, 3))
     init = tuple(E.LSelf(draw(label)) * draw(_exprs(0, "init", 0, names)) for _ in range(width))
     layers = []
-    for _ in range(draw(st.integers(1, 3))):
+    depth = draw(st.integers(1, 3))
+    for layer in range(depth):
+        sent = layer == depth - 1 and draw(st.booleans())
         column = st.integers(0, width - 1)
         sender = st.one_of(st.builds(E.Nbr, column), st.builds(E.LNbr, label))
         receiver = st.one_of(st.builds(E.Self, column), st.builds(E.LSelf, label))
-        message = _exprs(width, "message", 0, names, draw(st.sampled_from((False, False, True))))
+        edges = not sent and draw(st.sampled_from((False, False, True)))
+        message = _exprs(width, "message", 0, names, edges)
         messages = []
-        for _ in range(draw(st.integers(0, 3))):
+        for _ in range(1 if sent else draw(st.integers(0, 3))):
             e = draw(message)
-            gate = draw(st.sampled_from(("sender", "receiver", "both", "both", "none")))
+            gating = ("sender", "receiver", "both", "both", "none")[: 5 - sent]
+            gate = draw(st.sampled_from(gating))
             if gate == "both":  # nonzero where either end is
                 e = draw(sender) * e + draw(receiver) * draw(message)
             elif gate != "none":
@@ -559,53 +613,55 @@ def _rooted_plans(draw):
         if messages:
             gates.append(st.builds(E.Msg, st.integers(0, len(messages) - 1)))
         update = _exprs(width, "update", len(messages), names)
+        coef = _exprs(width, "update", 0, names)
         width = draw(st.integers(1, 3))
-        updates = [draw(st.one_of(gates)) * draw(update) for _ in range(width)]
-        if messages and draw(st.sampled_from((False, True, True, True))):
+        gated = layer == depth - 1 and not sent and draw(st.booleans())
+        updates = [
+            (E.LSelf(names[c % len(names)]) if gated else draw(st.one_of(gates))) * draw(update)
+            for c in range(width)
+        ]
+        form = "coef" if sent else "any" if gated else draw(
+            st.sampled_from(("any", "sum", "sum", "coef", "coef"))
+        )
+        if messages and form == "sum":
             updates[0] = sum(map(E.Msg, range(1, len(messages))), E.Msg(0))
+        elif messages and form == "coef":
+            # 1 - coef has no witness, so the message's bounds the column
+            factor = 1 - draw(coef) if sent else draw(receiver) * draw(coef)
+            updates[0] = factor * E.Msg(draw(st.integers(0, len(messages) - 1)))
         layers.append(E.Layer(tuple(messages), tuple(updates)))
+    component = st.just(0) if sent else st.integers(0, width - 1)
     weight = st.sampled_from((None, *names))
     readouts = tuple(
-        E.Readout(draw(st.integers(0, width - 1)), draw(weight))
-        for _ in range(draw(st.integers(1, 2)))
+        E.Readout(draw(component), draw(weight)) for _ in range(draw(st.integers(1, 3)))
     )
     return branching, E.MPProgram("random-rooted", init, tuple(layers)), readouts
 
 
-@settings(derandomize=True, deadline=None, max_examples=100)
-@given(
-    _rooted_plans(),
-    st.integers(40, 60),
-    st.sampled_from((0.04, 0.08)),
-    st.integers(0, 2**32),
-    st.integers(1, 3),
-)
-def test_rooted_runs_match_the_reference_on_extracted_egos(plan, n, p, seed, hops):
-    branching, prog, readouts = plan
-    rng = random.Random(seed)
-    g = gen_random(n, p, seed)
+def _assert_rooted_run_matches(g, attrs, sample, branching, prog, readouts, hops):
+    """Every root's readout rows from a ``RootedRun`` without a hook equal
+    those of one with a hook, and at the ``sample`` roots these equal the
+    reference interpreter's on the extracted egos, whose per-step states
+    the hook sees on the parent graph within each step's radius.  Raises
+    ProgramError for a plan that reads beyond the radius."""
     adjacency = g.adjacency
-    # one attribute per directed edge, each edge's two ends unlike
-    attrs = [tuple(rng.randint(-2, 3) for _ in row) for row in adjacency]
-    sample = set(rng.sample(range(n), 4))
     seen = {}
 
     def record(j, states):
         if watched:
             seen[j] = [[list(column) for column in state] for state, _ in states]
 
-    try:
-        runner = E.RootedRun(prog, adjacency, hops, readouts, branching, attrs, record)
-    except E.ProgramError as error:
-        assert "reads beyond subgraph radius" in str(error)
-        reject()
+    runner = E.RootedRun(prog, adjacency, hops, readouts, branching, attrs, record)
+    # without a hook, readout-only columns are summed where they are computed
+    plain = E.RootedRun(prog, adjacency, hops, readouts, branching, attrs)
     layout = E._ROOTED_LABELS[branching]
     steps = E._steps(prog, layout)
     within, _ = E._radii(prog, layout, hops, readouts)
-    for i in range(n):
+    for i in range(g.node_count):
         watched = i in sample
         seen.clear()
         rows = runner.rows(i)
+        assert plain.rows(i) == rows, (hops, i)
         if not watched:
             continue
         base = extract_rooted(g, i, ego(hops))
@@ -624,4 +680,50 @@ def test_rooted_runs_match_the_reference_on_extracted_egos(plan, n, p, seed, hop
                 sum(row[r.component] * w for row, w in zip(states[-1], weight))
                 for r, weight in zip(readouts, weights)
             ))
-        assert rows == want, i
+        assert rows == want, (hops, i)
+
+
+# A pair plan whose last column is nonzero on every neighbor of the branching
+# node: at radius 1 the rim of those lies beyond the radius, so the column
+# cannot be summed at the label's nodes.
+_PAST_THE_RADIUS = E.MPProgram(
+    "past-the-radius",
+    (E.LSelf("is_branch") * 1,),
+    (E.Layer((E.Nbr(0),), (E.LSelf("in_n_branch") * (1 - E.LSelf("is_root")),)),),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    _rooted_plans(),
+    st.integers(40, 60),
+    st.sampled_from((0.04, 0.08)),
+    st.integers(0, 2**32),
+)
+@example((True, _PAST_THE_RADIUS, (E.Readout(0, "in_n_branch"),)), 40, 0.08, 3)
+def test_rooted_runs_match_the_reference_on_extracted_egos(plan, n, p, seed):
+    # Each plan runs at every radius 1-3 it can, as drawn and with every
+    # readout weighted by each label in turn: a weight label's nodes may lie
+    # beyond the radius (in_n_branch's do at radius 1).
+    branching, prog, readouts = plan
+    rng = random.Random(seed)
+    g = gen_random(n, p, seed)
+    # one attribute per directed edge, each edge's two ends unlike
+    attrs = [tuple(rng.randint(-2, 3) for _ in row) for row in g.adjacency]
+    sample = set(rng.sample(range(n), 4))
+    radii = []
+    for hops in (1, 2, 3):
+        for weight in (False, *E._ROOTED_LABELS[branching]):
+            alike = readouts if weight is False else tuple(
+                E.Readout(r.component, weight) for r in readouts
+            )
+            try:  # the reference only for the readouts as drawn
+                _assert_rooted_run_matches(
+                    g, attrs, sample if weight is False else (), branching, prog, alike, hops
+                )
+            except E.ProgramError as error:
+                assert "reads beyond subgraph radius" in str(error)
+                continue
+            radii.append(hops)
+    if not radii:
+        reject()
