@@ -35,8 +35,10 @@ their operands', ``Mul`` keeps the operand of least reach; ``IsZero``, edge
 attributes and other constants have none.  A step whose computed updates
 all have one runs only over the nodes where a source of its witness is
 nonzero, plus their neighbors for sources read across an edge; every other
-node keeps 0.  Each step and each label keeps the node list it is nonzero
-on, so this costs no scan of a column.
+node keeps 0.  Each column and each label keeps the node list it is nonzero
+on, so this costs no scan of a column.  A node list is a set expression
+over the labels' lists, the adjacency and the root's balls, never over a
+state, so each one is built once per subgraph, where it is first used.
 
 On a rooted subgraph the program runs on the parent graph's own adjacency,
 with nothing extracted, and the subgraph radius bounds the work instead.
@@ -54,9 +56,26 @@ and at K each message must be 0 whenever its sender lies outside, which
 at its own radius, the steps cut (init first, "-" for none) are cycle3
 ``- 1``, cycle4 ``- - 1``, cycle5 ``- 2 1``, triangle_rectangle ``- 2 1 -``,
 walk4 ``- - - 1 0`` and cycle6 ``- 2 - 2 -``; path3, path4, tailed_triangle,
-clique4 and chordal_cycle need no cut.  On a random 4-regular graph a
-path4 root evaluates 226 nodes over all steps of its four pair subgraphs,
-and a cycle6 root 272, the same at N=1000, 2000 and 4000.
+clique4 and chordal_cycle need no cut.  On a random 4-regular graph, in
+the kernel with a hook, which computes each step over one node list and
+whose node evaluations criterion 10's band counts, a path4 root evaluates
+226 nodes over all steps of its four pair subgraphs and a cycle6 root 272
+(762 column values), the same at N=1000, 2000 and 4000.  Without a hook, a
+cycle6 root computes 351 column values in loops over node lists and sends
+64 message values, and a path4 root 68 and 144, at N=1000 and 2000.
+
+A rooted kernel without a hook (the one ``count`` runs) computes each
+column only where it can be nonzero and where it is read (``_layout``).  A
+step that pulls its messages, or has none, computes each column over the
+node list of its own witness, pulling only the messages that column reads:
+cycle6's init and layers 1, 3 and 4.  A stored column that every later step
+reads at the node itself, in loops that do not run over every node, is
+computed only over the union of those loops' node lists, unless building
+that union costs a set its own list does not (cycle6's layer 1 columns 3
+and 4 and layer 3 column 0, triangle_rectangle's step 2).  Those loops lie
+within their steps' radii, so within the column's demand, and where they
+lie beyond its reach its witness makes it 0: the states the readouts see
+stay exact.
 
 Building a node set costs time, so a step that would build one runs over
 every node (within its radius) when the graph has fewer than
@@ -71,10 +90,10 @@ ratio on ``gen_random_regular(1000, 4, 7)`` then on a rewired ring lattice
 (N=2000, 3 neighbors a side, 10% rewired): walk4 0.67 / 0.63,
 triangle_rectangle 1.01 / 0.77.  Radius-2 cuts keep their intersection: the
 radius-2 ball measured 1.15 for cycle5 and 1.10 for triangle_rectangle on
-the regular graph, and though it measured 0.82 for cycle6 it raises a cycle6
-root's node evaluations from 271 to 287.  A second rule, running every node
-once a quarter of them would be computed, measured 1.01-1.03 against none on
-24 graphs G(n, p) with n 40-80, so there is none.
+the regular graph, and 1.10 for cycle6 (0.87 on the lattice) against its
+per-column lists.  A second rule, running every node once a quarter of
+them would be computed, measured 1.01-1.03 against none on 24 graphs
+G(n, p) with n 40-80, so there is none.
 
 One kernel per plan.  A plan compiles, once per (program, label layout,
 cuts, small-graph flag, readouts, hooked), into one generated Python
@@ -83,8 +102,8 @@ labels, loops over the root's branches, runs every step inline and appends
 each subgraph's readout row; ``run`` (path2, ``count_walks``) runs the same
 step code once over given labels.  Each state column is a node-indexed
 buffer named after the step and column that computed it (``_origins``);
-each step's node set is chosen by the rules above when the kernel is
-generated; after each subgraph the kernel zeroes what it wrote.  A step
+each node list is chosen by the rules above when the kernel is generated;
+after each subgraph the kernel zeroes what it wrote.  A step
 scatters its messages (``_scatters``) when it has no cut, reads no edge
 attribute, and its sources cover the witness of each message: every message
 is added from the nodes where a sender-side read of its witness is nonzero
@@ -92,7 +111,7 @@ into its neighbors' message buffers, then pulled only at the nodes where a
 receiver-side read is nonzero, from the neighbors not scattered from.  A
 scatter walks each edge from its sender, so it needs a symmetric adjacency,
 and would read an edge attribute from the wrong end.  Every other step
-pulls each message at each node it computes.
+pulls each message at each node that computes a column reading it.
 
 Readouts are summed where they are computed.  In a rooted kernel without a
 hook, a column that no later step reads is not stored: each readout of it
@@ -102,16 +121,23 @@ need: if every one is weighted by one label, it computes only at that
 label's nodes (cycle3, cycle4, cycle5, the closed walks); if it scatters
 and each column is ``coef * Msg(m)``, each message value, times coef at its
 receiver, goes straight into the sum as it is sent or pulled, with no node
-set, message buffer or final loop (path3, path4); if it has no message and
-no cut, each column is summed over its own witness's node list (cycle6's
-layer 4, triangle_rectangle's last step).  Otherwise the step computes over
-its nodes as before and adds its readout-only columns instead of storing
-them (cycle6's layer 3 column 1, clique4, chordal_cycle, tailed_triangle).
-A kernel with a hook stores every column, so that the hook sees whole
-states: ``count_path4_edge``, the per-step parity tests and the node
-evaluation counts run on it.  Serial CPU ms of each kind, best of 9 (best
-of 5 on the lattice) with this module's previous version in the same
-process, alternating, on a shared 2-core host, before / after, on
+set, message buffer or final loop (path3, path4).  Otherwise the step
+computes each column over its node list as above and adds its readout-only
+columns instead of storing them (cycle6's layer 4, triangle_rectangle's
+last step, clique4, chordal_cycle, tailed_triangle), except that a cut step
+sends each ``coef * Msg(m)`` one whose message's witness reads only the
+sender, of reach below the cut, so that every receiver it reaches lies
+within the cut: cycle6's layer 3 column 1, sent from the root's neighbors.
+A kernel with a hook stores every column over one node list per step, so
+that the hook sees whole states: ``count_path4_edge``, the per-step parity
+tests and the node evaluation counts run on it.  Per-column and demand
+lists and sends under a cut took cycle6's kernel time (message passing in
+``count(timings=...)``, best of 9, best of 5 on the lattice, both versions
+alternated in one process) from 161 to 107 ms on the regular graph and from
+861 to 586 ms on the lattice.  Summing readouts where they are computed had
+taken serial CPU ms of each kind, best of 9 (best of 5 on the lattice) with
+the previous version in the same process, alternating, on a shared 2-core
+host, before / after, on
 ``gen_random_regular(1000, 4, 7)``: all kinds 572 / 421, path4 121 / 62,
 path3 29.3 / 15.3, cycle6 255 / 214, walk4 19.5 / 11.1, cycle5 43.0 / 37.0;
 on the rewired ring lattice above: all 2657 / 1979, path4 551 / 345,
@@ -333,7 +359,8 @@ _OPERATORS = {
     IsPos: ("(1 if {} > 0 else 0)", "[{} > 0]", _either),
 }
 
-# Leaves: the variable the Python form reads ("" for none), Python form and
+# Leaves: the variable the Python form reads ("" for none, "M" for a message
+# sum), Python form and
 # text form of the node's field, the context the node is confined to (with
 # what the error calls it), the width that bounds its index, and the hop of
 # its read (0 at the evaluating node, 1 at the sending neighbor).
@@ -341,7 +368,7 @@ _LEAVES = {
     Const: ("", "{!r}", "{}", None, None, None),
     Self: ("H", "H{}[_k]", "self.h{}", None, "state", 0),
     Nbr: ("H", "H{}[_l]", "nbr.h{}", ("message", "neighbor state is"), "state", 1),
-    Msg: ("", "_m{}", "m{}", ("update", "message sums are"), "message", None),
+    Msg: ("M", "_m{}", "m{}", ("update", "message sums are"), "message", None),
     LSelf: ("L", "L{}[_k]", "self.{}", None, None, 0),
     LNbr: ("L", "L{}[_l]", "nbr.{}", ("message", "neighbor labels are"), None, 1),
     EdgeAttr: ("ea", "ea", "edge_attr", ("message", "edge attributes are"), None, None),
@@ -392,9 +419,16 @@ def _visit(
     return py.format(*args), text.format(*args), witness
 
 
+def _expr(e: Expr, ctx: str, layout: Mapping[str, int], state: tuple, messages: tuple) -> tuple:
+    """``_visit``'s (Python source, audit text, witness) of ``e``, and what
+    it reads."""
+    reads: set = set()
+    return (*_visit(e, ctx, layout, state, messages, reads), reads)
+
+
 @dataclass(frozen=True)
 class _Step:
-    """One walked step: the (Python source, text, witness) triples of its
+    """One walked step: the (Python source, text, witness, reads) of its
     messages and updates, the state index each update copies (None when it
     computes), what the messages and computing updates read, the reach of
     each output column, the union of the computing updates' witnesses: the
@@ -439,18 +473,16 @@ def _walk(prog: MPProgram, layout: Mapping[str, int]) -> list[_Step]:
     reach: tuple = ()
     layers = [("init", Layer((), prog.init))] + [("update", x) for x in prog.layers]
     for ctx, layer in layers:
-        reads: set = set()
-        messages = [_visit(e, "message", layout, reach, (), reads) for e in layer.message]
+        messages = [_expr(e, "message", layout, reach, ()) for e in layer.message]
         witnesses = tuple(m[2] for m in messages)
         copies = [e.index if type(e) is Self else None for e in layer.update]
-        updates = [
-            _visit(e, ctx, layout, reach, witnesses, reads if c is None else set())
-            for e, c in zip(layer.update, copies)
-        ]
+        updates = [_expr(e, ctx, layout, reach, witnesses) for e in layer.update]
         if ctx == "update" and not updates:
             raise ProgramError("layer update must produce at least one component")
-        computed = [u[2] for u, c in zip(updates, copies) if c is None]
-        sources = None if None in computed else frozenset().union(*computed)
+        computed = [u for u, c in zip(updates, copies) if c is None]
+        reads = set().union(*(x[3] for x in messages + computed))
+        witness = [u[2] for u in computed]
+        sources = None if None in witness else frozenset().union(*witness)
         linear = [_linear(e) for e in layer.update]
         linear = [
             x and (x[0], x[1] and _visit(x[1], ctx, layout, reach, witnesses, set())[0])
@@ -571,7 +603,7 @@ def _radii(prog: MPProgram, layout: tuple[str, ...], hops: int, readouts: tuple)
         natural = _reach(step.sources, spread)
         cuts.append(within[s] if natural > within[s] else None)
         if within[s] >= hops:
-            for m, (_, text, witness) in enumerate(step.messages):
+            for m, (_, text, witness, _) in enumerate(step.messages):
                 if _reach(witness, reach, sender=True) > hops:
                     raise ProgramError(
                         f"program {prog.name!r} layer {s} message {m} ({text}) "
@@ -604,25 +636,28 @@ def _scatters(step: _Step, cut: int | None) -> bool:
     )
 
 
-def _fusion(steps: Sequence[_Step], cuts, readouts) -> list[tuple[str, dict]]:
+def _fusion(steps: Sequence[_Step], cuts, readouts) -> list[tuple[str, dict, list]]:
     """Per step of a rooted kernel without a hook, how it treats the columns
-    it computes that no later step reads: ``(mode, fused)``, with ``fused``
-    mapping each such column to the indices of the readouts of it, which
-    are summed where the column is computed instead of being stored.  Modes:
+    it computes that no later step reads: ``(mode, fused, sent)``, with
+    ``fused`` mapping each such column to the indices of the readouts of it,
+    which are summed where the column is computed instead of being stored,
+    and ``sent`` the summed columns, each ``coef * Msg(m)``, whose message
+    values, times coef at the receiver, are added to the readout sums as
+    they are sent (``_scatter``).  Modes:
 
-    - "nodes": the step computes over its nodes as usual, storing its other
-      columns and adding each fused one to its readout sums;
+    - "nodes": the step computes its other columns over their node lists
+      (``_layout``), storing those a later step reads;
     - "weight": every fused readout is weighted by one label and the step
       stores nothing, so it computes only at the label's nodes.  A step
       without a cut is 0 off its nodes wherever it is evaluated, as every
       read of its sources is; a step with one must not compute beyond it,
       so there the label's reach must lie within the cut;
-    - "scatter": the step scatters, stores nothing, and each summed column
-      is ``coef * Msg(m)``, so each message value, times coef at its
-      receiver, is added to the readout sums as it is sent or pulled;
-    - "columns": the step has no message and no cut, and stores nothing, so
-      each column is summed over the nodes its own witness gives;
     - "skip": nothing reads what the step computes.
+
+    A step that stores nothing, scatters and sums only ``coef * Msg(m)``
+    columns sends them all.  A cut step sends each such column whose
+    message's witness has only sender-side reads, of reach below the cut:
+    every receiver of a nonzero message then lies within the cut.
     """
     origins = _origins(steps)
     read = {
@@ -638,19 +673,24 @@ def _fusion(steps: Sequence[_Step], cuts, readouts) -> list[tuple[str, dict]]:
         summed = [c for c, xs in fused.items() if xs]
         weights = {readouts[x].weight for c in summed for x in fused[c]}
         (weight,) = weights if len(weights) == 1 else (None,)
-        if len(fused) < len(computed):
-            mode = "nodes"
-        elif not summed:
+        stores, sent = len(fused) < len(computed), []
+        if not stores and not summed:
             mode = "skip"
-        elif weight is not None and (cut is None or _LABEL_REACH[weight] <= cut):
+        elif not stores and weight is not None and (cut is None or _LABEL_REACH[weight] <= cut):
             mode = "weight"
-        elif _scatters(step, cut) and all(step.linear[c] for c in summed):
-            mode = "scatter"
-        elif not step.messages and cut is None:
-            mode = "columns"
         else:
             mode = "nodes"
-        plan.append((mode, fused))
+            if not stores and _scatters(step, cut) and all(step.linear[c] for c in summed):
+                sent = summed
+            elif cut is not None:
+                messages = [step.linear[c] and step.messages[step.linear[c][0]] for c in summed]
+                sent = [
+                    c for c, m in zip(summed, messages)
+                    if m and m[2] is not None and all(hop == 1 for *_, hop in m[2])
+                    and not any(r[0] == "ea" for r in m[3])
+                    and _reach(m[2], steps[s - 1].reach, sender=True) < cut
+                ]
+        plan.append((mode, fused, sent))
     return plan
 
 
@@ -663,28 +703,87 @@ def _first(column: str, before: list, at: str) -> str:
     return test
 
 
-def _nodes(name: str, sources, cut, small: bool, column) -> tuple[list, bool]:
-    """Lines that bind ``name`` to the nodes a step (or a column) with these
-    sources computes, by the rules of the module docstring, and whether that
-    is every node within its cut."""
-    where: list = [set(), set()]
+def _nodes(sources, cut, small: bool, where) -> str | tuple:
+    """The node list a step, or a column, with these sources computes, by
+    the rules of the module docstring: a name, or ``(near, here, cut)``, the
+    neighbors of the lists ``near`` and the lists ``here``, cut to the ball
+    of radius ``cut`` (None: no cut).  ``where(var, key)`` gives the node
+    list of a read."""
+    lists: list = [set(), set()]
     for var, key, hop in sources or ():
-        where[hop].add(column(var, key)[1])
-    here, near = sorted(where[0]), sorted(where[1])
-    ball = "set()" if cut is not None and cut < 0 else f"_B{cut}"
+        lists[hop].add(where(var, key))
+    here, near = (tuple(sorted(x, key=repr)) for x in lists)
     build = bool(near) or len(here) != 1 or cut is not None
     if sources is None or cut is not None and cut <= 1 or small and build:
-        return [f"{name} = {'_all' if cut is None else ball}"], True
-    if not build:
-        return [f"{name} = {here[0]}"], False
-    if near:  # the neighbors of a union are the union of the neighbors
-        base = near[0] if len(near) == 1 else f"{{{', '.join(f'*{x}' for x in near)}}}"
-        lines = [f"{name} = set(_chain(map(_adj, {base})))"]
-        lines += [f"{name}.update({', '.join(here)})"] if here else []
-    else:
-        union = f"{{{', '.join(f'*{x}' for x in here)}}}" if here else "set()"
-        lines = [f"{name} = {union}"]
-    return lines + ([f"{name} &= {ball}"] if cut is not None else []), False
+        return "_all" if cut is None else "set()" if cut < 0 else f"_B{cut}"
+    return (near, here, cut) if build else here[0]
+
+
+def _layout(steps, cuts, plan, small: bool, index, readouts) -> tuple[list, dict]:
+    """Per step, its units ``(nodes, columns)``: one loop over the node list
+    ``nodes`` computes ``columns``, pulling the messages they read (a step
+    that scatters fills its message buffers first), or, with ``nodes`` None,
+    ``columns`` are sent (``_fusion``).  Also each computed column's node
+    list, off which it is 0.  ``readouts`` is None for a kernel that keeps
+    whole states: there each step computes every column over one node list.
+    Otherwise a step that pulls computes each column over its own witness's
+    node list, or over the union of the node lists its readers read it at,
+    when every reader reads it at the node itself and none runs over every
+    node."""
+    origins = _origins(steps)
+    slot: dict = {}
+    own: list = []
+    for s, (step, cut) in enumerate(zip(steps, cuts)):
+
+        def where(var, key, s=s):
+            return slot[origins[s - 1][key]] if var == "H" else f"_U{index[key]}"
+
+        whole = readouts is None or _scatters(step, cut)
+        lists = {}
+        for c, (_, _, witness, _) in enumerate(step.updates):
+            if step.copies[c] is None:
+                lists[c] = slot[s, c] = _nodes(
+                    step.sources if whole else witness, cut, small, where
+                )
+                # a column whose witness is one read at the node lies in its node list
+                if cut is None and witness is not None and len(witness) == 1:
+                    ((var, key, hop),) = witness
+                    if hop == 0:
+                        slot[s, c] = where(var, key)
+        own.append((whole, lists))
+    units: list = [[] for _ in steps]
+    summed = {origins[-1][r.component] for r in readouts or ()}
+    for s in reversed(range(len(steps))):
+        (mode, fused, sent), (whole, lists) = plan[s], own[s]
+        for c in () if whole else lists:
+            if c in fused or (s, c) in summed:
+                continue
+            demand = set()
+            for t in range(s + 1, len(steps)):
+                for nodes, columns in units[t]:
+                    reads = _reads(steps[t], columns)
+                    hops = {r[2] for r in reads if r[0] == "H" and origins[t - 1][r[1]] == (s, c)}
+                    demand |= {nodes if hops == {0} else None} if hops else set()
+            union = ((), tuple(sorted(demand, key=repr)), None)
+            union = union[1][0] if len(demand) == 1 else union
+            if not demand & {None, "_all"} and (type(lists[c]) is tuple or type(union) is str):
+                lists[c] = union
+        groups: dict = {}
+        if mode == "weight":
+            (label,) = {readouts[x].weight for xs in fused.values() for x in xs}
+            groups[f"_U{index[label]}"] = [c for c, xs in fused.items() if xs]
+        for c, src in enumerate(steps[s].copies):
+            if src is None and mode == "nodes" and fused.get(c, True) and c not in sent:
+                groups.setdefault(lists[c], []).append(c)
+        units[s] = ([(None, sent)] if sent else []) + list(groups.items())
+    return units, slot
+
+
+def _reads(step: _Step, columns) -> set:
+    """What computing ``columns`` of ``step`` reads, the messages they read
+    and what those read included."""
+    reads = set().union(*(step.updates[c][3] for c in columns))
+    return reads.union(*(step.messages[r[1]][3] for r in reads if r[0] == "M"))
 
 
 def _adds(value: str, terms: list) -> list:
@@ -696,18 +795,19 @@ def _adds(value: str, terms: list) -> list:
     return lines + [f"{name} += {value if f is None else f'{f} * {value}'}" for name, f in terms]
 
 
-def _pull(step: _Step) -> list:
-    """Loop-body lines that sum each message of ``step`` over the neighbors
-    of ``_k`` into ``_m<m>``."""
-    if not step.messages:
+def _pull(step: _Step, reads: set) -> list:
+    """Loop-body lines that sum each message in ``reads`` over the
+    neighbors of ``_k`` into ``_m<m>``."""
+    messages = sorted(r[1] for r in reads if r[0] == "M")
+    if not messages:
         return []
-    lines = [f"    _m{m} = 0" for m in range(len(step.messages))]
-    if any(r[0] == "ea" for r in step.reads):
+    lines = [f"    _m{m} = 0" for m in messages]
+    if any(r[0] == "ea" for r in reads):
         lines += ["    _er = _E[_k]", "    for _x, _l in enumerate(adj[_k]):"]
         lines.append("        ea = _er[_x]")
     else:
         lines.append("    for _l in adj[_k]:")
-    return lines + [f"        _m{m} += {msg[0]}" for m, msg in enumerate(step.messages)]
+    return lines + [f"        _m{m} += {step.messages[m][0]}" for m in messages]
 
 
 def _scatter(step: _Step, sent, column, add) -> list:
@@ -718,7 +818,7 @@ def _scatter(step: _Step, sent, column, add) -> list:
     add one value of message m at node ``_k``."""
     lines = []
     for m in sent:
-        msg, _, witness = step.messages[m]
+        msg, _, witness, _ = step.messages[m]
         receivers, senders = (
             [column(var, key) for var, key in sorted((v, k) for v, k, h in witness if h == hop)]
             for hop in (0, 1)
@@ -735,73 +835,43 @@ def _scatter(step: _Step, sent, column, add) -> list:
     return lines
 
 
-def _step_source(step: _Step, s: int, cut, small: bool, column, mode: str, sums: dict):
-    """Step ``s`` as Python lines, with the buffers they write and the lines
-    that zero its columns again.  The lines bind the step's nodes, chosen by
-    the rules of the module docstring, as ``_N<s>`` and write column c to
-    ``O<s>_<c>``, except each column in ``sums``: that one they add, at each
-    node, to each readout sum ``_r<x>`` that ``sums[c]`` lists as (x, the
-    index of its weight label or None); ``mode`` is the step's mode from
-    ``_fusion``.  ``column(var, key)`` gives the name and the node list of a
-    read."""
-    computed = [c for c, src in enumerate(step.copies) if src is None]
-    if not computed:
-        return [f"_N{s} = ()"], [], []
-    if mode == "skip":
-        return [], [], []
-    summed = [c for c in computed if sums.get(c)]
+def _unit(step: _Step, s: int, nodes, columns, sums: dict, column, buffered: bool):
+    """One unit of step ``s`` (``_layout``) as Python lines, with the
+    columns they store and the message buffers they use: over the node
+    list named ``nodes``, column c goes to ``O<s>_<c>``, or, for each
+    column in ``sums``, is added to each readout sum ``_r<x>`` that
+    ``sums[c]`` lists as (x, the index of its weight label or None).
+    ``buffered``: the step scatters its messages into buffers first.
+    ``column(var, key)`` gives the name and the node list of a read."""
 
-    def terms(c, coef=None, weighted=True):
+    def terms(c, coef=None):
         """(sum, factor) per readout of column c: coef times the weight."""
         out = []
         for x, w in sums[c]:
-            factors = [f for f in (coef, weighted and w is not None and f"L{w}[_k]") if f]
+            factors = [f for f in (coef, w is not None and f"L{w}[_k]") if f]
             out.append((f"_r{x}", " * ".join(factors) or None))
         return out
 
-    if mode == "weight":  # the weight is 1 on the nodes looped over
-        (label,) = {w for c in summed for _, w in sums[c]}
-        lines = [f"for _k in _U{label}:", *_pull(step)]
-        for c in summed:
-            lines += _indent(_adds(step.updates[c][0], terms(c, weighted=False)), 1)
-        return lines, [], []
-    if mode == "scatter":
+    if nodes is None:
         sent: dict = {}
-        for c in summed:
+        for c in columns:
             m, coef = step.linear[c]
             sent.setdefault(m, []).extend(terms(c, coef))
         return _scatter(step, sorted(sent), column, lambda m, value: _adds(value, sent[m])), [], []
-    if mode == "columns":
-        groups: dict = {}
-        for c in summed:
-            groups.setdefault(step.updates[c][2], []).append(c)
-        lines = []
-        for g, (witness, group) in enumerate(groups.items()):
-            nodes, _ = _nodes(f"_N{s}_{g}", witness, None, small, column)
-            lines += [*nodes, f"for _k in _N{s}_{g}:"]
-            for c in group:
-                lines += _indent(_adds(step.updates[c][0], terms(c)), 1)
-        return lines, [], []
-    stored = [c for c in computed if c not in sums]
-    lines, full = _nodes(f"_N{s}", step.sources, cut, small, column)
-    outs = [f"O{s}_{c}" for c in stored]
+    outs = [f"O{s}_{c}" for c in columns if c not in sums]
     body = []
-    for c in computed:
+    for c in columns:
         value = step.updates[c][0]
-        body += [f"O{s}_{c}[_k] = {value}"] if c in stored else _adds(value, terms(c))
-    # a step over every node rewrites every node
-    reset = [] if not stored or full and cut is None else [f"for _k in _N{s}:"]
-    reset += [f"    {o}[_k] = 0" for o in outs] if reset else []
-    if not _scatters(step, cut):
-        return lines + [f"for _k in _N{s}:", *_pull(step), *_indent(body, 1)], outs, reset
-    buffers = [f"M{s}_{m}" for m in range(len(step.messages))]
-    lines += _scatter(
-        step, range(len(buffers)), column, lambda m, value: [f"{buffers[m]}[_k] += {value}"]
-    )
-    lines.append(f"for _k in _N{s}:")
-    for m, name in enumerate(buffers):
-        lines += [f"    _m{m} = {name}[_k]", f"    {name}[_k] = 0"]
-    return lines + _indent(body, 1), outs + buffers, reset
+        body += [f"O{s}_{c}[_k] = {value}"] if c not in sums else _adds(value, terms(c))
+    reads = _reads(step, columns)
+    if not buffered:
+        return [f"for _k in {nodes}:", *_pull(step, reads), *_indent(body, 1)], outs, []
+    messages = sorted(r[1] for r in reads if r[0] == "M")
+    lines = _scatter(step, messages, column, lambda m, value: [f"M{s}_{m}[_k] += {value}"])
+    lines.append(f"for _k in {nodes}:")
+    for m in messages:
+        lines += [f"    _m{m} = M{s}_{m}[_k]", f"    M{s}_{m}[_k] = 0"]
+    return lines + _indent(body, 1), outs, [f"M{s}_{m}" for m in messages]
 
 
 def _indent(lines: list, depth: int) -> list:
@@ -814,41 +884,61 @@ def _generate(prog: MPProgram, layout: tuple, cuts, small: bool, readouts, hooke
     cuts = cuts or (None,) * len(steps)
     origins = _origins(steps)
     index = {name: i for i, name in enumerate(layout)}
-    plan = [("nodes", {})] * len(steps)
-    if readouts is not None and not hooked:
-        plan = _fusion(steps, cuts, readouts)
+    fusing = readouts is not None and not hooked
+    plan = _fusion(steps, cuts, readouts) if fusing else [("nodes", {}, [])] * len(steps)
+    units, slot = _layout(steps, cuts, plan, small, index, readouts if fusing else None)
     weighted = {
         index[readouts[x].weight]
-        for mode, fused in plan if mode != "weight"
+        for mode, fused, _ in plan if mode != "weight"
         for xs in fused.values() for x in xs if readouts[x].weight is not None
     }
-    slot: dict = {}  # (step, column) -> a node list off which the column is 0
-    body, buffers, reset = [], [], []
-    for s, (step, cut, (mode, fused)) in enumerate(zip(steps, cuts, plan)):
+    body, buffers, stored, shown, names, radii = [], [], {}, [], {}, [-1]
+
+    def bind(spec) -> str:
+        """The name of a node list (``_nodes``), bound where first used."""
+        if type(spec) is str:
+            radii.extend([int(spec[2:])] if spec.startswith("_B") else [])
+            return spec
+        if spec not in names:
+            near, here = ([bind(x) for x in part] for part in spec[:2])
+            name = names[spec] = f"_N{len(names)}"
+            if near:  # the neighbors of a union are the union of the neighbors
+                base = near[0] if len(near) == 1 else f"{{{', '.join(f'*{x}' for x in near)}}}"
+                body.append(f"{name} = set(_chain(map(_adj, {base})))")
+                body.extend([f"{name}.update({', '.join(here)})"] if here else [])
+            else:
+                union = f"{{{', '.join(f'*{x}' for x in here)}}}" if here else "set()"
+                body.append(f"{name} = {union}")
+            body.extend([f"{name} &= {bind(f'_B{spec[2]}')}"] if spec[2] is not None else [])
+        return names[spec]
+
+    for s, (step, cut, (mode, fused, _)) in enumerate(zip(steps, cuts, plan)):
 
         def column(var, key, s=s):
             if var == "H":
-                return f"H{key}", slot[origins[s - 1][key]]
+                return f"H{key}", bind(slot[origins[s - 1][key]])
             return f"L{index[key]}", f"_U{index[key]}"
 
-        sums = {c: [(x, index.get(readouts[x].weight)) for x in xs] for c, xs in fused.items()}
+        # the weight is 1 on the nodes a step in "weight" mode computes
+        sums = {
+            c: [(x, None if mode == "weight" else index.get(readouts[x].weight)) for x in xs]
+            for c, xs in fused.items()
+        }
         # the state columns the step reads, as H<c>
-        reads = sorted({r[1] for r in step.reads if r[0] == "H"}) if mode != "skip" else []
+        reads = sorted({r[1] for r in step.reads if r[0] == "H"}) if units[s] else []
         body += ["H{} = O{}_{}".format(key, *origins[s - 1][key]) for key in reads]
-        lines, written, zero = _step_source(step, s, cut, small, column, mode, sums)
-        body, buffers, reset = body + lines, buffers + written, reset + zero
-        for c, (_, _, witness) in enumerate(step.updates):
-            if step.copies[c] is None:
-                slot[s, c] = f"_N{s}"
-                # a column whose witness is one read at the node lies in its node list
-                if cut is None and witness is not None and len(witness) == 1:
-                    ((var, key, hop),) = witness
-                    if hop == 0:
-                        slot[s, c] = column(var, key)[1]
+        shown.append("()")
+        for nodes, columns in units[s]:
+            name = nodes and bind(nodes)
+            buffered = mode == "nodes" and _scatters(step, cut)
+            lines, outs, used = _unit(step, s, name, columns, sums, column, buffered)
+            body, buffers, shown[s] = body + lines, buffers + outs + used, name
+            # a loop over every node rewrites every node
+            stored.setdefault(name, []).extend(outs if name != "_all" else [])
     edges = any(r[0] == "ea" for step in steps for r in step.reads)
     marked = sorted({index[r[1]] for step in steps for r in step.reads if r[0] == "L"} | weighted)
     states = "".join(
-        f"(({''.join('O{}_{}, '.format(*o) for o in origin)}), _N{s}), "
+        f"(({''.join('O{}_{}, '.format(*o) for o in origin)}), {shown[s]}), "
         for s, origin in enumerate(origins)
     )
     hook = ["if hook is not None:", f"    hook(j, ({states}))"]
@@ -864,31 +954,33 @@ def _generate(prog: MPProgram, layout: tuple, cuts, small: bool, readouts, hooke
         lines += _indent(["j = None", *body, *hook, f"return ({final})"], 1)
         return _exec(lines, "_run")
 
-    def mark(names, value):
+    def mark(labels, value):
         return [
             line
-            for i in marked if layout[i] in names
+            for i in marked if layout[i] in labels
             for line in (f"for _k in {_SUPPORTS[layout[i]]}:", f"    L{i}[_k] = {value}")
         ]
 
     per_root, per_branch = ("is_root", "in_n_root"), ("is_branch", "in_n_branch")
-    depth = max(
-        (c for c, (mode, _) in zip(cuts, plan) if c is not None and mode == "nodes"), default=-1
-    )
-    balls = [f"_B{d}" for d in range(depth + 1)]
-    root = ([f"nonlocal {', '.join(balls)}", "_B0 = {i}"] if balls else []) + mark(per_root, 1)
-    for d in range(1, depth + 1):
-        frontier = "adj[i]" if d == 1 else f"_chain(map(_adj, _B{d - 1} - _B{d - 2}))"
-        root.append(f"_B{d} = _B{d - 1}.union({frontier})")
-    summed = {x for _, fused in plan for xs in fused.values() for x in xs}
+    summed = {x for _, fused, _ in plan for xs in fused.values() for x in xs}
     row = "".join(
         f"_r{x}, " if x in summed else "sum(map({}.__getitem__, {})), ".format(
             "O{}_{}".format(*origins[-1][r.component]),
-            slot[origins[-1][r.component]] if r.weight is None else f"_U{index[r.weight]}",
+            bind(slot[origins[-1][r.component]]) if r.weight is None else f"_U{index[r.weight]}",
         )
         for x, r in enumerate(readouts)
     )
+    balls = [f"_B{d}" for d in range(max(radii) + 1)]
+    root = ([f"nonlocal {', '.join(balls)}", "_B0 = {i}"] if balls else []) + mark(per_root, 1)
+    for d in range(1, len(balls)):
+        frontier = "adj[i]" if d == 1 else f"_chain(map(_adj, _B{d - 1} - _B{d - 2}))"
+        root.append(f"_B{d} = _B{d - 1}.union({frontier})")
     start = [f"{''.join(f'_r{x} = ' for x in sorted(summed))}0"] if summed else []
+    reset = [
+        line
+        for nodes, outs in stored.items() if outs
+        for line in (f"for _k in {nodes}:", *(f"    {o}[_k] = 0" for o in outs))
+    ]
     subgraph = [*start, *body, f"_rows.append(({row}))", *(hook if hooked else []), *reset]
     kernel = ["_rows = []"] + [f"_U{index[x]} = {_SUPPORTS[x]}" for x in per_root if x in index]
     if "is_branch" in index:

@@ -391,3 +391,13 @@ def test_hub_family_matches_the_twins():
     for g in (_regular_with_hub(), _hub_cliques(8, 6)):
         for kind in kinds:
             assert count(kind, g) == oracle.TWINS[kind](g, _HUB_BUDGET), kind
+
+
+@pytest.mark.parametrize("n", [31, 32, 33])
+def test_counts_match_the_twins_around_the_small_graph_floor(n):
+    # below 32 nodes a step that would build a node list runs over every
+    # node (within its cut); from 32 on it builds the list
+    assert E._SPARSE_MIN_NODES == 32
+    for g in (gen_random(n, 0.15, n), gen_random(n, 0.3, n)):
+        for kind in sorted(_PLANS):
+            assert count(kind, g) == oracle.TWINS[kind](g, oracle.DEFAULT_BUDGET), (kind, n)

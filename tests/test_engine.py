@@ -366,21 +366,21 @@ _PLAN_FUSED = {
     "cycle3": "w",
     "cycle4": "w",
     "cycle5": "w",
-    "cycle6": "l l l l c l l",
+    "cycle6": "l s l l c l l",
     "tailed_triangle": "l",
     "chordal_cycle": "l",
     "clique4": "l",
     "triangle_rectangle": "l",
     **{f"walk{n}": "w" for n in range(1, 9)},
 }
-_SUMMED = {"scatter": "s", "weight": "w", "nodes": "l", "columns": "l"}
-
-
 def _fused(spec, hops):
     layout = E._ROOTED_LABELS[spec.mode == "pair"]
     _, cuts = E._radii(spec.program, layout, hops, spec.readouts)
     plan = E._fusion(E._steps(spec.program, layout), cuts, spec.readouts)
-    how = {x: _SUMMED[mode] for mode, fused in plan for xs in fused.values() for x in xs}
+    how = {
+        x: "s" if c in sent else "w" if mode == "weight" else "l"
+        for mode, fused, sent in plan for c, xs in fused.items() for x in xs
+    }
     return " ".join(how.get(x, "c") for x in range(len(spec.readouts)))
 
 
@@ -390,6 +390,86 @@ def test_plan_fused_readouts_are_frozen(kind):
     assert _fused(spec, spec.hops) == _PLAN_FUSED[kind]
     assert _fused(spec, spec.hops + 1) == _PLAN_FUSED[kind]
     assert sorted(_PLAN_FUSED) == sorted(_PLAN_RADII)
+
+
+# Per plan at its own radius and one more, in a kernel without a hook on a
+# graph of 32 nodes or more: the node list each step (init first, steps
+# apart by "|") computes each of its columns over, in column order.  i and
+# j are the root and the branching node, N(x) the neighbors of x, "+" a
+# union, "&B<d>" cuts the whole list to the ball of radius d around the
+# root, B<d> is that ball; ">" marks a column whose messages are sent, "-"
+# one computed nowhere, "()" a step that computes no column.
+_PLAN_NODES = {
+    "path3": "N(i) | N(N(i)) | >",
+    "path4": "N(j) | N(N(j)) | >",
+    "cycle3": "() | N(i)",
+    "cycle4": "N(i) | N(N(i)) | N(i)",
+    "cycle5": "N(j) | N(N(j))&B2 | N(i)",
+    "cycle6": "N(j) N(i) | N(N(i))&B2 N(j)+N(i) N(j) | N(N(j)) | N(j)+N(N(i))&B2 > "
+    "| N(N(i))&B2 N(j) N(j) N(j) N(i)",
+    "tailed_triangle": "N(i) | N(i)",
+    "chordal_cycle": "N(i) | N(j)",
+    "clique4": "N(i) | N(i)",
+    "triangle_rectangle": "N(j) | N(N(j))&B2 | N(i) | N(i)",
+    "walk1": "i | i",
+    "walk2": "i | N(i) | i",
+    "walk3": "i | N(i) | B1 | i",
+    "walk4": "i | N(i) | N(N(i)) | B1 | i",
+    "walk5": "i | N(i) | N(N(i)) | N(N(N(i)))&B2 | B1 | i",
+    "walk6": "i | N(i) | N(N(i)) | N(N(N(i))) | N(N(N(N(i))))&B2 | B1 | i",
+    "walk7": "i | N(i) | N(N(i)) | N(N(N(i))) | N(N(N(N(i))))&B3 | N(N(N(N(N(i))))&B3)&B2 "
+    "| B1 | i",
+    "walk8": "i | N(i) | N(N(i)) | N(N(N(i))) | N(N(N(N(i)))) | N(N(N(N(N(i)))))&B3 "
+    "| N(N(N(N(N(N(i)))))&B3)&B2 | B1 | i",
+}
+_LIST_TEXT = {"is_root": "i", "in_n_root": "N(i)", "is_branch": "j", "in_n_branch": "N(j)"}
+
+
+def _list_text(nodes, layout):
+    if type(nodes) is str:
+        if nodes.startswith("_U"):
+            return _LIST_TEXT[layout[int(nodes[2:])]]
+        return {"_all": "all", "set()": "{}"}.get(nodes, nodes[1:])
+    near, here, cut = nodes
+    parts = [f"N({'+'.join(_list_text(x, layout) for x in near)})"] if near else []
+    parts += [_list_text(x, layout) for x in here]
+    return "+".join(parts) + ("" if cut is None else f"&B{cut}")
+
+
+def _hook_free_layout(prog, readouts, branching, hops):
+    """The walked steps, their cuts, their fusion plan, the units of each
+    step of the kernel without a hook on a graph of 32 nodes or more, and
+    the node list off which each computed column is 0."""
+    layout = E._ROOTED_LABELS[branching]
+    _, cuts = E._radii(prog, layout, hops, readouts)
+    steps = E._steps(prog, layout)
+    plan = E._fusion(steps, cuts, readouts)
+    index = {name: i for i, name in enumerate(layout)}
+    units, slot = E._layout(steps, cuts, plan, False, index, readouts)
+    return steps, cuts, plan, units, slot
+
+
+def _node_lists(spec, hops):
+    branching = spec.mode == "pair"
+    layout = E._ROOTED_LABELS[branching]
+    steps, _, _, units, _ = _hook_free_layout(spec.program, spec.readouts, branching, hops)
+    text = []
+    for step, step_units in zip(steps, units):
+        where = {
+            c: ">" if nodes is None else _list_text(nodes, layout)
+            for nodes, columns in step_units for c in columns
+        }
+        columns = [where.get(c, "-") for c, src in enumerate(step.copies) if src is None]
+        text.append(" ".join(columns) or "()")
+    return " | ".join(text)
+
+
+@pytest.mark.parametrize("kind", sorted(_PLAN_NODES))
+def test_plan_node_lists_are_frozen(kind):
+    spec = _PLANS[kind]
+    assert _node_lists(spec, spec.hops) == _PLAN_NODES[kind]
+    assert _node_lists(spec, spec.hops + 1) == _PLAN_NODES[kind]
+    assert sorted(_PLAN_NODES) == sorted(_PLAN_RADII)
 
 
 def test_a_second_count_compiles_and_analyses_nothing(monkeypatch):
@@ -693,6 +773,81 @@ _PAST_THE_RADIUS = E.MPProgram(
 )
 
 
+# Hand-written pair plans for the node-list rules of kernels without a hook
+# (engine._layout), which every radius 1-3 and every readout weight uses:
+# layer 2 of the first pulls a message for one column and not for the
+# other, over unlike node lists, and the column of layer 1 they both read
+# is computed only over those two lists; layer 1 of the second is cut and
+# sends its second column from the root alone.  The third would send its
+# second column from the root's neighbors, past its cut at radius 1, so
+# there it must pull it.
+_DEMAND_LISTS = E.MPProgram(
+    "demand-lists",
+    (E.LSelf("is_root"), E.LSelf("in_n_root")),
+    (
+        E.Layer((), (E.Self(0) + E.Self(1) + E.LSelf("is_branch"), E.Self(1))),
+        E.Layer(
+            (E.Nbr(1),),
+            (E.LSelf("in_n_root") * E.Self(0) * E.Msg(0), E.LSelf("is_root") * E.Self(0)),
+        ),
+        E.Layer((E.Nbr(0), E.Nbr(1)), (E.LSelf("is_root") * (E.Msg(0) + E.Msg(1)),)),
+    ),
+)
+
+
+def _sent(sender):
+    return E.MPProgram(
+        f"sent-from-{sender}",
+        (E.LSelf("in_n_root"),),
+        (
+            E.Layer(
+                (E.Nbr(0), E.LNbr(sender) * E.Nbr(0)),
+                (E.Msg(0), (1 - E.LSelf("is_branch")) * E.Msg(1)),
+            ),
+            E.Layer((E.Nbr(0),), (E.LSelf("is_root") * E.Msg(0), E.Self(1))),
+        ),
+    )
+
+
+_RULE_PLANS = (
+    (True, _DEMAND_LISTS, (E.Readout(0),)),
+    (True, _sent("is_root"), (E.Readout(0), E.Readout(1))),
+    (True, _sent("in_n_root"), (E.Readout(0), E.Readout(1))),
+)
+
+
+def _rules(branching, prog, readouts, hops):
+    """The node-list rules a kernel without a hook uses: 1, a step that
+    pulls messages computes its columns over unlike node lists; 2, a column
+    is computed over its readers' node lists instead of its own; 3, a cut
+    step sends a column's messages."""
+    steps, cuts, plan, units, slot = _hook_free_layout(prog, readouts, branching, hops)
+    used = set()
+    for s, (step, cut, (mode, _, _), step_units) in enumerate(zip(steps, cuts, plan, units)):
+        lists = {nodes for nodes, _ in step_units if nodes is not None}
+        if step.messages and len(lists) > 1:
+            used.add(1)
+        if mode == "nodes" and not E._scatters(step, cut) and any(
+            nodes not in (None, slot[s, c]) for nodes, columns in step_units for c in columns
+        ):
+            used.add(2)
+        if cut is not None and any(nodes is None for nodes, _ in step_units):
+            used.add(3)
+    return used
+
+
+@pytest.mark.parametrize("hops", [1, 2, 3])
+@pytest.mark.parametrize("weight", [None, *E._ROOTED_LABELS[True]])
+def test_hand_written_plans_use_every_node_list_rule(hops, weight):
+    used = set()
+    for branching, prog, readouts in _RULE_PLANS:
+        for alike in (readouts, tuple(E.Readout(r.component, weight) for r in readouts)):
+            used |= _rules(branching, prog, alike, hops)
+    assert used == {1, 2, 3}
+    spec = _PLANS["cycle6"]  # and so does the 6-cycle plan
+    assert _rules(True, spec.program, spec.readouts, spec.hops) == {1, 2, 3}
+
+
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(
     _rooted_plans(),
@@ -701,6 +856,10 @@ _PAST_THE_RADIUS = E.MPProgram(
     st.integers(0, 2**32),
 )
 @example((True, _PAST_THE_RADIUS, (E.Readout(0, "in_n_branch"),)), 40, 0.08, 3)
+@example(_RULE_PLANS[0], 40, 0.08, 5)
+@example(_RULE_PLANS[1], 48, 0.08, 6)
+@example(_RULE_PLANS[2], 44, 0.08, 8)
+@example((True, _PLANS["cycle6"].program, _PLANS["cycle6"].readouts), 40, 0.1, 7)
 def test_rooted_runs_match_the_reference_on_extracted_egos(plan, n, p, seed):
     # Each plan runs at every radius 1-3 it can, as drawn and with every
     # readout weighted by each label in turn: a weight label's nodes may lie

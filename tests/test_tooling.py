@@ -58,8 +58,10 @@ def test_workload_readme_verdicts_match_distinguish(monkeypatch):
             assert got == want, (tag, label, exact)
 
 
-@pytest.mark.parametrize("name", ["count-regular", "corpus-small"])
+@pytest.mark.parametrize("name", ["count-regular", "corpus-small", "cli-clustered"])
 def test_warm_up_compiles_every_kernel_the_timed_ops_use(monkeypatch, tmp_path, name):
+    # the ops run with one thread, so that every kernel they use is compiled
+    # in this process, where the warm-up must already have compiled it
     workloads = _perfbench_module(monkeypatch, "workloads")
     monkeypatch.setattr(engine, "_KERNELS", {})
     monkeypatch.setattr(engine, "_RADII", {})
