@@ -28,7 +28,7 @@ from . import bench as bench_mod
 from . import counting, generators, oracle, refinement
 from .counting import InsufficientHopsError
 from .engine import ProgramError
-from .extraction import node_deletion
+from .extraction import LABELINGS, node_deletion
 from .graph import (
     GraphFormatError,
     GraphValidationError,
@@ -36,8 +36,6 @@ from .graph import (
     iter_graph6,
     load_graph,
 )
-
-REPORT_SCHEMA_VERSION = 1
 
 _COUNT_KINDS = sorted(counting._PLANS) + sorted(counting.KIND_ALIASES)
 _ORACLE_KINDS = sorted(oracle.TWINS) + sorted(counting.KIND_ALIASES)
@@ -277,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("--policy", choices=("ego", "node_deletion"), default="ego")
     p_dist.add_argument("--hops", type=int, default=None,
                         help="subgraph radius (default: 3 for subgraph_wl, 1 for i2_wl)")
-    p_dist.add_argument("--labeling", choices=("identity", "spd"), default="identity")
+    p_dist.add_argument("--labeling", choices=LABELINGS, default="identity")
     p_dist.add_argument("--exact-compare", action="store_true",
                         help="joint refinement instead of digest comparison")
     p_dist.add_argument("--corpus", action="store_true",

@@ -353,10 +353,7 @@ _PHASES = ("extraction", "message_passing", "readout")
 
 
 def _rooted_run(spec: KindSpec, g: Graph, hops: int, hook=None) -> RootedRun:
-    return RootedRun(
-        spec.program, g.adjacency, hops, spec.readouts, spec.mode == "pair",
-        g.edge_attr_rows, hook,
-    )
+    return RootedRun(spec.program, g.adjacency, hops, spec.readouts, spec.mode == "pair", hook)
 
 
 def _timed_values(
@@ -478,6 +475,7 @@ def count_walks(g: Graph, length: int, i: int, j: int) -> int:
     """Number of length-L walks from i to j, propagated over the whole graph."""
     if length < 1:
         raise ValueError("walk length must be >= 1")
+    g._check_node(j)
     sub = identity_labeled_graph(g, i)
     return run_program(sub, _walk_program(length))[0][j]
 

@@ -31,21 +31,21 @@ Which nodes a step computes.  An expression's witness is a set of reads
 neighbor) such that the expression is 0 wherever all of them are: ``Self``,
 ``Nbr``, ``LSelf`` and ``LNbr`` are their own witness, ``Msg`` has its
 message's, ``Const(0)`` the empty one; ``Add``, ``Sub`` and ``IsPos`` join
-their operands', ``Mul`` keeps the operand of least reach; ``IsZero``, edge
-attributes and other constants have none.  A step whose computed updates
-all have one runs only over the nodes where a source of its witness is
-nonzero, plus their neighbors for sources read across an edge; every other
-node keeps 0.  Each column and each label keeps the node list it is nonzero
-on, so this costs no scan of a column.  A node list is a set expression
-over the labels' lists, the adjacency and the root's balls, never over a
-state, so each one is built once per subgraph, where it is first used.
+their operands', ``Mul`` keeps the operand of least reach; ``IsZero`` and
+nonzero constants have none.  A step whose computed updates all have one
+runs only over the nodes where a source of its witness is nonzero, plus
+their neighbors for sources read across an edge; every other node keeps 0.
+Each column and each label keeps the node list it is nonzero on, so this
+costs no scan of a column.  A node list is a set expression over the
+labels' lists, the adjacency and the root's balls, never over a state, so
+each one is built once per subgraph, where it is first used.
 
 On a rooted subgraph the program runs on the parent graph's own adjacency,
 with nothing extracted, and the subgraph radius bounds the work instead.
 The reach of a column is how far from the root it can be nonzero: labels
 ``is_root`` 0, ``in_n_root`` 1, ``is_branch`` 1, ``in_n_branch`` 2; ``Mul``
 takes the smaller reach, ``Add`` and ``Sub`` the larger, reads across an
-edge add one; ``IsZero``, edge attributes and nonzero constants are
+edge add one; ``IsZero`` and nonzero constants are
 unbounded.  Its demand is how far out a later step or a readout reads it
 (``_radii``).  A step computes within min(reach, demand), the radius R, and
 is cut to R, using the root's BFS ball, when its sources could reach
@@ -103,15 +103,14 @@ each subgraph's readout row; ``run`` (path2, ``count_walks``) runs the same
 step code once over given labels.  Each state column is a node-indexed
 buffer named after the step and column that computed it (``_origins``);
 each node list is chosen by the rules above when the kernel is generated;
-after each subgraph the kernel zeroes what it wrote.  A step
-scatters its messages (``_scatters``) when it has no cut, reads no edge
-attribute, and its sources cover the witness of each message: every message
-is added from the nodes where a sender-side read of its witness is nonzero
-into its neighbors' message buffers, then pulled only at the nodes where a
-receiver-side read is nonzero, from the neighbors not scattered from.  A
-scatter walks each edge from its sender, so it needs a symmetric adjacency,
-and would read an edge attribute from the wrong end.  Every other step
-pulls each message at each node that computes a column reading it.
+after each subgraph the kernel zeroes what it wrote.  A step scatters its
+messages (``_scatters``) when it has no cut and its sources cover the
+witness of each message: every message is added from the nodes where a
+sender-side read of its witness is nonzero into its neighbors' message
+buffers, then pulled only at the nodes where a receiver-side read is
+nonzero, from the neighbors not scattered from.  A scatter walks each edge
+from its sender, so it needs a symmetric adjacency.  Every other step pulls
+each message at each node that computes a column reading it.
 
 Readouts are summed where they are computed.  In a rooted kernel without a
 hook, a column that no later step reads is not stored: each readout of it
@@ -130,18 +129,7 @@ sender, of reach below the cut, so that every receiver it reaches lies
 within the cut: cycle6's layer 3 column 1, sent from the root's neighbors.
 A kernel with a hook stores every column over one node list per step, so
 that the hook sees whole states: ``count_path4_edge``, the per-step parity
-tests and the node evaluation counts run on it.  Per-column and demand
-lists and sends under a cut took cycle6's kernel time (message passing in
-``count(timings=...)``, best of 9, best of 5 on the lattice, both versions
-alternated in one process) from 161 to 107 ms on the regular graph and from
-861 to 586 ms on the lattice.  Summing readouts where they are computed had
-taken serial CPU ms of each kind, best of 9 (best of 5 on the lattice) with
-the previous version in the same process, alternating, on a shared 2-core
-host, before / after, on
-``gen_random_regular(1000, 4, 7)``: all kinds 572 / 421, path4 121 / 62,
-path3 29.3 / 15.3, cycle6 255 / 214, walk4 19.5 / 11.1, cycle5 43.0 / 37.0;
-on the rewired ring lattice above: all 2657 / 1979, path4 551 / 345,
-cycle6 1110 / 973, cycle5 305 / 201, triangle_rectangle 315 / 216.
+tests and the node evaluation counts run on it.
 """
 
 from __future__ import annotations
@@ -232,11 +220,6 @@ class LNbr(Expr):
     """Label component of the sending neighbor (messages only)."""
 
     name: str
-
-
-@dataclass(frozen=True)
-class EdgeAttr(Expr):
-    """Attribute of the (receiver, sender) edge; 0 when the graph has none."""
 
 
 @dataclass(frozen=True)
@@ -371,7 +354,6 @@ _LEAVES = {
     Msg: ("M", "_m{}", "m{}", ("update", "message sums are"), "message", None),
     LSelf: ("L", "L{}[_k]", "self.{}", None, None, 0),
     LNbr: ("L", "L{}[_l]", "nbr.{}", ("message", "neighbor labels are"), None, 1),
-    EdgeAttr: ("ea", "ea", "edge_attr", ("message", "edge attributes are"), None, None),
 }
 
 
@@ -413,7 +395,7 @@ def _visit(
     elif kind is Msg:
         witness = messages[args[0]]
     else:
-        witness = frozenset({(var, args[0], hop)}) if hop is not None else None
+        witness = frozenset({(var, args[0], hop)})
     if var == "L":
         return py.format(layout.get(args[0])), text.format(*args), witness
     return py.format(*args), text.format(*args), witness
@@ -621,14 +603,12 @@ def _radii(prog: MPProgram, layout: tuple[str, ...], hops: int, readouts: tuple)
 def _scatters(step: _Step, cut: int | None) -> bool:
     """Whether a step scatters its messages from their senders instead of
     pulling them at each node it computes: it computes a column, has no cut,
-    reads no edge attribute (a scatter reads each edge from the sender's
-    end), and the step's sources cover each message's witness, so that every
+    and the step's sources cover each message's witness, so that every
     message sum that can be nonzero lies on a node it computes."""
     return (
         bool(step.messages)
         and None in step.copies
         and cut is None
-        and not any(r[0] == "ea" for r in step.reads)
         and all(
             m[2] is not None and (step.sources is None or m[2] <= step.sources)
             for m in step.messages
@@ -687,7 +667,6 @@ def _fusion(steps: Sequence[_Step], cuts, readouts) -> list[tuple[str, dict, lis
                 sent = [
                     c for c, m in zip(summed, messages)
                     if m and m[2] is not None and all(hop == 1 for *_, hop in m[2])
-                    and not any(r[0] == "ea" for r in m[3])
                     and _reach(m[2], steps[s - 1].reach, sender=True) < cut
                 ]
         plan.append((mode, fused, sent))
@@ -801,12 +780,7 @@ def _pull(step: _Step, reads: set) -> list:
     messages = sorted(r[1] for r in reads if r[0] == "M")
     if not messages:
         return []
-    lines = [f"    _m{m} = 0" for m in messages]
-    if any(r[0] == "ea" for r in reads):
-        lines += ["    _er = _E[_k]", "    for _x, _l in enumerate(adj[_k]):"]
-        lines.append("        ea = _er[_x]")
-    else:
-        lines.append("    for _l in adj[_k]:")
+    lines = [*(f"    _m{m} = 0" for m in messages), "    for _l in adj[_k]:"]
     return lines + [f"        _m{m} += {step.messages[m][0]}" for m in messages]
 
 
@@ -935,7 +909,6 @@ def _generate(prog: MPProgram, layout: tuple, cuts, small: bool, readouts, hooke
             body, buffers, shown[s] = body + lines, buffers + outs + used, name
             # a loop over every node rewrites every node
             stored.setdefault(name, []).extend(outs if name != "_all" else [])
-    edges = any(r[0] == "ea" for step in steps for r in step.reads)
     marked = sorted({index[r[1]] for step in steps for r in step.reads if r[0] == "L"} | weighted)
     states = "".join(
         f"(({''.join('O{}_{}, '.format(*o) for o in origin)}), {shown[s]}), "
@@ -943,11 +916,10 @@ def _generate(prog: MPProgram, layout: tuple, cuts, small: bool, readouts, hooke
     )
     hook = ["if hook is not None:", f"    hook(j, ({states}))"]
     setup = ["n = len(adj)", "_all = range(n)", "_adj = adj.__getitem__"]
-    setup += ["_E = _edge_rows(adj, eattrs)"] if edges else []
     setup += [f"L{i} = labels[{layout[i]!r}]" for i in marked]
     setup += [f"{name} = [0] * n" for name in buffers]
     if readouts is None:
-        lines = ["def _run(adj, labels, eattrs, supports, hook):", *_indent(setup, 1)]
+        lines = ["def _run(adj, labels, supports, hook):", *_indent(setup, 1)]
         if layout:
             lines.append(f"    {''.join(f'_U{i}, ' for i in range(len(layout)))}= supports")
         final = "".join("O{}_{}, ".format(*o) for o in origins[-1])
@@ -995,9 +967,8 @@ def _generate(prog: MPProgram, layout: tuple, cuts, small: bool, readouts, hooke
         f"{x}={x}"
         for x in ["adj", "_adj", "_all", *(["hook"] if hooked else [])]
         + [*(f"L{i}" for i in marked), *buffers]
-        + (["_E"] if edges else [])
     )
-    lines = ["def _make(adj, labels, eattrs, hook):", *_indent(setup, 1)]
+    lines = ["def _make(adj, labels, hook):", *_indent(setup, 1)]
     lines += [f"    {x} = None" for x in balls]
     lines += ["    def _root(i):", *_indent(root or ["pass"], 2)]
     lines += [f"    def _kernel(i, {bound}):", *_indent(kernel, 2)]
@@ -1005,14 +976,8 @@ def _generate(prog: MPProgram, layout: tuple, cuts, small: bool, readouts, hooke
     return _exec(lines, "_make")
 
 
-def _edge_rows(adjacency, edge_attrs) -> list:
-    """One attribute per directed edge, 0 where the edge has none."""
-    rows = edge_attrs or [(None,) * len(row) for row in adjacency]
-    return [tuple(0 if v is None else v for v in row) for row in rows]
-
-
 def _exec(lines: list, name: str):
-    namespace = {"_chain": chain.from_iterable, "_edge_rows": _edge_rows}
+    namespace = {"_chain": chain.from_iterable}
     exec("\n".join(lines), namespace)
     return namespace[name]
 
@@ -1027,14 +992,14 @@ def _kernel(
     """The kernel factory of one plan, generated once per (program, label
     layout, cuts, small-graph flag, readouts, hooked).
 
-    For a rooted run (``readouts`` a tuple), ``make(adj, labels, eattrs,
-    hook)`` allocates the run's buffers and returns ``(root, kernel)``:
+    For a rooted run (``readouts`` a tuple), ``make(adj, labels, hook)``
+    allocates the run's buffers and returns ``(root, kernel)``:
     ``root(i)`` sets root i's labels and balls, and ``kernel(i)`` runs its
     subgraphs and returns their readout rows.  ``labels`` holds one
     node-indexed 0/1 buffer per label, all 0.  For a plain run
-    (``readouts`` None, no cuts), ``run(adj, labels, eattrs, supports,
-    hook)`` runs once over the given label columns, with the nonzero nodes
-    of each in ``supports``, and returns the final state.
+    (``readouts`` None, no cuts), ``run(adj, labels, supports, hook)`` runs
+    once over the given label columns, with the nonzero nodes of each in
+    ``supports``, and returns the final state.
 
     ``hook(j, steps)``, unless None, is called after each subgraph with its
     branching node (None without one) and, per step (init first), the state
@@ -1056,15 +1021,9 @@ def run(
     prog: MPProgram,
     adjacency: Sequence[Sequence[int]],
     labels: Mapping[str, Sequence[int]],
-    edge_attrs: Sequence[Sequence[int]] | None = None,
 ) -> tuple[list[int], ...]:
     """Run a program over raw (adjacency, labels) and return the final state:
-    one column per component, one entry per node (``state[c][k]``).
-
-    ``edge_attrs``, when given, must be aligned with ``adjacency`` (one value
-    per directed edge); programs that never read edge attributes ignore it,
-    and those that do read 0 on every edge when it is None.
-    """
+    one column per component, one entry per node (``state[c][k]``)."""
     layout = tuple(sorted(labels))
     n = len(adjacency)
     make = _kernel(prog, layout, None, n < _SPARSE_MIN_NODES, None, False)
@@ -1074,7 +1033,7 @@ def run(
                 f"label {name!r} has {len(labels[name])} entries for {n} nodes"
             )
     supports = [list(compress(range(n), labels[name])) for name in layout]
-    return make(adjacency, labels, edge_attrs, supports, None)
+    return make(adjacency, labels, supports, None)
 
 
 class RootedRun:
@@ -1100,7 +1059,6 @@ class RootedRun:
         hops: int,
         readouts: Sequence[Readout],
         branching: bool,
-        edge_attrs: Sequence[Sequence[int | None]] | None = None,
         hook=None,
     ) -> None:
         names = _ROOTED_LABELS[branching]
@@ -1114,7 +1072,7 @@ class RootedRun:
         small = len(adjacency) < _SPARSE_MIN_NODES
         make = _kernel(prog, names, cuts, small, readouts, hook is not None)
         labels = {name: [0] * len(adjacency) for name in names}
-        self.root, self.kernel = make(adjacency, labels, edge_attrs, hook)
+        self.root, self.kernel = make(adjacency, labels, hook)
 
     def rows(self, i: int) -> list[tuple[int, ...]]:
         self.root(i)
@@ -1123,7 +1081,7 @@ class RootedRun:
 
 def run_program(sub: "RootedSubgraph", prog: MPProgram) -> tuple[list[int], ...]:
     """Run a program on one rooted subgraph (final state columns)."""
-    return run(prog, sub.adj, sub.labels, sub.edge_attrs)
+    return run(prog, sub.adj, sub.labels)
 
 
 def apply_readout(

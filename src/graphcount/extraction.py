@@ -60,7 +60,6 @@ class RootedSubgraph:
     nodes: tuple[int, ...]
     adj: tuple[tuple[int, ...], ...]
     labels: dict[str, tuple[int, ...]]
-    edge_attrs: tuple[tuple[int, ...], ...] | None = None
 
 
 def _bfs_limited(g: Graph, source: int, hops: int | None) -> dict[int, int]:
@@ -83,22 +82,6 @@ def _bfs_limited(g: Graph, source: int, hops: int | None) -> dict[int, int]:
 def _induced_adj(g: Graph, nodes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     index = {p: i for i, p in enumerate(nodes)}
     return tuple([tuple([index[q] for q in g.adjacency[p] if q in index]) for p in nodes])
-
-
-def _edge_attr_rows(
-    g: Graph, nodes: tuple[int, ...]
-) -> tuple[tuple[int, ...], ...] | None:
-    if g.edge_attr_rows is None:
-        return None
-    members = set(nodes)
-    return tuple(
-        tuple(
-            0 if val is None else val
-            for q, val in zip(g.adjacency[p], g.edge_attr_rows[p])
-            if q in members
-        )
-        for p in nodes
-    )
 
 
 def _indicator(nodes: tuple[int, ...], marked) -> tuple[int, ...]:
@@ -150,7 +133,6 @@ def extract_rooted(
         nodes=nodes,
         adj=_induced_adj(g, nodes),
         labels=labels,
-        edge_attrs=_edge_attr_rows(g, nodes),
     )
 
 
@@ -174,7 +156,6 @@ def with_branching(g: Graph, sub: RootedSubgraph, branching: int) -> RootedSubgr
         nodes=sub.nodes,
         adj=sub.adj,
         labels=labels,
-        edge_attrs=sub.edge_attrs,
     )
 
 
@@ -210,5 +191,4 @@ def identity_labeled_graph(g: Graph, root: int) -> RootedSubgraph:
         nodes=nodes,
         adj=g.adjacency,
         labels=_base_labels(g, nodes, root),
-        edge_attrs=_edge_attr_rows(g, nodes),
     )

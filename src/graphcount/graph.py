@@ -28,35 +28,23 @@ class GraphValidationError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """A simple undirected graph with optional integer attributes.
+    """A simple undirected graph with optional integer node attributes.
 
-    ``adjacency[i]`` is the sorted tuple of neighbors of node ``i``, and
-    ``edge_attr_rows[i]``, derived from ``edge_attrs``, holds the attribute
-    of each of those edges (None where an edge has none).  The structure is
-    immutable after construction and safe to share across worker processes.
+    ``adjacency[i]`` is the sorted tuple of neighbors of node ``i``.  The
+    structure is immutable after construction and safe to share across
+    worker processes.
     """
 
     adjacency: tuple[tuple[int, ...], ...]
     node_attrs: tuple[tuple[int, ...], ...] | None = None
-    edge_attrs: tuple[tuple[int, int, int], ...] | None = None
     _nbr_sets: tuple[frozenset[int], ...] = field(
         init=False, repr=False, compare=False, default=()
-    )
-    edge_attr_rows: tuple[tuple[int | None, ...], ...] | None = field(
-        init=False, repr=False, compare=False, default=None
     )
 
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "_nbr_sets", tuple(frozenset(nbrs) for nbrs in self.adjacency)
         )
-        if self.edge_attrs is not None:
-            lookup = {(u, v): val for u, v, val in self.edge_attrs}
-            rows = tuple(
-                tuple(lookup.get((u, v) if u < v else (v, u)) for v in nbrs)
-                for u, nbrs in enumerate(self.adjacency)
-            )
-            object.__setattr__(self, "edge_attr_rows", rows)
 
     @property
     def node_count(self) -> int:
@@ -86,13 +74,6 @@ class Graph:
                 if u < v:
                     yield (u, v)
 
-    def edge_attr(self, u: int, v: int) -> int | None:
-        if self.edge_attr_rows is None or not 0 <= u < len(self.adjacency):
-            return None
-        if v not in self._nbr_sets[u]:
-            return None
-        return self.edge_attr_rows[u][self.adjacency[u].index(v)]
-
     def _check_node(self, i: int) -> None:
         if not 0 <= i < len(self.adjacency):
             raise GraphValidationError(
@@ -105,7 +86,6 @@ def from_edges(
     n: int,
     edges: Iterable[tuple[int, int]],
     node_attrs: Sequence[Sequence[int]] | None = None,
-    edge_attrs: dict[tuple[int, int], int] | None = None,
 ) -> Graph:
     """Build a validated canonical Graph from an edge iterable.
 
@@ -132,16 +112,7 @@ def from_edges(
         if len(node_attrs) != n:
             raise GraphValidationError("node_attrs length does not match node count")
         attrs = tuple(tuple(int(x) for x in row) for row in node_attrs)
-    eattrs = None
-    if edge_attrs is not None:
-        rows = []
-        for (u, v), val in edge_attrs.items():
-            key = (u, v) if u < v else (v, u)
-            if key not in seen:
-                raise GraphValidationError(f"edge attribute on missing edge {key}")
-            rows.append((key[0], key[1], int(val)))
-        eattrs = tuple(sorted(rows))
-    return Graph(tuple(tuple(sorted(x)) for x in nbrs), attrs, eattrs)
+    return Graph(tuple(tuple(sorted(x)) for x in nbrs), attrs)
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +263,7 @@ def permute(g: Graph, perm: Sequence[int]) -> Graph:
         for i in range(n):
             rows[perm[i]] = g.node_attrs[i]
         attrs = rows
-    eattrs = None
-    if g.edge_attrs is not None:
-        eattrs = {(perm[u], perm[v]): val for u, v, val in g.edge_attrs}
-    return from_edges(n, edges, node_attrs=attrs, edge_attrs=eattrs)
+    return from_edges(n, edges, node_attrs=attrs)
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
@@ -305,8 +273,4 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     off = g1.node_count
     edges = list(g1.edges()) + [(u + off, v + off) for u, v in g2.edges()]
     attrs = None if g1.node_attrs is None else g1.node_attrs + g2.node_attrs
-    eattrs = None
-    if g1.edge_attrs is not None or g2.edge_attrs is not None:
-        eattrs = {(u, v): val for u, v, val in g1.edge_attrs or ()}
-        eattrs.update({(u + off, v + off): val for u, v, val in g2.edge_attrs or ()})
-    return from_edges(off + g2.node_count, edges, node_attrs=attrs, edge_attrs=eattrs)
+    return from_edges(off + g2.node_count, edges, node_attrs=attrs)

@@ -137,8 +137,6 @@ def _row_source(e) -> str:
         return f"M[{e.index}]"
     if kind in (engine.LSelf, engine.LNbr):
         return f"L[{e.name!r}][{'k' if kind is engine.LSelf else 'l'}]"
-    if kind is engine.EdgeAttr:
-        return "ea"
     if kind is engine.IsZero:
         return f"int({_row_source(e.a)} == 0)"
     if kind is engine.IsPos:
@@ -151,29 +149,28 @@ def _row_functions(prog) -> tuple:
     """Per step (init first), one function per message and per update."""
 
     def functions(exprs):
-        return [eval(f"lambda k, l, H, L, M, ea: {_row_source(e)}") for e in exprs]
+        return [eval(f"lambda k, l, H, L, M: {_row_source(e)}") for e in exprs]
 
     steps = [engine.Layer((), prog.init), *prog.layers]
     return tuple((functions(x.message), functions(x.update)) for x in steps)
 
 
-def reference_states(prog, adjacency, labels, edge_attrs=None) -> list[list[tuple]]:
+def reference_states(prog, adjacency, labels) -> list[list[tuple]]:
     """A dense interpreter, independent of the engine's generated kernels:
     per step (init first), the state of ``prog`` as one row per node, every
     step evaluated at every node and on every edge."""
     n = len(adjacency)
     (_, init), *layers = _row_functions(prog)
-    H = [tuple(f(k, None, (), labels, (), 0) for f in init) for k in range(n)]
+    H = [tuple(f(k, None, (), labels, ()) for f in init) for k in range(n)]
     states = [H]
     for messages, updates in layers:
         new = []
         for k in range(n):
             M = [0] * len(messages)
-            for x, l in enumerate(adjacency[k]):
-                ea = edge_attrs[k][x] if edge_attrs is not None else 0
+            for l in adjacency[k]:
                 for i, f in enumerate(messages):
-                    M[i] += f(k, l, H, labels, (), ea)
-            new.append(tuple(f(k, None, H, labels, M, 0) for f in updates))
+                    M[i] += f(k, l, H, labels, ())
+            new.append(tuple(f(k, None, H, labels, M) for f in updates))
         H = new
         states.append(H)
     return states

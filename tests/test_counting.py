@@ -32,7 +32,13 @@ from graphcount.generators import (
     gen_random_regular,
     gen_star,
 )
-from graphcount.graph import disjoint_union, from_edges, permute, shortest_path_distances
+from graphcount.graph import (
+    GraphValidationError,
+    disjoint_union,
+    from_edges,
+    permute,
+    shortest_path_distances,
+)
 
 PAW = from_edges(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
 DIAMOND = from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
@@ -133,6 +139,12 @@ def test_walk_examples():
     assert count_walks(gen_cycle(4), 5, 0, 0) == 0
     with pytest.raises(ValueError):
         count_walks(gen_path(2), 0, 0, 0)
+    # an endpoint out of range is rejected, not read from the end or past it
+    path = from_edges(3, [(0, 1), (1, 2)])
+    for j in (-1, 5):
+        for walks in (count_walks, oracle.oracle_walks):
+            with pytest.raises(GraphValidationError):
+                walks(path, 2, 0, j)
 
 
 def test_walk_is_not_path_counting():

@@ -1,11 +1,13 @@
 import random
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, reject, settings
+from hypothesis import Phase, example, find, given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    _row_source,
     assert_states_match_ego,
     ego_mask_program,
     random_permutation,
@@ -23,7 +25,7 @@ from graphcount.generators import (
     gen_random,
     gen_star,
 )
-from graphcount.graph import disjoint_union, from_edges, permute, shortest_path_distances
+from graphcount.graph import disjoint_union, permute, shortest_path_distances
 from graphcount.oracle import oracle_paths
 
 
@@ -117,8 +119,6 @@ def _one_layer(message, update, init=(E.Const(0),)):
          "neighbor state is only visible in message expressions"),
         (_one_layer((), (E.LNbr("is_root"),)), E.ProgramError,
          "neighbor labels are only visible in message expressions"),
-        (_one_layer((), (E.EdgeAttr(),)), E.ProgramError,
-         "edge attributes are only visible in message expressions"),
         (_one_layer((E.Msg(0),), (E.Msg(0),)), E.ProgramError,
          "message sums are only visible in update expressions"),
         (E.MPProgram("bad", init=(E.Msg(0),), layers=()), E.ProgramError,
@@ -148,7 +148,7 @@ def _one_layer(message, update, init=(E.Const(0),)):
         ),
     ],
     ids=[
-        "nbr-in-update", "lnbr-in-update", "edge-attr-in-update", "msg-in-message",
+        "nbr-in-update", "lnbr-in-update", "msg-in-message",
         "msg-in-init", "self-in-init", "self-out-of-width", "self-over-empty-init",
         "nbr-out-of-width", "msg-out-of-width", "unknown-node", "empty-update",
         "missing-labels",
@@ -159,19 +159,6 @@ def test_width_and_context_validation(prog, error, message):
         E.run(prog, ((),), {"is_root": (1,)})
     assert type(info.value) is error
     assert str(info.value) == message
-
-
-def test_edge_attributes_in_messages():
-    g = from_edges(
-        3, [(0, 1), (1, 2), (0, 2)], edge_attrs={(0, 1): 5, (1, 2): 7, (0, 2): 11}
-    )
-    prog = E.MPProgram(
-        "edge-weight-sum",
-        init=(),
-        layers=(E.Layer(message=(E.EdgeAttr(),), update=(E.Msg(0),)),),
-    )
-    sub = identity_labeled_graph(g, 0)
-    assert E.run_program(sub, prog)[0] == [16, 12, 18]
 
 
 def test_exact_div():
@@ -207,15 +194,6 @@ def test_program_text_is_frozen(prog):
 
 def test_frozen_program_text_covers_every_program():
     assert sorted(_FROZEN_TEXT) == sorted(f"program {p.name}" for p in _audited_programs())
-
-
-def test_edge_attr_reads_zero_without_edge_attributes():
-    prog = E.MPProgram(
-        "ea", (E.Const(1),), (E.Layer((E.EdgeAttr(),), (E.Msg(0),)),)
-    )
-    assert E.run(prog, ((1,), (0,)), {}) == ([0, 0],)
-    sub = extract_rooted(gen_cycle(4), 0, ego(1))
-    assert E.run_program(sub, prog) == ([0] * len(sub.nodes),)
 
 
 def test_label_and_weight_lengths_must_match():
@@ -575,7 +553,7 @@ def test_sparse_rule():
 _LABELS = ("a", "is_root", "mark")
 
 
-def _exprs(state_w: int, ctx: str, msg_w: int = 0, labels=_LABELS, edges=True):
+def _exprs(state_w: int, ctx: str, msg_w: int = 0, labels=_LABELS):
     leaves = [
         st.builds(E.Const, st.sampled_from((0, 0, 1, 2, -1))),
         st.builds(E.LSelf, st.sampled_from(labels)),
@@ -584,7 +562,6 @@ def _exprs(state_w: int, ctx: str, msg_w: int = 0, labels=_LABELS, edges=True):
         leaves.append(st.builds(E.Self, st.integers(0, state_w - 1)))
     if ctx == "message":
         leaves += [st.builds(E.LNbr, st.sampled_from(labels))]
-        leaves += [st.just(E.EdgeAttr())] if edges else []
         if state_w:
             leaves.append(st.builds(E.Nbr, st.integers(0, state_w - 1)))
     if msg_w:
@@ -633,9 +610,8 @@ def _programs(draw):
     st.integers(40, 60),
     st.sampled_from((0.04, 0.08, 0.2)),
     st.integers(0, 2**32),
-    st.booleans(),
 )
-def test_engine_matches_reference_interpreter(prog, n, p, seed, with_attrs):
+def test_engine_matches_reference_interpreter(prog, n, p, seed):
     rng = random.Random(seed)
     adjacency = gen_random(n, p, seed).adjacency
     root = rng.randrange(n)
@@ -645,11 +621,26 @@ def test_engine_matches_reference_interpreter(prog, n, p, seed, with_attrs):
         "is_root": tuple(int(k == root) for k in range(n)),
         "mark": tuple(int(k in marked) for k in range(n)),
     }
-    edge_attrs = None
-    if with_attrs:
-        edge_attrs = [tuple(rng.randint(-2, 3) for _ in row) for row in adjacency]
-    rows = reference_states(prog, adjacency, labels, edge_attrs)[-1]
-    assert E.run(prog, adjacency, labels, edge_attrs) == tuple(map(list, zip(*rows)))
+    rows = reference_states(prog, adjacency, labels)[-1]
+    assert E.run(prog, adjacency, labels) == tuple(map(list, zip(*rows)))
+
+
+def _node_types(e):
+    yield type(e)
+    if type(e) in E._OPERATORS:
+        for f in fields(e):
+            yield from _node_types(getattr(e, f.name))
+
+
+def test_reference_and_strategies_cover_every_node_type():
+    # the differential tests check a node type only if the reference
+    # interpreter has a form for it and the strategies can draw it
+    sample = {"int": 1, "str": "a", "Expr": E.Const(2)}
+    drawn = st.one_of(_exprs(2, "message"), _exprs(2, "update", 1))
+    unshrunk = settings(derandomize=True, phases=[Phase.generate])
+    for kind in (*E._LEAVES, *E._OPERATORS):
+        assert isinstance(_row_source(kind(*(sample[f.type] for f in fields(kind)))), str)
+        find(drawn, lambda e: kind in set(_node_types(e)), settings=unshrunk)
 
 
 @st.composite
@@ -657,14 +648,13 @@ def _rooted_plans(draw):
     """A random program for a rooted run, with its readouts.  Each init is
     gated on an identity label, and most messages and every update on a read
     at the sender, the receiver or both, so that most programs have bounded
-    reach and most steps a witness.  Most layers read no edge attribute and
-    sum every message in one update, or one message times a receiver-side
-    coefficient, so that many steps scatter.  Half the last layers send one
-    gated message, read no edge attribute and take the second form, which
-    every readout reads, so that many readouts can be summed as the messages
-    are sent.  Half the other last layers gate each update on a label
-    (column 0 on in_n_branch in a pair plan), so that a column can be
-    nonzero where its label reaches past the radius."""
+    reach and most steps a witness.  Most layers sum every message in one
+    update, or one message times a receiver-side coefficient, so that many
+    steps scatter.  Half the last layers send one gated message and take the
+    second form, which every readout reads, so that many readouts can be
+    summed as the messages are sent.  Half the other last layers gate each
+    update on a label (column 0 on in_n_branch in a pair plan), so that a
+    column can be nonzero where its label reaches past the radius."""
     branching = draw(st.booleans())
     names = E._ROOTED_LABELS[branching]
     label = st.sampled_from(names)
@@ -677,8 +667,7 @@ def _rooted_plans(draw):
         column = st.integers(0, width - 1)
         sender = st.one_of(st.builds(E.Nbr, column), st.builds(E.LNbr, label))
         receiver = st.one_of(st.builds(E.Self, column), st.builds(E.LSelf, label))
-        edges = not sent and draw(st.sampled_from((False, False, True)))
-        message = _exprs(width, "message", 0, names, edges)
+        message = _exprs(width, "message", 0, names)
         messages = []
         for _ in range(1 if sent else draw(st.integers(0, 3))):
             e = draw(message)
@@ -718,7 +707,7 @@ def _rooted_plans(draw):
     return branching, E.MPProgram("random-rooted", init, tuple(layers)), readouts
 
 
-def _assert_rooted_run_matches(g, attrs, sample, branching, prog, readouts, hops):
+def _assert_rooted_run_matches(g, sample, branching, prog, readouts, hops):
     """Every root's readout rows from a ``RootedRun`` without a hook equal
     those of one with a hook, and at the ``sample`` roots these equal the
     reference interpreter's on the extracted egos, whose per-step states
@@ -731,9 +720,9 @@ def _assert_rooted_run_matches(g, attrs, sample, branching, prog, readouts, hops
         if watched:
             seen[j] = [[list(column) for column in state] for state, _ in states]
 
-    runner = E.RootedRun(prog, adjacency, hops, readouts, branching, attrs, record)
+    runner = E.RootedRun(prog, adjacency, hops, readouts, branching, record)
     # without a hook, readout-only columns are summed where they are computed
-    plain = E.RootedRun(prog, adjacency, hops, readouts, branching, attrs)
+    plain = E.RootedRun(prog, adjacency, hops, readouts, branching)
     layout = E._ROOTED_LABELS[branching]
     steps = E._steps(prog, layout)
     within, _ = E._radii(prog, layout, hops, readouts)
@@ -745,15 +734,11 @@ def _assert_rooted_run_matches(g, attrs, sample, branching, prog, readouts, hops
         if not watched:
             continue
         base = extract_rooted(g, i, ego(hops))
-        inside = set(base.nodes)
-        base_attrs = [
-            tuple(a for q, a in zip(adjacency[k], attrs[k]) if q in inside) for k in base.nodes
-        ]
         dist = shortest_path_distances(g, i)
         want = []
         for j in adjacency[i] if branching else (None,):
             sub = base if j is None else with_branching(g, base, j)
-            states = reference_states(prog, sub.adj, sub.labels, base_attrs)
+            states = reference_states(prog, sub.adj, sub.labels)
             assert_states_match_ego(seen[j], states, sub.nodes, dist, steps, within, (i, j))
             weights = [sub.labels.get(r.weight, (1,) * len(sub.nodes)) for r in readouts]
             want.append(tuple(
@@ -761,6 +746,22 @@ def _assert_rooted_run_matches(g, attrs, sample, branching, prog, readouts, hops
                 for r, weight in zip(readouts, weights)
             ))
         assert rows == want, (hops, i)
+
+
+# A pair plan whose readouts are summed as its last step scatters: its
+# message is nonzero from the root's neighbors and at the branching node, so
+# the kernel sends it from the first and pulls it at the second, times a
+# coefficient at the receiver.
+_SCATTER_SUMMED = E.MPProgram(
+    "scatter-summed",
+    (E.LSelf("in_n_root") * 2, E.LSelf("is_branch")),
+    (
+        E.Layer(
+            (E.Nbr(0) * E.LNbr("in_n_branch") + E.Self(1) * E.Nbr(0),),
+            ((1 - E.Self(0)) * E.Msg(0),),
+        ),
+    ),
+)
 
 
 # A pair plan whose last column is nonzero on every neighbor of the branching
@@ -856,6 +857,7 @@ def test_hand_written_plans_use_every_node_list_rule(hops, weight):
     st.integers(0, 2**32),
 )
 @example((True, _PAST_THE_RADIUS, (E.Readout(0, "in_n_branch"),)), 40, 0.08, 3)
+@example((True, _SCATTER_SUMMED, (E.Readout(0), E.Readout(0, "in_n_branch"))), 40, 0.08, 9)
 @example(_RULE_PLANS[0], 40, 0.08, 5)
 @example(_RULE_PLANS[1], 48, 0.08, 6)
 @example(_RULE_PLANS[2], 44, 0.08, 8)
@@ -867,8 +869,6 @@ def test_rooted_runs_match_the_reference_on_extracted_egos(plan, n, p, seed):
     branching, prog, readouts = plan
     rng = random.Random(seed)
     g = gen_random(n, p, seed)
-    # one attribute per directed edge, each edge's two ends unlike
-    attrs = [tuple(rng.randint(-2, 3) for _ in row) for row in g.adjacency]
     sample = set(rng.sample(range(n), 4))
     radii = []
     for hops in (1, 2, 3):
@@ -878,7 +878,7 @@ def test_rooted_runs_match_the_reference_on_extracted_egos(plan, n, p, seed):
             )
             try:  # the reference only for the readouts as drawn
                 _assert_rooted_run_matches(
-                    g, attrs, sample if weight is False else (), branching, prog, alike, hops
+                    g, sample if weight is False else (), branching, prog, alike, hops
                 )
             except E.ProgramError as error:
                 assert "reads beyond subgraph radius" in str(error)

@@ -142,20 +142,6 @@ def test_spd_labels_are_graph_distances():
                     assert sub.labels[name] == tuple(dist[p] for p in sub.nodes)
 
 
-def test_edge_attr_rows_match_graph():
-    g0 = gen_random(14, 0.35, 8)
-    attrs = {(u, v): 3 * u + v for u, v in g0.edges() if (u + v) % 3}
-    g = from_edges(g0.node_count, g0.edges(), edge_attrs=attrs)
-    for u, v in g.edges():
-        assert g.edge_attr(u, v) == g.edge_attr(v, u) == attrs.get((u, v))
-    for root in range(g.node_count):
-        for sub in (extract_rooted(g, root, ego(2)), identity_labeled_graph(g, root)):
-            for k, p in enumerate(sub.nodes):
-                want = [g.edge_attr(p, sub.nodes[q]) or 0 for q in sub.adj[k]]
-                assert list(sub.edge_attrs[k]) == want
-    assert g.edge_attr(0, 0) is None
-
-
 def _assert_indicators(g, sub):
     marks = (("is_root", "in_n_root", sub.root), ("is_branch", "in_n_branch", sub.branching))
     for is_x, in_n_x, x in marks:

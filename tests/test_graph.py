@@ -136,17 +136,14 @@ def test_permute_and_union():
 
 
 def test_permute_and_union_keep_attributes():
-    e = from_edges(3, [(0, 1), (1, 2)], node_attrs=[[5], [6], [7]], edge_attrs={(0, 1): 8})
+    e = from_edges(3, [(0, 1), (1, 2)], node_attrs=[[5], [6], [7]])
     p = permute(e, [2, 1, 0])
     assert p.node_attrs == ((7,), (6,), (5,))
-    assert p.edge_attrs == ((1, 2, 8),)
-    f = from_edges(2, [(0, 1)], node_attrs=[[1], [2]], edge_attrs={(0, 1): 4})
+    f = from_edges(2, [(0, 1)], node_attrs=[[1], [2]])
     u = disjoint_union(e, f)
     assert u.node_attrs == ((5,), (6,), (7,), (1,), (2,))
-    assert u.edge_attrs == ((0, 1, 8), (3, 4, 4))
-    assert u.edge_attr(1, 2) is None
     plain = from_edges(2, [(0, 1)])
-    assert disjoint_union(plain, plain).edge_attrs is None
+    assert disjoint_union(plain, plain).node_attrs is None
     with pytest.raises(GraphValidationError):
         disjoint_union(e, plain)
 
@@ -158,11 +155,7 @@ def test_empty_graph():
 
 
 def test_node_and_edge_attrs_validated():
-    g = from_edges(3, [(0, 1)], node_attrs=[[1], [2], [3]], edge_attrs={(1, 0): 9})
+    g = from_edges(3, [(0, 1)], node_attrs=[[1], [2], [3]])
     assert g.node_attrs == ((1,), (2,), (3,))
-    assert g.edge_attr(0, 1) == 9
-    assert g.edge_attr(1, 0) == 9
-    with pytest.raises(GraphValidationError):
-        from_edges(3, [(0, 1)], edge_attrs={(0, 2): 1})
     with pytest.raises(GraphValidationError):
         from_edges(2, [(0, 1)], node_attrs=[[1]])

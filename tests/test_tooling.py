@@ -4,14 +4,17 @@ The tracer patches graphcount by module attribute, so a rename inside
 graphcount breaks ``perfbench/run.py --trace 1``; and the workloads check
 counts against their own kind-to-oracle dispatch and ``graphcount oracle``,
 and verdicts against the README's witness verdicts.  These guards make such a
-break fail the tests instead.  A last guard keeps kernel compilation in
-each workload's warm-up, out of its timed ops."""
+break fail the tests instead.  Another keeps kernel compilation in each
+workload's warm-up, out of its timed ops, and a last one finds top-level
+names of the library that nothing uses."""
 
+import ast
 import importlib
 from pathlib import Path
 
 import pytest
 
+import graphcount
 from graphcount import cli, engine, oracle, refinement
 from graphcount.generators import gen_random
 
@@ -71,3 +74,62 @@ def test_warm_up_compiles_every_kernel_the_timed_ops_use(monkeypatch, tmp_path, 
     for op in workload.pass_ops(workload.inputs(0, tmp_path), 1):
         op.run()
     assert (engine._KERNELS, engine._RADII) == compiled
+
+
+ROOT = PERFBENCH.parent
+
+
+def _trees(*dirs):
+    return {
+        path: ast.parse(path.read_text())
+        for d in dirs for path in sorted((ROOT / d).rglob("*.py"))
+    }
+
+
+def _definitions(tree):
+    """(name, node) for each name a module's top level defines."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
+
+
+def _mentions(tree):
+    """(identifier, node) for each name, attribute, import or string a tree
+    holds: the tracer names its targets by strings."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name, node
+        elif isinstance(node, ast.Constant) and type(node.value) is str:
+            yield node.value, node
+
+
+def test_every_library_name_is_used():
+    # a top-level name of the library that nothing reads outside its own
+    # definition, and that is not exported, is dead code
+    trees = _trees("src", "tests", "perfbench")
+    mentions: dict = {}
+    for path, tree in trees.items():
+        for name, node in _mentions(tree):
+            mentions.setdefault(name, []).append((path, node.lineno))
+    unused = [
+        f"{path.relative_to(ROOT)}:{node.lineno} {name}"
+        for path, tree in trees.items() if (ROOT / "src") in path.parents
+        for name, node in _definitions(tree)
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in graphcount.__all__
+        and all(
+            at == path and node.lineno <= line <= node.end_lineno
+            for at, line in mentions.get(name, ())
+        )
+    ]
+    assert unused == []
