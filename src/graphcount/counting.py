@@ -2,12 +2,13 @@
 
 ``KIND_SPECS`` is the plan table: per kind, a program (see ``engine``), a bag
 shape, a subgraph radius, readouts, a combine step, and a graph divisor.
-Root bags (one ego-network per node) cover 3-paths, triangles, 4-cycles, and
-the closed walks; pair bags (root + branching neighbor) cover 4-paths,
-5-/6-cycles, and the size-4/5 graphlets; 2-paths run once over the whole
-graph.  One executor, ``engine.RootedRun``, runs a plan root by root on the
-parent graph itself, one call of the plan's generated kernel per root: no
-subgraph is extracted, and the radius bounds which nodes each step computes.
+Root bags (one ego-network per node) cover 2- and 3-paths, triangles,
+4-cycles, and the closed walks; pair bags (root + branching neighbor) cover
+4-paths, 5-/6-cycles, and the size-4/5 graphlets.  One executor,
+``engine.RootedRun``, runs every plan, and ``count_walks``, root by root on
+the parent graph itself, one call of the plan's generated kernel per root:
+no subgraph is extracted, and the radius bounds which nodes each step
+computes.
 All divisions are exact integer divisions with remainder checks, and every
 kind has an independent brute-force twin in ``oracle.TWINS`` that returns
 the same ``CountReport``.
@@ -24,8 +25,9 @@ from multiprocessing import get_context
 from pathlib import Path
 from typing import Callable, Sequence
 
-# apply_readout, extract_rooted and with_branching are no longer called here,
-# but perfbench's tracer wraps them by their names on this module.
+# run, run_program, apply_readout, extract_rooted, with_branching and
+# identity_labeled_graph are not called here, but perfbench's tracer wraps
+# them by their names on this module.
 from .engine import (
     Const,
     Layer,
@@ -71,16 +73,6 @@ _NOT_BRANCH = Const(1) - LSelf("is_branch")
 _MASK_IJ = _NOT_ROOT * _NOT_BRANCH
 _NBR_NOT_ROOT = Const(1) - LNbr("is_root")
 _NBR_NOT_BRANCH = Const(1) - LNbr("is_branch")
-
-# Plain two-round neighbor aggregation: h_i = sum over neighbors of (deg - 1).
-PROG_PATH2 = MPProgram(
-    name="path2-endpoints",
-    init=(),
-    layers=(
-        Layer(message=(Const(1),), update=(Msg(0),)),
-        Layer(message=(Nbr(0) - Const(1),), update=(Msg(0),)),
-    ),
-)
 
 # Per-root program: component 0 ends as the number of 2-paths root -> k.
 PROG_P2 = MPProgram(
@@ -274,26 +266,25 @@ def _cycle6_patterns(rows: list[tuple[int, ...]]) -> tuple[int, ...]:
 class KindSpec:
     """How one kind is counted.
 
-    ``mode`` is the bag shape: "mpnn" (component 0 of ``program`` run over
-    the whole graph), "root" (each root's ego-network), or "pair" (one copy
-    per neighbor of the root, marked as branching node), of radius ``hops``:
-    the smallest that is exact, and the default.  Each subgraph yields a row
-    of ``readouts``; ``combine`` maps a root's rows to its count, followed by
-    the 6-cycle pattern counts when ``patterns`` is set.  The graph count is
-    the node-count sum divided by ``graph_divisor``.
+    ``mode`` is the bag shape: "root" (each root's ego-network) or "pair"
+    (one copy per neighbor of the root, marked as branching node), of radius
+    ``hops``: the smallest that is exact, and the default.  Each subgraph
+    yields a row of ``readouts``; ``combine`` maps a root's rows to its
+    count, followed by the 6-cycle pattern counts when ``patterns`` is set.
+    The graph count is the node-count sum divided by ``graph_divisor``.
     """
 
-    mode: str  # "mpnn" | "root" | "pair"
+    mode: str  # "root" | "pair"
     program: MPProgram
-    hops: int | None
+    hops: int
     readouts: tuple[Readout, ...]
-    combine: Callable[[list[tuple[int, ...]]], tuple[int, ...]] | None
+    combine: Callable[[list[tuple[int, ...]]], tuple[int, ...]]
     graph_divisor: int
     patterns: bool = False
 
 
 KIND_SPECS: dict[str, KindSpec] = {
-    "path2": KindSpec("mpnn", PROG_PATH2, None, (), None, 2),
+    "path2": KindSpec("root", PROG_P2, 2, _SUM, _summed(1), 2),
     "path3": KindSpec("root", PROG_P3, 3, _SUM, _summed(1), 2),
     "path4": KindSpec("pair", PROG_P4, 4, _SUM, _summed(1), 2),
     "cycle3": KindSpec("root", PROG_P2, 1, _SUM_OVER_N_ROOT, _summed(2), 3),
@@ -437,10 +428,7 @@ def count(
     """
     kind = resolve_kind(kind)
     spec = _PLANS[kind]
-    if spec.mode == "mpnn":
-        values = list(zip(run(spec.program, g.adjacency, {})[0]))
-    else:
-        values = _map_roots(kind, g, _resolve_hops(kind, hops), threads, timings)
+    values = _map_roots(kind, g, _resolve_hops(kind, hops), threads, timings)
     per_node = tuple(v[0] for v in values)
     patterns = None
     if spec.patterns:
@@ -472,12 +460,20 @@ def count_path4_edge(g: Graph, hops: int = 3) -> dict[tuple[int, int], dict[int,
 
 
 def count_walks(g: Graph, length: int, i: int, j: int) -> int:
-    """Number of length-L walks from i to j, propagated over the whole graph."""
+    """Number of length-L walks from i to j, propagated over i's ego-network
+    of radius L, which holds every such walk."""
     if length < 1:
         raise ValueError("walk length must be >= 1")
+    g._check_node(i)
     g._check_node(j)
-    sub = identity_labeled_graph(g, i)
-    return run_program(sub, _walk_program(length))[0][j]
+    walks = []
+
+    def record(_, steps):
+        state, _ = steps[-1]
+        walks.append(state[0][j])
+
+    RootedRun(_walk_program(length), g.adjacency, length, _SUM, False, record).rows(i)
+    return walks[0]
 
 
 @dataclass(frozen=True)

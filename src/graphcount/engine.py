@@ -55,14 +55,8 @@ and at K each message must be 0 whenever its sender lies outside, which
 ``_radii`` checks when the program is compiled for a rooted run.  Per plan
 at its own radius, the steps cut (init first, "-" for none) are cycle3
 ``- 1``, cycle4 ``- - 1``, cycle5 ``- 2 1``, triangle_rectangle ``- 2 1 -``,
-walk4 ``- - - 1 0`` and cycle6 ``- 2 - 2 -``; path3, path4, tailed_triangle,
-clique4 and chordal_cycle need no cut.  On a random 4-regular graph, in
-the kernel with a hook, which computes each step over one node list and
-whose node evaluations criterion 10's band counts, a path4 root evaluates
-226 nodes over all steps of its four pair subgraphs and a cycle6 root 272
-(762 column values), the same at N=1000, 2000 and 4000.  Without a hook, a
-cycle6 root computes 351 column values in loops over node lists and sends
-64 message values, and a path4 root 68 and 144, at N=1000 and 2000.
+walk4 ``- - - 1 0`` and cycle6 ``- 2 - 2 -``; path2, path3, path4,
+tailed_triangle, clique4 and chordal_cycle need no cut.
 
 A rooted kernel without a hook (the one ``count`` runs) computes each
 column only where it can be nonzero and where it is read (``_layout``).  A
@@ -80,37 +74,29 @@ stay exact.
 Building a node set costs time, so a step that would build one runs over
 every node (within its radius) when the graph has fewer than
 ``_SPARSE_MIN_NODES`` = 32 nodes, and a step cut to radius 0 or 1 runs over
-the root's ball at every size; a step with one source, read at the node
-itself and not cut, takes that source's node list as it is.  CPU time
-without the floor, as a ratio to with it, over the 200 corpus-small graphs
-(n 8-20), best of 5 on a shared 2-core host: 1.53 for all kinds together,
-1.08-1.93 for each kind whose steps build sets.  Running radius-1 cuts over
-the ball instead of intersecting a superset with it measured, serial CPU
-ratio on ``gen_random_regular(1000, 4, 7)`` then on a rewired ring lattice
-(N=2000, 3 neighbors a side, 10% rewired): walk4 0.67 / 0.63,
-triangle_rectangle 1.01 / 0.77.  Radius-2 cuts keep their intersection: the
-radius-2 ball measured 1.15 for cycle5 and 1.10 for triangle_rectangle on
-the regular graph, and 1.10 for cycle6 (0.87 on the lattice) against its
-per-column lists.  A second rule, running every node once a quarter of
-them would be computed, measured 1.01-1.03 against none on 24 graphs
-G(n, p) with n 40-80, so there is none.
+the root's ball at every size.  A radius-2 cut intersects its node list
+with the ball, and no rule runs over every node once many would be
+computed.  A step with one source, read at the node itself and not cut,
+takes that source's node list as it is.  CHANGES.md holds the measurements
+behind these rules.
 
 One kernel per plan.  A plan compiles, once per (program, label layout,
 cuts, small-graph flag, readouts, hooked), into one generated Python
 function, its kernel (``_kernel``).  A rooted kernel marks the branch
 labels, loops over the root's branches, runs every step inline and appends
-each subgraph's readout row; ``run`` (path2, ``count_walks``) runs the same
-step code once over given labels.  Each state column is a node-indexed
+each subgraph's readout row; ``run`` runs the same step code once over
+given labels, and no count calls it.  Each state column is a node-indexed
 buffer named after the step and column that computed it (``_origins``);
 each node list is chosen by the rules above when the kernel is generated;
 after each subgraph the kernel zeroes what it wrote.  A step scatters its
-messages (``_scatters``) when it has no cut and its sources cover the
-witness of each message: every message is added from the nodes where a
-sender-side read of its witness is nonzero into its neighbors' message
-buffers, then pulled only at the nodes where a receiver-side read is
-nonzero, from the neighbors not scattered from.  A scatter walks each edge
-from its sender, so it needs a symmetric adjacency.  Every other step pulls
-each message at each node that computes a column reading it.
+messages (``_scatters``) when it has no cut and the witness of each message
+has at most one read at the sender and at most one at the receiver, both
+covered by the step's sources: every message is added from the nodes where
+its sender-side read is nonzero into its neighbors' message buffers, then
+pulled only at the nodes where its receiver-side read is nonzero, from the
+neighbors not scattered from.  A scatter walks each edge from its sender,
+so it needs a symmetric adjacency.  Every other step pulls each message at
+each node that computes a column reading it.
 
 Readouts are summed where they are computed.  In a rooted kernel without a
 hook, a column that no later step reads is not stored: each readout of it
@@ -120,7 +106,7 @@ need: if every one is weighted by one label, it computes only at that
 label's nodes (cycle3, cycle4, cycle5, the closed walks); if it scatters
 and each column is ``coef * Msg(m)``, each message value, times coef at its
 receiver, goes straight into the sum as it is sent or pulled, with no node
-set, message buffer or final loop (path3, path4).  Otherwise the step
+set, message buffer or final loop (path2, path3, path4).  Otherwise the step
 computes each column over its node list as above and adds its readout-only
 columns instead of storing them (cycle6's layer 4, triangle_rectangle's
 last step, clique4, chordal_cycle, tailed_triangle), except that a cut step
@@ -128,8 +114,8 @@ sends each ``coef * Msg(m)`` one whose message's witness reads only the
 sender, of reach below the cut, so that every receiver it reaches lies
 within the cut: cycle6's layer 3 column 1, sent from the root's neighbors.
 A kernel with a hook stores every column over one node list per step, so
-that the hook sees whole states: ``count_path4_edge``, the per-step parity
-tests and the node evaluation counts run on it.
+that the hook sees whole states: ``count_path4_edge``, ``count_walks``,
+the per-step parity tests and the node evaluation counts run on it.
 """
 
 from __future__ import annotations
@@ -513,8 +499,8 @@ def _steps(prog: MPProgram, layout: tuple[str, ...]) -> list[_Step]:
 # ---------------------------------------------------------------------------
 
 # A step that would build a node set runs over every node (of the graph, or
-# within its radius) when the graph has fewer nodes than this; the module
-# docstring gives the measurements behind it.
+# within its radius) when the graph has fewer nodes than this; CHANGES.md
+# gives the measurements behind it.
 _SPARSE_MIN_NODES = 32
 
 # The labels of a rooted run, without and with a branching node, and the
@@ -600,17 +586,24 @@ def _radii(prog: MPProgram, layout: tuple[str, ...], hops: int, readouts: tuple)
     return hit
 
 
+def _one_read_a_side(witness) -> bool:
+    """Whether a message's witness has at most one read at the sender and at
+    most one at the receiver: the only messages a kernel scatters."""
+    return witness is not None and len({hop for *_, hop in witness}) == len(witness)
+
+
 def _scatters(step: _Step, cut: int | None) -> bool:
     """Whether a step scatters its messages from their senders instead of
     pulling them at each node it computes: it computes a column, has no cut,
-    and the step's sources cover each message's witness, so that every
-    message sum that can be nonzero lies on a node it computes."""
+    each message's witness has one read a side at most, and the step's
+    sources cover it, so that every message sum that can be nonzero lies on
+    a node it computes."""
     return (
         bool(step.messages)
         and None in step.copies
         and cut is None
         and all(
-            m[2] is not None and (step.sources is None or m[2] <= step.sources)
+            _one_read_a_side(m[2]) and (step.sources is None or m[2] <= step.sources)
             for m in step.messages
         )
     )
@@ -636,8 +629,8 @@ def _fusion(steps: Sequence[_Step], cuts, readouts) -> list[tuple[str, dict, lis
 
     A step that stores nothing, scatters and sums only ``coef * Msg(m)``
     columns sends them all.  A cut step sends each such column whose
-    message's witness has only sender-side reads, of reach below the cut:
-    every receiver of a nonzero message then lies within the cut.
+    message's witness is at most one read, at the sender, of reach below
+    the cut: every receiver of a nonzero message then lies within the cut.
     """
     origins = _origins(steps)
     read = {
@@ -666,20 +659,11 @@ def _fusion(steps: Sequence[_Step], cuts, readouts) -> list[tuple[str, dict, lis
                 messages = [step.linear[c] and step.messages[step.linear[c][0]] for c in summed]
                 sent = [
                     c for c, m in zip(summed, messages)
-                    if m and m[2] is not None and all(hop == 1 for *_, hop in m[2])
+                    if m and _one_read_a_side(m[2]) and all(hop == 1 for *_, hop in m[2])
                     and _reach(m[2], steps[s - 1].reach, sender=True) < cut
                 ]
         plan.append((mode, fused, sent))
     return plan
-
-
-def _first(column: str, before: list, at: str) -> str:
-    """The test that ``column`` is nonzero at ``at`` and no column ``before``
-    it is."""
-    test = f"{column}[{at}]"
-    if before:
-        test += f" and not ({' or '.join(f'{col}[{at}]' for col, _ in before)})"
-    return test
 
 
 def _nodes(sources, cut, small: bool, where) -> str | tuple:
@@ -785,27 +769,25 @@ def _pull(step: _Step, reads: set) -> list:
 
 
 def _scatter(step: _Step, sent, column, add) -> list:
-    """Lines that add each message ``m`` in ``sent`` from the nodes where a
+    """Lines that add each message ``m`` in ``sent`` from the nodes where the
     sender-side read of its witness is nonzero, at each of their neighbors,
-    and then pull it at the nodes where a receiver-side read is nonzero,
+    and then pull it at the nodes where the receiver-side read is nonzero,
     from the neighbors not sent from; ``add(m, value)`` gives the lines that
     add one value of message m at node ``_k``."""
     lines = []
     for m in sent:
         msg, _, witness, _ = step.messages[m]
-        receivers, senders = (
-            [column(var, key) for var, key in sorted((v, k) for v, k, h in witness if h == hop)]
-            for hop in (0, 1)
-        )
-        for t, (col, nodes) in enumerate(senders):
-            lines += [f"for _l in {nodes}:", f"    if {_first(col, senders[:t], '_l')}:"]
+        at = {hop: (var, key) for var, key, hop in witness}
+        receiver, sender = (column(*at[hop]) if hop in at else None for hop in (0, 1))
+        if sender:
+            lines += [f"for _l in {sender[1]}:", f"    if {sender[0]}[_l]:"]
             lines += ["        for _k in adj[_l]:", *_indent(add(m, msg), 3)]
-        for t, (col, nodes) in enumerate(receivers):
-            lines += [f"for _k in {nodes}:", f"    if {_first(col, receivers[:t], '_k')}:"]
+        if receiver:
+            lines += [f"for _k in {receiver[1]}:", f"    if {receiver[0]}[_k]:"]
             lines += ["        _a = 0", "        for _l in adj[_k]:"]
-            if senders:  # every edge from a sender above is summed already
-                lines.append(f"            if not ({' or '.join(f'{c}[_l]' for c, _ in senders)}):")
-            lines += [f"{' ' * (16 if senders else 12)}_a += {msg}", *_indent(add(m, "_a"), 2)]
+            if sender:  # every edge from a sender is summed already
+                lines.append(f"            if not ({sender[0]}[_l]):")
+            lines += [f"{' ' * (16 if sender else 12)}_a += {msg}", *_indent(add(m, "_a"), 2)]
     return lines
 
 

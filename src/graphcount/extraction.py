@@ -15,7 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graph import Graph
+from .graph import Graph, _bfs
 
 LABELINGS = ("identity", "spd")
 
@@ -62,23 +62,6 @@ class RootedSubgraph:
     labels: dict[str, tuple[int, ...]]
 
 
-def _bfs_limited(g: Graph, source: int, hops: int | None) -> dict[int, int]:
-    """Distances from source up to ``hops`` (all reachable when hops is None)."""
-    dist = {source: 0}
-    frontier = [source]
-    d = 0
-    while frontier and (hops is None or d < hops):
-        d += 1
-        nxt = []
-        for u in frontier:
-            for v in g.adjacency[u]:
-                if v not in dist:
-                    dist[v] = d
-                    nxt.append(v)
-        frontier = nxt
-    return dist
-
-
 def _induced_adj(g: Graph, nodes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     index = {p: i for i, p in enumerate(nodes)}
     return tuple([tuple([index[q] for q in g.adjacency[p] if q in index]) for p in nodes])
@@ -115,7 +98,7 @@ def extract_rooted(
     """
     g._check_node(root)
     if policy.kind == "ego":
-        dist = _bfs_limited(g, root, policy.hops)
+        dist = _bfs(g, root, policy.hops)
         nodes = tuple(sorted(dist))
     else:
         dist = None
@@ -123,7 +106,7 @@ def extract_rooted(
     labels = _base_labels(g, nodes, root)
     if labeling == "spd":
         if dist is None:  # node deletion keeps every other node
-            dist = _bfs_limited(g, root, None)
+            dist = _bfs(g, root)
         labels["spd_root"] = tuple(dist.get(p, -1) for p in nodes)
     elif labeling != "identity":
         raise ValueError(f"unknown labeling {labeling!r}")
@@ -148,7 +131,7 @@ def with_branching(g: Graph, sub: RootedSubgraph, branching: int) -> RootedSubgr
     if "spd_root" in labels:
         # every subgraph node lies within max(spd_root) of the root, hence
         # within one hop more of the branching node
-        dist = _bfs_limited(g, branching, max(labels["spd_root"], default=0) + 1)
+        dist = _bfs(g, branching, max(labels["spd_root"], default=0) + 1)
         labels["spd_branch"] = tuple(dist.get(p, -1) for p in sub.nodes)
     return RootedSubgraph(
         root=sub.root,

@@ -232,22 +232,29 @@ def load_graph(path: str | Path, fmt: str = "edgelist") -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def shortest_path_distances(g: Graph, source: int) -> list[int | None]:
-    """BFS distances from source; UNREACHABLE (None) marks other components."""
-    g._check_node(source)
-    dist: list[int | None] = [UNREACHABLE] * g.node_count
-    dist[source] = 0
+def _bfs(g: Graph, source: int, hops: int | None = None) -> dict[int, int]:
+    """Distances from source up to ``hops`` (all reachable when hops is None)."""
+    dist = {source: 0}
     frontier = [source]
     d = 0
-    while frontier:
+    while frontier and (hops is None or d < hops):
         d += 1
         nxt = []
         for u in frontier:
             for v in g.adjacency[u]:
-                if dist[v] is None:
+                if v not in dist:
                     dist[v] = d
                     nxt.append(v)
         frontier = nxt
+    return dist
+
+
+def shortest_path_distances(g: Graph, source: int) -> list[int | None]:
+    """BFS distances from source; UNREACHABLE (None) marks other components."""
+    g._check_node(source)
+    dist: list[int | None] = [UNREACHABLE] * g.node_count
+    for v, d in _bfs(g, source).items():
+        dist[v] = d
     return dist
 
 

@@ -44,6 +44,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .engine import ProgramError
 from .extraction import (
+    LABELINGS,
     ExtractionPolicy,
     RootedSubgraph,
     ego,
@@ -225,6 +226,8 @@ def _node_keys(
     """Per graph, one key per node; and the rounds to stability."""
     if method not in _DEFAULT_HOPS:
         raise ValueError(f"unknown refinement method {method!r}")
+    if labeling not in LABELINGS:
+        raise ValueError(f"unknown labeling {labeling!r}")
     if hops is None:
         hops = _DEFAULT_HOPS[method]
     if method == "wl1":

@@ -61,12 +61,13 @@ def test_count_graph_level_matches_oracle(tmp_path, capsys):
 
 
 def test_count_insufficient_hops_exit_3(c6_file, capsys):
-    code, _, err = run_cli(
-        ["count", "--input", c6_file, "--substructure", "cycle6", "--hops", "2"],
-        capsys,
-    )
-    assert code == 3
-    assert "radius" in err
+    for kind, hops in (("cycle6", "2"), ("path2", "1")):
+        code, _, err = run_cli(
+            ["count", "--input", c6_file, "--substructure", kind, "--hops", hops],
+            capsys,
+        )
+        assert code == 3
+        assert "radius" in err
 
 
 def test_parse_error_exit_2(tmp_path, capsys):

@@ -202,23 +202,18 @@ def test_extra_hops_do_not_change_counts():
     g = gen_random(10, 0.4, 9)
     for kind in ALL_KINDS:
         spec = KIND_SPECS[kind]
-        if spec.mode == "mpnn":
-            continue
         base = count(kind, g, hops=spec.hops)
         more = count(kind, g, hops=spec.hops + 1)
         assert base.node_counts == more.node_counts
 
 
 def test_insufficient_hops():
+    # every plan refuses any radius below its own
     g = gen_cycle(6)
-    with pytest.raises(InsufficientHopsError):
-        count("cycle6", g, hops=2)
-    with pytest.raises(InsufficientHopsError):
-        count("path4", g, hops=3)
-    with pytest.raises(InsufficientHopsError):
-        count("cycle4", g, hops=1)
-    with pytest.raises(InsufficientHopsError):
-        count("walk4", g, hops=1)
+    for kind, spec in _PLANS.items():
+        with pytest.raises(InsufficientHopsError) as info:
+            count(kind, g, hops=spec.hops - 1)
+        assert (info.value.kind, info.value.minimum) == (kind, spec.hops)
 
 
 def test_permutation_equivariance_counts():
@@ -261,7 +256,8 @@ def test_kind_resolution():
 
 
 def test_walk_kind_report():
-    # the root-bag plan agrees with propagation over the whole graph
+    # the plan at radius 2 agrees with count_walks, which propagates over
+    # the radius-4 ego-network
     for g in (PAW, gen_random(12, 0.3, 5)):
         rep = count("walk4", g)
         assert rep.node_counts == tuple(
@@ -317,14 +313,12 @@ def test_empty_graph_reports():
 # Counting on the parent graph against the extracted subgraphs.
 # ---------------------------------------------------------------------------
 
-ROOTED = sorted(k for k, spec in _PLANS.items() if spec.mode != "mpnn")
-
-# Every rooted plan, and one more whose scattering step also pulls at its
+# Every plan, and one more whose scattering step also pulls at its
 # receivers (no plan's does: in each, every neighbor of a receiver that can
 # hear a nonzero message is a sender the scatter reaches): each neighbor of
 # the root counts its neighbors outside the root's neighborhood.
 _PARITY_PLANS = {
-    **{kind: _PLANS[kind] for kind in ROOTED},
+    **_PLANS,
     "outside-degree": KindSpec(
         "root",
         E.MPProgram(

@@ -16,7 +16,7 @@ from conftest import (
     spd_label_program,
 )
 from graphcount import engine as E
-from graphcount.counting import PROG_P3, PROG_PATH2, _PLANS, _walk_program, count
+from graphcount.counting import PROG_P3, _PLANS, _walk_program, count
 from graphcount.extraction import ego, extract_rooted, identity_labeled_graph, with_branching
 from graphcount.generators import (
     gen_complete,
@@ -27,6 +27,17 @@ from graphcount.generators import (
 )
 from graphcount.graph import disjoint_union, permute, shortest_path_distances
 from graphcount.oracle import oracle_paths
+
+# Plain two-round neighbor aggregation over a whole graph, without labels:
+# h_i = sum over neighbors of (deg - 1), the number of 2-paths from i.
+PROG_PATH2 = E.MPProgram(
+    name="path2-endpoints",
+    init=(),
+    layers=(
+        E.Layer(message=(E.Const(1),), update=(E.Msg(0),)),
+        E.Layer(message=(E.Nbr(0) - E.Const(1),), update=(E.Msg(0),)),
+    ),
+)
 
 
 def test_path2_program_examples():
@@ -178,7 +189,7 @@ def test_program_text_serialization():
 
 def _audited_programs():
     plans = {spec.program.name: spec.program for spec in _PLANS.values()}
-    return [*plans.values(), ego_mask_program(2), spd_label_program(2)]
+    return [*plans.values(), PROG_PATH2, ego_mask_program(2), spd_label_program(2)]
 
 
 _FROZEN_TEXT = {
@@ -226,8 +237,9 @@ def test_empty_graph_without_labels():
 
 
 # Steps (0 is init) that have a witness, and so run over the nodes where one
-# of their sources is nonzero, per audited program.  Every plan step does,
-# except path2's, whose messages are Const(1) and Nbr(0) - 1.
+# of their sources is nonzero, per audited program.  Every plan step does;
+# the whole-graph path2 program's layers do not, as their messages are
+# Const(1) and Nbr(0) - 1.
 _SPARSE_STEPS = {
     "path2-endpoints": [0],
     "two-paths-from-root": [0, 1],
@@ -254,6 +266,7 @@ def test_vanishing_steps_are_frozen(prog):
 # Per plan at its own radius: the radius each step (init first) is cut to
 # around the root, "-" for none.
 _PLAN_RADII = {
+    "path2": "- -",
     "path3": "- - -",
     "path4": "- - -",
     "cycle3": "- 1",
@@ -289,13 +302,14 @@ def test_plan_radii_are_frozen(kind):
 
 
 def test_frozen_plan_radii_cover_every_rooted_plan():
-    assert sorted(_PLAN_RADII) == sorted(k for k, s in _PLANS.items() if s.mode != "mpnn")
+    assert sorted(_PLAN_RADII) == sorted(_PLANS)
 
 
 # Per plan at its own radius and one more: whether each step (init first)
 # scatters its messages from their senders ("s") or pulls them at each node
 # it computes ("p"), "-" for a step without messages.
 _PLAN_SCATTERS = {
+    "path2": "- s",
     "path3": "- s s",
     "path4": "- s s",
     "cycle3": "- p",
@@ -339,6 +353,7 @@ def test_plan_scatters_are_frozen(kind):
 # ("s"), at the nodes of its weight label ("w"), in the loop that computes
 # its column ("l"), or from a stored column ("c").
 _PLAN_FUSED = {
+    "path2": "s",
     "path3": "s",
     "path4": "s",
     "cycle3": "w",
@@ -378,6 +393,7 @@ def test_plan_fused_readouts_are_frozen(kind):
 # root, B<d> is that ball; ">" marks a column whose messages are sent, "-"
 # one computed nowhere, "()" a step that computes no column.
 _PLAN_NODES = {
+    "path2": "() | >",
     "path3": "N(i) | N(N(i)) | >",
     "path4": "N(j) | N(N(j)) | >",
     "cycle3": "() | N(i)",

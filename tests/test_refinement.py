@@ -305,6 +305,17 @@ def test_unknown_method_rejected():
         fingerprint(g, "wl7")
 
 
+@pytest.mark.parametrize("method", ["subgraph_wl", "i2_wl"])
+@pytest.mark.parametrize("n", [0, 3])
+def test_unknown_labeling_rejected_without_edges(n, method):
+    # a graph without edges extracts no subgraph that would check the labeling
+    g = from_edges(n, [])
+    with pytest.raises(ValueError, match="unknown labeling 'bogus'"):
+        fingerprint(g, method, labeling="bogus")
+    with pytest.raises(ValueError, match="unknown labeling 'bogus'"):
+        distinguish(g, g, method, labeling="bogus", exact=True)
+
+
 def test_wl1_blind_to_cycle_length_but_subgraph_wl_not():
     # every node of K3 + C4 is degree 2, so plain refinement sees one class;
     # rooted-subgraph colors separate the components

@@ -5,8 +5,9 @@ graphcount breaks ``perfbench/run.py --trace 1``; and the workloads check
 counts against their own kind-to-oracle dispatch and ``graphcount oracle``,
 and verdicts against the README's witness verdicts.  These guards make such a
 break fail the tests instead.  Another keeps kernel compilation in each
-workload's warm-up, out of its timed ops, and a last one finds top-level
-names of the library that nothing uses."""
+workload's warm-up, out of its timed ops, and two last ones find top-level
+names of the library that nothing uses, and imports that ``counting`` keeps
+only for the tracer."""
 
 import ast
 import importlib
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import graphcount
-from graphcount import cli, engine, oracle, refinement
+from graphcount import cli, counting, engine, oracle, refinement
 from graphcount.generators import gen_random
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -133,3 +134,21 @@ def test_every_library_name_is_used():
         )
     ]
     assert unused == []
+
+
+def test_counting_imports_only_what_it_uses_or_the_tracer_wraps(monkeypatch):
+    # an import that counting does not use must be one the tracer wraps on
+    # counting, and each such name must be imported, not defined there
+    tracer = _perfbench_module(monkeypatch, "tracer")
+    tree = ast.parse((ROOT / "src" / "graphcount" / "counting.py").read_text())
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    defined = {name for name, _ in _definitions(tree)}
+    wrapped = {attr for module, attr, _, _ in tracer.TARGETS if module is counting}
+    assert imported - used == wrapped - defined
