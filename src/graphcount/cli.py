@@ -48,6 +48,14 @@ def _cpu_default() -> int:
     return os.cpu_count() or 1
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _write_report(
     out: str | None, level: str, rep: oracle.CountReport, verbose: bool
 ) -> None:
@@ -258,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--substructure", required=True, choices=_COUNT_KINDS)
     p_count.add_argument("--hops", type=int, default=None,
                          help="subgraph radius (default per substructure)")
-    p_count.add_argument("--threads", type=int, default=_cpu_default())
+    p_count.add_argument("--threads", type=_positive_int, default=_cpu_default())
     p_count.set_defaults(func=_cmd_count)
 
     p_oracle = sub.add_parser("oracle", help="run the brute-force enumeration oracle")
@@ -298,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("inputs", nargs="+",
                          help="directories (one corpus each) or single files")
     p_stats.add_argument("--format", choices=("edgelist", "graph6"), default="edgelist")
-    p_stats.add_argument("--threads", type=int, default=_cpu_default())
+    p_stats.add_argument("--threads", type=_positive_int, default=_cpu_default())
     p_stats.set_defaults(func=_cmd_stats)
 
     p_bench = sub.add_parser("bench", help="near-linear scaling benchmark")

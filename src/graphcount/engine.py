@@ -63,13 +63,20 @@ column only where it can be nonzero and where it is read (``_layout``).  A
 step that pulls its messages, or has none, computes each column over the
 node list of its own witness, pulling only the messages that column reads:
 cycle6's init and layers 1, 3 and 4.  A stored column that every later step
-reads at the node itself, in loops that do not run over every node, is
-computed only over the union of those loops' node lists, unless building
-that union costs a set its own list does not (cycle6's layer 1 columns 3
-and 4 and layer 3 column 0, triangle_rectangle's step 2).  Those loops lie
-within their steps' radii, so within the column's demand, and where they
-lie beyond its reach its witness makes it 0: the states the readouts see
-stay exact.
+reads at the node itself, in loops that do not run over every node (nor
+over a weight label's nodes past an uncut step's radius), is computed only
+over the union of those loops' node lists, unless building that union
+costs a set its own list does not (cycle6's layer 1 columns 3 and 4 and
+layer 3 column 0, triangle_rectangle's step 2).  Those loops lie within
+their steps' radii, so within the column's demand, and where they lie
+beyond its reach its witness makes it 0: the states the readouts see stay
+exact.  In a pair kernel, a column is root-level when it, and the weights
+of its readouts, read only the root's labels (``is_root``, ``in_n_root``)
+and root-level columns, and its own node list is built from those labels
+and the root's balls alone.  Such a column is the same for every branch,
+so it is computed once per root, over its own list, before the loop over
+the branches, and zeroed after it (cycle6's layer 1 column 2); any node
+list of the root alone is built there too.
 
 Building a node set costs time, so a step that would build one runs over
 every node (within its radius) when the graph has fewer than
@@ -512,6 +519,15 @@ _ROOTED_LABELS = {
 _SUPPORTS = {
     "is_root": "(i,)", "in_n_root": "adj[i]", "is_branch": "(j,)", "in_n_branch": "adj[j]",
 }
+_PER_ROOT, _PER_BRANCH = ("is_root", "in_n_root"), ("is_branch", "in_n_branch")
+
+
+def _per_root(nodes, index) -> bool:
+    """Whether a node list (``_nodes``) depends on the root alone: none of
+    its leaves is a branch label's list."""
+    if type(nodes) is str:
+        return nodes not in {f"_U{index[x]}" for x in _PER_BRANCH if x in index}
+    return all(_per_root(x, index) for x in chain(*nodes[:2]))
 
 
 def _origins(steps: Sequence[_Step]) -> list[tuple[tuple[int, int], ...]]:
@@ -683,19 +699,24 @@ def _nodes(sources, cut, small: bool, where) -> str | tuple:
 
 
 def _layout(steps, cuts, plan, small: bool, index, readouts) -> tuple[list, dict]:
-    """Per step, its units ``(nodes, columns)``: one loop over the node list
-    ``nodes`` computes ``columns``, pulling the messages they read (a step
-    that scatters fills its message buffers first), or, with ``nodes`` None,
-    ``columns`` are sent (``_fusion``).  Also each computed column's node
-    list, off which it is 0.  ``readouts`` is None for a kernel that keeps
-    whole states: there each step computes every column over one node list.
-    Otherwise a step that pulls computes each column over its own witness's
-    node list, or over the union of the node lists its readers read it at,
-    when every reader reads it at the node itself and none runs over every
-    node."""
+    """Per step, its units ``(nodes, columns, once)``: one loop over the
+    node list ``nodes`` computes ``columns``, pulling the messages they read
+    (a step that scatters fills its message buffers first), or, with
+    ``nodes`` None, ``columns`` are sent (``_fusion``); ``once``: the loop
+    runs once per root, before the branch loop.  Also each computed
+    column's node list, off which it is 0.  ``readouts`` is None for a
+    kernel that keeps whole states: there each step computes every column
+    over one node list.  Otherwise a step that pulls computes each column
+    over its own witness's node list, or over the union of the node lists
+    its readers read it at, when every reader reads it at the node itself
+    and none runs over every node or past its step's radius.  In a pair
+    kernel, a pulled column that, with the weights of its readouts, reads
+    only root labels and columns computed once, over a node list of the
+    root alone, is computed once per root over its own list."""
     origins = _origins(steps)
     slot: dict = {}
     own: list = []
+    once: set = set()
     for s, (step, cut) in enumerate(zip(steps, cuts)):
 
         def where(var, key, s=s):
@@ -713,20 +734,34 @@ def _layout(steps, cuts, plan, small: bool, index, readouts) -> tuple[list, dict
                     ((var, key, hop),) = witness
                     if hop == 0:
                         slot[s, c] = where(var, key)
+                # once per root: it, and the weights of its readouts, read
+                # only root labels and columns computed once
+                reads = _reads(step, [c])
+                labels = {readouts[x].weight for x in plan[s][1].get(c, ())} - {None}
+                if (
+                    "is_branch" in index and not whole and c not in plan[s][2]
+                    and _per_root(lists[c], index)
+                    and labels | {r[1] for r in reads if r[0] == "L"} <= set(_PER_ROOT)
+                    and all(origins[s - 1][r[1]] in once for r in reads if r[0] == "H")
+                ):
+                    once.add((s, c))
         own.append((whole, lists))
     units: list = [[] for _ in steps]
     summed = {origins[-1][r.component] for r in readouts or ()}
     for s in reversed(range(len(steps))):
         (mode, fused, sent), (whole, lists) = plan[s], own[s]
         for c in () if whole else lists:
-            if c in fused or (s, c) in summed:
+            if c in fused or (s, c) in summed or (s, c) in once:
                 continue
             demand = set()
             for t in range(s + 1, len(steps)):
-                for nodes, columns in units[t]:
+                # an uncut step in "weight" mode runs over its label's nodes,
+                # which can lie beyond the step's radius
+                beyond = plan[t][0] == "weight" and cuts[t] is None
+                for nodes, columns, _ in units[t]:
                     reads = _reads(steps[t], columns)
                     hops = {r[2] for r in reads if r[0] == "H" and origins[t - 1][r[1]] == (s, c)}
-                    demand |= {nodes if hops == {0} else None} if hops else set()
+                    demand |= {nodes if hops == {0} and not beyond else None} if hops else set()
             union = ((), tuple(sorted(demand, key=repr)), None)
             union = union[1][0] if len(demand) == 1 else union
             if not demand & {None, "_all"} and (type(lists[c]) is tuple or type(union) is str):
@@ -734,11 +769,14 @@ def _layout(steps, cuts, plan, small: bool, index, readouts) -> tuple[list, dict
         groups: dict = {}
         if mode == "weight":
             (label,) = {readouts[x].weight for xs in fused.values() for x in xs}
-            groups[f"_U{index[label]}"] = [c for c, xs in fused.items() if xs]
+            lists = dict.fromkeys(fused, f"_U{index[label]}")
         for c, src in enumerate(steps[s].copies):
-            if src is None and mode == "nodes" and fused.get(c, True) and c not in sent:
-                groups.setdefault(lists[c], []).append(c)
-        units[s] = ([(None, sent)] if sent else []) + list(groups.items())
+            if src is None and fused.get(c, mode == "nodes") and c not in sent:
+                key = (lists[c], (s, c) in once and _per_root(lists[c], index))
+                groups.setdefault(key, []).append(c)
+        units[s] = [(None, sent, False)] * bool(sent) + [
+            (nodes, columns, hoisted) for (nodes, hoisted), columns in groups.items()
+        ]
     return units, slot
 
 
@@ -849,6 +887,10 @@ def _generate(prog: MPProgram, layout: tuple, cuts, small: bool, readouts, hooke
         for xs in fused.values() for x in xs if readouts[x].weight is not None
     }
     body, buffers, stored, shown, names, radii = [], [], {}, [], {}, [-1]
+    # what a pair kernel without a hook does once per root: node lists of
+    # the root alone, and the units (``_layout``) computed once
+    hoist = fusing and "is_branch" in index
+    prelude, stored_once, once_summed = [], {}, set()
 
     def bind(spec) -> str:
         """The name of a node list (``_nodes``), bound where first used."""
@@ -858,14 +900,15 @@ def _generate(prog: MPProgram, layout: tuple, cuts, small: bool, readouts, hooke
         if spec not in names:
             near, here = ([bind(x) for x in part] for part in spec[:2])
             name = names[spec] = f"_N{len(names)}"
+            out = prelude if hoist and _per_root(spec, index) else body
             if near:  # the neighbors of a union are the union of the neighbors
                 base = near[0] if len(near) == 1 else f"{{{', '.join(f'*{x}' for x in near)}}}"
-                body.append(f"{name} = set(_chain(map(_adj, {base})))")
-                body.extend([f"{name}.update({', '.join(here)})"] if here else [])
+                out.append(f"{name} = set(_chain(map(_adj, {base})))")
+                out.extend([f"{name}.update({', '.join(here)})"] if here else [])
             else:
                 union = f"{{{', '.join(f'*{x}' for x in here)}}}" if here else "set()"
-                body.append(f"{name} = {union}")
-            body.extend([f"{name} &= {bind(f'_B{spec[2]}')}"] if spec[2] is not None else [])
+                out.append(f"{name} = {union}")
+            out.extend([f"{name} &= {bind(f'_B{spec[2]}')}"] if spec[2] is not None else [])
         return names[spec]
 
     for s, (step, cut, (mode, fused, _)) in enumerate(zip(steps, cuts, plan)):
@@ -880,17 +923,27 @@ def _generate(prog: MPProgram, layout: tuple, cuts, small: bool, readouts, hooke
             c: [(x, None if mode == "weight" else index.get(readouts[x].weight)) for x in xs]
             for c, xs in fused.items()
         }
-        # the state columns the step reads, as H<c>
-        reads = sorted({r[1] for r in step.reads if r[0] == "H"}) if units[s] else []
-        body += ["H{} = O{}_{}".format(key, *origins[s - 1][key]) for key in reads]
+
+        def held(reads, s=s):
+            """Lines that bind the state columns in ``reads`` as H<c>."""
+            keys = sorted({r[1] for r in reads if r[0] == "H"})
+            return ["H{} = O{}_{}".format(key, *origins[s - 1][key]) for key in keys]
+
+        body += held(step.reads) if any(not once for *_, once in units[s]) else []
         shown.append("()")
-        for nodes, columns in units[s]:
+        for nodes, columns, once in units[s]:
             name = nodes and bind(nodes)
             buffered = mode == "nodes" and _scatters(step, cut)
             lines, outs, used = _unit(step, s, name, columns, sums, column, buffered)
-            body, buffers, shown[s] = body + lines, buffers + outs + used, name
+            if once:
+                prelude += held(_reads(step, columns)) + lines
+                once_summed.update(x for c in columns for x, _ in sums.get(c, ()))
+            else:
+                body += lines
+            buffers, shown[s] = buffers + outs + used, name
             # a loop over every node rewrites every node
-            stored.setdefault(name, []).extend(outs if name != "_all" else [])
+            outs = outs if name != "_all" else []
+            (stored_once if once else stored).setdefault(name, []).extend(outs)
     marked = sorted({index[r[1]] for step in steps for r in step.reads if r[0] == "L"} | weighted)
     states = "".join(
         f"(({''.join('O{}_{}, '.format(*o) for o in origin)}), {shown[s]}), "
@@ -915,7 +968,6 @@ def _generate(prog: MPProgram, layout: tuple, cuts, small: bool, readouts, hooke
             for line in (f"for _k in {_SUPPORTS[layout[i]]}:", f"    L{i}[_k] = {value}")
         ]
 
-    per_root, per_branch = ("is_root", "in_n_root"), ("is_branch", "in_n_branch")
     summed = {x for _, fused, _ in plan for xs in fused.values() for x in xs}
     row = "".join(
         f"_r{x}, " if x in summed else "sum(map({}.__getitem__, {})), ".format(
@@ -925,25 +977,32 @@ def _generate(prog: MPProgram, layout: tuple, cuts, small: bool, readouts, hooke
         for x, r in enumerate(readouts)
     )
     balls = [f"_B{d}" for d in range(max(radii) + 1)]
-    root = ([f"nonlocal {', '.join(balls)}", "_B0 = {i}"] if balls else []) + mark(per_root, 1)
+    root = ([f"nonlocal {', '.join(balls)}", "_B0 = {i}"] if balls else []) + mark(_PER_ROOT, 1)
     for d in range(1, len(balls)):
         frontier = "adj[i]" if d == 1 else f"_chain(map(_adj, _B{d - 1} - _B{d - 2}))"
         root.append(f"_B{d} = _B{d - 1}.union({frontier})")
-    start = [f"{''.join(f'_r{x} = ' for x in sorted(summed))}0"] if summed else []
-    reset = [
-        line
-        for nodes, outs in stored.items() if outs
-        for line in (f"for _k in {nodes}:", *(f"    {o}[_k] = 0" for o in outs))
-    ]
-    subgraph = [*start, *body, f"_rows.append(({row}))", *(hook if hooked else []), *reset]
-    kernel = ["_rows = []"] + [f"_U{index[x]} = {_SUPPORTS[x]}" for x in per_root if x in index]
+
+    def start(xs):
+        return [f"{''.join(f'_r{x} = ' for x in sorted(xs))}0"] if xs else []
+
+    def reset(stored):
+        return [
+            line
+            for nodes, outs in stored.items() if outs
+            for line in (f"for _k in {nodes}:", *(f"    {o}[_k] = 0" for o in outs))
+        ]
+
+    subgraph = [*start(summed - once_summed), *body, f"_rows.append(({row}))"]
+    subgraph += [*(hook if hooked else []), *reset(stored)]
+    kernel = ["_rows = []"] + [f"_U{index[x]} = {_SUPPORTS[x]}" for x in _PER_ROOT if x in index]
     if "is_branch" in index:
-        kernel.append("for j in adj[i]:")
-        branch = [f"_U{index[x]} = {_SUPPORTS[x]}" for x in per_branch]
-        kernel += _indent(branch + mark(per_branch, 1) + subgraph + mark(per_branch, 0), 1)
+        kernel += [*start(once_summed), *prelude, "for j in adj[i]:"]
+        branch = [f"_U{index[x]} = {_SUPPORTS[x]}" for x in _PER_BRANCH]
+        kernel += _indent(branch + mark(_PER_BRANCH, 1) + subgraph + mark(_PER_BRANCH, 0), 1)
+        kernel += reset(stored_once)
     else:
         kernel += ["j = None", *subgraph]
-    kernel += [*mark(per_root, 0), "return _rows"]
+    kernel += [*mark(_PER_ROOT, 0), "return _rows"]
     # the kernel takes what it reads as defaults, so its loops read locals
     bound = ", ".join(
         f"{x}={x}"
@@ -990,7 +1049,9 @@ def _kernel(
     ``hooked``, and then stores every column; without, it stores only the
     columns a later step reads and sums the others into the readout row
     where they are computed (``_fusion``), so its steps' states are not
-    whole.  A plain run stores every column and calls ``hook`` either way.
+    whole.  It computes root-level columns once per root only without
+    ``hooked``: a kernel with a hook runs every step inside the branch
+    loop.  A plain run stores every column and calls ``hook`` either way.
     """
     key = (prog, layout, cuts, small, readouts, hooked)
     hit = _KERNELS.get(key)

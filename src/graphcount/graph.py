@@ -193,6 +193,8 @@ def parse_graph6(line: str) -> Graph:
     bits = []
     for b in data:
         bits.extend((b >> shift) & 1 for shift in range(5, -1, -1))
+    if any(bits[nbits:]):
+        raise GraphFormatError(f"graph6 string {s!r} has nonzero padding bits")
     edges = []
     idx = 0
     for v in range(1, n):

@@ -234,6 +234,18 @@ def test_threads_flag_deterministic(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("threads", ["0", "-3", "two"])
+@pytest.mark.parametrize("command", ["count", "stats"])
+def test_threads_below_one_usage_error(c6_file, capsys, command, threads):
+    args = ["--input", c6_file, "--substructure", "cycle3"] if command == "count" else [c6_file]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, "--threads", threads])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--threads" in captured.err
+
+
 def test_distinguish_verdicts(tmp_path, capsys):
     rook, shr = tmp_path / "rook.el", tmp_path / "shr.el"
     save_graph(gen_rook4x4(), rook)

@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -391,7 +392,8 @@ def test_plan_fused_readouts_are_frozen(kind):
 # j are the root and the branching node, N(x) the neighbors of x, "+" a
 # union, "&B<d>" cuts the whole list to the ball of radius d around the
 # root, B<d> is that ball; ">" marks a column whose messages are sent, "-"
-# one computed nowhere, "()" a step that computes no column.
+# one computed nowhere, "()" a step that computes no column, and "^" before
+# a list a column computed once per root, before the loop over its branches.
 _PLAN_NODES = {
     "path2": "() | >",
     "path3": "N(i) | N(N(i)) | >",
@@ -399,7 +401,7 @@ _PLAN_NODES = {
     "cycle3": "() | N(i)",
     "cycle4": "N(i) | N(N(i)) | N(i)",
     "cycle5": "N(j) | N(N(j))&B2 | N(i)",
-    "cycle6": "N(j) N(i) | N(N(i))&B2 N(j)+N(i) N(j) | N(N(j)) | N(j)+N(N(i))&B2 > "
+    "cycle6": "N(j) N(i) | ^N(N(i))&B2 N(j)+N(i) N(j) | N(N(j)) | N(j)+N(N(i))&B2 > "
     "| N(N(i))&B2 N(j) N(j) N(j) N(i)",
     "tailed_triangle": "N(i) | N(i)",
     "chordal_cycle": "N(i) | N(j)",
@@ -450,8 +452,8 @@ def _node_lists(spec, hops):
     text = []
     for step, step_units in zip(steps, units):
         where = {
-            c: ">" if nodes is None else _list_text(nodes, layout)
-            for nodes, columns in step_units for c in columns
+            c: ">" if nodes is None else "^" * once + _list_text(nodes, layout)
+            for nodes, columns, once in step_units for c in columns
         }
         columns = [where.get(c, "-") for c, src in enumerate(step.copies) if src is None]
         text.append(" ".join(columns) or "()")
@@ -494,6 +496,34 @@ def test_count_compiles_only_hook_free_kernels(monkeypatch):
         count(kind, gen_random(40, 0.1, 1))
     assert len(E._KERNELS) == len(_PLANS)
     assert not any(hooked for *_, hooked in E._KERNELS)
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_hooked_pair_kernels_run_every_step_per_branch(monkeypatch, n):
+    # a hook sees whole states after each subgraph, so a kernel with one
+    # computes nothing once per root: before and after its branch loop it
+    # only sets and clears the root's labels
+    sources = []
+    real = E._exec
+    monkeypatch.setattr(E, "_exec", lambda lines, name: sources.append(lines) or real(lines, name))
+    monkeypatch.setattr(E, "_KERNELS", {})
+    g = gen_random(n, 0.2, 1)
+    for kind in ("cycle6", "path4"):
+        spec = _PLANS[kind]
+        E.RootedRun(spec.program, g.adjacency, spec.hops, spec.readouts, True, lambda *_: None)
+    assert len(sources) == 2
+    for lines in sources:
+        kernel = lines[lines.index("    def _root(i):"):]
+        kernel = kernel[next(k for k, x in enumerate(kernel) if x.startswith("    def _kernel")):]
+        loop = kernel.index("        for j in adj[i]:")
+        end = next(k for k in range(loop + 1, len(kernel)) if not kernel[k].startswith(" " * 12))
+        assert kernel[1] == "        _rows = []"
+        assert all(re.fullmatch(r" {8}_U\d = (adj\[i\]|\(i,\))", x) for x in kernel[2:loop])
+        assert kernel[-2:] == ["        return _rows", "    return _root, _kernel"]
+        assert all(
+            re.fullmatch(r" {8}for _k in (adj\[i\]|\(i,\)):| {12}L\d\[_k\] = 0", x)
+            for x in kernel[end:-2]
+        )
 
 
 def test_plans_reading_beyond_their_radius_are_refused():
@@ -826,10 +856,40 @@ def _sent(sender):
     )
 
 
+# Two pair plans with a column that reads only root labels, which a kernel
+# without a hook computes once per root, before the loop over the branches:
+# layer 2 of the first reads it across an edge, at the neighbors of the
+# branching node's neighbors; the second only reads it out, so each
+# branch's row gets the same sum of it.  Weighted by in_n_branch at radius
+# 1, the first's last step runs over N(j), past its radius, so the copy of
+# init it reads there must keep its own list, cut to B1; weighted by a
+# branch label, the second's readout sum differs per branch.
+_ROOT_READ_ACROSS = E.MPProgram(
+    "root-read-across",
+    (E.LSelf("in_n_branch"),),
+    (
+        E.Layer((E.LNbr("in_n_root"),), (E.LSelf("in_n_root") * E.Msg(0), E.Self(0))),
+        E.Layer((E.Nbr(0),), (E.Self(1) * E.Msg(0),)),
+    ),
+)
+_ROOT_SUMMED = E.MPProgram(
+    "root-summed",
+    (E.LSelf("is_branch"),),
+    (
+        E.Layer(
+            (E.LNbr("in_n_root"), E.Nbr(0)),
+            ((1 - E.LSelf("is_root")) * E.Msg(0), E.LSelf("in_n_branch") * E.Msg(1)),
+        ),
+    ),
+)
+
+
 _RULE_PLANS = (
     (True, _DEMAND_LISTS, (E.Readout(0),)),
     (True, _sent("is_root"), (E.Readout(0), E.Readout(1))),
     (True, _sent("in_n_root"), (E.Readout(0), E.Readout(1))),
+    (True, _ROOT_READ_ACROSS, (E.Readout(0),)),
+    (True, _ROOT_SUMMED, (E.Readout(0), E.Readout(1))),
 )
 
 
@@ -837,19 +897,21 @@ def _rules(branching, prog, readouts, hops):
     """The node-list rules a kernel without a hook uses: 1, a step that
     pulls messages computes its columns over unlike node lists; 2, a column
     is computed over its readers' node lists instead of its own; 3, a cut
-    step sends a column's messages."""
+    step sends a column's messages; 4, a unit is computed once per root."""
     steps, cuts, plan, units, slot = _hook_free_layout(prog, readouts, branching, hops)
     used = set()
     for s, (step, cut, (mode, _, _), step_units) in enumerate(zip(steps, cuts, plan, units)):
-        lists = {nodes for nodes, _ in step_units if nodes is not None}
+        lists = {nodes for nodes, _, _ in step_units if nodes is not None}
         if step.messages and len(lists) > 1:
             used.add(1)
         if mode == "nodes" and not E._scatters(step, cut) and any(
-            nodes not in (None, slot[s, c]) for nodes, columns in step_units for c in columns
+            nodes not in (None, slot[s, c]) for nodes, columns, _ in step_units for c in columns
         ):
             used.add(2)
-        if cut is not None and any(nodes is None for nodes, _ in step_units):
+        if cut is not None and any(nodes is None for nodes, _, _ in step_units):
             used.add(3)
+        if any(once for *_, once in step_units):
+            used.add(4)
     return used
 
 
@@ -860,9 +922,9 @@ def test_hand_written_plans_use_every_node_list_rule(hops, weight):
     for branching, prog, readouts in _RULE_PLANS:
         for alike in (readouts, tuple(E.Readout(r.component, weight) for r in readouts)):
             used |= _rules(branching, prog, alike, hops)
-    assert used == {1, 2, 3}
+    assert used == {1, 2, 3, 4}
     spec = _PLANS["cycle6"]  # and so does the 6-cycle plan
-    assert _rules(True, spec.program, spec.readouts, spec.hops) == {1, 2, 3}
+    assert _rules(True, spec.program, spec.readouts, spec.hops) == {1, 2, 3, 4}
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -877,6 +939,8 @@ def test_hand_written_plans_use_every_node_list_rule(hops, weight):
 @example(_RULE_PLANS[0], 40, 0.08, 5)
 @example(_RULE_PLANS[1], 48, 0.08, 6)
 @example(_RULE_PLANS[2], 44, 0.08, 8)
+@example(_RULE_PLANS[3], 40, 0.1, 4)
+@example(_RULE_PLANS[4], 42, 0.1, 2)
 @example((True, _PLANS["cycle6"].program, _PLANS["cycle6"].readouts), 40, 0.1, 7)
 def test_rooted_runs_match_the_reference_on_extracted_egos(plan, n, p, seed):
     # Each plan runs at every radius 1-3 it can, as drawn and with every

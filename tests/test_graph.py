@@ -74,6 +74,10 @@ def test_graph6_rejects_garbage():
         parse_graph6("B")  # truncated data section
     with pytest.raises(GraphFormatError):
         parse_graph6("B\x1f")
+    # K2 is "A_": the last data byte is padded with zeros
+    assert parse_graph6("A_").edge_count == 1
+    with pytest.raises(GraphFormatError, match="padding"):
+        parse_graph6("Ao")
 
 
 def test_degrees():
