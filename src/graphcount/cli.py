@@ -56,6 +56,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _sizes(text: str) -> tuple[int, ...]:
+    """An argparse type: comma-separated node counts, each at least 1."""
+    return tuple(_positive_int(x) for x in text.split(",") if x != "")
+
+
 def _write_report(
     out: str | None, level: str, rep: oracle.CountReport, verbose: bool
 ) -> None:
@@ -222,9 +227,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    sizes = tuple(int(s) for s in args.sizes.split(",") if s != "")
     rows = bench_mod.run_bench(
-        sizes=sizes, degree=args.degree, kind=args.substructure, seed=args.seed
+        sizes=args.sizes, degree=args.degree, kind=args.substructure, seed=args.seed
     )
     handle = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
@@ -310,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.set_defaults(func=_cmd_stats)
 
     p_bench = sub.add_parser("bench", help="near-linear scaling benchmark")
-    p_bench.add_argument("--sizes", default="1000,2000,4000")
+    p_bench.add_argument("--sizes", type=_sizes, default="1000,2000,4000",
+                         help="comma-separated node counts, each at least 1")
     p_bench.add_argument("--degree", type=int, default=4)
     p_bench.add_argument("--substructure", choices=_COUNT_KINDS, default="cycle6")
     p_bench.add_argument("--seed", type=int, default=7)

@@ -5,9 +5,9 @@ shape, a subgraph radius, readouts, a combine step, and a graph divisor.
 Root bags (one ego-network per node) cover 2- and 3-paths, triangles,
 4-cycles, and the closed walks; pair bags (root + branching neighbor) cover
 4-paths, 5-/6-cycles, and the size-4/5 graphlets.  One executor,
-``engine.RootedRun``, runs every plan, and ``count_walks``, root by root on
-the parent graph itself, one call of the plan's generated kernel per root:
-no subgraph is extracted, and the radius bounds which nodes each step
+``engine.RootedRun``, runs every plan and ``count_walks`` root by root on
+the parent graph itself, with one call of the plan's generated kernel per
+root: no subgraph is extracted, and the radius bounds which nodes each step
 computes.
 All divisions are exact integer divisions with remainder checks, and every
 kind has an independent brute-force twin in ``oracle.TWINS`` that returns

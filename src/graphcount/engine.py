@@ -88,38 +88,45 @@ takes that source's node list as it is.  CHANGES.md holds the measurements
 behind these rules.
 
 One kernel per plan.  A plan compiles, once per (program, label layout,
-cuts, small-graph flag, readouts, hooked), into one generated Python
-function, its kernel (``_kernel``).  A rooted kernel marks the branch
-labels, loops over the root's branches, runs every step inline and appends
-each subgraph's readout row; ``run`` runs the same step code once over
-given labels, and no count calls it.  Each state column is a node-indexed
-buffer named after the step and column that computed it (``_origins``);
-each node list is chosen by the rules above when the kernel is generated;
-after each subgraph the kernel zeroes what it wrote.  A step scatters its
-messages (``_scatters``) when it has no cut and the witness of each message
-has at most one read at the sender and at most one at the receiver, both
-covered by the step's sources: every message is added from the nodes where
-its sender-side read is nonzero into its neighbors' message buffers, then
-pulled only at the nodes where its receiver-side read is nonzero, from the
-neighbors not scattered from.  A scatter walks each edge from its sender,
-so it needs a symmetric adjacency.  Every other step pulls each message at
-each node that computes a column reading it.
+radius, small-graph flag, readouts, hooked), into one generated Python
+function, its kernel (``_kernel``); the radius analysis (``_radii``) runs
+inside that compile, so the one key covers it.  A rooted kernel marks the
+branch labels, loops over the root's branches, runs every step inline and
+appends each subgraph's readout row; ``run`` runs the same step code once
+over given labels, and no count calls it.  Each state column is a
+node-indexed buffer named after the step and column that computed it (each
+walked step records these origins); each node list is chosen by the rules
+above when the kernel is generated; after each subgraph the kernel zeroes
+what it wrote.  A step scatters its messages (``_scatters``) when it has no
+cut and the witness of each message has at most one read at the sender and
+at most one at the receiver, both covered by the step's sources: every
+message is added from the nodes where its sender-side read is nonzero into
+its neighbors' message buffers, then pulled only at the nodes where its
+receiver-side read is nonzero, from the neighbors not scattered from.  A
+scatter walks each edge from its sender, so it needs a symmetric
+adjacency.  Every other step pulls each message at each node that computes
+a column reading it.
 
-Readouts are summed where they are computed.  In a rooted kernel without a
-hook, a column that no later step reads is not stored: each readout of it
-is a running sum that the loop computing the column adds to (``_fusion``).
-A step whose columns are all of that kind computes only what its readouts
-need: if every one is weighted by one label, it computes only at that
-label's nodes (cycle3, cycle4, cycle5, the closed walks); if it scatters
-and each column is ``coef * Msg(m)``, each message value, times coef at its
-receiver, goes straight into the sum as it is sent or pulled, with no node
-set, message buffer or final loop (path2, path3, path4).  Otherwise the step
-computes each column over its node list as above and adds its readout-only
-columns instead of storing them (cycle6's layer 4, triangle_rectangle's
-last step, clique4, chordal_cycle, tailed_triangle), except that a cut step
-sends each ``coef * Msg(m)`` one whose message's witness reads only the
-sender, of reach below the cut, so that every receiver it reaches lies
-within the cut: cycle6's layer 3 column 1, sent from the root's neighbors.
+Readouts are summed where they are computed.  One pass, ``_layout``, plans
+a kernel: it decides, for each column a step computes, whether the column
+is stored, summed where it is computed, sent, or not computed at all, and
+gives each step's readout terms.  In a rooted kernel without a hook, a
+column that no later step reads is not stored: each readout of it is a
+running sum that the loop computing the column adds to, and a column that
+nothing reads is not computed.  A step that stores nothing, does not
+scatter, and sums only readouts weighted by one label, whose reach lies
+within the step's cut if it has one, computes only at that label's nodes,
+where the weight is 1 (cycle3, cycle4, cycle5, the closed walks).  A step
+that stores nothing, scatters, and sums only ``coef * Msg(m)`` columns
+sends them: each message value, times coef at its receiver, goes straight
+into the sum as it is sent or pulled, with no node set, message buffer or
+final loop (path2, path3, path4).  Any other step computes each column over
+its node list as above and sums its readout-only columns instead of storing
+them (cycle6's layer 4, triangle_rectangle's last step, clique4,
+chordal_cycle, tailed_triangle), except that a cut step sends each
+``coef * Msg(m)`` one whose message's witness reads only the sender, of
+reach below the cut, so that every receiver it reaches lies within the cut:
+cycle6's layer 3 column 1, sent from the root's neighbors.
 A kernel with a hook stores every column over one node list per step, so
 that the hook sees whole states: ``count_path4_edge``, ``count_walks``,
 the per-step parity tests and the node evaluation counts run on it.
@@ -408,9 +415,10 @@ class _Step:
     computes), what the messages and computing updates read, the reach of
     each output column, the union of the computing updates' witnesses: the
     reads whose supports bound the nodes the step must compute (None: every
-    node), and per update, when it is ``coef * Msg(m)`` with a coef that
-    reads no message, (m, the coef's Python source, None for a bare
-    ``Msg(m)``), else None."""
+    node), per update, when it is ``coef * Msg(m)`` with a coef that reads
+    no message, (m, the coef's Python source, None for a bare ``Msg(m)``),
+    else None, and the (step, column) that computed each output column,
+    following copies back."""
 
     messages: list
     updates: list
@@ -419,6 +427,7 @@ class _Step:
     reach: tuple
     sources: frozenset | None
     linear: list
+    origins: tuple
 
 
 def _reads_message(e: Expr) -> bool:
@@ -446,8 +455,9 @@ def _walk(prog: MPProgram, layout: Mapping[str, int]) -> list[_Step]:
     the step passes the column through."""
     steps = []
     reach: tuple = ()
+    origins: tuple = ()
     layers = [("init", Layer((), prog.init))] + [("update", x) for x in prog.layers]
-    for ctx, layer in layers:
+    for s, (ctx, layer) in enumerate(layers):
         messages = [_expr(e, "message", layout, reach, ()) for e in layer.message]
         witnesses = tuple(m[2] for m in messages)
         copies = [e.index if type(e) is Self else None for e in layer.update]
@@ -466,7 +476,8 @@ def _walk(prog: MPProgram, layout: Mapping[str, int]) -> list[_Step]:
         reach = tuple(
             _reach(u[2], reach) if c is None else reach[c] for u, c in zip(updates, copies)
         )
-        steps.append(_Step(messages, updates, copies, reads, reach, sources, linear))
+        origins = tuple((s, c) if src is None else origins[src] for c, src in enumerate(copies))
+        steps.append(_Step(messages, updates, copies, reads, reach, sources, linear, origins))
     return steps
 
 
@@ -530,20 +541,6 @@ def _per_root(nodes, index) -> bool:
     return all(_per_root(x, index) for x in chain(*nodes[:2]))
 
 
-def _origins(steps: Sequence[_Step]) -> list[tuple[tuple[int, int], ...]]:
-    """Per step, the (step, column) that computed each of its output columns,
-    following copies back."""
-    out, state = [], ()
-    for s, step in enumerate(steps):
-        state = tuple((s, c) if src is None else state[src] for c, src in enumerate(step.copies))
-        out.append(state)
-    return out
-
-
-# (program, label layout, radius, readouts) -> (radii, cuts)
-_RADII: dict[tuple, tuple] = {}
-
-
 def _radii(prog: MPProgram, layout: tuple[str, ...], hops: int, readouts: tuple) -> tuple:
     """Per step, on a rooted subgraph of radius ``hops``: the radius R it
     computes within, and the radius it is cut to (None: no cut), from the
@@ -558,19 +555,14 @@ def _radii(prog: MPProgram, layout: tuple[str, ...], hops: int, readouts: tuple)
     a neighbor outside adds 0 only if each message is 0 whenever its sender
     lies beyond ``hops``; a program where that fails raises ProgramError.
     """
-    key = (prog, layout, hops, readouts)
-    hit = _RADII.get(key)
-    if hit is not None:
-        return hit
     steps = _steps(prog, layout)
-    origin = _origins(steps)
     demand: dict = {}
 
     def need(column, radius):
         demand[column] = max(demand.get(column, -1), min(hops, radius))
 
     for r in readouts:
-        need(origin[-1][r.component], _LABEL_REACH.get(r.weight, hops))
+        need(steps[-1].origins[r.component], _LABEL_REACH.get(r.weight, hops))
     within = [-1] * len(steps)
     for s in reversed(range(len(steps))):
         step = steps[s]
@@ -581,7 +573,7 @@ def _radii(prog: MPProgram, layout: tuple[str, ...], hops: int, readouts: tuple)
         )
         if within[s] >= 0:
             for _, column, hop in (r for r in step.reads if r[0] == "H"):
-                need(origin[s - 1][column], within[s] + hop)
+                need(steps[s - 1].origins[column], within[s] + hop)
     cuts, spread, reach = [], (), ()
     for s, step in enumerate(steps):
         natural = _reach(step.sources, spread)
@@ -598,8 +590,7 @@ def _radii(prog: MPProgram, layout: tuple[str, ...], hops: int, readouts: tuple)
             for src in step.copies
         )
         reach = step.reach
-    _RADII[key] = hit = (tuple(within), tuple(cuts))
-    return hit
+    return tuple(within), tuple(cuts)
 
 
 def _one_read_a_side(witness) -> bool:
@@ -625,63 +616,6 @@ def _scatters(step: _Step, cut: int | None) -> bool:
     )
 
 
-def _fusion(steps: Sequence[_Step], cuts, readouts) -> list[tuple[str, dict, list]]:
-    """Per step of a rooted kernel without a hook, how it treats the columns
-    it computes that no later step reads: ``(mode, fused, sent)``, with
-    ``fused`` mapping each such column to the indices of the readouts of it,
-    which are summed where the column is computed instead of being stored,
-    and ``sent`` the summed columns, each ``coef * Msg(m)``, whose message
-    values, times coef at the receiver, are added to the readout sums as
-    they are sent (``_scatter``).  Modes:
-
-    - "nodes": the step computes its other columns over their node lists
-      (``_layout``), storing those a later step reads;
-    - "weight": every fused readout is weighted by one label and the step
-      stores nothing, so it computes only at the label's nodes.  A step
-      without a cut is 0 off its nodes wherever it is evaluated, as every
-      read of its sources is; a step with one must not compute beyond it,
-      so there the label's reach must lie within the cut;
-    - "skip": nothing reads what the step computes.
-
-    A step that stores nothing, scatters and sums only ``coef * Msg(m)``
-    columns sends them all.  A cut step sends each such column whose
-    message's witness is at most one read, at the sender, of reach below
-    the cut: every receiver of a nonzero message then lies within the cut.
-    """
-    origins = _origins(steps)
-    read = {
-        origins[t - 1][r[1]] for t in range(1, len(steps)) for r in steps[t].reads if r[0] == "H"
-    }
-    plan = []
-    for s, (step, cut) in enumerate(zip(steps, cuts)):
-        computed = [c for c, src in enumerate(step.copies) if src is None]
-        fused = {
-            c: [x for x, r in enumerate(readouts) if origins[-1][r.component] == (s, c)]
-            for c in computed if (s, c) not in read
-        }
-        summed = [c for c, xs in fused.items() if xs]
-        weights = {readouts[x].weight for c in summed for x in fused[c]}
-        (weight,) = weights if len(weights) == 1 else (None,)
-        stores, sent = len(fused) < len(computed), []
-        if not stores and not summed:
-            mode = "skip"
-        elif not stores and weight is not None and (cut is None or _LABEL_REACH[weight] <= cut):
-            mode = "weight"
-        else:
-            mode = "nodes"
-            if not stores and _scatters(step, cut) and all(step.linear[c] for c in summed):
-                sent = summed
-            elif cut is not None:
-                messages = [step.linear[c] and step.messages[step.linear[c][0]] for c in summed]
-                sent = [
-                    c for c, m in zip(summed, messages)
-                    if m and _one_read_a_side(m[2]) and all(hop == 1 for *_, hop in m[2])
-                    and _reach(m[2], steps[s - 1].reach, sender=True) < cut
-                ]
-        plan.append((mode, fused, sent))
-    return plan
-
-
 def _nodes(sources, cut, small: bool, where) -> str | tuple:
     """The node list a step, or a column, with these sources computes, by
     the rules of the module docstring: a name, or ``(near, here, cut)``, the
@@ -698,86 +632,118 @@ def _nodes(sources, cut, small: bool, where) -> str | tuple:
     return (near, here, cut) if build else here[0]
 
 
-def _layout(steps, cuts, plan, small: bool, index, readouts) -> tuple[list, dict]:
-    """Per step, its units ``(nodes, columns, once)``: one loop over the
-    node list ``nodes`` computes ``columns``, pulling the messages they read
-    (a step that scatters fills its message buffers first), or, with
-    ``nodes`` None, ``columns`` are sent (``_fusion``); ``once``: the loop
-    runs once per root, before the branch loop.  Also each computed
-    column's node list, off which it is 0.  ``readouts`` is None for a
-    kernel that keeps whole states: there each step computes every column
-    over one node list.  Otherwise a step that pulls computes each column
-    over its own witness's node list, or over the union of the node lists
-    its readers read it at, when every reader reads it at the node itself
-    and none runs over every node or past its step's radius.  In a pair
-    kernel, a pulled column that, with the weights of its readouts, reads
-    only root labels and columns computed once, over a node list of the
-    root alone, is computed once per root over its own list."""
-    origins = _origins(steps)
+def _layout(steps, cuts, small: bool, index, readouts) -> tuple[list, dict, list]:
+    """The plan of a kernel, by the rules of the module docstring: what each
+    step does with each column it computes.  Returns, per step, its units
+    ``(nodes, columns, once)`` and its readout terms ``{c: [(x, w)]}``, and
+    each computed column's node list, off which it is 0.
+
+    A unit is one loop over the node list ``nodes`` that computes
+    ``columns``, pulling the messages they read (a step that scatters fills
+    its message buffers first), or, with ``nodes`` None, sends ``columns``
+    (``_scatter``); with ``once`` the loop runs once per root, before the
+    branch loop.  A column with readout terms is not stored: it is added,
+    where it is computed, to each readout x of it, times the label at
+    position w (None: 1).  A column that is neither stored nor read out is
+    not computed.  ``readouts`` is None for a kernel that keeps whole
+    states: there each step stores every column over one node list.
+    """
+    read = {
+        steps[t - 1].origins[r[1]] for t in range(1, len(steps)) for r in steps[t].reads
+        if r[0] == "H"
+    }
+    out: dict = {}  # the readouts of each column the final state holds
+    for x, r in enumerate(readouts or ()):
+        out.setdefault(steps[-1].origins[r.component], []).append(x)
     slot: dict = {}
-    own: list = []
     once: set = set()
+    terms: list = []
+    own: list = []
     for s, (step, cut) in enumerate(zip(steps, cuts)):
 
         def where(var, key, s=s):
-            return slot[origins[s - 1][key]] if var == "H" else f"_U{index[key]}"
+            return slot[steps[s - 1].origins[key]] if var == "H" else f"_U{index[key]}"
 
         whole = readouts is None or _scatters(step, cut)
+        computed = [c for c, src in enumerate(step.copies) if src is None]
+        stored = [c for c in computed if readouts is None or (s, c) in read]
+        sums = {c: out[s, c] for c in computed if c not in stored and (s, c) in out}
+        # the weight rule: a step that stores nothing, does not scatter and
+        # sums only readouts weighted by one label computes only at that
+        # label's nodes, where the weight is 1; a cut step must not compute
+        # past its cut, so there the label's reach must lie within it
+        weights = {readouts[x].weight for xs in sums.values() for x in xs}
+        (label,) = weights if len(weights) == 1 and not (stored or whole) else (None,)
+        if cut is not None and _LABEL_REACH.get(label, _UNBOUNDED) > cut:
+            label = None
+        sent = []
+        if label is None and not stored and whole and all(step.linear[c] for c in sums):
+            sent = list(sums)
+        elif label is None and cut is not None:
+            messages = [step.linear[c] and step.messages[step.linear[c][0]] for c in sums]
+            sent = [
+                c for c, m in zip(sums, messages)
+                if m and _one_read_a_side(m[2]) and all(hop == 1 for *_, hop in m[2])
+                and _reach(m[2], steps[s - 1].reach, sender=True) < cut
+            ]
+        terms.append({
+            c: [(x, None if label else index.get(readouts[x].weight)) for x in xs]
+            for c, xs in sums.items()
+        })
         lists = {}
-        for c, (_, _, witness, _) in enumerate(step.updates):
-            if step.copies[c] is None:
-                lists[c] = slot[s, c] = _nodes(
-                    step.sources if whole else witness, cut, small, where
-                )
-                # a column whose witness is one read at the node lies in its node list
-                if cut is None and witness is not None and len(witness) == 1:
-                    ((var, key, hop),) = witness
-                    if hop == 0:
-                        slot[s, c] = where(var, key)
-                # once per root: it, and the weights of its readouts, read
-                # only root labels and columns computed once
-                reads = _reads(step, [c])
-                labels = {readouts[x].weight for x in plan[s][1].get(c, ())} - {None}
-                if (
-                    "is_branch" in index and not whole and c not in plan[s][2]
-                    and _per_root(lists[c], index)
-                    and labels | {r[1] for r in reads if r[0] == "L"} <= set(_PER_ROOT)
-                    and all(origins[s - 1][r[1]] in once for r in reads if r[0] == "H")
-                ):
-                    once.add((s, c))
-        own.append((whole, lists))
+        for c in computed:
+            witness = step.updates[c][2]
+            lists[c] = slot[s, c] = _nodes(step.sources if whole else witness, cut, small, where)
+            # a column whose witness is one read at the node lies in its node list
+            if cut is None and witness is not None and len(witness) == 1:
+                ((var, key, hop),) = witness
+                if hop == 0:
+                    slot[s, c] = where(var, key)
+            # once per root: it, and the weights of its readouts, read
+            # only root labels and columns computed once
+            reads = _reads(step, [c])
+            labels = {readouts[x].weight for x in sums.get(c, ())} - {None}
+            if (
+                "is_branch" in index and not whole and c not in sent
+                and _per_root(lists[c], index)
+                and labels | {r[1] for r in reads if r[0] == "L"} <= set(_PER_ROOT)
+                and all(steps[s - 1].origins[r[1]] in once for r in reads if r[0] == "H")
+            ):
+                once.add((s, c))
+        lists = {
+            c: f"_U{index[label]}" if label else lists[c]
+            for c in computed if c not in sent and (c in stored or c in sums)
+        }
+        # the stored columns a pulling step may narrow to their demand, and
+        # whether an uncut step under the weight rule can compute beyond its
+        # radius
+        own.append(([] if whole else stored, lists, sent, label is not None and cut is None))
     units: list = [[] for _ in steps]
-    summed = {origins[-1][r.component] for r in readouts or ()}
     for s in reversed(range(len(steps))):
-        (mode, fused, sent), (whole, lists) = plan[s], own[s]
-        for c in () if whole else lists:
-            if c in fused or (s, c) in summed or (s, c) in once:
+        narrow, lists, sent, _ = own[s]
+        for c in narrow:
+            if (s, c) in out or (s, c) in once:
                 continue
             demand = set()
             for t in range(s + 1, len(steps)):
-                # an uncut step in "weight" mode runs over its label's nodes,
-                # which can lie beyond the step's radius
-                beyond = plan[t][0] == "weight" and cuts[t] is None
                 for nodes, columns, _ in units[t]:
                     reads = _reads(steps[t], columns)
-                    hops = {r[2] for r in reads if r[0] == "H" and origins[t - 1][r[1]] == (s, c)}
-                    demand |= {nodes if hops == {0} and not beyond else None} if hops else set()
+                    hops = {
+                        r[2] for r in reads
+                        if r[0] == "H" and steps[t - 1].origins[r[1]] == (s, c)
+                    }
+                    demand |= {nodes if hops == {0} and not own[t][3] else None} if hops else set()
             union = ((), tuple(sorted(demand, key=repr)), None)
             union = union[1][0] if len(demand) == 1 else union
             if not demand & {None, "_all"} and (type(lists[c]) is tuple or type(union) is str):
                 lists[c] = union
         groups: dict = {}
-        if mode == "weight":
-            (label,) = {readouts[x].weight for xs in fused.values() for x in xs}
-            lists = dict.fromkeys(fused, f"_U{index[label]}")
-        for c, src in enumerate(steps[s].copies):
-            if src is None and fused.get(c, mode == "nodes") and c not in sent:
-                key = (lists[c], (s, c) in once and _per_root(lists[c], index))
-                groups.setdefault(key, []).append(c)
+        for c, nodes in lists.items():
+            groups.setdefault((nodes, (s, c) in once and _per_root(nodes, index)), []).append(c)
         units[s] = [(None, sent, False)] * bool(sent) + [
             (nodes, columns, hoisted) for (nodes, hoisted), columns in groups.items()
         ]
-    return units, slot
+    return units, slot, terms
 
 
 def _reads(step: _Step, columns) -> set:
@@ -872,20 +838,14 @@ def _indent(lines: list, depth: int) -> list:
     return [" " * (4 * depth) + x for x in lines]
 
 
-def _generate(prog: MPProgram, layout: tuple, cuts, small: bool, readouts, hooked: bool):
+def _generate(prog: MPProgram, layout: tuple, hops, small: bool, readouts, hooked: bool):
     """Compile one kernel factory; ``_kernel`` gives the arguments."""
     steps = _steps(prog, layout)
-    cuts = cuts or (None,) * len(steps)
-    origins = _origins(steps)
+    cuts = (None,) * len(steps) if readouts is None else _radii(prog, layout, hops, readouts)[1]
     index = {name: i for i, name in enumerate(layout)}
     fusing = readouts is not None and not hooked
-    plan = _fusion(steps, cuts, readouts) if fusing else [("nodes", {}, [])] * len(steps)
-    units, slot = _layout(steps, cuts, plan, small, index, readouts if fusing else None)
-    weighted = {
-        index[readouts[x].weight]
-        for mode, fused, _ in plan if mode != "weight"
-        for xs in fused.values() for x in xs if readouts[x].weight is not None
-    }
+    units, slot, sums = _layout(steps, cuts, small, index, readouts if fusing else None)
+    terms = [t for step_sums in sums for ts in step_sums.values() for t in ts]
     body, buffers, stored, shown, names, radii = [], [], {}, [], {}, [-1]
     # what a pair kernel without a hook does once per root: node lists of
     # the root alone, and the units (``_layout``) computed once
@@ -911,43 +871,38 @@ def _generate(prog: MPProgram, layout: tuple, cuts, small: bool, readouts, hooke
             out.extend([f"{name} &= {bind(f'_B{spec[2]}')}"] if spec[2] is not None else [])
         return names[spec]
 
-    for s, (step, cut, (mode, fused, _)) in enumerate(zip(steps, cuts, plan)):
+    for s, step in enumerate(steps):
 
         def column(var, key, s=s):
             if var == "H":
-                return f"H{key}", bind(slot[origins[s - 1][key]])
+                return f"H{key}", bind(slot[steps[s - 1].origins[key]])
             return f"L{index[key]}", f"_U{index[key]}"
-
-        # the weight is 1 on the nodes a step in "weight" mode computes
-        sums = {
-            c: [(x, None if mode == "weight" else index.get(readouts[x].weight)) for x in xs]
-            for c, xs in fused.items()
-        }
 
         def held(reads, s=s):
             """Lines that bind the state columns in ``reads`` as H<c>."""
             keys = sorted({r[1] for r in reads if r[0] == "H"})
-            return ["H{} = O{}_{}".format(key, *origins[s - 1][key]) for key in keys]
+            return ["H{} = O{}_{}".format(key, *steps[s - 1].origins[key]) for key in keys]
 
         body += held(step.reads) if any(not once for *_, once in units[s]) else []
         shown.append("()")
         for nodes, columns, once in units[s]:
             name = nodes and bind(nodes)
-            buffered = mode == "nodes" and _scatters(step, cut)
-            lines, outs, used = _unit(step, s, name, columns, sums, column, buffered)
+            buffered = _scatters(step, cuts[s])
+            lines, outs, used = _unit(step, s, name, columns, sums[s], column, buffered)
             if once:
                 prelude += held(_reads(step, columns)) + lines
-                once_summed.update(x for c in columns for x, _ in sums.get(c, ()))
+                once_summed.update(x for c in columns for x, _ in sums[s].get(c, ()))
             else:
                 body += lines
             buffers, shown[s] = buffers + outs + used, name
             # a loop over every node rewrites every node
             outs = outs if name != "_all" else []
             (stored_once if once else stored).setdefault(name, []).extend(outs)
-    marked = sorted({index[r[1]] for step in steps for r in step.reads if r[0] == "L"} | weighted)
+    marked = {index[r[1]] for step in steps for r in step.reads if r[0] == "L"}
+    marked = sorted(marked | {w for _, w in terms if w is not None})
     states = "".join(
-        f"(({''.join('O{}_{}, '.format(*o) for o in origin)}), {shown[s]}), "
-        for s, origin in enumerate(origins)
+        f"(({''.join('O{}_{}, '.format(*o) for o in step.origins)}), {shown[s]}), "
+        for s, step in enumerate(steps)
     )
     hook = ["if hook is not None:", f"    hook(j, ({states}))"]
     setup = ["n = len(adj)", "_all = range(n)", "_adj = adj.__getitem__"]
@@ -957,7 +912,7 @@ def _generate(prog: MPProgram, layout: tuple, cuts, small: bool, readouts, hooke
         lines = ["def _run(adj, labels, supports, hook):", *_indent(setup, 1)]
         if layout:
             lines.append(f"    {''.join(f'_U{i}, ' for i in range(len(layout)))}= supports")
-        final = "".join("O{}_{}, ".format(*o) for o in origins[-1])
+        final = "".join("O{}_{}, ".format(*o) for o in steps[-1].origins)
         lines += _indent(["j = None", *body, *hook, f"return ({final})"], 1)
         return _exec(lines, "_run")
 
@@ -968,11 +923,12 @@ def _generate(prog: MPProgram, layout: tuple, cuts, small: bool, readouts, hooke
             for line in (f"for _k in {_SUPPORTS[layout[i]]}:", f"    L{i}[_k] = {value}")
         ]
 
-    summed = {x for _, fused, _ in plan for xs in fused.values() for x in xs}
+    summed = {x for x, _ in terms}
+    last = steps[-1].origins
     row = "".join(
         f"_r{x}, " if x in summed else "sum(map({}.__getitem__, {})), ".format(
-            "O{}_{}".format(*origins[-1][r.component]),
-            bind(slot[origins[-1][r.component]]) if r.weight is None else f"_U{index[r.weight]}",
+            "O{}_{}".format(*last[r.component]),
+            bind(slot[last[r.component]]) if r.weight is None else f"_U{index[r.weight]}",
         )
         for x, r in enumerate(readouts)
     )
@@ -1023,23 +979,26 @@ def _exec(lines: list, name: str):
     return namespace[name]
 
 
-# (program, label layout, cuts, small-graph flag, readouts, hooked) -> kernel factory
+# (program, label layout, radius, small-graph flag, readouts, hooked) -> kernel factory
 _KERNELS: dict[tuple, object] = {}
 
 
 def _kernel(
-    prog: MPProgram, layout: tuple, cuts: tuple | None, small: bool, readouts, hooked: bool
+    prog: MPProgram, layout: tuple, hops: int | None, small: bool, readouts, hooked: bool
 ):
     """The kernel factory of one plan, generated once per (program, label
-    layout, cuts, small-graph flag, readouts, hooked).
+    layout, radius, small-graph flag, readouts, hooked).  A rooted kernel's
+    radius analysis (``_radii``) runs in the same compile: a program that
+    reads beyond the radius raises ProgramError there, and nothing is
+    cached for it.
 
     For a rooted run (``readouts`` a tuple), ``make(adj, labels, hook)``
     allocates the run's buffers and returns ``(root, kernel)``:
     ``root(i)`` sets root i's labels and balls, and ``kernel(i)`` runs its
     subgraphs and returns their readout rows.  ``labels`` holds one
-    node-indexed 0/1 buffer per label, all 0.  For a plain run
-    (``readouts`` None, no cuts), ``run(adj, labels, supports, hook)`` runs
-    once over the given label columns, with the nonzero nodes of each in
+    node-indexed 0/1 buffer per label, all 0.  For a plain run (``readouts``
+    and the radius None), ``run(adj, labels, supports, hook)`` runs once
+    over the given label columns, with the nonzero nodes of each in
     ``supports``, and returns the final state.
 
     ``hook(j, steps)``, unless None, is called after each subgraph with its
@@ -1047,13 +1006,13 @@ def _kernel(
     after it and the nodes it computed.  The buffers are reused, so a hook
     copies what it keeps.  A rooted kernel calls it only when generated with
     ``hooked``, and then stores every column; without, it stores only the
-    columns a later step reads and sums the others into the readout row
-    where they are computed (``_fusion``), so its steps' states are not
-    whole.  It computes root-level columns once per root only without
-    ``hooked``: a kernel with a hook runs every step inside the branch
-    loop.  A plain run stores every column and calls ``hook`` either way.
+    columns a later step reads and sums or sends the others into the
+    readout row where they are computed (``_layout``), so its steps' states
+    are not whole.  It computes root-level columns once per root only
+    without ``hooked``: a kernel with a hook runs every step inside the
+    branch loop.  A plain run stores every column and calls ``hook`` either way.
     """
-    key = (prog, layout, cuts, small, readouts, hooked)
+    key = (prog, layout, hops, small, readouts, hooked)
     hit = _KERNELS.get(key)
     if hit is None:
         hit = _KERNELS[key] = _generate(*key)
@@ -1105,21 +1064,26 @@ class RootedRun:
         hook=None,
     ) -> None:
         names = _ROOTED_LABELS[branching]
+        width = len(prog.layers[-1].update if prog.layers else prog.init)
         for r in readouts:
+            _check_component(r, width)
             if r.weight is not None and r.weight not in names:
                 raise MissingLabelError(
                     f"readout weight label {r.weight!r} not in subgraph labels"
                 )
-        readouts = tuple(readouts)
-        _, cuts = _radii(prog, names, hops, readouts)
         small = len(adjacency) < _SPARSE_MIN_NODES
-        make = _kernel(prog, names, cuts, small, readouts, hook is not None)
+        make = _kernel(prog, names, hops, small, tuple(readouts), hook is not None)
         labels = {name: [0] * len(adjacency) for name in names}
         self.root, self.kernel = make(adjacency, labels, hook)
 
     def rows(self, i: int) -> list[tuple[int, ...]]:
         self.root(i)
         return self.kernel(i)
+
+
+def _check_component(readout: Readout, width: int) -> None:
+    if not 0 <= readout.component < width:
+        raise ProgramError(f"readout component {readout.component} out of width {width}")
 
 
 def run_program(sub: "RootedSubgraph", prog: MPProgram) -> tuple[list[int], ...]:
@@ -1130,6 +1094,7 @@ def run_program(sub: "RootedSubgraph", prog: MPProgram) -> tuple[list[int], ...]
 def apply_readout(
     sub: "RootedSubgraph", states: Sequence[Sequence[int]], readout: Readout
 ) -> int:
+    _check_component(readout, len(states))
     column = states[readout.component]
     if readout.weight is None:
         return sum(column)

@@ -394,15 +394,25 @@ def test_stats_command(tmp_path, capsys):
 
 def test_bench_command_tiny(capsys):
     code, out, _ = run_cli(
-        ["bench", "--sizes", "0,64", "--degree", "4", "--seed", "3"], capsys
+        ["bench", "--sizes", "32,64", "--degree", "4", "--seed", "3"], capsys
     )
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == (
         "n,seconds,extraction,message_passing,readout,graph_count,ratio_vs_prev"
     )
-    assert lines[1].startswith("0,")
+    assert lines[1].startswith("32,")
     assert lines[2].startswith("64,")
+
+
+@pytest.mark.parametrize("sizes, bad", [("0", "0"), ("-4", "-4"), ("64,0", "0")])
+def test_bench_sizes_below_one_usage_error(capsys, sizes, bad):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--sizes", sizes])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--sizes: must be at least 1, got {bad}" in captured.err
 
 
 def test_console_entry_point():

@@ -173,6 +173,24 @@ def test_width_and_context_validation(prog, error, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("component", [-1, 7])
+def test_readout_components_must_lie_within_the_final_width(component):
+    # cycle6's program ends 7 columns wide: -1 must not read the last one
+    spec, g = _PLANS["cycle6"], gen_cycle(6)
+    readout = E.Readout(component)
+    sub = with_branching(g, extract_rooted(g, 0, ego(spec.hops)), 1)
+    states = E.run_program(sub, spec.program)
+    assert len(states) == 7
+    for attempt in (
+        lambda: E.RootedRun(spec.program, g.adjacency, spec.hops, (readout,), True),
+        lambda: E.apply_readout(sub, states, readout),
+    ):
+        with pytest.raises(E.ProgramError) as info:
+            attempt()
+        assert type(info.value) is E.ProgramError
+        assert str(info.value) == f"readout component {component} out of width 7"
+
+
 def test_exact_div():
     assert E.exact_div(12, 3) == 4
     with pytest.raises(ArithmeticError):
@@ -368,13 +386,17 @@ _PLAN_FUSED = {
     **{f"walk{n}": "w" for n in range(1, 9)},
 }
 def _fused(spec, hops):
-    layout = E._ROOTED_LABELS[spec.mode == "pair"]
-    _, cuts = E._radii(spec.program, layout, hops, spec.readouts)
-    plan = E._fusion(E._steps(spec.program, layout), cuts, spec.readouts)
-    how = {
-        x: "s" if c in sent else "w" if mode == "weight" else "l"
-        for mode, fused, sent in plan for c, xs in fused.items() for x in xs
-    }
+    # a readout term without its readout's weight lies under the weight rule
+    _, _, units, _, terms = _hook_free_layout(
+        spec.program, spec.readouts, spec.mode == "pair", hops
+    )
+    how = {}
+    for step_units, step_terms in zip(units, terms):
+        sent = {c for nodes, columns, _ in step_units if nodes is None for c in columns}
+        for c, xs in step_terms.items():
+            for x, w in xs:
+                weighted = spec.readouts[x].weight is not None
+                how[x] = "s" if c in sent else "w" if weighted and w is None else "l"
     return " ".join(how.get(x, "c") for x in range(len(spec.readouts)))
 
 
@@ -433,22 +455,22 @@ def _list_text(nodes, layout):
 
 
 def _hook_free_layout(prog, readouts, branching, hops):
-    """The walked steps, their cuts, their fusion plan, the units of each
-    step of the kernel without a hook on a graph of 32 nodes or more, and
-    the node list off which each computed column is 0."""
+    """The walked steps, their cuts, and the layout of the kernel without a
+    hook on a graph of 32 nodes or more: the units of each step, the node
+    list off which each computed column is 0, and each step's readout
+    terms."""
     layout = E._ROOTED_LABELS[branching]
     _, cuts = E._radii(prog, layout, hops, readouts)
     steps = E._steps(prog, layout)
-    plan = E._fusion(steps, cuts, readouts)
     index = {name: i for i, name in enumerate(layout)}
-    units, slot = E._layout(steps, cuts, plan, False, index, readouts)
-    return steps, cuts, plan, units, slot
+    units, slot, terms = E._layout(steps, cuts, False, index, readouts)
+    return steps, cuts, units, slot, terms
 
 
 def _node_lists(spec, hops):
     branching = spec.mode == "pair"
     layout = E._ROOTED_LABELS[branching]
-    steps, _, _, units, _ = _hook_free_layout(spec.program, spec.readouts, branching, hops)
+    steps, _, units, _, _ = _hook_free_layout(spec.program, spec.readouts, branching, hops)
     text = []
     for step, step_units in zip(steps, units):
         where = {
@@ -480,14 +502,14 @@ def test_a_second_count_compiles_and_analyses_nothing(monkeypatch):
     monkeypatch.setattr(E, "_generate", refuse)
     for kind in kinds:  # the same size class: 32 nodes or more
         count(kind, gen_random(45, 0.1, 2))
-    for prog, layout, cuts, small, readouts, hooked in E._KERNELS:
+    # one key per kernel covers its radius analysis too
+    for prog, layout, hops, small, readouts, hooked in E._KERNELS:
         assert type(prog) is E.MPProgram and type(small) is bool and type(hooked) is bool
         assert type(layout) is tuple and all(type(name) is str for name in layout)
-        assert cuts is None or type(cuts) is tuple and len(cuts) == len(prog.layers) + 1
-        assert readouts is None or type(readouts) is tuple
-    for prog, layout, hops, readouts in E._RADII:
-        assert type(prog) is E.MPProgram and type(layout) is tuple
-        assert type(hops) is int and type(readouts) is tuple
+        if readouts is None:  # a plain run
+            assert hops is None and not hooked
+        else:
+            assert type(hops) is int and type(readouts) is tuple
 
 
 def test_count_compiles_only_hook_free_kernels(monkeypatch):
@@ -526,13 +548,17 @@ def test_hooked_pair_kernels_run_every_step_per_branch(monkeypatch, n):
         )
 
 
-def test_plans_reading_beyond_their_radius_are_refused():
+def test_plans_reading_beyond_their_radius_are_refused(monkeypatch):
     # in_n_branch reaches two hops, so at radius 1 a node on the rim would
     # hear from neighbors outside the subgraph
+    monkeypatch.setattr(E, "_KERNELS", {})
     prog = E.MPProgram("too-far", (), (E.Layer((E.LNbr("in_n_branch"),), (E.Msg(0),)),))
-    with pytest.raises(E.ProgramError, match="reads beyond subgraph radius 1"):
-        E.RootedRun(prog, (), 1, (E.Readout(0),), True)
+    for _ in range(2):  # a compile that raises caches nothing, so it raises again
+        with pytest.raises(E.ProgramError, match="reads beyond subgraph radius 1"):
+            E.RootedRun(prog, (), 1, (E.Readout(0),), True)
+        assert not E._KERNELS
     E.RootedRun(prog, (), 2, (E.Readout(0),), True)
+    assert len(E._KERNELS) == 1
     # a weighted readout needs the column only on the weight's support
     E.RootedRun(prog, (), 1, (E.Readout(0, "is_root"),), True)
 
@@ -898,14 +924,16 @@ def _rules(branching, prog, readouts, hops):
     pulls messages computes its columns over unlike node lists; 2, a column
     is computed over its readers' node lists instead of its own; 3, a cut
     step sends a column's messages; 4, a unit is computed once per root."""
-    steps, cuts, plan, units, slot = _hook_free_layout(prog, readouts, branching, hops)
+    steps, cuts, units, slot, terms = _hook_free_layout(prog, readouts, branching, hops)
     used = set()
-    for s, (step, cut, (mode, _, _), step_units) in enumerate(zip(steps, cuts, plan, units)):
+    for s, (step, cut, step_units, step_terms) in enumerate(zip(steps, cuts, units, terms)):
         lists = {nodes for nodes, _, _ in step_units if nodes is not None}
         if step.messages and len(lists) > 1:
             used.add(1)
-        if mode == "nodes" and not E._scatters(step, cut) and any(
-            nodes not in (None, slot[s, c]) for nodes, columns, _ in step_units for c in columns
+        # only a stored column is computed over its readers' lists
+        if not E._scatters(step, cut) and any(
+            nodes not in (None, slot[s, c])
+            for nodes, columns, _ in step_units for c in columns if c not in step_terms
         ):
             used.add(2)
         if cut is not None and any(nodes is None for nodes, _, _ in step_units):
