@@ -325,9 +325,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined_sizes(argv: list[str]) -> list[str]:
+    """``argv`` with a ``--sizes`` value that starts with a minus sign joined
+    to the option by "=": argparse takes "-4,8" for an option, and its error
+    would not name the bad size."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--sizes" and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"--sizes={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined_sizes(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ProgramError as exc:

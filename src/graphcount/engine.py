@@ -31,14 +31,20 @@ Which nodes a step computes.  An expression's witness is a set of reads
 neighbor) such that the expression is 0 wherever all of them are: ``Self``,
 ``Nbr``, ``LSelf`` and ``LNbr`` are their own witness, ``Msg`` has its
 message's, ``Const(0)`` the empty one; ``Add``, ``Sub`` and ``IsPos`` join
-their operands', ``Mul`` keeps the operand of least reach; ``IsZero`` and
+their operands', ``Mul`` keeps the operand of least reach, or, when each
+operand is one label read at the node, reads their meet: the labels'
+product, nonzero only where all of them are (``in_n_root * in_n_branch``:
+the common neighbors of the root and the branching node); ``IsZero`` and
 nonzero constants have none.  A step whose computed updates all have one
 runs only over the nodes where a source of its witness is nonzero, plus
 their neighbors for sources read across an edge; every other node keeps 0.
 Each column and each label keeps the node list it is nonzero on, so this
 costs no scan of a column.  A node list is a set expression over the
 labels' lists, the adjacency and the root's balls, never over a state, so
-each one is built once per subgraph, where it is first used.
+each one is built once per subgraph, where it is first used.  Every rule
+but one below reads a meet as its first label, the operand kept by reach
+(``_plain``): only a column's own node list in a rooted kernel without a
+hook reads the meet itself.
 
 On a rooted subgraph the program runs on the parent graph's own adjacency,
 with nothing extracted, and the subgraph radius bounds the work instead.
@@ -62,15 +68,29 @@ A rooted kernel without a hook (the one ``count`` runs) computes each
 column only where it can be nonzero and where it is read (``_layout``).  A
 step that pulls its messages, or has none, computes each column over the
 node list of its own witness, pulling only the messages that column reads:
-cycle6's init and layers 1, 3 and 4.  A stored column that every later step
-reads at the node itself, in loops that do not run over every node (nor
-over a weight label's nodes past an uncut step's radius), is computed only
-over the union of those loops' node lists, unless building that union
-costs a set its own list does not (cycle6's layer 1 columns 3 and 4 and
-layer 3 column 0, triangle_rectangle's step 2).  Those loops lie within
-their steps' radii, so within the column's demand, and where they lie
-beyond its reach its witness makes it 0: the states the readouts see stay
-exact.  In a pair kernel, a column is root-level when it, and the weights
+cycle6's init and layers 1, 3 and 4.  On 32 nodes or more, a column of an
+uncut step whose witness is a meet is computed over the intersection of
+the labels' lists, which each branch builds once from a set of the root's
+list, built once per root: clique4's init, cycle6's init column 1,
+triangle_rectangle's last step; a column whose witness is one read of such
+a column at the node runs over it too (clique4's layer 1, cycle6's layer 4
+column 6).  A column that later steps read only across an edge keeps its
+first label's list instead: no later loop runs over its meet, and building
+one for its own loop costs more than it saves (chordal_cycle's init,
+1.1-1.2x CPU).  A stored
+column that every later step reads at the node itself, in loops that do
+not run over every node (nor over a weight label's nodes past an uncut
+step's radius), or only across an edge, in loops over a meet, is computed
+only over the union of those loops' node lists, and of the neighbors of
+those meets, unless building that union costs a set its own list does not
+(cycle6's layer 1 columns 3 and 4 and layer 3 column 0, and
+triangle_rectangle's layer 2, over N(i)&N(j), and layer 1, over its
+neighbors instead of N(N(j)) cut to the ball of radius 2).  A meet of a
+list the union holds adds nothing to it: cycle6's layer 1 column 3, read
+over N(j) and over N(i)&N(j), is computed over N(j).  Those loops lie
+within their steps' radii, so within the column's demand, and where they
+lie beyond its reach its witness makes it 0: the states the readouts see
+stay exact.  In a pair kernel, a column is root-level when it, and the weights
 of its readouts, read only the root's labels (``is_root``, ``in_n_root``)
 and root-level columns, and its own node list is built from those labels
 and the root's balls alone.  Such a column is the same for every branch,
@@ -314,7 +334,7 @@ def _reach(witness, state, sender: bool = False) -> float:
     if witness is None:
         return _UNBOUNDED
     out = -1
-    for var, key, hop in witness:
+    for var, key, hop in _plain(witness):
         r = state[key] if var == "H" else _LABEL_REACH.get(key, _UNBOUNDED)
         if r >= 0:
             out = max(out, r + (1 - hop if sender else hop))
@@ -327,9 +347,36 @@ def _either(state, witnesses):
 
 
 def _narrowest(state, witnesses):
-    """Mul: zero where one operand is; keep the one of least reach."""
+    """Mul: zero where one operand is; keep the one of least reach.  When
+    each operand is one label read at the node, the product is nonzero only
+    where all those labels are: it reads their meet, a tuple of the labels,
+    the kept operand's first."""
     bounded = [w for w in witnesses if w is not None]
-    return min(bounded, key=lambda w: _reach(w, state), default=None)
+    kept = min(bounded, key=lambda w: _reach(w, state), default=None)
+    labels = [_labels_at_node(w) for w in witnesses]
+    if not all(labels):
+        return kept
+    names = tuple(dict.fromkeys(labels[witnesses.index(kept)] + sum(labels, ())))
+    return frozenset({("L", names if len(names) > 1 else names[0], 0)})
+
+
+def _labels_at_node(witness) -> tuple:
+    """The labels of a witness that is one label read at the node: one
+    name, or the names of a meet; () for any other witness."""
+    if witness is None or len(witness) != 1:
+        return ()
+    ((var, key, hop),) = witness
+    if var != "L" or hop != 0:
+        return ()
+    return key if type(key) is tuple else (key,)
+
+
+def _plain(witness):
+    """A witness with each meet read as its first label: every rule but the
+    node list of a column in a kernel without a hook uses this form."""
+    if not witness:
+        return witness
+    return frozenset((var, key[0] if type(key) is tuple else key, hop) for var, key, hop in witness)
 
 
 # Composite nodes: Python form and text form, one {} per operand, and the
@@ -417,8 +464,10 @@ class _Step:
     reads whose supports bound the nodes the step must compute (None: every
     node), per update, when it is ``coef * Msg(m)`` with a coef that reads
     no message, (m, the coef's Python source, None for a bare ``Msg(m)``),
-    else None, and the (step, column) that computed each output column,
-    following copies back."""
+    else None, the (step, column) that computed each output column,
+    following copies back, and, per update, the labels of the meet its
+    witness reads (``_narrowest``), or () for none.  Every witness it holds
+    is in ``_plain`` form."""
 
     messages: list
     updates: list
@@ -428,6 +477,7 @@ class _Step:
     sources: frozenset | None
     linear: list
     origins: tuple
+    meets: list
 
 
 def _reads_message(e: Expr) -> bool:
@@ -464,6 +514,11 @@ def _walk(prog: MPProgram, layout: Mapping[str, int]) -> list[_Step]:
         updates = [_expr(e, ctx, layout, reach, witnesses) for e in layer.update]
         if ctx == "update" and not updates:
             raise ProgramError("layer update must produce at least one component")
+        meets = [_labels_at_node(u[2]) for u in updates]
+        meets = [labels if len(labels) > 1 else () for labels in meets]
+        messages, updates = (
+            [(py, text, _plain(w), r) for py, text, w, r in xs] for xs in (messages, updates)
+        )
         computed = [u for u, c in zip(updates, copies) if c is None]
         reads = set().union(*(x[3] for x in messages + computed))
         witness = [u[2] for u in computed]
@@ -477,7 +532,9 @@ def _walk(prog: MPProgram, layout: Mapping[str, int]) -> list[_Step]:
             _reach(u[2], reach) if c is None else reach[c] for u, c in zip(updates, copies)
         )
         origins = tuple((s, c) if src is None else origins[src] for c, src in enumerate(copies))
-        steps.append(_Step(messages, updates, copies, reads, reach, sources, linear, origins))
+        steps.append(
+            _Step(messages, updates, copies, reads, reach, sources, linear, origins, meets)
+        )
     return steps
 
 
@@ -538,13 +595,14 @@ def _per_root(nodes, index) -> bool:
     its leaves is a branch label's list."""
     if type(nodes) is str:
         return nodes not in {f"_U{index[x]}" for x in _PER_BRANCH if x in index}
-    return all(_per_root(x, index) for x in chain(*nodes[:2]))
+    parts = nodes if type(nodes) is frozenset else chain(*nodes[:2])
+    return all(_per_root(x, index) for x in parts)
 
 
-def _radii(prog: MPProgram, layout: tuple[str, ...], hops: int, readouts: tuple) -> tuple:
-    """Per step, on a rooted subgraph of radius ``hops``: the radius R it
-    computes within, and the radius it is cut to (None: no cut), from the
-    reach and demand of its columns.
+def _radii(steps: list[_Step], hops: int, readouts: tuple, name: str) -> tuple:
+    """Per walked step of program ``name``, on a rooted subgraph of radius
+    ``hops``: the radius R it computes within, and the radius it is cut to
+    (None: no cut), from the reach and demand of its columns.
 
     A column's demand is the radius within which a later step or a readout
     reads it: ``hops`` for a plain readout, the weight's reach for a weighted
@@ -555,7 +613,6 @@ def _radii(prog: MPProgram, layout: tuple[str, ...], hops: int, readouts: tuple)
     a neighbor outside adds 0 only if each message is 0 whenever its sender
     lies beyond ``hops``; a program where that fails raises ProgramError.
     """
-    steps = _steps(prog, layout)
     demand: dict = {}
 
     def need(column, radius):
@@ -582,7 +639,7 @@ def _radii(prog: MPProgram, layout: tuple[str, ...], hops: int, readouts: tuple)
             for m, (_, text, witness, _) in enumerate(step.messages):
                 if _reach(witness, reach, sender=True) > hops:
                     raise ProgramError(
-                        f"program {prog.name!r} layer {s} message {m} ({text}) "
+                        f"program {name!r} layer {s} message {m} ({text}) "
                         f"reads beyond subgraph radius {hops}"
                     )
         spread = tuple(
@@ -646,12 +703,15 @@ def _layout(steps, cuts, small: bool, index, readouts) -> tuple[list, dict, list
     where it is computed, to each readout x of it, times the label at
     position w (None: 1).  A column that is neither stored nor read out is
     not computed.  ``readouts`` is None for a kernel that keeps whole
-    states: there each step stores every column over one node list.
+    states: there each step stores every column over one node list.  A
+    node list is one ``_nodes`` gives, or a frozenset of labels' lists: the
+    intersection of those lists, a meet's.
     """
-    read = {
-        steps[t - 1].origins[r[1]] for t in range(1, len(steps)) for r in steps[t].reads
-        if r[0] == "H"
-    }
+    read: dict = {}  # each column a later step reads, and the hops it reads it at
+    for t in range(1, len(steps)):
+        for var, key, hop in steps[t].reads:
+            if var == "H":
+                read.setdefault(steps[t - 1].origins[key], set()).add(hop)
     out: dict = {}  # the readouts of each column the final state holds
     for x, r in enumerate(readouts or ()):
         out.setdefault(steps[-1].origins[r.component], []).append(x)
@@ -694,8 +754,11 @@ def _layout(steps, cuts, small: bool, index, readouts) -> tuple[list, dict, list
         for c in computed:
             witness = step.updates[c][2]
             lists[c] = slot[s, c] = _nodes(step.sources if whole else witness, cut, small, where)
+            # the meet of its labels, unless later steps read it only across an edge
+            if step.meets[c] and not (whole or small or cut is not None or read.get((s, c)) == {1}):
+                lists[c] = slot[s, c] = frozenset(f"_U{index[x]}" for x in step.meets[c])
             # a column whose witness is one read at the node lies in its node list
-            if cut is None and witness is not None and len(witness) == 1:
+            elif cut is None and witness is not None and len(witness) == 1:
                 ((var, key, hop),) = witness
                 if hop == 0:
                     slot[s, c] = where(var, key)
@@ -732,10 +795,17 @@ def _layout(steps, cuts, small: bool, index, readouts) -> tuple[list, dict, list
                         r[2] for r in reads
                         if r[0] == "H" and steps[t - 1].origins[r[1]] == (s, c)
                     }
-                    demand |= {nodes if hops == {0} and not own[t][3] else None} if hops else set()
+                    if hops == {1} and type(nodes) is frozenset:  # the meet's neighbors
+                        demand.add(((nodes,), (), None))
+                    elif hops:
+                        demand.add(nodes if hops == {0} and not own[t][3] else None)
+            # X + X&Y = X
+            demand -= {x for x in demand if type(x) is frozenset and x & demand}
             union = ((), tuple(sorted(demand, key=repr)), None)
             union = union[1][0] if len(demand) == 1 else union
-            if not demand & {None, "_all"} and (type(lists[c]) is tuple or type(union) is str):
+            # the union must not cost a set the column's own list does not
+            cheap = type(lists[c]) is tuple or type(union) is not tuple
+            if cheap and not demand & {None, "_all"}:
                 lists[c] = union
         groups: dict = {}
         for c, nodes in lists.items():
@@ -841,7 +911,9 @@ def _indent(lines: list, depth: int) -> list:
 def _generate(prog: MPProgram, layout: tuple, hops, small: bool, readouts, hooked: bool):
     """Compile one kernel factory; ``_kernel`` gives the arguments."""
     steps = _steps(prog, layout)
-    cuts = (None,) * len(steps) if readouts is None else _radii(prog, layout, hops, readouts)[1]
+    cuts = (None,) * len(steps)
+    if readouts is not None:
+        cuts = _radii(steps, hops, readouts, prog.name)[1]
     index = {name: i for i, name in enumerate(layout)}
     fusing = readouts is not None and not hooked
     units, slot, sums = _layout(steps, cuts, small, index, readouts if fusing else None)
@@ -857,7 +929,16 @@ def _generate(prog: MPProgram, layout: tuple, hops, small: bool, readouts, hooke
         if type(spec) is str:
             radii.extend([int(spec[2:])] if spec.startswith("_B") else [])
             return spec
-        if spec not in names:
+        if spec not in names and type(spec) is frozenset:
+            # a meet: the set of one list, built once per root if it can be,
+            # meets the others
+            first, *rest = sorted(spec, key=lambda x: (not _per_root(x, index), x))
+            made = f"set({bind(first)})"
+            if rest:
+                made = f"{bind(frozenset({first}))}.intersection({', '.join(map(bind, rest))})"
+            name = names[spec] = f"_N{len(names)}"
+            (prelude if hoist and _per_root(spec, index) else body).append(f"{name} = {made}")
+        elif spec not in names:
             near, here = ([bind(x) for x in part] for part in spec[:2])
             name = names[spec] = f"_N{len(names)}"
             out = prelude if hoist and _per_root(spec, index) else body

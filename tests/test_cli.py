@@ -415,6 +415,17 @@ def test_bench_sizes_below_one_usage_error(capsys, sizes, bad):
     assert f"--sizes: must be at least 1, got {bad}" in captured.err
 
 
+@pytest.mark.parametrize("argv", [["--sizes", "-4,8"], ["--sizes=-4,8"]])
+def test_bench_negative_size_list_names_the_bad_size(capsys, argv):
+    # argparse reads "-4,8" after an option as an option of its own
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", *argv, "--degree", "4"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--sizes: must be at least 1, got -4" in captured.err
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "graphcount.cli", "gen", "petersen"],

@@ -367,7 +367,7 @@ def test_parent_graph_states_equal_the_extracted_subgraphs(kind):
     layout = E._ROOTED_LABELS[spec.mode == "pair"]
     steps = E._steps(spec.program, layout)
     for hops in (spec.hops, spec.hops + 1):
-        within, _ = E._radii(spec.program, layout, hops, spec.readouts)
+        within, _ = E._radii(steps, hops, spec.readouts, spec.program.name)
         for g in graphs:
             _assert_parent_states_match_egos(g, spec, hops, steps, within)
 
@@ -407,3 +407,37 @@ def test_counts_match_the_twins_around_the_small_graph_floor(n):
     for g in (gen_random(n, 0.15, n), gen_random(n, 0.3, n)):
         for kind in sorted(_PLANS):
             assert count(kind, g) == oracle.TWINS[kind](g, oracle.DEFAULT_BUDGET), (kind, n)
+
+
+def _ring_lattice(n: int, k: int):
+    """The ring of ``n`` nodes, each joined to the ``k`` nearest on each side."""
+    return from_edges(n, [(u, (u + d) % n) for u in range(n) for d in range(1, k + 1)])
+
+
+# Graphs of 32 nodes or more for the plans whose kernels run over the common
+# neighbors of the root and the branching node, N(i)&N(j): a bipartite graph,
+# where no edge has one, a ring lattice, where every edge has some, and a
+# random graph, where some edges have them and some do not.
+_MEET_GRAPHS = {
+    "triangle-free": (
+        from_edges(40, [(u, v) for u in range(20) for v in range(20, 40) if (3 * u + v) % 4 == 0]),
+        {False},
+    ),
+    "triangle-rich": (_ring_lattice(40, 3), {True}),
+    "mixed": (gen_random(40, 0.15, 3), {False, True}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MEET_GRAPHS))
+@pytest.mark.parametrize("kind", ["clique4", "cycle6", "triangle_rectangle"])
+def test_meet_plans_match_the_hooked_kernels_and_the_oracle(kind, name):
+    g, shared = _MEET_GRAPHS[name]
+    adj = g.adjacency
+    assert {bool(set(adj[i]) & set(adj[j])) for i in range(g.node_count) for j in adj[i]} == shared
+    spec = _PLANS[kind]
+    # a kernel with a hook stores every column over one node list per step
+    hooked = E.RootedRun(spec.program, adj, spec.hops, spec.readouts, True, lambda j, steps: None)
+    plain = E.RootedRun(spec.program, adj, spec.hops, spec.readouts, True)
+    for i in range(g.node_count):
+        assert plain.rows(i) == hooked.rows(i), i
+    assert count(kind, g) == oracle.TWINS[kind](g, oracle.DEFAULT_BUDGET)

@@ -308,8 +308,8 @@ _PLAN_RADII = {
 
 
 def _cuts(spec, hops):
-    layout = E._ROOTED_LABELS[spec.mode == "pair"]
-    _, cuts = E._radii(spec.program, layout, hops, spec.readouts)
+    steps = E._steps(spec.program, E._ROOTED_LABELS[spec.mode == "pair"])
+    _, cuts = E._radii(steps, hops, spec.readouts, spec.program.name)
     return " ".join("-" if cut is None else str(cut) for cut in cuts)
 
 
@@ -351,11 +351,11 @@ _PLAN_SCATTERS = {
 
 
 def _scatters(spec, hops):
-    layout = E._ROOTED_LABELS[spec.mode == "pair"]
-    _, cuts = E._radii(spec.program, layout, hops, spec.readouts)
+    steps = E._steps(spec.program, E._ROOTED_LABELS[spec.mode == "pair"])
+    _, cuts = E._radii(steps, hops, spec.readouts, spec.program.name)
     return " ".join(
         "-" if not step.messages else "s" if E._scatters(step, cut) else "p"
-        for step, cut in zip(E._steps(spec.program, layout), cuts)
+        for step, cut in zip(steps, cuts)
     )
 
 
@@ -412,10 +412,11 @@ def test_plan_fused_readouts_are_frozen(kind):
 # graph of 32 nodes or more: the node list each step (init first, steps
 # apart by "|") computes each of its columns over, in column order.  i and
 # j are the root and the branching node, N(x) the neighbors of x, "+" a
-# union, "&B<d>" cuts the whole list to the ball of radius d around the
-# root, B<d> is that ball; ">" marks a column whose messages are sent, "-"
-# one computed nowhere, "()" a step that computes no column, and "^" before
-# a list a column computed once per root, before the loop over its branches.
+# union, "&" between two lists their intersection, "&B<d>" cuts the whole
+# list to the ball of radius d around the root, B<d> is that ball; ">"
+# marks a column whose messages are sent, "-" one computed nowhere, "()" a
+# step that computes no column, and "^" before a list a column computed once
+# per root, before the loop over its branches.
 _PLAN_NODES = {
     "path2": "() | >",
     "path3": "N(i) | N(N(i)) | >",
@@ -423,12 +424,12 @@ _PLAN_NODES = {
     "cycle3": "() | N(i)",
     "cycle4": "N(i) | N(N(i)) | N(i)",
     "cycle5": "N(j) | N(N(j))&B2 | N(i)",
-    "cycle6": "N(j) N(i) | ^N(N(i))&B2 N(j)+N(i) N(j) | N(N(j)) | N(j)+N(N(i))&B2 > "
-    "| N(N(i))&B2 N(j) N(j) N(j) N(i)",
+    "cycle6": "N(j) N(i)&N(j) | ^N(N(i))&B2 N(j) N(j) | N(N(j)) | N(j)+N(N(i))&B2 > "
+    "| N(N(i))&B2 N(j) N(j) N(j) N(i)&N(j)",
     "tailed_triangle": "N(i) | N(i)",
     "chordal_cycle": "N(i) | N(j)",
-    "clique4": "N(i) | N(i)",
-    "triangle_rectangle": "N(j) | N(N(j))&B2 | N(i) | N(i)",
+    "clique4": "N(i)&N(j) | N(i)&N(j)",
+    "triangle_rectangle": "N(j) | N(N(i)&N(j)) | N(i)&N(j) | N(i)&N(j)",
     "walk1": "i | i",
     "walk2": "i | N(i) | i",
     "walk3": "i | N(i) | B1 | i",
@@ -448,6 +449,8 @@ def _list_text(nodes, layout):
         if nodes.startswith("_U"):
             return _LIST_TEXT[layout[int(nodes[2:])]]
         return {"_all": "all", "set()": "{}"}.get(nodes, nodes[1:])
+    if type(nodes) is frozenset:
+        return "&".join(sorted(_list_text(x, layout) for x in nodes))
     near, here, cut = nodes
     parts = [f"N({'+'.join(_list_text(x, layout) for x in near)})"] if near else []
     parts += [_list_text(x, layout) for x in here]
@@ -460,8 +463,8 @@ def _hook_free_layout(prog, readouts, branching, hops):
     list off which each computed column is 0, and each step's readout
     terms."""
     layout = E._ROOTED_LABELS[branching]
-    _, cuts = E._radii(prog, layout, hops, readouts)
     steps = E._steps(prog, layout)
+    _, cuts = E._radii(steps, hops, readouts, prog.name)
     index = {name: i for i, name in enumerate(layout)}
     units, slot, terms = E._layout(steps, cuts, False, index, readouts)
     return steps, cuts, units, slot, terms
@@ -797,7 +800,7 @@ def _assert_rooted_run_matches(g, sample, branching, prog, readouts, hops):
     plain = E.RootedRun(prog, adjacency, hops, readouts, branching)
     layout = E._ROOTED_LABELS[branching]
     steps = E._steps(prog, layout)
-    within, _ = E._radii(prog, layout, hops, readouts)
+    within, _ = E._radii(steps, hops, readouts, prog.name)
     for i in range(g.node_count):
         watched = i in sample
         seen.clear()
@@ -910,20 +913,82 @@ _ROOT_SUMMED = E.MPProgram(
 )
 
 
+# Two pair plans whose columns multiply two labels at the node, so that a
+# kernel without a hook computes them over the meet of the labels' lists.
+# The first reads its init meets at the node and across an edge, and one of
+# them (is_root * in_n_root) is computed once per root; layer 2 reads
+# layer 1's last column at N(j) and at N(i)&N(j), so it is computed over
+# N(j) alone.  The second reads its init meet only across an edge, so that
+# keeps in_n_root's list; its last layer's meets read layer 1's first
+# column only across an edge, so that is computed over their neighbors
+# instead of over i+N(i).
+_MEETS = E.MPProgram(
+    "meets",
+    (
+        E.LSelf("in_n_root") * E.LSelf("in_n_branch"),
+        E.LSelf("is_root") * E.LSelf("in_n_branch"),
+        E.LSelf("is_root") * E.LSelf("in_n_root"),
+    ),
+    (
+        E.Layer(
+            (E.Nbr(0) + E.Nbr(1) + E.Nbr(2),),
+            (E.Self(0) * E.Msg(0), E.Self(1), E.Self(2) + E.Self(0), E.Msg(0)),
+        ),
+        E.Layer(
+            (),
+            (E.LSelf("in_n_branch") * E.Self(3), E.Self(0) * E.Self(3), E.Self(1) + E.Self(2)),
+        ),
+    ),
+)
+_MEET_ACROSS = E.MPProgram(
+    "meet-across",
+    (E.LSelf("is_branch"), E.LSelf("in_n_root") * E.LSelf("in_n_branch")),
+    (
+        E.Layer(
+            (E.Nbr(0), E.Nbr(1)),
+            (
+                (E.LSelf("is_root") + E.LSelf("in_n_root")) * E.Msg(0),
+                E.LSelf("in_n_root") * E.Msg(1),
+            ),
+        ),
+        E.Layer(
+            (E.LNbr("in_n_root") * E.Nbr(0),),
+            (
+                E.LSelf("in_n_root") * E.LSelf("in_n_branch") * E.Msg(0),
+                E.LSelf("is_root") * E.LSelf("in_n_branch") * E.Msg(0),
+                E.Self(1),
+            ),
+        ),
+    ),
+)
+
+
 _RULE_PLANS = (
     (True, _DEMAND_LISTS, (E.Readout(0),)),
     (True, _sent("is_root"), (E.Readout(0), E.Readout(1))),
     (True, _sent("in_n_root"), (E.Readout(0), E.Readout(1))),
     (True, _ROOT_READ_ACROSS, (E.Readout(0),)),
     (True, _ROOT_SUMMED, (E.Readout(0), E.Readout(1))),
+    (True, _MEETS, (E.Readout(0), E.Readout(1), E.Readout(2))),
+    (True, _MEET_ACROSS, (E.Readout(0), E.Readout(1), E.Readout(2))),
 )
+
+
+def _near_a_meet(nodes) -> bool:
+    """Whether a node list (``E._nodes``) holds the neighbors of a meet."""
+    if type(nodes) is not tuple:
+        return False
+    near, here, _ = nodes
+    return any(type(x) is frozenset for x in near) or any(map(_near_a_meet, near + here))
 
 
 def _rules(branching, prog, readouts, hops):
     """The node-list rules a kernel without a hook uses: 1, a step that
     pulls messages computes its columns over unlike node lists; 2, a column
     is computed over its readers' node lists instead of its own; 3, a cut
-    step sends a column's messages; 4, a unit is computed once per root."""
+    step sends a column's messages; 4, a unit is computed once per root;
+    5, a unit is computed over a meet of label lists; 6, a column is
+    computed over the neighbors of its readers' meet lists."""
     steps, cuts, units, slot, terms = _hook_free_layout(prog, readouts, branching, hops)
     used = set()
     for s, (step, cut, step_units, step_terms) in enumerate(zip(steps, cuts, units, terms)):
@@ -931,15 +996,20 @@ def _rules(branching, prog, readouts, hops):
         if step.messages and len(lists) > 1:
             used.add(1)
         # only a stored column is computed over its readers' lists
-        if not E._scatters(step, cut) and any(
-            nodes not in (None, slot[s, c])
-            for nodes, columns, _ in step_units for c in columns if c not in step_terms
-        ):
+        narrowed = {
+            nodes for nodes, columns, _ in step_units for c in columns
+            if c not in step_terms and nodes not in (None, slot[s, c])
+        }
+        if not E._scatters(step, cut) and narrowed:
             used.add(2)
+        if any(map(_near_a_meet, narrowed)):
+            used.add(6)
         if cut is not None and any(nodes is None for nodes, _, _ in step_units):
             used.add(3)
         if any(once for *_, once in step_units):
             used.add(4)
+        if any(type(nodes) is frozenset for nodes, _, _ in step_units):
+            used.add(5)
     return used
 
 
@@ -950,9 +1020,12 @@ def test_hand_written_plans_use_every_node_list_rule(hops, weight):
     for branching, prog, readouts in _RULE_PLANS:
         for alike in (readouts, tuple(E.Readout(r.component, weight) for r in readouts)):
             used |= _rules(branching, prog, alike, hops)
-    assert used == {1, 2, 3, 4}
-    spec = _PLANS["cycle6"]  # and so does the 6-cycle plan
-    assert _rules(True, spec.program, spec.readouts, spec.hops) == {1, 2, 3, 4}
+    assert used == {1, 2, 3, 4, 5, 6}
+    # and so do the 6-cycle and triangle-rectangle plans
+    spec = _PLANS["cycle6"]
+    assert _rules(True, spec.program, spec.readouts, spec.hops) == {1, 2, 3, 4, 5}
+    spec = _PLANS["triangle_rectangle"]
+    assert _rules(True, spec.program, spec.readouts, spec.hops) == {2, 5, 6}
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -969,7 +1042,14 @@ def test_hand_written_plans_use_every_node_list_rule(hops, weight):
 @example(_RULE_PLANS[2], 44, 0.08, 8)
 @example(_RULE_PLANS[3], 40, 0.1, 4)
 @example(_RULE_PLANS[4], 42, 0.1, 2)
+@example(_RULE_PLANS[5], 40, 0.1, 3)
+@example(_RULE_PLANS[6], 44, 0.1, 5)
 @example((True, _PLANS["cycle6"].program, _PLANS["cycle6"].readouts), 40, 0.1, 7)
+@example((True, _PLANS["clique4"].program, _PLANS["clique4"].readouts), 40, 0.15, 1)
+@example(
+    (True, _PLANS["triangle_rectangle"].program, _PLANS["triangle_rectangle"].readouts),
+    40, 0.1, 7,
+)
 def test_rooted_runs_match_the_reference_on_extracted_egos(plan, n, p, seed):
     # Each plan runs at every radius 1-3 it can, as drawn and with every
     # readout weighted by each label in turn: a weight label's nodes may lie
