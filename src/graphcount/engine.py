@@ -68,19 +68,17 @@ A rooted kernel without a hook (the one ``count`` runs) computes each
 column only where it can be nonzero and where it is read (``_layout``).  A
 step that pulls its messages, or has none, computes each column over the
 node list of its own witness, pulling only the messages that column reads:
-cycle6's init and layers 1, 3 and 4.  On 32 nodes or more, a column of an
-uncut step whose witness is a meet is computed over the intersection of
-the labels' lists, which each branch builds once from a set of the root's
-list, built once per root: clique4's init, cycle6's init column 1,
-triangle_rectangle's last step; a column whose witness is one read of such
-a column at the node runs over it too (clique4's layer 1, cycle6's layer 4
-column 6).  A column that later steps read only across an edge keeps its
-first label's list instead: no later loop runs over its meet, and building
-one for its own loop costs more than it saves (chordal_cycle's init,
-1.1-1.2x CPU).  A stored
-column that every later step reads at the node itself, in loops that do
-not run over every node (nor over a weight label's nodes past an uncut
-step's radius), or only across an edge, in loops over a meet, is computed
+cycle6's init and layers 1, 3 and 4.  A column of an uncut step whose
+witness is a meet is computed over the intersection of the labels' lists,
+which each branch builds once from a set of the root's list, built once per
+root: clique4's init, cycle6's init column 1, triangle_rectangle's last
+step; a column whose witness is one read of such a column at the node runs
+over it too (clique4's layer 1, cycle6's layer 4 column 6).  A column that
+later steps read only across an edge keeps its first label's list instead:
+no later loop runs over its meet, and building one for its own loop costs
+more than it saves (chordal_cycle's init, 1.1-1.2x CPU).  A stored column
+that every later step reads at the node itself, in loops that do not run
+over every node, or only across an edge, in loops over a meet, is computed
 only over the union of those loops' node lists, and of the neighbors of
 those meets, unless building that union costs a set its own list does not
 (cycle6's layer 1 columns 3 and 4 and layer 3 column 0, and
@@ -90,40 +88,37 @@ list the union holds adds nothing to it: cycle6's layer 1 column 3, read
 over N(j) and over N(i)&N(j), is computed over N(j).  Those loops lie
 within their steps' radii, so within the column's demand, and where they
 lie beyond its reach its witness makes it 0: the states the readouts see
-stay exact.  In a pair kernel, a column is root-level when it, and the weights
-of its readouts, read only the root's labels (``is_root``, ``in_n_root``)
-and root-level columns, and its own node list is built from those labels
-and the root's balls alone.  Such a column is the same for every branch,
-so it is computed once per root, over its own list, before the loop over
-the branches, and zeroed after it (cycle6's layer 1 column 2); any node
-list of the root alone is built there too.
+stay exact.  In a pair kernel, a column is root-level when it, and the
+weights of its readouts, read only the root's labels (``is_root``,
+``in_n_root``) and root-level columns, and its own node list is built from
+those labels and the root's balls alone.  Such a column is the same for
+every branch, so it is computed once per root, over its own list, before
+the loop over the branches, and zeroed after it (cycle6's layer 1 column
+2); any node list of the root alone is built there too.
 
-Building a node set costs time, so a step that would build one runs over
-every node (within its radius) when the graph has fewer than
-``_SPARSE_MIN_NODES`` = 32 nodes, and a step cut to radius 0 or 1 runs over
-the root's ball at every size.  A radius-2 cut intersects its node list
-with the ball, and no rule runs over every node once many would be
-computed.  A step with one source, read at the node itself and not cut,
-takes that source's node list as it is.  CHANGES.md holds the measurements
-behind these rules.
+Building a node set costs time, so a step cut to radius 0 or 1 runs over
+the root's ball.  A radius-2 cut intersects its node list with the ball.  A
+step with one source, read at the node itself and not cut, takes that
+source's node list as it is.  CHANGES.md holds the measurements behind
+these rules.
 
 One kernel per plan.  A plan compiles, once per (program, label layout,
-radius, small-graph flag, readouts, hooked), into one generated Python
-function, its kernel (``_kernel``); the radius analysis (``_radii``) runs
-inside that compile, so the one key covers it.  A rooted kernel marks the
-branch labels, loops over the root's branches, runs every step inline and
-appends each subgraph's readout row; ``run`` runs the same step code once
-over given labels, and no count calls it.  Each state column is a
-node-indexed buffer named after the step and column that computed it (each
-walked step records these origins); each node list is chosen by the rules
-above when the kernel is generated; after each subgraph the kernel zeroes
-what it wrote.  A step scatters its messages (``_scatters``) when it has no
-cut and the witness of each message has at most one read at the sender and
-at most one at the receiver, both covered by the step's sources: every
-message is added from the nodes where its sender-side read is nonzero into
-its neighbors' message buffers, then pulled only at the nodes where its
-receiver-side read is nonzero, from the neighbors not scattered from.  A
-scatter walks each edge from its sender, so it needs a symmetric
+radius, readouts, hooked), into one generated Python function, its kernel
+(``_kernel``); the radius analysis (``_radii``) runs inside that compile,
+so the one key covers it, and no key depends on the graph's size.  A rooted
+kernel marks the branch labels, loops over the root's branches, runs every
+step inline and appends each subgraph's readout row; ``run`` runs the same
+step code once over given labels, and no count calls it.  Each state column
+is a node-indexed buffer named after the step and column that computed it
+(each walked step records these origins); each node list is chosen by the
+rules above when the kernel is generated; after each subgraph the kernel
+zeroes what it wrote.  A step scatters its messages (``_scatters``) when it
+has no cut and the witness of each message has at most one read at the
+sender and at most one at the receiver, both covered by the step's sources:
+every message is added from the nodes where its sender-side read is nonzero
+into its neighbors' message buffers, then pulled only at the nodes where
+its receiver-side read is nonzero, from the neighbors not scattered
+from.  A scatter walks each edge from its sender, so it needs a symmetric
 adjacency.  Every other step pulls each message at each node that computes
 a column reading it.
 
@@ -133,23 +128,23 @@ is stored, summed where it is computed, sent, or not computed at all, and
 gives each step's readout terms.  In a rooted kernel without a hook, a
 column that no later step reads is not stored: each readout of it is a
 running sum that the loop computing the column adds to, and a column that
-nothing reads is not computed.  A step that stores nothing, does not
-scatter, and sums only readouts weighted by one label, whose reach lies
-within the step's cut if it has one, computes only at that label's nodes,
-where the weight is 1 (cycle3, cycle4, cycle5, the closed walks).  A step
-that stores nothing, scatters, and sums only ``coef * Msg(m)`` columns
-sends them: each message value, times coef at its receiver, goes straight
-into the sum as it is sent or pulled, with no node set, message buffer or
-final loop (path2, path3, path4).  Any other step computes each column over
-its node list as above and sums its readout-only columns instead of storing
-them (cycle6's layer 4, triangle_rectangle's last step, clique4,
-chordal_cycle, tailed_triangle), except that a cut step sends each
-``coef * Msg(m)`` one whose message's witness reads only the sender, of
-reach below the cut, so that every receiver it reaches lies within the cut:
-cycle6's layer 3 column 1, sent from the root's neighbors.
-A kernel with a hook stores every column over one node list per step, so
-that the hook sees whole states: ``count_path4_edge``, ``count_walks``,
-the per-step parity tests and the node evaluation counts run on it.
+nothing reads is not computed.  A cut step that stores nothing and sums
+only readouts weighted by one label, whose reach lies within the cut,
+computes only at that label's nodes, where the weight is 1 (cycle3, cycle4,
+cycle5, the closed walks).  A step that stores nothing, scatters, and sums
+only ``coef * Msg(m)`` columns sends them: each message value, times coef
+at its receiver, goes straight into the sum as it is sent or pulled, with
+no node set, message buffer or final loop (path2, path3, path4).  Any other
+step computes each column over its node list as above and sums its
+readout-only columns instead of storing them (cycle6's layer 4,
+triangle_rectangle's last step, clique4, chordal_cycle, tailed_triangle),
+except that a cut step sends each ``coef * Msg(m)`` one whose message's
+witness reads only the sender, of reach below the cut, so that every
+receiver it reaches lies within the cut: cycle6's layer 3 column 1, sent
+from the root's neighbors.  A kernel with a hook stores every column over
+one node list per step, so that the hook sees whole states:
+``count_path4_edge``, ``count_walks``, the per-step parity tests and the
+node evaluation counts run on it.
 """
 
 from __future__ import annotations
@@ -573,11 +568,6 @@ def _steps(prog: MPProgram, layout: tuple[str, ...]) -> list[_Step]:
 # Execution: one generated kernel per plan
 # ---------------------------------------------------------------------------
 
-# A step that would build a node set runs over every node (of the graph, or
-# within its radius) when the graph has fewer nodes than this; CHANGES.md
-# gives the measurements behind it.
-_SPARSE_MIN_NODES = 32
-
 # The labels of a rooted run, without and with a branching node, and the
 # node list each is 1 on, for root i and branching node j.
 _ROOTED_LABELS = {
@@ -673,23 +663,22 @@ def _scatters(step: _Step, cut: int | None) -> bool:
     )
 
 
-def _nodes(sources, cut, small: bool, where) -> str | tuple:
+def _nodes(sources, cut, where) -> str | tuple:
     """The node list a step, or a column, with these sources computes, by
     the rules of the module docstring: a name, or ``(near, here, cut)``, the
     neighbors of the lists ``near`` and the lists ``here``, cut to the ball
     of radius ``cut`` (None: no cut).  ``where(var, key)`` gives the node
     list of a read."""
+    if sources is None or cut is not None and cut <= 1:
+        return "_all" if cut is None else "set()" if cut < 0 else f"_B{cut}"
     lists: list = [set(), set()]
-    for var, key, hop in sources or ():
+    for var, key, hop in sources:
         lists[hop].add(where(var, key))
     here, near = (tuple(sorted(x, key=repr)) for x in lists)
-    build = bool(near) or len(here) != 1 or cut is not None
-    if sources is None or cut is not None and cut <= 1 or small and build:
-        return "_all" if cut is None else "set()" if cut < 0 else f"_B{cut}"
-    return (near, here, cut) if build else here[0]
+    return here[0] if len(here) == 1 and not near and cut is None else (near, here, cut)
 
 
-def _layout(steps, cuts, small: bool, index, readouts) -> tuple[list, dict, list]:
+def _layout(steps, cuts, index, readouts) -> tuple[list, dict, list]:
     """The plan of a kernel, by the rules of the module docstring: what each
     step does with each column it computes.  Returns, per step, its units
     ``(nodes, columns, once)`` and its readout terms ``{c: [(x, w)]}``, and
@@ -728,16 +717,15 @@ def _layout(steps, cuts, small: bool, index, readouts) -> tuple[list, dict, list
         computed = [c for c, src in enumerate(step.copies) if src is None]
         stored = [c for c in computed if readouts is None or (s, c) in read]
         sums = {c: out[s, c] for c in computed if c not in stored and (s, c) in out}
-        # the weight rule: a step that stores nothing, does not scatter and
-        # sums only readouts weighted by one label computes only at that
-        # label's nodes, where the weight is 1; a cut step must not compute
-        # past its cut, so there the label's reach must lie within it
+        # the weight rule: a cut step that stores nothing and sums only
+        # readouts weighted by one label, whose reach lies within the cut,
+        # computes only at that label's nodes, where the weight is 1
         weights = {readouts[x].weight for xs in sums.values() for x in xs}
-        (label,) = weights if len(weights) == 1 and not (stored or whole) else (None,)
-        if cut is not None and _LABEL_REACH.get(label, _UNBOUNDED) > cut:
+        (label,) = weights if len(weights) == 1 and not stored else (None,)
+        if cut is None or _LABEL_REACH.get(label, _UNBOUNDED) > cut:
             label = None
         sent = []
-        if label is None and not stored and whole and all(step.linear[c] for c in sums):
+        if not stored and whole and all(step.linear[c] for c in sums):
             sent = list(sums)
         elif label is None and cut is not None:
             messages = [step.linear[c] and step.messages[step.linear[c][0]] for c in sums]
@@ -753,9 +741,9 @@ def _layout(steps, cuts, small: bool, index, readouts) -> tuple[list, dict, list
         lists = {}
         for c in computed:
             witness = step.updates[c][2]
-            lists[c] = slot[s, c] = _nodes(step.sources if whole else witness, cut, small, where)
+            lists[c] = slot[s, c] = _nodes(step.sources if whole else witness, cut, where)
             # the meet of its labels, unless later steps read it only across an edge
-            if step.meets[c] and not (whole or small or cut is not None or read.get((s, c)) == {1}):
+            if step.meets[c] and not (whole or cut is not None or read.get((s, c)) == {1}):
                 lists[c] = slot[s, c] = frozenset(f"_U{index[x]}" for x in step.meets[c])
             # a column whose witness is one read at the node lies in its node list
             elif cut is None and witness is not None and len(witness) == 1:
@@ -777,13 +765,11 @@ def _layout(steps, cuts, small: bool, index, readouts) -> tuple[list, dict, list
             c: f"_U{index[label]}" if label else lists[c]
             for c in computed if c not in sent and (c in stored or c in sums)
         }
-        # the stored columns a pulling step may narrow to their demand, and
-        # whether an uncut step under the weight rule can compute beyond its
-        # radius
-        own.append(([] if whole else stored, lists, sent, label is not None and cut is None))
+        # the stored columns a pulling step may narrow to their demand
+        own.append(([] if whole else stored, lists, sent))
     units: list = [[] for _ in steps]
     for s in reversed(range(len(steps))):
-        narrow, lists, sent, _ = own[s]
+        narrow, lists, sent = own[s]
         for c in narrow:
             if (s, c) in out or (s, c) in once:
                 continue
@@ -798,7 +784,7 @@ def _layout(steps, cuts, small: bool, index, readouts) -> tuple[list, dict, list
                     if hops == {1} and type(nodes) is frozenset:  # the meet's neighbors
                         demand.add(((nodes,), (), None))
                     elif hops:
-                        demand.add(nodes if hops == {0} and not own[t][3] else None)
+                        demand.add(nodes if hops == {0} else None)
             # X + X&Y = X
             demand -= {x for x in demand if type(x) is frozenset and x & demand}
             union = ((), tuple(sorted(demand, key=repr)), None)
@@ -908,7 +894,7 @@ def _indent(lines: list, depth: int) -> list:
     return [" " * (4 * depth) + x for x in lines]
 
 
-def _generate(prog: MPProgram, layout: tuple, hops, small: bool, readouts, hooked: bool):
+def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
     """Compile one kernel factory; ``_kernel`` gives the arguments."""
     steps = _steps(prog, layout)
     cuts = (None,) * len(steps)
@@ -916,7 +902,7 @@ def _generate(prog: MPProgram, layout: tuple, hops, small: bool, readouts, hooke
         cuts = _radii(steps, hops, readouts, prog.name)[1]
     index = {name: i for i, name in enumerate(layout)}
     fusing = readouts is not None and not hooked
-    units, slot, sums = _layout(steps, cuts, small, index, readouts if fusing else None)
+    units, slot, sums = _layout(steps, cuts, index, readouts if fusing else None)
     terms = [t for step_sums in sums for ts in step_sums.values() for t in ts]
     body, buffers, stored, shown, names, radii = [], [], {}, [], {}, [-1]
     # what a pair kernel without a hook does once per root: node lists of
@@ -1060,18 +1046,16 @@ def _exec(lines: list, name: str):
     return namespace[name]
 
 
-# (program, label layout, radius, small-graph flag, readouts, hooked) -> kernel factory
+# (program, label layout, radius, readouts, hooked) -> kernel factory
 _KERNELS: dict[tuple, object] = {}
 
 
-def _kernel(
-    prog: MPProgram, layout: tuple, hops: int | None, small: bool, readouts, hooked: bool
-):
+def _kernel(prog: MPProgram, layout: tuple, hops: int | None, readouts, hooked: bool):
     """The kernel factory of one plan, generated once per (program, label
-    layout, radius, small-graph flag, readouts, hooked).  A rooted kernel's
-    radius analysis (``_radii``) runs in the same compile: a program that
-    reads beyond the radius raises ProgramError there, and nothing is
-    cached for it.
+    layout, radius, readouts, hooked), whatever the graph's size.  A rooted
+    kernel's radius analysis (``_radii``) runs in the same compile: a
+    program that reads beyond the radius raises ProgramError there, and
+    nothing is cached for it.
 
     For a rooted run (``readouts`` a tuple), ``make(adj, labels, hook)``
     allocates the run's buffers and returns ``(root, kernel)``:
@@ -1093,7 +1077,7 @@ def _kernel(
     without ``hooked``: a kernel with a hook runs every step inside the
     branch loop.  A plain run stores every column and calls ``hook`` either way.
     """
-    key = (prog, layout, hops, small, readouts, hooked)
+    key = (prog, layout, hops, readouts, hooked)
     hit = _KERNELS.get(key)
     if hit is None:
         hit = _KERNELS[key] = _generate(*key)
@@ -1109,7 +1093,7 @@ def run(
     one column per component, one entry per node (``state[c][k]``)."""
     layout = tuple(sorted(labels))
     n = len(adjacency)
-    make = _kernel(prog, layout, None, n < _SPARSE_MIN_NODES, None, False)
+    make = _kernel(prog, layout, None, None, False)
     for name in layout:
         if len(labels[name]) != n:
             raise ProgramError(
@@ -1152,8 +1136,7 @@ class RootedRun:
                 raise MissingLabelError(
                     f"readout weight label {r.weight!r} not in subgraph labels"
                 )
-        small = len(adjacency) < _SPARSE_MIN_NODES
-        make = _kernel(prog, names, hops, small, tuple(readouts), hook is not None)
+        make = _kernel(prog, names, hops, tuple(readouts), hook is not None)
         labels = {name: [0] * len(adjacency) for name in names}
         self.root, self.kernel = make(adjacency, labels, hook)
 

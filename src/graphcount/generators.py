@@ -32,6 +32,8 @@ def gen_complete(n: int) -> Graph:
 
 def gen_star(leaves: int) -> Graph:
     """Star with center 0 and ``leaves`` leaf nodes."""
+    if leaves < 0:
+        raise ValueError(f"leaf count must be >= 0, got {leaves}")
     return from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
@@ -127,6 +129,8 @@ def gen_random_regular(n: int, d: int, seed: int) -> Graph:
     Re-draws the pairing until it is simple; for small d this succeeds after
     a few dozen attempts.
     """
+    if d < 0:
+        raise ValueError(f"degree must be >= 0, got {d}")
     if n == 0:
         return from_edges(0, [])
     if n * d % 2 != 0:

@@ -363,6 +363,21 @@ def test_gen_subcommands(tmp_path, capsys):
     assert out == out2
 
 
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["gen", "random-regular", "--n", "4", "--d", "-2"], "degree must be >= 0, got -2"),
+        (["gen", "star", "--n", "-1"], "leaf count must be >= 0, got -1"),
+        (["gen", "star", "--n", "-3"], "leaf count must be >= 0, got -3"),
+        (["bench", "--sizes", "16", "--degree", "-2"], "degree must be >= 0, got -2"),
+    ],
+)
+def test_negative_generator_sizes_exit_2(capsys, argv, bad):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and bad in err
+
+
 def test_gen_graph6_ingestion(tmp_path, capsys):
     g6 = tmp_path / "k3.g6"
     g6.write_text(to_graph6(gen_complete(3)) + "\n")

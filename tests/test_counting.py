@@ -362,7 +362,7 @@ def _assert_parent_states_match_egos(g, spec, hops, steps, within):
 def test_parent_graph_states_equal_the_extracted_subgraphs(kind):
     spec = _PARITY_PLANS[kind]
     graphs = list(exhaustive_graphs())
-    # graphs of 32 nodes or more run sparse steps
+    # larger graphs, where node lists are sparse
     graphs += [gen_random(40, 0.1, 3), _hub_cliques(8, 6)]
     layout = E._ROOTED_LABELS[spec.mode == "pair"]
     steps = E._steps(spec.program, layout)
@@ -400,10 +400,7 @@ def test_hub_family_matches_the_twins():
 
 
 @pytest.mark.parametrize("n", [31, 32, 33])
-def test_counts_match_the_twins_around_the_small_graph_floor(n):
-    # below 32 nodes a step that would build a node list runs over every
-    # node (within its cut); from 32 on it builds the list
-    assert E._SPARSE_MIN_NODES == 32
+def test_counts_match_the_twins_at_31_to_33_nodes(n):
     for g in (gen_random(n, 0.15, n), gen_random(n, 0.3, n)):
         for kind in sorted(_PLANS):
             assert count(kind, g) == oracle.TWINS[kind](g, oracle.DEFAULT_BUDGET), (kind, n)
@@ -414,16 +411,17 @@ def _ring_lattice(n: int, k: int):
     return from_edges(n, [(u, (u + d) % n) for u in range(n) for d in range(1, k + 1)])
 
 
-# Graphs of 32 nodes or more for the plans whose kernels run over the common
-# neighbors of the root and the branching node, N(i)&N(j): a bipartite graph,
-# where no edge has one, a ring lattice, where every edge has some, and a
-# random graph, where some edges have them and some do not.
+# Graphs for the plans whose kernels run over the common neighbors of the
+# root and the branching node, N(i)&N(j): a bipartite graph, where no edge
+# has one, ring lattices, where every edge has some, and a random graph,
+# where some edges have them and some do not.
 _MEET_GRAPHS = {
     "triangle-free": (
         from_edges(40, [(u, v) for u in range(20) for v in range(20, 40) if (3 * u + v) % 4 == 0]),
         {False},
     ),
     "triangle-rich": (_ring_lattice(40, 3), {True}),
+    "triangle-rich-16": (_ring_lattice(16, 3), {True}),
     "mixed": (gen_random(40, 0.15, 3), {False, True}),
 }
 

@@ -408,15 +408,15 @@ def test_plan_fused_readouts_are_frozen(kind):
     assert sorted(_PLAN_FUSED) == sorted(_PLAN_RADII)
 
 
-# Per plan at its own radius and one more, in a kernel without a hook on a
-# graph of 32 nodes or more: the node list each step (init first, steps
-# apart by "|") computes each of its columns over, in column order.  i and
-# j are the root and the branching node, N(x) the neighbors of x, "+" a
-# union, "&" between two lists their intersection, "&B<d>" cuts the whole
-# list to the ball of radius d around the root, B<d> is that ball; ">"
-# marks a column whose messages are sent, "-" one computed nowhere, "()" a
-# step that computes no column, and "^" before a list a column computed once
-# per root, before the loop over its branches.
+# Per plan at its own radius and one more, in a kernel without a hook, at
+# every graph size: the node list each step (init first, steps apart by "|")
+# computes each of its columns over, in column order.  i and j are the root
+# and the branching node, N(x) the neighbors of x, "+" a union, "&" between
+# two lists their intersection, "&B<d>" cuts the whole list to the ball of
+# radius d around the root, B<d> is that ball; ">" marks a column whose
+# messages are sent, "-" one computed nowhere, "()" a step that computes no
+# column, and "^" before a list a column computed once per root, before the
+# loop over its branches.
 _PLAN_NODES = {
     "path2": "() | >",
     "path3": "N(i) | N(N(i)) | >",
@@ -459,14 +459,13 @@ def _list_text(nodes, layout):
 
 def _hook_free_layout(prog, readouts, branching, hops):
     """The walked steps, their cuts, and the layout of the kernel without a
-    hook on a graph of 32 nodes or more: the units of each step, the node
-    list off which each computed column is 0, and each step's readout
-    terms."""
+    hook: the units of each step, the node list off which each computed
+    column is 0, and each step's readout terms."""
     layout = E._ROOTED_LABELS[branching]
     steps = E._steps(prog, layout)
     _, cuts = E._radii(steps, hops, readouts, prog.name)
     index = {name: i for i, name in enumerate(layout)}
-    units, slot, terms = E._layout(steps, cuts, False, index, readouts)
+    units, slot, terms = E._layout(steps, cuts, index, readouts)
     return steps, cuts, units, slot, terms
 
 
@@ -503,11 +502,12 @@ def test_a_second_count_compiles_and_analyses_nothing(monkeypatch):
 
     monkeypatch.setattr(E, "_walk", refuse)
     monkeypatch.setattr(E, "_generate", refuse)
-    for kind in kinds:  # the same size class: 32 nodes or more
+    for kind in kinds:  # a kernel does not depend on the graph's size
         count(kind, gen_random(45, 0.1, 2))
+        count(kind, gen_random(20, 0.3, 2))
     # one key per kernel covers its radius analysis too
-    for prog, layout, hops, small, readouts, hooked in E._KERNELS:
-        assert type(prog) is E.MPProgram and type(small) is bool and type(hooked) is bool
+    for prog, layout, hops, readouts, hooked in E._KERNELS:
+        assert type(prog) is E.MPProgram and type(hooked) is bool
         assert type(layout) is tuple and all(type(name) is str for name in layout)
         if readouts is None:  # a plain run
             assert hops is None and not hooked
@@ -518,6 +518,7 @@ def test_a_second_count_compiles_and_analyses_nothing(monkeypatch):
 def test_count_compiles_only_hook_free_kernels(monkeypatch):
     monkeypatch.setattr(E, "_KERNELS", {})
     for kind in sorted(_PLANS):
+        count(kind, gen_random(20, 0.3, 1))
         count(kind, gen_random(40, 0.1, 1))
     assert len(E._KERNELS) == len(_PLANS)
     assert not any(hooked for *_, hooked in E._KERNELS)
@@ -609,11 +610,10 @@ def test_sparse_rule():
     # however many nodes are live
     wide = tuple(int(k < 10) for k in range(40))
     assert [len(s) for s in _step_nodes(walks, path, {"is_root": wide})[1]] == [10, 11, 12, 13]
-    # in a graph under 32 nodes, every node, unless the step has one source,
-    # read at the node itself, whose node list it can take as it is
-    small = gen_path(31).adjacency
-    _, seen = _step_nodes(walks, small, {"is_root": (1,) + (0,) * 30})
-    assert seen == [[0]] + [range(31)] * 3
+    # the same lists on a path of 31 nodes: no rule depends on the size
+    short = gen_path(31).adjacency
+    _, seen = _step_nodes(walks, short, {"is_root": (1,) + (0,) * 30})
+    assert [sorted(s) for s in seen] == [[0], [1], [0, 2], [1, 3]]
     # a step with no witness runs over every node
     _, seen = _step_nodes(PROG_PATH2, path, {})
     assert seen[1:] == [range(40)] * 2
@@ -1050,6 +1050,10 @@ def test_hand_written_plans_use_every_node_list_rule(hops, weight):
     (True, _PLANS["triangle_rectangle"].program, _PLANS["triangle_rectangle"].readouts),
     40, 0.1, 7,
 )
+# graphs of 16-24 nodes where some edges have common neighbors and some not
+@example(_RULE_PLANS[5], 16, 0.3, 3)
+@example(_RULE_PLANS[6], 20, 0.25, 5)
+@example((True, _PLANS["cycle6"].program, _PLANS["cycle6"].readouts), 24, 0.25, 7)
 def test_rooted_runs_match_the_reference_on_extracted_egos(plan, n, p, seed):
     # Each plan runs at every radius 1-3 it can, as drawn and with every
     # readout weighted by each label in turn: a weight label's nodes may lie

@@ -141,6 +141,16 @@ def test_gen_random_regular():
     assert gen_random_regular(0, 4, 0).node_count == 0
     with pytest.raises(ValueError):
         gen_random_regular(5, 3, 0)  # odd stub count
+    for n in (0, 4):  # not an edgeless graph
+        with pytest.raises(ValueError, match="degree must be >= 0, got -2"):
+            gen_random_regular(n, -2, 0)
+
+
+def test_gen_star():
+    assert (gen_star(0).node_count, gen_star(3).edge_count) == (1, 3)
+    for leaves in (-1, -3):  # not a graph of leaves + 1 nodes
+        with pytest.raises(ValueError, match=f"leaf count must be >= 0, got {leaves}"):
+            gen_star(leaves)
 
 
 def test_generators_canonical():
