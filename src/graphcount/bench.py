@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .counting import count
+from .counting import _PHASES, count
 from .generators import gen_random_regular
 
 REPEATS = 3
@@ -25,9 +25,7 @@ REPEATS = 3
 class BenchRow:
     n: int
     seconds: float
-    extraction: float
-    message_passing: float
-    readout: float
+    phases: tuple[float, ...]  # wall time of each phase, in ``_PHASES`` order
     graph_count: int
     ratio: float | None  # wall time vs the previous (half-size) run
 
@@ -53,16 +51,7 @@ def run_bench(
     for n, size_runs in zip(sizes, runs):
         dt, timings, graph_count = min(size_runs, key=lambda run: run[0])
         ratio = dt / prev if prev else None
-        rows.append(
-            BenchRow(
-                n=n,
-                seconds=dt,
-                extraction=timings.get("extraction", 0.0),
-                message_passing=timings.get("message_passing", 0.0),
-                readout=timings.get("readout", 0.0),
-                graph_count=graph_count,
-                ratio=ratio,
-            )
-        )
+        phases = tuple(timings.get(name, 0.0) for name in _PHASES)
+        rows.append(BenchRow(n, dt, phases, graph_count, ratio))
         prev = dt
     return rows

@@ -233,15 +233,11 @@ def _cmd_bench(args) -> int:
     handle = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ["n", "seconds", "extraction", "message_passing", "readout",
-             "graph_count", "ratio_vs_prev"]
-        )
+        writer.writerow(["n", "seconds", *counting._PHASES, "graph_count", "ratio_vs_prev"])
         for r in rows:
             writer.writerow(
-                [r.n, f"{r.seconds:.4f}", f"{r.extraction:.4f}",
-                 f"{r.message_passing:.4f}", f"{r.readout:.4f}",
-                 r.graph_count, "" if r.ratio is None else f"{r.ratio:.3f}"]
+                [r.n, *(f"{t:.4f}" for t in (r.seconds, *r.phases)), r.graph_count,
+                 "" if r.ratio is None else f"{r.ratio:.3f}"]
             )
     finally:
         if args.out:

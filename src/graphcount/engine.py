@@ -3,148 +3,118 @@
 A program is a fixed pipeline of layers.  Each layer evaluates a tuple of
 message expressions on every directed edge (receiver <- sender), sums the
 messages per receiver component-wise, and then evaluates a tuple of update
-expressions per node over (previous state, label vector, message sums).  All
-layers are synchronous: states at step t+1 depend only on states at step t,
-so evaluation order cannot affect the result.
+expressions per node over (previous state, label vector, message sums).
+Layers are synchronous, so evaluation order cannot affect the result.
+States are Python ints: results are exact and overflow cannot occur.
 
-Expressions form a small closed AST over integer arithmetic
-({+, -, *, constants, component selects, zero/positivity indicators}).  One
-visitor walks it, with one table entry per node type: per expression it
-gives the Python source and the audit text, checks that every select stays
-in its context and width, records what the expression reads, and gives its
-witness (below).  ``init`` is walked as a message-less layer over an empty
-state, so every step has one form, and the kernel generator (below) puts
-the walked sources together.  ``program_text`` (one readable line per
-layer, for auditing) and ``required_labels`` come from the same walk.
-States are Python ints, i.e. arbitrary precision: results are exact and
-overflow cannot occur.
+Expressions form a small closed AST over integer arithmetic ({+, -, *,
+constants, component selects, zero/positivity indicators}).  One visitor,
+``_visit``, walks it with one table entry per node type, giving per
+expression its Python source, its audit text, what it reads and its witness
+(below), and checking every select's context and width.  ``init`` is walked
+as a message-less layer over an empty state, so every step has one form;
+``program_text``, ``required_labels`` and the kernels read that one walk.
+States are columnar, ``state[c][k]`` for component c of node k.  A step
+binds only the columns it reads, fills each computed column in one loop over
+its nodes, and passes a bare ``Self(i)`` update's column through unchanged.
 
-States are columnar: a state is a tuple with one list per component, indexed
-``state[c][k]`` for component c of node k, and labels are read straight from
-label columns.  A step binds only the state and label columns its
-expressions read, fills each computed column in one loop over its nodes, and
-passes a column through unchanged when the update is a bare ``Self(i)`` (13
-of the 24 layer updates of the 6-cycle program are such copies).
-
-Which nodes a step computes.  An expression's witness is a set of reads
-(state columns and labels, each at the evaluating node or at the sending
-neighbor) such that the expression is 0 wherever all of them are: ``Self``,
-``Nbr``, ``LSelf`` and ``LNbr`` are their own witness, ``Msg`` has its
-message's, ``Const(0)`` the empty one; ``Add``, ``Sub`` and ``IsPos`` join
-their operands', ``Mul`` keeps the operand of least reach, or, when each
-operand is one label read at the node, reads their meet: the labels'
-product, nonzero only where all of them are (``in_n_root * in_n_branch``:
-the common neighbors of the root and the branching node); ``IsZero`` and
-nonzero constants have none.  A step whose computed updates all have one
+Witnesses.  An expression's witness is a set of reads (state columns and
+labels, at the evaluating node or at the sending neighbor) such that it is
+0 wherever all of them are: ``Self``, ``Nbr``, ``LSelf`` and ``LNbr`` are
+their own witness, ``Msg`` has its message's, ``Const(0)`` the empty one;
+``Add``, ``Sub`` and ``IsPos`` join their operands'; ``Mul`` keeps the
+operand of least reach or, when each operand is one label read at the node,
+reads their meet, nonzero only where all of them are (``in_n_root *
+in_n_branch``: the common neighbors of root and branching node); ``IsZero``
+and nonzero constants have none.  A step whose computed updates all have one
 runs only over the nodes where a source of its witness is nonzero, plus
 their neighbors for sources read across an edge; every other node keeps 0.
-Each column and each label keeps the node list it is nonzero on, so this
-costs no scan of a column.  A node list is a set expression over the
-labels' lists, the adjacency and the root's balls, never over a state, so
-each one is built once per subgraph, where it is first used.  Every rule
-but one below reads a meet as its first label, the operand kept by reach
-(``_plain``): only a column's own node list in a rooted kernel without a
-hook reads the meet itself.
+Each column and label keeps the node list it is nonzero on, so no column is
+scanned.  A node list is a set expression over the labels' lists, the
+adjacency and the root's balls, never over a state, so it is built once per
+subgraph, where first used.  Every rule below reads a meet as its first
+label, the operand kept by reach (``_plain``), except a column's own node
+list in a rooted kernel without a hook.
 
-On a rooted subgraph the program runs on the parent graph's own adjacency,
-with nothing extracted, and the subgraph radius bounds the work instead.
-The reach of a column is how far from the root it can be nonzero: labels
-``is_root`` 0, ``in_n_root`` 1, ``is_branch`` 1, ``in_n_branch`` 2; ``Mul``
-takes the smaller reach, ``Add`` and ``Sub`` the larger, reads across an
-edge add one; ``IsZero`` and nonzero constants are
-unbounded.  Its demand is how far out a later step or a readout reads it
-(``_radii``).  A step computes within min(reach, demand), the radius R, and
-is cut to R, using the root's BFS ball, when its sources could reach
-further.  On every node within R its state is that of the extracted
-radius-K ego-network: below K every neighbor lies inside the ego-network,
-and at K each message must be 0 whenever its sender lies outside, which
-``_radii`` checks when the program is compiled for a rooted run.  Per plan
-at its own radius, the steps cut (init first, "-" for none) are cycle3
-``- 1``, cycle4 ``- - 1``, cycle5 ``- 2 1``, triangle_rectangle ``- 2 1 -``,
-walk4 ``- - - 1 0`` and cycle6 ``- 2 - 2 -``; path2, path3, path4,
-tailed_triangle, clique4 and chordal_cycle need no cut.
+Radii.  A rooted subgraph is the ego-network of radius K around a root; the
+program runs on the parent graph's adjacency, with nothing extracted, and
+radii bound the work.  A column's reach is how far from the root it can be
+nonzero: ``is_root`` 0, ``in_n_root`` and ``is_branch`` 1, ``in_n_branch``
+2, the smaller of a ``Mul``'s operands', the larger of an ``Add``'s or a
+``Sub``'s, one more across an edge, unbounded for ``IsZero`` and nonzero
+constants.  Its demand is how far out a later step or a readout reads it.
+A step computes within the radius R = min(reach, demand), and is cut to R
+with the root's BFS ball when its sources could reach further (``_radii``).
+Within R its state is that of the extracted ego-network: below K every
+neighbor lies inside it, and at K each message must be 0 whenever its
+sender lies outside, which ``_radii`` checks as it compiles a rooted kernel.
 
-A rooted kernel without a hook (the one ``count`` runs) computes each
-column only where it can be nonzero and where it is read (``_layout``).  A
-step that pulls its messages, or has none, computes each column over the
-node list of its own witness, pulling only the messages that column reads:
-cycle6's init and layers 1, 3 and 4.  A column of an uncut step whose
-witness is a meet is computed over the intersection of the labels' lists,
-which each branch builds once from a set of the root's list, built once per
-root: clique4's init, cycle6's init column 1, triangle_rectangle's last
-step; a column whose witness is one read of such a column at the node runs
-over it too (clique4's layer 1, cycle6's layer 4 column 6).  A column that
-later steps read only across an edge keeps its first label's list instead:
-no later loop runs over its meet, and building one for its own loop costs
-more than it saves (chordal_cycle's init, 1.1-1.2x CPU).  A stored column
-that every later step reads at the node itself, in loops that do not run
-over every node, or only across an edge, in loops over a meet, is computed
-only over the union of those loops' node lists, and of the neighbors of
-those meets, unless building that union costs a set its own list does not
-(cycle6's layer 1 columns 3 and 4 and layer 3 column 0, and
-triangle_rectangle's layer 2, over N(i)&N(j), and layer 1, over its
-neighbors instead of N(N(j)) cut to the ball of radius 2).  A meet of a
-list the union holds adds nothing to it: cycle6's layer 1 column 3, read
-over N(j) and over N(i)&N(j), is computed over N(j).  Those loops lie
-within their steps' radii, so within the column's demand, and where they
-lie beyond its reach its witness makes it 0: the states the readouts see
-stay exact.  In a pair kernel, a column is root-level when it, and the
-weights of its readouts, read only the root's labels (``is_root``,
-``in_n_root``) and root-level columns, and its own node list is built from
-those labels and the root's balls alone.  Such a column is the same for
-every branch, so it is computed once per root, over its own list, before
-the loop over the branches, and zeroed after it (cycle6's layer 1 column
-2); any node list of the root alone is built there too.
+Kernels.  A plan compiles once per (program, label layout, radius,
+readouts, hooked), never per graph, into one generated Python function
+(``_kernel``), its radius analysis included.  A rooted kernel marks the
+branch labels, loops over the root's branches, runs every step inline,
+appends each subgraph's readout row and zeroes what it wrote; ``run`` runs
+the same steps once over given labels, and no count calls it.  Each state
+column is a node-indexed buffer named after the step and column that
+computed it, followed back through copies.  A step scatters its messages
+(``_scatters``) when it has no cut and each message's witness has at most
+one read at the sender and one at the receiver, both among the step's
+sources: each message is added from the nodes where its sender-side read is
+nonzero into its neighbors' buffers, then pulled only at the nodes where its
+receiver-side read is nonzero, from the neighbors not scattered from.  A
+scatter walks each edge from its sender, so it needs a symmetric adjacency.
+Every other step pulls each message at each node that computes a column
+reading it.
 
-Building a node set costs time, so a step cut to radius 0 or 1 runs over
-the root's ball.  A radius-2 cut intersects its node list with the ball.  A
-step with one source, read at the node itself and not cut, takes that
-source's node list as it is.  CHANGES.md holds the measurements behind
-these rules.
+Node lists.  A rooted kernel with a hook stores every column over one node
+list per step, so that the hook sees whole states.  One without (the one
+``count`` runs) computes each column only where it can be nonzero and is
+read:
+- A step that pulls its messages, or has none, computes each column over
+  its own witness's node list, pulling only the messages that column reads.
+- A column of an uncut step whose witness is a meet runs over the
+  intersection of the labels' lists, which each branch builds from a set of
+  the root's list, built once per root; so does a column whose witness is
+  one read of such a column at the node (clique4's layer 1).  A column that
+  later steps read only across an edge keeps its first label's list: no
+  later loop runs over its meet, and building one for its own loop costs
+  more than it saves.
+- A stored column that every later step reads at the node itself, in loops
+  not over every node, or only across an edge, in loops over a meet, is
+  computed only over the union of those loops' lists and of those meets'
+  neighbors, unless that union costs a set its own list does not; a meet of
+  a list the union holds adds nothing to it.  Those loops lie within their
+  steps' radii, so within the column's demand, and beyond its reach its
+  witness makes it 0: the readouts stay exact.
+- In a pair kernel, a column is root-level when it and its readouts'
+  weights read only the root's labels (``is_root``, ``in_n_root``) and
+  root-level columns, and its node list is built from those labels and the
+  root's balls alone.  It is the same for every branch, so it is computed
+  once per root, before the branch loop, and zeroed after it; so is every
+  node list of the root alone.
+- Building a node set costs time: a step cut to radius 0 or 1 runs over the
+  root's ball, a radius-2 cut intersects its list with the ball, and an
+  uncut step with one source, read at the node, takes that source's list.
 
-One kernel per plan.  A plan compiles, once per (program, label layout,
-radius, readouts, hooked), into one generated Python function, its kernel
-(``_kernel``); the radius analysis (``_radii``) runs inside that compile,
-so the one key covers it, and no key depends on the graph's size.  A rooted
-kernel marks the branch labels, loops over the root's branches, runs every
-step inline and appends each subgraph's readout row; ``run`` runs the same
-step code once over given labels, and no count calls it.  Each state column
-is a node-indexed buffer named after the step and column that computed it
-(each walked step records these origins); each node list is chosen by the
-rules above when the kernel is generated; after each subgraph the kernel
-zeroes what it wrote.  A step scatters its messages (``_scatters``) when it
-has no cut and the witness of each message has at most one read at the
-sender and at most one at the receiver, both covered by the step's sources:
-every message is added from the nodes where its sender-side read is nonzero
-into its neighbors' message buffers, then pulled only at the nodes where
-its receiver-side read is nonzero, from the neighbors not scattered
-from.  A scatter walks each edge from its sender, so it needs a symmetric
-adjacency.  Every other step pulls each message at each node that computes
-a column reading it.
+Readouts are summed where they are computed, in a kernel without a hook
+(``_layout``).  A column that no later step reads is not stored: each
+readout of it is a running sum that the loop computing the column adds to,
+and a column that nothing reads is not computed.  A cut step that stores
+nothing and sums only readouts weighted by one label, whose reach lies
+within the cut, computes only at that label's nodes, where the weight is 1
+(cycle3).  A step that stores nothing, scatters, and sums only ``coef *
+Msg(m)`` columns sends them: each message value, times coef at its
+receiver, goes straight into the sum as it is sent or pulled, with no node
+set, message buffer or final loop (path3).  Any other step computes each
+column over its node list and sums its readout-only columns, except that a
+cut step sends each ``coef * Msg(m)`` column whose message's witness reads
+only the sender, of reach below the cut, so that every receiver lies within
+the cut.
 
-Readouts are summed where they are computed.  One pass, ``_layout``, plans
-a kernel: it decides, for each column a step computes, whether the column
-is stored, summed where it is computed, sent, or not computed at all, and
-gives each step's readout terms.  In a rooted kernel without a hook, a
-column that no later step reads is not stored: each readout of it is a
-running sum that the loop computing the column adds to, and a column that
-nothing reads is not computed.  A cut step that stores nothing and sums
-only readouts weighted by one label, whose reach lies within the cut,
-computes only at that label's nodes, where the weight is 1 (cycle3, cycle4,
-cycle5, the closed walks).  A step that stores nothing, scatters, and sums
-only ``coef * Msg(m)`` columns sends them: each message value, times coef
-at its receiver, goes straight into the sum as it is sent or pulled, with
-no node set, message buffer or final loop (path2, path3, path4).  Any other
-step computes each column over its node list as above and sums its
-readout-only columns instead of storing them (cycle6's layer 4,
-triangle_rectangle's last step, clique4, chordal_cycle, tailed_triangle),
-except that a cut step sends each ``coef * Msg(m)`` one whose message's
-witness reads only the sender, of reach below the cut, so that every
-receiver it reaches lies within the cut: cycle6's layer 3 column 1, sent
-from the root's neighbors.  A kernel with a hook stores every column over
-one node list per step, so that the hook sees whole states:
-``count_path4_edge``, ``count_walks``, the per-step parity tests and the
-node evaluation counts run on it.
+``tests/test_engine.py`` freezes what these rules give each counting plan:
+its cuts (``_PLAN_RADII``), scatters (``_PLAN_SCATTERS``), readout sums
+(``_PLAN_FUSED``), node lists (``_PLAN_NODES``) and kernel sources
+(``_KERNEL_MD5``).  CHANGES.md holds the measurements behind the rules.
 """
 
 from __future__ import annotations
@@ -475,21 +445,18 @@ class _Step:
     meets: list
 
 
-def _reads_message(e: Expr) -> bool:
-    return type(e) is Msg or type(e) in _OPERATORS and any(
-        _reads_message(getattr(e, f.name)) for f in fields(e)
-    )
-
-
-def _linear(e: Expr) -> tuple[int, Expr | None] | None:
-    """(m, coef) when ``e`` is ``coef * Msg(m)`` (coef None for a bare
-    ``Msg(m)``) and coef reads no message, else None."""
+def _linear(e: Expr, *context) -> tuple[int, str | None] | None:
+    """(m, the Python source of coef) when ``e`` is ``coef * Msg(m)`` (None
+    for a bare ``Msg(m)``) and coef reads no message, else None; coef is
+    walked (``_expr``) in ``context``."""
     if type(e) is Msg:
         return e.index, None
     if type(e) is Mul:
         for coef, msg in ((e.a, e.b), (e.b, e.a)):
-            if type(msg) is Msg and not _reads_message(coef):
-                return msg.index, coef
+            if type(msg) is Msg:
+                py, _, _, reads = _expr(coef, *context)
+                if all(r[0] != "M" for r in reads):
+                    return msg.index, py
     return None
 
 
@@ -518,11 +485,7 @@ def _walk(prog: MPProgram, layout: Mapping[str, int]) -> list[_Step]:
         reads = set().union(*(x[3] for x in messages + computed))
         witness = [u[2] for u in computed]
         sources = None if None in witness else frozenset().union(*witness)
-        linear = [_linear(e) for e in layer.update]
-        linear = [
-            x and (x[0], x[1] and _visit(x[1], ctx, layout, reach, witnesses, set())[0])
-            for x in linear
-        ]
+        linear = [_linear(e, ctx, layout, reach, witnesses) for e in layer.update]
         reach = tuple(
             _reach(u[2], reach) if c is None else reach[c] for u, c in zip(updates, copies)
         )
@@ -591,17 +554,13 @@ def _per_root(nodes, index) -> bool:
 
 def _radii(steps: list[_Step], hops: int, readouts: tuple, name: str) -> tuple:
     """Per walked step of program ``name``, on a rooted subgraph of radius
-    ``hops``: the radius R it computes within, and the radius it is cut to
-    (None: no cut), from the reach and demand of its columns.
+    ``hops``: the radius R it computes within, the largest min(reach,
+    demand) of its columns, and the radius it is cut to (None: no cut).
 
-    A column's demand is the radius within which a later step or a readout
-    reads it: ``hops`` for a plain readout, the weight's reach for a weighted
-    one, and a step's own radius (one more across an edge) for what it reads.
-    A step computes within R, the largest min(reach, demand) of its columns;
-    it is cut to R when its sources could reach further.  Below ``hops``
-    every neighbor of a computed node lies in the subgraph.  At ``hops``,
-    a neighbor outside adds 0 only if each message is 0 whenever its sender
-    lies beyond ``hops``; a program where that fails raises ProgramError.
+    A column's demand is ``hops`` for a plain readout, the weight's reach
+    for a weighted one, and a reading step's own radius, one more across an
+    edge.  A program with a message that can be nonzero from a sender
+    beyond ``hops`` raises ProgramError.
     """
     demand: dict = {}
 
@@ -679,22 +638,17 @@ def _nodes(sources, cut, where) -> str | tuple:
 
 
 def _layout(steps, cuts, index, readouts) -> tuple[list, dict, list]:
-    """The plan of a kernel, by the rules of the module docstring: what each
-    step does with each column it computes.  Returns, per step, its units
+    """The plan of a kernel (module docstring): per step, its units
     ``(nodes, columns, once)`` and its readout terms ``{c: [(x, w)]}``, and
-    each computed column's node list, off which it is 0.
+    each computed column's node list, off which it is 0.  ``readouts`` is
+    None for a kernel that keeps whole states.
 
-    A unit is one loop over the node list ``nodes`` that computes
-    ``columns``, pulling the messages they read (a step that scatters fills
-    its message buffers first), or, with ``nodes`` None, sends ``columns``
-    (``_scatter``); with ``once`` the loop runs once per root, before the
-    branch loop.  A column with readout terms is not stored: it is added,
-    where it is computed, to each readout x of it, times the label at
-    position w (None: 1).  A column that is neither stored nor read out is
-    not computed.  ``readouts`` is None for a kernel that keeps whole
-    states: there each step stores every column over one node list.  A
-    node list is one ``_nodes`` gives, or a frozenset of labels' lists: the
-    intersection of those lists, a meet's.
+    A unit loops over the node list ``nodes`` to compute ``columns``, or,
+    with ``nodes`` None, sends them (``_scatter``); with ``once`` it runs
+    once per root, before the branch loop.  Column c is added, where it is
+    computed, to each readout x, times the label at position w (None: 1).
+    A node list is one ``_nodes`` gives, or a frozenset of labels' lists:
+    their intersection.
     """
     read: dict = {}  # each column a later step reads, and the hops it reads it at
     for t in range(1, len(steps)):
@@ -717,9 +671,7 @@ def _layout(steps, cuts, index, readouts) -> tuple[list, dict, list]:
         computed = [c for c, src in enumerate(step.copies) if src is None]
         stored = [c for c in computed if readouts is None or (s, c) in read]
         sums = {c: out[s, c] for c in computed if c not in stored and (s, c) in out}
-        # the weight rule: a cut step that stores nothing and sums only
-        # readouts weighted by one label, whose reach lies within the cut,
-        # computes only at that label's nodes, where the weight is 1
+        # the weight rule (module docstring)
         weights = {readouts[x].weight for xs in sums.values() for x in xs}
         (label,) = weights if len(weights) == 1 and not stored else (None,)
         if cut is None or _LABEL_REACH.get(label, _UNBOUNDED) > cut:
@@ -915,28 +867,29 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
         if type(spec) is str:
             radii.extend([int(spec[2:])] if spec.startswith("_B") else [])
             return spec
-        if spec not in names and type(spec) is frozenset:
+        if spec in names:
+            return names[spec]
+        if type(spec) is frozenset:
             # a meet: the set of one list, built once per root if it can be,
             # meets the others
             first, *rest = sorted(spec, key=lambda x: (not _per_root(x, index), x))
-            made = f"set({bind(first)})"
+            made = [f" = set({bind(first)})"]
             if rest:
-                made = f"{bind(frozenset({first}))}.intersection({', '.join(map(bind, rest))})"
-            name = names[spec] = f"_N{len(names)}"
-            (prelude if hoist and _per_root(spec, index) else body).append(f"{name} = {made}")
-        elif spec not in names:
+                one = bind(frozenset({first}))
+                made = [f" = {one}.intersection({', '.join(map(bind, rest))})"]
+        else:
             near, here = ([bind(x) for x in part] for part in spec[:2])
-            name = names[spec] = f"_N{len(names)}"
-            out = prelude if hoist and _per_root(spec, index) else body
             if near:  # the neighbors of a union are the union of the neighbors
                 base = near[0] if len(near) == 1 else f"{{{', '.join(f'*{x}' for x in near)}}}"
-                out.append(f"{name} = set(_chain(map(_adj, {base})))")
-                out.extend([f"{name}.update({', '.join(here)})"] if here else [])
+                made = [f" = set(_chain(map(_adj, {base})))"]
+                made += [f".update({', '.join(here)})"] if here else []
             else:
-                union = f"{{{', '.join(f'*{x}' for x in here)}}}" if here else "set()"
-                out.append(f"{name} = {union}")
-            out.extend([f"{name} &= {bind(f'_B{spec[2]}')}"] if spec[2] is not None else [])
-        return names[spec]
+                made = [f" = {{{', '.join(f'*{x}' for x in here)}}}" if here else " = set()"]
+            made += [f" &= {bind(f'_B{spec[2]}')}"] if spec[2] is not None else []
+        name = names[spec] = f"_N{len(names)}"
+        out = prelude if hoist and _per_root(spec, index) else body
+        out.extend(name + line for line in made)
+        return name
 
     for s, step in enumerate(steps):
 
@@ -1051,31 +1004,21 @@ _KERNELS: dict[tuple, object] = {}
 
 
 def _kernel(prog: MPProgram, layout: tuple, hops: int | None, readouts, hooked: bool):
-    """The kernel factory of one plan, generated once per (program, label
-    layout, radius, readouts, hooked), whatever the graph's size.  A rooted
-    kernel's radius analysis (``_radii``) runs in the same compile: a
-    program that reads beyond the radius raises ProgramError there, and
-    nothing is cached for it.
+    """The kernel factory of one plan, cached per (program, label layout,
+    radius, readouts, hooked).  A program that reads beyond the radius
+    raises ProgramError, and nothing is cached for it.
 
-    For a rooted run (``readouts`` a tuple), ``make(adj, labels, hook)``
-    allocates the run's buffers and returns ``(root, kernel)``:
-    ``root(i)`` sets root i's labels and balls, and ``kernel(i)`` runs its
-    subgraphs and returns their readout rows.  ``labels`` holds one
-    node-indexed 0/1 buffer per label, all 0.  For a plain run (``readouts``
-    and the radius None), ``run(adj, labels, supports, hook)`` runs once
-    over the given label columns, with the nonzero nodes of each in
-    ``supports``, and returns the final state.
-
-    ``hook(j, steps)``, unless None, is called after each subgraph with its
-    branching node (None without one) and, per step (init first), the state
-    after it and the nodes it computed.  The buffers are reused, so a hook
-    copies what it keeps.  A rooted kernel calls it only when generated with
-    ``hooked``, and then stores every column; without, it stores only the
-    columns a later step reads and sums or sends the others into the
-    readout row where they are computed (``_layout``), so its steps' states
-    are not whole.  It computes root-level columns once per root only
-    without ``hooked``: a kernel with a hook runs every step inside the
-    branch loop.  A plain run stores every column and calls ``hook`` either way.
+    Rooted (``readouts`` a tuple): ``make(adj, labels, hook)``, with one
+    all-0 node-indexed buffer per label in ``labels``, returns ``(root,
+    kernel)``: ``root(i)`` sets root i's labels and balls, ``kernel(i)``
+    returns the readout rows of its subgraphs, and calls ``hook`` only if
+    ``hooked``.  Plain (``readouts`` and the radius None): ``run(adj,
+    labels, supports, hook)``, with each label's nonzero nodes in
+    ``supports``, stores every column and returns the final state.
+    ``hook(j, steps)``, unless None, gets after each subgraph its branching
+    node (None without one) and, per step (init first), the state after it
+    and the nodes it computed; the buffers are reused, so a hook copies what
+    it keeps.
     """
     key = (prog, layout, hops, readouts, hooked)
     hit = _KERNELS.get(key)
@@ -1108,15 +1051,10 @@ class RootedRun:
 
     Each subgraph is a root's ego-network of radius ``hops``, or, with
     ``branching``, one copy of it per neighbor of the root, marked as the
-    branching node.  Nothing is extracted: each step runs on the parent
-    graph within its radius (``_radii``), so on every node it computes, its
-    state is that of the extracted subgraph.  State columns and indicator
-    labels are node-indexed buffers, allocated once.
-
-    ``rows(i)`` gives root i's readout rows, one per subgraph: ``root(i)``
-    sets the root's labels and balls, then ``kernel(i)`` runs its subgraphs.
-    ``hook`` is called after each subgraph with every step's whole state
-    (see ``_kernel``); without one, readout-only columns are not stored.
+    branching node.  ``rows(i)`` gives root i's readout rows, one per
+    subgraph: it calls ``root(i)``, then ``kernel(i)`` (``_kernel``, which
+    also says what ``hook`` gets).  A readout weight outside the subgraph's
+    labels raises MissingLabelError.
     """
 
     def __init__(

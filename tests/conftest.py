@@ -17,22 +17,44 @@ from graphcount.graph import Graph, from_edges
 
 
 def to_graph6(g: Graph) -> str:
-    """Independent graph6 encoder (n <= 62) used to cross-check the parser."""
+    """Independent graph6 encoder (n < 2**18) used to cross-check the parser:
+    up to 62 nodes the size is one byte, above it "~" and three bytes of 6
+    bits each, high first."""
     n = g.node_count
-    assert n <= 62
+    assert n < 1 << 18
     bits = []
     for v in range(1, n):
         for u in range(v):
             bits.append(1 if g.has_edge(u, v) else 0)
     while len(bits) % 6:
         bits.append(0)
-    chars = [chr(n + 63)]
+    size = [n] if n <= 62 else [63, n >> 12, n >> 6 & 63, n & 63]
+    chars = [chr(x + 63) for x in size]
     for i in range(0, len(bits), 6):
         val = 0
         for b in bits[i : i + 6]:
             val = (val << 1) | b
         chars.append(chr(val + 63))
     return "".join(chars)
+
+
+# Edge-list inputs that are not graphs, and the error parsing one raises.
+BAD_EDGELISTS = {
+    "": "empty edge-list input",
+    " \n\n": "empty edge-list input",
+    "nonsense\n": "malformed header line",
+    "3 x\n": "malformed header line",
+    "2.0 1\n0 1\n": "malformed header line",
+    "2 1\n0 1 9\n": "malformed edge line",
+    "2 1\n0 b\n": "malformed edge line",
+    "3 2\n0 1\n": "declares",
+}
+# graph6 files that hold no graph, and the error loading one raises.
+BAD_GRAPH6_FILES = {
+    "": "no graph6 data",
+    "\n \n": "no graph6 data",
+    ">>graph6<<\n": "empty graph6 string",
+}
 
 
 def small_random_graphs(count: int = 10, max_n: int = 14) -> list[Graph]:

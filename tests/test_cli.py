@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from conftest import to_graph6
+from conftest import BAD_EDGELISTS, BAD_GRAPH6_FILES, to_graph6
 from graphcount import cli, counting, refinement
 from graphcount.cli import main
 from graphcount.engine import MissingLabelError, ProgramError
@@ -71,13 +71,17 @@ def test_count_insufficient_hops_exit_3(c6_file, capsys):
 
 
 def test_parse_error_exit_2(tmp_path, capsys):
-    bad = tmp_path / "bad.el"
-    bad.write_text("2 1\n0 0\n")
-    code, _, err = run_cli(
-        ["count", "--input", str(bad), "--substructure", "cycle3"], capsys
-    )
-    assert code == 2
-    assert "self-loop" in err
+    bad = tmp_path / "bad"
+    cases = [("edgelist", "2 1\n0 0\n", "self-loop")]
+    cases += [("edgelist", *case) for case in BAD_EDGELISTS.items()]
+    cases += [("graph6", *case) for case in BAD_GRAPH6_FILES.items()]
+    for fmt, text, message in cases:
+        bad.write_text(text)
+        code, out, err = run_cli(
+            ["count", "--input", str(bad), "--format", fmt, "--substructure", "cycle3"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
 
 
 def test_missing_file_exit_2(capsys):

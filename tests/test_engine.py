@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 from dataclasses import fields
@@ -17,7 +18,14 @@ from conftest import (
     spd_label_program,
 )
 from graphcount import engine as E
-from graphcount.counting import PROG_P3, _PLANS, _walk_program, count
+from graphcount.counting import (
+    PROG_P3,
+    _PLANS,
+    _walk_program,
+    count,
+    count_path4_edge,
+    count_walks,
+)
 from graphcount.extraction import ego, extract_rooted, identity_labeled_graph, with_branching
 from graphcount.generators import (
     gen_complete,
@@ -114,6 +122,10 @@ def test_missing_label_error():
     sub = extract_rooted(gen_cycle(4), 0, ego(1))
     with pytest.raises(E.MissingLabelError, match="is_branch"):
         E.run_program(sub, prog)
+    # a readout weighted by a label the subgraphs lack
+    for branching, weight in ((False, "is_branch"), (True, "a")):
+        with pytest.raises(E.MissingLabelError, match=f"readout weight label '{weight}'"):
+            E.RootedRun(PROG_P3, sub.adj, 3, (E.Readout(0, weight),), branching)
 
 
 class _Unknown(E.Expr):
@@ -490,6 +502,57 @@ def test_plan_node_lists_are_frozen(kind):
     assert _node_lists(spec, spec.hops) == _PLAN_NODES[kind]
     assert _node_lists(spec, spec.hops + 1) == _PLAN_NODES[kind]
     assert sorted(_PLAN_NODES) == sorted(_PLAN_RADII)
+
+
+# The md5 of the source of each kernel: per plan at its own radius, without
+# and then with a hook, and the kernels of ``count_path4_edge`` and of
+# ``count_walks`` at lengths 2 and 4.  A kernel's source does not depend on
+# the graph, so a change to the generator shows here kernel by kernel.
+_KERNEL_MD5 = {
+    "chordal_cycle": ("5b8b0a8955ffcb187d27cdbf84e853e8", "372197cf3b86e3aa8b69342e79fe7eb2"),
+    "clique4": ("0410c0f886eaf9119ac9a7e7ae65f7f6", "1b3476c376545669655fc8445e16b8ec"),
+    "cycle3": ("3cadff0d5d6a8ba19cc4f51e06dc95e7", "df3ccf3881e15d8e28e4714e657e2889"),
+    "cycle4": ("21fcb76e0f35f762bdda2c9de8d98e89", "d59e254ecea06f7f7ac8c7e15f18fa4d"),
+    "cycle5": ("2d158c77b2be361240deaca2fc1f400a", "7ed4ba831a040e716134f2b370f6bd0b"),
+    "cycle6": ("15ce7a8879bf73babce360de0a1ec72a", "4a6d0679fda01c739ae9a249ab093f0b"),
+    "path2": ("5b756b87f0c0f99c327c432f375c53b8", "c8d32fc7390412c4910aa72481a3d325"),
+    "path3": ("6193b8b11bbb7f4e710fa262631f263e", "15a52869ff016da30d4ab4ea30307c55"),
+    "path4": ("b5afe89392f0437694ef1ec68ea8407b", "91e86fd0be15a915c70c947a083b3e2e"),
+    "tailed_triangle": ("f131aef3620971b3a9fc9411710961b6", "a3f46ab2699bfd09c823c9ccf440ebe4"),
+    "triangle_rectangle": ("49100f69703d7b82bb6500e53fee7360", "762c7fe3b737867026a59409184bedf6"),
+    "walk1": ("a9057e4d5525ade2c25a5bf517369e5b", "51b3a0dc20a3fa964c23528d714d6c32"),
+    "walk2": ("e62a66a812f25d9003927b8d09619b31", "808d31abe1d8707aa10c79f3ad4b85f0"),
+    "walk3": ("30d60260804c6150f739840b8e575914", "cf11530ddfda59aecadfb2ea68a1098a"),
+    "walk4": ("412f86bd981def09f2ca856e08529938", "5c759cf9a3309002669a3d4f37fb6647"),
+    "walk5": ("57da7bd3931a328b68605e625bbf2a44", "39209c46096f30bb1cd5463d7d99abec"),
+    "walk6": ("c3ceb3abb654eb11e2021e946084022b", "e9f8e0c04ad7274122c5fec45cfd37aa"),
+    "walk7": ("3b307b77fd79473da3a7f69d45310a0e", "30479cedc0a602fb2159db2347939b58"),
+    "walk8": ("907b745e925a0b4c2754ed1d05df7c90", "d45f3452f4090bb6bc78247e36945419"),
+    "path4_edge": ("cca6ed8e84ac90c1c89d9d9ece8b5040",),
+    "walks2": ("5e011c4e2dc814162d7425ca0e9e1456",),
+    "walks4": ("3687b2f30dc2d62c108061066fcede10",),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KERNEL_MD5))
+def test_kernel_sources_are_frozen(monkeypatch, kind):
+    sources = []
+    real = E._exec
+    monkeypatch.setattr(E, "_exec", lambda lines, name: sources.append(lines) or real(lines, name))
+    monkeypatch.setattr(E, "_KERNELS", {})
+    g = gen_cycle(6)
+    if kind in _PLANS:
+        spec = _PLANS[kind]
+        branching = spec.mode == "pair"
+        for hook in (None, lambda *_: None):
+            E.RootedRun(spec.program, g.adjacency, spec.hops, spec.readouts, branching, hook)
+    elif kind == "path4_edge":
+        count_path4_edge(g)
+    else:
+        count_walks(g, int(kind[len("walks"):]), 0, 1)
+    digests = tuple(hashlib.md5("\n".join(lines).encode()).hexdigest() for lines in sources)
+    assert digests == _KERNEL_MD5[kind]
+    assert set(_PLANS) <= set(_KERNEL_MD5)
 
 
 def test_a_second_count_compiles_and_analyses_nothing(monkeypatch):

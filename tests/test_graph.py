@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from conftest import all_graphs_up_to, small_random_graphs, to_graph6
+from conftest import (
+    BAD_EDGELISTS,
+    BAD_GRAPH6_FILES,
+    all_graphs_up_to,
+    small_random_graphs,
+    to_graph6,
+)
 from graphcount.generators import gen_cycle, gen_random, gen_rook4x4, gen_star
 from graphcount.graph import (
     GraphFormatError,
@@ -10,6 +16,7 @@ from graphcount.graph import (
     disjoint_union,
     format_edgelist,
     from_edges,
+    load_graph,
     parse_edgelist,
     parse_graph6,
     permute,
@@ -40,12 +47,17 @@ def test_index_out_of_range_rejected():
 
 
 def test_malformed_lines_rejected():
-    with pytest.raises(GraphFormatError):
-        parse_edgelist("nonsense\n")
-    with pytest.raises(GraphFormatError):
-        parse_edgelist("2 1\n0 1 9\n")
-    with pytest.raises(GraphFormatError, match="declares"):
-        parse_edgelist("3 2\n0 1\n")
+    for text, message in BAD_EDGELISTS.items():
+        with pytest.raises(GraphFormatError, match=message):
+            parse_edgelist(text)
+
+
+def test_graph6_file_without_a_graph_rejected(tmp_path):
+    path = tmp_path / "none.g6"
+    for text, message in BAD_GRAPH6_FILES.items():
+        path.write_text(text)
+        with pytest.raises(GraphFormatError, match=message):
+            load_graph(path, "graph6")
 
 
 def test_graph6_matches_edgelist_for_k3():
@@ -69,11 +81,23 @@ def test_graph6_cross_check_all_graphs_up_to_5_nodes():
     assert n_checked == 1 + 1 + 2 + 8 + 64 + 1024
 
 
+@pytest.mark.parametrize("n, p", [(63, 0.1), (64, 0.1), (300, 0.02)])
+def test_graph6_round_trips_four_byte_sizes(n, p):
+    # from 63 nodes on the size is "~" and three more bytes
+    g = gen_random(n, p, n)
+    text = to_graph6(g)
+    assert text[0] == "~" and ord(text[1]) - 63 <= 62
+    assert parse_graph6(text).adjacency == g.adjacency
+
+
 def test_graph6_rejects_garbage():
-    with pytest.raises(GraphFormatError):
+    with pytest.raises(GraphFormatError, match="0 data bytes, expected 1"):
         parse_graph6("B")  # truncated data section
-    with pytest.raises(GraphFormatError):
-        parse_graph6("B\x1f")
+    with pytest.raises(GraphFormatError, match="invalid graph6 character"):
+        parse_graph6("B!")  # "!" lies below "?", and strip() keeps it
+    for prefix in ("~", "~??"):
+        with pytest.raises(GraphFormatError, match="truncated graph6 size prefix"):
+            parse_graph6(prefix)
     # K2 is "A_": the last data byte is padded with zeros
     assert parse_graph6("A_").edge_count == 1
     with pytest.raises(GraphFormatError, match="padding"):
