@@ -57,8 +57,11 @@ def _positive_int(text: str) -> int:
 
 
 def _sizes(text: str) -> tuple[int, ...]:
-    """An argparse type: comma-separated node counts, each at least 1."""
-    return tuple(_positive_int(x) for x in text.split(",") if x != "")
+    """An argparse type: one or more comma-separated node counts, each >= 1."""
+    sizes = tuple(_positive_int(x) for x in text.split(",") if x != "")
+    if not sizes:
+        raise argparse.ArgumentTypeError(f"needs at least one size, got {text!r}")
+    return sizes
 
 
 def _write_report(
@@ -209,8 +212,10 @@ def _cmd_stats(args) -> int:
             files = sorted(q for q in p.iterdir() if q.is_file())
             if files:
                 corpora.append((p.name, files))
-        else:
+        elif p.is_file():
             corpora.append((p.name, [p]))
+        else:
+            raise FileNotFoundError(f"{item}: not a file or directory")
     results = counting.corpus_cycle_stats(corpora, fmt=args.format, threads=args.threads)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(
@@ -272,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="run the brute-force enumeration oracle")
     add_io(p_oracle)
     p_oracle.add_argument("--substructure", required=True, choices=_ORACLE_KINDS)
-    p_oracle.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET,
+    p_oracle.add_argument("--budget", type=_positive_int, default=oracle.DEFAULT_BUDGET,
                           help="enumeration step budget")
     p_oracle.set_defaults(func=_cmd_oracle)
 

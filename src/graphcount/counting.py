@@ -1,9 +1,10 @@
 """Explicit message-passing counting programs with exact integer readouts.
 
-``KIND_SPECS`` is the plan table: per kind, a program (see ``engine``), a bag
-shape, a subgraph radius, readouts, a combine step, and a graph divisor.
-Root bags (one ego-network per node) cover 2- and 3-paths, triangles,
-4-cycles, and the closed walks; pair bags (root + branching neighbor) cover
+``KIND_SPECS`` is the plan table: per kind, a program (see ``engine``), a
+subgraph radius, readouts, a combine step, and a graph divisor.  Programs
+that read only the root's identifiers, run on one ego-network per node,
+cover 2- and 3-paths, triangles, 4-cycles, and the closed walks; those that
+read the branching neighbor's, on one per (root, neighbor) pair, cover
 4-paths, 5-/6-cycles, and the size-4/5 graphlets.  One executor,
 ``engine.RootedRun``, runs every plan and ``count_walks`` root by root on
 the parent graph itself, with one call of the plan's generated kernel per
@@ -266,15 +267,14 @@ def _cycle6_patterns(rows: list[tuple[int, ...]]) -> tuple[int, ...]:
 class KindSpec:
     """How one kind is counted.
 
-    ``mode`` is the bag shape: "root" (each root's ego-network) or "pair"
-    (one copy per neighbor of the root, marked as branching node), of radius
-    ``hops``: the smallest that is exact, and the default.  Each subgraph
-    yields a row of ``readouts``; ``combine`` maps a root's rows to its
-    count, followed by the 6-cycle pattern counts when ``patterns`` is set.
+    ``program`` runs on the bag of subgraphs of radius ``hops`` (the
+    smallest that is exact, and the default) that ``engine.RootedRun``
+    derives from the identifiers it reads.  Each subgraph yields a row of
+    ``readouts``; ``combine`` maps a root's rows to its count, followed by
+    the 6-cycle pattern counts when ``patterns`` is set.
     The graph count is the node-count sum divided by ``graph_divisor``.
     """
 
-    mode: str  # "root" | "pair"
     program: MPProgram
     hops: int
     readouts: tuple[Readout, ...]
@@ -284,30 +284,24 @@ class KindSpec:
 
 
 KIND_SPECS: dict[str, KindSpec] = {
-    "path2": KindSpec("root", PROG_P2, 2, _SUM, _summed(1), 2),
-    "path3": KindSpec("root", PROG_P3, 3, _SUM, _summed(1), 2),
-    "path4": KindSpec("pair", PROG_P4, 4, _SUM, _summed(1), 2),
-    "cycle3": KindSpec("root", PROG_P2, 1, _SUM_OVER_N_ROOT, _summed(2), 3),
-    "cycle4": KindSpec("root", PROG_P3, 2, _SUM_OVER_N_ROOT, _summed(2), 4),
-    "cycle5": KindSpec("pair", PROG_P4, 2, _SUM_OVER_N_ROOT, _summed(2), 5),
-    "cycle6": KindSpec(
-        "pair", PROG_CYCLE6, 3, _CYCLE6_READOUTS, _cycle6_patterns, 6, True
-    ),
-    "tailed_triangle": KindSpec("pair", PROG_TAILED, 1, _SUM, _summed(2), 1),
-    "chordal_cycle": KindSpec("pair", PROG_CHORDAL, 2, _SUM, _summed(2), 2),
-    "clique4": KindSpec("pair", PROG_CLIQUE4, 1, _SUM, _summed(6), 4),
-    "triangle_rectangle": KindSpec(
-        "pair", PROG_TRIANGLE_RECTANGLE, 2, _SUM, _summed(2), 1
-    ),
+    "path2": KindSpec(PROG_P2, 2, _SUM, _summed(1), 2),
+    "path3": KindSpec(PROG_P3, 3, _SUM, _summed(1), 2),
+    "path4": KindSpec(PROG_P4, 4, _SUM, _summed(1), 2),
+    "cycle3": KindSpec(PROG_P2, 1, _SUM_OVER_N_ROOT, _summed(2), 3),
+    "cycle4": KindSpec(PROG_P3, 2, _SUM_OVER_N_ROOT, _summed(2), 4),
+    "cycle5": KindSpec(PROG_P4, 2, _SUM_OVER_N_ROOT, _summed(2), 5),
+    "cycle6": KindSpec(PROG_CYCLE6, 3, _CYCLE6_READOUTS, _cycle6_patterns, 6, True),
+    "tailed_triangle": KindSpec(PROG_TAILED, 1, _SUM, _summed(2), 1),
+    "chordal_cycle": KindSpec(PROG_CHORDAL, 2, _SUM, _summed(2), 2),
+    "clique4": KindSpec(PROG_CLIQUE4, 1, _SUM, _summed(6), 4),
+    "triangle_rectangle": KindSpec(PROG_TRIANGLE_RECTANGLE, 2, _SUM, _summed(2), 1),
 }
 
 # Closed-walk counts, kept out of KIND_SPECS, whose keys callers list as the
 # substructure kinds.  A closed L-walk never leaves the root's
 # radius-max(1, L//2) ego-network.
 _WALK_SPECS = {
-    f"walk{n}": KindSpec(
-        "root", _walk_program(n), max(1, n // 2), _AT_ROOT, _summed(1), 1
-    )
+    f"walk{n}": KindSpec(_walk_program(n), max(1, n // 2), _AT_ROOT, _summed(1), 1)
     for n in range(1, 9)
 }
 _PLANS = {**KIND_SPECS, **_WALK_SPECS}
@@ -344,7 +338,7 @@ _PHASES = ("extraction", "message_passing", "readout")
 
 
 def _rooted_run(spec: KindSpec, g: Graph, hops: int, hook=None) -> RootedRun:
-    return RootedRun(spec.program, g.adjacency, hops, spec.readouts, spec.mode == "pair", hook)
+    return RootedRun(spec.program, g.adjacency, hops, spec.readouts, hook)
 
 
 def _timed_values(
@@ -453,7 +447,7 @@ def count_path4_edge(g: Graph, hops: int = 3) -> dict[tuple[int, int], dict[int,
         (paths, *_), nodes = steps[-1]
         table[i, j] = {k: paths[k] for k in sorted(nodes) if paths[k]}
 
-    runner = RootedRun(PROG_P4, g.adjacency, hops, _SUM, True, hook=record)
+    runner = RootedRun(PROG_P4, g.adjacency, hops, _SUM, hook=record)
     for i in range(g.node_count):
         runner.rows(i)
     return table
@@ -472,7 +466,7 @@ def count_walks(g: Graph, length: int, i: int, j: int) -> int:
         state, _ = steps[-1]
         walks.append(state[0][j])
 
-    RootedRun(_walk_program(length), g.adjacency, length, _SUM, False, record).rows(i)
+    RootedRun(_walk_program(length), g.adjacency, length, _SUM, record).rows(i)
     return walks[0]
 
 

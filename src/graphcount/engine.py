@@ -51,10 +51,10 @@ sender lies outside, which ``_radii`` checks as it compiles a rooted kernel.
 
 Kernels.  A plan compiles once per (program, label layout, radius,
 readouts, hooked), never per graph, into one generated Python function
-(``_kernel``), its radius analysis included.  A rooted kernel marks the
-branch labels, loops over the root's branches, runs every step inline,
-appends each subgraph's readout row and zeroes what it wrote; ``run`` runs
-the same steps once over given labels, and no count calls it.  Each state
+(``_kernel``), its radius analysis included.  A rooted kernel loops over
+the root's branches (``RootedRun``), marks the branch labels, runs every
+step inline, appends each readout row and zeroes what it wrote; ``run``
+runs the same steps once over given labels, and no count calls it.  Each state
 column is a node-indexed buffer named after the step and column that
 computed it, followed back through copies.  A step scatters its messages
 (``_scatters``) when it has no cut and each message's witness has at most
@@ -86,12 +86,11 @@ read:
   a list the union holds adds nothing to it.  Those loops lie within their
   steps' radii, so within the column's demand, and beyond its reach its
   witness makes it 0: the readouts stay exact.
-- In a pair kernel, a column is root-level when it and its readouts'
-  weights read only the root's labels (``is_root``, ``in_n_root``) and
-  root-level columns, and its node list is built from those labels and the
-  root's balls alone.  It is the same for every branch, so it is computed
-  once per root, before the branch loop, and zeroed after it; so is every
-  node list of the root alone.
+- A column is root-level when it and its readouts' weights read only the
+  root's labels and root-level columns, and its node list is built from
+  those labels and the root's balls alone.  It is the same for every
+  branch, so it is computed once per root, before the branch loop, and
+  zeroed after it; so is every node list of the root alone.
 - Building a node set costs time: a step cut to radius 0 or 1 runs over the
   root's ball, a radius-2 cut intersects its list with the ball, and an
   uncut step with one source, read at the node, takes that source's list.
@@ -285,10 +284,22 @@ class Readout:
 # (program, label layout).
 # ---------------------------------------------------------------------------
 
-# How far from the root each identity indicator is nonzero; any other label
-# is unbounded.
-_LABEL_REACH = {"is_root": 0, "in_n_root": 1, "is_branch": 1, "in_n_branch": 2}
+# The identifiers of a rooted run, whose sorted names are the label layout
+# of every rooted kernel: how far from the root each is nonzero (any other
+# label: unbounded), the node list it is 1 on, for root i and branching node
+# j, and whether it is set per branch.
+_IDENTIFIERS = {
+    "is_root": (0, "(i,)", False),
+    "in_n_root": (1, "adj[i]", False),
+    "is_branch": (1, "(j,)", True),
+    "in_n_branch": (2, "adj[j]", True),
+}
+_BRANCH_LABELS = {x for x, (*_, per_branch) in _IDENTIFIERS.items() if per_branch}
 _UNBOUNDED = math.inf
+
+
+def _label_reach(name) -> float:
+    return _IDENTIFIERS[name][0] if name in _IDENTIFIERS else _UNBOUNDED
 
 
 def _reach(witness, state, sender: bool = False) -> float:
@@ -300,7 +311,7 @@ def _reach(witness, state, sender: bool = False) -> float:
         return _UNBOUNDED
     out = -1
     for var, key, hop in _plain(witness):
-        r = state[key] if var == "H" else _LABEL_REACH.get(key, _UNBOUNDED)
+        r = state[key] if var == "H" else _label_reach(key)
         if r >= 0:
             out = max(out, r + (1 - hop if sender else hop))
     return out
@@ -531,23 +542,11 @@ def _steps(prog: MPProgram, layout: tuple[str, ...]) -> list[_Step]:
 # Execution: one generated kernel per plan
 # ---------------------------------------------------------------------------
 
-# The labels of a rooted run, without and with a branching node, and the
-# node list each is 1 on, for root i and branching node j.
-_ROOTED_LABELS = {
-    False: ("in_n_root", "is_root"),
-    True: ("in_n_branch", "in_n_root", "is_branch", "is_root"),
-}
-_SUPPORTS = {
-    "is_root": "(i,)", "in_n_root": "adj[i]", "is_branch": "(j,)", "in_n_branch": "adj[j]",
-}
-_PER_ROOT, _PER_BRANCH = ("is_root", "in_n_root"), ("is_branch", "in_n_branch")
-
-
 def _per_root(nodes, index) -> bool:
     """Whether a node list (``_nodes``) depends on the root alone: none of
     its leaves is a branch label's list."""
     if type(nodes) is str:
-        return nodes not in {f"_U{index[x]}" for x in _PER_BRANCH if x in index}
+        return nodes not in {f"_U{i}" for x, i in index.items() if x in _BRANCH_LABELS}
     parts = nodes if type(nodes) is frozenset else chain(*nodes[:2])
     return all(_per_root(x, index) for x in parts)
 
@@ -568,7 +567,7 @@ def _radii(steps: list[_Step], hops: int, readouts: tuple, name: str) -> tuple:
         demand[column] = max(demand.get(column, -1), min(hops, radius))
 
     for r in readouts:
-        need(steps[-1].origins[r.component], _LABEL_REACH.get(r.weight, hops))
+        need(steps[-1].origins[r.component], _label_reach(r.weight))
     within = [-1] * len(steps)
     for s in reversed(range(len(steps))):
         step = steps[s]
@@ -674,7 +673,7 @@ def _layout(steps, cuts, index, readouts) -> tuple[list, dict, list]:
         # the weight rule (module docstring)
         weights = {readouts[x].weight for xs in sums.values() for x in xs}
         (label,) = weights if len(weights) == 1 and not stored else (None,)
-        if cut is None or _LABEL_REACH.get(label, _UNBOUNDED) > cut:
+        if cut is None or _label_reach(label) > cut:
             label = None
         sent = []
         if not stored and whole and all(step.linear[c] for c in sums):
@@ -707,9 +706,8 @@ def _layout(steps, cuts, index, readouts) -> tuple[list, dict, list]:
             reads = _reads(step, [c])
             labels = {readouts[x].weight for x in sums.get(c, ())} - {None}
             if (
-                "is_branch" in index and not whole and c not in sent
-                and _per_root(lists[c], index)
-                and labels | {r[1] for r in reads if r[0] == "L"} <= set(_PER_ROOT)
+                not whole and c not in sent and _per_root(lists[c], index)
+                and not (labels | {r[1] for r in reads if r[0] == "L"}) & _BRANCH_LABELS
                 and all(steps[s - 1].origins[r[1]] in once for r in reads if r[0] == "H")
             ):
                 once.add((s, c))
@@ -857,9 +855,9 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
     units, slot, sums = _layout(steps, cuts, index, readouts if fusing else None)
     terms = [t for step_sums in sums for ts in step_sums.values() for t in ts]
     body, buffers, stored, shown, names, radii = [], [], {}, [], {}, [-1]
-    # what a pair kernel without a hook does once per root: node lists of
-    # the root alone, and the units (``_layout``) computed once
-    hoist = fusing and "is_branch" in index
+    # what a rooted kernel without a hook does once per root, before its
+    # loop over the branches: node lists of the root alone, and the units
+    # (``_layout``) computed once
     prelude, stored_once, once_summed = [], {}, set()
 
     def bind(spec) -> str:
@@ -887,7 +885,7 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
                 made = [f" = {{{', '.join(f'*{x}' for x in here)}}}" if here else " = set()"]
             made += [f" &= {bind(f'_B{spec[2]}')}"] if spec[2] is not None else []
         name = names[spec] = f"_N{len(names)}"
-        out = prelude if hoist and _per_root(spec, index) else body
+        out = prelude if fusing and _per_root(spec, index) else body
         out.extend(name + line for line in made)
         return name
 
@@ -918,8 +916,8 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
             # a loop over every node rewrites every node
             outs = outs if name != "_all" else []
             (stored_once if once else stored).setdefault(name, []).extend(outs)
-    marked = {index[r[1]] for step in steps for r in step.reads if r[0] == "L"}
-    marked = sorted(marked | {w for _, w in terms if w is not None})
+    read = {r[1] for step in steps for r in step.reads if r[0] == "L"}
+    marked = sorted({index[x] for x in read} | {w for _, w in terms if w is not None})
     states = "".join(
         f"(({''.join('O{}_{}, '.format(*o) for o in step.origins)}), {shown[s]}), "
         for s, step in enumerate(steps)
@@ -936,11 +934,15 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
         lines += _indent(["j = None", *body, *hook, f"return ({final})"], 1)
         return _exec(lines, "_run")
 
-    def mark(labels, value):
+    def supports(per_branch):
+        items = _IDENTIFIERS.items()
+        return [f"_U{index[x]} = {nodes}" for x, (_, nodes, each) in items if each == per_branch]
+
+    def mark(per_branch, value):
         return [
             line
-            for i in marked if layout[i] in labels
-            for line in (f"for _k in {_SUPPORTS[layout[i]]}:", f"    L{i}[_k] = {value}")
+            for i in marked if (layout[i] in _BRANCH_LABELS) == per_branch
+            for line in (f"for _k in {_IDENTIFIERS[layout[i]][1]}:", f"    L{i}[_k] = {value}")
         ]
 
     summed = {x for x, _ in terms}
@@ -953,7 +955,7 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
         for x, r in enumerate(readouts)
     )
     balls = [f"_B{d}" for d in range(max(radii) + 1)]
-    root = ([f"nonlocal {', '.join(balls)}", "_B0 = {i}"] if balls else []) + mark(_PER_ROOT, 1)
+    root = ([f"nonlocal {', '.join(balls)}", "_B0 = {i}"] if balls else []) + mark(False, 1)
     for d in range(1, len(balls)):
         frontier = "adj[i]" if d == 1 else f"_chain(map(_adj, _B{d - 1} - _B{d - 2}))"
         root.append(f"_B{d} = _B{d - 1}.union({frontier})")
@@ -970,15 +972,13 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
 
     subgraph = [*start(summed - once_summed), *body, f"_rows.append(({row}))"]
     subgraph += [*(hook if hooked else []), *reset(stored)]
-    kernel = ["_rows = []"] + [f"_U{index[x]} = {_SUPPORTS[x]}" for x in _PER_ROOT if x in index]
-    if "is_branch" in index:
-        kernel += [*start(once_summed), *prelude, "for j in adj[i]:"]
-        branch = [f"_U{index[x]} = {_SUPPORTS[x]}" for x in _PER_BRANCH]
-        kernel += _indent(branch + mark(_PER_BRANCH, 1) + subgraph + mark(_PER_BRANCH, 0), 1)
-        kernel += reset(stored_once)
-    else:
-        kernel += ["j = None", *subgraph]
-    kernel += [*mark(_PER_ROOT, 0), "return _rows"]
+    # one branch per neighbor of the root for a plan that reads a branch label
+    branching = bool((read | {r.weight for r in readouts}) & _BRANCH_LABELS)
+    kernel = ["_rows = []", *supports(False), *start(once_summed), *prelude]
+    kernel.append(f"for j in {'adj[i]' if branching else '(None,)'}:")
+    branch = supports(True) if branching else []
+    kernel += _indent(branch + mark(True, 1) + subgraph + mark(True, 0), 1)
+    kernel += [*reset(stored_once), *mark(False, 0), "return _rows"]
     # the kernel takes what it reads as defaults, so its loops read locals
     bound = ", ".join(
         f"{x}={x}"
@@ -1011,9 +1011,9 @@ def _kernel(prog: MPProgram, layout: tuple, hops: int | None, readouts, hooked: 
     Rooted (``readouts`` a tuple): ``make(adj, labels, hook)``, with one
     all-0 node-indexed buffer per label in ``labels``, returns ``(root,
     kernel)``: ``root(i)`` sets root i's labels and balls, ``kernel(i)``
-    returns the readout rows of its subgraphs, and calls ``hook`` only if
-    ``hooked``.  Plain (``readouts`` and the radius None): ``run(adj,
-    labels, supports, hook)``, with each label's nonzero nodes in
+    returns the readout rows of its subgraphs (``RootedRun``), and calls
+    ``hook`` only if ``hooked``.  Plain (``readouts`` and the radius None):
+    ``run(adj, labels, supports, hook)``, with each label's nonzero nodes in
     ``supports``, stores every column and returns the final state.
     ``hook(j, steps)``, unless None, gets after each subgraph its branching
     node (None without one) and, per step (init first), the state after it
@@ -1049,12 +1049,13 @@ def run(
 class RootedRun:
     """One program, run subgraph by subgraph on a parent graph's adjacency.
 
-    Each subgraph is a root's ego-network of radius ``hops``, or, with
-    ``branching``, one copy of it per neighbor of the root, marked as the
-    branching node.  ``rows(i)`` gives root i's readout rows, one per
-    subgraph: it calls ``root(i)``, then ``kernel(i)`` (``_kernel``, which
-    also says what ``hook`` gets).  A readout weight outside the subgraph's
-    labels raises MissingLabelError.
+    Each subgraph is a root's ego-network of radius ``hops`` or, when the
+    program or a readout weight reads ``is_branch`` or ``in_n_branch``, one
+    copy of it per neighbor of the root, marked as the branching node.
+    ``rows(i)`` gives root i's readout rows, one per subgraph: it calls
+    ``root(i)``, then ``kernel(i)`` (``_kernel``, which also says what
+    ``hook`` gets).  A readout weight outside ``_IDENTIFIERS`` raises
+    MissingLabelError.
     """
 
     def __init__(
@@ -1063,17 +1064,14 @@ class RootedRun:
         adjacency: Sequence[Sequence[int]],
         hops: int,
         readouts: Sequence[Readout],
-        branching: bool,
         hook=None,
     ) -> None:
-        names = _ROOTED_LABELS[branching]
+        names = tuple(sorted(_IDENTIFIERS))
         width = len(prog.layers[-1].update if prog.layers else prog.init)
         for r in readouts:
             _check_component(r, width)
-            if r.weight is not None and r.weight not in names:
-                raise MissingLabelError(
-                    f"readout weight label {r.weight!r} not in subgraph labels"
-                )
+            if r.weight not in (None, *names):
+                raise MissingLabelError(f"readout weight label {r.weight!r} not in subgraph labels")
         make = _kernel(prog, names, hops, tuple(readouts), hook is not None)
         labels = {name: [0] * len(adjacency) for name in names}
         self.root, self.kernel = make(adjacency, labels, hook)

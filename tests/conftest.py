@@ -214,3 +214,15 @@ def assert_states_match_ego(states, ego_states, nodes, dist, steps, within, wher
                     for p, d in enumerate(dist)
                 ]
                 assert states[s][c] == want, (*where, s, c)
+
+
+# The label layout of every rooted kernel: the four identifiers, sorted.
+ROOTED_LAYOUT = ("in_n_branch", "in_n_root", "is_branch", "is_root")
+
+
+def branches(adjacency, root, prog, readouts):
+    """The branching nodes of ``root``'s bag in a rooted run: the root's
+    neighbors when ``prog`` or a readout weight reads a branch identifier,
+    else None alone."""
+    read = engine.required_labels(prog) | {r.weight for r in readouts}
+    return adjacency[root] if read & {"is_branch", "in_n_branch"} else (None,)

@@ -171,6 +171,18 @@ def test_graphlet_oracle_budget_exit_3(tmp_path, capsys):
         assert "budget" in err
 
 
+@pytest.mark.parametrize("kind", ["cycle6", "walk3"])
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_oracle_budget_below_one_usage_error(c6_file, capsys, kind, budget):
+    # walk twins ignore the budget, so without the check walk3 exits 0
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--input", c6_file, "--substructure", kind, "--budget", budget])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--budget: must be at least 1, got {budget}" in captured.err
+
+
 def test_count_and_oracle_outputs_diff_clean(tmp_path, capsys):
     runs = [(kind, level, []) for kind in cli._COUNT_KINDS for level in ("node", "graph")]
     runs.append(("cycle6", "node", ["--verbose"]))
@@ -411,6 +423,15 @@ def test_stats_command(tmp_path, capsys):
     assert out.splitlines() == ["corpus,graphs,avg_cycle3,avg_cycle4,avg_cycle5,avg_cycle6"]
 
 
+def test_stats_missing_path_exit_2(tmp_path, capsys):
+    # not a corpus named after the path, with a row of zeros
+    missing = tmp_path / "does_not_exist"
+    code, out, err = run_cli(["stats", str(tmp_path), str(missing)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(missing) in err
+
+
 def test_bench_command_tiny(capsys):
     code, out, _ = run_cli(
         ["bench", "--sizes", "32,64", "--degree", "4", "--seed", "3"], capsys
@@ -432,6 +453,16 @@ def test_bench_sizes_below_one_usage_error(capsys, sizes, bad):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"--sizes: must be at least 1, got {bad}" in captured.err
+
+
+@pytest.mark.parametrize("sizes", [",", "", ",,"])
+def test_bench_sizes_without_a_size_usage_error(capsys, sizes):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--sizes", sizes])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--sizes: needs at least one size" in captured.err
 
 
 @pytest.mark.parametrize("argv", [["--sizes", "-4,8"], ["--sizes=-4,8"]])

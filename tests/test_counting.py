@@ -3,7 +3,9 @@ import os
 import pytest
 
 from conftest import (
+    ROOTED_LAYOUT,
     assert_states_match_ego,
+    branches,
     exhaustive_graphs,
     random_permutation,
     reference_states,
@@ -320,7 +322,6 @@ def test_empty_graph_reports():
 _PARITY_PLANS = {
     **_PLANS,
     "outside-degree": KindSpec(
-        "root",
         E.MPProgram(
             "outside-degree",
             (E.LSelf("in_n_root"),),
@@ -338,19 +339,18 @@ def _assert_parent_states_match_egos(g, spec, hops, steps, within):
     """On every node within a step's radius of the root, each column a step
     computes on the parent graph equals that of the extracted subgraph, run
     through the reference interpreter; on every other node it is 0."""
-    pairs = spec.mode == "pair"
     seen = {}
 
     def record(j, states):
         seen[j] = [[list(column) for column in state] for state, _ in states]
 
-    runner = E.RootedRun(spec.program, g.adjacency, hops, spec.readouts, pairs, hook=record)
+    runner = E.RootedRun(spec.program, g.adjacency, hops, spec.readouts, hook=record)
     for root in range(g.node_count):
         dist = shortest_path_distances(g, root)
         base = extract_rooted(g, root, ego(hops))
         seen.clear()
         runner.rows(root)
-        for j in g.adjacency[root] if pairs else (None,):
+        for j in branches(g.adjacency, root, spec.program, spec.readouts):
             sub = base if j is None else with_branching(g, base, j)
             ego_states = reference_states(spec.program, sub.adj, sub.labels)
             assert_states_match_ego(
@@ -364,12 +364,31 @@ def test_parent_graph_states_equal_the_extracted_subgraphs(kind):
     graphs = list(exhaustive_graphs())
     # larger graphs, where node lists are sparse
     graphs += [gen_random(40, 0.1, 3), _hub_cliques(8, 6)]
-    layout = E._ROOTED_LABELS[spec.mode == "pair"]
-    steps = E._steps(spec.program, layout)
+    steps = E._steps(spec.program, ROOTED_LAYOUT)
     for hops in (spec.hops, spec.hops + 1):
         within, _ = E._radii(steps, hops, spec.readouts, spec.program.name)
         for g in graphs:
             _assert_parent_states_match_egos(g, spec, hops, steps, within)
+
+
+def test_the_bag_follows_from_the_identifiers_a_plan_reads():
+    # the kinds whose programs read the branching neighbor run one subgraph
+    # per neighbor of the root; every other kind runs the ego-network alone
+    g = gen_random(12, 0.4, 1)
+    degrees = [len(g.adjacency[i]) for i in range(g.node_count)]
+    assert min(degrees) > 1
+    pairs = set()
+    for kind, spec in _PLANS.items():
+        runner = E.RootedRun(spec.program, g.adjacency, spec.hops, spec.readouts)
+        rows = [len(runner.rows(i)) for i in range(g.node_count)]
+        if rows == degrees:
+            pairs.add(kind)
+        else:
+            assert rows == [1] * g.node_count, kind
+    assert pairs == {
+        "path4", "cycle5", "cycle6", "tailed_triangle", "chordal_cycle", "clique4",
+        "triangle_rectangle",
+    }
 
 
 def _hub_cliques(cliques: int, size: int):
@@ -434,8 +453,8 @@ def test_meet_plans_match_the_hooked_kernels_and_the_oracle(kind, name):
     assert {bool(set(adj[i]) & set(adj[j])) for i in range(g.node_count) for j in adj[i]} == shared
     spec = _PLANS[kind]
     # a kernel with a hook stores every column over one node list per step
-    hooked = E.RootedRun(spec.program, adj, spec.hops, spec.readouts, True, lambda j, steps: None)
-    plain = E.RootedRun(spec.program, adj, spec.hops, spec.readouts, True)
+    hooked = E.RootedRun(spec.program, adj, spec.hops, spec.readouts, lambda j, steps: None)
+    plain = E.RootedRun(spec.program, adj, spec.hops, spec.readouts)
     for i in range(g.node_count):
         assert plain.rows(i) == hooked.rows(i), i
     assert count(kind, g) == oracle.TWINS[kind](g, oracle.DEFAULT_BUDGET)

@@ -9,8 +9,10 @@ from hypothesis import Phase, example, find, given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    ROOTED_LAYOUT,
     _row_source,
     assert_states_match_ego,
+    branches,
     ego_mask_program,
     random_permutation,
     reference_states,
@@ -122,10 +124,12 @@ def test_missing_label_error():
     sub = extract_rooted(gen_cycle(4), 0, ego(1))
     with pytest.raises(E.MissingLabelError, match="is_branch"):
         E.run_program(sub, prog)
-    # a readout weighted by a label the subgraphs lack
-    for branching, weight in ((False, "is_branch"), (True, "a")):
-        with pytest.raises(E.MissingLabelError, match=f"readout weight label '{weight}'"):
-            E.RootedRun(PROG_P3, sub.adj, 3, (E.Readout(0, weight),), branching)
+    # a readout weighted by a label outside the identifiers
+    with pytest.raises(E.MissingLabelError, match="readout weight label 'a'"):
+        E.RootedRun(PROG_P3, sub.adj, 3, (E.Readout(0, "a"),))
+    # weighted by a branch identifier, a root program runs on pair bags
+    rows = E.RootedRun(PROG_P3, sub.adj, 3, (E.Readout(0, "is_branch"),)).rows(0)
+    assert len(rows) == len(sub.adj[0])
 
 
 class _Unknown(E.Expr):
@@ -194,7 +198,7 @@ def test_readout_components_must_lie_within_the_final_width(component):
     states = E.run_program(sub, spec.program)
     assert len(states) == 7
     for attempt in (
-        lambda: E.RootedRun(spec.program, g.adjacency, spec.hops, (readout,), True),
+        lambda: E.RootedRun(spec.program, g.adjacency, spec.hops, (readout,)),
         lambda: E.apply_readout(sub, states, readout),
     ):
         with pytest.raises(E.ProgramError) as info:
@@ -320,7 +324,7 @@ _PLAN_RADII = {
 
 
 def _cuts(spec, hops):
-    steps = E._steps(spec.program, E._ROOTED_LABELS[spec.mode == "pair"])
+    steps = E._steps(spec.program, ROOTED_LAYOUT)
     _, cuts = E._radii(steps, hops, spec.readouts, spec.program.name)
     return " ".join("-" if cut is None else str(cut) for cut in cuts)
 
@@ -363,7 +367,7 @@ _PLAN_SCATTERS = {
 
 
 def _scatters(spec, hops):
-    steps = E._steps(spec.program, E._ROOTED_LABELS[spec.mode == "pair"])
+    steps = E._steps(spec.program, ROOTED_LAYOUT)
     _, cuts = E._radii(steps, hops, spec.readouts, spec.program.name)
     return " ".join(
         "-" if not step.messages else "s" if E._scatters(step, cut) else "p"
@@ -399,9 +403,7 @@ _PLAN_FUSED = {
 }
 def _fused(spec, hops):
     # a readout term without its readout's weight lies under the weight rule
-    _, _, units, _, terms = _hook_free_layout(
-        spec.program, spec.readouts, spec.mode == "pair", hops
-    )
+    _, _, units, _, terms = _hook_free_layout(spec.program, spec.readouts, hops)
     how = {}
     for step_units, step_terms in zip(units, terms):
         sent = {c for nodes, columns, _ in step_units if nodes is None for c in columns}
@@ -431,10 +433,10 @@ def test_plan_fused_readouts_are_frozen(kind):
 # loop over its branches.
 _PLAN_NODES = {
     "path2": "() | >",
-    "path3": "N(i) | N(N(i)) | >",
+    "path3": "^N(i) | N(N(i)) | >",
     "path4": "N(j) | N(N(j)) | >",
-    "cycle3": "() | N(i)",
-    "cycle4": "N(i) | N(N(i)) | N(i)",
+    "cycle3": "() | ^N(i)",
+    "cycle4": "^N(i) | N(N(i)) | N(i)",
     "cycle5": "N(j) | N(N(j))&B2 | N(i)",
     "cycle6": "N(j) N(i)&N(j) | ^N(N(i))&B2 N(j) N(j) | N(N(j)) | N(j)+N(N(i))&B2 > "
     "| N(N(i))&B2 N(j) N(j) N(j) N(i)&N(j)",
@@ -442,15 +444,15 @@ _PLAN_NODES = {
     "chordal_cycle": "N(i) | N(j)",
     "clique4": "N(i)&N(j) | N(i)&N(j)",
     "triangle_rectangle": "N(j) | N(N(i)&N(j)) | N(i)&N(j) | N(i)&N(j)",
-    "walk1": "i | i",
-    "walk2": "i | N(i) | i",
-    "walk3": "i | N(i) | B1 | i",
-    "walk4": "i | N(i) | N(N(i)) | B1 | i",
-    "walk5": "i | N(i) | N(N(i)) | N(N(N(i)))&B2 | B1 | i",
-    "walk6": "i | N(i) | N(N(i)) | N(N(N(i))) | N(N(N(N(i))))&B2 | B1 | i",
-    "walk7": "i | N(i) | N(N(i)) | N(N(N(i))) | N(N(N(N(i))))&B3 | N(N(N(N(N(i))))&B3)&B2 "
+    "walk1": "^i | ^i",
+    "walk2": "^i | N(i) | i",
+    "walk3": "^i | N(i) | B1 | i",
+    "walk4": "^i | N(i) | N(N(i)) | B1 | i",
+    "walk5": "^i | N(i) | N(N(i)) | N(N(N(i)))&B2 | B1 | i",
+    "walk6": "^i | N(i) | N(N(i)) | N(N(N(i))) | N(N(N(N(i))))&B2 | B1 | i",
+    "walk7": "^i | N(i) | N(N(i)) | N(N(N(i))) | N(N(N(N(i))))&B3 | N(N(N(N(N(i))))&B3)&B2 "
     "| B1 | i",
-    "walk8": "i | N(i) | N(N(i)) | N(N(N(i))) | N(N(N(N(i)))) | N(N(N(N(N(i)))))&B3 "
+    "walk8": "^i | N(i) | N(N(i)) | N(N(N(i))) | N(N(N(N(i)))) | N(N(N(N(N(i)))))&B3 "
     "| N(N(N(N(N(N(i)))))&B3)&B2 | B1 | i",
 }
 _LIST_TEXT = {"is_root": "i", "in_n_root": "N(i)", "is_branch": "j", "in_n_branch": "N(j)"}
@@ -469,26 +471,23 @@ def _list_text(nodes, layout):
     return "+".join(parts) + ("" if cut is None else f"&B{cut}")
 
 
-def _hook_free_layout(prog, readouts, branching, hops):
+def _hook_free_layout(prog, readouts, hops):
     """The walked steps, their cuts, and the layout of the kernel without a
     hook: the units of each step, the node list off which each computed
     column is 0, and each step's readout terms."""
-    layout = E._ROOTED_LABELS[branching]
-    steps = E._steps(prog, layout)
+    steps = E._steps(prog, ROOTED_LAYOUT)
     _, cuts = E._radii(steps, hops, readouts, prog.name)
-    index = {name: i for i, name in enumerate(layout)}
+    index = {name: i for i, name in enumerate(ROOTED_LAYOUT)}
     units, slot, terms = E._layout(steps, cuts, index, readouts)
     return steps, cuts, units, slot, terms
 
 
 def _node_lists(spec, hops):
-    branching = spec.mode == "pair"
-    layout = E._ROOTED_LABELS[branching]
-    steps, _, units, _, _ = _hook_free_layout(spec.program, spec.readouts, branching, hops)
+    steps, _, units, _, _ = _hook_free_layout(spec.program, spec.readouts, hops)
     text = []
     for step, step_units in zip(steps, units):
         where = {
-            c: ">" if nodes is None else "^" * once + _list_text(nodes, layout)
+            c: ">" if nodes is None else "^" * once + _list_text(nodes, ROOTED_LAYOUT)
             for nodes, columns, once in step_units for c in columns
         }
         columns = [where.get(c, "-") for c, src in enumerate(step.copies) if src is None]
@@ -511,26 +510,26 @@ def test_plan_node_lists_are_frozen(kind):
 _KERNEL_MD5 = {
     "chordal_cycle": ("5b8b0a8955ffcb187d27cdbf84e853e8", "372197cf3b86e3aa8b69342e79fe7eb2"),
     "clique4": ("0410c0f886eaf9119ac9a7e7ae65f7f6", "1b3476c376545669655fc8445e16b8ec"),
-    "cycle3": ("3cadff0d5d6a8ba19cc4f51e06dc95e7", "df3ccf3881e15d8e28e4714e657e2889"),
-    "cycle4": ("21fcb76e0f35f762bdda2c9de8d98e89", "d59e254ecea06f7f7ac8c7e15f18fa4d"),
+    "cycle3": ("10d4e9d1413f091de1863d1b9f552039", "d82e8cf8fc9c8fd1dd01b2a28e012d05"),
+    "cycle4": ("960f44ed4e18028a775cb8c3f77b5445", "1858ee36febe8dde986546cc26f7e025"),
     "cycle5": ("2d158c77b2be361240deaca2fc1f400a", "7ed4ba831a040e716134f2b370f6bd0b"),
     "cycle6": ("15ce7a8879bf73babce360de0a1ec72a", "4a6d0679fda01c739ae9a249ab093f0b"),
-    "path2": ("5b756b87f0c0f99c327c432f375c53b8", "c8d32fc7390412c4910aa72481a3d325"),
-    "path3": ("6193b8b11bbb7f4e710fa262631f263e", "15a52869ff016da30d4ab4ea30307c55"),
+    "path2": ("b5bd58ab790e9faa1f6680085088b265", "4dfff9ba7fcbbacdcd896bf77ba78dde"),
+    "path3": ("91315eddba81bafc8790d12ce2de2d31", "3f9ba485f486a6d127ef4596f9c74601"),
     "path4": ("b5afe89392f0437694ef1ec68ea8407b", "91e86fd0be15a915c70c947a083b3e2e"),
     "tailed_triangle": ("f131aef3620971b3a9fc9411710961b6", "a3f46ab2699bfd09c823c9ccf440ebe4"),
     "triangle_rectangle": ("49100f69703d7b82bb6500e53fee7360", "762c7fe3b737867026a59409184bedf6"),
-    "walk1": ("a9057e4d5525ade2c25a5bf517369e5b", "51b3a0dc20a3fa964c23528d714d6c32"),
-    "walk2": ("e62a66a812f25d9003927b8d09619b31", "808d31abe1d8707aa10c79f3ad4b85f0"),
-    "walk3": ("30d60260804c6150f739840b8e575914", "cf11530ddfda59aecadfb2ea68a1098a"),
-    "walk4": ("412f86bd981def09f2ca856e08529938", "5c759cf9a3309002669a3d4f37fb6647"),
-    "walk5": ("57da7bd3931a328b68605e625bbf2a44", "39209c46096f30bb1cd5463d7d99abec"),
-    "walk6": ("c3ceb3abb654eb11e2021e946084022b", "e9f8e0c04ad7274122c5fec45cfd37aa"),
-    "walk7": ("3b307b77fd79473da3a7f69d45310a0e", "30479cedc0a602fb2159db2347939b58"),
-    "walk8": ("907b745e925a0b4c2754ed1d05df7c90", "d45f3452f4090bb6bc78247e36945419"),
+    "walk1": ("10b66695478353aabc0f83c7771e38d7", "79ceafc75590c0647d99b9397ee5519f"),
+    "walk2": ("aeda925d9af7f7d7f9c1602180cde7b5", "be79c03acc282846876d840042d2387e"),
+    "walk3": ("a68690e4d97e9409876c55a57d90316a", "ed1f7c0937ce7154a326b2a8cb197af2"),
+    "walk4": ("1026c2331ad6f1f27cb831bdeb56e13e", "48be375fe8c2fe3afff7c673c7c18163"),
+    "walk5": ("cc8f256c847e41dfdd92301953bac023", "95785c5693bca47b4af0fc64ab733575"),
+    "walk6": ("b1799224741887b7f906b9c376cea3e9", "d414d92fa8faf62f35c5e97017e0523c"),
+    "walk7": ("b826f5bc0a7bdc9e4ea7539666b8aa9c", "e2d770fec8b7d4eaef6f8747385c0e13"),
+    "walk8": ("49a63208bc512c4e2d45bd521782eb4e", "1123154f7f41e2a735e3c7ad2dc181ec"),
     "path4_edge": ("cca6ed8e84ac90c1c89d9d9ece8b5040",),
-    "walks2": ("5e011c4e2dc814162d7425ca0e9e1456",),
-    "walks4": ("3687b2f30dc2d62c108061066fcede10",),
+    "walks2": ("e07410d434ed0a83e180cf80a41320d4",),
+    "walks4": ("e5d6b5b18f6844b8debe8b48db78a4bf",),
 }
 
 
@@ -543,9 +542,8 @@ def test_kernel_sources_are_frozen(monkeypatch, kind):
     g = gen_cycle(6)
     if kind in _PLANS:
         spec = _PLANS[kind]
-        branching = spec.mode == "pair"
         for hook in (None, lambda *_: None):
-            E.RootedRun(spec.program, g.adjacency, spec.hops, spec.readouts, branching, hook)
+            E.RootedRun(spec.program, g.adjacency, spec.hops, spec.readouts, hook)
     elif kind == "path4_edge":
         count_path4_edge(g)
     else:
@@ -599,7 +597,7 @@ def test_hooked_pair_kernels_run_every_step_per_branch(monkeypatch, n):
     g = gen_random(n, 0.2, 1)
     for kind in ("cycle6", "path4"):
         spec = _PLANS[kind]
-        E.RootedRun(spec.program, g.adjacency, spec.hops, spec.readouts, True, lambda *_: None)
+        E.RootedRun(spec.program, g.adjacency, spec.hops, spec.readouts, lambda *_: None)
     assert len(sources) == 2
     for lines in sources:
         kernel = lines[lines.index("    def _root(i):"):]
@@ -622,12 +620,12 @@ def test_plans_reading_beyond_their_radius_are_refused(monkeypatch):
     prog = E.MPProgram("too-far", (), (E.Layer((E.LNbr("in_n_branch"),), (E.Msg(0),)),))
     for _ in range(2):  # a compile that raises caches nothing, so it raises again
         with pytest.raises(E.ProgramError, match="reads beyond subgraph radius 1"):
-            E.RootedRun(prog, (), 1, (E.Readout(0),), True)
+            E.RootedRun(prog, (), 1, (E.Readout(0),))
         assert not E._KERNELS
-    E.RootedRun(prog, (), 2, (E.Readout(0),), True)
+    E.RootedRun(prog, (), 2, (E.Readout(0),))
     assert len(E._KERNELS) == 1
     # a weighted readout needs the column only on the weight's support
-    E.RootedRun(prog, (), 1, (E.Readout(0, "is_root"),), True)
+    E.RootedRun(prog, (), 1, (E.Readout(0, "is_root"),))
 
 
 def test_copied_components_are_passed_through():
@@ -781,6 +779,10 @@ def test_reference_and_strategies_cover_every_node_type():
         find(drawn, lambda e: kind in set(_node_types(e)), settings=unshrunk)
 
 
+# The label pools of ``_rooted_plans``: the root's identifiers, or all four.
+_POOLS = {False: ("in_n_root", "is_root"), True: ROOTED_LAYOUT}
+
+
 @st.composite
 def _rooted_plans(draw):
     """A random program for a rooted run, with its readouts.  Each init is
@@ -791,10 +793,11 @@ def _rooted_plans(draw):
     steps scatter.  Half the last layers send one gated message and take the
     second form, which every readout reads, so that many readouts can be
     summed as the messages are sent.  Half the other last layers gate each
-    update on a label (column 0 on in_n_branch in a pair plan), so that a
-    column can be nonzero where its label reaches past the radius."""
-    branching = draw(st.booleans())
-    names = E._ROOTED_LABELS[branching]
+    update on a label (column 0 on in_n_branch with the branch labels), so
+    that a column can be nonzero where its label reaches past the radius.
+    The first drawn value picks the pool of labels (``_POOLS``)."""
+    pool = draw(st.booleans())
+    names = _POOLS[pool]
     label = st.sampled_from(names)
     width = draw(st.integers(1, 3))
     init = tuple(E.LSelf(draw(label)) * draw(_exprs(0, "init", 0, names)) for _ in range(width))
@@ -842,15 +845,16 @@ def _rooted_plans(draw):
     readouts = tuple(
         E.Readout(draw(component), draw(weight)) for _ in range(draw(st.integers(1, 3)))
     )
-    return branching, E.MPProgram("random-rooted", init, tuple(layers)), readouts
+    return pool, E.MPProgram("random-rooted", init, tuple(layers)), readouts
 
 
-def _assert_rooted_run_matches(g, sample, branching, prog, readouts, hops):
+def _assert_rooted_run_matches(g, sample, prog, readouts, hops):
     """Every root's readout rows from a ``RootedRun`` without a hook equal
     those of one with a hook, and at the ``sample`` roots these equal the
-    reference interpreter's on the extracted egos, whose per-step states
-    the hook sees on the parent graph within each step's radius.  Raises
-    ProgramError for a plan that reads beyond the radius."""
+    reference interpreter's on the extracted egos of the bag the plan reads,
+    whose per-step states the hook sees on the parent graph within each
+    step's radius.  Raises ProgramError for a plan that reads beyond the
+    radius."""
     adjacency = g.adjacency
     seen = {}
 
@@ -858,11 +862,10 @@ def _assert_rooted_run_matches(g, sample, branching, prog, readouts, hops):
         if watched:
             seen[j] = [[list(column) for column in state] for state, _ in states]
 
-    runner = E.RootedRun(prog, adjacency, hops, readouts, branching, record)
+    runner = E.RootedRun(prog, adjacency, hops, readouts, record)
     # without a hook, readout-only columns are summed where they are computed
-    plain = E.RootedRun(prog, adjacency, hops, readouts, branching)
-    layout = E._ROOTED_LABELS[branching]
-    steps = E._steps(prog, layout)
+    plain = E.RootedRun(prog, adjacency, hops, readouts)
+    steps = E._steps(prog, ROOTED_LAYOUT)
     within, _ = E._radii(steps, hops, readouts, prog.name)
     for i in range(g.node_count):
         watched = i in sample
@@ -874,7 +877,7 @@ def _assert_rooted_run_matches(g, sample, branching, prog, readouts, hops):
         base = extract_rooted(g, i, ego(hops))
         dist = shortest_path_distances(g, i)
         want = []
-        for j in adjacency[i] if branching else (None,):
+        for j in branches(adjacency, i, prog, readouts):
             sub = base if j is None else with_branching(g, base, j)
             states = reference_states(prog, sub.adj, sub.labels)
             assert_states_match_ego(seen[j], states, sub.nodes, dist, steps, within, (i, j))
@@ -1026,6 +1029,17 @@ _MEET_ACROSS = E.MPProgram(
 )
 
 
+# A program that reads only the root's identifiers: a kernel computes its
+# init once per root, before the loop over the branches, which is the one
+# branch None for a plain readout and the root's neighbors for a readout
+# weighted by in_n_branch.
+_ROOT_ONLY = E.MPProgram(
+    "root-only",
+    (E.LSelf("in_n_root"),),
+    (E.Layer((E.Nbr(0),), ((1 - E.LSelf("is_root")) * E.Msg(0),)),),
+)
+
+
 _RULE_PLANS = (
     (True, _DEMAND_LISTS, (E.Readout(0),)),
     (True, _sent("is_root"), (E.Readout(0), E.Readout(1))),
@@ -1045,14 +1059,14 @@ def _near_a_meet(nodes) -> bool:
     return any(type(x) is frozenset for x in near) or any(map(_near_a_meet, near + here))
 
 
-def _rules(branching, prog, readouts, hops):
+def _rules(prog, readouts, hops):
     """The node-list rules a kernel without a hook uses: 1, a step that
     pulls messages computes its columns over unlike node lists; 2, a column
     is computed over its readers' node lists instead of its own; 3, a cut
     step sends a column's messages; 4, a unit is computed once per root;
     5, a unit is computed over a meet of label lists; 6, a column is
     computed over the neighbors of its readers' meet lists."""
-    steps, cuts, units, slot, terms = _hook_free_layout(prog, readouts, branching, hops)
+    steps, cuts, units, slot, terms = _hook_free_layout(prog, readouts, hops)
     used = set()
     for s, (step, cut, step_units, step_terms) in enumerate(zip(steps, cuts, units, terms)):
         lists = {nodes for nodes, _, _ in step_units if nodes is not None}
@@ -1077,18 +1091,18 @@ def _rules(branching, prog, readouts, hops):
 
 
 @pytest.mark.parametrize("hops", [1, 2, 3])
-@pytest.mark.parametrize("weight", [None, *E._ROOTED_LABELS[True]])
+@pytest.mark.parametrize("weight", [None, *ROOTED_LAYOUT])
 def test_hand_written_plans_use_every_node_list_rule(hops, weight):
     used = set()
-    for branching, prog, readouts in _RULE_PLANS:
+    for _, prog, readouts in _RULE_PLANS:
         for alike in (readouts, tuple(E.Readout(r.component, weight) for r in readouts)):
-            used |= _rules(branching, prog, alike, hops)
+            used |= _rules(prog, alike, hops)
     assert used == {1, 2, 3, 4, 5, 6}
     # and so do the 6-cycle and triangle-rectangle plans
     spec = _PLANS["cycle6"]
-    assert _rules(True, spec.program, spec.readouts, spec.hops) == {1, 2, 3, 4, 5}
+    assert _rules(spec.program, spec.readouts, spec.hops) == {1, 2, 3, 4, 5}
     spec = _PLANS["triangle_rectangle"]
-    assert _rules(True, spec.program, spec.readouts, spec.hops) == {2, 5, 6}
+    assert _rules(spec.program, spec.readouts, spec.hops) == {2, 5, 6}
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -1100,6 +1114,8 @@ def test_hand_written_plans_use_every_node_list_rule(hops, weight):
 )
 @example((True, _PAST_THE_RADIUS, (E.Readout(0, "in_n_branch"),)), 40, 0.08, 3)
 @example((True, _SCATTER_SUMMED, (E.Readout(0), E.Readout(0, "in_n_branch"))), 40, 0.08, 9)
+@example((False, _ROOT_ONLY, (E.Readout(0),)), 40, 0.1, 2)
+@example((False, _ROOT_ONLY, (E.Readout(0, "in_n_branch"),)), 40, 0.1, 2)
 @example(_RULE_PLANS[0], 40, 0.08, 5)
 @example(_RULE_PLANS[1], 48, 0.08, 6)
 @example(_RULE_PLANS[2], 44, 0.08, 8)
@@ -1121,19 +1137,19 @@ def test_rooted_runs_match_the_reference_on_extracted_egos(plan, n, p, seed):
     # Each plan runs at every radius 1-3 it can, as drawn and with every
     # readout weighted by each label in turn: a weight label's nodes may lie
     # beyond the radius (in_n_branch's do at radius 1).
-    branching, prog, readouts = plan
+    pool, prog, readouts = plan
     rng = random.Random(seed)
     g = gen_random(n, p, seed)
     sample = set(rng.sample(range(n), 4))
     radii = []
     for hops in (1, 2, 3):
-        for weight in (False, *E._ROOTED_LABELS[branching]):
+        for weight in (False, *_POOLS[pool]):
             alike = readouts if weight is False else tuple(
                 E.Readout(r.component, weight) for r in readouts
             )
             try:  # the reference only for the readouts as drawn
                 _assert_rooted_run_matches(
-                    g, sample if weight is False else (), branching, prog, alike, hops
+                    g, sample if weight is False else (), prog, alike, hops
                 )
             except E.ProgramError as error:
                 assert "reads beyond subgraph radius" in str(error)
