@@ -10,10 +10,11 @@ States are Python ints: results are exact and overflow cannot occur.
 Expressions form a small closed AST over integer arithmetic ({+, -, *,
 constants, component selects, zero/positivity indicators}).  One visitor,
 ``_visit``, walks it with one table entry per node type, giving per
-expression its Python source, its audit text, what it reads and its witness
-(below), and checking every select's context and width.  ``init`` is walked
-as a message-less layer over an empty state, so every step has one form;
-``program_text``, ``required_labels`` and the kernels read that one walk.
+expression its Python source, its audit text, what it reads, its witness
+(below) and the factors of its top-level product, and checking every
+select's context and width.  ``init`` is walked as a message-less layer
+over an empty state, so every step has one form; ``program_text``,
+``required_labels`` and the kernels read that one walk.
 States are columnar, ``state[c][k]`` for component c of node k.  A step
 binds only the columns it reads, fills each computed column in one loop over
 its nodes, and passes a bare ``Self(i)`` update's column through unchanged.
@@ -110,16 +111,35 @@ cut step sends each ``coef * Msg(m)`` column whose message's witness reads
 only the sender, of reach below the cut, so that every receiver lies within
 the cut.
 
+Exclusions fold in a kernel without a hook (``_fold``).  An exclusion
+factor is ``1 - x`` in the top-level product of an update or a message,
+for an identifier x whose list is one node: ``is_root`` (i) or
+``is_branch`` (j), at the node or at the sender.  A column is 0 at the
+nodes its update excludes, following copies back.  Per loop, a factor is
+dropped when the loop implies it, because its node list never holds the
+node (``adj[i]`` never holds i) or its guard reads a column or label that
+is 0 there; the exclusions every value of the loop body shares become one
+skip guard on it, and the rest stay factors.  So path4's last step sends
+``((1 - L3[_l]) * (1 - L2[_l])) * (H1[_l] - H0[_k])`` from the senders
+``if H1[_l]:``, where H1 excludes i and j, to receivers with the
+coefficient ``(1 - L3[_k]) * (1 - L2[_k])``: it adds ``(H1[_l] - H0[_k])``
+under ``if _k != i and _k != j:``.  A kernel marks only the labels its
+lines still read.  A skipped node keeps the 0 the loop's reset left there:
+no kernel without a hook loops over every node, whose columns are not
+reset, as a step without a witness is cut to the root's ball.
+
 ``tests/test_engine.py`` freezes what these rules give each counting plan:
 its cuts (``_PLAN_RADII``), scatters (``_PLAN_SCATTERS``), readout sums
-(``_PLAN_FUSED``), node lists (``_PLAN_NODES``) and kernel sources
-(``_KERNEL_MD5``).  CHANGES.md holds the measurements behind the rules.
+(``_PLAN_FUSED``), node lists (``_PLAN_NODES``), folds (``_PLAN_FOLDS``)
+and kernel sources (``_KERNEL_MD5``).  CHANGES.md holds the measurements
+behind the rules.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import reduce
 from itertools import chain, compress
 from operator import mul
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -295,6 +315,14 @@ _IDENTIFIERS = {
     "in_n_branch": (2, "adj[j]", True),
 }
 _BRANCH_LABELS = {x for x, (*_, per_branch) in _IDENTIFIERS.items() if per_branch}
+# The identifiers whose list is one node, by that node's name in a kernel,
+# and per identifier the ones whose node its list never holds: a graph has
+# no self-loops, so adj[i] never holds i.
+_ONE_NODE = {x: nodes[1] for x, (_, nodes, _) in _IDENTIFIERS.items() if nodes.startswith("(")}
+_ABSENT = {
+    x: frozenset(y for y, v in _ONE_NODE.items() if nodes == f"adj[{v}]")
+    for x, (_, nodes, _) in _IDENTIFIERS.items()
+}
 _UNBOUNDED = math.inf
 
 
@@ -382,16 +410,19 @@ _LEAVES = {
 
 def _visit(
     e: Expr, ctx: str, layout: Mapping[str, int], state: tuple, messages: tuple, reads: set
-) -> tuple[str, str, frozenset | None]:
-    """(Python source, audit text, witness) of ``e`` in context ``ctx``.
+) -> tuple[str, str, frozenset | None, tuple]:
+    """(Python source, audit text, witness, factors) of ``e`` in context
+    ``ctx``.
 
     ``state`` holds the reach of each previous state column and ``messages``
     the witness of each message.  The witness of ``e`` is a set of (variable,
     index or label name, hop) reads such that ``e`` is 0 wherever all of them
-    are, or None when there is none.  Adds what ``e`` reads to ``reads`` in
-    the same form.  A label reads from its position in ``layout``; names
-    outside the layout never reach compilation, because ``_steps`` rejects
-    them.
+    are, or None when there is none.  The factors of ``e`` split its
+    top-level product: per factor, its Python source, what it reads and its
+    exclusion (``_exclusion``); an ``e`` that is no ``Mul`` is one factor.
+    Adds what ``e`` reads to ``reads`` in the same form.  A label reads from
+    its position in ``layout``; names outside the layout never reach
+    compilation, because ``_steps`` rejects them.
     """
     kind = type(e)
     if kind not in _OPERATORS and kind not in _LEAVES:
@@ -399,51 +430,63 @@ def _visit(
     args = [getattr(e, f.name) for f in fields(e)]
     if kind in _OPERATORS:
         py, text, witness = _OPERATORS[kind]
-        parts = [_visit(a, ctx, layout, state, messages, reads) for a in args]
-        return (
-            py.format(*(p[0] for p in parts)),
-            text.format(*(p[1] for p in parts)),
-            witness(state, [p[2] for p in parts]),
-        )
+        each = [set() for _ in args]
+        parts = [_visit(a, ctx, layout, state, messages, r) for a, r in zip(args, each)]
+        reads.update(*each)
+        py, text = (form.format(*(p[n] for p in parts)) for n, form in enumerate((py, text)))
+        witness = witness(state, [p[2] for p in parts])
+        if kind is Mul:
+            return py, text, witness, parts[0][3] + parts[1][3]
+        return py, text, witness, ((py, frozenset().union(*each), _exclusion(e)),)
     var, py, text, confined, bound, hop = _LEAVES[kind]
     if confined and ctx != confined[0]:
         raise ProgramError(f"{confined[1]} only visible in {confined[0]} expressions")
     width = len(state if bound == "state" else messages)
     if bound and not 0 <= args[0] < width:
         raise ProgramError(f"{bound} select {args[0]} out of width {width}")
-    if var:
-        reads.add((var, *args, hop))
+    read = frozenset({(var, *args, hop)} if var else ())
+    reads.update(read)
     if kind is Const:
         witness = frozenset() if args[0] == 0 else None
     elif kind is Msg:
         witness = messages[args[0]]
     else:
         witness = frozenset({(var, args[0], hop)})
-    if var == "L":
-        return py.format(layout.get(args[0])), text.format(*args), witness
-    return py.format(*args), text.format(*args), witness
+    py = py.format(layout.get(args[0]) if var == "L" else args[0])
+    return py, text.format(*args), witness, ((py, read, None),)
+
+
+def _exclusion(e: Expr) -> tuple | None:
+    """(x, hop) when ``e`` is ``1 - x`` for a one-node identifier x (the
+    module docstring's exclusion factor), read at the node (hop 0) or the
+    sender (hop 1), else None."""
+    x = getattr(e, "b", None)
+    if type(e) is Sub and e.a == Const(1) and type(x) in (LSelf, LNbr) and x.name in _ONE_NODE:
+        return x.name, _LEAVES[type(x)][5]
+    return None
 
 
 def _expr(e: Expr, ctx: str, layout: Mapping[str, int], state: tuple, messages: tuple) -> tuple:
-    """``_visit``'s (Python source, audit text, witness) of ``e``, and what
-    it reads."""
+    """``_visit``'s (Python source, audit text, witness) of ``e``, what it
+    reads, and its factors."""
     reads: set = set()
-    return (*_visit(e, ctx, layout, state, messages, reads), reads)
+    py, text, witness, factors = _visit(e, ctx, layout, state, messages, reads)
+    return py, text, witness, reads, factors
 
 
 @dataclass(frozen=True)
 class _Step:
-    """One walked step: the (Python source, text, witness, reads) of its
-    messages and updates, the state index each update copies (None when it
-    computes), what the messages and computing updates read, the reach of
-    each output column, the union of the computing updates' witnesses: the
-    reads whose supports bound the nodes the step must compute (None: every
-    node), per update, when it is ``coef * Msg(m)`` with a coef that reads
-    no message, (m, the coef's Python source, None for a bare ``Msg(m)``),
-    else None, the (step, column) that computed each output column,
-    following copies back, and, per update, the labels of the meet its
-    witness reads (``_narrowest``), or () for none.  Every witness it holds
-    is in ``_plain`` form."""
+    """One walked step: the (Python source, text, witness, reads, factors)
+    of its messages and updates, the state index each update copies (None
+    when it computes), what the messages and computing updates read, the
+    reach of each output column, the union of the computing updates'
+    witnesses: the reads whose supports bound the nodes the step must
+    compute (None: every node), per update, when it is ``coef * Msg(m)``
+    with a coef that reads no message, (m, the coef's factors, () for a bare
+    ``Msg(m)``), else None, the (step, column) that computed each output
+    column, following copies back, and, per update, the labels of the meet
+    its witness reads (``_narrowest``), or () for none.  Every witness it
+    holds is in ``_plain`` form."""
 
     messages: list
     updates: list
@@ -456,19 +499,20 @@ class _Step:
     meets: list
 
 
-def _linear(e: Expr, *context) -> tuple[int, str | None] | None:
-    """(m, the Python source of coef) when ``e`` is ``coef * Msg(m)`` (None
-    for a bare ``Msg(m)``) and coef reads no message, else None; coef is
-    walked (``_expr``) in ``context``."""
-    if type(e) is Msg:
-        return e.index, None
-    if type(e) is Mul:
-        for coef, msg in ((e.a, e.b), (e.b, e.a)):
-            if type(msg) is Msg:
-                py, _, _, reads = _expr(coef, *context)
-                if all(r[0] != "M" for r in reads):
-                    return msg.index, py
+def _linear(factors: tuple) -> tuple[int, tuple] | None:
+    """(m, the other factors) when one of a product's factors is a bare
+    ``Msg(m)`` and no other reads a message, else None."""
+    reads = [(f, r[1]) for f in factors for r in f[1] if r[0] == "M"]
+    if len(reads) == 1 and reads[0][0][0] == f"_m{reads[0][1]}":
+        (bare, m), = reads
+        return m, tuple(f for f in factors if f is not bare)
     return None
+
+
+def _excludes(factors: tuple, hop: int = 0) -> frozenset:
+    """The one-node identifiers of a product's exclusion factors read at
+    ``hop``: the product is 0 at their nodes."""
+    return frozenset(x[0] for *_, x in factors if x and x[1] == hop)
 
 
 def _walk(prog: MPProgram, layout: Mapping[str, int]) -> list[_Step]:
@@ -490,13 +534,13 @@ def _walk(prog: MPProgram, layout: Mapping[str, int]) -> list[_Step]:
         meets = [_labels_at_node(u[2]) for u in updates]
         meets = [labels if len(labels) > 1 else () for labels in meets]
         messages, updates = (
-            [(py, text, _plain(w), r) for py, text, w, r in xs] for xs in (messages, updates)
+            [(py, text, _plain(w), r, f) for py, text, w, r, f in xs] for xs in (messages, updates)
         )
         computed = [u for u, c in zip(updates, copies) if c is None]
         reads = set().union(*(x[3] for x in messages + computed))
         witness = [u[2] for u in computed]
         sources = None if None in witness else frozenset().union(*witness)
-        linear = [_linear(e, ctx, layout, reach, witnesses) for e in layer.update]
+        linear = [_linear(u[4]) for u in updates]
         reach = tuple(
             _reach(u[2], reach) if c is None else reach[c] for u, c in zip(updates, copies)
         )
@@ -542,6 +586,16 @@ def _steps(prog: MPProgram, layout: tuple[str, ...]) -> list[_Step]:
 # Execution: one generated kernel per plan
 # ---------------------------------------------------------------------------
 
+def _absent(nodes, layout) -> frozenset:
+    """The one-node identifiers whose node a node list (``_nodes``) never
+    holds: a label's list (``_ABSENT``), or a meet of such lists."""
+    if type(nodes) is frozenset:
+        return frozenset().union(*(_absent(x, layout) for x in nodes))
+    if type(nodes) is str and nodes.startswith("_U"):
+        return _ABSENT.get(layout[int(nodes[2:])], frozenset())
+    return frozenset()
+
+
 def _per_root(nodes, index) -> bool:
     """Whether a node list (``_nodes``) depends on the root alone: none of
     its leaves is a branch label's list."""
@@ -584,7 +638,7 @@ def _radii(steps: list[_Step], hops: int, readouts: tuple, name: str) -> tuple:
         natural = _reach(step.sources, spread)
         cuts.append(within[s] if natural > within[s] else None)
         if within[s] >= hops:
-            for m, (_, text, witness, _) in enumerate(step.messages):
+            for m, (_, text, witness, *_) in enumerate(step.messages):
                 if _reach(witness, reach, sender=True) > hops:
                     raise ProgramError(
                         f"program {name!r} layer {s} message {m} ({text}) "
@@ -768,47 +822,106 @@ def _adds(value: str, terms: list) -> list:
     return lines + [f"{name} += {value if f is None else f'{f} * {value}'}" for name, f in terms]
 
 
-def _pull(step: _Step, reads: set) -> list:
+def _product(factors: tuple, dropped, whole: str | None = None) -> str | None:
+    """The Python source of a product without its exclusion factors in
+    ``dropped``, a set of (identifier, hop): ``whole`` when it drops none,
+    "1" (or None without ``whole``) when it keeps none."""
+    kept = [py for py, _, x in factors if x not in dropped]
+    if whole is not None and len(kept) == len(factors):
+        return whole
+    return reduce(lambda a, b: f"({a} * {b})", kept) if kept else whole and "1"
+
+
+def _fold(folds, hop: int, skip, products, implied=frozenset()) -> tuple[list, set]:
+    """Fold the exclusion factors that ``products``, computed per node of a
+    loop, read at that node (``hop`` 0: ``_k``, 1: ``_l``; module
+    docstring): the loop's list and guard imply the one-node identifiers in
+    ``implied``, and every product is 0 at those in ``skip``.  Returns the
+    skip guard's conditions and the (identifier, hop) factors to drop, and
+    appends (hop, skipped, dropped as implied) to ``folds``; with ``folds``
+    None, folds nothing."""
+    if folds is None:
+        return [], set()
+    guard = skip - implied
+    implied = implied & frozenset().union(*(_excludes(p, hop) for p in products))
+    if guard or implied:
+        folds.append((hop, guard, implied))
+    var = ("_k", "_l")[hop]
+    conditions = [f"{var} != {node}" for x, node in _ONE_NODE.items() if x in guard]
+    return conditions, {(x, hop) for x in guard | implied}
+
+
+def _guarded(conditions: list, lines: list) -> list:
+    if not conditions:
+        return lines
+    return [f"if {' and '.join(conditions)}:", *_indent(lines, 1)]
+
+
+def _pull(step: _Step, reads: set, dropped: set, folds) -> list:
     """Loop-body lines that sum each message in ``reads`` over the
-    neighbors of ``_k`` into ``_m<m>``."""
+    neighbors of ``_k`` into ``_m<m>``, without the factors ``dropped``."""
     messages = sorted(r[1] for r in reads if r[0] == "M")
     if not messages:
         return []
-    lines = [*(f"    _m{m} = 0" for m in messages), "    for _l in adj[_k]:"]
-    return lines + [f"        _m{m} += {step.messages[m][0]}" for m in messages]
+    factors = [step.messages[m][4] for m in messages]
+    skip = frozenset.intersection(*(_excludes(f, 1) for f in factors))
+    guard, more = _fold(folds, 1, skip, factors)
+    sums = [
+        f"_m{m} += {_product(step.messages[m][4], dropped | more, step.messages[m][0])}"
+        for m in messages
+    ]
+    lines = [*(f"_m{m} = 0" for m in messages), "for _l in adj[_k]:"]
+    return lines + _indent(_guarded(guard, sums), 1)
 
 
-def _scatter(step: _Step, sent, column, add) -> list:
+def _scatter(step: _Step, sent, column, add, coefs: dict, folds) -> list:
     """Lines that add each message ``m`` in ``sent`` from the nodes where the
     sender-side read of its witness is nonzero, at each of their neighbors,
     and then pull it at the nodes where the receiver-side read is nonzero,
-    from the neighbors not sent from; ``add(m, value)`` gives the lines that
-    add one value of message m at node ``_k``."""
+    from the neighbors not sent from; ``add(m, value, dropped)`` gives the
+    lines that add one value of message m at node ``_k``, times each coef
+    in ``coefs.get(m)`` without its factors ``dropped``."""
     lines = []
     for m in sent:
-        msg, _, witness, _ = step.messages[m]
+        msg, _, witness, _, factors = step.messages[m]
         at = {hop: (var, key) for var, key, hop in witness}
         receiver, sender = (column(*at[hop]) if hop in at else None for hop in (0, 1))
+        # a value added at _k is 0 where the message is or every coef is
+        products = [factors, *coefs.get(m, ())]
+        skip = _excludes(factors)
+        if coefs.get(m):
+            skip |= frozenset.intersection(*map(_excludes, coefs[m]))
         if sender:
-            lines += [f"for _l in {sender[1]}:", f"    if {sender[0]}[_l]:"]
-            lines += ["        for _k in adj[_l]:", *_indent(add(m, msg), 3)]
+            guard, dropped = _fold(folds, 1, _excludes(factors, 1), [factors], sender[2])
+            inner, at_k = _fold(folds, 0, skip, products)
+            value = _product(factors, dropped | at_k, msg)
+            loop = ["for _k in adj[_l]:", *_indent(_guarded(inner, add(m, value, at_k)), 1)]
+            guarded = _guarded([f"{sender[0]}[_l]", *guard], loop)
+            lines += [f"for _l in {sender[1]}:", *_indent(guarded, 1)]
         if receiver:
-            lines += [f"for _k in {receiver[1]}:", f"    if {receiver[0]}[_k]:"]
-            lines += ["        _a = 0", "        for _l in adj[_k]:"]
-            if sender:  # every edge from a sender is summed already
-                lines.append(f"            if not ({sender[0]}[_l]):")
-            lines += [f"{' ' * (16 if sender else 12)}_a += {msg}", *_indent(add(m, "_a"), 2)]
+            guard, at_k = _fold(folds, 0, skip, products, receiver[2])
+            inner, dropped = _fold(folds, 1, _excludes(factors, 1), [factors])
+            value = _product(factors, at_k | dropped, msg)
+            # every edge from a sender is summed already
+            unsent = [f"not ({sender[0]}[_l])"] if sender else []
+            loop = ["_a = 0", "for _l in adj[_k]:"]
+            loop += [*_indent(_guarded(unsent + inner, [f"_a += {value}"]), 1), *add(m, "_a", at_k)]
+            guarded = _guarded([f"{receiver[0]}[_k]", *guard], loop)
+            lines += [f"for _k in {receiver[1]}:", *_indent(guarded, 1)]
     return lines
 
 
-def _unit(step: _Step, s: int, nodes, columns, sums: dict, column, buffered: bool):
+def _unit(step: _Step, s: int, nodes, columns, sums: dict, column, buffered: bool, folds):
     """One unit of step ``s`` (``_layout``) as Python lines, with the
     columns they store and the message buffers they use: over the node
-    list named ``nodes``, column c goes to ``O<s>_<c>``, or, for each
-    column in ``sums``, is added to each readout sum ``_r<x>`` that
-    ``sums[c]`` lists as (x, the index of its weight label or None).
-    ``buffered``: the step scatters its messages into buffers first.
-    ``column(var, key)`` gives the name and the node list of a read."""
+    list ``nodes``, a (name, the one-node identifiers whose node it never
+    holds), column c goes to ``O<s>_<c>``, or, for each column in ``sums``,
+    is added to each readout sum ``_r<x>`` that ``sums[c]`` lists as (x,
+    the index of its weight label or None).  ``buffered``: the step
+    scatters its messages into buffers first.  ``column(var, key)`` gives
+    the name and the node list of a read, and the one-node identifiers at
+    whose node the read is 0.  ``folds`` collects the unit's folds
+    (``_fold``); None folds nothing."""
 
     def terms(c, coef=None):
         """(sum, factor) per readout of column c: coef times the weight."""
@@ -822,22 +935,35 @@ def _unit(step: _Step, s: int, nodes, columns, sums: dict, column, buffered: boo
         sent: dict = {}
         for c in columns:
             m, coef = step.linear[c]
-            sent.setdefault(m, []).extend(terms(c, coef))
-        return _scatter(step, sorted(sent), column, lambda m, value: _adds(value, sent[m])), [], []
+            sent.setdefault(m, []).append((c, coef))
+
+        def add(m, value, dropped):
+            return _adds(value, [t for c, f in sent[m] for t in terms(c, _product(f, dropped))])
+
+        coefs = {m: [coef for _, coef in cs] for m, cs in sent.items()}
+        return _scatter(step, sorted(sent), column, add, coefs, folds), [], []
+    name, absent = nodes
     outs = [f"O{s}_{c}" for c in columns if c not in sums]
+    reads = _reads(step, columns)
+    messages = sorted(r[1] for r in reads if r[0] == "M")
+    products = [step.updates[c][4] for c in columns]
+    skip = frozenset.intersection(*(_excludes(p) for p in products))
+    pulled = [] if buffered else [step.messages[m][4] for m in messages]
+    guard, dropped = _fold(folds, 0, skip, products + pulled, absent)
     body = []
     for c in columns:
-        value = step.updates[c][0]
+        value = _product(step.updates[c][4], dropped, step.updates[c][0])
         body += [f"O{s}_{c}[_k] = {value}"] if c not in sums else _adds(value, terms(c))
-    reads = _reads(step, columns)
     if not buffered:
-        return [f"for _k in {nodes}:", *_pull(step, reads), *_indent(body, 1)], outs, []
-    messages = sorted(r[1] for r in reads if r[0] == "M")
-    lines = _scatter(step, messages, column, lambda m, value: [f"M{s}_{m}[_k] += {value}"])
-    lines.append(f"for _k in {nodes}:")
+        body = _guarded(guard, _pull(step, reads, dropped, folds) + body)
+        return [f"for _k in {name}:", *_indent(body, 1)], outs, []
+    lines = _scatter(
+        step, messages, column, lambda m, value, _: [f"M{s}_{m}[_k] += {value}"], {}, folds
+    )
+    lines.append(f"for _k in {name}:")
     for m in messages:
         lines += [f"    _m{m} = M{s}_{m}[_k]", f"    M{s}_{m}[_k] = 0"]
-    return lines + _indent(body, 1), outs, [f"M{s}_{m}" for m in messages]
+    return lines + _indent(_guarded(guard, body), 1), outs, [f"M{s}_{m}" for m in messages]
 
 
 def _indent(lines: list, depth: int) -> list:
@@ -845,7 +971,10 @@ def _indent(lines: list, depth: int) -> list:
 
 
 def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
-    """Compile one kernel factory; ``_kernel`` gives the arguments."""
+    """The source lines of one kernel factory (``_kernel`` gives its
+    arguments), the name they define, and per step the folds of its units
+    (``_fold``), or None where nothing folds: in a kernel with a hook or
+    without readouts."""
     steps = _steps(prog, layout)
     cuts = (None,) * len(steps)
     if readouts is not None:
@@ -854,7 +983,7 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
     fusing = readouts is not None and not hooked
     units, slot, sums = _layout(steps, cuts, index, readouts if fusing else None)
     terms = [t for step_sums in sums for ts in step_sums.values() for t in ts]
-    body, buffers, stored, shown, names, radii = [], [], {}, [], {}, [-1]
+    body, buffers, stored, shown, names, radii, folds = [], [], {}, [], {}, [-1], []
     # what a rooted kernel without a hook does once per root, before its
     # loop over the branches: node lists of the root alone, and the units
     # (``_layout``) computed once
@@ -893,8 +1022,12 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
 
         def column(var, key, s=s):
             if var == "H":
-                return f"H{key}", bind(slot[steps[s - 1].origins[key]])
-            return f"L{index[key]}", f"_U{index[key]}"
+                # a column is 0 off its list and where its update excludes
+                t, c = steps[s - 1].origins[key]
+                zeros = _absent(slot[t, c], layout) | _excludes(steps[t].updates[c][4])
+                return f"H{key}", bind(slot[t, c]), zeros
+            nodes = f"_U{index[key]}"
+            return f"L{index[key]}", nodes, _absent(nodes, layout)
 
         def held(reads, s=s):
             """Lines that bind the state columns in ``reads`` as H<c>."""
@@ -903,10 +1036,14 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
 
         body += held(step.reads) if any(not once for *_, once in units[s]) else []
         shown.append("()")
+        folds.append([] if fusing else None)
         for nodes, columns, once in units[s]:
             name = nodes and bind(nodes)
             buffered = _scatters(step, cuts[s])
-            lines, outs, used = _unit(step, s, name, columns, sums[s], column, buffered)
+            lines, outs, used = _unit(
+                step, s, nodes and (name, _absent(nodes, layout)), columns, sums[s], column,
+                buffered, folds[s],
+            )
             if once:
                 prelude += held(_reads(step, columns)) + lines
                 once_summed.update(x for c in columns for x, _ in sums[s].get(c, ()))
@@ -916,8 +1053,8 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
             # a loop over every node rewrites every node
             outs = outs if name != "_all" else []
             (stored_once if once else stored).setdefault(name, []).extend(outs)
-    read = {r[1] for step in steps for r in step.reads if r[0] == "L"}
-    marked = sorted({index[x] for x in read} | {w for _, w in terms if w is not None})
+    # the labels the kernel's lines read, exclusion factors folded away
+    marked = [x for x in range(len(layout)) if any(f"L{x}[" in line for line in prelude + body)]
     states = "".join(
         f"(({''.join('O{}_{}, '.format(*o) for o in step.origins)}), {shown[s]}), "
         for s, step in enumerate(steps)
@@ -932,7 +1069,7 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
             lines.append(f"    {''.join(f'_U{i}, ' for i in range(len(layout)))}= supports")
         final = "".join("O{}_{}, ".format(*o) for o in steps[-1].origins)
         lines += _indent(["j = None", *body, *hook, f"return ({final})"], 1)
-        return _exec(lines, "_run")
+        return lines, "_run", folds
 
     def supports(per_branch):
         items = _IDENTIFIERS.items()
@@ -973,6 +1110,7 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
     subgraph = [*start(summed - once_summed), *body, f"_rows.append(({row}))"]
     subgraph += [*(hook if hooked else []), *reset(stored)]
     # one branch per neighbor of the root for a plan that reads a branch label
+    read = {r[1] for step in steps for r in step.reads if r[0] == "L"}
     branching = bool((read | {r.weight for r in readouts}) & _BRANCH_LABELS)
     kernel = ["_rows = []", *supports(False), *start(once_summed), *prelude]
     kernel.append(f"for j in {'adj[i]' if branching else '(None,)'}:")
@@ -990,7 +1128,7 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
     lines += ["    def _root(i):", *_indent(root or ["pass"], 2)]
     lines += [f"    def _kernel(i, {bound}):", *_indent(kernel, 2)]
     lines.append("    return _root, _kernel")
-    return _exec(lines, "_make")
+    return lines, "_make", folds
 
 
 def _exec(lines: list, name: str):
@@ -1023,7 +1161,8 @@ def _kernel(prog: MPProgram, layout: tuple, hops: int | None, readouts, hooked: 
     key = (prog, layout, hops, readouts, hooked)
     hit = _KERNELS.get(key)
     if hit is None:
-        hit = _KERNELS[key] = _generate(*key)
+        lines, name, _ = _generate(*key)
+        hit = _KERNELS[key] = _exec(lines, name)
     return hit
 
 

@@ -503,22 +503,71 @@ def test_plan_node_lists_are_frozen(kind):
     assert sorted(_PLAN_NODES) == sorted(_PLAN_RADII)
 
 
+# Per plan at its own radius and one more, in a kernel without a hook: the
+# exclusion factors each step (init first, steps apart by "|") folds, loop by
+# loop in the order the kernel runs them (engine._fold).  "k!=i,j" is a skip
+# guard on a loop over receivers k (senders l) that skips the root i and
+# the branching node j; "(l!=i)" drops a factor the loop's node list or
+# guard already implies; "-" is a step that folds nothing.
+_PLAN_FOLDS = {
+    "path2": "- | k!=i",
+    "path3": "- | k!=i | (l!=i) k!=i (k!=i) l!=i",
+    "path4": "k!=i | k!=i,j | (l!=i,j) k!=i,j (k!=i,j) l!=i,j",
+    "cycle3": "- | (k!=i)",
+    "cycle4": "- | k!=i | (k!=i) l!=i",
+    "cycle5": "k!=i | k!=i,j | k!=j (k!=i) l!=i,j",
+    "cycle6": "k!=i | k!=i | k!=i,j | l!=j (l!=i) k!=i,j k!=i,j l!=i,j | -",
+    "tailed_triangle": "k!=j | -",
+    "chordal_cycle": "- | k!=i",
+    "clique4": "- | -",
+    "triangle_rectangle": "k!=i | k!=i,j | (k!=i,j) l!=i,j | -",
+    **{f"walk{n}": " | ".join("-" * (n + 1)) for n in range(1, 9)},
+}
+
+
+def _folds(prog, readouts, hops):
+    _, _, folds = E._generate(prog, ROOTED_LAYOUT, hops, readouts, False)
+
+    def nodes(labels):
+        return ",".join(E._ONE_NODE[x] for x in E._ONE_NODE if x in labels)
+
+    text = []
+    for step in folds:
+        loops = []
+        for hop, guard, implied in step:
+            loops += [f"{'kl'[hop]}!={nodes(guard)}"] if guard else []
+            loops += [f"({'kl'[hop]}!={nodes(implied)})"] if implied else []
+        text.append(" ".join(loops) or "-")
+    return " | ".join(text)
+
+
+@pytest.mark.parametrize("kind", sorted(_PLAN_FOLDS))
+def test_plan_folds_are_frozen(kind):
+    spec = _PLANS[kind]
+    assert _folds(spec.program, spec.readouts, spec.hops) == _PLAN_FOLDS[kind]
+    assert _folds(spec.program, spec.readouts, spec.hops + 1) == _PLAN_FOLDS[kind]
+    # a kernel with a hook keeps every factor
+    _, _, folds = E._generate(spec.program, ROOTED_LAYOUT, spec.hops, spec.readouts, True)
+    assert folds == [None] * (len(spec.program.layers) + 1)
+    assert sorted(_PLAN_FOLDS) == sorted(_PLAN_RADII)
+
+
 # The md5 of the source of each kernel: per plan at its own radius, without
 # and then with a hook, and the kernels of ``count_path4_edge`` and of
 # ``count_walks`` at lengths 2 and 4.  A kernel's source does not depend on
 # the graph, so a change to the generator shows here kernel by kernel.
 _KERNEL_MD5 = {
-    "chordal_cycle": ("5b8b0a8955ffcb187d27cdbf84e853e8", "372197cf3b86e3aa8b69342e79fe7eb2"),
+    "chordal_cycle": ("2c1559776d9412a44cd1842a5667254e", "372197cf3b86e3aa8b69342e79fe7eb2"),
     "clique4": ("0410c0f886eaf9119ac9a7e7ae65f7f6", "1b3476c376545669655fc8445e16b8ec"),
-    "cycle3": ("10d4e9d1413f091de1863d1b9f552039", "d82e8cf8fc9c8fd1dd01b2a28e012d05"),
-    "cycle4": ("960f44ed4e18028a775cb8c3f77b5445", "1858ee36febe8dde986546cc26f7e025"),
-    "cycle5": ("2d158c77b2be361240deaca2fc1f400a", "7ed4ba831a040e716134f2b370f6bd0b"),
-    "cycle6": ("15ce7a8879bf73babce360de0a1ec72a", "4a6d0679fda01c739ae9a249ab093f0b"),
-    "path2": ("b5bd58ab790e9faa1f6680085088b265", "4dfff9ba7fcbbacdcd896bf77ba78dde"),
-    "path3": ("91315eddba81bafc8790d12ce2de2d31", "3f9ba485f486a6d127ef4596f9c74601"),
-    "path4": ("b5afe89392f0437694ef1ec68ea8407b", "91e86fd0be15a915c70c947a083b3e2e"),
-    "tailed_triangle": ("f131aef3620971b3a9fc9411710961b6", "a3f46ab2699bfd09c823c9ccf440ebe4"),
-    "triangle_rectangle": ("49100f69703d7b82bb6500e53fee7360", "762c7fe3b737867026a59409184bedf6"),
+    "cycle3": ("2bd10ec3ae3e0d1f84464ad78f13f493", "d82e8cf8fc9c8fd1dd01b2a28e012d05"),
+    "cycle4": ("0351427d7b17c8e0d3e63b37d2baf37b", "1858ee36febe8dde986546cc26f7e025"),
+    "cycle5": ("78a4f06ef4f5dd8219037cad690236d2", "7ed4ba831a040e716134f2b370f6bd0b"),
+    "cycle6": ("4064e5a2ce9e91810514a87f677b085a", "4a6d0679fda01c739ae9a249ab093f0b"),
+    "path2": ("9c4a8bf9764ae78b8431e6b400db6dae", "4dfff9ba7fcbbacdcd896bf77ba78dde"),
+    "path3": ("190dbc1a5112ef6085988a836a0d3fe9", "3f9ba485f486a6d127ef4596f9c74601"),
+    "path4": ("8d3d2bada98fc3089f05b7b0886341e2", "91e86fd0be15a915c70c947a083b3e2e"),
+    "tailed_triangle": ("d0645bedc399883ecb838d447df978ec", "a3f46ab2699bfd09c823c9ccf440ebe4"),
+    "triangle_rectangle": ("cc554dc08862245f24c72b2911a171c5", "762c7fe3b737867026a59409184bedf6"),
     "walk1": ("10b66695478353aabc0f83c7771e38d7", "79ceafc75590c0647d99b9397ee5519f"),
     "walk2": ("aeda925d9af7f7d7f9c1602180cde7b5", "be79c03acc282846876d840042d2387e"),
     "walk3": ("a68690e4d97e9409876c55a57d90316a", "ed1f7c0937ce7154a326b2a8cb197af2"),
@@ -1040,6 +1089,84 @@ _ROOT_ONLY = E.MPProgram(
 )
 
 
+# Two pair plans whose exclusion factors fold in a kernel without a hook
+# (engine._fold), at the sender and at the receiver.  Layer 1 of the first
+# scatters from the root's neighbors, whose list holds no root and whose
+# column is 0 at the branching node, so both sender factors drop; its
+# receivers skip both nodes.  Its layer 2 pulls, and is cut, and its second
+# column has no witness, so it runs over a ball and skips the root.  The
+# second sends one message to two readout sums, whose coefficients exclude
+# the root and both nodes: the receivers of the sent values skip only the
+# root, and those it pulls at lie in the root's neighbors, where its column
+# is 0 at the branching node.
+_MASKED = E.MPProgram(
+    "masked",
+    (E.LSelf("in_n_root") * (1 - E.LSelf("is_branch")), E.LSelf("in_n_root")),
+    (
+        E.Layer(
+            ((1 - E.LNbr("is_root")) * E.Nbr(0) * (1 - E.LNbr("is_branch")),),
+            ((1 - E.LSelf("is_root")) * (1 - E.LSelf("is_branch")) * E.Msg(0), E.Self(1)),
+        ),
+        E.Layer(
+            ((1 - E.LNbr("is_root")) * (E.Nbr(0) + E.LNbr("in_n_branch")),),
+            ((1 - E.LSelf("is_branch")) * E.Self(1) * E.Msg(0), 1 - E.LSelf("is_root")),
+        ),
+    ),
+)
+_MASKED_SENT = E.MPProgram(
+    "masked-sent",
+    (E.LSelf("in_n_root") * (1 - E.LSelf("is_branch")),),
+    (
+        E.Layer(
+            ((1 - E.LNbr("is_root")) * (E.Nbr(0) + E.Self(0)),),
+            (
+                (1 - E.LSelf("is_root")) * (1 - E.LSelf("is_branch")) * E.Msg(0),
+                (1 - E.LSelf("is_root")) * E.Msg(0),
+            ),
+        ),
+    ),
+)
+_MASKED_PLANS = (
+    (True, _MASKED, (E.Readout(0), E.Readout(1))),
+    (True, _MASKED_SENT, (E.Readout(0), E.Readout(1))),
+)
+
+
+def _fold_uses(prog, readouts, hops):
+    """Where a kernel without a hook folds: "sender" or "receiver" by the
+    node a fold skips or drops at, "guard" or "implied" by what it does, and
+    "scatter", "pull", "cut" or "unbounded" by the step it folds in: one
+    that scatters, pulls, is cut, or computes a column without a witness."""
+    steps, cuts, *_ = _hook_free_layout(prog, readouts, hops)
+    _, _, folds = E._generate(prog, ROOTED_LAYOUT, hops, readouts, False)
+    used = set()
+    for step, cut, step_folds in zip(steps, cuts, folds):
+        for hop, guard, implied in step_folds:
+            used.add(("receiver", "sender")[hop])
+            if step.messages:
+                used.add("scatter" if E._scatters(step, cut) else "pull")
+            kinds = {
+                "guard": guard, "implied": implied, "cut": cut is not None,
+                "unbounded": step.sources is None,
+            }
+            used.update(kind for kind, yes in kinds.items() if yes)
+    return used
+
+
+def test_hand_written_masked_plans_fold_every_way():
+    used = set()
+    for _, prog, readouts in _MASKED_PLANS:
+        for hops in (2, 3):
+            used |= _fold_uses(prog, readouts, hops)
+            # a skipped node keeps the 0 of the last reset: no loop runs
+            # over every node, which is never reset
+            _, _, units, _, _ = _hook_free_layout(prog, readouts, hops)
+            assert all(nodes != "_all" for step in units for nodes, *_ in step)
+    assert used == {
+        "sender", "receiver", "guard", "implied", "scatter", "pull", "cut", "unbounded"
+    }
+
+
 _RULE_PLANS = (
     (True, _DEMAND_LISTS, (E.Readout(0),)),
     (True, _sent("is_root"), (E.Readout(0), E.Readout(1))),
@@ -1129,6 +1256,8 @@ def test_hand_written_plans_use_every_node_list_rule(hops, weight):
     (True, _PLANS["triangle_rectangle"].program, _PLANS["triangle_rectangle"].readouts),
     40, 0.1, 7,
 )
+@example(_MASKED_PLANS[0], 30, 0.15, 4)
+@example(_MASKED_PLANS[1], 30, 0.15, 6)
 # graphs of 16-24 nodes where some edges have common neighbors and some not
 @example(_RULE_PLANS[5], 16, 0.3, 3)
 @example(_RULE_PLANS[6], 20, 0.25, 5)
