@@ -63,7 +63,9 @@ one read at the sender and one at the receiver, both among the step's
 sources: each message is added from the nodes where its sender-side read is
 nonzero into its neighbors' buffers, then pulled only at the nodes where its
 receiver-side read is nonzero, from the neighbors not scattered from.  A
-scatter walks each edge from its sender, so it needs a symmetric adjacency.
+scatter walks each edge from its sender, so it needs a symmetric adjacency;
+a closed-form neighbor sum (below) also needs a simple graph, so that a
+node's degree counts each neighbor once.
 Every other step pulls each message at each node that computes a column
 reading it.
 
@@ -119,20 +121,38 @@ nodes its update excludes, following copies back.  Per loop, a factor is
 dropped when the loop implies it, because its node list never holds the
 node (``adj[i]`` never holds i) or its guard reads a column or label that
 is 0 there; the exclusions every value of the loop body shares become one
-skip guard on it, and the rest stay factors.  So path4's last step sends
-``((1 - L3[_l]) * (1 - L2[_l])) * (H1[_l] - H0[_k])`` from the senders
-``if H1[_l]:``, where H1 excludes i and j, to receivers with the
-coefficient ``(1 - L3[_k]) * (1 - L2[_k])``: it adds ``(H1[_l] - H0[_k])``
-under ``if _k != i and _k != j:``.  A kernel marks only the labels its
-lines still read.  A skipped node keeps the 0 the loop's reset left there:
-no kernel without a hook loops over every node, whose columns are not
-reset, as a step without a witness is cut to the root's ball.
+skip guard on it, and the rest stay factors.  So cycle6's layer 3 sends
+its second message, ``(1 - L3[_l]) * (1 - L2[_l]) * L1[_l] * (H5[_l] -
+H0[_k])``, from the root's neighbors ``if _l != j:`` to receivers with the
+coefficient ``(1 - L3[_k]) * (1 - L2[_k])``: it adds ``(H5[_l] - H0[_k])``
+under ``if _k != i and _k != j:``.  A label read at the node drops, and so
+does a loop's test of it, where the loop's list makes it 1: the label's
+own list, or a meet that holds it (path4's init is ``O0_0[_k] = 1`` over
+N(j)).  A kernel marks only the labels its lines still read, and binds
+only the identifiers' lists they read.  A skipped node keeps the 0 the
+loop's reset left there: no kernel without a hook loops over every node,
+whose columns are not reset, as a step without a witness is cut to the
+root's ball.
+
+Closed-form neighbor sums, in a kernel without a hook (``_split``).  A
+message ``F * (g - h)``, F only exclusion factors at the sender, g reading
+only the sender and h only the receiver, sums at a receiver k to ``sum_l
+F(l) g(l) - h(k) c_F(k)``; ``c_F(k) = deg(k) - sum_{x in F} in_n_x(k)``
+(``_degree``) counts k's neighbors that F keeps, exact because the graph is
+simple and i != j.  So h's part needs no loop over k's neighbors, and F
+drops where g's read is 0 (path3's, path4's and cycle6's last messages but
+cycle6's second, whose F also reads ``in_n_root``).  A value read only at
+its sender, summed unweighted through a coefficient of exclusion factors
+only, adds itself times c(l) once per sender, with no loop over its
+receivers.  A stored ``coef * Msg(m)`` column of a scattering step, coef
+only exclusion factors, that alone reads m, takes m's scatter in its own
+buffer, then 0 at the nodes coef excludes.
 
 ``tests/test_engine.py`` freezes what these rules give each counting plan:
 its cuts (``_PLAN_RADII``), scatters (``_PLAN_SCATTERS``), readout sums
-(``_PLAN_FUSED``), node lists (``_PLAN_NODES``), folds (``_PLAN_FOLDS``)
-and kernel sources (``_KERNEL_MD5``).  CHANGES.md holds the measurements
-behind the rules.
+(``_PLAN_FUSED``), node lists (``_PLAN_NODES``), folds and closed-form sums
+(``_PLAN_FOLDS``) and kernel sources (``_KERNEL_MD5``).  CHANGES.md holds
+the measurements behind the rules.
 """
 
 from __future__ import annotations
@@ -315,14 +335,16 @@ _IDENTIFIERS = {
     "in_n_branch": (2, "adj[j]", True),
 }
 _BRANCH_LABELS = {x for x, (*_, per_branch) in _IDENTIFIERS.items() if per_branch}
-# The identifiers whose list is one node, by that node's name in a kernel,
-# and per identifier the ones whose node its list never holds: a graph has
-# no self-loops, so adj[i] never holds i.
+# The identifiers whose list is one node, by that node's name in a kernel;
+# per one, the identifier whose list is that node's neighbors; and per
+# identifier the ones whose node its list never holds: a graph has no
+# self-loops, so adj[i] never holds i.
 _ONE_NODE = {x: nodes[1] for x, (_, nodes, _) in _IDENTIFIERS.items() if nodes.startswith("(")}
-_ABSENT = {
-    x: frozenset(y for y, v in _ONE_NODE.items() if nodes == f"adj[{v}]")
-    for x, (_, nodes, _) in _IDENTIFIERS.items()
+_AROUND = {
+    x: y for x, v in _ONE_NODE.items()
+    for y, (_, nodes, _) in _IDENTIFIERS.items() if nodes == f"adj[{v}]"
 }
+_ABSENT = {y: frozenset(x for x, z in _AROUND.items() if z == y) for y in _IDENTIFIERS}
 _UNBOUNDED = math.inf
 
 
@@ -418,10 +440,11 @@ def _visit(
     the witness of each message.  The witness of ``e`` is a set of (variable,
     index or label name, hop) reads such that ``e`` is 0 wherever all of them
     are, or None when there is none.  The factors of ``e`` split its
-    top-level product: per factor, its Python source, what it reads and its
-    exclusion (``_exclusion``); an ``e`` that is no ``Mul`` is one factor.
-    Adds what ``e`` reads to ``reads`` in the same form.  A label reads from
-    its position in ``layout``; names outside the layout never reach
+    top-level product: per factor, its Python source, what it reads, its
+    mark (``_mark``) and, for a ``Sub``, the (Python source, reads) of each
+    operand, else None; an ``e`` that is no ``Mul`` is one factor.  Adds
+    what ``e`` reads to ``reads`` in the same form.  A label reads from its
+    position in ``layout``; names outside the layout never reach
     compilation, because ``_steps`` rejects them.
     """
     kind = type(e)
@@ -437,7 +460,8 @@ def _visit(
         witness = witness(state, [p[2] for p in parts])
         if kind is Mul:
             return py, text, witness, parts[0][3] + parts[1][3]
-        return py, text, witness, ((py, frozenset().union(*each), _exclusion(e)),)
+        sides = tuple((p[0], r) for p, r in zip(parts, each)) if kind is Sub else None
+        return py, text, witness, ((py, frozenset().union(*each), _mark(e), sides),)
     var, py, text, confined, bound, hop = _LEAVES[kind]
     if confined and ctx != confined[0]:
         raise ProgramError(f"{confined[1]} only visible in {confined[0]} expressions")
@@ -453,16 +477,19 @@ def _visit(
     else:
         witness = frozenset({(var, args[0], hop)})
     py = py.format(layout.get(args[0]) if var == "L" else args[0])
-    return py, text.format(*args), witness, ((py, read, None),)
+    return py, text.format(*args), witness, ((py, read, _mark(e), None),)
 
 
-def _exclusion(e: Expr) -> tuple | None:
-    """(x, hop) when ``e`` is ``1 - x`` for a one-node identifier x (the
-    module docstring's exclusion factor), read at the node (hop 0) or the
-    sender (hop 1), else None."""
+def _mark(e: Expr) -> tuple | None:
+    """(x, hop, False) when ``e`` is ``1 - x`` for a one-node identifier x
+    (the module docstring's exclusion factor), (x, hop, True) when it is
+    the label read x, with the hop of the read (0 at the node, 1 at the
+    sender), else None."""
     x = getattr(e, "b", None)
+    if type(e) in (LSelf, LNbr):
+        return e.name, _LEAVES[type(e)][5], True
     if type(e) is Sub and e.a == Const(1) and type(x) in (LSelf, LNbr) and x.name in _ONE_NODE:
-        return x.name, _LEAVES[type(x)][5]
+        return x.name, _LEAVES[type(x)][5], False
     return None
 
 
@@ -512,7 +539,39 @@ def _linear(factors: tuple) -> tuple[int, tuple] | None:
 def _excludes(factors: tuple, hop: int = 0) -> frozenset:
     """The one-node identifiers of a product's exclusion factors read at
     ``hop``: the product is 0 at their nodes."""
-    return frozenset(x[0] for *_, x in factors if x and x[1] == hop)
+    return frozenset(x[0] for _, _, x, _ in factors if x and x[1:] == (hop, False))
+
+
+def _split(factors: tuple) -> tuple | None:
+    """A message ``F * (g - h)`` or ``F * (h - g)``, where F is only
+    exclusion factors at the sender, g reads only the sender and h only the
+    receiver, as (the factors of ``F * g`` or ``F * -g``, the Python source
+    of ``-h`` or ``h``, the identifiers F excludes); else None.  Summed over
+    a receiver's neighbors, the message is the sum of the first part plus
+    the second times ``_degree`` of the third (module docstring)."""
+    rest = [f for f in factors if not (f[2] and f[2][1:] == (1, False))]
+    if len(rest) != 1 or rest[0][3] is None:
+        return None
+    (_, _, _, sides), = rest
+    hops = [{hop for *_, hop in reads} for _, reads in sides]
+    if hops not in ([{1}, {0}], [{0}, {1}]):
+        return None
+    (g, reads), (h, _) = sides if hops[0] == {1} else sides[::-1]
+    sign = "-" if hops[0] == {0} else ""
+    excluded = tuple(f for f in factors if f is not rest[0])
+    return (*excluded, (sign + g, reads, None, None)), "-"[:not sign] + h, _excludes(factors, 1)
+
+
+def _degree(var: str, excluded, column, ones) -> str:
+    """The Python source of the number of neighbors of node ``var`` that are
+    not the node of any one-node identifier in ``excluded``: its degree less
+    the label that marks that node's neighbors, 1 where ``ones`` (the labels
+    1 at every node of the loop) holds it.  ``column`` names the labels."""
+    labels = [_AROUND[x] for x in _ONE_NODE if x in excluded]
+    terms = [f"{column('L', y)[0]}[{var}]" for y in labels if y not in ones]
+    known = len(labels) - len(terms)
+    terms = [f"_deg[{var}]", *terms, *([str(known)] if known else [])]
+    return f"({' - '.join(terms)})" if len(terms) > 1 else terms[0]
 
 
 def _walk(prog: MPProgram, layout: Mapping[str, int]) -> list[_Step]:
@@ -586,14 +645,18 @@ def _steps(prog: MPProgram, layout: tuple[str, ...]) -> list[_Step]:
 # Execution: one generated kernel per plan
 # ---------------------------------------------------------------------------
 
-def _absent(nodes, layout) -> frozenset:
-    """The one-node identifiers whose node a node list (``_nodes``) never
-    holds: a label's list (``_ABSENT``), or a meet of such lists."""
+def _held(nodes, layout) -> tuple[frozenset, frozenset]:
+    """What every node of a node list (``_nodes``) is, in a rooted kernel:
+    the one-node identifiers whose node it never is (``_ABSENT``), and the
+    labels that are 1 there: those of a label's list, or of a meet of such
+    lists."""
     if type(nodes) is frozenset:
-        return frozenset().union(*(_absent(x, layout) for x in nodes))
+        parts = [_held(x, layout) for x in nodes]
+        return tuple(frozenset().union(*side) for side in zip(*parts))
     if type(nodes) is str and nodes.startswith("_U"):
-        return _ABSENT.get(layout[int(nodes[2:])], frozenset())
-    return frozenset()
+        label = layout[int(nodes[2:])]
+        return _ABSENT.get(label, frozenset()), frozenset({label})
+    return frozenset(), frozenset()
 
 
 def _per_root(nodes, index) -> bool:
@@ -819,36 +882,42 @@ def _adds(value: str, terms: list) -> list:
     lines = []
     if len(terms) > 1:
         lines, value = [f"_v = {value}"], "_v"
-    return lines + [f"{name} += {value if f is None else f'{f} * {value}'}" for name, f in terms]
+    return lines + [
+        f"{name} += {value if f is None else f if value == '1' else f'{f} * {value}'}"
+        for name, f in terms
+    ]
 
 
 def _product(factors: tuple, dropped, whole: str | None = None) -> str | None:
-    """The Python source of a product without its exclusion factors in
-    ``dropped``, a set of (identifier, hop): ``whole`` when it drops none,
-    "1" (or None without ``whole``) when it keeps none."""
-    kept = [py for py, _, x in factors if x not in dropped]
+    """The Python source of a product without the factors whose mark
+    (``_mark``) is in ``dropped``: ``whole`` when it drops none, "1" (or
+    None without ``whole``) when it keeps none."""
+    kept = [py for py, _, x, _ in factors if x not in dropped]
     if whole is not None and len(kept) == len(factors):
         return whole
     return reduce(lambda a, b: f"({a} * {b})", kept) if kept else whole and "1"
 
 
-def _fold(folds, hop: int, skip, products, implied=frozenset()) -> tuple[list, set]:
-    """Fold the exclusion factors that ``products``, computed per node of a
-    loop, read at that node (``hop`` 0: ``_k``, 1: ``_l``; module
-    docstring): the loop's list and guard imply the one-node identifiers in
-    ``implied``, and every product is 0 at those in ``skip``.  Returns the
-    skip guard's conditions and the (identifier, hop) factors to drop, and
-    appends (hop, skipped, dropped as implied) to ``folds``; with ``folds``
+def _fold(folds, hop: int, skip, products, implied=frozenset(), ones=frozenset()):
+    """Fold the exclusion factors and label reads that ``products``,
+    computed per node of a loop, read at that node (``hop`` 0: ``_k``, 1:
+    ``_l``; module docstring): the loop's list and guard imply the one-node
+    identifiers in ``implied`` and the labels in ``ones``, and every product
+    is 0 at the identifiers in ``skip``.  Returns the skip guard's
+    conditions and the marks of the factors to drop, and appends ("skip",
+    hop, skipped), ("implied", hop, dropped as implied) and ("one", hop,
+    labels dropped as 1) to ``folds``, each unless empty; with ``folds``
     None, folds nothing."""
     if folds is None:
         return [], set()
     guard = skip - implied
     implied = implied & frozenset().union(*(_excludes(p, hop) for p in products))
-    if guard or implied:
-        folds.append((hop, guard, implied))
+    held = ones & {x[0] for p in products for _, _, x, _ in p if x and x[1:] == (hop, True)}
+    rules = (("skip", guard), ("implied", implied), ("one", held))
+    folds += [(rule, hop, names) for rule, names in rules if names]
     var = ("_k", "_l")[hop]
     conditions = [f"{var} != {node}" for x, node in _ONE_NODE.items() if x in guard]
-    return conditions, {(x, hop) for x in guard | implied}
+    return conditions, {(x, hop, False) for x in guard | implied} | {(x, hop, True) for x in held}
 
 
 def _guarded(conditions: list, lines: list) -> list:
@@ -857,71 +926,124 @@ def _guarded(conditions: list, lines: list) -> list:
     return [f"if {' and '.join(conditions)}:", *_indent(lines, 1)]
 
 
-def _pull(step: _Step, reads: set, dropped: set, folds) -> list:
+def _pull(step: _Step, reads: set, dropped: set, folds, column, ones) -> list:
     """Loop-body lines that sum each message in ``reads`` over the
-    neighbors of ``_k`` into ``_m<m>``, without the factors ``dropped``."""
+    neighbors of ``_k`` into ``_m<m>``, without the factors ``dropped``.  A
+    message ``_split`` splits starts from its receiver part, times
+    ``_degree`` (``ones``: the labels 1 at ``_k``), and sums its sender
+    part, whose factors that exclude a node where its sender-side read is
+    0 drop; ``column`` is ``_unit``'s."""
     messages = sorted(r[1] for r in reads if r[0] == "M")
     if not messages:
         return []
-    factors = [step.messages[m][4] for m in messages]
-    skip = frozenset.intersection(*(_excludes(f, 1) for f in factors))
-    guard, more = _fold(folds, 1, skip, factors)
+    parts = []  # per message: what its sum starts from, its summed factors, their source
+    for m in messages:
+        msg, _, witness, _, factors = step.messages[m]
+        split = folds is not None and _split(factors)
+        if not split:
+            parts.append(("0", factors, msg))
+            continue
+        factors, h, excluded = split
+        folds.append(("sum", 0, excluded))
+        at = [(var, key) for var, key, hop in witness or () if hop == 1]
+        zeros = column(*at[0], False)[2] if len(at) == 1 else frozenset()
+        _, own = _fold(folds, 1, frozenset(), [factors], zeros)
+        factors = tuple(f for f in factors if f[2] not in own)
+        parts.append((f"{h} * {_degree('_k', excluded, column, ones)}", factors, None))
+    skip = frozenset.intersection(*(_excludes(f, 1) for _, f, _ in parts))
+    guard, more = _fold(folds, 1, skip, [f for _, f, _ in parts])
+    lines = [f"_m{m} = {start}" for m, (start, *_) in zip(messages, parts)]
     sums = [
-        f"_m{m} += {_product(step.messages[m][4], dropped | more, step.messages[m][0])}"
-        for m in messages
+        f"_m{m} += {_product(f, dropped | more, whole)}"
+        for m, (_, f, whole) in zip(messages, parts)
     ]
-    lines = [*(f"_m{m} = 0" for m in messages), "for _l in adj[_k]:"]
+    lines.append("for _l in adj[_k]:")
     return lines + _indent(_guarded(guard, sums), 1)
 
 
-def _scatter(step: _Step, sent, column, add, coefs: dict, folds) -> list:
+def _scatter(step: _Step, sent, column, add, coefs: dict, folds, flat=None) -> list:
     """Lines that add each message ``m`` in ``sent`` from the nodes where the
     sender-side read of its witness is nonzero, at each of their neighbors,
     and then pull it at the nodes where the receiver-side read is nonzero,
     from the neighbors not sent from; ``add(m, value, dropped)`` gives the
     lines that add one value of message m at node ``_k``, times each coef
-    in ``coefs.get(m)`` without its factors ``dropped``."""
+    in ``coefs.get(m)`` without its factors ``dropped``.  A message
+    ``_split`` splits sends its sender part, and adds its receiver part,
+    times ``_degree``, at each node where that read is nonzero, with no loop
+    over its neighbors.  ``flat(m, value, ones)``, unless None, gives the
+    lines that add a value read only at its sender ``_l`` once for all its
+    receivers, or None where it cannot."""
     lines = []
     for m in sent:
         msg, _, witness, _, factors = step.messages[m]
         at = {hop: (var, key) for var, key, hop in witness}
         receiver, sender = (column(*at[hop]) if hop in at else None for hop in (0, 1))
+        split = folds is not None and _split(factors)
+        sends, whole = (split[0], None) if split else (factors, msg)
         # a value added at _k is 0 where the message is or every coef is
-        products = [factors, *coefs.get(m, ())]
-        skip = _excludes(factors)
+        products = [sends, *coefs.get(m, ())]
+        skip = _excludes(sends)
         if coefs.get(m):
             skip |= frozenset.intersection(*map(_excludes, coefs[m]))
         if sender:
-            guard, dropped = _fold(folds, 1, _excludes(factors, 1), [factors], sender[2])
-            inner, at_k = _fold(folds, 0, skip, products)
-            value = _product(factors, dropped | at_k, msg)
-            loop = ["for _k in adj[_l]:", *_indent(_guarded(inner, add(m, value, at_k)), 1)]
-            guarded = _guarded([f"{sender[0]}[_l]", *guard], loop)
+            guard, dropped = _fold(folds, 1, _excludes(sends, 1), [sends], sender[2], sender[3])
+            read_here = all(hop == 1 for f in sends for *_, hop in f[1])
+            loop = flat and read_here and flat(m, _product(sends, dropped, whole), sender[3])
+            if not loop:
+                inner, at_k = _fold(folds, 0, skip, products)
+                value = _product(sends, dropped | at_k, whole)
+                loop = ["for _k in adj[_l]:", *_indent(_guarded(inner, add(m, value, at_k)), 1)]
+            guarded = _guarded(_nonzero(folds, sender, at[1], 1) + guard, loop)
             lines += [f"for _l in {sender[1]}:", *_indent(guarded, 1)]
         if receiver:
-            guard, at_k = _fold(folds, 0, skip, products, receiver[2])
-            inner, dropped = _fold(folds, 1, _excludes(factors, 1), [factors])
-            value = _product(factors, at_k | dropped, msg)
-            # every edge from a sender is summed already
-            unsent = [f"not ({sender[0]}[_l])"] if sender else []
-            loop = ["_a = 0", "for _l in adj[_k]:"]
-            loop += [*_indent(_guarded(unsent + inner, [f"_a += {value}"]), 1), *add(m, "_a", at_k)]
-            guarded = _guarded([f"{receiver[0]}[_k]", *guard], loop)
+            guard, at_k = _fold(folds, 0, skip, products, receiver[2], receiver[3])
+            if split:
+                folds.append(("sum", 0, split[2]))
+                loop = add(m, f"{split[1]} * {_degree('_k', split[2], column, receiver[3])}", at_k)
+            else:
+                inner, dropped = _fold(folds, 1, _excludes(factors, 1), [factors])
+                value = _product(factors, at_k | dropped, msg)
+                # every edge from a sender is summed already
+                unsent = [f"not ({sender[0]}[_l])"] if sender else []
+                loop = ["_a = 0", "for _l in adj[_k]:"]
+                loop += [*_indent(_guarded(unsent + inner, [f"_a += {value}"]), 1)]
+                loop += add(m, "_a", at_k)
+            guarded = _guarded(_nonzero(folds, receiver, at[0], 0) + guard, loop)
             lines += [f"for _k in {receiver[1]}:", *_indent(guarded, 1)]
     return lines
+
+
+def _nonzero(folds, end, read, hop: int) -> list:
+    """The test that a loop over the list of a read, ``end`` as ``column``
+    gives it, runs only where the read is nonzero: none where the read is a
+    label that its list makes 1, which folds (``_fold``) unless ``folds`` is
+    None."""
+    var, key = read
+    if folds is not None and var == "L" and key in end[3]:
+        folds.append(("one", hop, frozenset({key})))
+        return []
+    return [f"{end[0]}[{('_k', '_l')[hop]}]"]
+
+
+def _only_excludes(factors: tuple) -> bool:
+    """Whether every factor of a product is an exclusion factor at the node."""
+    return all(x and x[1:] == (0, False) for _, _, x, _ in factors)
 
 
 def _unit(step: _Step, s: int, nodes, columns, sums: dict, column, buffered: bool, folds):
     """One unit of step ``s`` (``_layout``) as Python lines, with the
     columns they store and the message buffers they use: over the node
     list ``nodes``, a (name, the one-node identifiers whose node it never
-    holds), column c goes to ``O<s>_<c>``, or, for each column in ``sums``,
-    is added to each readout sum ``_r<x>`` that ``sums[c]`` lists as (x,
-    the index of its weight label or None).  ``buffered``: the step
-    scatters its messages into buffers first.  ``column(var, key)`` gives
-    the name and the node list of a read, and the one-node identifiers at
-    whose node the read is 0.  ``folds`` collects the unit's folds
-    (``_fold``); None folds nothing."""
+    holds, the labels 1 on it), column c goes to ``O<s>_<c>``, or, for each
+    column in ``sums``, is added to each readout sum ``_r<x>`` that
+    ``sums[c]`` lists as (x, the index of its weight label or None).
+    ``buffered``: the step scatters its messages into buffers first, but a
+    stored ``coef * Msg(m)`` column, coef only exclusion factors, that alone
+    reads m, takes m's scatter in its own buffer, then 0 at the nodes coef
+    excludes.  ``column(var, key)`` gives the name and the node list of a
+    read, the one-node identifiers at whose node the read is 0, and the
+    labels 1 on its list.  ``folds`` collects the unit's folds (``_fold``);
+    None folds nothing."""
 
     def terms(c, coef=None):
         """(sum, factor) per readout of column c: coef times the weight."""
@@ -940,24 +1062,47 @@ def _unit(step: _Step, s: int, nodes, columns, sums: dict, column, buffered: boo
         def add(m, value, dropped):
             return _adds(value, [t for c, f in sent[m] for t in terms(c, _product(f, dropped))])
 
+        def flat(m, value, ones):
+            # unweighted, times a coef of exclusions: times its receivers' count
+            weighted = any(w is not None for c, _ in sent[m] for _, w in sums[c])
+            if weighted or not all(_only_excludes(f) for _, f in sent[m]):
+                return None
+            folds.extend(("flat", 1, _excludes(f)) for _, f in sent[m])
+            degrees = [(_excludes(f), x) for c, f in sent[m] for x, _ in sums[c]]
+            return _adds(value, [(f"_r{x}", _degree("_l", e, column, ones)) for e, x in degrees])
+
         coefs = {m: [coef for _, coef in cs] for m, cs in sent.items()}
-        return _scatter(step, sorted(sent), column, add, coefs, folds), [], []
-    name, absent = nodes
+        return _scatter(step, sorted(sent), column, add, coefs, folds, flat), [], []
+    name, absent, ones = nodes
     outs = [f"O{s}_{c}" for c in columns if c not in sums]
+    lines = []
+    for c in columns if buffered and folds is not None else ():
+        m, coef = step.linear[c] or (None, ())
+        readers = sum(("M", m, None) in u[3] for u in step.updates)
+        if c in sums or m is None or readers > 1 or not _only_excludes(coef):
+            continue
+        folds.append(("own", 0, _excludes(coef)))
+        lines += _scatter(
+            step, [m], column, lambda m, value, _: [f"O{s}_{c}[_k] += {value}"], {}, folds
+        )
+        lines += [f"O{s}_{c}[{v}] = 0" for x, v in _ONE_NODE.items() if x in _excludes(coef)]
+        columns = [d for d in columns if d != c]
+    if not columns:
+        return lines, outs, []
     reads = _reads(step, columns)
     messages = sorted(r[1] for r in reads if r[0] == "M")
     products = [step.updates[c][4] for c in columns]
     skip = frozenset.intersection(*(_excludes(p) for p in products))
     pulled = [] if buffered else [step.messages[m][4] for m in messages]
-    guard, dropped = _fold(folds, 0, skip, products + pulled, absent)
+    guard, dropped = _fold(folds, 0, skip, products + pulled, absent, ones)
     body = []
     for c in columns:
         value = _product(step.updates[c][4], dropped, step.updates[c][0])
         body += [f"O{s}_{c}[_k] = {value}"] if c not in sums else _adds(value, terms(c))
     if not buffered:
-        body = _guarded(guard, _pull(step, reads, dropped, folds) + body)
+        body = _guarded(guard, _pull(step, reads, dropped, folds, column, ones) + body)
         return [f"for _k in {name}:", *_indent(body, 1)], outs, []
-    lines = _scatter(
+    lines += _scatter(
         step, messages, column, lambda m, value, _: [f"M{s}_{m}[_k] += {value}"], {}, folds
     )
     lines.append(f"for _k in {name}:")
@@ -1020,14 +1165,15 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
 
     for s, step in enumerate(steps):
 
-        def column(var, key, s=s):
+        def column(var, key, bound=True, s=s):
             if var == "H":
                 # a column is 0 off its list and where its update excludes
                 t, c = steps[s - 1].origins[key]
-                zeros = _absent(slot[t, c], layout) | _excludes(steps[t].updates[c][4])
-                return f"H{key}", bind(slot[t, c]), zeros
+                absent, ones = _held(slot[t, c], layout)
+                zeros = absent | _excludes(steps[t].updates[c][4])
+                return f"H{key}", bound and bind(slot[t, c]), zeros, ones
             nodes = f"_U{index[key]}"
-            return f"L{index[key]}", nodes, _absent(nodes, layout)
+            return f"L{index[key]}", nodes, *_held(nodes, layout)
 
         def held(reads, s=s):
             """Lines that bind the state columns in ``reads`` as H<c>."""
@@ -1041,7 +1187,7 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
             name = nodes and bind(nodes)
             buffered = _scatters(step, cuts[s])
             lines, outs, used = _unit(
-                step, s, nodes and (name, _absent(nodes, layout)), columns, sums[s], column,
+                step, s, nodes and (name, *_held(nodes, layout)), columns, sums[s], column,
                 buffered, folds[s],
             )
             if once:
@@ -1061,6 +1207,9 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
     )
     hook = ["if hook is not None:", f"    hook(j, ({states}))"]
     setup = ["n = len(adj)", "_all = range(n)", "_adj = adj.__getitem__"]
+    # the degrees, where a closed-form neighbor sum reads them (``_degree``)
+    degrees = ["_deg"] if any("_deg[" in line for line in prelude + body) else []
+    setup += [f"{x} = list(map(len, adj))" for x in degrees]
     setup += [f"L{i} = labels[{layout[i]!r}]" for i in marked]
     setup += [f"{name} = [0] * n" for name in buffers]
     if readouts is None:
@@ -1073,7 +1222,10 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
 
     def supports(per_branch):
         items = _IDENTIFIERS.items()
-        return [f"_U{index[x]} = {nodes}" for x, (_, nodes, each) in items if each == per_branch]
+        return [
+            f"_U{index[x]} = {nodes}" for x, (_, nodes, each) in items
+            if each == per_branch and (hooked or f"_U{index[x]}" in text)
+        ]
 
     def mark(per_branch, value):
         return [
@@ -1091,6 +1243,8 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
         )
         for x, r in enumerate(readouts)
     )
+    # the identifiers' lists the lines of a kernel without a hook read
+    text = "\n".join([*prelude, *body, row])
     balls = [f"_B{d}" for d in range(max(radii) + 1)]
     root = ([f"nonlocal {', '.join(balls)}", "_B0 = {i}"] if balls else []) + mark(False, 1)
     for d in range(1, len(balls)):
@@ -1120,7 +1274,7 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
     # the kernel takes what it reads as defaults, so its loops read locals
     bound = ", ".join(
         f"{x}={x}"
-        for x in ["adj", "_adj", "_all", *(["hook"] if hooked else [])]
+        for x in ["adj", "_adj", "_all", *degrees, *(["hook"] if hooked else [])]
         + [*(f"L{i}" for i in marked), *buffers]
     )
     lines = ["def _make(adj, labels, hook):", *_indent(setup, 1)]

@@ -430,10 +430,20 @@ def _ring_lattice(n: int, k: int):
     return from_edges(n, [(u, (u + d) % n) for u in range(n) for d in range(1, k + 1)])
 
 
+def _irregular():
+    """70 nodes: a hub joined to nodes 1-50, a sparse random graph on those,
+    nodes 51-60 each a leaf of one of them, and nodes 61-69 isolated."""
+    g = gen_random(50, 0.06, 4)
+    edges = [(u + 1, v + 1) for u, v in g.edges()] + [(0, k) for k in range(1, 51)]
+    return from_edges(70, edges + [(50 + k, 7 * k % 50 + 1) for k in range(1, 11)])
+
+
 # Graphs for the plans whose kernels run over the common neighbors of the
-# root and the branching node, N(i)&N(j): a bipartite graph, where no edge
-# has one, ring lattices, where every edge has some, and a random graph,
-# where some edges have them and some do not.
+# root and the branching node, N(i)&N(j), or sum a message's receiver part
+# with degree terms: a bipartite graph, where no edge has a common
+# neighbor, ring lattices, where every edge has some, a random graph, where
+# some edges have them and some do not, and a graph of unlike degrees, with
+# isolated nodes, leaves and a degree-50 hub.
 _MEET_GRAPHS = {
     "triangle-free": (
         from_edges(40, [(u, v) for u in range(20) for v in range(20, 40) if (3 * u + v) % 4 == 0]),
@@ -442,19 +452,27 @@ _MEET_GRAPHS = {
     "triangle-rich": (_ring_lattice(40, 3), {True}),
     "triangle-rich-16": (_ring_lattice(16, 3), {True}),
     "mixed": (gen_random(40, 0.15, 3), {False, True}),
+    "irregular": (_irregular(), {False, True}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_MEET_GRAPHS))
-@pytest.mark.parametrize("kind", ["clique4", "cycle6", "triangle_rectangle"])
+@pytest.mark.parametrize(
+    "kind", ["clique4", "cycle4", "cycle5", "cycle6", "path3", "path4", "triangle_rectangle"]
+)
 def test_meet_plans_match_the_hooked_kernels_and_the_oracle(kind, name):
     g, shared = _MEET_GRAPHS[name]
     adj = g.adjacency
     assert {bool(set(adj[i]) & set(adj[j])) for i in range(g.node_count) for j in adj[i]} == shared
+    if name == "irregular":
+        degrees = sorted(map(len, adj))
+        assert degrees[:9] == [0] * 9 and degrees[9] == 1 and degrees[-1] == 50
     spec = _PLANS[kind]
-    # a kernel with a hook stores every column over one node list per step
+    # a kernel with a hook stores every column over one node list per step,
+    # and sums every message over each receiver's neighbors
     hooked = E.RootedRun(spec.program, adj, spec.hops, spec.readouts, lambda j, steps: None)
     plain = E.RootedRun(spec.program, adj, spec.hops, spec.readouts)
     for i in range(g.node_count):
         assert plain.rows(i) == hooked.rows(i), i
-    assert count(kind, g) == oracle.TWINS[kind](g, oracle.DEFAULT_BUDGET)
+    budget = _HUB_BUDGET if name == "irregular" else oracle.DEFAULT_BUDGET
+    assert count(kind, g) == oracle.TWINS[kind](g, budget)

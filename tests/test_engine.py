@@ -504,39 +504,56 @@ def test_plan_node_lists_are_frozen(kind):
 
 
 # Per plan at its own radius and one more, in a kernel without a hook: the
-# exclusion factors each step (init first, steps apart by "|") folds, loop by
-# loop in the order the kernel runs them (engine._fold).  "k!=i,j" is a skip
-# guard on a loop over receivers k (senders l) that skips the root i and
-# the branching node j; "(l!=i)" drops a factor the loop's node list or
-# guard already implies; "-" is a step that folds nothing.
+# folds and closed-form sums of each step (init first, steps apart by "|"),
+# loop by loop in the order the kernel runs them (engine._fold, _split).
+# "k!=i,j" is a skip guard on a loop over receivers k (senders l) that skips
+# the root i and the branching node j; "(l!=i,j)" drops a factor the loop's
+# node list or guard already implies; "(k:N(j))" drops a read of a label
+# that the loop's list makes 1; "deg(k)-i,j" sums a message's receiver part
+# at k times the number of k's neighbors other than i and j, with no loop
+# over them; "deg(l)-i,j" adds a value sent from l once, times the number of
+# l's neighbors other than i and j; "own-i,j" scatters a message into its
+# column's own buffer, then zeroes i and j; "-" is a step with none.
 _PLAN_FOLDS = {
-    "path2": "- | k!=i",
-    "path3": "- | k!=i | (l!=i) k!=i (k!=i) l!=i",
-    "path4": "k!=i | k!=i,j | (l!=i,j) k!=i,j (k!=i,j) l!=i,j",
+    "chordal_cycle": "(k:N(i)) | k!=i (k:N(j))",
+    "clique4": "(k:N(i)&N(j)) | -",
     "cycle3": "- | (k!=i)",
-    "cycle4": "- | k!=i | (k!=i) l!=i",
-    "cycle5": "k!=i | k!=i,j | k!=j (k!=i) l!=i,j",
-    "cycle6": "k!=i | k!=i | k!=i,j | l!=j (l!=i) k!=i,j k!=i,j l!=i,j | -",
-    "tailed_triangle": "k!=j | -",
-    "chordal_cycle": "- | k!=i",
-    "clique4": "- | -",
-    "triangle_rectangle": "k!=i | k!=i,j | (k!=i,j) l!=i,j | -",
-    **{f"walk{n}": " | ".join("-" * (n + 1)) for n in range(1, 9)},
+    "cycle4": "(k:N(i)) | own-i (l:N(i)) (l:N(i)) | (k!=i) deg(k)-i (l!=i)",
+    "cycle5": "k!=i (k:N(j)) | k!=i,j | k!=j (k!=i) deg(k)-i,j (l!=i,j)",
+    "cycle6": "k!=i (k:N(j)) (k:N(i)&N(j)) | k!=i | own-i,j "
+    "| l!=j (l!=i) (l:N(i)) k!=i,j (l:N(i)) k!=i,j deg(k)-i,j (l!=i,j) | (k:N(j))",
+    "path2": "- | (l:N(i)) deg(l)-i (l:N(i))",
+    "path3": "(k:N(i)) | own-i (l:N(i)) (l:N(i)) | (l!=i) deg(l)-i (k!=i) deg(k)-i",
+    "path4": "k!=i (k:N(j)) | own-i,j | (l!=i,j) deg(l)-i,j (k!=i,j) deg(k)-i,j",
+    "tailed_triangle": "k!=j (k:N(i)) | -",
+    "triangle_rectangle": "k!=i (k:N(j)) | k!=i,j | (k!=i,j) deg(k)-i,j (l!=i,j) | (k:N(i)&N(j))",
+    "walk1": "(k:i) | -",
+    **{
+        f"walk{n}": " | ".join(["(k:i)", *["own"] * (n // 2), *["-"] * (n - n // 2)])
+        for n in range(2, 9)
+    },
 }
 
 
 def _folds(prog, readouts, hops):
     _, _, folds = E._generate(prog, ROOTED_LAYOUT, hops, readouts, False)
 
-    def nodes(labels):
-        return ",".join(E._ONE_NODE[x] for x in E._ONE_NODE if x in labels)
+    def nodes(names):
+        return ",".join(E._ONE_NODE[x] for x in E._ONE_NODE if x in names)
 
+    forms = {
+        "skip": "{v}!={nodes}", "implied": "({v}!={nodes})", "one": "({v}:{labels})",
+        "sum": "deg({v}){minus}", "flat": "deg({v}){minus}", "own": "own{minus}",
+    }
     text = []
     for step in folds:
-        loops = []
-        for hop, guard, implied in step:
-            loops += [f"{'kl'[hop]}!={nodes(guard)}"] if guard else []
-            loops += [f"({'kl'[hop]}!={nodes(implied)})"] if implied else []
+        loops = [
+            forms[rule].format(
+                v="kl"[hop], nodes=nodes(names), minus=nodes(names) and "-" + nodes(names),
+                labels="&".join(sorted(_LIST_TEXT[x] for x in names)),
+            )
+            for rule, hop, names in step
+        ]
         text.append(" ".join(loops) or "-")
     return " | ".join(text)
 
@@ -557,25 +574,25 @@ def test_plan_folds_are_frozen(kind):
 # ``count_walks`` at lengths 2 and 4.  A kernel's source does not depend on
 # the graph, so a change to the generator shows here kernel by kernel.
 _KERNEL_MD5 = {
-    "chordal_cycle": ("2c1559776d9412a44cd1842a5667254e", "372197cf3b86e3aa8b69342e79fe7eb2"),
-    "clique4": ("0410c0f886eaf9119ac9a7e7ae65f7f6", "1b3476c376545669655fc8445e16b8ec"),
-    "cycle3": ("2bd10ec3ae3e0d1f84464ad78f13f493", "d82e8cf8fc9c8fd1dd01b2a28e012d05"),
-    "cycle4": ("0351427d7b17c8e0d3e63b37d2baf37b", "1858ee36febe8dde986546cc26f7e025"),
-    "cycle5": ("78a4f06ef4f5dd8219037cad690236d2", "7ed4ba831a040e716134f2b370f6bd0b"),
-    "cycle6": ("4064e5a2ce9e91810514a87f677b085a", "4a6d0679fda01c739ae9a249ab093f0b"),
-    "path2": ("9c4a8bf9764ae78b8431e6b400db6dae", "4dfff9ba7fcbbacdcd896bf77ba78dde"),
-    "path3": ("190dbc1a5112ef6085988a836a0d3fe9", "3f9ba485f486a6d127ef4596f9c74601"),
-    "path4": ("8d3d2bada98fc3089f05b7b0886341e2", "91e86fd0be15a915c70c947a083b3e2e"),
-    "tailed_triangle": ("d0645bedc399883ecb838d447df978ec", "a3f46ab2699bfd09c823c9ccf440ebe4"),
-    "triangle_rectangle": ("cc554dc08862245f24c72b2911a171c5", "762c7fe3b737867026a59409184bedf6"),
-    "walk1": ("10b66695478353aabc0f83c7771e38d7", "79ceafc75590c0647d99b9397ee5519f"),
-    "walk2": ("aeda925d9af7f7d7f9c1602180cde7b5", "be79c03acc282846876d840042d2387e"),
-    "walk3": ("a68690e4d97e9409876c55a57d90316a", "ed1f7c0937ce7154a326b2a8cb197af2"),
-    "walk4": ("1026c2331ad6f1f27cb831bdeb56e13e", "48be375fe8c2fe3afff7c673c7c18163"),
-    "walk5": ("cc8f256c847e41dfdd92301953bac023", "95785c5693bca47b4af0fc64ab733575"),
-    "walk6": ("b1799224741887b7f906b9c376cea3e9", "d414d92fa8faf62f35c5e97017e0523c"),
-    "walk7": ("b826f5bc0a7bdc9e4ea7539666b8aa9c", "e2d770fec8b7d4eaef6f8747385c0e13"),
-    "walk8": ("49a63208bc512c4e2d45bd521782eb4e", "1123154f7f41e2a735e3c7ad2dc181ec"),
+    "chordal_cycle": ("dcec0eb37e956b7ea04b665212741fb8", "372197cf3b86e3aa8b69342e79fe7eb2"),
+    "clique4": ("a8d82dcf9e85c78cc4172546cf39c0b7", "1b3476c376545669655fc8445e16b8ec"),
+    "cycle3": ("33fc5250d8943bd76be6c729dd10daff", "d82e8cf8fc9c8fd1dd01b2a28e012d05"),
+    "cycle4": ("4874a9809fb3c3b7fd20f12b23431e9d", "1858ee36febe8dde986546cc26f7e025"),
+    "cycle5": ("ab0bfa3474ab23de67579dd13851be9c", "7ed4ba831a040e716134f2b370f6bd0b"),
+    "cycle6": ("e3efefab043cd76eff76283b7fb8e96b", "4a6d0679fda01c739ae9a249ab093f0b"),
+    "path2": ("de712d1ac9da0cb968fbc4efc50ae80e", "4dfff9ba7fcbbacdcd896bf77ba78dde"),
+    "path3": ("535e274db1eee5d7749a26d94af0c2e2", "3f9ba485f486a6d127ef4596f9c74601"),
+    "path4": ("55268c74e7a2e8d11bdb44fa3dc4f16e", "91e86fd0be15a915c70c947a083b3e2e"),
+    "tailed_triangle": ("f5da519427df0b6bad0f83c68d272b70", "a3f46ab2699bfd09c823c9ccf440ebe4"),
+    "triangle_rectangle": ("3f974e67fe80514b0fd37914a98e96a5", "762c7fe3b737867026a59409184bedf6"),
+    "walk1": ("922b072d89a4190b2817a9ad5a919156", "79ceafc75590c0647d99b9397ee5519f"),
+    "walk2": ("1574b4ea0149b650843ddd1446147f9a", "be79c03acc282846876d840042d2387e"),
+    "walk3": ("51596340e909dcef82eb8d0ce09e41cc", "ed1f7c0937ce7154a326b2a8cb197af2"),
+    "walk4": ("e4053e7495456d9a0ac542f0f9c0bc1c", "48be375fe8c2fe3afff7c673c7c18163"),
+    "walk5": ("ed75f306d757dbba97e7e0e1d0506d1c", "95785c5693bca47b4af0fc64ab733575"),
+    "walk6": ("945190daee9334707541da29207294d3", "d414d92fa8faf62f35c5e97017e0523c"),
+    "walk7": ("bd8025299d615b0adc6f1d9addb9a5b5", "e2d770fec8b7d4eaef6f8747385c0e13"),
+    "walk8": ("724c7e45b38e4540ecff48823d356290", "1123154f7f41e2a735e3c7ad2dc181ec"),
     "path4_edge": ("cca6ed8e84ac90c1c89d9d9ece8b5040",),
     "walks2": ("e07410d434ed0a83e180cf80a41320d4",),
     "walks4": ("e5d6b5b18f6844b8debe8b48db78a4bf",),
@@ -1133,20 +1150,23 @@ _MASKED_PLANS = (
 
 
 def _fold_uses(prog, readouts, hops):
-    """Where a kernel without a hook folds: "sender" or "receiver" by the
-    node a fold skips or drops at, "guard" or "implied" by what it does, and
-    "scatter", "pull", "cut" or "unbounded" by the step it folds in: one
-    that scatters, pulls, is cut, or computes a column without a witness."""
+    """Where a kernel without a hook folds an exclusion factor: "sender" or
+    "receiver" by the node a fold skips or drops at, "guard" or "implied" by
+    what it does, and "scatter", "pull", "cut" or "unbounded" by the step it
+    folds in: one that scatters, pulls, is cut, or computes a column without
+    a witness."""
     steps, cuts, *_ = _hook_free_layout(prog, readouts, hops)
     _, _, folds = E._generate(prog, ROOTED_LAYOUT, hops, readouts, False)
     used = set()
     for step, cut, step_folds in zip(steps, cuts, folds):
-        for hop, guard, implied in step_folds:
+        for rule, hop, _ in step_folds:
+            if rule not in ("skip", "implied"):
+                continue
             used.add(("receiver", "sender")[hop])
             if step.messages:
                 used.add("scatter" if E._scatters(step, cut) else "pull")
             kinds = {
-                "guard": guard, "implied": implied, "cut": cut is not None,
+                "guard": rule == "skip", "implied": rule == "implied", "cut": cut is not None,
                 "unbounded": step.sources is None,
             }
             used.update(kind for kind, yes in kinds.items() if yes)
@@ -1164,6 +1184,105 @@ def test_hand_written_masked_plans_fold_every_way():
             assert all(nodes != "_all" for step in units for nodes, *_ in step)
     assert used == {
         "sender", "receiver", "guard", "implied", "scatter", "pull", "cut", "unbounded"
+    }
+
+
+# Two pair plans whose messages are masked differences of a sender and a
+# receiver read (engine._split).  Layer 2 of the first scatters two of them,
+# Nbr - Self under a mask of three factors, one repeated, and Self - Nbr
+# under one; their readouts are sent from the senders once each, times
+# their receivers' count, when unweighted, and pulled at a cut otherwise.
+# Under a readout weighted by in_n_root or is_branch, its layer 1 is not cut
+# and scatters into its column's own buffer.  Layer 2 of the second pulls
+# its messages, and is cut under a readout weighted by is_root; its second
+# message's sender factor reads in_n_root, so it stays whole.
+_DIFFERENCES = E.MPProgram(
+    "differences",
+    (E.LSelf("in_n_root"), E.LSelf("in_n_branch")),
+    (
+        E.Layer(
+            (E.Nbr(0),),
+            ((1 - E.LSelf("is_root")) * (1 - E.LSelf("is_branch")) * E.Msg(0), E.Self(1)),
+        ),
+        E.Layer(
+            (
+                (1 - E.LNbr("is_root")) * (1 - E.LNbr("is_branch")) * (1 - E.LNbr("is_root"))
+                * (E.Nbr(0) - E.Self(1)),
+                (E.Self(1) - E.Nbr(0)) * (1 - E.LNbr("is_branch")),
+            ),
+            ((1 - E.LSelf("is_root")) * E.Msg(0), (1 - E.LSelf("is_branch")) * E.Msg(1)),
+        ),
+    ),
+)
+_DIFFERENCES_PULLED = E.MPProgram(
+    "differences-pulled",
+    (E.LSelf("in_n_branch") * (1 - E.LSelf("is_root")), E.LSelf("in_n_root")),
+    (
+        E.Layer(
+            (E.Nbr(0),),
+            ((1 - E.LSelf("is_root")) * (1 - E.LSelf("is_branch")) * E.Msg(0), E.Self(1)),
+        ),
+        E.Layer(
+            (
+                (1 - E.LNbr("is_root")) * (1 - E.LNbr("is_branch")) * (E.Nbr(0) - E.Self(1)),
+                (1 - E.LNbr("is_branch")) * E.LNbr("in_n_root") * (E.Nbr(0) - E.Self(1)),
+            ),
+            (E.LSelf("in_n_root") * E.Msg(0), E.LSelf("in_n_root") * (E.Msg(1) + E.Self(1))),
+        ),
+    ),
+)
+_DIFFERENCE_PLANS = (
+    (True, _DIFFERENCES, (E.Readout(0), E.Readout(1))),
+    (True, _DIFFERENCES_PULLED, (E.Readout(0), E.Readout(1, "in_n_root"))),
+)
+
+
+def _closed_form_uses(prog, readouts, hops):
+    """The closed-form rules a kernel without a hook uses, as (rule, step):
+    "sum", "flat", "own" or "one" (``_PLAN_FOLDS``), with "scatter", "pull"
+    or "cut" for the step it is used in, and "sum" also with the one-node
+    identifiers whose neighbors its degree term leaves out."""
+    steps, cuts, *_ = _hook_free_layout(prog, readouts, hops)
+    _, _, folds = E._generate(prog, ROOTED_LAYOUT, hops, readouts, False)
+    used = set()
+    for step, cut, step_folds in zip(steps, cuts, folds):
+        kind = "cut" if cut is not None else "scatter" if E._scatters(step, cut) else "pull"
+        for rule, _, names in step_folds:
+            if rule in ("sum", "flat", "own", "one"):
+                used.add((rule, kind if step.messages else "-"))
+            if rule == "sum":
+                used.add((rule, names))
+    return used
+
+
+def test_hand_written_difference_plans_use_every_closed_form_rule():
+    (_, sent, _), (_, pulled, _) = _DIFFERENCE_PLANS
+    # both operand orders split, with opposite signs; a sender factor that
+    # is no exclusion keeps a message whole
+    steps = E._steps(sent, ROOTED_LAYOUT)
+    first, second = (E._split(m[4]) for m in steps[2].messages)
+    assert first[1] == "-H1[_k]" and first[2] == {"is_root", "is_branch"}
+    assert second[1] == "H1[_k]" and second[2] == {"is_branch"}
+    assert first[0][-1][0] == "H0[_l]" and second[0][-1][0] == "-H0[_l]"
+    assert E._split(E._steps(pulled, ROOTED_LAYOUT)[2].messages[1][4]) is None
+    used = set()
+    for _, prog, readouts in _DIFFERENCE_PLANS:
+        for hops in (1, 2, 3):
+            for weight in (False, *ROOTED_LAYOUT):
+                alike = readouts if weight is False else tuple(
+                    E.Readout(r.component, weight) for r in readouts
+                )
+                try:
+                    uses = _closed_form_uses(prog, alike, hops)
+                except E.ProgramError:
+                    continue
+                # a weighted readout is summed per receiver
+                assert weight is False or ("flat", "scatter") not in uses
+                used |= uses
+    assert used == {
+        ("sum", "scatter"), ("sum", "pull"), ("sum", "cut"), ("flat", "scatter"),
+        ("own", "scatter"), ("one", "-"), ("one", "pull"),
+        ("sum", frozenset({"is_root", "is_branch"})), ("sum", frozenset({"is_branch"})),
     }
 
 
@@ -1258,6 +1377,10 @@ def test_hand_written_plans_use_every_node_list_rule(hops, weight):
 )
 @example(_MASKED_PLANS[0], 30, 0.15, 4)
 @example(_MASKED_PLANS[1], 30, 0.15, 6)
+@example(_DIFFERENCE_PLANS[0], 40, 0.1, 3)
+@example(_DIFFERENCE_PLANS[1], 40, 0.1, 5)
+@example(_DIFFERENCE_PLANS[0], 20, 0.25, 8)
+@example(_DIFFERENCE_PLANS[1], 24, 0.25, 2)
 # graphs of 16-24 nodes where some edges have common neighbors and some not
 @example(_RULE_PLANS[5], 16, 0.3, 3)
 @example(_RULE_PLANS[6], 20, 0.25, 5)
