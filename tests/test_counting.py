@@ -468,11 +468,15 @@ def test_meet_plans_match_the_hooked_kernels_and_the_oracle(kind, name):
         degrees = sorted(map(len, adj))
         assert degrees[:9] == [0] * 9 and degrees[9] == 1 and degrees[-1] == 50
     spec = _PLANS[kind]
-    # a kernel with a hook stores every column over one node list per step,
-    # and sums every message over each receiver's neighbors
-    hooked = E.RootedRun(spec.program, adj, spec.hops, spec.readouts, lambda j, steps: None)
-    plain = E.RootedRun(spec.program, adj, spec.hops, spec.readouts)
-    for i in range(g.node_count):
-        assert plain.rows(i) == hooked.rows(i), i
     budget = _HUB_BUDGET if name == "irregular" else oracle.DEFAULT_BUDGET
-    assert count(kind, g) == oracle.TWINS[kind](g, budget)
+    twin = oracle.TWINS[kind](g, budget)
+    # the kernels of rules T and P also at one more radius, on the hub
+    wider = name == "irregular" and kind in ("cycle5", "cycle6", "path4")
+    for hops in (spec.hops, spec.hops + 1)[: 1 + wider]:
+        # a kernel with a hook stores every column over one node list per
+        # step, and sums every message over each receiver's neighbors
+        hooked = E.RootedRun(spec.program, adj, hops, spec.readouts, lambda j, steps: None)
+        plain = E.RootedRun(spec.program, adj, hops, spec.readouts)
+        for i in range(g.node_count):
+            assert plain.rows(i) == hooked.rows(i), (hops, i)
+        assert count(kind, g, hops) == twin

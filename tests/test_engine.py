@@ -386,15 +386,17 @@ def test_plan_scatters_are_frozen(kind):
 # Per plan at its own radius and one more, in a kernel without a hook: how
 # each readout is summed: as its column's messages are scattered or pulled
 # ("s"), at the nodes of its weight label ("w"), in the loop that computes
-# its column ("l"), or from a stored column ("c").
+# its column ("l"), from a stored column ("c"), or by rule T, per sender of
+# its message ("t"), or in the loop over the senders of the message of the
+# column that message reads (rule P, "p").
 _PLAN_FUSED = {
     "path2": "s",
-    "path3": "s",
-    "path4": "s",
+    "path3": "p",
+    "path4": "p",
     "cycle3": "w",
     "cycle4": "w",
-    "cycle5": "w",
-    "cycle6": "l s l l c l l",
+    "cycle5": "p",
+    "cycle6": "p s l l c l l",
     "tailed_triangle": "l",
     "chordal_cycle": "l",
     "clique4": "l",
@@ -404,13 +406,16 @@ _PLAN_FUSED = {
 def _fused(spec, hops):
     # a readout term without its readout's weight lies under the weight rule
     _, _, units, _, terms = _hook_free_layout(spec.program, spec.readouts, hops)
-    how = {}
+    moves = _moves(spec.program, spec.readouts, hops)
+    how = {x: "t" for xs, *_ in moves.trans.values() for x, _ in xs}
+    how.update((x, "p") for entries, _ in moves.push.values() for x, *_ in entries)
     for step_units, step_terms in zip(units, terms):
         sent = {c for nodes, columns, _ in step_units if nodes is None for c in columns}
         for c, xs in step_terms.items():
             for x, w in xs:
                 weighted = spec.readouts[x].weight is not None
-                how[x] = "s" if c in sent else "w" if weighted and w is None else "l"
+                if x not in how:
+                    how[x] = "s" if c in sent else "w" if weighted and w is None else "l"
     return " ".join(how.get(x, "c") for x in range(len(spec.readouts)))
 
 
@@ -428,32 +433,33 @@ def test_plan_fused_readouts_are_frozen(kind):
 # and the branching node, N(x) the neighbors of x, "+" a union, "&" between
 # two lists their intersection, "&B<d>" cuts the whole list to the ball of
 # radius d around the root, B<d> is that ball; ">" marks a column whose
-# messages are sent, "-" one computed nowhere, "()" a step that computes no
-# column, and "^" before a list a column computed once per root, before the
-# loop over its branches.
+# messages are sent, "-" one computed nowhere, "1" one that is 1 on its
+# list but at the nodes its update excludes, read as such wherever it is
+# read and so not stored, "()" a step that computes no column, and "^"
+# before a list a column computed once per root, before the loop over its
+# branches.
 _PLAN_NODES = {
     "path2": "() | >",
-    "path3": "^N(i) | N(N(i)) | >",
-    "path4": "N(j) | N(N(j)) | >",
+    "path3": "1 | > | >",
+    "path4": "1 | > | >",
     "cycle3": "() | ^N(i)",
-    "cycle4": "^N(i) | N(N(i)) | N(i)",
-    "cycle5": "N(j) | N(N(j))&B2 | N(i)",
-    "cycle6": "N(j) N(i)&N(j) | ^N(N(i))&B2 N(j) N(j) | N(N(j)) | N(j)+N(N(i))&B2 > "
-    "| N(N(i))&B2 N(j) N(j) N(j) N(i)&N(j)",
+    "cycle4": "1 | N(N(i)) | N(i)",
+    "cycle5": "N(j) | > | N(i)",
+    "cycle6": "N(j) N(i)&N(j) | ^N(N(i)) N(j) N(j) | N(N(j)) | N(j) > | - N(j) N(j) N(j) N(i)&N(j)",
     "tailed_triangle": "N(i) | N(i)",
     "chordal_cycle": "N(i) | N(j)",
     "clique4": "N(i)&N(j) | N(i)&N(j)",
     "triangle_rectangle": "N(j) | N(N(i)&N(j)) | N(i)&N(j) | N(i)&N(j)",
     "walk1": "^i | ^i",
-    "walk2": "^i | N(i) | i",
-    "walk3": "^i | N(i) | B1 | i",
-    "walk4": "^i | N(i) | N(N(i)) | B1 | i",
-    "walk5": "^i | N(i) | N(N(i)) | N(N(N(i)))&B2 | B1 | i",
-    "walk6": "^i | N(i) | N(N(i)) | N(N(N(i))) | N(N(N(N(i))))&B2 | B1 | i",
-    "walk7": "^i | N(i) | N(N(i)) | N(N(N(i))) | N(N(N(N(i))))&B3 | N(N(N(N(N(i))))&B3)&B2 "
-    "| B1 | i",
-    "walk8": "^i | N(i) | N(N(i)) | N(N(N(i))) | N(N(N(N(i)))) | N(N(N(N(N(i)))))&B3 "
+    "walk2": "1 | N(i) | i",
+    "walk3": "1 | N(i) | B1 | i",
+    "walk4": "1 | N(i) | N(N(i)) | B1 | i",
+    "walk5": "1 | N(i) | N(N(i)) | N(N(N(i)))&B2 | B1 | i",
+    "walk6": "1 | N(i) | N(N(i)) | N(N(N(i))) | N(N(N(N(i))))&B2 | B1 | i",
+    "walk7": "1 | N(i) | N(N(i)) | N(N(N(i))) | N(N(N(N(i))))&B3 | N(N(N(N(N(i))))&B3)&B2 | B1 | i",
+    "walk8": "1 | N(i) | N(N(i)) | N(N(N(i))) | N(N(N(N(i)))) | N(N(N(N(N(i)))))&B3 "
     "| N(N(N(N(N(N(i)))))&B3)&B2 | B1 | i",
+
 }
 _LIST_TEXT = {"is_root": "i", "in_n_root": "N(i)", "is_branch": "j", "in_n_branch": "N(j)"}
 
@@ -478,16 +484,30 @@ def _hook_free_layout(prog, readouts, hops):
     steps = E._steps(prog, ROOTED_LAYOUT)
     _, cuts = E._radii(steps, hops, readouts, prog.name)
     index = {name: i for i, name in enumerate(ROOTED_LAYOUT)}
-    units, slot, terms = E._layout(steps, cuts, index, readouts)
+    units, slot, terms, _ = E._plan(steps, cuts, index, readouts)
     return steps, cuts, units, slot, terms
 
 
+def _moves(prog, readouts, hops):
+    """Rules T and P in the kernel without a hook (``E._Moves``)."""
+    steps = E._steps(prog, ROOTED_LAYOUT)
+    _, cuts = E._radii(steps, hops, readouts, prog.name)
+    index = {name: i for i, name in enumerate(ROOTED_LAYOUT)}
+    return E._plan(steps, cuts, index, readouts)[3]
+
+
 def _node_lists(spec, hops):
-    steps, _, units, _, _ = _hook_free_layout(spec.program, spec.readouts, hops)
+    steps, _, units, _, terms = _hook_free_layout(spec.program, spec.readouts, hops)
+    moves = _moves(spec.program, spec.readouts, hops)
+    lines, _, _ = E._generate(spec.program, ROOTED_LAYOUT, hops, spec.readouts, False)
+    source = "\n".join(lines)
     text = []
-    for step, step_units in zip(steps, units):
+    for s, (step, step_units) in enumerate(zip(steps, units)):
         where = {
-            c: ">" if nodes is None else "^" * once + _list_text(nodes, ROOTED_LAYOUT)
+            c: ">" if nodes is None else "1" if (
+                f"O{s}_{c} = [0] * n" not in source and c not in terms[s]
+                and (s, c) not in moves.trans
+            ) else "^" * once + _list_text(nodes, ROOTED_LAYOUT)
             for nodes, columns, once in step_units for c in columns
         }
         columns = [where.get(c, "-") for c, src in enumerate(step.copies) if src is None]
@@ -509,27 +529,36 @@ def test_plan_node_lists_are_frozen(kind):
 # "k!=i,j" is a skip guard on a loop over receivers k (senders l) that skips
 # the root i and the branching node j; "(l!=i,j)" drops a factor the loop's
 # node list or guard already implies; "(k:N(j))" drops a read of a label
-# that the loop's list makes 1; "deg(k)-i,j" sums a message's receiver part
-# at k times the number of k's neighbors other than i and j, with no loop
-# over them; "deg(l)-i,j" adds a value sent from l once, times the number of
-# l's neighbors other than i and j; "own-i,j" scatters a message into its
-# column's own buffer, then zeroes i and j; "-" is a step with none.
+# that the loop's list makes 1, and "(k:h0)" one of a column 1 on the
+# loop's list but at the nodes its update excludes; "deg(k)-i,j" sums a
+# message's receiver part at k times the number of k's neighbors other than
+# i and j, with no loop over them; "deg(l)-i,j" adds a value sent from l
+# once, times the number of l's neighbors other than i and j, and
+# "W[N(i)](l)-j" once, times Omega_F(l), the sum of the weight (a label,
+# or "step:column" of a column computed once per root) over l's neighbors
+# other than j (rule T); "push-i,j" adds such per-sender sums in the loop
+# over the senders of their column's message, at its nodes other than i
+# and j (rule P); "own-i,j" scatters a message into its column's own
+# buffer, then zeroes i and j; "-" is a step with none.
 _PLAN_FOLDS = {
     "chordal_cycle": "(k:N(i)) | k!=i (k:N(j))",
-    "clique4": "(k:N(i)&N(j)) | -",
+    "clique4": "(k:N(i)&N(j)) | (k:h0)",
     "cycle3": "- | (k!=i)",
-    "cycle4": "(k:N(i)) | own-i (l:N(i)) (l:N(i)) | (k!=i) deg(k)-i (l!=i)",
-    "cycle5": "k!=i (k:N(j)) | k!=i,j | k!=j (k!=i) deg(k)-i,j (l!=i,j)",
-    "cycle6": "k!=i (k:N(j)) (k:N(i)&N(j)) | k!=i | own-i,j "
-    "| l!=j (l!=i) (l:N(i)) k!=i,j (l:N(i)) k!=i,j deg(k)-i,j (l!=i,j) | (k:N(j))",
+    "cycle4": "- | own-i (l:N(i)) (l:N(i)) | (k!=i) deg(k)-i (l!=i) (k:h0)",
+    "cycle5": "k!=i (k:N(j)) | push-i,j W[N(i)](k)-i,j (l:h0) (l!=i) k!=i,j "
+    "| k!=j (k!=i) deg(k)-i,j (l!=i,j)",
+    "cycle6": "k!=i (k:N(j)) (k:N(i)&N(j)) | k!=i "
+    "| own-i,j push-i,j W[1:2](k)-i,j (l:h0) (l!=i) k!=i,j "
+    "| l!=j (l!=i) (l:N(i)) k!=i,j (l:N(i)) k!=i (k!=j) deg(k)-i,j (l!=i,j) (k:h0) "
+    "| k!=i (k:N(j)) (k:h5)",
     "path2": "- | (l:N(i)) deg(l)-i (l:N(i))",
-    "path3": "(k:N(i)) | own-i (l:N(i)) (l:N(i)) | (l!=i) deg(l)-i (k!=i) deg(k)-i",
-    "path4": "k!=i (k:N(j)) | own-i,j | (l!=i,j) deg(l)-i,j (k!=i,j) deg(k)-i,j",
-    "tailed_triangle": "k!=j (k:N(i)) | -",
+    "path3": "- | push-i deg(k)-i (l:N(i)) k!=i (l:N(i)) | (k:h0) (k!=i) deg(k)-i",
+    "path4": "- | push-i,j deg(k)-i,j (l:h0) (l!=i) k!=i,j | (k:h0) (k!=i,j) deg(k)-i,j",
+    "tailed_triangle": "k!=j (k:N(i)) | (k:h0) k!=j",
     "triangle_rectangle": "k!=i (k:N(j)) | k!=i,j | (k!=i,j) deg(k)-i,j (l!=i,j) | (k:N(i)&N(j))",
     "walk1": "(k:i) | -",
     **{
-        f"walk{n}": " | ".join(["(k:i)", *["own"] * (n // 2), *["-"] * (n - n // 2)])
+        f"walk{n}": " | ".join(["-", "own (l:h0)", *["own"] * (n // 2 - 1), *["-"] * (n - n // 2)])
         for n in range(2, 9)
     },
 }
@@ -541,19 +570,24 @@ def _folds(prog, readouts, hops):
     def nodes(names):
         return ",".join(E._ONE_NODE[x] for x in E._ONE_NODE if x in names)
 
+    def weight(w):
+        return _LIST_TEXT[w] if type(w) is str else "{}:{}".format(*w)
+
     forms = {
         "skip": "{v}!={nodes}", "implied": "({v}!={nodes})", "one": "({v}:{labels})",
         "sum": "deg({v}){minus}", "flat": "deg({v}){minus}", "own": "own{minus}",
+        "omega": "W[{weight}]({v}){minus}", "push": "push{minus}",
     }
     text = []
     for step in folds:
-        loops = [
-            forms[rule].format(
+        loops = []
+        for rule, hop, names in step:
+            w, names = names if rule == "omega" else (None, names)
+            loops.append(forms[rule].format(
                 v="kl"[hop], nodes=nodes(names), minus=nodes(names) and "-" + nodes(names),
-                labels="&".join(sorted(_LIST_TEXT[x] for x in names)),
-            )
-            for rule, hop, names in step
-        ]
+                labels="&".join(sorted(_LIST_TEXT.get(x, x.lower()) for x in names)),
+                weight=w and weight(w),
+            ))
         text.append(" ".join(loops) or "-")
     return " | ".join(text)
 
@@ -574,25 +608,25 @@ def test_plan_folds_are_frozen(kind):
 # ``count_walks`` at lengths 2 and 4.  A kernel's source does not depend on
 # the graph, so a change to the generator shows here kernel by kernel.
 _KERNEL_MD5 = {
-    "chordal_cycle": ("dcec0eb37e956b7ea04b665212741fb8", "372197cf3b86e3aa8b69342e79fe7eb2"),
-    "clique4": ("a8d82dcf9e85c78cc4172546cf39c0b7", "1b3476c376545669655fc8445e16b8ec"),
-    "cycle3": ("33fc5250d8943bd76be6c729dd10daff", "d82e8cf8fc9c8fd1dd01b2a28e012d05"),
-    "cycle4": ("4874a9809fb3c3b7fd20f12b23431e9d", "1858ee36febe8dde986546cc26f7e025"),
-    "cycle5": ("ab0bfa3474ab23de67579dd13851be9c", "7ed4ba831a040e716134f2b370f6bd0b"),
-    "cycle6": ("e3efefab043cd76eff76283b7fb8e96b", "4a6d0679fda01c739ae9a249ab093f0b"),
-    "path2": ("de712d1ac9da0cb968fbc4efc50ae80e", "4dfff9ba7fcbbacdcd896bf77ba78dde"),
-    "path3": ("535e274db1eee5d7749a26d94af0c2e2", "3f9ba485f486a6d127ef4596f9c74601"),
-    "path4": ("55268c74e7a2e8d11bdb44fa3dc4f16e", "91e86fd0be15a915c70c947a083b3e2e"),
-    "tailed_triangle": ("f5da519427df0b6bad0f83c68d272b70", "a3f46ab2699bfd09c823c9ccf440ebe4"),
-    "triangle_rectangle": ("3f974e67fe80514b0fd37914a98e96a5", "762c7fe3b737867026a59409184bedf6"),
-    "walk1": ("922b072d89a4190b2817a9ad5a919156", "79ceafc75590c0647d99b9397ee5519f"),
-    "walk2": ("1574b4ea0149b650843ddd1446147f9a", "be79c03acc282846876d840042d2387e"),
-    "walk3": ("51596340e909dcef82eb8d0ce09e41cc", "ed1f7c0937ce7154a326b2a8cb197af2"),
-    "walk4": ("e4053e7495456d9a0ac542f0f9c0bc1c", "48be375fe8c2fe3afff7c673c7c18163"),
-    "walk5": ("ed75f306d757dbba97e7e0e1d0506d1c", "95785c5693bca47b4af0fc64ab733575"),
-    "walk6": ("945190daee9334707541da29207294d3", "d414d92fa8faf62f35c5e97017e0523c"),
-    "walk7": ("bd8025299d615b0adc6f1d9addb9a5b5", "e2d770fec8b7d4eaef6f8747385c0e13"),
-    "walk8": ("724c7e45b38e4540ecff48823d356290", "1123154f7f41e2a735e3c7ad2dc181ec"),
+    "chordal_cycle": ("ebe77e82be5c301f93a9120d783cd8e2", "372197cf3b86e3aa8b69342e79fe7eb2"),
+    "clique4": ("7d2f3fb528fdcbbafd2f772bed619fac", "1b3476c376545669655fc8445e16b8ec"),
+    "cycle3": ("030f0d52c903e0307f73fe1349d3d9d1", "d82e8cf8fc9c8fd1dd01b2a28e012d05"),
+    "cycle4": ("d5d46ce9d4b91de48233c1b543f3a35f", "1858ee36febe8dde986546cc26f7e025"),
+    "cycle5": ("05431ea63d467c860bc936ed8b4281d1", "7ed4ba831a040e716134f2b370f6bd0b"),
+    "cycle6": ("677e38734848f5fc567713c28ea5a910", "4a6d0679fda01c739ae9a249ab093f0b"),
+    "path2": ("60cb56b4abdaa91c42704565a5bdb2fc", "4dfff9ba7fcbbacdcd896bf77ba78dde"),
+    "path3": ("823595bc1a6e2aedbd3798fc0e3eed01", "3f9ba485f486a6d127ef4596f9c74601"),
+    "path4": ("20929578c6f00677e08b679fdb97bc7b", "91e86fd0be15a915c70c947a083b3e2e"),
+    "tailed_triangle": ("71a4063d7526546e2ea20e141d310d52", "a3f46ab2699bfd09c823c9ccf440ebe4"),
+    "triangle_rectangle": ("93b7077bedec5c184fa12c07e7e180d9", "762c7fe3b737867026a59409184bedf6"),
+    "walk1": ("19ab9f99d5cb26cdb652d1f1d6111d6b", "79ceafc75590c0647d99b9397ee5519f"),
+    "walk2": ("96353389e6fc661db3b69a7bf9ec59fb", "be79c03acc282846876d840042d2387e"),
+    "walk3": ("593c21f1b2f44967a128da79b8ebb5d8", "ed1f7c0937ce7154a326b2a8cb197af2"),
+    "walk4": ("1a2626894f0e6821150c9aa7d316dbba", "48be375fe8c2fe3afff7c673c7c18163"),
+    "walk5": ("25602302ed8d2c7413785efb4d9ba4d5", "95785c5693bca47b4af0fc64ab733575"),
+    "walk6": ("b748c3e36ab7a6fa2b9e53a4c7aac8b3", "d414d92fa8faf62f35c5e97017e0523c"),
+    "walk7": ("8d20359ff2ffde183f066642c13bdf50", "e2d770fec8b7d4eaef6f8747385c0e13"),
+    "walk8": ("45bb9bf67cd8deb1bdaab138f9e98b04", "1123154f7f41e2a735e3c7ad2dc181ec"),
     "path4_edge": ("cca6ed8e84ac90c1c89d9d9ece8b5040",),
     "walks2": ("e07410d434ed0a83e180cf80a41320d4",),
     "walks4": ("e5d6b5b18f6844b8debe8b48db78a4bf",),
@@ -617,6 +651,26 @@ def test_kernel_sources_are_frozen(monkeypatch, kind):
     digests = tuple(hashlib.md5("\n".join(lines).encode()).hexdigest() for lines in sources)
     assert digests == _KERNEL_MD5[kind]
     assert set(_PLANS) <= set(_KERNEL_MD5)
+
+
+@pytest.mark.parametrize("kind", sorted(_PLANS))
+def test_hook_free_kernels_read_every_default_and_buffer(kind):
+    # generated code that nothing reads is work and source for nothing
+    spec = _PLANS[kind]
+    for hops in (spec.hops, spec.hops + 1):
+        lines, _, _ = E._generate(spec.program, ROOTED_LAYOUT, hops, spec.readouts, False)
+        start = next(n for n, line in enumerate(lines) if line.startswith("    def _kernel("))
+        defaults = re.findall(r"(\w+)=\w+", lines[start])
+        made = "\n".join(lines[:start])
+        buffers = re.findall(r"^    (\w+) = \[0\] \* n$", made, re.M)
+        body = lines[start + 1:]
+        for name in defaults + buffers:
+            # a read: any use but as the target of a store
+            store = re.compile(rf"^\s*{name}\[[^\]]+\] \+?= ")
+            assert any(
+                re.search(rf"\b{name}\b", line) and not store.match(line) for line in body
+            ), (kind, hops, name)
+        assert set(buffers) <= set(defaults)
 
 
 def test_a_second_count_compiles_and_analyses_nothing(monkeypatch):
@@ -1265,6 +1319,10 @@ def test_hand_written_difference_plans_use_every_closed_form_rule():
     assert second[1] == "H1[_k]" and second[2] == {"is_branch"}
     assert first[0][-1][0] == "H0[_l]" and second[0][-1][0] == "-H0[_l]"
     assert E._split(E._steps(pulled, ROOTED_LAYOUT)[2].messages[1][4]) is None
+    # a readout weight is not multiplied in a loop over its own label's list
+    lines, _, _ = E._generate(pulled, ROOTED_LAYOUT, 2, _DIFFERENCE_PLANS[1][2], False)
+    loops = "\n".join(lines).split("for _k in _U1:")[1:]
+    assert loops and not any("L1[_k] *" in loop.split("for ")[0] for loop in loops)
     used = set()
     for _, prog, readouts in _DIFFERENCE_PLANS:
         for hops in (1, 2, 3):
@@ -1276,14 +1334,143 @@ def test_hand_written_difference_plans_use_every_closed_form_rule():
                     uses = _closed_form_uses(prog, alike, hops)
                 except E.ProgramError:
                     continue
-                # a weighted readout is summed per receiver
+                # a weighted readout is summed per sender only times its
+                # weight's Omega (rule T)
                 assert weight is False or ("flat", "scatter") not in uses
                 used |= uses
     assert used == {
         ("sum", "scatter"), ("sum", "pull"), ("sum", "cut"), ("flat", "scatter"),
-        ("own", "scatter"), ("one", "-"), ("one", "pull"),
+        ("own", "scatter"), ("one", "-"), ("one", "pull"), ("one", "scatter"), ("one", "cut"),
         ("sum", frozenset({"is_root", "is_branch"})), ("sum", frozenset({"is_branch"})),
     }
+
+
+# Two pair plans for rules T and P (engine._transpose).  The last step of
+# the first pulls (its second message has two reads at the sender), and its
+# first column, masked by both i and j, is summed per sender of its
+# message's sender part under a root label weight; that part reads layer
+# 1's first column, which is then computed nowhere: it is pushed into the
+# loop over its own message's senders, even where layer 1 is cut.  In the
+# second, layer 4's first column multiplies layer 3's first by a column of
+# layer 1 computed once per root, nonzero at the root and at the branching
+# node, so that layer 3 takes the readout with that column as weight; its
+# sender part is pushed into layer 2's scatter, whose column a second
+# message also reads, so it stays stored.  At radius 2 layer 3 is cut to
+# radius 1, within which the weight column does not lie: there it keeps
+# its form.
+_TRANSPOSED = E.MPProgram(
+    "transposed",
+    (
+        E.LSelf("in_n_branch") * (1 - E.LSelf("is_root")),
+        E.LSelf("in_n_root") + E.LSelf("is_branch"),
+    ),
+    (
+        E.Layer(
+            (E.Nbr(0), E.Nbr(0) + E.Nbr(1)),
+            ((1 - E.LSelf("is_root")) * (1 - E.LSelf("is_branch")) * E.Msg(0), E.Self(1), E.Msg(1)),
+        ),
+        E.Layer(
+            (
+                (1 - E.LNbr("is_root")) * (1 - E.LNbr("is_branch")) * (E.Nbr(0) - E.Self(1)),
+                E.Nbr(2),
+            ),
+            (
+                (1 - E.LSelf("is_root")) * (1 - E.LSelf("is_branch")) * E.Msg(0),
+                E.LSelf("in_n_root") * E.Msg(1),
+            ),
+        ),
+    ),
+)
+_LIFTED = E.MPProgram(
+    "lifted",
+    (E.LSelf("in_n_branch") * (1 - E.LSelf("is_root")), E.LSelf("in_n_root")),
+    (
+        E.Layer((E.LNbr("in_n_root") + E.LNbr("is_root"),), (E.Self(0), E.Msg(0) + E.Self(1))),
+        E.Layer(
+            (E.Nbr(0),),
+            (
+                (1 - E.LSelf("is_root")) * (1 - E.LSelf("is_branch")) * E.Msg(0),
+                E.Self(1),
+                E.Self(0),
+            ),
+        ),
+        E.Layer(
+            (
+                (1 - E.LNbr("is_root")) * (1 - E.LNbr("is_branch")) * (E.Nbr(0) - E.Self(2)),
+                E.Nbr(0),
+            ),
+            ((1 - E.LSelf("is_root")) * (1 - E.LSelf("is_branch")) * E.Msg(0), E.Self(1), E.Msg(1)),
+        ),
+        E.Layer((), (E.Self(0) * E.Self(1), E.Self(2))),
+    ),
+)
+_TRANSPOSED_PLANS = (
+    (True, _TRANSPOSED, (E.Readout(0), E.Readout(1))),
+    (True, _LIFTED, (E.Readout(0), E.Readout(1))),
+)
+
+
+def _transposed_uses(prog, readouts, hops):
+    """Where rules T and P fire in a kernel without a hook: ("T", "pulled",
+    "sent" or "lifted", "label", "column" or "1" by the weight), ("P",
+    "stored" or "alone"), ("P", "cut") for a push into a cut step, and
+    ("T", "i") and ("T", "j") where Omega_F subtracts the weight at i or j
+    read off a column."""
+    steps, cuts, *_ = _hook_free_layout(prog, readouts, hops)
+    moves = _moves(prog, readouts, hops)
+    kind = {type(None): "1", str: "label", tuple: "column"}
+    used = set()
+    for (s, c), (xs, _, alone) in moves.trans.items():
+        used |= {("T", "pulled" if alone else "lifted", kind[type(w)]) for _, w in xs}
+    pulled = {(s, steps[s].linear[c][0]) for s, c in moves.trans}
+    for key, (group, _) in moves.sums.items():
+        used |= {("T", "sent", kind[type(w)]) for _, w, _ in group if key not in pulled}
+    for (t, _), (_, stored) in moves.push.items():
+        used.add(("P", "stored" if stored else "alone"))
+        if cuts[t] is not None:
+            used.add(("P", "cut"))
+    lines, _, _ = E._generate(prog, ROOTED_LAYOUT, hops, readouts, False)
+    used |= {("T", v) for v in "ij" for line in lines if re.search(rf"O\d+_\d+\[{v}\] \* L", line)}
+    return used
+
+
+def test_hand_written_transposed_plans_use_every_rule():
+    used = set()
+    # _sent("is_root") sends a value per sender under a root label weight
+    for _, prog, readouts in _TRANSPOSED_PLANS + _DIFFERENCE_PLANS + _RULE_PLANS[1:2]:
+        for hops in (1, 2, 3):
+            for weight in (False, *ROOTED_LAYOUT):
+                alike = readouts if weight is False else tuple(
+                    E.Readout(r.component, weight) for r in readouts
+                )
+                try:
+                    used |= _transposed_uses(prog, alike, hops)
+                except E.ProgramError:
+                    continue
+    assert used == {
+        ("T", "pulled", "label"), ("T", "sent", "label"), ("T", "sent", "1"),
+        ("T", "lifted", "column"), ("T", "i"), ("T", "j"),
+        ("P", "alone"), ("P", "stored"), ("P", "cut"),
+    }
+    # a step cut within less than its weight's reach keeps its loop: cut
+    # cycle5's last step, or the two last of _LIFTED, to radius 0
+    for prog, readouts, hops, cut in (
+        (_LIFTED, _TRANSPOSED_PLANS[1][2], 3, (None, None, None, 0, 0)),
+        (_PLANS["cycle5"].program, _PLANS["cycle5"].readouts, 2, (None, 2, 0)),
+    ):
+        steps = E._steps(prog, ROOTED_LAYOUT)
+        _, cuts = E._radii(steps, hops, readouts, prog.name)
+        index = {name: i for i, name in enumerate(ROOTED_LAYOUT)}
+        units, _, terms = E._layout(steps, cuts, index, readouts)
+        once = {(s, c) for s, step in enumerate(units) for _, cs, o in step if o for c in cs}
+        assert E._transpose(steps, cuts, readouts, units, terms, once).trans
+        moves = E._transpose(steps, cut, readouts, units, terms, once)
+        assert not moves.trans and not moves.push
+    # a column cut within less than Omega_F's reach (2 for cycle5's) is not
+    # pushed into; a column is read across an edge one step further out than
+    # its reader, so no plan's own radii do this
+    moves = E._transpose(steps, (None, 1, 1), readouts, units, terms, once)
+    assert moves.trans and not moves.push
 
 
 _RULE_PLANS = (
@@ -1381,6 +1568,10 @@ def test_hand_written_plans_use_every_node_list_rule(hops, weight):
 @example(_DIFFERENCE_PLANS[1], 40, 0.1, 5)
 @example(_DIFFERENCE_PLANS[0], 20, 0.25, 8)
 @example(_DIFFERENCE_PLANS[1], 24, 0.25, 2)
+@example(_TRANSPOSED_PLANS[0], 40, 0.1, 4)
+@example(_TRANSPOSED_PLANS[1], 40, 0.1, 6)
+@example(_TRANSPOSED_PLANS[0], 20, 0.25, 1)
+@example(_TRANSPOSED_PLANS[1], 22, 0.25, 9)
 # graphs of 16-24 nodes where some edges have common neighbors and some not
 @example(_RULE_PLANS[5], 16, 0.3, 3)
 @example(_RULE_PLANS[6], 20, 0.25, 5)
