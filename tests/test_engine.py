@@ -603,10 +603,11 @@ def test_plan_folds_are_frozen(kind):
     assert sorted(_PLAN_FOLDS) == sorted(_PLAN_RADII)
 
 
-# The md5 of the source of each kernel: per plan at its own radius, without
-# and then with a hook, and the kernels of ``count_path4_edge`` and of
-# ``count_walks`` at lengths 2 and 4.  A kernel's source does not depend on
-# the graph, so a change to the generator shows here kernel by kernel.
+# The md5 of the source of each kernel: per plan at its own radius and one
+# more, without and then with a hook, the kernels of ``count_path4_edge`` and
+# of ``count_walks`` at lengths 2 and 4, and ``run``'s plain kernels of five
+# programs over the rooted layout.  A kernel's source does not depend on the
+# graph, so a change to the generator shows here kernel by kernel.
 _KERNEL_MD5 = {
     "chordal_cycle": ("ebe77e82be5c301f93a9120d783cd8e2", "372197cf3b86e3aa8b69342e79fe7eb2"),
     "clique4": ("7d2f3fb528fdcbbafd2f772bed619fac", "1b3476c376545669655fc8445e16b8ec"),
@@ -630,6 +631,11 @@ _KERNEL_MD5 = {
     "path4_edge": ("cca6ed8e84ac90c1c89d9d9ece8b5040",),
     "walks2": ("e07410d434ed0a83e180cf80a41320d4",),
     "walks4": ("e5d6b5b18f6844b8debe8b48db78a4bf",),
+    "plain_cycle6": ("c6bb6fe43ef9ca0f186edacda07c10ba",),
+    "plain_path4": ("57d67bae021208019e1f613f85eb258e",),
+    "plain_clique4": ("7ce93b63847b1d559209e23c0947bbfe",),
+    "plain_walk3": ("e79c8e6b8a7dd381b162545b1693dedb",),
+    "plain_walk4": ("8406cc922d9ad74760aa136ee8ca6a49",),
 }
 
 
@@ -640,16 +646,26 @@ def test_kernel_sources_are_frozen(monkeypatch, kind):
     monkeypatch.setattr(E, "_exec", lambda lines, name: sources.append(lines) or real(lines, name))
     monkeypatch.setattr(E, "_KERNELS", {})
     g = gen_cycle(6)
+    radii = [None]
     if kind in _PLANS:
         spec = _PLANS[kind]
-        for hook in (None, lambda *_: None):
-            E.RootedRun(spec.program, g.adjacency, spec.hops, spec.readouts, hook)
-    elif kind == "path4_edge":
-        count_path4_edge(g)
-    else:
-        count_walks(g, int(kind[len("walks"):]), 0, 1)
-    digests = tuple(hashlib.md5("\n".join(lines).encode()).hexdigest() for lines in sources)
-    assert digests == _KERNEL_MD5[kind]
+        radii = [spec.hops, spec.hops + 1]
+    for hops in radii:
+        sources.clear()
+        monkeypatch.setattr(E, "_KERNELS", {})
+        if kind in _PLANS:
+            for hook in (None, lambda *_: None):
+                E.RootedRun(spec.program, g.adjacency, hops, spec.readouts, hook)
+        elif kind == "path4_edge":
+            count_path4_edge(g)
+        elif kind.startswith("plain_"):
+            name = kind[len("plain_"):]
+            prog = _walk_program(int(name[4:])) if name.startswith("walk") else _PLANS[name].program
+            E.run(prog, g.adjacency, {x: [0] * g.node_count for x in ROOTED_LAYOUT})
+        else:
+            count_walks(g, int(kind[len("walks"):]), 0, 1)
+        digests = tuple(hashlib.md5("\n".join(lines).encode()).hexdigest() for lines in sources)
+        assert digests == _KERNEL_MD5[kind], hops
     assert set(_PLANS) <= set(_KERNEL_MD5)
 
 
