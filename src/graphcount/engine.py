@@ -178,7 +178,6 @@ CHANGES.md holds the measurements behind the rules.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, fields
 from functools import reduce
 from itertools import chain, compress
@@ -1139,32 +1138,73 @@ def _reads(step: _Step, columns) -> set:
     return reads.union(*(step.messages[r[1]][3] for r in reads if r[0] == "M"))
 
 
-def _adds(value: str, terms: list) -> list:
-    """Lines that add ``value`` times each factor (None: 1) to its readout
-    sum, ``terms`` holding (sum, factor) pairs."""
+_ONE = ("1", frozenset())
+
+
+def _name(read, index) -> str:
+    """The kernel name a read reads: ``H<c>``, ``L<x>``, ``_m<m>``, or the
+    buffer or list a name read names."""
+    if type(read) is not tuple or read[0] not in ("H", "L", "M"):
+        return read
+    var, key, _ = read
+    return f"L{index[key]}" if var == "L" else f"H{key}" if var == "H" else f"_m{key}"
+
+
+def _render(stmts: list, seen: set, lists: Mapping) -> list:
+    """The Python lines of statements of the term form (module docstring),
+    adding each read they make to ``seen``; ``lists`` names the node lists
+    loops run over."""
     lines = []
-    if len(terms) > 1:
-        lines, value = [f"_v = {value}"], "_v"
-    return lines + [
-        (f"{name} -= {value[1:]}" if value.startswith("-") else f"{name} += {value}")
-        if f is None else f"{name} += {f if value == '1' else f'{f} * {value}'}"
-        for name, f in terms
-    ]
+    for kind, *args in stmts:
+        if kind == "for":
+            var, nodes, body = args
+            name = lists.get(nodes, nodes)
+            seen.add(name)
+            lines += [f"for {var} in {name}:", *_indent(_render(body, seen, lists), 1)]
+        elif kind == "if":
+            conds, body = args
+            body = _render(body, seen, lists)
+            if conds:
+                seen.update(*(reads for _, reads in conds))
+                body = [f"if {' and '.join(dict.fromkeys(py for py, _ in conds))}:", *_indent(body, 1)]
+            lines += body
+        elif kind == "set":
+            target, op, (py, reads) = args
+            seen.update(reads)
+            lines.append(f"{target} {op} {py}")
+        else:  # "add": a value times each weight (None: 1), added to its sum
+            (py, reads), terms = args
+            if len(terms) > 1:
+                lines.append(f"_v = {py}")
+                py = "_v"
+            for name, w in terms:
+                seen.update(reads, w[1] if w else ())
+                if w is None:
+                    lines.append(f"{name} -= {py[1:]}" if py.startswith("-") else f"{name} += {py}")
+                else:
+                    lines.append(f"{name} += {w[0] if py == '1' else f'{w[0]} * {py}'}")
+    return lines
 
 
-def _product(factors: tuple, dropped, whole: str | None = None) -> str | None:
-    """The Python source of a product without the factors whose mark
-    (``_mark``) is in ``dropped``: ``whole`` when it drops none, "1" (or
-    None without ``whole``) when it keeps none."""
-    kept = [py for py, _, x, _ in factors if x not in dropped]
+def _product(factors: tuple, dropped, whole: str | None = None):
+    """The code of a product without the factors whose mark (``_mark``) is
+    in ``dropped``: ``whole`` when it drops none, "1" (or None without
+    ``whole``) when it keeps none."""
+    kept = [f for f in factors if f[2] not in dropped]
+    reads = frozenset().union(*(f[1] for f in kept))
     if whole is not None and len(kept) == len(factors):
-        return whole
-    return reduce(lambda a, b: f"({a} * {b})", kept) if kept else whole and "1"
+        return whole, reads
+    if kept:
+        return reduce(lambda a, b: f"({a} * {b})", [f[0] for f in kept]), reads
+    return None if whole is None else _ONE
 
 
-def _times(*factors) -> str | None:
-    """The product of the factors that are not None, or None."""
-    return " * ".join(f for f in factors if f is not None) or None
+def _times(*codes):
+    """The product of the codes that are not None, or None."""
+    codes = [c for c in codes if c is not None]
+    if not codes:
+        return None
+    return " * ".join(py for py, _ in codes), frozenset().union(*(r for _, r in codes))
 
 
 def _exclusion(x: str, hop: int, column) -> tuple:
@@ -1208,36 +1248,57 @@ def _fold(folds, hop: int, skip, products, implied=frozenset(), ones=frozenset()
     rules = (("skip", guard), ("implied", implied), ("one", held))
     folds += [(rule, hop, names) for rule, names in rules if names]
     var = ("_k", "_l")[hop]
-    conditions = [f"{var} != {node}" for x, node in _ONE_NODE.items() if x in guard]
+    conditions = [(f"{var} != {node}", frozenset()) for x, node in _ONE_NODE.items() if x in guard]
     return conditions, {(x, hop, False) for x in guard | implied} | {(x, hop, True) for x in held}
 
 
-def _guarded(conditions: list, lines: list) -> list:
-    if not conditions:
-        return lines
-    return [f"if {' and '.join(dict.fromkeys(conditions))}:", *_indent(lines, 1)]
+def _receiver_part(split, here, dropped, ones, column):
+    """The code of a ``_split`` message's receiver part at ``_k``: ``-h`` or
+    ``h`` times the count of ``_k``'s neighbors that its sender factors
+    keep, h's factors ``here`` (``_known``) without those that ``dropped``
+    holds."""
+    h = _product(here, dropped) or _ONE
+    degree = _omega("_k", "_deg", lambda x: 1, split[2], lambda x: column("L", x)[0], ones)
+    py = degree[0] if h[0] == "1" else f"{h[0]} * {degree[0]}"
+    return "-"[:not split[3][0]] + py, h[1] | degree[1]
 
 
-def _receiver_part(split, here, dropped, ones, column) -> str:
-    """The Python source of a ``_split`` message's receiver part at ``_k``:
-    ``-h`` or ``h`` times the count of ``_k``'s neighbors that its sender
-    factors keep, h's factors ``here`` (``_known``) without those that
-    ``dropped`` holds."""
-    h = _product(here, dropped) or "1"
-    degree = _omega("_k", "_deg", lambda x: 1, split[2], column, ones)
-    return "-"[:not split[3][0]] + (degree if h == "1" else f"{h} * {degree}")
+def _omega(var: str, base: str, at, excluded, label, ones):
+    """The code of Omega_F at node ``var`` (module docstring): ``base[var]``,
+    the sum of a weight over the node's neighbors, less the weight at the
+    node of each one-node identifier in ``excluded`` times the label that
+    marks that node's neighbors, which is 1 where ``ones`` (the labels 1 at
+    every node of the loop) holds it.  ``at(x)`` gives the weight at x's
+    node: 0, 1 or a code.  With base ``_deg`` and weight 1 it counts the
+    node's neighbors that ``excluded`` keeps.  ``label`` names a label's
+    buffer."""
+    terms, known, reads = [f"{base}[{var}]"], 0, {base}
+    for x in _ONE_NODE:
+        value = at(x) if x in excluded else 0
+        around = _AROUND[x]
+        if value == 1 and around in ones:
+            known += 1
+        elif value:
+            parts = [] if value == 1 else [value[0]]
+            reads.update(() if value == 1 else value[1])
+            if around not in ones:
+                name = label(around)
+                parts.append(f"{name}[{var}]")
+                reads.add(name)
+            terms.append(" * ".join(parts))
+    terms += [str(known)] if known else []
+    return (f"({' - '.join(terms)})" if len(terms) > 1 else terms[0]), frozenset(reads)
 
 
 def _pull(step: _Step, reads: set, dropped: set, folds, column, ones, early=None, bare=()):
-    """Loop-body lines that sum each message in ``reads`` over the
-    neighbors of ``_k`` into ``_m<m>``, without the factors ``dropped``.  A
-    message ``_split`` splits starts from its receiver part
-    (``_receiver_part``; ``ones``: the labels 1 at ``_k``), and sums its
-    sender part, whose factors that exclude a node where its sender-side
-    read is 0 drop; ``column`` is ``_unit``'s.  ``early`` maps a message to
-    the readout terms (``_adds``) its receiver part is added to first (rule
-    T); a message in ``bare`` sums no sender part, as nothing else reads
-    it."""
+    """Statements that sum each message in ``reads`` over the neighbors of
+    ``_k`` into ``_m<m>``, without the factors ``dropped``.  A message
+    ``_split`` splits starts from its receiver part (``_receiver_part``;
+    ``ones``: the labels 1 at ``_k``), and sums its sender part, whose
+    factors that exclude a node where its sender-side read is 0 drop;
+    ``column`` is ``_unit``'s.  ``early`` maps a message to the readout
+    terms (``_adds``) its receiver part is added to first (rule T); a
+    message in ``bare`` sums no sender part, as nothing else reads it."""
     early = early or {}
     messages = sorted(r[1] for r in reads if r[0] == "M")
     if not messages:
@@ -1247,7 +1308,7 @@ def _pull(step: _Step, reads: set, dropped: set, folds, column, ones, early=None
         msg, _, witness, _, factors = step.messages[m]
         split = folds is not None and _split(factors)
         if not split:
-            parts.append(("0", factors, msg))
+            parts.append((("0", frozenset()), factors, msg))
             continue
         factors, _, excluded, _ = split
         folds.append(("sum", 0, excluded))
@@ -1257,39 +1318,41 @@ def _pull(step: _Step, reads: set, dropped: set, folds, column, ones, early=None
         factors = tuple(f for f in factors if f[2] not in own)
         here = _known(split[3][2], 0, ones, column, folds)
         parts.append((_receiver_part(split, here, dropped, ones, column), factors, None))
-    lines = []
+    stmts = []
     for m, (start, *_) in zip(messages, parts):
         adds = early.get(m)
         if m in bare:
-            lines += _adds(start, adds)
+            stmts.append(("add", start, adds))
         else:
-            lines += [f"_m{m} = {start}", *_adds(f"_m{m}", adds or [])]
+            stmts += [("set", f"_m{m}", "=", start), ("add", (f"_m{m}", frozenset()), adds or [])]
     summed = [(m, p) for m, p in zip(messages, parts) if m not in bare]
     if not summed:
-        return lines
+        return stmts
     skip = frozenset.intersection(*(_excludes(f, 1) for _, (_, f, _) in summed))
     guard, more = _fold(folds, 1, skip, [f for _, (_, f, _) in summed])
-    sums = [f"_m{m} += {_product(f, dropped | more, whole)}" for m, (_, f, whole) in summed]
-    lines.append("for _l in adj[_k]:")
-    return lines + _indent(_guarded(guard, sums), 1)
+    sums = [
+        ("set", f"_m{m}", "+=", _product(f, dropped | more, whole)) for m, (_, f, whole) in summed
+    ]
+    return stmts + [("for", "_l", "adj[_k]", [("if", guard, sums)])]
 
 
 def _scatter(
     step: _Step, sent, column, add, coefs: dict, folds, flat=None, moved=(), receive=True
 ) -> list:
-    """Lines that add each message ``m`` in ``sent`` from the nodes where the
-    sender-side read of its witness is nonzero, at each of their neighbors,
-    and then pull it at the nodes where the receiver-side read is nonzero,
-    from the neighbors not sent from; ``add(m, value, dropped, ones)`` gives
-    the lines that add one value of message m at node ``_k``, times each
-    coef in ``coefs.get(m)`` without its factors ``dropped``.  A message
-    ``_split`` splits sends its sender part, and adds its receiver part
-    (``_receiver_part``) at each node where that read is nonzero, with no
-    loop over its neighbors.  ``flat(m, value, ones)``, unless None, gives
-    the lines that add a value read only at its sender ``_l`` once for all
-    its receivers (rule T), or None where it cannot.  The messages in
-    ``moved`` send nothing (rule P); without ``receive``, none is pulled."""
-    lines = []
+    """Statements that add each message ``m`` in ``sent`` from the nodes
+    where the sender-side read of its witness is nonzero, at each of their
+    neighbors, and then pull it at the nodes where the receiver-side read is
+    nonzero, from the neighbors not sent from; ``add(m, value, dropped,
+    ones)`` gives the statements that add one value of message m at node
+    ``_k``, times each coef in ``coefs.get(m)`` without its factors
+    ``dropped``.  A message ``_split`` splits sends its sender part, and
+    adds its receiver part (``_receiver_part``) at each node where that read
+    is nonzero, with no loop over its neighbors.  ``flat(m, value, ones)``,
+    unless None, gives the statements that add a value read only at its
+    sender ``_l`` once for all its receivers (rule T), or None where it
+    cannot.  The messages in ``moved`` send nothing (rule P); without
+    ``receive``, none is pulled."""
+    stmts = []
     for m in sent:
         msg, _, witness, _, factors = step.messages[m]
         at = {hop: (var, key) for var, key, hop in witness}
@@ -1307,15 +1370,14 @@ def _scatter(
             sends, whole = known, whole if known == sends else None
             guard, dropped = _fold(folds, 1, _excludes(sends, 1), [sends], sender[2], sender[3])
             read_here = all(hop == 1 for f in sends for *_, hop in f[1])
-            value = _product(sends, dropped, whole) or "1"
+            value = _product(sends, dropped, whole) or _ONE
             loop = flat and read_here and flat(m, value, sender[3])
             if not loop:
                 inner, at_k = _fold(folds, 0, skip, products)
-                value = _product(sends, dropped | at_k, whole) or "1"
-                loop = add(m, value, at_k)
-                loop = ["for _k in adj[_l]:", *_indent(_guarded(inner, loop), 1)]
-            guarded = _guarded(_nonzero(folds, sender, at[1], 1) + guard, loop)
-            lines += [f"for _l in {sender[1]}:", *_indent(guarded, 1)]
+                value = _product(sends, dropped | at_k, whole) or _ONE
+                loop = [("for", "_k", "adj[_l]", [("if", inner, add(m, value, at_k))])]
+            guard = _nonzero(folds, sender, at[1], 1) + guard
+            stmts.append(("for", "_l", sender[1], [("if", guard, loop)]))
         if receiver and receive:
             if split:
                 # h is 0 where it reads a column 1 on the list but at the nodes it excludes
@@ -1331,13 +1393,15 @@ def _scatter(
                 inner, dropped = _fold(folds, 1, _excludes(factors, 1), [factors])
                 value = _product(factors, at_k | dropped, msg)
                 # every edge from a sender is summed already
-                unsent = [f"not ({sender[0]}[_l])"] if sender else []
-                loop = ["_a = 0", "for _l in adj[_k]:"]
-                loop += [*_indent(_guarded(unsent + inner, [f"_a += {value}"]), 1)]
-                loop += add(m, "_a", at_k, receiver[3])
-            guarded = _guarded(_nonzero(folds, receiver, at[0], 0) + guard, loop)
-            lines += [f"for _k in {receiver[1]}:", *_indent(guarded, 1)]
-    return lines
+                unsent = [(f"not ({sender[0]}[_l])", {sender[0]})] if sender else []
+                loop = [
+                    ("set", "_a", "=", ("0", frozenset())),
+                    ("for", "_l", "adj[_k]", [("if", unsent + inner, [("set", "_a", "+=", value)])]),
+                    *add(m, ("_a", frozenset()), at_k, receiver[3]),
+                ]
+            guard = _nonzero(folds, receiver, at[0], 0) + guard
+            stmts.append(("for", "_k", receiver[1], [("if", guard, loop)]))
+    return stmts
 
 
 def _nonzero(folds, end, read, hop: int) -> list:
@@ -1352,8 +1416,8 @@ def _nonzero(folds, end, read, hop: int) -> list:
         return []
     if folds is not None and f"H{key}" in end[3]:
         v = ("_k", "_l")[hop]
-        return [f"{v} != {node}" for x, node in _ONE_NODE.items() if x in end[4]]
-    return [f"{end[0]}[{('_k', '_l')[hop]}]"]
+        return [(f"{v} != {node}", frozenset()) for x, node in _ONE_NODE.items() if x in end[4]]
+    return [(f"{end[0]}[{('_k', '_l')[hop]}]", {end[0]})]
 
 
 def _only_excludes(factors: tuple) -> bool:
@@ -1362,11 +1426,11 @@ def _only_excludes(factors: tuple) -> bool:
 
 
 def _unit(step: _Step, s: int, nodes, columns, sums, column, buffered: bool, folds, moves, weight):
-    """One unit of step ``s`` (``_layout``) as Python lines, with the
-    columns they store and the message buffers they use: over the node
-    list ``nodes``, a (name, the one-node identifiers whose node it never
-    holds, the labels 1 on it and the columns 1 on it but where their
-    updates exclude), column c goes to ``O<s>_<c>``, or, for each column in
+    """One unit of step ``s`` (``_layout``) as statements, with the columns
+    they store and the message buffers they use: over the node list
+    ``nodes``, a (list, the one-node identifiers whose node it never holds,
+    the labels 1 on it and the columns 1 on it but where their updates
+    exclude), column c goes to ``O<s>_<c>``, or, for each column in
     ``sums``, is added to each readout sum ``_r<x>`` that ``sums[c]`` lists
     as (x, its weight label or None, or Omega_F's (weight, exclusions) for a
     column of rule P).
@@ -1378,8 +1442,8 @@ def _unit(step: _Step, s: int, nodes, columns, sums, column, buffered: bool, fol
     (and the column itself, for a column 1 on its list) 1 on its list, and
     the identifiers its update excludes.  ``folds`` collects the unit's
     folds (``_fold``); None folds nothing.  ``moves`` (``_Moves``) applies
-    rules T and P, with ``weight(var, w, excluded, ones)`` the Python source
-    of Omega_F of weight w at node ``var`` (``_omega``)."""
+    rules T and P, with ``weight(var, w, excluded, ones)`` the code of
+    Omega_F of weight w at node ``var`` (``_omega``)."""
 
     def terms(xs, coef=None, ones=frozenset()):
         """(sum, factor) per readout in xs: coef times the weight."""
@@ -1388,7 +1452,8 @@ def _unit(step: _Step, s: int, nodes, columns, sums, column, buffered: bool, fol
             if type(w) is tuple:
                 w = weight("_k", *w, ones)
             elif w is not None:
-                w = None if w in ones else f"{column('L', w)[0]}[_k]"
+                name = column("L", w)[0]
+                w = None if w in ones else (f"{name}[_k]", frozenset({name}))
             out.append((f"_r{x}", _times(coef, w)))
         return out
 
@@ -1413,7 +1478,7 @@ def _unit(step: _Step, s: int, nodes, columns, sums, column, buffered: bool, fol
             return None
         for _, w, e in group[0]:
             folds.append(("flat", 1, e) if w is None else ("omega", 1, (w, e)))
-        return _adds(value, [(f"_r{x}", weight("_l", w, e, ones)) for x, w, e in group[0]])
+        return [("add", value, [(f"_r{x}", weight("_l", w, e, ones)) for x, w, e in group[0]])]
 
     if nodes is None:
         sent: dict = {}
@@ -1426,7 +1491,7 @@ def _unit(step: _Step, s: int, nodes, columns, sums, column, buffered: bool, fol
 
         def add(m, value, dropped, ones=frozenset()):
             adds = [t for f, xs in sent[m] for t in terms(xs, _product(f, dropped), ones)]
-            return _adds(value, adds)
+            return [("add", value, adds)]
 
         coefs = {m: [coef for coef, _ in cs] for m, cs in sent.items()}
         moved = {m for m in sent if (s, m) in moves.moved}
@@ -1435,7 +1500,7 @@ def _unit(step: _Step, s: int, nodes, columns, sums, column, buffered: bool, fol
     trans = {c: moves.trans[s, c] for c in columns if (s, c) in moves.trans}
     only = {c for c, (*_, alone) in trans.items() if alone}
     outs = [f"O{s}_{c}" for c in columns if c not in sums and c not in only]
-    lines = []
+    stmts = []
     for c in columns if buffered and folds is not None else ():
         m, coef = step.linear[c] or (None, ())
         readers = sum(("M", m, None) in u[3] for u in step.updates)
@@ -1446,16 +1511,17 @@ def _unit(step: _Step, s: int, nodes, columns, sums, column, buffered: bool, fol
 
         def add(m, value, _, ones=frozenset(), c=c, into=into):
             sums = [t for f, xs in into for t in terms(xs, _product(f, _), ones)]
-            return [f"O{s}_{c}[_k] += {value}", *_adds(value, sums)]
+            return [("set", f"O{s}_{c}[_k]", "+=", value), ("add", value, sums)]
 
-        lines += _scatter(step, [m], column, add, {m: [f for f, _ in into]} if into else {}, folds)
+        stmts += _scatter(step, [m], column, add, {m: [f for f, _ in into]} if into else {}, folds)
         # a pushed sum's guard skips the nodes coef excludes already
-        lines += [
-            f"O{s}_{c}[{v}] = 0" for x, v in _ONE_NODE.items() if x in _excludes(coef) and not into
+        stmts += [
+            ("set", f"O{s}_{c}[{v}]", "=", ("0", frozenset()))
+            for x, v in _ONE_NODE.items() if x in _excludes(coef) and not into
         ]
         columns = [d for d in columns if d != c]
     if not columns:
-        return lines, outs, []
+        return stmts, outs, []
     reads = _reads(step, columns)
     messages = sorted(r[1] for r in reads if r[0] == "M")
     products = [_known(step.updates[c][4], 0, ones, column, folds) for c in columns]
@@ -1475,9 +1541,10 @@ def _unit(step: _Step, s: int, nodes, columns, sums, column, buffered: bool, fol
         if c in only:
             continue
         whole = step.updates[c][0] if product == step.updates[c][4] else None
-        value = _product(product, dropped, whole) or "1"
-        body += (
-            [f"O{s}_{c}[_k] = {value}"] if c not in sums else _adds(value, terms(sums[c], None, ones))
+        value = _product(product, dropped, whole) or _ONE
+        body.append(
+            ("set", f"O{s}_{c}[_k]", "=", value) if c not in sums
+            else ("add", value, terms(sums[c], None, ones))
         )
     if not buffered:
         # rule T: a column's receiver part, times the weight at the node
@@ -1486,76 +1553,146 @@ def _unit(step: _Step, s: int, nodes, columns, sums, column, buffered: bool, fol
             m, coef = step.linear[c]
             coef = _product(coef, dropped)
             for x, w in xs:
-                at = None if w is None or w in ones else (
-                    f"{column('L', w)[0]}[_k]" if type(w) is str else "O{}_{}[_k]".format(*w)
-                )
+                at = None
+                if w is not None and w not in ones:
+                    at = f"{column('L', w)[0]}" if type(w) is str else "O{}_{}".format(*w)
+                    at = (f"{at}[_k]", frozenset({at}))
                 early.setdefault(m, []).append((f"_r{x}", _times(coef, at)))
         bare = {step.linear[c][0] for c in only}
         pull = _pull(step, reads, dropped, folds, column, ones, early, bare)
-        body = _guarded(guard, pull + body)
-        lines = [f"for _k in {name}:", *_indent(body, 1)]
+        stmts = [("for", "_k", name, [("if", guard, pull + body)])]
         # and its sender part, summed per sender where rule P did not push it
         for m in sorted({step.linear[c][0] for c in trans}):
             if (s, m) in moves.sums:
-                lines += _scatter(step, [m], column, None, {}, folds, flat, receive=False)
-        return lines, outs, []
-    lines += _scatter(
-        step, messages, column, lambda m, value, *_: [f"M{s}_{m}[_k] += {value}"], {}, folds
+                stmts += _scatter(step, [m], column, None, {}, folds, flat, receive=False)
+        return stmts, outs, []
+    stmts += _scatter(
+        step, messages, column,
+        lambda m, value, *_: [("set", f"M{s}_{m}[_k]", "+=", value)], {}, folds,
     )
-    lines.append(f"for _k in {name}:")
-    for m in messages:
-        lines += [f"    _m{m} = M{s}_{m}[_k]", f"    M{s}_{m}[_k] = 0"]
-    return lines + _indent(_guarded(guard, body), 1), outs, [f"M{s}_{m}" for m in messages]
+    loads = [
+        stmt for m in messages for stmt in (
+            ("set", f"_m{m}", "=", (f"M{s}_{m}[_k]", frozenset({f"M{s}_{m}"}))),
+            ("set", f"M{s}_{m}[_k]", "=", ("0", frozenset())),
+        )
+    ]
+    stmts.append(("for", "_k", name, [*loads, ("if", guard, body)]))
+    return stmts, outs, [f"M{s}_{m}" for m in messages]
 
 
 def _indent(lines: list, depth: int) -> list:
     return [" " * (4 * depth) + x for x in lines]
 
 
-def _generate(
-    prog: MPProgram, layout: tuple, hops, readouts, hooked: bool, unstored=frozenset(), plan=None
-):
+def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
     """The source lines of one kernel factory (``_kernel`` gives its
     arguments), the name they define, and per step the folds of its units
     (``_fold``), or None where nothing folds: in a kernel with a hook or
-    without readouts.  The columns in ``unstored`` are 1 on their lists
-    and read nowhere else, so they are not computed; ``plan`` is what a
-    first call found of the plan."""
+    without readouts."""
     fusing = readouts is not None and not hooked
-    if plan is None:
-        steps = _steps(prog, layout)
-        cuts = (None,) * len(steps)
-        if readouts is not None:
-            cuts = _radii(steps, hops, readouts, prog.name)[1]
-        index = {name: i for i, name in enumerate(layout)}
-        moves, known = _Moves({}, {}, {}, set(), set()), {}
-        if fusing:
-            units, slot, sums, moves = _plan(steps, cuts, index, readouts)
-            # the stored columns 1 on their node list but where their update
-            # excludes
-            for t, step_units in enumerate(units):
-                for nodes, columns, _ in step_units:
-                    ones = nodes is not None and _held(nodes, layout)[1]
-                    known.update(
-                        ((t, c), nodes) for c in columns if ones and slot[t, c] == nodes
-                        and c not in sums[t] and (t, c) not in moves.trans
-                        and all(
-                            x and (x[1:] == (0, False) or x[1:] == (0, True) and x[0] in ones)
-                            for _, _, x, _ in steps[t].updates[c][4]
-                        )
+    steps = _steps(prog, layout)
+    cuts = (None,) * len(steps)
+    if readouts is not None:
+        cuts = _radii(steps, hops, readouts, prog.name)[1]
+    index = {name: i for i, name in enumerate(layout)}
+    moves, known = _Moves({}, {}, {}, set(), set()), {}
+    if fusing:
+        units, slot, sums, moves = _plan(steps, cuts, index, readouts)
+        # the stored columns 1 on their node list but where their update
+        # excludes
+        for t, step_units in enumerate(units):
+            for nodes, columns, _ in step_units:
+                ones = nodes is not None and _held(nodes, layout)[1]
+                known.update(
+                    ((t, c), nodes) for c in columns if ones and slot[t, c] == nodes
+                    and c not in sums[t] and (t, c) not in moves.trans
+                    and all(
+                        x and (x[1:] == (0, False) or x[1:] == (0, True) and x[0] in ones)
+                        for _, _, x, _ in steps[t].updates[c][4]
                     )
-        else:
-            units, slot, sums = _layout(steps, cuts, index, None)
-        plan = steps, cuts, index, moves, known, units, slot, sums
-    steps, cuts, index, moves, known, units, slot, sums = plan
+                )
+    else:
+        units, slot, sums = _layout(steps, cuts, index, None)
     terms = [t for step_sums in sums for ts in step_sums.values() for t in ts]
+    omegas: dict = {}  # per weight of rule T, the buffer of its Omega
+    binding: list = []  # the node lists the unit being built binds, in order
+
+    def label(x):
+        return f"L{index[x]}"
+
+    def weight(var, w, excluded, ones):
+        """Omega_F of weight w at node ``var`` (``_unit``)."""
+        if w is None:
+            return _omega(var, "_deg", lambda x: 1, excluded, label, ones)
+        base = omegas.setdefault(w, f"W{len(omegas)}")
+        if type(w) is str:
+            return _omega(var, base, lambda x: _label_at(w, x), excluded, label, ones)
+        zeros = _held(slot[w], layout)[0] | _excludes(steps[w[0]].updates[w[1]][4])
+        name = "O{}_{}".format(*w)
+
+        def at(x):
+            return 0 if x in zeros else (f"{name}[{_ONE_NODE[x]}]", frozenset({name}))
+
+        return _omega(var, base, at, excluded, label, ones)
+
+    def build(s, nodes, columns):
+        """A unit's node lists to bind, in order, its statements, the
+        columns they store, the message buffers they use and their folds."""
+        step = steps[s]
+
+        def column(var, key, bound=True):
+            if var == "H":
+                # a column is 0 off its list and where its update excludes
+                t, c = steps[s - 1].origins[key]
+                absent, ones = _held(slot[t, c], layout)
+                own = _excludes(steps[t].updates[c][4])
+                ones |= {f"H{key}"} if (t, c) in known else set()
+                binding.extend([slot[t, c]] if bound else [])
+                return f"H{key}", slot[t, c], absent | own, ones, own
+            nodes = f"_U{index[key]}"
+            return f"L{index[key]}", nodes, *_held(nodes, layout), frozenset()
+
+        binding[:] = [nodes] if nodes else []
+        absent, ones = _held(nodes, layout) if nodes else (frozenset(), frozenset())
+        ones |= {
+            f"H{k}" for k, o in enumerate(steps[s - 1].origins if s else ())
+            if nodes and known.get(o) == nodes
+        }
+        folds = [] if fusing else None
+        stmts, outs, used = _unit(
+            step, s, nodes and (nodes, absent, ones), columns, sums[s], column,
+            _scatters(step, cuts[s]), folds, moves, weight,
+        )
+        return list(binding), stmts, outs, used, folds or []
+
+    built = [
+        [(nodes, columns, once, build(s, nodes, columns)) for nodes, columns, once in units[s]]
+        for s in range(len(steps))
+    ]
+    summed = {x for x, _ in terms} | {x for xs, *_ in moves.trans.values() for x, _ in xs}
+    last = steps[-1].origins
+    if fusing:
+        # a column 1 on its list that no statement reads is not stored
+        read = {w for w in omegas if type(w) is tuple}
+        read |= {last[r.component] for x, r in enumerate(readouts) if x not in summed}
+        for s, step_units in enumerate(built):
+            names = {f"H{k}": o for k, o in enumerate(steps[s - 1].origins)} if s else {}
+            names.update({"O{}_{}".format(*o): o for o in known})
+            for *_, (_, stmts, _, _, _) in step_units:
+                seen: set = set()
+                _render(stmts, seen, {})
+                read |= {names[x] for x in (_name(r, index) for r in seen) if x in names}
+        for s, step_units in enumerate(built):
+            for u, (nodes, columns, once, _) in enumerate(step_units):
+                kept = [c for c in columns if (s, c) not in known or (s, c) in read]
+                if kept != columns:
+                    step_units[u] = (nodes, kept, once, kept and build(s, nodes, kept))
     body, buffers, stored, shown, names, radii, folds = [], [], {}, [], {}, [-1], []
     # what a rooted kernel without a hook does once per root, before its
     # loop over the branches: node lists of the root alone, and the units
     # (``_layout``) computed once
     prelude, stored_once, once_summed = [], {}, set()
-    lines_of: list = []  # per step, the lines its units read from
-    omegas: dict = {}  # per weight of rule T, the buffer of its Omega
+    seen: set = set()  # the names the kernel's lines read
 
     def bind(spec) -> str:
         """The name of a node list (``_nodes``), bound where first used."""
@@ -1569,94 +1706,68 @@ def _generate(
             # meets the others
             first, *rest = sorted(spec, key=lambda x: (not _per_root(x, index), x))
             made = [f" = set({bind(first)})"]
+            parts = [bind(first)]
             if rest:
                 one = bind(frozenset({first}))
-                made = [f" = {one}.intersection({', '.join(map(bind, rest))})"]
+                parts = [one, *map(bind, rest)]
+                made = [f" = {one}.intersection({', '.join(parts[1:])})"]
         else:
             near, here = ([bind(x) for x in part] for part in spec[:2])
+            parts = near + here
             if near:  # the neighbors of a union are the union of the neighbors
                 base = near[0] if len(near) == 1 else f"{{{', '.join(f'*{x}' for x in near)}}}"
                 made = [f" = set(_chain(map(_adj, {base})))"]
                 made += [f".update({', '.join(here)})"] if here else []
+                parts.append("_adj")
             else:
                 made = [f" = {{{', '.join(f'*{x}' for x in here)}}}" if here else " = set()"]
-            made += [f" &= {bind(f'_B{spec[2]}')}"] if spec[2] is not None else []
+            if spec[2] is not None:
+                made += [f" &= {bind(f'_B{spec[2]}')}"]
+                parts.append(f"_B{spec[2]}")
+        seen.update(parts)
         name = names[spec] = f"_N{len(names)}"
         out = prelude if fusing and _per_root(spec, index) else body
         out.extend(name + line for line in made)
         return name
 
-    def weight(var, w, excluded, ones):
-        """Omega_F of weight w at node ``var`` (``_unit``)."""
-        if w is None:
-            return _omega(var, "_deg", lambda x: 1, excluded, column, ones)
-        base = omegas.setdefault(w, f"W{len(omegas)}")
-        if type(w) is str:
-            return _omega(var, base, lambda x: _label_at(w, x), excluded, column, ones)
-        zeros = _held(slot[w], layout)[0] | _excludes(steps[w[0]].updates[w[1]][4])
+    def held(keys, s):
+        """Lines that bind the state columns ``keys`` as H<c>."""
+        return ["H{} = O{}_{}".format(key, *steps[s - 1].origins[key]) for key in sorted(keys)]
 
-        def at(x):
-            return 0 if x in zeros else "O{}_{}[{}]".format(*w, _ONE_NODE[x])
-
-        return _omega(var, base, at, excluded, column, ones)
-
-    for s, step in enumerate(steps):
-
-        def column(var, key, bound=True, s=s):
-            if var == "H":
-                # a column is 0 off its list and where its update excludes
-                t, c = steps[s - 1].origins[key]
-                absent, ones = _held(slot[t, c], layout)
-                own = _excludes(steps[t].updates[c][4])
-                ones |= {f"H{key}"} if (t, c) in known else set()
-                return f"H{key}", bound and bind(slot[t, c]), absent | own, ones, own
-            nodes = f"_U{index[key]}"
-            return f"L{index[key]}", nodes, *_held(nodes, layout), frozenset()
-
-        def held(reads, s=s):
-            """Lines that bind the state columns in ``reads`` as H<c>."""
-            keys = sorted({r[1] for r in reads if r[0] == "H"})
-            return ["H{} = O{}_{}".format(key, *steps[s - 1].origins[key]) for key in keys]
-
-        def used(lines):
-            """Lines that bind the state columns ``lines`` read."""
-            keys = re.findall(r"\bH(\d+)\[", "\n".join(lines))
-            return held({("H", int(key)) for key in keys})
-
-        if not fusing:
-            body += held(step.reads) if any(not once for *_, once in units[s]) else []
+    for s, (step, step_units) in enumerate(zip(steps, built)):
+        if not fusing and any(not once for *_, once, _ in step_units):
+            body += held({r[1] for r in step.reads if r[0] == "H"}, s)
         shown.append("()")
         folds.append([] if fusing else None)
-        lines_of.append([])
-        step_body = []
-        for nodes, columns, once in units[s]:
-            columns = [c for c in columns if (s, c) not in unstored]
+        step_body, step_seen = [], set()
+        for nodes, columns, once, unit in step_units:
             if not columns:
                 continue
+            spec, stmts, outs, used, unit_folds = unit
+            for x in spec:
+                bind(x)
             name = nodes and bind(nodes)
-            buffered = _scatters(step, cuts[s])
-            absent, ones = _held(nodes, layout) if nodes else (frozenset(), frozenset())
-            ones |= {
-                f"H{k}" for k, o in enumerate(steps[s - 1].origins if s else ())
-                if nodes and known.get(o) == nodes
-            }
-            lines, outs, used_buffers = _unit(
-                step, s, nodes and (name, absent, ones), columns, sums[s], column,
-                buffered, folds[s], moves, weight,
-            )
-            lines_of[s] += lines
+            if fusing:
+                folds[s] += unit_folds
+            unit_seen: set = set()
+            lines = _render(stmts, unit_seen, names)
+            unit_seen = {_name(r, index) for r in unit_seen}
+            seen.update(unit_seen)
+            h_keys = {int(x[1:]) for x in unit_seen if x[:1] == "H"}
             if once:
-                prelude += (used(lines) if fusing else held(_reads(step, columns))) + lines
+                keys = h_keys if fusing else {r[1] for r in _reads(step, columns) if r[0] == "H"}
+                prelude += held(keys, s) + lines
                 once_summed.update(x for c in columns for x, _ in sums[s].get(c, ()))
             elif fusing:
                 step_body += lines
+                step_seen |= h_keys
             else:
                 body += lines
-            buffers, shown[s] = buffers + outs + used_buffers, name
+            buffers, shown[s] = buffers + outs + used, name
             # a loop over every node rewrites every node
             outs = outs if name != "_all" else []
             (stored_once if once else stored).setdefault(name, []).extend(outs)
-        body += used(step_body) + step_body
+        body += held(step_seen, s) + step_body
     # rule T's Omega of each weight, scattered from the weight's list once
     # per root, and zeroed after the branches
     spread, unspread = [], []
@@ -1664,13 +1775,15 @@ def _generate(
         nodes, value = (f"_U{index[w]}", "1") if type(w) is str else (
             bind(slot[w]), "O{}_{}[_l]".format(*w)
         )
+        seen.add(nodes)
         loop = ["for _k in adj[_l]:", f"    {base}[_k] += {value}"]
-        spread += [f"for _l in {nodes}:", *_indent(_guarded([value] * (value != "1"), loop), 1)]
+        guard = [f"if {value}:", *_indent(loop, 1)] if value != "1" else loop
+        spread += [f"for _l in {nodes}:", *_indent(guard, 1)]
         unspread += [f"for _l in {nodes}:", "    for _k in adj[_l]:", f"        {base}[_k] = 0"]
         buffers.append(base)
     prelude += spread
     # the labels the kernel's lines read, exclusion factors folded away
-    marked = [x for x in range(len(layout)) if any(f"L{x}[" in line for line in prelude + body)]
+    marked = [x for x in range(len(layout)) if f"L{x}" in seen]
     states = "".join(
         f"(({''.join('O{}_{}, '.format(*o) for o in step.origins)}), {shown[s]}), "
         for s, step in enumerate(steps)
@@ -1680,23 +1793,20 @@ def _generate(
     made = {"_all": "range(n)", "_adj": "adj.__getitem__", "_deg": "list(map(len, adj))"}
     keep = {"_all", "_adj"} if hooked or readouts is None else set()
 
-    def shared(text):
-        """The shared names that ``text`` reads."""
-        return [x for x in made if x in keep or re.search(rf"\b{x}\b", text)]
-
-    def setup(text):
-        """The factory's lines before its functions, for lines ``text``."""
+    def setup(reads):
+        """The factory's lines before its functions, for lines that read
+        ``reads``."""
         return [
-            "n = len(adj)", *(f"{x} = {made[x]}" for x in shared(text)),
+            "n = len(adj)", *(f"{x} = {made[x]}" for x in made if x in keep | reads),
             *(f"L{i} = labels[{layout[i]!r}]" for i in marked),
             *(f"{name} = [0] * n" for name in buffers),
         ]
 
     if readouts is None:
-        lines = ["def _run(adj, labels, supports, hook):", *_indent(setup("\n".join(body)), 1)]
+        lines = ["def _run(adj, labels, supports, hook):", *_indent(setup(seen), 1)]
         if layout:
             lines.append(f"    {''.join(f'_U{i}, ' for i in range(len(layout)))}= supports")
-        final = "".join("O{}_{}, ".format(*o) for o in steps[-1].origins)
+        final = "".join("O{}_{}, ".format(*o) for o in last)
         lines += _indent(["j = None", *body, *hook, f"return ({final})"], 1)
         return lines, "_run", folds
 
@@ -1704,7 +1814,7 @@ def _generate(
         items = _IDENTIFIERS.items()
         return [
             f"_U{index[x]} = {nodes}" for x, (_, nodes, each) in items
-            if each == per_branch and (hooked or f"_U{index[x]}" in text)
+            if each == per_branch and (hooked or f"_U{index[x]}" in seen)
         ]
 
     def mark(per_branch, value):
@@ -1714,31 +1824,15 @@ def _generate(
             for line in (f"for _k in {_IDENTIFIERS[layout[i]][1]}:", f"    L{i}[_k] = {value}")
         ]
 
-    summed = {x for x, _ in terms} | {x for xs, *_ in moves.trans.values() for x, _ in xs}
-    last = steps[-1].origins
-    row = "".join(
-        f"_r{x}, " if x in summed else "sum(map({}.__getitem__, {})), ".format(
-            "O{}_{}".format(*last[r.component]),
-            bind(slot[last[r.component]]) if r.weight is None else f"_U{index[r.weight]}",
-        )
-        for x, r in enumerate(readouts)
-    )
-    # a column 1 on its list that no line reads elsewhere is not stored
-    if fusing and not unstored:
-        text = "\n".join([*prelude, row])
-        unread = frozenset(
-            (t, c) for t, c in known
-            if not re.search(rf"\bO{t}_{c}\b(?!\[_k\] = )", "\n".join([text, *body]))
-            and not any(
-                re.search(rf"\bH{k}\[", "\n".join(lines_of[u]))
-                for u in range(t + 1, len(steps))
-                for k, o in enumerate(steps[u - 1].origins) if o == (t, c)
-            )
-        )
-        if unread:
-            return _generate(prog, layout, hops, readouts, hooked, unread, plan)
-    # the identifiers' lists the lines of a kernel without a hook read
-    text = "\n".join([*prelude, *body, row])
+    row = []
+    for x, r in enumerate(readouts):
+        if x in summed:
+            row.append(f"_r{x}, ")
+            continue
+        nodes = bind(slot[last[r.component]]) if r.weight is None else f"_U{index[r.weight]}"
+        seen.add(nodes)
+        row.append("sum(map({}.__getitem__, {})), ".format("O{}_{}".format(*last[r.component]), nodes))
+    row = "".join(row)
     balls = [f"_B{d}" for d in range(max(radii) + 1)]
     root = ([f"nonlocal {', '.join(balls)}", "_B0 = {i}"] if balls else []) + mark(False, 1)
     for d in range(1, len(balls)):
@@ -1766,13 +1860,14 @@ def _generate(
     kernel += _indent(branch + mark(True, 1) + subgraph + mark(True, 0), 1)
     kernel += [*unspread, *reset(stored_once), *mark(False, 0), "return _rows"]
     # the kernel takes what it reads as defaults, so its loops read locals
-    text = shared("\n".join(kernel))
+    shared = keep | seen
     bound = ", ".join(
         f"{x}={x}"
-        for x in ["adj", *sorted(text, key=("_adj", "_all", "_deg").index)]
+        for x in ["adj", *(x for x in ("_adj", "_all", "_deg") if x in shared)]
         + [*(["hook"] if hooked else []), *(f"L{i}" for i in marked), *buffers]
     )
-    lines = ["def _make(adj, labels, hook):", *_indent(setup("\n".join(kernel + root)), 1)]
+    lines = ["def _make(adj, labels, hook):"]
+    lines += _indent(setup(seen | ({"_adj"} if len(balls) > 2 else set())), 1)
     lines += [f"    {x} = None" for x in balls]
     lines += ["    def _root(i):", *_indent(root or ["pass"], 2)]
     lines += [f"    def _kernel(i, {bound}):", *_indent(kernel, 2)]

@@ -152,3 +152,40 @@ def test_counting_imports_only_what_it_uses_or_the_tracer_wraps(monkeypatch):
     defined = {name for name, _ in _definitions(tree)}
     wrapped = {attr for module, attr, _, _ in tracer.TARGETS if module is counting}
     assert imported - used == wrapped - defined
+
+
+_FIXTURE = '''"""A module docstring
+over two lines."""
+
+# a comment-only line
+import os
+
+
+def f(a,
+      b):
+    """One docstring line."""
+
+    return (a +  # a trailing comment
+            b)
+
+
+class C:
+    """A class docstring,
+
+    with a blank line inside."""
+
+    x = """a string
+that is not a docstring"""
+'''
+
+
+def test_code_line_counter_skips_blanks_comments_and_docstrings(monkeypatch, tmp_path, capsys):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    tool = importlib.import_module("code_lines")
+    # code: import os; def f(a, / b):; return (a +; b); class C:; x = """...; ...docstring"""
+    assert tool.code_lines(_FIXTURE) == (22, 8)
+    path = tmp_path / "fixture.py"
+    path.write_text(_FIXTURE)
+    assert tool.main([str(path), str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "total\t44\t16"
+    assert tool.main([]) == 2
