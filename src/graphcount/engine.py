@@ -591,28 +591,6 @@ def _label_at(label: str, x: str) -> int:
     return int(nodes == f"({node},)" or nodes.startswith("adj[") and nodes != f"adj[{node}]")
 
 
-def _omega(var: str, base: str, at, excluded, column, ones) -> str:
-    """The Python source of Omega_F at node ``var`` (module docstring):
-    ``base[var]``, the sum of a weight over the node's neighbors, less the
-    weight at the node of each one-node identifier in ``excluded`` times
-    the label that marks that node's neighbors, which is 1 where ``ones``
-    (the labels 1 at every node of the loop) holds it.  ``at(x)`` gives the
-    weight at x's node: 0, 1 or a Python source.  With base ``_deg`` and
-    weight 1 it counts the node's neighbors that ``excluded`` keeps.
-    ``column`` names the labels."""
-    terms, known = [f"{base}[{var}]"], 0
-    for x in _ONE_NODE:
-        value = at(x) if x in excluded else 0
-        label = _AROUND[x]
-        if value == 1 and label in ones:
-            known += 1
-        elif value:
-            read = "" if label in ones else f"{column('L', label)[0]}[{var}]"
-            terms.append(" * ".join(str(v) for v in (value, read) if v != 1 and v))
-    terms += [str(known)] if known else []
-    return f"({' - '.join(terms)})" if len(terms) > 1 else terms[0]
-
-
 def _walk(prog: MPProgram, layout: Mapping[str, int]) -> list[_Step]:
     """Visit every expression of ``prog`` once, step by step: ``init`` first,
     as a message-less layer over an empty state, then each layer.  An update
@@ -831,12 +809,12 @@ class _Moves:
     gone: set
 
 
-def _layout(steps, cuts, index, readouts, moves=None) -> tuple[list, dict, list]:
+def _layout(steps, cuts, index, readouts) -> tuple[list, dict, list, _Moves]:
     """The plan of a kernel (module docstring): per step, its units
-    ``(nodes, columns, once)`` and its readout terms ``{c: [(x, w)]}``, and
-    each computed column's node list, off which it is 0.  ``readouts`` is
-    None for a kernel that keeps whole states; ``moves`` (``_transpose``)
-    applies rules T and P.
+    ``(nodes, columns, once)`` and its readout terms ``{c: [(x, w)]}``, each
+    computed column's node list, off which it is 0, and rules T and P
+    (``_transpose``), which rewrite the terms of a kernel without a hook.
+    ``readouts`` is None for a kernel that keeps whole states.
 
     A unit loops over the node list ``nodes`` to compute ``columns``, or,
     with ``nodes`` None, sends them (``_scatter``); with ``once`` it runs
@@ -846,7 +824,6 @@ def _layout(steps, cuts, index, readouts, moves=None) -> tuple[list, dict, list]
     its node.  A node list is one ``_nodes`` gives, or a frozenset of
     labels' lists: their intersection.
     """
-    moves = moves or _Moves({}, {}, {}, set(), set())
     names = None if readouts is None else {f"_U{i}": x for x, i in index.items()}
     read: dict = {}  # each column a later step reads, and the hops it reads it at
     for t in range(1, len(steps)):
@@ -860,20 +837,15 @@ def _layout(steps, cuts, index, readouts, moves=None) -> tuple[list, dict, list]
     once: set = set()
     terms: list = []
     own: list = []
+
+    def where(s, var, key):
+        return slot[steps[s - 1].origins[key]] if var == "H" else f"_U{index[key]}"
+
     for s, (step, cut) in enumerate(zip(steps, cuts)):
-
-        def where(var, key, s=s):
-            return slot[steps[s - 1].origins[key]] if var == "H" else f"_U{index[key]}"
-
         whole = readouts is None or _scatters(step, cut)
-        computed = [
-            c for c, src in enumerate(step.copies) if src is None and (s, c) not in moves.gone
-        ]
-        pushed = [c for c in computed if (s, c) in moves.push and not moves.push[s, c][1]]
-        stored = [
-            c for c in computed if (readouts is None or (s, c) in read) and c not in pushed
-        ]
-        sums = {c: out[s, c] for c in computed if c not in stored + pushed and (s, c) in out}
+        computed = [c for c, src in enumerate(step.copies) if src is None]
+        stored = [c for c in computed if readouts is None or (s, c) in read]
+        sums = {c: out[s, c] for c in computed if c not in stored and (s, c) in out}
         # the weight rule (module docstring)
         weights = {readouts[x].weight for xs in sums.values() for x in xs}
         (label,) = weights if len(weights) == 1 and not stored else (None,)
@@ -889,18 +861,13 @@ def _layout(steps, cuts, index, readouts, moves=None) -> tuple[list, dict, list]
                 if m and _one_read_a_side(m[2]) and all(hop == 1 for *_, hop in m[2])
                 and _reach(m[2], steps[s - 1].reach, sender=True) < cut
             ]
-        sent += pushed
-        step_terms = {
-            c: [(x, None if label else readouts[x].weight) for x in xs]
-            for c, xs in sums.items() if (s, c) not in moves.trans
-        }
-        for c in pushed:
-            step_terms[c] = [(x, (w, e)) for x, w, e, _ in moves.push[s, c][0]]
-        terms.append(step_terms)
+        terms.append({c: [(x, None if label else readouts[x].weight) for x in xs] for c, xs in sums.items()})
         lists = {}
         for c in computed:
             witness = step.updates[c][2]
-            lists[c] = slot[s, c] = _nodes(step.sources if whole else witness, cut, where, names)
+            lists[c] = slot[s, c] = _nodes(
+                step.sources if whole else witness, cut, lambda var, key: where(s, var, key), names
+            )
             # the meet of its labels, unless later steps read it only across an edge
             if step.meets[c] and not (whole or cut is not None or read.get((s, c)) == {1}):
                 lists[c] = slot[s, c] = frozenset(f"_U{index[x]}" for x in step.meets[c])
@@ -908,31 +875,50 @@ def _layout(steps, cuts, index, readouts, moves=None) -> tuple[list, dict, list]
             elif cut is None and witness is not None and len(witness) == 1:
                 ((var, key, hop),) = witness
                 if hop == 0:
-                    slot[s, c] = where(var, key)
+                    slot[s, c] = where(s, var, key)
             # once per root: it, and the weights of its readouts, read
             # only root labels and columns computed once
             reads = _reads(step, [c])
             labels = {readouts[x].weight for x in sums.get(c, ())} - {None}
             if (
                 not whole and c not in sent and _per_root(lists[c], index)
-                and (s, c) not in moves.trans
                 and not (labels | {r[1] for r in reads if r[0] == "L"}) & _BRANCH_LABELS
                 and all(steps[s - 1].origins[r[1]] in once for r in reads if r[0] == "H")
             ):
                 once.add((s, c))
-        # a column of rule T lies where its receiver part is nonzero
-        receivers = {c: where(*moves.trans[s, c][1]) for c in computed if (s, c) in moves.trans}
-        lists = {
-            c: f"_U{index[label]}" if label else receivers[c] if c in receivers and c not in stored
-            else lists[c]
-            for c in computed if c not in sent and (c in stored or c in sums)
-        }
-        # the stored columns a pulling step may narrow to their demand
-        own.append(([] if whole else stored, lists, sent, receivers))
+        own.append((whole, stored, sums, sent, lists, label))
+    # the columns computed once per root, where the units lie
+    hoisted = {
+        (s, c) for s, c in once
+        if c not in own[s][3] and (c in own[s][1] or c in own[s][2])
+        and _per_root(f"_U{index[own[s][5]]}" if own[s][5] else own[s][4][c], index)
+    }
+    moves = _Moves({}, {}, {}, set(), set())
+    if readouts is not None:
+        moves = _transpose(steps, cuts, readouts, [x[3] for x in own], terms, hoisted)
     units: list = [[] for _ in steps]
     for s in reversed(range(len(steps))):
-        narrow, lists, sent, receivers = own[s]
-        for c in narrow:
+        whole, stored, sums, sent, lists, label = own[s]
+        pushed = [c for c in lists if moves.push.get((s, c), ((), True))[1] is False]
+        stored = [c for c in stored if c not in pushed]
+        sent = sent + pushed
+        # a column of rule T lies where its receiver part is nonzero
+        receivers = {
+            c: where(s, *moves.trans[s, c][1]) for c in lists if (s, c) in moves.trans
+        }
+        for c in lists:
+            if (s, c) in moves.gone or (s, c) in moves.trans:
+                terms[s].pop(c, None)
+        for c in pushed:
+            terms[s][c] = [(x, (w, e)) for x, w, e, _ in moves.push[s, c][0]]
+        lists = {
+            c: f"_U{index[label]}" if label else receivers[c] if c in receivers and c not in stored
+            else nodes
+            for c, nodes in lists.items()
+            if (s, c) not in moves.gone and c not in sent and (c in stored or c in sums)
+        }
+        # the stored columns a pulling step may narrow to their demand
+        for c in [] if whole else stored:
             if (s, c) in out or (s, c) in once:
                 continue
             demand = {receivers[c]} if c in receivers else set()
@@ -961,19 +947,7 @@ def _layout(steps, cuts, index, readouts, moves=None) -> tuple[list, dict, list]
         units[s] = [(None, sent, False)] * bool(sent) + [
             (nodes, columns, hoisted) for (nodes, hoisted), columns in groups.items()
         ]
-    return units, slot, terms
-
-
-def _plan(steps, cuts, index, readouts) -> tuple:
-    """The plan of a kernel without a hook: ``_layout``'s, with rules T and
-    P (``_transpose``) read off a first layout, and their ``_Moves``."""
-    first = _layout(steps, cuts, index, readouts)
-    units, _, terms = first
-    once = {(s, c) for s, step in enumerate(units) for _, cs, o in step if o for c in cs}
-    moves = _transpose(steps, cuts, readouts, units, terms, once)
-    if any(vars(moves).values()):
-        first = _layout(steps, cuts, index, readouts, moves)
-    return (*first, moves)
+    return units, slot, terms, moves
 
 
 def _bare(factor, hop: int):
@@ -987,9 +961,10 @@ def _bare(factor, hop: int):
     return None
 
 
-def _transpose(steps, cuts, readouts, units, terms, once) -> _Moves:
-    """Rules T and P (module docstring), read off a kernel's first layout
-    (``_layout``): ``once`` holds the columns it computes once per root."""
+def _transpose(steps, cuts, readouts, sends, terms, once) -> _Moves:
+    """Rules T and P (module docstring), read off a kernel's layout
+    (``_layout``): ``sends`` holds the columns each step sends, and
+    ``once`` the columns it computes once per root."""
     branchy: set = set()  # the columns that depend on the branch
     for s, step in enumerate(steps):
         for c, src in enumerate(step.copies):
@@ -1042,9 +1017,8 @@ def _transpose(steps, cuts, readouts, units, terms, once) -> _Moves:
             return sum(("M", m, None) in u[3] for u in step.updates)
 
         sent: dict = {}
-        for nodes, columns, _ in units[s]:
-            for c in columns if nodes is None else ():
-                sent.setdefault(step.linear[c][0], []).append(c)
+        for c in sends[s]:
+            sent.setdefault(step.linear[c][0], []).append(c)
         # a sent message, summed per sender
         for m, columns in sent.items():
             witness, factors = step.messages[m][2], step.messages[m][4]
@@ -1597,7 +1571,7 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
     index = {name: i for i, name in enumerate(layout)}
     moves, known = _Moves({}, {}, {}, set(), set()), {}
     if fusing:
-        units, slot, sums, moves = _plan(steps, cuts, index, readouts)
+        units, slot, sums, moves = _layout(steps, cuts, index, readouts)
         # the stored columns 1 on their node list but where their update
         # excludes
         for t, step_units in enumerate(units):
@@ -1612,7 +1586,7 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
                     )
                 )
     else:
-        units, slot, sums = _layout(steps, cuts, index, None)
+        units, slot, sums, _ = _layout(steps, cuts, index, None)
     terms = [t for step_sums in sums for ts in step_sums.values() for t in ts]
     omegas: dict = {}  # per weight of rule T, the buffer of its Omega
     binding: list = []  # the node lists the unit being built binds, in order

@@ -484,7 +484,7 @@ def _hook_free_layout(prog, readouts, hops):
     steps = E._steps(prog, ROOTED_LAYOUT)
     _, cuts = E._radii(steps, hops, readouts, prog.name)
     index = {name: i for i, name in enumerate(ROOTED_LAYOUT)}
-    units, slot, terms, _ = E._plan(steps, cuts, index, readouts)
+    units, slot, terms, _ = E._layout(steps, cuts, index, readouts)
     return steps, cuts, units, slot, terms
 
 
@@ -493,7 +493,7 @@ def _moves(prog, readouts, hops):
     steps = E._steps(prog, ROOTED_LAYOUT)
     _, cuts = E._radii(steps, hops, readouts, prog.name)
     index = {name: i for i, name in enumerate(ROOTED_LAYOUT)}
-    return E._plan(steps, cuts, index, readouts)[3]
+    return E._layout(steps, cuts, index, readouts)[3]
 
 
 def _node_lists(spec, hops):
@@ -1477,15 +1477,13 @@ def test_hand_written_transposed_plans_use_every_rule():
         steps = E._steps(prog, ROOTED_LAYOUT)
         _, cuts = E._radii(steps, hops, readouts, prog.name)
         index = {name: i for i, name in enumerate(ROOTED_LAYOUT)}
-        units, _, terms = E._layout(steps, cuts, index, readouts)
-        once = {(s, c) for s, step in enumerate(units) for _, cs, o in step if o for c in cs}
-        assert E._transpose(steps, cuts, readouts, units, terms, once).trans
-        moves = E._transpose(steps, cut, readouts, units, terms, once)
+        assert E._layout(steps, cuts, index, readouts)[3].trans
+        moves = E._layout(steps, cut, index, readouts)[3]
         assert not moves.trans and not moves.push
     # a column cut within less than Omega_F's reach (2 for cycle5's) is not
     # pushed into; a column is read across an edge one step further out than
     # its reader, so no plan's own radii do this
-    moves = E._transpose(steps, (None, 1, 1), readouts, units, terms, once)
+    moves = E._layout(steps, (None, 1, 1), index, readouts)[3]
     assert moves.trans and not moves.push
 
 
