@@ -179,7 +179,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import reduce
+from functools import partial, reduce
 from itertools import chain, compress
 from operator import mul
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -1113,6 +1113,7 @@ def _reads(step: _Step, columns) -> set:
 
 
 _ONE = ("1", frozenset())
+_ZERO = ("0", frozenset())
 
 
 def _name(read, index) -> str:
@@ -1181,377 +1182,433 @@ def _times(*codes):
     return " * ".join(py for py, _ in codes), frozenset().union(*(r for _, r in codes))
 
 
-def _exclusion(x: str, hop: int, column) -> tuple:
-    """The factor ``1 - x`` of the one-node identifier x at ``hop``, as
-    ``_visit`` gives it."""
-    read = f"{column('L', x, False)[0]}[{('_k', '_l')[hop]}]"
-    return f"(1 - {read})", frozenset({("L", x, hop)}), (x, hop, False), None
-
-
-def _known(factors: tuple, hop: int, ones, column, folds) -> tuple:
-    """``factors`` with each bare read at ``hop`` of a column that is 1 on
-    the loop's node list (``ones`` holds its name) replaced by the exclusion
-    factors of the nodes its update excludes (module docstring), each
-    recorded as ("one", hop, its name) in ``folds``."""
-    out = []
-    for f in factors:
-        key = _bare(f, hop)
-        if key is None or f"H{key}" not in ones:
-            out.append(f)
-            continue
-        folds.append(("one", hop, frozenset({f"H{key}"})))
-        out += [_exclusion(x, hop, column) for x in _ONE_NODE if x in column("H", key, False)[4]]
-    return tuple(out)
-
-
-def _fold(folds, hop: int, skip, products, implied=frozenset(), ones=frozenset()):
-    """Fold the exclusion factors and label reads that ``products``,
-    computed per node of a loop, read at that node (``hop`` 0: ``_k``, 1:
-    ``_l``; module docstring): the loop's list and guard imply the one-node
-    identifiers in ``implied`` and the labels in ``ones``, and every product
-    is 0 at the identifiers in ``skip``.  Returns the skip guard's
-    conditions and the marks of the factors to drop, and appends ("skip",
-    hop, skipped), ("implied", hop, dropped as implied) and ("one", hop,
-    labels dropped as 1) to ``folds``, each unless empty; with ``folds``
-    None, folds nothing."""
-    if folds is None:
-        return [], set()
-    guard = skip - implied
-    implied = implied & frozenset().union(*(_excludes(p, hop) for p in products))
-    held = ones & {x[0] for p in products for _, _, x, _ in p if x and x[1:] == (hop, True)}
-    rules = (("skip", guard), ("implied", implied), ("one", held))
-    folds += [(rule, hop, names) for rule, names in rules if names]
-    var = ("_k", "_l")[hop]
-    conditions = [(f"{var} != {node}", frozenset()) for x, node in _ONE_NODE.items() if x in guard]
-    return conditions, {(x, hop, False) for x in guard | implied} | {(x, hop, True) for x in held}
-
-
-def _receiver_part(split, here, dropped, ones, column):
-    """The code of a ``_split`` message's receiver part at ``_k``: ``-h`` or
-    ``h`` times the count of ``_k``'s neighbors that its sender factors
-    keep, h's factors ``here`` (``_known``) without those that ``dropped``
-    holds."""
-    h = _product(here, dropped) or _ONE
-    degree = _omega("_k", "_deg", lambda x: 1, split[2], lambda x: column("L", x)[0], ones)
-    py = degree[0] if h[0] == "1" else f"{h[0]} * {degree[0]}"
-    return "-"[:not split[3][0]] + py, h[1] | degree[1]
-
-
-def _omega(var: str, base: str, at, excluded, label, ones):
-    """The code of Omega_F at node ``var`` (module docstring): ``base[var]``,
-    the sum of a weight over the node's neighbors, less the weight at the
-    node of each one-node identifier in ``excluded`` times the label that
-    marks that node's neighbors, which is 1 where ``ones`` (the labels 1 at
-    every node of the loop) holds it.  ``at(x)`` gives the weight at x's
-    node: 0, 1 or a code.  With base ``_deg`` and weight 1 it counts the
-    node's neighbors that ``excluded`` keeps.  ``label`` names a label's
-    buffer."""
-    terms, known, reads = [f"{base}[{var}]"], 0, {base}
-    for x in _ONE_NODE:
-        value = at(x) if x in excluded else 0
-        around = _AROUND[x]
-        if value == 1 and around in ones:
-            known += 1
-        elif value:
-            parts = [] if value == 1 else [value[0]]
-            reads.update(() if value == 1 else value[1])
-            if around not in ones:
-                name = label(around)
-                parts.append(f"{name}[{var}]")
-                reads.add(name)
-            terms.append(" * ".join(parts))
-    terms += [str(known)] if known else []
-    return (f"({' - '.join(terms)})" if len(terms) > 1 else terms[0]), frozenset(reads)
-
-
-def _pull(step: _Step, reads: set, dropped: set, folds, column, ones, early=None, bare=()):
-    """Statements that sum each message in ``reads`` over the neighbors of
-    ``_k`` into ``_m<m>``, without the factors ``dropped``.  A message
-    ``_split`` splits starts from its receiver part (``_receiver_part``;
-    ``ones``: the labels 1 at ``_k``), and sums its sender part, whose
-    factors that exclude a node where its sender-side read is 0 drop;
-    ``column`` is ``_unit``'s.  ``early`` maps a message to the readout
-    terms (``_adds``) its receiver part is added to first (rule T); a
-    message in ``bare`` sums no sender part, as nothing else reads it."""
-    early = early or {}
-    messages = sorted(r[1] for r in reads if r[0] == "M")
-    if not messages:
-        return []
-    parts = []  # per message: what its sum starts from, its summed factors, their source
-    for m in messages:
-        msg, _, witness, _, factors = step.messages[m]
-        split = folds is not None and _split(factors)
-        if not split:
-            parts.append((("0", frozenset()), factors, msg))
-            continue
-        factors, _, excluded, _ = split
-        folds.append(("sum", 0, excluded))
-        at = [(var, key) for var, key, hop in witness or () if hop == 1]
-        zeros = column(*at[0], False)[2] if len(at) == 1 else frozenset()
-        _, own = _fold(folds, 1, frozenset(), [factors], zeros)
-        factors = tuple(f for f in factors if f[2] not in own)
-        here = _known(split[3][2], 0, ones, column, folds)
-        parts.append((_receiver_part(split, here, dropped, ones, column), factors, None))
-    stmts = []
-    for m, (start, *_) in zip(messages, parts):
-        adds = early.get(m)
-        if m in bare:
-            stmts.append(("add", start, adds))
-        else:
-            stmts += [("set", f"_m{m}", "=", start), ("add", (f"_m{m}", frozenset()), adds or [])]
-    summed = [(m, p) for m, p in zip(messages, parts) if m not in bare]
-    if not summed:
-        return stmts
-    skip = frozenset.intersection(*(_excludes(f, 1) for _, (_, f, _) in summed))
-    guard, more = _fold(folds, 1, skip, [f for _, (_, f, _) in summed])
-    sums = [
-        ("set", f"_m{m}", "+=", _product(f, dropped | more, whole)) for m, (_, f, whole) in summed
-    ]
-    return stmts + [("for", "_l", "adj[_k]", [("if", guard, sums)])]
-
-
-def _scatter(
-    step: _Step, sent, column, add, coefs: dict, folds, flat=None, moved=(), receive=True
-) -> list:
-    """Statements that add each message ``m`` in ``sent`` from the nodes
-    where the sender-side read of its witness is nonzero, at each of their
-    neighbors, and then pull it at the nodes where the receiver-side read is
-    nonzero, from the neighbors not sent from; ``add(m, value, dropped,
-    ones)`` gives the statements that add one value of message m at node
-    ``_k``, times each coef in ``coefs.get(m)`` without its factors
-    ``dropped``.  A message ``_split`` splits sends its sender part, and
-    adds its receiver part (``_receiver_part``) at each node where that read
-    is nonzero, with no loop over its neighbors.  ``flat(m, value, ones)``,
-    unless None, gives the statements that add a value read only at its
-    sender ``_l`` once for all its receivers (rule T), or None where it
-    cannot.  The messages in ``moved`` send nothing (rule P); without
-    ``receive``, none is pulled."""
-    stmts = []
-    for m in sent:
-        msg, _, witness, _, factors = step.messages[m]
-        at = {hop: (var, key) for var, key, hop in witness}
-        receiver = column(*at[0], receive) if 0 in at else None
-        sender = column(*at[1], m not in moved) if 1 in at else None
-        split = folds is not None and _split(factors)
-        sends, whole = (split[0], None) if split else (factors, msg)
-        # a value added at _k is 0 where the message is or every coef is
-        products = [sends, *coefs.get(m, ())]
-        skip = _excludes(sends)
-        if coefs.get(m):
-            skip |= frozenset.intersection(*map(_excludes, coefs[m]))
-        if sender and m not in moved:
-            known = _known(sends, 1, sender[3], column, folds)
-            sends, whole = known, whole if known == sends else None
-            guard, dropped = _fold(folds, 1, _excludes(sends, 1), [sends], sender[2], sender[3])
-            read_here = all(hop == 1 for f in sends for *_, hop in f[1])
-            value = _product(sends, dropped, whole) or _ONE
-            loop = flat and read_here and flat(m, value, sender[3])
-            if not loop:
-                inner, at_k = _fold(folds, 0, skip, products)
-                value = _product(sends, dropped | at_k, whole) or _ONE
-                loop = [("for", "_k", "adj[_l]", [("if", inner, add(m, value, at_k))])]
-            guard = _nonzero(folds, sender, at[1], 1) + guard
-            stmts.append(("for", "_l", sender[1], [("if", guard, loop)]))
-        if receiver and receive:
-            if split:
-                # h is 0 where it reads a column 1 on the list but at the nodes it excludes
-                here = _known(split[3][2], 0, receiver[3], column, folds)
-                skip |= _excludes(here)
-                products.append(here)
-            guard, at_k = _fold(folds, 0, skip, products, receiver[2], receiver[3])
-            if split:
-                folds.append(("sum", 0, split[2]))
-                value = _receiver_part(split, here, at_k, receiver[3], column)
-                loop = add(m, value, at_k, receiver[3])
-            else:
-                inner, dropped = _fold(folds, 1, _excludes(factors, 1), [factors])
-                value = _product(factors, at_k | dropped, msg)
-                # every edge from a sender is summed already
-                unsent = [(f"not ({sender[0]}[_l])", {sender[0]})] if sender else []
-                loop = [
-                    ("set", "_a", "=", ("0", frozenset())),
-                    ("for", "_l", "adj[_k]", [("if", unsent + inner, [("set", "_a", "+=", value)])]),
-                    *add(m, ("_a", frozenset()), at_k, receiver[3]),
-                ]
-            guard = _nonzero(folds, receiver, at[0], 0) + guard
-            stmts.append(("for", "_k", receiver[1], [("if", guard, loop)]))
-    return stmts
-
-
-def _nonzero(folds, end, read, hop: int) -> list:
-    """The test that a loop over the list of a read, ``end`` as ``column``
-    gives it, runs only where the read is nonzero: none where the read is a
-    label that its list makes 1, and only the nodes it excludes where it is
-    a column 1 on its list, which fold (``_fold``; ``_known`` records a
-    column's) unless ``folds`` is None."""
-    var, key = read
-    if folds is not None and var == "L" and key in end[3]:
-        folds.append(("one", hop, frozenset({key})))
-        return []
-    if folds is not None and f"H{key}" in end[3]:
-        v = ("_k", "_l")[hop]
-        return [(f"{v} != {node}", frozenset()) for x, node in _ONE_NODE.items() if x in end[4]]
-    return [(f"{end[0]}[{('_k', '_l')[hop]}]", {end[0]})]
-
-
 def _only_excludes(factors: tuple) -> bool:
     """Whether every factor of a product is an exclusion factor at the node."""
     return all(x and x[1:] == (0, False) for _, _, x, _ in factors)
 
 
-def _unit(step: _Step, s: int, nodes, columns, sums, column, buffered: bool, folds, moves, weight):
-    """One unit of step ``s`` (``_layout``) as statements, with the columns
-    they store and the message buffers they use: over the node list
-    ``nodes``, a (list, the one-node identifiers whose node it never holds,
-    the labels 1 on it and the columns 1 on it but where their updates
-    exclude), column c goes to ``O<s>_<c>``, or, for each column in
-    ``sums``, is added to each readout sum ``_r<x>`` that ``sums[c]`` lists
-    as (x, its weight label or None, or Omega_F's (weight, exclusions) for a
-    column of rule P).
-    ``buffered``: the step scatters its messages into buffers first, but a
-    stored ``coef * Msg(m)`` column, coef only exclusion factors, that alone
-    reads m, takes m's scatter in its own buffer, then 0 at the nodes coef
-    excludes.  ``column(var, key)`` gives the name and the node list of a
-    read, the one-node identifiers at whose node the read is 0, the labels
-    (and the column itself, for a column 1 on its list) 1 on its list, and
-    the identifiers its update excludes.  ``folds`` collects the unit's
-    folds (``_fold``); None folds nothing.  ``moves`` (``_Moves``) applies
-    rules T and P, with ``weight(var, w, excluded, ones)`` the code of
-    Omega_F of weight w at node ``var`` (``_omega``)."""
+def _loop(var: str, nodes, conds: list, body: list) -> tuple:
+    return "for", var, nodes, [("if", conds, body)]
 
-    def terms(xs, coef=None, ones=frozenset()):
-        """(sum, factor) per readout in xs: coef times the weight."""
+
+class _Kernel:
+    """One kernel's plan (``_layout``) and the rewrites of the term form
+    (module docstring) that build each of its units' statements: ``fold``,
+    ``known``, ``omega`` (the closed forms, and Omega_F of rule T),
+    ``pull``, ``scatter`` and ``unit``.  While a unit of step ``s`` is
+    built, ``folds`` collects its folds (None in a kernel with a hook or
+    without readouts: nothing folds) and ``binds`` the node lists it binds,
+    in order."""
+
+    def __init__(self, prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
+        self.steps = steps = _steps(prog, layout)
+        self.cuts = (None,) * len(steps)
+        if readouts is not None:
+            self.cuts = _radii(steps, hops, readouts, prog.name)[1]
+        self.layout, self.index = layout, {name: i for i, name in enumerate(layout)}
+        self.fusing = readouts is not None and not hooked
+        plan = _layout(steps, self.cuts, self.index, readouts if self.fusing else None)
+        self.units, self.slot, self.sums, self.moves = plan
+        self.omegas: dict = {}  # per weight of rule T, the buffer of its Omega
+        # known-1 columns: stored, 1 on their node list but where their
+        # update excludes
+        self.known = {}
+        for t, step_units in enumerate(self.units if self.fusing else ()):
+            for nodes, columns, _ in step_units:
+                ones = nodes is not None and _held(nodes, layout)[1]
+                self.known.update(
+                    ((t, c), nodes) for c in columns if ones and self.slot[t, c] == nodes
+                    and c not in self.sums[t] and (t, c) not in self.moves.trans
+                    and all(
+                        x and (x[1:] == (0, False) or x[1:] == (0, True) and x[0] in ones)
+                        for _, _, x, _ in steps[t].updates[c][4]
+                    )
+                )
+
+    def label(self, x: str) -> str:
+        return f"L{self.index[x]}"
+
+    def column(self, var: str, key, bound: bool = True) -> tuple:
+        """The name and node list of a read in step ``s``, the one-node
+        identifiers at whose node the read is 0, the labels (and the column
+        itself, for a known-1 column) 1 on its list, and the identifiers its
+        update excludes; ``bound``: the unit binds the list."""
+        if var == "L":
+            nodes = f"_U{self.index[key]}"
+            return self.label(key), nodes, *_held(nodes, self.layout), frozenset()
+        # a column is 0 off its list and where its update excludes
+        t, c = self.steps[self.s - 1].origins[key]
+        absent, ones = _held(self.slot[t, c], self.layout)
+        own = _excludes(self.steps[t].updates[c][4])
+        ones |= {f"H{key}"} if (t, c) in self.known else set()
+        self.binds += [self.slot[t, c]] if bound else []
+        return f"H{key}", self.slot[t, c], absent | own, ones, own
+
+    def exclusion(self, x: str, hop: int) -> tuple:
+        """The factor ``1 - x`` of the one-node identifier x at ``hop``, as
+        ``_visit`` gives it."""
+        read = f"{self.label(x)}[{('_k', '_l')[hop]}]"
+        return f"(1 - {read})", frozenset({("L", x, hop)}), (x, hop, False), None
+
+    def fold(self, hop: int, skip, products, implied=frozenset(), ones=frozenset()):
+        """Fold the exclusion factors and label reads that ``products``,
+        computed per node of a loop, read at that node (``hop`` 0: ``_k``,
+        1: ``_l``): the loop's list and guard imply the one-node identifiers
+        in ``implied`` and the labels in ``ones``, and every product is 0 at
+        the identifiers in ``skip``.  Returns the skip guard's conditions
+        and the marks of the factors to drop, and logs ("skip", hop,
+        skipped), ("implied", hop, dropped as implied) and ("one", hop,
+        labels dropped as 1), each unless empty."""
+        if self.folds is None:
+            return [], set()
+        guard = skip - implied
+        implied = implied & frozenset().union(*(_excludes(p, hop) for p in products))
+        held = ones & {x[0] for p in products for _, _, x, _ in p if x and x[1:] == (hop, True)}
+        rules = (("skip", guard), ("implied", implied), ("one", held))
+        self.folds += [(rule, hop, names) for rule, names in rules if names]
+        var = ("_k", "_l")[hop]
+        conds = [(f"{var} != {node}", frozenset()) for x, node in _ONE_NODE.items() if x in guard]
+        return conds, {(x, hop, False) for x in guard | implied} | {(x, hop, True) for x in held}
+
+    def nonzero(self, end, read, hop: int) -> list:
+        """The test that a loop over the list of a read, ``end`` as
+        ``column`` gives it, runs only where the read is nonzero: none where
+        the read is a label that its list makes 1, and only the nodes it
+        excludes where it is a known-1 column; both fold."""
+        var, key = read
+        v = ("_k", "_l")[hop]
+        if self.folds is not None and var == "L" and key in end[3]:
+            self.folds.append(("one", hop, frozenset({key})))
+            return []
+        if self.folds is not None and f"H{key}" in end[3]:
+            return [(f"{v} != {node}", frozenset()) for x, node in _ONE_NODE.items() if x in end[4]]
+        return [(f"{end[0]}[{v}]", {end[0]})]
+
+    def known_one(self, factors: tuple, hop: int, ones) -> tuple:
+        """``factors`` with each bare read at ``hop`` of a known-1 column 1
+        on the loop's node list (``ones`` holds its name) replaced by the
+        exclusion factors of the nodes its update excludes, each logged as
+        ("one", hop, its name)."""
+        out = []
+        for f in factors:
+            key = _bare(f, hop)
+            if key is None or f"H{key}" not in ones:
+                out.append(f)
+                continue
+            self.folds.append(("one", hop, frozenset({f"H{key}"})))
+            own = self.column("H", key, False)[4]
+            out += [self.exclusion(x, hop) for x in _ONE_NODE if x in own]
+        return tuple(out)
+
+    def omega(self, var: str, w, excluded, ones) -> tuple:
+        """The code of Omega_F at node ``var`` (module docstring) of weight
+        w: None (1), a label, or the (step, column) of a column computed once
+        per root.  It is the sum of w over the node's neighbors (for weight
+        1 the degree, else a buffer ``_generate`` fills once per root), less
+        w at the node of each one-node identifier in ``excluded`` times the
+        label that marks that node's neighbors, which is 1 where ``ones``
+        holds it."""
+        if w is None:
+            base, at = "_deg", lambda x: 1
+        else:
+            base = self.omegas.setdefault(w, f"W{len(self.omegas)}")
+            if type(w) is str:
+                at = partial(_label_at, w)
+            else:
+                zeros = _held(self.slot[w], self.layout)[0] | _excludes(
+                    self.steps[w[0]].updates[w[1]][4]
+                )
+                name = "O{}_{}".format(*w)
+
+                def at(x):
+                    return 0 if x in zeros else (f"{name}[{_ONE_NODE[x]}]", frozenset({name}))
+
+        terms, known, reads = [f"{base}[{var}]"], 0, {base}
+        for x in _ONE_NODE:
+            value = at(x) if x in excluded else 0
+            around = _AROUND[x]
+            if value == 1 and around in ones:
+                known += 1
+            elif value:
+                parts = [] if value == 1 else [value[0]]
+                reads.update(() if value == 1 else value[1])
+                if around not in ones:
+                    parts.append(f"{self.label(around)}[{var}]")
+                    reads.add(self.label(around))
+                terms.append(" * ".join(parts))
+        terms += [str(known)] if known else []
+        return (f"({' - '.join(terms)})" if len(terms) > 1 else terms[0]), frozenset(reads)
+
+    def receiver(self, split, here, dropped, ones) -> tuple:
+        """The closed form of a ``_split`` message's receiver part at
+        ``_k``: ``-h`` or ``h``, h's factors ``here`` without those that
+        ``dropped`` holds, times Omega_F of weight 1, the count of ``_k``'s
+        neighbors that its sender factors keep."""
+        py, reads = _times(_product(here, dropped), self.omega("_k", None, split[2], ones))
+        return "-"[:not split[3][0]] + py, reads
+
+    def readout(self, xs, coef=None, ones=frozenset()) -> list:
+        """(sum, weight code) per readout term (x, w) in ``xs``: coef times
+        the label w, 1 where ``ones`` holds it, or Omega_F of w = (weight,
+        exclusions)."""
         out = []
         for x, w in xs:
             if type(w) is tuple:
-                w = weight("_k", *w, ones)
+                w = self.omega("_k", *w, ones)
             elif w is not None:
-                name = column("L", w)[0]
-                w = None if w in ones else (f"{name}[_k]", frozenset({name}))
+                w = None if w in ones else (f"{self.label(w)}[_k]", frozenset({self.label(w)}))
             out.append((f"_r{x}", _times(coef, w)))
         return out
 
-    def extended(coef, shut):
-        """coef times the exclusion factors of ``shut`` it lacks."""
-        return coef + tuple(_exclusion(x, 0, column) for x in _ONE_NODE if x in shut - _excludes(coef))
-
-    def pushed(c, coef):
+    def pushed(self, c, coef) -> list:
         """The (coef, readout terms) of each per-sender sum rule P pushes
-        into column c's loop."""
-        entries = moves.push[s, c][0] if (s, c) in moves.push else []
+        into column c's loop, coef extended by the exclusions its senders'
+        loop has."""
+        entries = self.moves.push[self.s, c][0] if (self.s, c) in self.moves.push else []
         if entries:
-            folds.append(("push", 0, frozenset().union(*(e for *_, e in entries))))
+            self.folds.append(("push", 0, frozenset().union(*(e for *_, e in entries))))
         for _, w, e, _ in entries:
-            folds.append(("flat", 0, e) if w is None else ("omega", 0, (w, e)))
-        return [(extended(coef, shut), [(x, (w, e))]) for x, w, e, shut in entries]
+            self.folds.append(("flat", 0, e) if w is None else ("omega", 0, (w, e)))
+        return [
+            (coef + tuple(self.exclusion(x, 0) for x in _ONE_NODE if x in shut - _excludes(coef)),
+             [(x, (w, e))])
+            for x, w, e, shut in entries
+        ]
 
-    def flat(m, value, ones):
-        # rule T: a value read only at its sender, times its Omega_F
-        group = moves.sums.get((s, m))
+    def flat(self, m, value, ones):
+        """Rule T: a value read only at its sender, added once per sender
+        times its Omega_F, or None where no per-sender sum of m is due."""
+        group = self.moves.sums.get((self.s, m))
         if not group:
             return None
         for _, w, e in group[0]:
-            folds.append(("flat", 1, e) if w is None else ("omega", 1, (w, e)))
-        return [("add", value, [(f"_r{x}", weight("_l", w, e, ones)) for x, w, e in group[0]])]
+            self.folds.append(("flat", 1, e) if w is None else ("omega", 1, (w, e)))
+        return [("add", value, [(f"_r{x}", self.omega("_l", w, e, ones)) for x, w, e in group[0]])]
 
-    if nodes is None:
-        sent: dict = {}
-        for c in columns:
-            m, coef = step.linear[c]
-            if (s, c) in moves.push:
-                sent.setdefault(m, []).extend(pushed(c, coef))
+    def pull(self, reads: set, dropped: set, ones, early=None, bare=()) -> list:
+        """Statements that sum each message in ``reads`` over the neighbors
+        of ``_k`` into ``_m<m>``, without the factors ``dropped``.  A message
+        ``_split`` splits starts from its receiver part (``receiver``;
+        ``ones``: the labels 1 at ``_k``), and sums its sender part, whose
+        factors that exclude a node where its sender-side read is 0 drop.
+        ``early`` maps a message to the readout terms its receiver part is
+        added to first (rule T); a message in ``bare`` sums no sender part,
+        as nothing else reads it."""
+        early = early or {}
+        step = self.steps[self.s]
+        messages = sorted(r[1] for r in reads if r[0] == "M")
+        if not messages:
+            return []
+        parts = []  # per message: what its sum starts from, its summed factors, their source
+        for m in messages:
+            msg, _, witness, _, factors = step.messages[m]
+            split = self.folds is not None and _split(factors)
+            if not split:
+                parts.append((_ZERO, factors, msg))
+                continue
+            factors, _, excluded, _ = split
+            self.folds.append(("sum", 0, excluded))
+            at = [(var, key) for var, key, hop in witness or () if hop == 1]
+            zeros = self.column(*at[0], False)[2] if len(at) == 1 else frozenset()
+            _, own = self.fold(1, frozenset(), [factors], zeros)
+            factors = tuple(f for f in factors if f[2] not in own)
+            here = self.known_one(split[3][2], 0, ones)
+            parts.append((self.receiver(split, here, dropped, ones), factors, None))
+        stmts = []
+        for m, (start, *_) in zip(messages, parts):
+            if m in bare:
+                stmts.append(("add", start, early[m]))
             else:
-                sent.setdefault(m, []).append((coef, sums[c]))
-
-        def add(m, value, dropped, ones=frozenset()):
-            adds = [t for f, xs in sent[m] for t in terms(xs, _product(f, dropped), ones)]
-            return [("add", value, adds)]
-
-        coefs = {m: [coef for coef, _ in cs] for m, cs in sent.items()}
-        moved = {m for m in sent if (s, m) in moves.moved}
-        return _scatter(step, sorted(sent), column, add, coefs, folds, flat, moved), [], []
-    name, absent, ones = nodes
-    trans = {c: moves.trans[s, c] for c in columns if (s, c) in moves.trans}
-    only = {c for c, (*_, alone) in trans.items() if alone}
-    outs = [f"O{s}_{c}" for c in columns if c not in sums and c not in only]
-    stmts = []
-    for c in columns if buffered and folds is not None else ():
-        m, coef = step.linear[c] or (None, ())
-        readers = sum(("M", m, None) in u[3] for u in step.updates)
-        if c in sums or m is None or readers > 1 or not _only_excludes(coef):
-            continue
-        folds.append(("own", 0, _excludes(coef)))
-        into = pushed(c, coef)
-
-        def add(m, value, _, ones=frozenset(), c=c, into=into):
-            sums = [t for f, xs in into for t in terms(xs, _product(f, _), ones)]
-            return [("set", f"O{s}_{c}[_k]", "+=", value), ("add", value, sums)]
-
-        stmts += _scatter(step, [m], column, add, {m: [f for f, _ in into]} if into else {}, folds)
-        # a pushed sum's guard skips the nodes coef excludes already
-        stmts += [
-            ("set", f"O{s}_{c}[{v}]", "=", ("0", frozenset()))
-            for x, v in _ONE_NODE.items() if x in _excludes(coef) and not into
+                stmts += [("set", f"_m{m}", "=", start), ("add", (f"_m{m}", frozenset()), early.get(m, []))]
+        summed = [(m, p) for m, p in zip(messages, parts) if m not in bare]
+        if not summed:
+            return stmts
+        skip = frozenset.intersection(*(_excludes(f, 1) for _, (_, f, _) in summed))
+        guard, more = self.fold(1, skip, [f for _, (_, f, _) in summed])
+        sums = [
+            ("set", f"_m{m}", "+=", _product(f, dropped | more, whole))
+            for m, (_, f, whole) in summed
         ]
-        columns = [d for d in columns if d != c]
-    if not columns:
-        return stmts, outs, []
-    reads = _reads(step, columns)
-    messages = sorted(r[1] for r in reads if r[0] == "M")
-    products = [_known(step.updates[c][4], 0, ones, column, folds) for c in columns]
+        return stmts + [_loop("_l", "adj[_k]", guard, sums)]
 
-    def zeros(product):
-        """The identifiers at whose node a product is 0: its exclusions,
-        and where a column it reads bare is 0."""
-        keys = [k for k in map(lambda f: _bare(f, 0), product) if k is not None]
-        return _excludes(product).union(*(column("H", k, False)[2] for k in keys))
+    def scatter(self, sent, add, coefs: dict, flat=False, moved=(), receive=True) -> list:
+        """Statements that add each message ``m`` in ``sent`` from the nodes
+        where the sender-side read of its witness is nonzero, at each of
+        their neighbors, and then pull it at the nodes where the
+        receiver-side read is nonzero, from the neighbors not sent from;
+        ``add(m, value, dropped, ones)`` gives the statements that add one
+        value of message m at node ``_k``, times each coef in
+        ``coefs.get(m)`` without its factors ``dropped``.  A message
+        ``_split`` splits sends its sender part, and adds its receiver part
+        (``receiver``) at each node where that read is nonzero, with no loop
+        over its neighbors.  With ``flat``, a value read only at its sender
+        is added once for all its receivers where rule T sums it
+        (``flat``).  The messages in ``moved`` send nothing (rule P);
+        without ``receive``, none is pulled."""
+        stmts = []
+        for m in sent:
+            msg, _, witness, _, factors = self.steps[self.s].messages[m]
+            at = {hop: (var, key) for var, key, hop in witness}
+            receiver = self.column(*at[0], receive) if 0 in at else None
+            sender = self.column(*at[1], m not in moved) if 1 in at else None
+            split = self.folds is not None and _split(factors)
+            sends, whole = (split[0], None) if split else (factors, msg)
+            # a value added at _k is 0 where the message is or every coef is
+            products = [sends, *coefs.get(m, ())]
+            skip = _excludes(sends)
+            if coefs.get(m):
+                skip |= frozenset.intersection(*map(_excludes, coefs[m]))
+            if sender and m not in moved:
+                known = self.known_one(sends, 1, sender[3])
+                sends, whole = known, whole if known == sends else None
+                guard, dropped = self.fold(1, _excludes(sends, 1), [sends], sender[2], sender[3])
+                read_here = all(hop == 1 for f in sends for *_, hop in f[1])
+                value = _product(sends, dropped, whole) or _ONE
+                loop = flat and read_here and self.flat(m, value, sender[3])
+                if not loop:
+                    inner, at_k = self.fold(0, skip, products)
+                    value = _product(sends, dropped | at_k, whole) or _ONE
+                    loop = [_loop("_k", "adj[_l]", inner, add(m, value, at_k))]
+                stmts.append(_loop("_l", sender[1], self.nonzero(sender, at[1], 1) + guard, loop))
+            if receiver and receive:
+                if split:
+                    # h is 0 where it reads a known-1 column but at the nodes it excludes
+                    here = self.known_one(split[3][2], 0, receiver[3])
+                    skip |= _excludes(here)
+                    products.append(here)
+                guard, at_k = self.fold(0, skip, products, receiver[2], receiver[3])
+                if split:
+                    self.folds.append(("sum", 0, split[2]))
+                    value = self.receiver(split, here, at_k, receiver[3])
+                    loop = add(m, value, at_k, receiver[3])
+                else:
+                    inner, dropped = self.fold(1, _excludes(factors, 1), [factors])
+                    value = _product(factors, at_k | dropped, msg)
+                    # every edge from a sender is summed already
+                    unsent = [(f"not ({sender[0]}[_l])", {sender[0]})] if sender else []
+                    loop = [
+                        ("set", "_a", "=", _ZERO),
+                        _loop("_l", "adj[_k]", unsent + inner, [("set", "_a", "+=", value)]),
+                        *add(m, ("_a", frozenset()), at_k, receiver[3]),
+                    ]
+                guard = self.nonzero(receiver, at[0], 0) + guard
+                stmts.append(_loop("_k", receiver[1], guard, loop))
+        return stmts
 
-    skip = frozenset.intersection(*map(zeros, products))
-    skip &= frozenset().union(*map(_excludes, products))
-    pulled = [] if buffered else [step.messages[m][4] for m in messages]
-    guard, dropped = _fold(folds, 0, skip, products + pulled, absent, ones)
-    body = []
-    for c, product in zip(columns, products):
-        if c in only:
-            continue
-        whole = step.updates[c][0] if product == step.updates[c][4] else None
-        value = _product(product, dropped, whole) or _ONE
-        body.append(
-            ("set", f"O{s}_{c}[_k]", "=", value) if c not in sums
-            else ("add", value, terms(sums[c], None, ones))
-        )
-    if not buffered:
-        # rule T: a column's receiver part, times the weight at the node
-        early: dict = {}
-        for c, (xs, _, _) in trans.items():
-            m, coef = step.linear[c]
-            coef = _product(coef, dropped)
-            for x, w in xs:
-                at = None
-                if w is not None and w not in ones:
-                    at = f"{column('L', w)[0]}" if type(w) is str else "O{}_{}".format(*w)
-                    at = (f"{at}[_k]", frozenset({at}))
-                early.setdefault(m, []).append((f"_r{x}", _times(coef, at)))
-        bare = {step.linear[c][0] for c in only}
-        pull = _pull(step, reads, dropped, folds, column, ones, early, bare)
-        stmts = [("for", "_k", name, [("if", guard, pull + body)])]
-        # and its sender part, summed per sender where rule P did not push it
-        for m in sorted({step.linear[c][0] for c in trans}):
-            if (s, m) in moves.sums:
-                stmts += _scatter(step, [m], column, None, {}, folds, flat, receive=False)
-        return stmts, outs, []
-    stmts += _scatter(
-        step, messages, column,
-        lambda m, value, *_: [("set", f"M{s}_{m}[_k]", "+=", value)], {}, folds,
-    )
-    loads = [
-        stmt for m in messages for stmt in (
-            ("set", f"_m{m}", "=", (f"M{s}_{m}[_k]", frozenset({f"M{s}_{m}"}))),
-            ("set", f"M{s}_{m}[_k]", "=", ("0", frozenset())),
-        )
-    ]
-    stmts.append(("for", "_k", name, [*loads, ("if", guard, body)]))
-    return stmts, outs, [f"M{s}_{m}" for m in messages]
+    def unit(self, s: int, nodes, columns) -> tuple:
+        """The node lists one unit of step ``s`` (``_layout``) binds, in
+        order, its statements, the columns they store, the message buffers
+        they use, and its folds.  Over the node list ``nodes``, column c
+        goes to ``O<s>_<c>``, or, for each column with readout terms, is
+        added to each readout sum ``_r<x>`` they list.  A step that scatters
+        its messages into buffers first lets a stored ``coef * Msg(m)``
+        column, coef only exclusion factors, that alone reads m, take m's
+        scatter in its own buffer, then 0 at the nodes coef excludes.  With
+        ``nodes`` None, the unit sends its columns."""
+        self.s, step, sums, moves = s, self.steps[s], self.sums[s], self.moves
+        self.binds, self.folds = [nodes] if nodes else [], [] if self.fusing else None
+        if nodes is None:
+            sent: dict = {}
+            for c in columns:
+                m, coef = step.linear[c]
+                if (s, c) in moves.push:
+                    sent.setdefault(m, []).extend(self.pushed(c, coef))
+                else:
+                    sent.setdefault(m, []).append((coef, sums[c]))
+
+            def add(m, value, dropped, ones=frozenset()):
+                terms = [
+                    t for f, xs in sent[m] for t in self.readout(xs, _product(f, dropped), ones)
+                ]
+                return [("add", value, terms)]
+
+            coefs = {m: [coef for coef, _ in cs] for m, cs in sent.items()}
+            moved = {m for m in sent if (s, m) in moves.moved}
+            return self.done(self.scatter(sorted(sent), add, coefs, True, moved), [], [])
+        absent, ones = _held(nodes, self.layout)
+        ones |= {
+            f"H{k}" for k, o in enumerate(self.steps[s - 1].origins if s else ())
+            if self.known.get(o) == nodes
+        }
+        buffered = _scatters(step, self.cuts[s])
+        trans = {c: moves.trans[s, c] for c in columns if (s, c) in moves.trans}
+        only = {c for c, (*_, alone) in trans.items() if alone}
+        outs = [f"O{s}_{c}" for c in columns if c not in sums and c not in only]
+        stmts = []
+        for c in columns if buffered and self.fusing else ():
+            m, coef = step.linear[c] or (None, ())
+            readers = sum(("M", m, None) in u[3] for u in step.updates)
+            if c in sums or m is None or readers > 1 or not _only_excludes(coef):
+                continue
+            self.folds.append(("own", 0, _excludes(coef)))
+            into = self.pushed(c, coef)
+
+            def add(m, value, dropped, ones=frozenset(), c=c, into=into):
+                terms = [t for f, xs in into for t in self.readout(xs, _product(f, dropped), ones)]
+                return [("set", f"O{s}_{c}[_k]", "+=", value), ("add", value, terms)]
+
+            stmts += self.scatter([m], add, {m: [f for f, _ in into]} if into else {})
+            # a pushed sum's guard skips the nodes coef excludes already
+            stmts += [
+                ("set", f"O{s}_{c}[{v}]", "=", _ZERO)
+                for x, v in _ONE_NODE.items() if x in _excludes(coef) and not into
+            ]
+            columns = [d for d in columns if d != c]
+        if not columns:
+            return self.done(stmts, outs, [])
+        reads = _reads(step, columns)
+        messages = sorted(r[1] for r in reads if r[0] == "M")
+        products = [self.known_one(step.updates[c][4], 0, ones) for c in columns]
+        # a column is 0 where it excludes, and where a column it reads bare is
+        zeros = []
+        for p in products:
+            keys = [k for k in (_bare(f, 0) for f in p) if k is not None]
+            zeros.append(_excludes(p).union(*(self.column("H", k, False)[2] for k in keys)))
+        skip = frozenset.intersection(*zeros) & frozenset().union(*map(_excludes, products))
+        pulled = [] if buffered else [step.messages[m][4] for m in messages]
+        guard, dropped = self.fold(0, skip, products + pulled, absent, ones)
+        body = []
+        for c, product in zip(columns, products):
+            if c in only:
+                continue
+            whole = step.updates[c][0] if product == step.updates[c][4] else None
+            value = _product(product, dropped, whole) or _ONE
+            body.append(
+                ("set", f"O{s}_{c}[_k]", "=", value) if c not in sums
+                else ("add", value, self.readout(sums[c], None, ones))
+            )
+        if not buffered:
+            # rule T: a column's receiver part, times the weight at the node
+            early: dict = {}
+            for c, (xs, _, _) in trans.items():
+                m, coef = step.linear[c]
+                coef = _product(coef, dropped)
+                for x, w in xs:
+                    at = None
+                    if w is not None and w not in ones:
+                        at = self.label(w) if type(w) is str else "O{}_{}".format(*w)
+                        at = (f"{at}[_k]", frozenset({at}))
+                    early.setdefault(m, []).append((f"_r{x}", _times(coef, at)))
+            bare = {step.linear[c][0] for c in only}
+            pull = self.pull(reads, dropped, ones, early, bare)
+            stmts = [_loop("_k", nodes, guard, pull + body)]
+            # and its sender part, summed per sender where rule P did not push it
+            for m in sorted({step.linear[c][0] for c in trans}):
+                if (s, m) in moves.sums:
+                    stmts += self.scatter([m], None, {}, True, receive=False)
+            return self.done(stmts, outs, [])
+        stmts += self.scatter(messages, lambda m, value, *_: [("set", f"M{s}_{m}[_k]", "+=", value)], {})
+        loads = [
+            stmt for m in messages for stmt in (
+                ("set", f"_m{m}", "=", (f"M{s}_{m}[_k]", frozenset({f"M{s}_{m}"}))),
+                ("set", f"M{s}_{m}[_k]", "=", _ZERO),
+            )
+        ]
+        stmts.append(("for", "_k", nodes, [*loads, ("if", guard, body)]))
+        return self.done(stmts, outs, [f"M{s}_{m}" for m in messages])
+
+    def done(self, stmts, outs, used) -> tuple:
+        return self.binds, stmts, outs, used, self.folds or []
 
 
 def _indent(lines: list, depth: int) -> list:
@@ -1563,85 +1620,13 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
     arguments), the name they define, and per step the folds of its units
     (``_fold``), or None where nothing folds: in a kernel with a hook or
     without readouts."""
-    fusing = readouts is not None and not hooked
-    steps = _steps(prog, layout)
-    cuts = (None,) * len(steps)
-    if readouts is not None:
-        cuts = _radii(steps, hops, readouts, prog.name)[1]
-    index = {name: i for i, name in enumerate(layout)}
-    moves, known = _Moves({}, {}, {}, set(), set()), {}
-    if fusing:
-        units, slot, sums, moves = _layout(steps, cuts, index, readouts)
-        # the stored columns 1 on their node list but where their update
-        # excludes
-        for t, step_units in enumerate(units):
-            for nodes, columns, _ in step_units:
-                ones = nodes is not None and _held(nodes, layout)[1]
-                known.update(
-                    ((t, c), nodes) for c in columns if ones and slot[t, c] == nodes
-                    and c not in sums[t] and (t, c) not in moves.trans
-                    and all(
-                        x and (x[1:] == (0, False) or x[1:] == (0, True) and x[0] in ones)
-                        for _, _, x, _ in steps[t].updates[c][4]
-                    )
-                )
-    else:
-        units, slot, sums, _ = _layout(steps, cuts, index, None)
+    form = _Kernel(prog, layout, hops, readouts, hooked)
+    steps, index, slot, sums, moves = form.steps, form.index, form.slot, form.sums, form.moves
+    fusing, known, omegas = form.fusing, form.known, form.omegas
     terms = [t for step_sums in sums for ts in step_sums.values() for t in ts]
-    omegas: dict = {}  # per weight of rule T, the buffer of its Omega
-    binding: list = []  # the node lists the unit being built binds, in order
-
-    def label(x):
-        return f"L{index[x]}"
-
-    def weight(var, w, excluded, ones):
-        """Omega_F of weight w at node ``var`` (``_unit``)."""
-        if w is None:
-            return _omega(var, "_deg", lambda x: 1, excluded, label, ones)
-        base = omegas.setdefault(w, f"W{len(omegas)}")
-        if type(w) is str:
-            return _omega(var, base, lambda x: _label_at(w, x), excluded, label, ones)
-        zeros = _held(slot[w], layout)[0] | _excludes(steps[w[0]].updates[w[1]][4])
-        name = "O{}_{}".format(*w)
-
-        def at(x):
-            return 0 if x in zeros else (f"{name}[{_ONE_NODE[x]}]", frozenset({name}))
-
-        return _omega(var, base, at, excluded, label, ones)
-
-    def build(s, nodes, columns):
-        """A unit's node lists to bind, in order, its statements, the
-        columns they store, the message buffers they use and their folds."""
-        step = steps[s]
-
-        def column(var, key, bound=True):
-            if var == "H":
-                # a column is 0 off its list and where its update excludes
-                t, c = steps[s - 1].origins[key]
-                absent, ones = _held(slot[t, c], layout)
-                own = _excludes(steps[t].updates[c][4])
-                ones |= {f"H{key}"} if (t, c) in known else set()
-                binding.extend([slot[t, c]] if bound else [])
-                return f"H{key}", slot[t, c], absent | own, ones, own
-            nodes = f"_U{index[key]}"
-            return f"L{index[key]}", nodes, *_held(nodes, layout), frozenset()
-
-        binding[:] = [nodes] if nodes else []
-        absent, ones = _held(nodes, layout) if nodes else (frozenset(), frozenset())
-        ones |= {
-            f"H{k}" for k, o in enumerate(steps[s - 1].origins if s else ())
-            if nodes and known.get(o) == nodes
-        }
-        folds = [] if fusing else None
-        stmts, outs, used = _unit(
-            step, s, nodes and (nodes, absent, ones), columns, sums[s], column,
-            _scatters(step, cuts[s]), folds, moves, weight,
-        )
-        return list(binding), stmts, outs, used, folds or []
-
     built = [
-        [(nodes, columns, once, build(s, nodes, columns)) for nodes, columns, once in units[s]]
-        for s in range(len(steps))
+        [(nodes, columns, once, form.unit(s, nodes, columns)) for nodes, columns, once in units]
+        for s, units in enumerate(form.units)
     ]
     summed = {x for x, _ in terms} | {x for xs, *_ in moves.trans.values() for x, _ in xs}
     last = steps[-1].origins
@@ -1660,7 +1645,7 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
             for u, (nodes, columns, once, _) in enumerate(step_units):
                 kept = [c for c in columns if (s, c) not in known or (s, c) in read]
                 if kept != columns:
-                    step_units[u] = (nodes, kept, once, kept and build(s, nodes, kept))
+                    step_units[u] = (nodes, kept, once, kept and form.unit(s, nodes, kept))
     body, buffers, stored, shown, names, radii, folds = [], [], {}, [], {}, [-1], []
     # what a rooted kernel without a hook does once per root, before its
     # loop over the branches: node lists of the root alone, and the units
