@@ -787,29 +787,7 @@ def _nodes(sources, cut, where, names=None) -> str | tuple:
     return here[0] if len(here) == 1 and not near and cut is None else (near, here, cut)
 
 
-@dataclass
-class _Moves:
-    """Rules T and P of one kernel without a hook (``_transpose``).
-    ``trans`` maps a column to the (readout, weight) pairs whose receiver
-    part the loop computing it adds, the read its receiver part lies in,
-    and whether the column is read for nothing else; ``sums`` maps a
-    (step, message) to the (readout, weight, exclusions) of the per-sender
-    sums of its sender part, and whether nothing else reads that message;
-    ``push`` maps a column X to the (readout, weight, exclusions, exclusions
-    at X's nodes) of the per-sender sums pushed into its senders' loop, and
-    whether X is still stored; ``moved`` holds the (step, message) pairs
-    whose sums were pushed; ``gone`` the columns whose readouts another
-    step's column takes.  A weight is None (1), a root label, or the (step,
-    column) of a column computed once per root."""
-
-    trans: dict
-    sums: dict
-    push: dict
-    moved: set
-    gone: set
-
-
-def _layout(steps, cuts, index, readouts) -> tuple[list, dict, list, _Moves]:
+def _layout(steps, cuts, index, readouts) -> tuple[list, dict, list, set]:
     """The plan of a kernel (module docstring): per step, its units
     ``(nodes, columns, once)`` and its readout terms ``{c: [(x, w)]}``, each
     computed column's node list, off which it is 0, and rules T and P
@@ -893,29 +871,22 @@ def _layout(steps, cuts, index, readouts) -> tuple[list, dict, list, _Moves]:
         if c not in own[s][3] and (c in own[s][1] or c in own[s][2])
         and _per_root(f"_U{index[own[s][5]]}" if own[s][5] else own[s][4][c], index)
     }
-    moves = _Moves({}, {}, {}, set(), set())
+    kept = {(s, c) for s, (_, stored, *_) in enumerate(own) for c in stored}
+    read_at = {}
     if readouts is not None:
-        moves = _transpose(steps, cuts, readouts, [x[3] for x in own], terms, hoisted)
+        read_at = _transpose(steps, cuts, readouts, [x[3] for x in own], terms, hoisted, kept)
     units: list = [[] for _ in steps]
     for s in reversed(range(len(steps))):
         whole, stored, sums, sent, lists, label = own[s]
-        pushed = [c for c in lists if moves.push.get((s, c), ((), True))[1] is False]
-        stored = [c for c in stored if c not in pushed]
-        sent = sent + pushed
+        # rule P's columns are sent
+        sent = sent + [c for c in stored if (s, c) not in kept]
+        stored = [c for c in stored if (s, c) in kept]
         # a column of rule T lies where its receiver part is nonzero
-        receivers = {
-            c: where(s, *moves.trans[s, c][1]) for c in lists if (s, c) in moves.trans
-        }
-        for c in lists:
-            if (s, c) in moves.gone or (s, c) in moves.trans:
-                terms[s].pop(c, None)
-        for c in pushed:
-            terms[s][c] = [(x, (w, e)) for x, w, e, _ in moves.push[s, c][0]]
+        receivers = {c: where(s, *read_at[s, c]) for c in lists if (s, c) in read_at}
         lists = {
             c: f"_U{index[label]}" if label else receivers[c] if c in receivers and c not in stored
             else nodes
-            for c, nodes in lists.items()
-            if (s, c) not in moves.gone and c not in sent and (c in stored or c in sums)
+            for c, nodes in lists.items() if c not in sent and (c in stored or c in terms[s])
         }
         # the stored columns a pulling step may narrow to their demand
         for c in [] if whole else stored:
@@ -947,7 +918,7 @@ def _layout(steps, cuts, index, readouts) -> tuple[list, dict, list, _Moves]:
         units[s] = [(None, sent, False)] * bool(sent) + [
             (nodes, columns, hoisted) for (nodes, hoisted), columns in groups.items()
         ]
-    return units, slot, terms, moves
+    return units, slot, terms, kept
 
 
 def _bare(factor, hop: int):
@@ -961,10 +932,19 @@ def _bare(factor, hop: int):
     return None
 
 
-def _transpose(steps, cuts, readouts, sends, terms, once) -> _Moves:
-    """Rules T and P (module docstring), read off a kernel's layout
-    (``_layout``): ``sends`` holds the columns each step sends, and
-    ``once`` the columns it computes once per root."""
+def _transpose(steps, cuts, readouts, sends, terms, once, stored) -> dict:
+    """Rules T and P (module docstring), rewriting the readout terms of a
+    kernel's layout (``_layout``) in place: ``sends`` holds the columns
+    each step sends, ``once`` the columns it computes once per root, and
+    ``stored`` the columns it stores, less those rule P sends.
+
+    Rule T tags a column's terms ("T", w): its receiver part, times the
+    weight w at the node, is added where it is computed, and its sender
+    part, per sender, under the message's key ("m", m) as (x, (w,
+    exclusions)), times Omega_F.  Rule P moves such per-sender terms into
+    the loop over the senders of the column they read, tagged ("P", w,
+    exclusions, the exclusions at its nodes), and leaves the message's key
+    empty.  Returns the read each column of rule T lies in."""
     branchy: set = set()  # the columns that depend on the branch
     for s, step in enumerate(steps):
         for c, src in enumerate(step.copies):
@@ -973,7 +953,6 @@ def _transpose(steps, cuts, readouts, sends, terms, once) -> _Moves:
                 steps[s - 1].origins[r[1]] in branchy for r in reads if r[0] == "H"
             ):
                 branchy.add((s, c))
-    moves = _Moves({}, {}, {}, set(), set())
 
     def reach(w, excluded=None) -> float:
         """How far from the root weight w, or with ``excluded`` its
@@ -1011,6 +990,8 @@ def _transpose(steps, cuts, readouts, sends, terms, once) -> _Moves:
     def receiver(split) -> tuple:
         return min(r for f in split[3][2] for r in f[1])[:2]
 
+    groups: dict = {}  # per (step, message): its per-sender terms, and whether m is theirs alone
+    read_at: dict = {}
     for s, step in enumerate(steps):
 
         def readers(m, step=step) -> int:
@@ -1030,8 +1011,8 @@ def _transpose(steps, cuts, readouts, sends, terms, once) -> _Moves:
                 map(_only_excludes, coefs)
             ):
                 group = [(x, w, _excludes(coef)) for coef, ws in zip(coefs, each) for x, w in ws]
-                moves.sums[s, m] = (group, readers(m) == len(columns))
-        for c, xs in terms[s].items():
+                groups[s, m] = (group, readers(m) == len(columns))
+        for c, xs in list(terms[s].items()):
             if any(c in columns for columns in sent.values()):
                 continue
             m, coef = step.linear[c] or (None, ())
@@ -1041,8 +1022,9 @@ def _transpose(steps, cuts, readouts, sends, terms, once) -> _Moves:
                 split and ws is not None and readers(m) == 1 and _only_excludes(coef)
                 and not _scatters(step, cuts[s]) and (s, c) not in once
             ):
-                moves.trans[s, c] = (ws, receiver(split), True)
-                moves.sums[s, m] = ([(x, w, _excludes(coef)) for x, w in ws], True)
+                terms[s][c] = [(x, ("T", w)) for x, w in ws]
+                read_at[s, c] = receiver(split)
+                groups[s, m] = ([(x, w, _excludes(coef)) for x, w in ws], True)
                 continue
             # a product of a column computed once per root and a column of
             # rule T's form in an earlier step: that step takes its readouts
@@ -1057,17 +1039,19 @@ def _transpose(steps, cuts, readouts, sends, terms, once) -> _Moves:
             split = lin and _split(steps[t].messages[lin[0]][4])
             if (
                 split and _only_excludes(lin[1]) and (t, d) in branchy
-                and not _scatters(steps[t], cuts[t]) and (t, d) not in moves.trans
+                and not _scatters(steps[t], cuts[t]) and (t, d) not in read_at
                 and all(cut is None or reach(w) <= cut for cut in (cuts[s], cuts[t]))
             ):
-                moves.gone.add((s, c))
-                moves.trans[t, d] = ([(x, w) for x, _ in xs], receiver(split), False)
+                del terms[s][c]
+                terms[t][d] = [(x, ("T", w)) for x, _ in xs]
+                read_at[t, d] = receiver(split)
                 group = [(x, w, _excludes(lin[1])) for x, _ in xs]
-                moves.sums.setdefault((t, lin[0]), ([], False))[0].extend(group)
+                groups.setdefault((t, lin[0]), ([], False))[0].extend(group)
     # rule P: a per-sender sum of a column X = coef * Msg(m) goes into the
     # loop over m's senders
     out = {steps[-1].origins[r.component] for r in readouts}
-    for (s, m), (group, alone) in sorted(moves.sums.items()):
+    moved = set()
+    for (s, m), (group, alone) in sorted(groups.items()):
         factors = steps[s].messages[m][4]
         split = _split(factors)
         sends = split[0] if split else factors
@@ -1090,19 +1074,25 @@ def _transpose(steps, cuts, readouts, sends, terms, once) -> _Moves:
             one = message[2] is not None and [r[2] for r in message[2]] == [1]
             fits = cuts[t] is None or all(reach(w, e) <= cuts[t] for _, w, e in group)
             shut = _excludes(sends, 1)
-            entries = [(x, w, e, shut) for x, w, e in group]
+            entries = [(x, ("P", w, e, shut)) for x, w, e in group]
             if mine and one and fits and all(r[2] == 1 for r in message[3]):
                 if alone and uses == {(s, "m", m, 1)}:
-                    moves.push[x_col] = (entries, False)
+                    terms[t][d] = entries
+                    stored.discard(x_col)
                 elif _scatters(steps[t], cuts[t]) and shut <= _excludes(lin[1]):
-                    moves.push.setdefault(x_col, ([], True))[0].extend(entries)
+                    terms[t].setdefault(d, []).extend(entries)
                 else:
                     lin = None
                 if lin:
-                    moves.moved.add((s, m))
-    for key in moves.moved:
-        del moves.sums[key]
-    return moves
+                    moved.add((s, m))
+    for (s, m), (group, _) in groups.items():
+        terms[s]["m", m] = [] if (s, m) in moved else [(x, (w, e)) for x, w, e in group]
+    return read_at
+
+
+def _tag(w):
+    """The rule a readout term's weight comes from: "T", "P", or None."""
+    return w[0] if type(w) is tuple and w[0] in ("T", "P") else None
 
 
 def _reads(step: _Step, columns) -> set:
@@ -1208,7 +1198,7 @@ class _Kernel:
         self.layout, self.index = layout, {name: i for i, name in enumerate(layout)}
         self.fusing = readouts is not None and not hooked
         plan = _layout(steps, self.cuts, self.index, readouts if self.fusing else None)
-        self.units, self.slot, self.sums, self.moves = plan
+        self.units, self.slot, self.sums, self.stored = plan
         self.omegas: dict = {}  # per weight of rule T, the buffer of its Omega
         # known-1 columns: stored, 1 on their node list but where their
         # update excludes
@@ -1218,7 +1208,7 @@ class _Kernel:
                 ones = nodes is not None and _held(nodes, layout)[1]
                 self.known.update(
                     ((t, c), nodes) for c in columns if ones and self.slot[t, c] == nodes
-                    and c not in self.sums[t] and (t, c) not in self.moves.trans
+                    and c not in self.sums[t]
                     and all(
                         x and (x[1:] == (0, False) or x[1:] == (0, True) and x[0] in ones)
                         for _, _, x, _ in steps[t].updates[c][4]
@@ -1349,14 +1339,17 @@ class _Kernel:
 
     def readout(self, xs, coef=None, ones=frozenset()) -> list:
         """(sum, weight code) per readout term (x, w) in ``xs``: coef times
-        the label w, 1 where ``ones`` holds it, or Omega_F of w = (weight,
-        exclusions)."""
+        the weight at ``_k``: a label, 1 where ``ones`` holds it, or a column
+        (rule T's ("T", w)), or Omega_F of rule P's ("P", w, exclusions,
+        _)."""
         out = []
         for x, w in xs:
-            if type(w) is tuple:
-                w = self.omega("_k", *w, ones)
-            elif w is not None:
-                w = None if w in ones else (f"{self.label(w)}[_k]", frozenset({self.label(w)}))
+            if _tag(w) == "P":
+                w = self.omega("_k", w[1], w[2], ones)
+            else:
+                w = w[1] if _tag(w) else w
+                name = w and (self.label(w) if type(w) is str else "O{}_{}".format(*w))
+                w = None if w is None or w in ones else (f"{name}[_k]", frozenset({name}))
             out.append((f"_r{x}", _times(coef, w)))
         return out
 
@@ -1364,26 +1357,26 @@ class _Kernel:
         """The (coef, readout terms) of each per-sender sum rule P pushes
         into column c's loop, coef extended by the exclusions its senders'
         loop has."""
-        entries = self.moves.push[self.s, c][0] if (self.s, c) in self.moves.push else []
+        entries = [(x, w) for x, w in self.sums[self.s].get(c, ()) if _tag(w) == "P"]
         if entries:
-            self.folds.append(("push", 0, frozenset().union(*(e for *_, e in entries))))
-        for _, w, e, _ in entries:
+            self.folds.append(("push", 0, frozenset().union(*(w[3] for _, w in entries))))
+        for _, (_, w, e, _) in entries:
             self.folds.append(("flat", 0, e) if w is None else ("omega", 0, (w, e)))
         return [
-            (coef + tuple(self.exclusion(x, 0) for x in _ONE_NODE if x in shut - _excludes(coef)),
-             [(x, (w, e))])
-            for x, w, e, shut in entries
+            (coef + tuple(self.exclusion(x, 0) for x in _ONE_NODE if x in w[3] - _excludes(coef)),
+             [(x, w)])
+            for x, w in entries
         ]
 
     def flat(self, m, value, ones):
         """Rule T: a value read only at its sender, added once per sender
         times its Omega_F, or None where no per-sender sum of m is due."""
-        group = self.moves.sums.get((self.s, m))
+        group = self.sums[self.s].get(("m", m))
         if not group:
             return None
-        for _, w, e in group[0]:
+        for _, (w, e) in group:
             self.folds.append(("flat", 1, e) if w is None else ("omega", 1, (w, e)))
-        return [("add", value, [(f"_r{x}", self.omega("_l", w, e, ones)) for x, w, e in group[0]])]
+        return [("add", value, [(f"_r{x}", self.omega("_l", w, e, ones)) for x, (w, e) in group])]
 
     def pull(self, reads: set, dropped: set, ones, early=None, bare=()) -> list:
         """Statements that sum each message in ``reads`` over the neighbors
@@ -1505,16 +1498,13 @@ class _Kernel:
         column, coef only exclusion factors, that alone reads m, take m's
         scatter in its own buffer, then 0 at the nodes coef excludes.  With
         ``nodes`` None, the unit sends its columns."""
-        self.s, step, sums, moves = s, self.steps[s], self.sums[s], self.moves
+        self.s, step, sums = s, self.steps[s], self.sums[s]
         self.binds, self.folds = [nodes] if nodes else [], [] if self.fusing else None
         if nodes is None:
             sent: dict = {}
             for c in columns:
                 m, coef = step.linear[c]
-                if (s, c) in moves.push:
-                    sent.setdefault(m, []).extend(self.pushed(c, coef))
-                else:
-                    sent.setdefault(m, []).append((coef, sums[c]))
+                sent.setdefault(m, []).extend(self.pushed(c, coef) or [(coef, sums[c])])
 
             def add(m, value, dropped, ones=frozenset()):
                 terms = [
@@ -1523,7 +1513,7 @@ class _Kernel:
                 return [("add", value, terms)]
 
             coefs = {m: [coef for coef, _ in cs] for m, cs in sent.items()}
-            moved = {m for m in sent if (s, m) in moves.moved}
+            moved = {m for m in sent if sums.get(("m", m)) == []}
             return self.done(self.scatter(sorted(sent), add, coefs, True, moved), [], [])
         absent, ones = _held(nodes, self.layout)
         ones |= {
@@ -1531,14 +1521,14 @@ class _Kernel:
             if self.known.get(o) == nodes
         }
         buffered = _scatters(step, self.cuts[s])
-        trans = {c: moves.trans[s, c] for c in columns if (s, c) in moves.trans}
-        only = {c for c, (*_, alone) in trans.items() if alone}
-        outs = [f"O{s}_{c}" for c in columns if c not in sums and c not in only]
+        trans = {c: xs for c in columns if (xs := [t for t in sums.get(c, ()) if _tag(t[1]) == "T"])}
+        only = {c for c in trans if (s, c) not in self.stored}
+        outs = [f"O{s}_{c}" for c in columns if (s, c) in self.stored]
         stmts = []
         for c in columns if buffered and self.fusing else ():
             m, coef = step.linear[c] or (None, ())
             readers = sum(("M", m, None) in u[3] for u in step.updates)
-            if c in sums or m is None or readers > 1 or not _only_excludes(coef):
+            if (s, c) not in self.stored or m is None or readers > 1 or not _only_excludes(coef):
                 continue
             self.folds.append(("own", 0, _excludes(coef)))
             into = self.pushed(c, coef)
@@ -1574,27 +1564,21 @@ class _Kernel:
             whole = step.updates[c][0] if product == step.updates[c][4] else None
             value = _product(product, dropped, whole) or _ONE
             body.append(
-                ("set", f"O{s}_{c}[_k]", "=", value) if c not in sums
+                ("set", f"O{s}_{c}[_k]", "=", value) if (s, c) in self.stored
                 else ("add", value, self.readout(sums[c], None, ones))
             )
         if not buffered:
             # rule T: a column's receiver part, times the weight at the node
             early: dict = {}
-            for c, (xs, _, _) in trans.items():
+            for c, xs in trans.items():
                 m, coef = step.linear[c]
-                coef = _product(coef, dropped)
-                for x, w in xs:
-                    at = None
-                    if w is not None and w not in ones:
-                        at = self.label(w) if type(w) is str else "O{}_{}".format(*w)
-                        at = (f"{at}[_k]", frozenset({at}))
-                    early.setdefault(m, []).append((f"_r{x}", _times(coef, at)))
+                early.setdefault(m, []).extend(self.readout(xs, _product(coef, dropped), ones))
             bare = {step.linear[c][0] for c in only}
             pull = self.pull(reads, dropped, ones, early, bare)
             stmts = [_loop("_k", nodes, guard, pull + body)]
             # and its sender part, summed per sender where rule P did not push it
             for m in sorted({step.linear[c][0] for c in trans}):
-                if (s, m) in moves.sums:
+                if sums.get(("m", m)):
                     stmts += self.scatter([m], None, {}, True, receive=False)
             return self.done(stmts, outs, [])
         stmts += self.scatter(messages, lambda m, value, *_: [("set", f"M{s}_{m}[_k]", "+=", value)], {})
@@ -1621,14 +1605,13 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
     (``_fold``), or None where nothing folds: in a kernel with a hook or
     without readouts."""
     form = _Kernel(prog, layout, hops, readouts, hooked)
-    steps, index, slot, sums, moves = form.steps, form.index, form.slot, form.sums, form.moves
+    steps, index, slot, sums = form.steps, form.index, form.slot, form.sums
     fusing, known, omegas = form.fusing, form.known, form.omegas
-    terms = [t for step_sums in sums for ts in step_sums.values() for t in ts]
     built = [
         [(nodes, columns, once, form.unit(s, nodes, columns)) for nodes, columns, once in units]
         for s, units in enumerate(form.units)
     ]
-    summed = {x for x, _ in terms} | {x for xs, *_ in moves.trans.values() for x, _ in xs}
+    summed = {x for step_sums in sums for xs in step_sums.values() for x, _ in xs}
     last = steps[-1].origins
     if fusing:
         # a column 1 on its list that no statement reads is not stored

@@ -406,13 +406,12 @@ _PLAN_FUSED = {
 def _fused(spec, hops):
     # a readout term without its readout's weight lies under the weight rule
     _, _, units, _, terms = _hook_free_layout(spec.program, spec.readouts, hops)
-    moves = _moves(spec.program, spec.readouts, hops)
-    how = {x: "t" for xs, *_ in moves.trans.values() for x, _ in xs}
-    how.update((x, "p") for entries, _ in moves.push.values() for x, *_ in entries)
+    how = {x: "t" for x, _ in _tagged(terms, "T")}
+    how.update((x, "p") for x, _ in _tagged(terms, "P"))
     for step_units, step_terms in zip(units, terms):
         sent = {c for nodes, columns, _ in step_units if nodes is None for c in columns}
         for c, xs in step_terms.items():
-            for x, w in xs:
+            for x, w in xs if type(c) is int else ():
                 weighted = spec.readouts[x].weight is not None
                 if x not in how:
                     how[x] = "s" if c in sent else "w" if weighted and w is None else "l"
@@ -488,17 +487,17 @@ def _hook_free_layout(prog, readouts, hops):
     return steps, cuts, units, slot, terms
 
 
-def _moves(prog, readouts, hops):
-    """Rules T and P in the kernel without a hook (``E._Moves``)."""
-    steps = E._steps(prog, ROOTED_LAYOUT)
-    _, cuts = E._radii(steps, hops, readouts, prog.name)
-    index = {name: i for i, name in enumerate(ROOTED_LAYOUT)}
-    return E._layout(steps, cuts, index, readouts)[3]
+def _tagged(terms, tag):
+    """The (readout, (step, column)) of each term of the columns of a
+    layout that rule ``tag`` ("T" or "P") wrote (``E._transpose``)."""
+    return [
+        (x, (s, c)) for s, step_terms in enumerate(terms) for c, xs in step_terms.items()
+        if type(c) is int for x, w in xs if E._tag(w) == tag
+    ]
 
 
 def _node_lists(spec, hops):
     steps, _, units, _, terms = _hook_free_layout(spec.program, spec.readouts, hops)
-    moves = _moves(spec.program, spec.readouts, hops)
     lines, _, _ = E._generate(spec.program, ROOTED_LAYOUT, hops, spec.readouts, False)
     source = "\n".join(lines)
     text = []
@@ -506,7 +505,6 @@ def _node_lists(spec, hops):
         where = {
             c: ">" if nodes is None else "1" if (
                 f"O{s}_{c} = [0] * n" not in source and c not in terms[s]
-                and (s, c) not in moves.trans
             ) else "^" * once + _list_text(nodes, ROOTED_LAYOUT)
             for nodes, columns, once in step_units for c in columns
         }
@@ -1432,17 +1430,21 @@ def _transposed_uses(prog, readouts, hops):
     "stored" or "alone"), ("P", "cut") for a push into a cut step, and
     ("T", "i") and ("T", "j") where Omega_F subtracts the weight at i or j
     read off a column."""
-    steps, cuts, *_ = _hook_free_layout(prog, readouts, hops)
-    moves = _moves(prog, readouts, hops)
+    steps, cuts, _, _, terms = _hook_free_layout(prog, readouts, hops)
+    index = {name: i for i, name in enumerate(ROOTED_LAYOUT)}
+    stored = E._layout(steps, cuts, index, readouts)[3]
     kind = {type(None): "1", str: "label", tuple: "column"}
     used = set()
-    for (s, c), (xs, _, alone) in moves.trans.items():
-        used |= {("T", "pulled" if alone else "lifted", kind[type(w)]) for _, w in xs}
-    pulled = {(s, steps[s].linear[c][0]) for s, c in moves.trans}
-    for key, (group, _) in moves.sums.items():
-        used |= {("T", "sent", kind[type(w)]) for _, w, _ in group if key not in pulled}
-    for (t, _), (_, stored) in moves.push.items():
-        used.add(("P", "stored" if stored else "alone"))
+    for x, (s, c) in _tagged(terms, "T"):
+        w = dict(terms[s][c])[x][1]
+        used.add(("T", "lifted" if (s, c) in stored else "pulled", kind[type(w)]))
+    pulled = {(s, steps[s].linear[c][0]) for _, (s, c) in _tagged(terms, "T")}
+    for s, step_terms in enumerate(terms):
+        for key, group in step_terms.items():
+            if type(key) is tuple and (s, key[1]) not in pulled:
+                used |= {("T", "sent", kind[type(w)]) for _, (w, _) in group}
+    for _, (t, d) in _tagged(terms, "P"):
+        used.add(("P", "stored" if (t, d) in stored else "alone"))
         if cuts[t] is not None:
             used.add(("P", "cut"))
     lines, _, _ = E._generate(prog, ROOTED_LAYOUT, hops, readouts, False)
@@ -1477,14 +1479,14 @@ def test_hand_written_transposed_plans_use_every_rule():
         steps = E._steps(prog, ROOTED_LAYOUT)
         _, cuts = E._radii(steps, hops, readouts, prog.name)
         index = {name: i for i, name in enumerate(ROOTED_LAYOUT)}
-        assert E._layout(steps, cuts, index, readouts)[3].trans
-        moves = E._layout(steps, cut, index, readouts)[3]
-        assert not moves.trans and not moves.push
+        assert _tagged(E._layout(steps, cuts, index, readouts)[2], "T")
+        terms = E._layout(steps, cut, index, readouts)[2]
+        assert not _tagged(terms, "T") and not _tagged(terms, "P")
     # a column cut within less than Omega_F's reach (2 for cycle5's) is not
     # pushed into; a column is read across an edge one step further out than
     # its reader, so no plan's own radii do this
-    moves = E._layout(steps, (None, 1, 1), index, readouts)[3]
-    assert moves.trans and not moves.push
+    terms = E._layout(steps, (None, 1, 1), index, readouts)[2]
+    assert _tagged(terms, "T") and not _tagged(terms, "P")
 
 
 _RULE_PLANS = (
