@@ -179,7 +179,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import partial, reduce
+from functools import reduce
 from itertools import chain, compress
 from operator import mul
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -813,6 +813,7 @@ def _layout(steps, cuts, index, readouts) -> tuple[list, dict, list, set]:
         out.setdefault(steps[-1].origins[r.component], []).append(x)
     slot: dict = {}
     once: set = set()
+    branchy: set = set()
     terms: list = []
     own: list = []
 
@@ -854,14 +855,19 @@ def _layout(steps, cuts, index, readouts) -> tuple[list, dict, list, set]:
                 ((var, key, hop),) = witness
                 if hop == 0:
                     slot[s, c] = where(s, var, key)
-            # once per root: it, and the weights of its readouts, read
-            # only root labels and columns computed once
+            # it depends on the branch when it reads a branch label or a
+            # column that does; it is computed once per root when it, and
+            # the weights of its readouts, read only root labels and columns
+            # computed once
             reads = _reads(step, [c])
-            labels = {readouts[x].weight for x in sums.get(c, ())} - {None}
+            labels = {r[1] for r in reads if r[0] == "L"}
+            columns = {steps[s - 1].origins[r[1]] for r in reads if r[0] == "H"}
+            if labels & _BRANCH_LABELS or columns & branchy:
+                branchy.add((s, c))
+            weights = {readouts[x].weight for x in sums.get(c, ())} - {None}
             if (
                 not whole and c not in sent and _per_root(lists[c], index)
-                and not (labels | {r[1] for r in reads if r[0] == "L"}) & _BRANCH_LABELS
-                and all(steps[s - 1].origins[r[1]] in once for r in reads if r[0] == "H")
+                and not (weights | labels) & _BRANCH_LABELS and columns <= once
             ):
                 once.add((s, c))
         own.append((whole, stored, sums, sent, lists, label))
@@ -874,7 +880,8 @@ def _layout(steps, cuts, index, readouts) -> tuple[list, dict, list, set]:
     kept = {(s, c) for s, (_, stored, *_) in enumerate(own) for c in stored}
     read_at = {}
     if readouts is not None:
-        read_at = _transpose(steps, cuts, readouts, [x[3] for x in own], terms, hoisted, kept)
+        sends = [x[3] for x in own]
+        read_at = _transpose(steps, cuts, readouts, sends, terms, (hoisted, branchy), kept)
     units: list = [[] for _ in steps]
     for s in reversed(range(len(steps))):
         whole, stored, sums, sent, lists, label = own[s]
@@ -932,11 +939,12 @@ def _bare(factor, hop: int):
     return None
 
 
-def _transpose(steps, cuts, readouts, sends, terms, once, stored) -> dict:
+def _transpose(steps, cuts, readouts, sends, terms, roots, stored) -> dict:
     """Rules T and P (module docstring), rewriting the readout terms of a
     kernel's layout (``_layout``) in place: ``sends`` holds the columns
-    each step sends, ``once`` the columns it computes once per root, and
-    ``stored`` the columns it stores, less those rule P sends.
+    each step sends, ``roots`` the columns it computes once per root and
+    those that depend on the branch, and ``stored`` the columns it
+    stores, less those rule P sends.
 
     Rule T tags a column's terms ("T", w): its receiver part, times the
     weight w at the node, is added where it is computed, and its sender
@@ -945,14 +953,7 @@ def _transpose(steps, cuts, readouts, sends, terms, once, stored) -> dict:
     the loop over the senders of the column they read, tagged ("P", w,
     exclusions, the exclusions at its nodes), and leaves the message's key
     empty.  Returns the read each column of rule T lies in."""
-    branchy: set = set()  # the columns that depend on the branch
-    for s, step in enumerate(steps):
-        for c, src in enumerate(step.copies):
-            reads = _reads(step, [c]) if src is None else set()
-            if {r[1] for r in reads if r[0] == "L"} & _BRANCH_LABELS or any(
-                steps[s - 1].origins[r[1]] in branchy for r in reads if r[0] == "H"
-            ):
-                branchy.add((s, c))
+    once, branchy = roots
 
     def reach(w, excluded=None) -> float:
         """How far from the root weight w, or with ``excluded`` its
@@ -1298,34 +1299,25 @@ class _Kernel:
         w at the node of each one-node identifier in ``excluded`` times the
         label that marks that node's neighbors, which is 1 where ``ones``
         holds it."""
-        if w is None:
-            base, at = "_deg", lambda x: 1
-        else:
+        base, at = "_deg", lambda x: _ONE
+        if w is not None:
             base = self.omegas.setdefault(w, f"W{len(self.omegas)}")
-            if type(w) is str:
-                at = partial(_label_at, w)
-            else:
-                zeros = _held(self.slot[w], self.layout)[0] | _excludes(
-                    self.steps[w[0]].updates[w[1]][4]
-                )
-                name = "O{}_{}".format(*w)
-
-                def at(x):
-                    return 0 if x in zeros else (f"{name}[{_ONE_NODE[x]}]", frozenset({name}))
-
+        if type(w) is str:
+            at = lambda x: _ONE if _label_at(w, x) else None
+        elif w is not None:
+            zeros = _held(self.slot[w], self.layout)[0] | _excludes(self.steps[w[0]].updates[w[1]][4])
+            name = "O{}_{}".format(*w)
+            at = lambda x: None if x in zeros else (f"{name}[{_ONE_NODE[x]}]", {name})
         terms, known, reads = [f"{base}[{var}]"], 0, {base}
         for x in _ONE_NODE:
-            value = at(x) if x in excluded else 0
-            around = _AROUND[x]
-            if value == 1 and around in ones:
+            value, label = at(x) if x in excluded else None, self.label(_AROUND[x])
+            if value == _ONE and _AROUND[x] in ones:
                 known += 1
             elif value:
-                parts = [] if value == 1 else [value[0]]
-                reads.update(() if value == 1 else value[1])
-                if around not in ones:
-                    parts.append(f"{self.label(around)}[{var}]")
-                    reads.add(self.label(around))
-                terms.append(" * ".join(parts))
+                read = None if _AROUND[x] in ones else (f"{label}[{var}]", {label})
+                py, more = _times(None if value == _ONE else value, read)
+                terms.append(py)
+                reads |= more
         terms += [str(known)] if known else []
         return (f"({' - '.join(terms)})" if len(terms) > 1 else terms[0]), frozenset(reads)
 
@@ -1367,6 +1359,20 @@ class _Kernel:
              [(x, w)])
             for x, w in entries
         ]
+
+    def adder(self, sent: dict, store: str | None = None):
+        """``scatter``'s ``add``: a value of message m, stored to ``store``
+        (a format of m) unless None, and added to the readout sums that
+        ``sent[m]`` lists as (coef, readout terms)."""
+
+        def add(m, value, dropped, ones=frozenset()):
+            terms = [
+                t for f, xs in sent.get(m, ()) for t in self.readout(xs, _product(f, dropped), ones)
+            ]
+            stores = [("set", store.format(m), "+=", value)] if store else []
+            return [*stores, ("add", value, terms)]
+
+        return add
 
     def flat(self, m, value, ones):
         """Rule T: a value read only at its sender, added once per sender
@@ -1505,16 +1511,10 @@ class _Kernel:
             for c in columns:
                 m, coef = step.linear[c]
                 sent.setdefault(m, []).extend(self.pushed(c, coef) or [(coef, sums[c])])
-
-            def add(m, value, dropped, ones=frozenset()):
-                terms = [
-                    t for f, xs in sent[m] for t in self.readout(xs, _product(f, dropped), ones)
-                ]
-                return [("add", value, terms)]
-
             coefs = {m: [coef for coef, _ in cs] for m, cs in sent.items()}
             moved = {m for m in sent if sums.get(("m", m)) == []}
-            return self.done(self.scatter(sorted(sent), add, coefs, True, moved), [], [])
+            stmts = self.scatter(sorted(sent), self.adder(sent), coefs, True, moved)
+            return self.done(stmts, [], [])
         absent, ones = _held(nodes, self.layout)
         ones |= {
             f"H{k}" for k, o in enumerate(self.steps[s - 1].origins if s else ())
@@ -1532,11 +1532,7 @@ class _Kernel:
                 continue
             self.folds.append(("own", 0, _excludes(coef)))
             into = self.pushed(c, coef)
-
-            def add(m, value, dropped, ones=frozenset(), c=c, into=into):
-                terms = [t for f, xs in into for t in self.readout(xs, _product(f, dropped), ones)]
-                return [("set", f"O{s}_{c}[_k]", "+=", value), ("add", value, terms)]
-
+            add = self.adder({m: into}, f"O{s}_{c}[_k]")
             stmts += self.scatter([m], add, {m: [f for f, _ in into]} if into else {})
             # a pushed sum's guard skips the nodes coef excludes already
             stmts += [
@@ -1581,18 +1577,19 @@ class _Kernel:
                 if sums.get(("m", m)):
                     stmts += self.scatter([m], None, {}, True, receive=False)
             return self.done(stmts, outs, [])
-        stmts += self.scatter(messages, lambda m, value, *_: [("set", f"M{s}_{m}[_k]", "+=", value)], {})
+        stmts += self.scatter(messages, self.adder({}, "M{}_{{}}[_k]".format(s)), {})
         loads = [
-            stmt for m in messages for stmt in (
-                ("set", f"_m{m}", "=", (f"M{s}_{m}[_k]", frozenset({f"M{s}_{m}"}))),
-                ("set", f"M{s}_{m}[_k]", "=", _ZERO),
-            )
+            (("set", f"_m{m}", "=", (f"M{s}_{m}[_k]", {f"M{s}_{m}"})), ("set", f"M{s}_{m}[_k]", "=", _ZERO))
+            for m in messages
         ]
-        stmts.append(("for", "_k", nodes, [*loads, ("if", guard, body)]))
+        stmts.append(("for", "_k", nodes, [*chain(*loads), ("if", guard, body)]))
         return self.done(stmts, outs, [f"M{s}_{m}" for m in messages])
 
     def done(self, stmts, outs, used) -> tuple:
-        return self.binds, stmts, outs, used, self.folds or []
+        reads: set = set()
+        _render(stmts, reads, {})
+        names = {_name(r, self.index) for r in reads}
+        return self.binds, stmts, outs, used, self.folds or [], {x for x in names if type(x) is str}
 
 
 def _indent(lines: list, depth: int) -> list:
@@ -1614,16 +1611,15 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
     summed = {x for step_sums in sums for xs in step_sums.values() for x, _ in xs}
     last = steps[-1].origins
     if fusing:
-        # a column 1 on its list that no statement reads is not stored
+        # a known-1 column that no statement reads is not stored; a column
+        # read by name is a readout's or Omega's weight
         read = {w for w in omegas if type(w) is tuple}
         read |= {last[r.component] for x, r in enumerate(readouts) if x not in summed}
-        for s, step_units in enumerate(built):
-            names = {f"H{k}": o for k, o in enumerate(steps[s - 1].origins)} if s else {}
-            names.update({"O{}_{}".format(*o): o for o in known})
-            for *_, (_, stmts, _, _, _) in step_units:
-                seen: set = set()
-                _render(stmts, seen, {})
-                read |= {names[x] for x in (_name(r, index) for r in seen) if x in names}
+        read |= {
+            steps[s - 1].origins[int(x[1:])]
+            for s, step_units in enumerate(built) for *_, unit in step_units
+            for x in unit[5] if x[0] == "H"
+        }
         for s, step_units in enumerate(built):
             for u, (nodes, columns, once, _) in enumerate(step_units):
                 kept = [c for c in columns if (s, c) not in known or (s, c) in read]
@@ -1685,15 +1681,13 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
         for nodes, columns, once, unit in step_units:
             if not columns:
                 continue
-            spec, stmts, outs, used, unit_folds = unit
+            spec, stmts, outs, used, unit_folds, unit_seen = unit
             for x in spec:
                 bind(x)
             name = nodes and bind(nodes)
             if fusing:
                 folds[s] += unit_folds
-            unit_seen: set = set()
-            lines = _render(stmts, unit_seen, names)
-            unit_seen = {_name(r, index) for r in unit_seen}
+            lines = _render(stmts, set(), names)
             seen.update(unit_seen)
             h_keys = {int(x[1:]) for x in unit_seen if x[:1] == "H"}
             if once:
