@@ -840,7 +840,9 @@ def _layout(steps, cuts, index, readouts) -> tuple[list, dict, list, set]:
                 if m and _one_read_a_side(m[2]) and all(hop == 1 for *_, hop in m[2])
                 and _reach(m[2], steps[s - 1].reach, sender=True) < cut
             ]
-        terms.append({c: [(x, None if label else readouts[x].weight) for x in xs] for c, xs in sums.items()})
+        terms.append(
+            {c: [(x, None if label else readouts[x].weight) for x in xs] for c, xs in sums.items()}
+        )
         lists = {}
         for c in computed:
             witness = step.updates[c][2]
@@ -1107,15 +1109,6 @@ _ONE = ("1", frozenset())
 _ZERO = ("0", frozenset())
 
 
-def _name(read, index) -> str:
-    """The kernel name a read reads: ``H<c>``, ``L<x>``, ``_m<m>``, or the
-    buffer or list a name read names."""
-    if type(read) is not tuple or read[0] not in ("H", "L", "M"):
-        return read
-    var, key, _ = read
-    return f"L{index[key]}" if var == "L" else f"H{key}" if var == "H" else f"_m{key}"
-
-
 def _render(stmts: list, seen: set, lists: Mapping) -> list:
     """The Python lines of statements of the term form (module docstring),
     adding each read they make to ``seen``; ``lists`` names the node lists
@@ -1132,7 +1125,8 @@ def _render(stmts: list, seen: set, lists: Mapping) -> list:
             body = _render(body, seen, lists)
             if conds:
                 seen.update(*(reads for _, reads in conds))
-                body = [f"if {' and '.join(dict.fromkeys(py for py, _ in conds))}:", *_indent(body, 1)]
+                test = " and ".join(dict.fromkeys(py for py, _ in conds))
+                body = [f"if {test}:", *_indent(body, 1)]
             lines += body
         elif kind == "set":
             target, op, (py, reads) = args
@@ -1145,10 +1139,8 @@ def _render(stmts: list, seen: set, lists: Mapping) -> list:
                 py = "_v"
             for name, w in terms:
                 seen.update(reads, w[1] if w else ())
-                if w is None:
-                    lines.append(f"{name} -= {py[1:]}" if py.startswith("-") else f"{name} += {py}")
-                else:
-                    lines.append(f"{name} += {w[0] if py == '1' else f'{w[0]} * {py}'}")
+                value = py if w is None else w[0] if py == "1" else f"{w[0]} * {py}"
+                lines.append(f"{name} -= {value[1:]}" if value[0] == "-" else f"{name} += {value}")
     return lines
 
 
@@ -1305,8 +1297,8 @@ class _Kernel:
         if type(w) is str:
             at = lambda x: _ONE if _label_at(w, x) else None
         elif w is not None:
-            zeros = _held(self.slot[w], self.layout)[0] | _excludes(self.steps[w[0]].updates[w[1]][4])
-            name = "O{}_{}".format(*w)
+            name, update = "O{}_{}".format(*w), self.steps[w[0]].updates[w[1]]
+            zeros = _held(self.slot[w], self.layout)[0] | _excludes(update[4])
             at = lambda x: None if x in zeros else (f"{name}[{_ONE_NODE[x]}]", {name})
         terms, known, reads = [f"{base}[{var}]"], 0, {base}
         for x in _ONE_NODE:
@@ -1384,50 +1376,37 @@ class _Kernel:
             self.folds.append(("flat", 1, e) if w is None else ("omega", 1, (w, e)))
         return [("add", value, [(f"_r{x}", self.omega("_l", w, e, ones)) for x, (w, e) in group])]
 
-    def pull(self, reads: set, dropped: set, ones, early=None, bare=()) -> list:
-        """Statements that sum each message in ``reads`` over the neighbors
-        of ``_k`` into ``_m<m>``, without the factors ``dropped``.  A message
-        ``_split`` splits starts from its receiver part (``receiver``;
-        ``ones``: the labels 1 at ``_k``), and sums its sender part, whose
-        factors that exclude a node where its sender-side read is 0 drop.
-        ``early`` maps a message to the readout terms its receiver part is
-        added to first (rule T); a message in ``bare`` sums no sender part,
-        as nothing else reads it."""
-        early = early or {}
-        step = self.steps[self.s]
-        messages = sorted(r[1] for r in reads if r[0] == "M")
-        if not messages:
-            return []
-        parts = []  # per message: what its sum starts from, its summed factors, their source
+    def pull(self, messages, dropped: set, ones, early: dict, bare) -> list:
+        """Statements that sum each message in ``messages`` over the
+        neighbors of ``_k`` into ``_m<m>``, without the factors ``dropped``.
+        A message ``_split`` splits starts from its receiver part
+        (``receiver``; ``ones``: the labels 1 at ``_k``), and sums its
+        sender part, whose factors that exclude a node where its sender-side
+        read is 0 drop.  ``early`` maps a message to the readout terms its
+        receiver part is added to first (rule T); a message in ``bare`` sums
+        no sender part, as nothing else reads it."""
+        stmts, summed = [], []  # summed: per message, its summed factors and their source
         for m in messages:
-            msg, _, witness, _, factors = step.messages[m]
-            split = self.folds is not None and _split(factors)
-            if not split:
-                parts.append((_ZERO, factors, msg))
-                continue
-            factors, _, excluded, _ = split
-            self.folds.append(("sum", 0, excluded))
-            at = [(var, key) for var, key, hop in witness or () if hop == 1]
-            zeros = self.column(*at[0], False)[2] if len(at) == 1 else frozenset()
-            _, own = self.fold(1, frozenset(), [factors], zeros)
-            factors = tuple(f for f in factors if f[2] not in own)
-            here = self.known_one(split[3][2], 0, ones)
-            parts.append((self.receiver(split, here, dropped, ones), factors, None))
-        stmts = []
-        for m, (start, *_) in zip(messages, parts):
+            msg, _, witness, _, factors = self.steps[self.s].messages[m]
+            start, split = _ZERO, self.folds is not None and _split(factors)
+            if split:
+                factors, _, excluded, _ = split
+                self.folds.append(("sum", 0, excluded))
+                at = [(var, key) for var, key, hop in witness or () if hop == 1]
+                zeros = self.column(*at[0], False)[2] if len(at) == 1 else frozenset()
+                own = self.fold(1, frozenset(), [factors], zeros)[1]
+                factors = tuple(f for f in factors if f[2] not in own)
+                start = self.receiver(split, self.known_one(split[3][2], 0, ones), dropped, ones)
             if m in bare:
                 stmts.append(("add", start, early[m]))
-            else:
-                stmts += [("set", f"_m{m}", "=", start), ("add", (f"_m{m}", frozenset()), early.get(m, []))]
-        summed = [(m, p) for m, p in zip(messages, parts) if m not in bare]
+                continue
+            stmts += [("set", f"_m{m}", "=", start), ("add", (f"_m{m}", ()), early.get(m, []))]
+            summed.append((m, factors, None if split else msg))
         if not summed:
             return stmts
-        skip = frozenset.intersection(*(_excludes(f, 1) for _, (_, f, _) in summed))
-        guard, more = self.fold(1, skip, [f for _, (_, f, _) in summed])
-        sums = [
-            ("set", f"_m{m}", "+=", _product(f, dropped | more, whole))
-            for m, (_, f, whole) in summed
-        ]
+        skip = frozenset.intersection(*(_excludes(f, 1) for _, f, _ in summed))
+        guard, more = self.fold(1, skip, [f for _, f, _ in summed])
+        sums = [("set", f"_m{m}", "+=", _product(f, dropped | more, w)) for m, f, w in summed]
         return stmts + [_loop("_l", "adj[_k]", guard, sums)]
 
     def scatter(self, sent, add, coefs: dict, flat=False, moved=(), receive=True) -> list:
@@ -1454,9 +1433,8 @@ class _Kernel:
             sends, whole = (split[0], None) if split else (factors, msg)
             # a value added at _k is 0 where the message is or every coef is
             products = [sends, *coefs.get(m, ())]
-            skip = _excludes(sends)
-            if coefs.get(m):
-                skip |= frozenset.intersection(*map(_excludes, coefs[m]))
+            skip = frozenset.intersection(*map(_excludes, products[1:] or [sends]))
+            skip |= _excludes(sends)
             if sender and m not in moved:
                 known = self.known_one(sends, 1, sender[3])
                 sends, whole = known, whole if known == sends else None
@@ -1521,7 +1499,8 @@ class _Kernel:
             if self.known.get(o) == nodes
         }
         buffered = _scatters(step, self.cuts[s])
-        trans = {c: xs for c in columns if (xs := [t for t in sums.get(c, ()) if _tag(t[1]) == "T"])}
+        trans = {c: [t for t in sums.get(c, ()) if _tag(t[1]) == "T"] for c in columns}
+        trans = {c: xs for c, xs in trans.items() if xs}
         only = {c for c in trans if (s, c) not in self.stored}
         outs = [f"O{s}_{c}" for c in columns if (s, c) in self.stored]
         stmts = []
@@ -1570,7 +1549,7 @@ class _Kernel:
                 m, coef = step.linear[c]
                 early.setdefault(m, []).extend(self.readout(xs, _product(coef, dropped), ones))
             bare = {step.linear[c][0] for c in only}
-            pull = self.pull(reads, dropped, ones, early, bare)
+            pull = self.pull(messages, dropped, ones, early, bare)
             stmts = [_loop("_k", nodes, guard, pull + body)]
             # and its sender part, summed per sender where rule P did not push it
             for m in sorted({step.linear[c][0] for c in trans}):
@@ -1579,17 +1558,23 @@ class _Kernel:
             return self.done(stmts, outs, [])
         stmts += self.scatter(messages, self.adder({}, "M{}_{{}}[_k]".format(s)), {})
         loads = [
-            (("set", f"_m{m}", "=", (f"M{s}_{m}[_k]", {f"M{s}_{m}"})), ("set", f"M{s}_{m}[_k]", "=", _ZERO))
-            for m in messages
+            stmt for m in messages for stmt in (
+                ("set", f"_m{m}", "=", (f"M{s}_{m}[_k]", {f"M{s}_{m}"})),
+                ("set", f"M{s}_{m}[_k]", "=", _ZERO),
+            )
         ]
-        stmts.append(("for", "_k", nodes, [*chain(*loads), ("if", guard, body)]))
+        stmts.append(("for", "_k", nodes, [*loads, ("if", guard, body)]))
         return self.done(stmts, outs, [f"M{s}_{m}" for m in messages])
 
     def done(self, stmts, outs, used) -> tuple:
+        """A built unit (``unit``), with the names its statements read."""
         reads: set = set()
         _render(stmts, reads, {})
-        names = {_name(r, self.index) for r in reads}
-        return self.binds, stmts, outs, used, self.folds or [], {x for x in names if type(x) is str}
+        names = {
+            r if type(r) is str else f"L{self.index[r[1]]}" if r[0] == "L" else f"{r[0]}{r[1]}"
+            for r in reads if type(r) is str or type(r) is tuple and r[0] in ("H", "L", "M")
+        }
+        return self.binds, stmts, outs, used, self.folds or [], names
 
 
 def _indent(lines: list, depth: int) -> list:
@@ -1643,12 +1628,9 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
             # a meet: the set of one list, built once per root if it can be,
             # meets the others
             first, *rest = sorted(spec, key=lambda x: (not _per_root(x, index), x))
-            made = [f" = set({bind(first)})"]
-            parts = [bind(first)]
-            if rest:
-                one = bind(frozenset({first}))
-                parts = [one, *map(bind, rest)]
-                made = [f" = {one}.intersection({', '.join(parts[1:])})"]
+            parts = [bind(frozenset({first})), *map(bind, rest)] if rest else [bind(first)]
+            others = ", ".join(parts[1:])
+            made = [f" = {parts[0]}.intersection({others})" if rest else f" = set({parts[0]})"]
         else:
             near, here = ([bind(x) for x in part] for part in spec[:2])
             parts = near + here
@@ -1659,9 +1641,7 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
                 parts.append("_adj")
             else:
                 made = [f" = {{{', '.join(f'*{x}' for x in here)}}}" if here else " = set()"]
-            if spec[2] is not None:
-                made += [f" &= {bind(f'_B{spec[2]}')}"]
-                parts.append(f"_B{spec[2]}")
+            made += [f" &= {bind(f'_B{spec[2]}')}"] if spec[2] is not None else []
         seen.update(parts)
         name = names[spec] = f"_N{len(names)}"
         out = prelude if fusing and _per_root(spec, index) else body
@@ -1682,17 +1662,14 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
             if not columns:
                 continue
             spec, stmts, outs, used, unit_folds, unit_seen = unit
-            for x in spec:
-                bind(x)
-            name = nodes and bind(nodes)
+            name = nodes and [bind(x) for x in spec][0]
             if fusing:
                 folds[s] += unit_folds
             lines = _render(stmts, set(), names)
             seen.update(unit_seen)
             h_keys = {int(x[1:]) for x in unit_seen if x[:1] == "H"}
-            if once:
-                keys = h_keys if fusing else {r[1] for r in _reads(step, columns) if r[0] == "H"}
-                prelude += held(keys, s) + lines
+            if once:  # only a kernel without a hook computes a unit once per root
+                prelude += held(h_keys, s) + lines
                 once_summed.update(x for c in columns for x, _ in sums[s].get(c, ()))
             elif fusing:
                 step_body += lines
@@ -1708,16 +1685,15 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
     # per root, and zeroed after the branches
     spread, unspread = [], []
     for w, base in omegas.items():
-        nodes, value = (f"_U{index[w]}", "1") if type(w) is str else (
-            bind(slot[w]), "O{}_{}[_l]".format(*w)
+        nodes, value = (f"_U{index[w]}", _ONE) if type(w) is str else (
+            bind(slot[w]), ("O{}_{}[_l]".format(*w), ())
         )
-        seen.add(nodes)
-        loop = ["for _k in adj[_l]:", f"    {base}[_k] += {value}"]
-        guard = [f"if {value}:", *_indent(loop, 1)] if value != "1" else loop
-        spread += [f"for _l in {nodes}:", *_indent(guard, 1)]
-        unspread += [f"for _l in {nodes}:", "    for _k in adj[_l]:", f"        {base}[_k] = 0"]
+        add = [_loop("_k", "adj[_l]", [], [("set", f"{base}[_k]", "+=", value)])]
+        spread.append(_loop("_l", nodes, [value] * (value != _ONE), add))
+        zero = [("for", "_k", "adj[_l]", [("set", f"{base}[_k]", "=", _ZERO)])]
+        unspread.append(("for", "_l", nodes, zero))
         buffers.append(base)
-    prelude += spread
+    prelude += _render(spread, seen, names)
     # the labels the kernel's lines read, exclusion factors folded away
     marked = [x for x in range(len(layout)) if f"L{x}" in seen]
     states = "".join(
@@ -1767,7 +1743,7 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
             continue
         nodes = bind(slot[last[r.component]]) if r.weight is None else f"_U{index[r.weight]}"
         seen.add(nodes)
-        row.append("sum(map({}.__getitem__, {})), ".format("O{}_{}".format(*last[r.component]), nodes))
+        row.append("sum(map(O{}_{}.__getitem__, {})), ".format(*last[r.component], nodes))
     row = "".join(row)
     balls = [f"_B{d}" for d in range(max(radii) + 1)]
     root = ([f"nonlocal {', '.join(balls)}", "_B0 = {i}"] if balls else []) + mark(False, 1)
@@ -1794,7 +1770,8 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
     kernel.append(f"for j in {'adj[i]' if branching else '(None,)'}:")
     branch = supports(True) if branching else []
     kernel += _indent(branch + mark(True, 1) + subgraph + mark(True, 0), 1)
-    kernel += [*unspread, *reset(stored_once), *mark(False, 0), "return _rows"]
+    kernel += [*_render(unspread, set(), names), *reset(stored_once), *mark(False, 0)]
+    kernel.append("return _rows")
     # the kernel takes what it reads as defaults, so its loops read locals
     shared = keep | seen
     bound = ", ".join(
