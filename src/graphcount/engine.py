@@ -531,8 +531,9 @@ class _Step:
     compute (None: every node), per update, when it is ``coef * Msg(m)``
     with a coef that reads no message, (m, the coef's factors, () for a bare
     ``Msg(m)``), else None, the (step, column) that computed each output
-    column, following copies back, and, per update, the labels of the meet
-    its witness reads (``_narrowest``), or () for none.  Every witness it
+    column, following copies back, per update, the labels of the meet its
+    witness reads (``_narrowest``), or () for none, the computing updates,
+    and per message the number of updates that read it.  Every witness it
     holds is in ``_plain`` form."""
 
     messages: list
@@ -544,6 +545,8 @@ class _Step:
     linear: list
     origins: tuple
     meets: list
+    computed: list
+    readers: list
 
 
 def _linear(factors: tuple) -> tuple[int, tuple] | None:
@@ -621,9 +624,11 @@ def _walk(prog: MPProgram, layout: Mapping[str, int]) -> list[_Step]:
             _reach(u[2], reach) if c is None else reach[c] for u, c in zip(updates, copies)
         )
         origins = tuple((s, c) if src is None else origins[src] for c, src in enumerate(copies))
-        steps.append(
-            _Step(messages, updates, copies, reads, reach, sources, linear, origins, meets)
-        )
+        readers = [sum(("M", m, None) in u[3] for u in updates) for m in range(len(messages))]
+        steps.append(_Step(
+            messages, updates, copies, reads, reach, sources, linear, origins, meets, computed,
+            readers,
+        ))
     return steps
 
 
@@ -996,10 +1001,6 @@ def _transpose(steps, cuts, readouts, sends, terms, roots, stored) -> dict:
     groups: dict = {}  # per (step, message): its per-sender terms, and whether m is theirs alone
     read_at: dict = {}
     for s, step in enumerate(steps):
-
-        def readers(m, step=step) -> int:
-            return sum(("M", m, None) in u[3] for u in step.updates)
-
         sent: dict = {}
         for c in sends[s]:
             sent.setdefault(step.linear[c][0], []).append(c)
@@ -1014,7 +1015,7 @@ def _transpose(steps, cuts, readouts, sends, terms, roots, stored) -> dict:
                 map(_only_excludes, coefs)
             ):
                 group = [(x, w, _excludes(coef)) for coef, ws in zip(coefs, each) for x, w in ws]
-                groups[s, m] = (group, readers(m) == len(columns))
+                groups[s, m] = (group, step.readers[m] == len(columns))
         for c, xs in list(terms[s].items()):
             if any(c in columns for columns in sent.values()):
                 continue
@@ -1022,7 +1023,7 @@ def _transpose(steps, cuts, readouts, sends, terms, roots, stored) -> dict:
             split = m is not None and _split(step.messages[m][4])
             ws = weights(s, c, [x for x, _ in xs], False)
             if (
-                split and ws is not None and readers(m) == 1 and _only_excludes(coef)
+                split and ws is not None and step.readers[m] == 1 and _only_excludes(coef)
                 and not _scatters(step, cuts[s]) and (s, c) not in once
             ):
                 terms[s][c] = [(x, ("T", w)) for x, w in ws]
@@ -1065,21 +1066,19 @@ def _transpose(steps, cuts, readouts, sends, terms, roots, stored) -> dict:
         if lin and _only_excludes(lin[1]) and x_col not in once and x_col not in out:
             t, d = x_col
             message = steps[t].messages[lin[0]]
+            # the expressions that read X: messages first, then computed updates
             uses = {
-                (u, kind, e, hop)
-                for u in range(t + 1, len(steps))
-                for kind, exprs in (("m", steps[u].messages), ("u", steps[u].updates))
-                for e, expr in enumerate(exprs)
-                if kind == "m" or steps[u].copies[e] is None
+                (u, e, hop) for u in range(t + 1, len(steps))
+                for e, expr in enumerate(steps[u].messages + steps[u].computed)
                 for var, k, hop in expr[3] if var == "H" and steps[u - 1].origins[k] == x_col
             }
-            mine = sum(("M", lin[0], None) in u[3] for u in steps[t].updates) == 1
+            mine = steps[t].readers[lin[0]] == 1
             one = message[2] is not None and [r[2] for r in message[2]] == [1]
             fits = cuts[t] is None or all(reach(w, e) <= cuts[t] for _, w, e in group)
             shut = _excludes(sends, 1)
             entries = [(x, ("P", w, e, shut)) for x, w, e in group]
             if mine and one and fits and all(r[2] == 1 for r in message[3]):
-                if alone and uses == {(s, "m", m, 1)}:
+                if alone and uses == {(s, m, 1)}:
                     terms[t][d] = entries
                     stored.discard(x_col)
                 elif _scatters(steps[t], cuts[t]) and shut <= _excludes(lin[1]):
@@ -1503,12 +1502,13 @@ class _Kernel:
         trans = {c: xs for c, xs in trans.items() if xs}
         only = {c for c in trans if (s, c) not in self.stored}
         outs = [f"O{s}_{c}" for c in columns if (s, c) in self.stored]
-        stmts = []
-        for c in columns if buffered and self.fusing else ():
-            m, coef = step.linear[c] or (None, ())
-            readers = sum(("M", m, None) in u[3] for u in step.updates)
-            if (s, c) not in self.stored or m is None or readers > 1 or not _only_excludes(coef):
-                continue
+        stmts, lin = [], step.linear
+        own = [
+            c for c in columns if buffered and self.fusing and (s, c) in self.stored and lin[c]
+            and step.readers[lin[c][0]] == 1 and _only_excludes(lin[c][1])
+        ]
+        for c in own:
+            m, coef = lin[c]
             self.folds.append(("own", 0, _excludes(coef)))
             into = self.pushed(c, coef)
             add = self.adder({m: into}, f"O{s}_{c}[_k]")
@@ -1518,7 +1518,7 @@ class _Kernel:
                 ("set", f"O{s}_{c}[{v}]", "=", _ZERO)
                 for x, v in _ONE_NODE.items() if x in _excludes(coef) and not into
             ]
-            columns = [d for d in columns if d != c]
+        columns = [c for c in columns if c not in own]
         if not columns:
             return self.done(stmts, outs, [])
         reads = _reads(step, columns)
@@ -1557,13 +1557,9 @@ class _Kernel:
                     stmts += self.scatter([m], None, {}, True, receive=False)
             return self.done(stmts, outs, [])
         stmts += self.scatter(messages, self.adder({}, "M{}_{{}}[_k]".format(s)), {})
-        loads = [
-            stmt for m in messages for stmt in (
-                ("set", f"_m{m}", "=", (f"M{s}_{m}[_k]", {f"M{s}_{m}"})),
-                ("set", f"M{s}_{m}[_k]", "=", _ZERO),
-            )
-        ]
-        stmts.append(("for", "_k", nodes, [*loads, ("if", guard, body)]))
+        loads = [("set", f"_m{m}", "=", (f"M{s}_{m}[_k]", {f"M{s}_{m}"})) for m in messages]
+        resets = [("set", f"M{s}_{m}[_k]", "=", _ZERO) for m in messages]
+        stmts.append(("for", "_k", nodes, [*chain(*zip(loads, resets)), ("if", guard, body)]))
         return self.done(stmts, outs, [f"M{s}_{m}" for m in messages])
 
     def done(self, stmts, outs, used) -> tuple:
