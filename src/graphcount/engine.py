@@ -877,21 +877,15 @@ def _layout(steps, cuts, index, readouts) -> tuple[list, dict, list, set]:
                 and not (weights | labels) & _BRANCH_LABELS and columns <= once
             ):
                 once.add((s, c))
-        own.append((whole, stored, sums, sent, lists, label))
-    # the columns computed once per root, where the units lie
-    hoisted = {
-        (s, c) for s, c in once
-        if c not in own[s][3] and (c in own[s][1] or c in own[s][2])
-        and _per_root(f"_U{index[own[s][5]]}" if own[s][5] else own[s][4][c], index)
-    }
+        own.append((whole, stored, sent, lists, label))
     kept = {(s, c) for s, (_, stored, *_) in enumerate(own) for c in stored}
     read_at = {}
     if readouts is not None:
-        sends = [x[3] for x in own]
-        read_at = _transpose(steps, cuts, readouts, sends, terms, (hoisted, branchy), kept)
+        sends = [x[2] for x in own]
+        read_at = _transpose(steps, cuts, readouts, sends, terms, (once, branchy), kept)
     units: list = [[] for _ in steps]
     for s in reversed(range(len(steps))):
-        whole, stored, sums, sent, lists, label = own[s]
+        whole, stored, sent, lists, label = own[s]
         # rule P's columns are sent
         sent = sent + [c for c in stored if (s, c) not in kept]
         stored = [c for c in stored if (s, c) in kept]
@@ -926,9 +920,10 @@ def _layout(steps, cuts, index, readouts) -> tuple[list, dict, list, set]:
             cheap = type(lists[c]) is tuple or type(union) is not tuple
             if cheap and not demand & {None, "_all"}:
                 lists[c] = union
+        # a column computed once per root keeps its list of the root alone
         groups: dict = {}
         for c, nodes in lists.items():
-            groups.setdefault((nodes, (s, c) in once and _per_root(nodes, index)), []).append(c)
+            groups.setdefault((nodes, (s, c) in once), []).append(c)
         units[s] = [(None, sent, False)] * bool(sent) + [
             (nodes, columns, hoisted) for (nodes, hoisted), columns in groups.items()
         ]
@@ -982,18 +977,12 @@ def _transpose(steps, cuts, readouts, sends, terms, roots, stored) -> dict:
         1, a column that depends on the branch, so that its Omega is paid
         once per root; in a cut step, every node where the weight is nonzero
         lies within the cut, unless the step sends c."""
-        out = []
-        for x in xs:
-            w = readouts[x].weight
-            if w is None and not sent and cuts[s] is not None:
-                return None
-            if w is not None and (
-                w in _BRANCH_LABELS or (s, c) not in branchy
-                or cuts[s] is not None and not sent and reach(w) > cuts[s]
-            ):
-                return None
-            out.append((x, w))
-        return out
+        cut, ws = None if sent else cuts[s], [(x, readouts[x].weight) for x in xs]
+        fits = [
+            w not in _BRANCH_LABELS and (s, c) in branchy and (cut is None or reach(w) <= cut)
+            if w else cut is None for _, w in ws
+        ]
+        return ws if all(fits) else None
 
     def receiver(split) -> tuple:
         return min(r for f in split[3][2] for r in f[1])[:2]
@@ -1194,18 +1183,16 @@ class _Kernel:
         self.omegas: dict = {}  # per weight of rule T, the buffer of its Omega
         # known-1 columns: stored, 1 on their node list but where their
         # update excludes
-        self.known = {}
-        for t, step_units in enumerate(self.units if self.fusing else ()):
-            for nodes, columns, _ in step_units:
-                ones = nodes is not None and _held(nodes, layout)[1]
-                self.known.update(
-                    ((t, c), nodes) for c in columns if ones and self.slot[t, c] == nodes
-                    and c not in self.sums[t]
-                    and all(
-                        x and (x[1:] == (0, False) or x[1:] == (0, True) and x[0] in ones)
-                        for _, _, x, _ in steps[t].updates[c][4]
-                    )
-                )
+        self.known = {
+            (t, c): nodes
+            for t, step_units in enumerate(self.units if self.fusing else ())
+            for nodes, columns, _ in step_units if nodes is not None
+            for ones in [_held(nodes, layout)[1]]
+            for c in columns if ones and self.slot[t, c] == nodes and c not in self.sums[t] and all(
+                x and (x[1:] == (0, False) or x[1:] == (0, True) and x[0] in ones)
+                for _, _, x, _ in steps[t].updates[c][4]
+            )
+        }
 
     def label(self, x: str) -> str:
         return f"L{self.index[x]}"
