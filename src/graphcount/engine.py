@@ -914,8 +914,7 @@ def _layout(steps, cuts, index, readouts) -> tuple[list, dict, list, set]:
                         demand.add(nodes if hops == {0} else None)
             # X + X&Y = X
             demand -= {x for x in demand if type(x) is frozenset and x & demand}
-            union = ((), tuple(sorted(demand, key=repr)), None)
-            union = union[1][0] if len(demand) == 1 else union
+            union = [*demand][0] if len(demand) == 1 else ((), tuple(sorted(demand, key=repr)), None)
             # the union must not cost a set the column's own list does not
             cheap = type(lists[c]) is tuple or type(union) is not tuple
             if cheap and not demand & {None, "_all"}:
@@ -1173,9 +1172,8 @@ class _Kernel:
 
     def __init__(self, prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
         self.steps = steps = _steps(prog, layout)
-        self.cuts = (None,) * len(steps)
-        if readouts is not None:
-            self.cuts = _radii(steps, hops, readouts, prog.name)[1]
+        radii = readouts is not None and _radii(steps, hops, readouts, prog.name)
+        self.cuts = radii[1] if radii else (None,) * len(steps)
         self.layout, self.index = layout, {name: i for i, name in enumerate(layout)}
         self.fusing = readouts is not None and not hooked
         plan = _layout(steps, self.cuts, self.index, readouts if self.fusing else None)
@@ -1636,7 +1634,7 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
         return ["H{} = O{}_{}".format(key, *steps[s - 1].origins[key]) for key in sorted(keys)]
 
     for s, (step, step_units) in enumerate(zip(steps, built)):
-        if not fusing and any(not once for *_, once, _ in step_units):
+        if not fusing and step_units:  # a kernel that keeps whole states binds all it reads
             body += held({r[1] for r in step.reads if r[0] == "H"}, s)
         shown.append("()")
         folds.append([] if fusing else None)
