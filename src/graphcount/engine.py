@@ -1065,16 +1065,16 @@ def _transpose(steps, cuts, readouts, sends, terms, roots, stored) -> dict:
             fits = cuts[t] is None or all(reach(w, e) <= cuts[t] for _, w, e in group)
             shut = _excludes(sends, 1)
             entries = [(x, ("P", w, e, shut)) for x, w, e in group]
-            if mine and one and fits and all(r[2] == 1 for r in message[3]):
-                if alone and uses == {(s, m, 1)}:
-                    terms[t][d] = entries
-                    stored.discard(x_col)
-                elif _scatters(steps[t], cuts[t]) and shut <= _excludes(lin[1]):
-                    terms[t].setdefault(d, []).extend(entries)
-                else:
-                    lin = None
-                if lin:
-                    moved.add((s, m))
+            if not (mine and one and fits and all(r[2] == 1 for r in message[3])):
+                continue
+            if alone and uses == {(s, m, 1)}:
+                terms[t][d] = entries
+                stored.discard(x_col)
+            elif _scatters(steps[t], cuts[t]) and shut <= _excludes(lin[1]):
+                terms[t].setdefault(d, []).extend(entries)
+            else:
+                continue
+            moved.add((s, m))
     for (s, m), (group, _) in groups.items():
         terms[s]["m", m] = [] if (s, m) in moved else [(x, (w, e)) for x, w, e in group]
     return read_at
@@ -1704,9 +1704,8 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
         return lines, "_run", folds
 
     def supports(per_branch):
-        items = _IDENTIFIERS.items()
         return [
-            f"_U{index[x]} = {nodes}" for x, (_, nodes, each) in items
+            f"_U{index[x]} = {nodes}" for x, (_, nodes, each) in _IDENTIFIERS.items()
             if each == per_branch and (hooked or f"_U{index[x]}" in seen)
         ]
 
