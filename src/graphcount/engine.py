@@ -100,73 +100,92 @@ read:
   read at the node, takes that source's list.  ``_root`` builds only the
   balls some line reads.
 
-Readouts are summed where they are computed, in a kernel without a hook
-(``_layout``).  A column that no later step reads is not stored: each
-readout of it is a running sum that the loop computing the column adds to,
-and a column that nothing reads is not computed.  A cut step that stores
-nothing and sums only readouts weighted by one label, whose reach lies
-within the cut, computes only at that label's nodes, where the weight is 1
-(cycle3).  A step that stores nothing, scatters, and sums only ``coef *
-Msg(m)`` columns sends them: each message value, times coef at its
-receiver, goes straight into the sum as it is sent or pulled, with no node
-set, message buffer or final loop (path2).  Any other step computes each
-column over its node list and sums its readout-only columns, except that a
-cut step sends each ``coef * Msg(m)`` column whose message's witness reads
-only the sender, of reach below the cut, so that every receiver lies within
-the cut.
+The term form.  A kernel is written in one form before it is Python: each
+readout sum and each stored column is a list of terms, and a term is a
+coefficient times a product of reads (labels, columns, degrees, Omega
+buffers) at a loop's node ``_k`` or at its neighbor ``_l``, summed over a
+chain of node lists (a unit's list, then ``adj[_k]`` or ``adj[_l]``), with
+an exclusion set: the one-node identifiers, ``is_root`` (i) and
+``is_branch`` (j), at whose node the term is 0.  ``_layout`` places each
+column's terms: stored over its node list, summed into its readouts by the
+loop that computes it, or sent.  ``_Kernel`` builds each unit's statements
+(loops, guards, stores and sums) from its terms, applying the rewrites
+below in a kernel without a hook, and ``_render`` turns them into lines,
+recording what each line reads, so a kernel binds, marks and stores
+exactly what its lines read.  A kernel with a hook, and ``run``'s, is the
+form with no rewrite applied.
 
-Exclusions fold in a kernel without a hook (``_fold``).  An exclusion
-factor is ``1 - x`` in the top-level product of an update or a message,
-for an identifier x whose list is one node: ``is_root`` (i) or
-``is_branch`` (j), at the node or at the sender.  A column is 0 at the
-nodes its update excludes, following copies back.  Per loop, a factor is
-dropped when the loop implies it, because its node list never holds the
-node (``adj[i]`` never holds i) or its guard reads a column or label that
-is 0 there; the exclusions every value of the loop body shares become one
-skip guard on it, and the rest stay factors.  So cycle6's layer 3 sends
-its second message, ``(1 - L3[_l]) * (1 - L2[_l]) * L1[_l] * (H5[_l] -
-H0[_k])``, from the root's neighbors ``if _l != j:`` to receivers with the
-coefficient ``(1 - L3[_k]) * (1 - L2[_k])``: it adds ``(H5[_l] - H0[_k])``
-under ``if _k != i and _k != j:``.  A label read at the node drops, and so
-does a loop's test of it, where the loop's list makes it 1: the label's
-own list, or a meet that holds it.  So does a column whose update is only
-exclusion factors and such labels, computed over its own list: where a
-loop over that list reads it, it is its exclusion factors (``_known``), and
-a column read nowhere else is not stored (path4's init, 1 on N(j) but at
-i).  A kernel marks only the labels its lines still read, and binds
-only the identifiers' lists, columns and defaults they read.  A skipped
-node keeps the 0 the loop's reset left there: no kernel without a hook
-loops over every node, whose columns are not reset, as a step without a
-witness is cut to the root's ball.
+Readout terms (``_layout``).  A column that no later step reads is not
+stored: each readout of it is a running sum that the loop computing the
+column adds to, and a column that nothing reads is not computed.  A cut
+step that stores nothing and sums only readouts weighted by one label,
+whose reach lies within the cut, computes only at that label's nodes, where
+the weight is 1 (cycle3).  A step that stores nothing, scatters, and sums
+only ``coef * Msg(m)`` columns sends them: each message value, times coef
+at its receiver, goes straight into the sum as it is sent or pulled, with
+no node set, message buffer or final loop (path2).  Any other step computes
+each column over its node list and sums its readout-only columns, except
+that a cut step sends each ``coef * Msg(m)`` column whose message's witness
+reads only the sender, of reach below the cut, so that every receiver lies
+within the cut.  A stored ``coef * Msg(m)`` column of a scattering step,
+coef only exclusion factors, that alone reads m, takes m's scatter in its
+own buffer, then 0 at the nodes coef excludes.
 
-Closed-form neighbor sums, in a kernel without a hook (``_split``,
-``_transpose``).  A message ``F * (g - h)``, F only exclusion factors at
-the sender, g reading only the sender and h only the receiver, sums at a
-receiver k to ``sum_l F(l) g(l) - h(k) c_F(k)``; ``c_F(k) = deg(k) -
-sum_{x in F} in_n_x(k)`` counts k's neighbors that F keeps, exact because
-the graph is simple and i != j.  So h's part needs no loop over k's
+Fold (``_Kernel.fold``).  An exclusion factor is ``1 - x`` in the
+top-level product of an update or a message, for a one-node identifier x,
+at the node or at the sender; a column is 0 at the nodes its update
+excludes, following copies back.  Per loop, one pass drops each factor the
+loop implies, because its node list never holds the node (``adj[i]`` never
+holds i) or its guard reads a column or label that is 0 there; turns the
+exclusions every term of the loop shares into one skip guard; and drops a
+label read, and the loop's test of it (``nonzero``), where the list makes
+it 1: the label's own list, or a meet that holds it.  So cycle6's layer 3
+sends ``(1 - L3[_l]) * (1 - L2[_l]) * L1[_l] * (H5[_l] - H0[_k])`` from the
+root's neighbors ``if _l != j:`` to receivers with the coefficient ``(1 -
+L3[_k]) * (1 - L2[_k])``: it adds ``(H5[_l] - H0[_k])`` under ``if _k != i
+and _k != j:``.  A skipped node keeps the 0 the loop's reset left there: no
+kernel without a hook loops over every node, as a step without a witness
+is cut to the root's ball.
+
+Closed form (``_split``, ``_Kernel.receiver``).  A message ``F * (g -
+h)``, F only exclusion factors at the sender, g reading only the sender
+and h only the receiver, sums at a receiver k to ``sum_l F(l) g(l) - h(k)
+Omega_F(k)``, with Omega_F of weight 1, ``deg(k) - sum_{x in F}
+in_n_x(k)``, the count of k's neighbors that F keeps, exact because the
+graph is simple and i != j.  So h's part needs no loop over k's
 neighbors, and F drops where g's read is 0 (the last messages of path3,
 path4 and cycle6 but cycle6's second, whose F also reads ``in_n_root``).
-Rule T sums the sender part transposed: ``sum_k w(k) E(k) sum_{l in N(k)}
-g(l) = sum_l g(l) Omega_E(l)``, with ``Omega_E(l) = Omega(l) - sum_{x in
-E} w(x) in_n_x(l)`` and ``Omega(l) = sum_{k in N(l)} w(k)`` (``_omega``),
-for a readout term whose coefficient E is only exclusion factors and whose
-weight w is 1, a root label, or a column computed once per root that
-multiplies the summed column (cycle6's first readout, which its column's
-step then takes).  The weight-1 case is c_E(l), with nothing stored; any
-other weight's Omega is scattered from its list once per root, before the
-branch loop, and paid back as each branch reads it, so T applies only to
-columns that depend on the branch, and in a cut step only where w's nodes
-lie within the cut.  Rule P pushes a per-sender sum ``sum_l X(l)
-Omega_E(l)`` of a column ``X = coef * Msg(m)``, coef only exclusions and
-m's value read once at its sender, into the loop over m's senders s and
-their neighbors l, adding ``m(s) Omega_E(l)`` where coef(l) is not 0,
-but not past a cut of X that Omega_E reaches beyond.  X is then not stored
-where nothing else reads it (the middle columns of path3, path4 and
-cycle5); where something does, its scatter into its own buffer adds the
-sum too (cycle6's layer 2).  A stored ``coef * Msg(m)`` column of a
-scattering step, coef only exclusion factors, that alone reads m, takes
-m's scatter in its own buffer, then 0 at the nodes coef excludes.
+
+Known-1 columns (``_Kernel.known_one``).  A stored column whose update is
+only exclusion factors and labels 1 on its list, computed over that list,
+is its exclusion factors wherever a loop over that list reads it, and the
+loop's test of it skips only the nodes it excludes.  A known-1 column that
+no statement reads after this rewrite is not stored (path4's init, 1 on
+N(j) but at i).
+
+Rule T (``_transpose``, ``_Kernel.flat``).  A readout term ``sum_k w(k)
+E(k) sum_{l in N(k)} g(l)``, E only exclusion factors, is summed
+transposed: ``sum_l g(l) Omega_E(l)``, with ``Omega_E(l) = Omega(l) -
+sum_{x in E} w(x) in_n_x(l)`` and ``Omega(l) = sum_{k in N(l)} w(k)``
+(``_Kernel.omega``).  The weight w is 1, a root label, or a column
+computed once per root that multiplies the summed column (cycle6's first
+readout, which its column's step then takes).  The weight-1 case is the
+closed form's count, with nothing stored; any other weight's Omega is
+scattered from its list once per root, before the branch loop, and paid
+back as each branch reads it, so T applies only to columns that depend on
+the branch, and in a cut step only where w's nodes lie within the cut.  A
+column's terms tagged ("T", w) add its receiver part, times w at the node,
+where it is computed; its sender part is summed per sender.
+
+Rule P (``_transpose``, ``_Kernel.pushed``).  A per-sender sum ``sum_l
+X(l) Omega_E(l)`` of a column ``X = coef * Msg(m)``, coef only exclusions
+and m's value read once at its sender, is pushed into the loop over m's
+senders s and their neighbors l, adding ``m(s) Omega_E(l)`` where coef(l)
+is not 0, but not past a cut of X that Omega_E reaches beyond; its terms
+are tagged ("P", w, E, exclusions).  X is then not stored where nothing
+else reads it (the middle columns of path3, path4 and cycle5); where
+something does, its scatter into its own buffer adds the sum too (cycle6's
+layer 2).
 
 ``tests/test_engine.py`` freezes what these rules give each counting plan:
 its cuts (``_PLAN_RADII``), scatters (``_PLAN_SCATTERS``), readout sums
@@ -749,14 +768,9 @@ def _scatters(step: _Step, cut: int | None) -> bool:
     each message's witness has one read a side at most, and the step's
     sources cover it, so that every message sum that can be nonzero lies on
     a node it computes."""
-    return (
-        bool(step.messages)
-        and None in step.copies
-        and cut is None
-        and all(
-            _one_read_a_side(m[2]) and (step.sources is None or m[2] <= step.sources)
-            for m in step.messages
-        )
+    return bool(step.messages) and None in step.copies and cut is None and all(
+        _one_read_a_side(m[2]) and (step.sources is None or m[2] <= step.sources)
+        for m in step.messages
     )
 
 
@@ -795,17 +809,17 @@ def _nodes(sources, cut, where, names=None) -> str | tuple:
 def _layout(steps, cuts, index, readouts) -> tuple[list, dict, list, set]:
     """The plan of a kernel (module docstring): per step, its units
     ``(nodes, columns, once)`` and its readout terms ``{c: [(x, w)]}``, each
-    computed column's node list, off which it is 0, and rules T and P
-    (``_transpose``), which rewrite the terms of a kernel without a hook.
-    ``readouts`` is None for a kernel that keeps whole states.
+    computed column's node list, off which it is 0, and the (step, column)
+    pairs it stores.  In a kernel without a hook rules T and P
+    (``_transpose``) rewrite the terms; ``readouts`` is None for a kernel
+    that keeps whole states.
 
     A unit loops over the node list ``nodes`` to compute ``columns``, or,
-    with ``nodes`` None, sends them (``_scatter``); with ``once`` it runs
-    once per root, before the branch loop.  Column c is added, where it is
-    computed, to each readout x, times the label w (None: 1), or, for a
-    column pushed by rule P, times Omega_F of w = (weight, exclusions) at
-    its node.  A node list is one ``_nodes`` gives, or a frozenset of
-    labels' lists: their intersection.
+    with ``nodes`` None, sends them; with ``once`` it runs once per root,
+    before the branch loop.  Column c is added, where it is computed, to
+    each readout x, times w: None (1) or a label, or a weight tagged by rule
+    T or P.  A node list is one ``_nodes`` gives, or a frozenset of labels'
+    lists: their intersection.
     """
     names = None if readouts is None else {f"_U{i}": x for x, i in index.items()}
     read: dict = {}  # each column a later step reads, and the hops it reads it at
@@ -914,7 +928,8 @@ def _layout(steps, cuts, index, readouts) -> tuple[list, dict, list, set]:
                         demand.add(nodes if hops == {0} else None)
             # X + X&Y = X
             demand -= {x for x in demand if type(x) is frozenset and x & demand}
-            union = [*demand][0] if len(demand) == 1 else ((), tuple(sorted(demand, key=repr)), None)
+            union = ((), tuple(sorted(demand, key=repr)), None)
+            union = union[1][0] if len(demand) == 1 else union
             # the union must not cost a set the column's own list does not
             cheap = type(lists[c]) is tuple or type(union) is not tuple
             if cheap and not demand & {None, "_all"}:
@@ -1163,9 +1178,11 @@ def _loop(var: str, nodes, conds: list, body: list) -> tuple:
 
 class _Kernel:
     """One kernel's plan (``_layout``) and the rewrites of the term form
-    (module docstring) that build each of its units' statements: ``fold``,
-    ``known``, ``omega`` (the closed forms, and Omega_F of rule T),
-    ``pull``, ``scatter`` and ``unit``.  While a unit of step ``s`` is
+    (module docstring) that build each of its units' statements: ``fold``
+    and ``nonzero`` (fold), ``receiver`` and ``omega`` (the closed form, and
+    Omega_F of rules T and P), ``known_one`` (known-1 columns), ``flat``
+    (rule T) and ``pushed`` (rule P), which ``pull``, ``scatter`` and
+    ``unit`` apply loop by loop.  While a unit of step ``s`` is
     built, ``folds`` collects its folds (None in a kernel with a hook or
     without readouts: nothing folds) and ``binds`` the node lists it binds,
     in order."""
@@ -1362,13 +1379,12 @@ class _Kernel:
 
     def pull(self, messages, dropped: set, ones, early: dict, bare) -> list:
         """Statements that sum each message in ``messages`` over the
-        neighbors of ``_k`` into ``_m<m>``, without the factors ``dropped``.
-        A message ``_split`` splits starts from its receiver part
-        (``receiver``; ``ones``: the labels 1 at ``_k``), and sums its
-        sender part, whose factors that exclude a node where its sender-side
-        read is 0 drop.  ``early`` maps a message to the readout terms its
-        receiver part is added to first (rule T); a message in ``bare`` sums
-        no sender part, as nothing else reads it."""
+        neighbors of ``_k`` into ``_m<m>``, without the factors ``dropped``;
+        ``ones``: the labels 1 at ``_k``.  A split message starts from its
+        receiver part, and its sender part drops the factors that exclude a
+        node where its sender-side read is 0.  ``early`` maps a message to
+        the readout terms its receiver part is added to first (rule T); a
+        message in ``bare`` sums no sender part, as nothing else reads it."""
         stmts, summed = [], []  # summed: per message, its summed factors and their source
         for m in messages:
             msg, _, witness, _, factors = self.steps[self.s].messages[m]
@@ -1394,19 +1410,14 @@ class _Kernel:
         return stmts + [_loop("_l", "adj[_k]", guard, sums)]
 
     def scatter(self, sent, add, coefs: dict, flat=False, moved=(), receive=True) -> list:
-        """Statements that add each message ``m`` in ``sent`` from the nodes
-        where the sender-side read of its witness is nonzero, at each of
-        their neighbors, and then pull it at the nodes where the
-        receiver-side read is nonzero, from the neighbors not sent from;
-        ``add(m, value, dropped, ones)`` gives the statements that add one
-        value of message m at node ``_k``, times each coef in
-        ``coefs.get(m)`` without its factors ``dropped``.  A message
-        ``_split`` splits sends its sender part, and adds its receiver part
-        (``receiver``) at each node where that read is nonzero, with no loop
-        over its neighbors.  With ``flat``, a value read only at its sender
-        is added once for all its receivers where rule T sums it
-        (``flat``).  The messages in ``moved`` send nothing (rule P);
-        without ``receive``, none is pulled."""
+        """Statements that scatter each message ``m`` in ``sent`` (module
+        docstring, Kernels): ``add(m, value, dropped, ones)`` gives those
+        that add one value at ``_k``, times each coef in ``coefs.get(m)``
+        without its factors ``dropped``.  A split message sends its sender
+        part and adds its receiver part in closed form; with ``flat``, rule
+        T's per-sender sums replace the loop over receivers.  The messages in
+        ``moved`` send nothing (rule P); without ``receive``, none is
+        pulled."""
         stmts = []
         for m in sent:
             msg, _, witness, _, factors = self.steps[self.s].messages[m]
@@ -1457,15 +1468,10 @@ class _Kernel:
         return stmts
 
     def unit(self, s: int, nodes, columns) -> tuple:
-        """The node lists one unit of step ``s`` (``_layout``) binds, in
-        order, its statements, the columns they store, the message buffers
-        they use, and its folds.  Over the node list ``nodes``, column c
-        goes to ``O<s>_<c>``, or, for each column with readout terms, is
-        added to each readout sum ``_r<x>`` they list.  A step that scatters
-        its messages into buffers first lets a stored ``coef * Msg(m)``
-        column, coef only exclusion factors, that alone reads m, take m's
-        scatter in its own buffer, then 0 at the nodes coef excludes.  With
-        ``nodes`` None, the unit sends its columns."""
+        """One unit of step ``s`` (``_layout``), built (``done``): over the
+        node list ``nodes``, column c goes to ``O<s>_<c>`` or is added to
+        the readout sums its terms list; with ``nodes`` None, the unit sends
+        its columns (module docstring)."""
         self.s, step, sums = s, self.steps[s], self.sums[s]
         self.binds, self.folds = [nodes] if nodes else [], [] if self.fusing else None
         if nodes is None:
