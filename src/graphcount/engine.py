@@ -768,9 +768,14 @@ def _scatters(step: _Step, cut: int | None) -> bool:
     each message's witness has one read a side at most, and the step's
     sources cover it, so that every message sum that can be nonzero lies on
     a node it computes."""
-    return bool(step.messages) and None in step.copies and cut is None and all(
-        _one_read_a_side(m[2]) and (step.sources is None or m[2] <= step.sources)
-        for m in step.messages
+    return (
+        bool(step.messages)
+        and None in step.copies
+        and cut is None
+        and all(
+            _one_read_a_side(m[2]) and (step.sources is None or m[2] <= step.sources)
+            for m in step.messages
+        )
     )
 
 
@@ -1107,6 +1112,8 @@ def _reads(step: _Step, columns) -> set:
     return reads.union(*(step.messages[r[1]][3] for r in reads if r[0] == "M"))
 
 
+# A code is a Python expression and what it reads: AST reads (var, key,
+# hop) or the names of buffers and lists.
 _ONE = ("1", frozenset())
 _ZERO = ("0", frozenset())
 
@@ -1114,7 +1121,11 @@ _ZERO = ("0", frozenset())
 def _render(stmts: list, seen: set, lists: Mapping) -> list:
     """The Python lines of statements of the term form (module docstring),
     adding each read they make to ``seen``; ``lists`` names the node lists
-    loops run over."""
+    loops run over.  A statement is a loop ``("for", var, list, body)``, a
+    guard ``("if", conditions, body)``, a store ``("set", target, op,
+    code)``, or a sum ``("add", code, [(sum, weight code or None)])``: the
+    code times each weight, added to each sum, through ``_v`` when there
+    are several."""
     lines = []
     for kind, *args in stmts:
         if kind == "for":
