@@ -177,7 +177,7 @@ the branch, and in a cut step only where w's nodes lie within the cut.  A
 column's terms tagged ("T", w) add its receiver part, times w at the node,
 where it is computed; its sender part is summed per sender.
 
-Rule P (``_transpose``, ``_Kernel.pushed``).  A per-sender sum ``sum_l
+Rule P (``_push``, ``_Kernel.pushed``).  A per-sender sum ``sum_l
 X(l) Omega_E(l)`` of a column ``X = coef * Msg(m)``, coef only exclusions
 and m's value read once at its sender, is pushed into the loop over m's
 senders s and their neighbors l, adding ``m(s) Omega_E(l)`` where coef(l)
@@ -816,7 +816,7 @@ def _layout(steps, cuts, index, readouts) -> tuple[list, dict, list, set]:
     ``(nodes, columns, once)`` and its readout terms ``{c: [(x, w)]}``, each
     computed column's node list, off which it is 0, and the (step, column)
     pairs it stores.  In a kernel without a hook rules T and P
-    (``_transpose``) rewrite the terms; ``readouts`` is None for a kernel
+    (``_transpose``, ``_push``) rewrite the terms; ``readouts`` is None for a kernel
     that keeps whole states.
 
     A unit loops over the node list ``nodes`` to compute ``columns``, or,
@@ -901,7 +901,8 @@ def _layout(steps, cuts, index, readouts) -> tuple[list, dict, list, set]:
     read_at = {}
     if readouts is not None:
         sends = [x[2] for x in own]
-        read_at = _transpose(steps, cuts, readouts, sends, terms, (once, branchy), kept)
+        groups, read_at = _transpose(steps, cuts, readouts, sends, terms, once, branchy)
+        _push(steps, cuts, readouts, terms, once, kept, groups)
     units: list = [[] for _ in steps]
     for s in reversed(range(len(steps))):
         whole, stored, sent, lists, label = own[s]
@@ -960,35 +961,30 @@ def _bare(factor, hop: int):
     return None
 
 
-def _transpose(steps, cuts, readouts, sends, terms, roots, stored) -> dict:
-    """Rules T and P (module docstring), rewriting the readout terms of a
-    kernel's layout (``_layout``) in place: ``sends`` holds the columns
-    each step sends, ``roots`` the columns it computes once per root and
-    those that depend on the branch, and ``stored`` the columns it
-    stores, less those rule P sends.
+def _weight_reach(steps, w, excluded=None) -> float:
+    """How far from the root a weight w of rule T (None, a label or a
+    (step, column)), or with ``excluded`` its Omega_F, can be nonzero."""
+    if w is None:
+        return _UNBOUNDED
+    if type(w) is str:
+        r, at = _label_reach(w), lambda x: _label_at(w, x)
+    else:
+        zeros = _excludes(steps[w[0]].updates[w[1]][4])
+        r, at = steps[w[0]].reach[w[1]], lambda x: x not in zeros
+    if excluded is None:
+        return r
+    return max([r + 1] + [_label_reach(_AROUND[x]) for x in excluded if at(x)])
 
-    Rule T tags a column's terms ("T", w): its receiver part, times the
-    weight w at the node, is added where it is computed, and its sender
-    part, per sender, under the message's key ("m", m) as (x, (w,
-    exclusions)), times Omega_F.  Rule P moves such per-sender terms into
-    the loop over the senders of the column they read, tagged ("P", w,
-    exclusions, the exclusions at its nodes), and leaves the message's key
-    empty.  Returns the read each column of rule T lies in."""
-    once, branchy = roots
 
-    def reach(w, excluded=None) -> float:
-        """How far from the root weight w, or with ``excluded`` its
-        Omega_F, can be nonzero."""
-        if w is None:
-            return _UNBOUNDED
-        if type(w) is str:
-            r, at = _label_reach(w), lambda x: _label_at(w, x)
-        else:
-            zeros = _excludes(steps[w[0]].updates[w[1]][4])
-            r, at = steps[w[0]].reach[w[1]], lambda x: x not in zeros
-        if excluded is None:
-            return r
-        return max([r + 1] + [_label_reach(_AROUND[x]) for x in excluded if at(x)])
+def _transpose(steps, cuts, readouts, sends, terms, once, branchy) -> tuple[dict, dict]:
+    """Rule T (module docstring), rewriting the readout terms of a kernel's
+    layout (``_layout``) in place: ``sends`` holds the columns each step
+    sends, ``once`` the columns it computes once per root and ``branchy``
+    those that depend on the branch.  A column's terms become ("T", w): its
+    receiver part, times the weight w at the node, is added where it is
+    computed.  Returns its sender part's per-sender terms, (x, w,
+    exclusions) per (step, message), with whether the message is theirs
+    alone, and the read each column of rule T lies in."""
 
     def weights(s, c, xs, sent: bool):
         """The weights of column c's readouts ``xs`` under rule T, or None
@@ -998,7 +994,8 @@ def _transpose(steps, cuts, readouts, sends, terms, roots, stored) -> dict:
         lies within the cut, unless the step sends c."""
         cut, ws = None if sent else cuts[s], [(x, readouts[x].weight) for x in xs]
         fits = [
-            w not in _BRANCH_LABELS and (s, c) in branchy and (cut is None or reach(w) <= cut)
+            w not in _BRANCH_LABELS and (s, c) in branchy
+            and (cut is None or _weight_reach(steps, w) <= cut)
             if w else cut is None for _, w in ws
         ]
         return ws if all(fits) else None
@@ -1052,15 +1049,23 @@ def _transpose(steps, cuts, readouts, sends, terms, roots, stored) -> dict:
             if (
                 split and _only_excludes(lin[1]) and (t, d) in branchy
                 and not _scatters(steps[t], cuts[t]) and (t, d) not in read_at
-                and all(cut is None or reach(w) <= cut for cut in (cuts[s], cuts[t]))
+                and all(cut is None or _weight_reach(steps, w) <= cut for cut in (cuts[s], cuts[t]))
             ):
                 del terms[s][c]
                 terms[t][d] = [(x, ("T", w)) for x, _ in xs]
                 read_at[t, d] = receiver(split)
                 group = [(x, w, _excludes(lin[1])) for x, _ in xs]
                 groups.setdefault((t, lin[0]), ([], False))[0].extend(group)
-    # rule P: a per-sender sum of a column X = coef * Msg(m) goes into the
-    # loop over m's senders
+    return groups, read_at
+
+
+def _push(steps, cuts, readouts, terms, once, stored, groups) -> None:
+    """Rule P (module docstring): rule T's per-sender terms ``groups``
+    (``_transpose``) of a column X = coef * Msg(m) go into the loop over m's
+    senders, tagged ("P", w, exclusions, the exclusions at X's nodes), and
+    X leaves ``stored`` where nothing else reads it.  The terms left go
+    under their message's key ("m", m) as (x, (w, exclusions)), an empty
+    list for those moved."""
     out = {steps[-1].origins[r.component] for r in readouts}
     moved = set()
     for (s, m), (group, alone) in sorted(groups.items()):
@@ -1082,7 +1087,8 @@ def _transpose(steps, cuts, readouts, sends, terms, roots, stored) -> dict:
             }
             mine = steps[t].readers[lin[0]] == 1
             one = message[2] is not None and [r[2] for r in message[2]] == [1]
-            fits = cuts[t] is None or all(reach(w, e) <= cuts[t] for _, w, e in group)
+            cut = cuts[t]
+            fits = all(cut is None or _weight_reach(steps, w, e) <= cut for _, w, e in group)
             shut = _excludes(sends, 1)
             entries = [(x, ("P", w, e, shut)) for x, w, e in group]
             if not (mine and one and fits and all(r[2] == 1 for r in message[3])):
@@ -1097,7 +1103,6 @@ def _transpose(steps, cuts, readouts, sends, terms, roots, stored) -> dict:
             moved.add((s, m))
     for (s, m), (group, _) in groups.items():
         terms[s]["m", m] = [] if (s, m) in moved else [(x, (w, e)) for x, w, e in group]
-    return read_at
 
 
 def _tag(w):
@@ -1214,9 +1219,9 @@ class _Kernel:
             for t, step_units in enumerate(self.units if self.fusing else ())
             for nodes, columns, _ in step_units if nodes is not None
             for ones in [_held(nodes, layout)[1]]
-            for c in columns if ones and self.slot[t, c] == nodes and c not in self.sums[t] and all(
-                x and (x[1:] == (0, False) or x[1:] == (0, True) and x[0] in ones)
-                for _, _, x, _ in steps[t].updates[c][4]
+            for c in columns if ones and self.slot[t, c] == nodes and c not in self.sums[t]
+            if all(
+                x and x[1] == 0 and (not x[2] or x[0] in ones) for *_, x, _ in steps[t].updates[c][4]
             )
         }
 
