@@ -1221,7 +1221,8 @@ class _Kernel:
             for ones in [_held(nodes, layout)[1]]
             for c in columns if ones and self.slot[t, c] == nodes and c not in self.sums[t]
             if all(
-                x and x[1] == 0 and (not x[2] or x[0] in ones) for *_, x, _ in steps[t].updates[c][4]
+                x and x[1] == 0 and (not x[2] or x[0] in ones)
+                for *_, x, _ in steps[t].updates[c][4]
             )
         }
 
