@@ -1370,19 +1370,13 @@ class _Kernel:
             for x, w in entries
         ]
 
-    def adder(self, sent: dict, store: str | None = None):
-        """``scatter``'s ``add``: a value of message m, stored to ``store``
-        (a format of m) unless None, and added to the readout sums that
-        ``sent[m]`` lists as (coef, readout terms)."""
-
-        def add(m, value, dropped, ones=frozenset()):
-            terms = [
-                t for f, xs in sent.get(m, ()) for t in self.readout(xs, _product(f, dropped), ones)
-            ]
-            stores = [("set", store.format(m), "+=", value)] if store else []
-            return [*stores, ("add", value, terms)]
-
-        return add
+    def add(self, entries, store, value, dropped, ones=frozenset()) -> list:
+        """Statements that add one value of a message at ``_k``: to
+        ``store`` unless None, and to the readout sums that ``entries`` list
+        as (coef, readout terms), each coef without its factors
+        ``dropped``."""
+        terms = [t for f, xs in entries for t in self.readout(xs, _product(f, dropped), ones)]
+        return [("set", store, "+=", value)] * bool(store) + [("add", value, terms)]
 
     def flat(self, m, value, ones):
         """Rule T: a value read only at its sender, added once per sender
@@ -1426,38 +1420,39 @@ class _Kernel:
         sums = [("set", f"_m{m}", "+=", _product(f, dropped | more, w)) for m, f, w in summed]
         return stmts + [_loop("_l", "adj[_k]", guard, sums)]
 
-    def scatter(self, sent, add, coefs: dict, flat=False, moved=(), receive=True) -> list:
+    def scatter(self, sent, entries: dict, store=None, receive=True) -> list:
         """Statements that scatter each message ``m`` in ``sent`` (module
-        docstring, Kernels): ``add(m, value, dropped, ones)`` gives those
-        that add one value at ``_k``, times each coef in ``coefs.get(m)``
-        without its factors ``dropped``.  A split message sends its sender
-        part and adds its receiver part in closed form; with ``flat``, rule
-        T's per-sender sums replace the loop over receivers.  The messages in
-        ``moved`` send nothing (rule P); without ``receive``, none is
-        pulled."""
+        docstring, Kernels), adding each value at ``_k`` (``add``) to
+        ``store``, a format of m, and to the readout sums that
+        ``entries.get(m)`` lists.  A split message sends its sender part and
+        adds its receiver part in closed form; rule T's per-sender sums
+        (``flat``) replace the loop over receivers, and a message whose sums
+        rule P moved sends nothing.  Without ``receive``, none is pulled."""
         stmts = []
         for m in sent:
             msg, _, witness, _, factors = self.steps[self.s].messages[m]
+            target, moved = store and store.format(m), self.sums[self.s].get(("m", m)) == []
             at = {hop: (var, key) for var, key, hop in witness}
             receiver = self.column(*at[0], receive) if 0 in at else None
-            sender = self.column(*at[1], m not in moved) if 1 in at else None
+            sender = self.column(*at[1], not moved) if 1 in at else None
             split = self.folds is not None and _split(factors)
             sends, whole = (split[0], None) if split else (factors, msg)
             # a value added at _k is 0 where the message is or every coef is
-            products = [sends, *coefs.get(m, ())]
+            adds = entries.get(m, ())
+            products = [sends, *(f for f, _ in adds)]
             skip = frozenset.intersection(*map(_excludes, products[1:] or [sends]))
             skip |= _excludes(sends)
-            if sender and m not in moved:
+            if sender and not moved:
                 known = self.known_one(sends, 1, sender[3])
                 sends, whole = known, whole if known == sends else None
                 guard, dropped = self.fold(1, _excludes(sends, 1), [sends], sender[2], sender[3])
                 read_here = all(hop == 1 for f in sends for *_, hop in f[1])
                 value = _product(sends, dropped, whole) or _ONE
-                loop = flat and read_here and self.flat(m, value, sender[3])
+                loop = read_here and self.flat(m, value, sender[3])
                 if not loop:
                     inner, at_k = self.fold(0, skip, products)
                     value = _product(sends, dropped | at_k, whole) or _ONE
-                    loop = [_loop("_k", "adj[_l]", inner, add(m, value, at_k))]
+                    loop = [_loop("_k", "adj[_l]", inner, self.add(adds, target, value, at_k))]
                 stmts.append(_loop("_l", sender[1], self.nonzero(sender, at[1], 1) + guard, loop))
             if receiver and receive:
                 if split:
@@ -1469,7 +1464,7 @@ class _Kernel:
                 if split:
                     self.folds.append(("sum", 0, split[2]))
                     value = self.receiver(split, here, at_k, receiver[3])
-                    loop = add(m, value, at_k, receiver[3])
+                    loop = self.add(adds, target, value, at_k, receiver[3])
                 else:
                     inner, dropped = self.fold(1, _excludes(factors, 1), [factors])
                     value = _product(factors, at_k | dropped, msg)
@@ -1478,7 +1473,7 @@ class _Kernel:
                     loop = [
                         ("set", "_a", "=", _ZERO),
                         _loop("_l", "adj[_k]", unsent + inner, [("set", "_a", "+=", value)]),
-                        *add(m, ("_a", frozenset()), at_k, receiver[3]),
+                        *self.add(adds, target, ("_a", frozenset()), at_k, receiver[3]),
                     ]
                 guard = self.nonzero(receiver, at[0], 0) + guard
                 stmts.append(_loop("_k", receiver[1], guard, loop))
@@ -1496,10 +1491,7 @@ class _Kernel:
             for c in columns:
                 m, coef = step.linear[c]
                 sent.setdefault(m, []).extend(self.pushed(c, coef) or [(coef, sums[c])])
-            coefs = {m: [coef for coef, _ in cs] for m, cs in sent.items()}
-            moved = {m for m in sent if sums.get(("m", m)) == []}
-            stmts = self.scatter(sorted(sent), self.adder(sent), coefs, True, moved)
-            return self.done(stmts, [], [])
+            return self.done(self.scatter(sorted(sent), sent), [], [])
         absent, ones = _held(nodes, self.layout)
         ones |= {
             f"H{k}" for k, o in enumerate(self.steps[s - 1].origins if s else ())
@@ -1519,8 +1511,7 @@ class _Kernel:
             m, coef = lin[c]
             self.folds.append(("own", 0, _excludes(coef)))
             into = self.pushed(c, coef)
-            add = self.adder({m: into}, f"O{s}_{c}[_k]")
-            stmts += self.scatter([m], add, {m: [f for f, _ in into]} if into else {})
+            stmts += self.scatter([m], {m: into}, f"O{s}_{c}[_k]")
             # a pushed sum's guard skips the nodes coef excludes already
             stmts += [
                 ("set", f"O{s}_{c}[{v}]", "=", _ZERO)
@@ -1562,9 +1553,9 @@ class _Kernel:
             # and its sender part, summed per sender where rule P did not push it
             for m in sorted({step.linear[c][0] for c in trans}):
                 if sums.get(("m", m)):
-                    stmts += self.scatter([m], None, {}, True, receive=False)
+                    stmts += self.scatter([m], {}, receive=False)
             return self.done(stmts, outs, [])
-        stmts += self.scatter(messages, self.adder({}, "M{}_{{}}[_k]".format(s)), {})
+        stmts += self.scatter(messages, {}, "M{}_{{}}[_k]".format(s))
         loads = [("set", f"_m{m}", "=", (f"M{s}_{m}[_k]", {f"M{s}_{m}"})) for m in messages]
         resets = [("set", f"M{s}_{m}[_k]", "=", _ZERO) for m in messages]
         stmts.append(("for", "_k", nodes, [*chain(*zip(loads, resets)), ("if", guard, body)]))
