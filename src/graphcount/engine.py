@@ -1605,7 +1605,7 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
                 kept = [c for c in columns if (s, c) not in known or (s, c) in read]
                 if kept != columns:
                     step_units[u] = (nodes, kept, once, kept and form.unit(s, nodes, kept))
-    body, buffers, stored, shown, names, radii, folds = [], [], {}, [], {}, [-1], []
+    body, buffers, stored, shown, names, radii = [], [], {}, [], {}, [-1]
     # what a rooted kernel without a hook does once per root, before its
     # loop over the branches: node lists of the root alone, and the units
     # (``_layout``) computed once
@@ -1651,15 +1651,12 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
         if not fusing and step_units:  # a kernel that keeps whole states binds all it reads
             body += held({r[1] for r in step.reads if r[0] == "H"}, s)
         shown.append("()")
-        folds.append([] if fusing else None)
         step_body, step_seen = [], set()
         for nodes, columns, once, unit in step_units:
             if not columns:
                 continue
-            spec, stmts, outs, used, unit_folds, unit_seen = unit
+            spec, stmts, outs, used, _, unit_seen = unit
             name = nodes and [bind(x) for x in spec][0]
-            if fusing:
-                folds[s] += unit_folds
             lines = _render(stmts, set(), names)
             seen.update(unit_seen)
             h_keys = {int(x[1:]) for x in unit_seen if x[:1] == "H"}
@@ -1689,6 +1686,7 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
         unspread.append(("for", "_l", nodes, zero))
         buffers.append(base)
     prelude += _render(spread, seen, names)
+    folds = [[f for *_, unit in units if unit for f in unit[4]] if fusing else None for units in built]
     # the labels the kernel's lines read, exclusion factors folded away
     marked = [x for x in range(len(layout)) if f"L{x}" in seen]
     states = "".join(
