@@ -1067,7 +1067,6 @@ def _push(steps, cuts, readouts, terms, once, stored, groups) -> None:
     under their message's key ("m", m) as (x, (w, exclusions)), an empty
     list for those moved."""
     out = {steps[-1].origins[r.component] for r in readouts}
-    moved = set()
     for (s, m), (group, alone) in sorted(groups.items()):
         factors = steps[s].messages[m][4]
         split = _split(factors)
@@ -1100,9 +1099,9 @@ def _push(steps, cuts, readouts, terms, once, stored, groups) -> None:
                 terms[t].setdefault(d, []).extend(entries)
             else:
                 continue
-            moved.add((s, m))
+            groups[s, m] = [], alone
     for (s, m), (group, _) in groups.items():
-        terms[s]["m", m] = [] if (s, m) in moved else [(x, (w, e)) for x, w, e in group]
+        terms[s]["m", m] = [(x, (w, e)) for x, w, e in group]
 
 
 def _tag(w):
