@@ -591,7 +591,7 @@ def _split(factors: tuple) -> tuple | None:
     of ``-h`` or ``h``, the identifiers F excludes, (the sign of g, the
     factors of g, the factors of h)); else None.  Summed over a receiver's
     neighbors, the message is the sum of the first part plus the second
-    times ``_omega`` of the third (module docstring)."""
+    times Omega_F of the third (``_Kernel.receiver``, module docstring)."""
     rest = [f for f in factors if not (f[2] and f[2][1:] == (1, False))]
     if len(rest) != 1 or rest[0][3] is None:
         return None
