@@ -1430,7 +1430,8 @@ class _Kernel:
         stmts = []
         for m in sent:
             msg, _, witness, _, factors = self.steps[self.s].messages[m]
-            target, moved = store and store.format(m), self.sums[self.s].get(("m", m)) == []
+            target = store and store.format(m)
+            moved = self.sums[self.s].get(("m", m)) == []  # rule P took its per-sender sums
             at = {hop: (var, key) for var, key, hop in witness}
             receiver = self.column(*at[0], receive) if 0 in at else None
             sender = self.column(*at[1], not moved) if 1 in at else None
@@ -1655,7 +1656,8 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
             if not columns:
                 continue
             spec, stmts, outs, used, _, unit_seen = unit
-            name = nodes and [bind(x) for x in spec][0]
+            bound = [bind(x) for x in spec]  # the unit's own list first
+            name = nodes and bound[0]
             lines = _render(stmts, set(), names)
             seen.update(unit_seen)
             h_keys = {int(x[1:]) for x in unit_seen if x[:1] == "H"}
@@ -1685,7 +1687,9 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
         unspread.append(("for", "_l", nodes, zero))
         buffers.append(base)
     prelude += _render(spread, seen, names)
-    folds = [[f for *_, unit in units if unit for f in unit[4]] if fusing else None for units in built]
+    folds = [None] * len(steps)
+    if fusing:  # each step's folds, unit by unit
+        folds = [[f for *_, unit in units if unit for f in unit[4]] for units in built]
     # the labels the kernel's lines read, exclusion factors folded away
     marked = [x for x in range(len(layout)) if f"L{x}" in seen]
     states = "".join(

@@ -182,7 +182,9 @@ that is not a docstring"""
 def test_code_line_counter_skips_blanks_comments_and_docstrings(monkeypatch, tmp_path, capsys):
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
     tool = importlib.import_module("code_lines")
-    # code: import os; def f(a, / b):; return (a +; b); class C:; x = """...; ...docstring"""
+    # 22 lines; the 8 code lines are the import, the two lines of f's
+    # signature, the two of its return, the class line and the two lines of
+    # the string assigned to x
     assert tool.code_lines(_FIXTURE) == (22, 8)
     path = tmp_path / "fixture.py"
     path.write_text(_FIXTURE)
