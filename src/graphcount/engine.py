@@ -1578,9 +1578,9 @@ def _indent(lines: list, depth: int) -> list:
 
 def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
     """The source lines of one kernel factory (``_kernel`` gives its
-    arguments), the name they define, and per step the folds of its units
-    (``_fold``), or None where nothing folds: in a kernel with a hook or
-    without readouts."""
+    arguments), the name they define, and per step the rewrite log of its
+    units (``_Kernel``), or None where nothing folds: in a kernel with a
+    hook or without readouts."""
     form = _Kernel(prog, layout, hops, readouts, hooked)
     steps, index, slot, sums = form.steps, form.index, form.slot, form.sums
     fusing, known, omegas = form.fusing, form.known, form.omegas
