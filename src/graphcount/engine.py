@@ -108,7 +108,7 @@ chain of node lists (a unit's list, then ``adj[_k]`` or ``adj[_l]``), with
 an exclusion set: the one-node identifiers, ``is_root`` (i) and
 ``is_branch`` (j), at whose node the term is 0.  ``_layout`` places each
 column's terms: stored over its node list, summed into its readouts by the
-loop that computes it, or sent.  ``_Kernel`` builds each unit's statements
+loop that computes it, or sent.  ``_Form`` builds each unit's statements
 (loops, guards, stores and sums) from its terms, applying the rewrites
 below in a kernel without a hook, and ``_render`` turns them into lines,
 recording what each line reads, so a kernel binds, marks and stores
@@ -131,7 +131,7 @@ within the cut.  A stored ``coef * Msg(m)`` column of a scattering step,
 coef only exclusion factors, that alone reads m, takes m's scatter in its
 own buffer, then 0 at the nodes coef excludes.
 
-Fold (``_Kernel.fold``).  An exclusion factor is ``1 - x`` in the
+Fold (``_Form.fold``).  An exclusion factor is ``1 - x`` in the
 top-level product of an update or a message, for a one-node identifier x,
 at the node or at the sender; a column is 0 at the nodes its update
 excludes, following copies back.  Per loop, one pass drops each factor the
@@ -147,7 +147,7 @@ and _k != j:``.  A skipped node keeps the 0 the loop's reset left there: no
 kernel without a hook loops over every node, as a step without a witness
 is cut to the root's ball.
 
-Closed form (``_split``, ``_Kernel.receiver``).  A message ``F * (g -
+Closed form (``_split``, ``_Form.receiver``).  A message ``F * (g -
 h)``, F only exclusion factors at the sender, g reading only the sender
 and h only the receiver, sums at a receiver k to ``sum_l F(l) g(l) - h(k)
 Omega_F(k)``, with Omega_F of weight 1, ``deg(k) - sum_{x in F}
@@ -156,18 +156,18 @@ graph is simple and i != j.  So h's part needs no loop over k's
 neighbors, and F drops where g's read is 0 (the last messages of path3,
 path4 and cycle6 but cycle6's second, whose F also reads ``in_n_root``).
 
-Known-1 columns (``_Kernel.known_one``).  A stored column whose update is
+Known-1 columns (``_Form.known_one``).  A stored column whose update is
 only exclusion factors and labels 1 on its list, computed over that list,
 is its exclusion factors wherever a loop over that list reads it, and the
 loop's test of it skips only the nodes it excludes.  A known-1 column that
 no statement reads after this rewrite is not stored (path4's init, 1 on
 N(j) but at i).
 
-Rule T (``_transpose``, ``_Kernel.flat``).  A readout term ``sum_k w(k)
+Rule T (``_transpose``, ``_Form.flat``).  A readout term ``sum_k w(k)
 E(k) sum_{l in N(k)} g(l)``, E only exclusion factors, is summed
 transposed: ``sum_l g(l) Omega_E(l)``, with ``Omega_E(l) = Omega(l) -
 sum_{x in E} w(x) in_n_x(l)`` and ``Omega(l) = sum_{k in N(l)} w(k)``
-(``_Kernel.omega``).  The weight w is 1, a root label, or a column
+(``_Form.omega``).  The weight w is 1, a root label, or a column
 computed once per root that multiplies the summed column (cycle6's first
 readout, which its column's step then takes).  The weight-1 case is the
 closed form's count, with nothing stored; any other weight's Omega is
@@ -177,7 +177,7 @@ the branch, and in a cut step only where w's nodes lie within the cut.  A
 column's terms tagged ("T", w) add its receiver part, times w at the node,
 where it is computed; its sender part is summed per sender.
 
-Rule P (``_push``, ``_Kernel.pushed``).  A per-sender sum ``sum_l
+Rule P (``_push``, ``_Form.pushed``).  A per-sender sum ``sum_l
 X(l) Omega_E(l)`` of a column ``X = coef * Msg(m)``, coef only exclusions
 and m's value read once at its sender, is pushed into the loop over m's
 senders s and their neighbors l, adding ``m(s) Omega_E(l)`` where coef(l)
@@ -591,7 +591,7 @@ def _split(factors: tuple) -> tuple | None:
     of ``-h`` or ``h``, the identifiers F excludes, (the sign of g, the
     factors of g, the factors of h)); else None.  Summed over a receiver's
     neighbors, the message is the sum of the first part plus the second
-    times Omega_F of the third (``_Kernel.receiver``, module docstring)."""
+    times Omega_F of the third (``_Form.receiver``, module docstring)."""
     rest = [f for f in factors if not (f[2] and f[2][1:] == (1, False))]
     if len(rest) != 1 or rest[0][3] is None:
         return None
@@ -1191,15 +1191,15 @@ def _loop(var: str, nodes, conds: list, body: list) -> tuple:
     return "for", var, nodes, [("if", conds, body)]
 
 
-class _Kernel:
-    """One kernel's plan (``_layout``) and the rewrites of the term form
-    (module docstring) that build each of its units' statements: ``fold``
-    and ``nonzero`` (fold), ``receiver`` and ``omega`` (the closed form, and
-    Omega_F of rules T and P), ``known_one`` (known-1 columns), ``flat``
-    (rule T) and ``pushed`` (rule P), which ``pull``, ``scatter`` and
-    ``unit`` apply loop by loop.  While a unit of step ``s`` is
-    built, ``folds`` collects its folds (None in a kernel with a hook or
-    without readouts: nothing folds) and ``binds`` the node lists it binds,
+class _Form:
+    """One kernel in the term form (module docstring): its plan
+    (``_layout``) and the rewrites that build each unit's statements,
+    ``fold`` and ``nonzero`` (fold), ``receiver`` and ``omega`` (the closed
+    form, and Omega_F of rules T and P), ``known_one`` (known-1 columns),
+    ``flat`` (rule T) and ``pushed`` (rule P), which ``pull``, ``scatter``
+    and ``unit`` apply loop by loop.  While a unit of step ``s`` is built,
+    ``folds`` logs its rewrites (None in a kernel with a hook or without
+    readouts: nothing folds) and ``binds`` collects the node lists it binds,
     in order."""
 
     def __init__(self, prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
@@ -1579,9 +1579,9 @@ def _indent(lines: list, depth: int) -> list:
 def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
     """The source lines of one kernel factory (``_kernel`` gives its
     arguments), the name they define, and per step the rewrite log of its
-    units (``_Kernel``), or None where nothing folds: in a kernel with a
+    units (``_Form``), or None where nothing folds: in a kernel with a
     hook or without readouts."""
-    form = _Kernel(prog, layout, hops, readouts, hooked)
+    form = _Form(prog, layout, hops, readouts, hooked)
     steps, index, slot, sums = form.steps, form.index, form.slot, form.sums
     fusing, known, omegas = form.fusing, form.known, form.omegas
     built = [

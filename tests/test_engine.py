@@ -523,7 +523,7 @@ def test_plan_node_lists_are_frozen(kind):
 
 # Per plan at its own radius and one more, in a kernel without a hook: the
 # folds and closed-form sums of each step (init first, steps apart by "|"),
-# loop by loop in the order the kernel runs them (engine._Kernel.fold, _split).
+# loop by loop in the order the kernel runs them (engine._Form.fold, _split).
 # "k!=i,j" is a skip guard on a loop over receivers k (senders l) that skips
 # the root i and the branching node j; "(l!=i,j)" drops a factor the loop's
 # node list or guard already implies; "(k:N(j))" drops a read of a label
@@ -1175,7 +1175,7 @@ _ROOT_ONLY = E.MPProgram(
 
 
 # Two pair plans whose exclusion factors fold in a kernel without a hook
-# (engine._Kernel.fold), at the sender and at the receiver.  Layer 1 of the first
+# (engine._Form.fold), at the sender and at the receiver.  Layer 1 of the first
 # scatters from the root's neighbors, whose list holds no root and whose
 # column is 0 at the branching node, so both sender factors drop; its
 # receivers skip both nodes.  Its layer 2 pulls, and is cut, and its second
