@@ -163,10 +163,12 @@ PROG_TAILED = MPProgram(
 #   o0 = P4(root->branch->..->k) * P2(root,k)          (pattern 0 integrand)
 #   o1 = 4-paths whose second-last node neighbors root (pattern 1 integrand)
 #   o2 = P4 gated on k adjacent to branching node      (pattern 3 integrand)
-#   o3 = branch-neighbors times their count of common (root,branch) neighbors
-#        (pattern 4 integrand; each chordal cycle is seen twice)
-#   o4 = common-neighbor indicator (sums to triangles on the root edge)
-#   o5, o6 = bowtie product terms combined per pair in the cycle6 runner
+#   o3 = common-neighbor indicator (sums to triangles on the root edge)
+#   o4, o5 = bowtie product terms combined per pair in the cycle6 runner; o5,
+#        sum_{l in N(i)&N(j)} (|N(l)&N(j)| - 1), is also the pattern 4
+#        integrand (each chordal cycle is seen twice)
+# o5 equals sum_{k in N(j)\i} |N(k)&N(i)&N(j)|: both count the pairs (k, l)
+# with l in N(i)&N(j) and k in N(l)&N(j)\i, as i lies in every N(l)&N(j).
 PROG_CYCLE6 = MPProgram(
     name="six-cycle-patterns",
     init=(
@@ -175,27 +177,26 @@ PROG_CYCLE6 = MPProgram(
     ),
     layers=(
         Layer(
-            message=(LNbr("in_n_root"), LNbr("in_n_branch"), Nbr(1)),
-            update=(Self(0), Self(1), _NOT_ROOT * Msg(0), Msg(1), Msg(2)),
+            message=(LNbr("in_n_root"), LNbr("in_n_branch")),
+            update=(Self(0), Self(1), _NOT_ROOT * Msg(0), Msg(1)),
         ),
         Layer(
             message=(Nbr(0),),
-            update=(Self(0), Self(1), Self(2), Self(3), Self(4), _MASK_IJ * Msg(0)),
+            update=(Self(0), Self(1), Self(2), Self(3), _MASK_IJ * Msg(0)),
         ),
         Layer(
             message=(
-                _NBR_NOT_ROOT * _NBR_NOT_BRANCH * (Nbr(5) - Self(0)),
+                _NBR_NOT_ROOT * _NBR_NOT_BRANCH * (Nbr(4) - Self(0)),
                 _NBR_NOT_ROOT
                 * _NBR_NOT_BRANCH
                 * LNbr("in_n_root")
-                * (Nbr(5) - Self(0)),
+                * (Nbr(4) - Self(0)),
             ),
             update=(
                 _MASK_IJ * Msg(0),
                 _MASK_IJ * Msg(1),
                 Self(2),
                 Self(3),
-                Self(4),
                 Self(1),
             ),
         ),
@@ -205,10 +206,9 @@ PROG_CYCLE6 = MPProgram(
                 Self(0) * Self(2),
                 Self(1),
                 Self(0) * LSelf("in_n_branch"),
-                LSelf("in_n_branch") * _NOT_ROOT * Self(4),
-                Self(5),
+                Self(4),
                 LSelf("in_n_branch") * _NOT_ROOT * (Self(3) - LSelf("in_n_root")),
-                Self(5) * (Self(3) - Const(1)),
+                Self(4) * (Self(3) - Const(1)),
             ),
         ),
     ),
@@ -217,7 +217,7 @@ PROG_CYCLE6 = MPProgram(
 _SUM = (Readout(0),)
 _SUM_OVER_N_ROOT = (Readout(0, weight="in_n_root"),)
 _AT_ROOT = (Readout(0, weight="is_root"),)
-_CYCLE6_READOUTS = tuple(Readout(c) for c in range(7))
+_CYCLE6_READOUTS = tuple(Readout(c) for c in range(6))
 
 
 def _walk_program(length: int) -> MPProgram:
@@ -242,15 +242,17 @@ def _summed(divisor: int):
 
 
 def _cycle6_patterns(rows: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """The 6-cycle decomposition: (c6, p0, p1, p2, p3, p4) for one root."""
-    a0 = a1 = a3 = a4 = bowtie = 0
-    for n0, n1, n3, n4, cn, xv, yv in rows:
+    """The 6-cycle decomposition: (c6, p0, p1, p2, p3, p4) for one root.
+    The last readout, o5, serves twice: it corrects the bowtie terms, and
+    its sum is twice pattern 4."""
+    a0 = a1 = a3 = a5 = bowtie = 0
+    for n0, n1, n3, cn, xv, yv in rows:
         a0 += n0
         a1 += n1
         a3 += n3
-        a4 += n4
+        a5 += yv
         bowtie += cn * xv - yv
-    p4 = exact_div(a4, 2)
+    p4 = exact_div(a5, 2)
     p2 = bowtie - 2 * p4
     closed = a0 - a1 - p2 - a3
     if closed < 0:

@@ -140,9 +140,9 @@ holds i) or its guard reads a column or label that is 0 there; turns the
 exclusions every term of the loop shares into one skip guard; and drops a
 label read, and the loop's test of it (``nonzero``), where the list makes
 it 1: the label's own list, or a meet that holds it.  So cycle6's layer 3
-sends ``(1 - L3[_l]) * (1 - L2[_l]) * L1[_l] * (H5[_l] - H0[_k])`` from the
+sends ``(1 - L3[_l]) * (1 - L2[_l]) * L1[_l] * (H4[_l] - H0[_k])`` from the
 root's neighbors ``if _l != j:`` to receivers with the coefficient ``(1 -
-L3[_k]) * (1 - L2[_k])``: it adds ``(H5[_l] - H0[_k])`` under ``if _k != i
+L3[_k]) * (1 - L2[_k])``: it adds ``(H4[_l] - H0[_k])`` under ``if _k != i
 and _k != j:``.  A skipped node keeps the 0 the loop's reset left there: no
 kernel without a hook loops over every node, as a step without a witness
 is cut to the root's ball.
@@ -793,6 +793,16 @@ def _spread(nodes, names) -> float:
     return spread if cut is None else min(spread, cut)
 
 
+def _order(nodes) -> str:
+    """``repr`` of a node list (``_nodes``) with each meet's lists sorted,
+    as a frozenset's own order follows the process's hash seed."""
+    if type(nodes) is frozenset:
+        return f"frozenset({{{', '.join(sorted(map(repr, nodes)))}}})"
+    if type(nodes) is tuple:
+        return f"({', '.join(map(_order, nodes))}{',' * (len(nodes) == 1)})"
+    return repr(nodes)
+
+
 def _nodes(sources, cut, where, names=None) -> str | tuple:
     """The node list a step, or a column, with these sources computes, by
     the rules of the module docstring: a name, or ``(near, here, cut)``, the
@@ -805,7 +815,7 @@ def _nodes(sources, cut, where, names=None) -> str | tuple:
     lists: list = [set(), set()]
     for var, key, hop in sources:
         lists[hop].add(where(var, key))
-    here, near = (tuple(sorted(x, key=repr)) for x in lists)
+    here, near = (tuple(sorted(x, key=_order)) for x in lists)
     if names is not None and cut is not None and _spread((near, here, None), names) <= cut:
         cut = None
     return here[0] if len(here) == 1 and not near and cut is None else (near, here, cut)
@@ -934,7 +944,7 @@ def _layout(steps, cuts, index, readouts) -> tuple[list, dict, list, set]:
                         demand.add(nodes if hops == {0} else None)
             # X + X&Y = X
             demand -= {x for x in demand if type(x) is frozenset and x & demand}
-            union = ((), tuple(sorted(demand, key=repr)), None)
+            union = ((), tuple(sorted(demand, key=_order)), None)
             union = union[1][0] if len(demand) == 1 else union
             # the union must not cost a set the column's own list does not
             cheap = type(lists[c]) is tuple or type(union) is not tuple
@@ -1000,8 +1010,21 @@ def _transpose(steps, cuts, readouts, sends, terms, once, branchy) -> tuple[dict
         ]
         return ws if all(fits) else None
 
-    def receiver(split) -> tuple:
-        return min(r for f in split[3][2] for r in f[1])[:2]
+    def transpose(t, c, ws, alone: bool) -> bool:
+        """Rule T on column c of step t, read by the readouts ``ws``, (x, w)
+        pairs, where c is exclusions times a message of ``_split``'s form,
+        read by c alone if ``alone``, in a step that does not scatter.
+        Whether it applies."""
+        m, coef = steps[t].linear[c] or (None, ())
+        split = m is not None and _split(steps[t].messages[m][4])
+        if not split or not _only_excludes(coef) or _scatters(steps[t], cuts[t]) or (
+            alone and steps[t].readers[m] != 1
+        ):
+            return False
+        terms[t][c] = [(x, ("T", w)) for x, w in ws]
+        read_at[t, c] = min(r for f in split[3][2] for r in f[1])[:2]
+        groups.setdefault((t, m), ([], alone))[0].extend((x, w, _excludes(coef)) for x, w in ws)
+        return True
 
     groups: dict = {}  # per (step, message): its per-sender terms, and whether m is theirs alone
     read_at: dict = {}
@@ -1024,16 +1047,8 @@ def _transpose(steps, cuts, readouts, sends, terms, once, branchy) -> tuple[dict
         for c, xs in list(terms[s].items()):
             if any(c in columns for columns in sent.values()):
                 continue
-            m, coef = step.linear[c] or (None, ())
-            split = m is not None and _split(step.messages[m][4])
             ws = weights(s, c, [x for x, _ in xs], False)
-            if (
-                split and ws is not None and step.readers[m] == 1 and _only_excludes(coef)
-                and not _scatters(step, cuts[s]) and (s, c) not in once
-            ):
-                terms[s][c] = [(x, ("T", w)) for x, w in ws]
-                read_at[s, c] = receiver(split)
-                groups[s, m] = ([(x, w, _excludes(coef)) for x, w in ws], True)
+            if ws is not None and (s, c) not in once and transpose(s, c, ws, True):
                 continue
             # a product of a column computed once per root and a column of
             # rule T's form in an earlier step: that step takes its readouts
@@ -1044,18 +1059,12 @@ def _transpose(steps, cuts, readouts, sends, terms, once, branchy) -> tuple[dict
             if (pair[0] in once) == (pair[1] in once):
                 continue
             w, (t, d) = pair if pair[0] in once else pair[::-1]
-            lin = steps[t].linear[d]
-            split = lin and _split(steps[t].messages[lin[0]][4])
             if (
-                split and _only_excludes(lin[1]) and (t, d) in branchy
-                and not _scatters(steps[t], cuts[t]) and (t, d) not in read_at
+                (t, d) in branchy and (t, d) not in read_at
                 and all(cut is None or _weight_reach(steps, w) <= cut for cut in (cuts[s], cuts[t]))
+                and transpose(t, d, [(x, w) for x, _ in xs], False)
             ):
                 del terms[s][c]
-                terms[t][d] = [(x, ("T", w)) for x, _ in xs]
-                read_at[t, d] = receiver(split)
-                group = [(x, w, _excludes(lin[1])) for x, _ in xs]
-                groups.setdefault((t, lin[0]), ([], False))[0].extend(group)
     return groups, read_at
 
 

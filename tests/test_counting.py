@@ -1,4 +1,5 @@
 import os
+from itertools import combinations
 
 import pytest
 
@@ -207,6 +208,26 @@ def test_extra_hops_do_not_change_counts():
         base = count(kind, g, hops=spec.hops)
         more = count(kind, g, hops=spec.hops + 1)
         assert base.node_counts == more.node_counts
+
+
+# G(n, p) graphs and a 4-regular one, on which every plan's readouts differ
+_READOUT_CORPUS = [gen_random(n, 0.3, s) for n in (10, 16) for s in range(6)] + [
+    gen_random_regular(60, 4, 3)
+]
+
+
+@pytest.mark.parametrize("kind", [k for k, spec in _PLANS.items() if len(spec.readouts) > 1])
+def test_no_plan_computes_a_readout_twice(kind):
+    # two readouts that agree on every row are one integrand computed twice
+    spec = _PLANS[kind]
+    rows = []
+    for g in _READOUT_CORPUS:
+        runner = E.RootedRun(spec.program, g.adjacency, spec.hops, spec.readouts)
+        for i in range(g.node_count):
+            rows += runner.rows(i)
+    columns = list(zip(*rows))
+    assert len(columns) == len(spec.readouts)
+    assert [(a, b) for a, b in combinations(range(len(columns)), 2) if columns[a] == columns[b]] == []
 
 
 def test_insufficient_hops():

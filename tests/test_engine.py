@@ -1,6 +1,10 @@
 import hashlib
+import os
+import pickle
 import random
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -189,14 +193,18 @@ def test_width_and_context_validation(prog, error, message):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("component", [-1, 7])
+# the width cycle6's program ends with: its last layer's update count
+_CYCLE6_WIDTH = len(_PLANS["cycle6"].program.layers[-1].update)
+
+
+@pytest.mark.parametrize("component", [-1, _CYCLE6_WIDTH])
 def test_readout_components_must_lie_within_the_final_width(component):
-    # cycle6's program ends 7 columns wide: -1 must not read the last one
+    # -1 must not read cycle6's last column, nor its width one past it
     spec, g = _PLANS["cycle6"], gen_cycle(6)
     readout = E.Readout(component)
     sub = with_branching(g, extract_rooted(g, 0, ego(spec.hops)), 1)
     states = E.run_program(sub, spec.program)
-    assert len(states) == 7
+    assert len(states) == _CYCLE6_WIDTH
     for attempt in (
         lambda: E.RootedRun(spec.program, g.adjacency, spec.hops, (readout,)),
         lambda: E.apply_readout(sub, states, readout),
@@ -204,7 +212,7 @@ def test_readout_components_must_lie_within_the_final_width(component):
         with pytest.raises(E.ProgramError) as info:
             attempt()
         assert type(info.value) is E.ProgramError
-        assert str(info.value) == f"readout component {component} out of width 7"
+        assert str(info.value) == f"readout component {component} out of width {_CYCLE6_WIDTH}"
 
 
 def test_exact_div():
@@ -396,7 +404,7 @@ _PLAN_FUSED = {
     "cycle3": "w",
     "cycle4": "w",
     "cycle5": "p",
-    "cycle6": "p s l l c l l",
+    "cycle6": "p s l c l l",
     "tailed_triangle": "l",
     "chordal_cycle": "l",
     "clique4": "l",
@@ -444,7 +452,7 @@ _PLAN_NODES = {
     "cycle3": "() | ^N(i)",
     "cycle4": "1 | N(N(i)) | N(i)",
     "cycle5": "N(j) | > | N(i)",
-    "cycle6": "N(j) N(i)&N(j) | ^N(N(i)) N(j) N(j) | N(N(j)) | N(j) > | - N(j) N(j) N(j) N(i)&N(j)",
+    "cycle6": "N(j) N(i)&N(j) | ^N(N(i)) N(j) | N(N(j)) | N(j) > | - N(j) N(j) N(i)&N(j)",
     "tailed_triangle": "N(i) | N(i)",
     "chordal_cycle": "N(i) | N(j)",
     "clique4": "N(i)&N(j) | N(i)&N(j)",
@@ -548,7 +556,7 @@ _PLAN_FOLDS = {
     "cycle6": "k!=i (k:N(j)) (k:N(i)&N(j)) | k!=i "
     "| own-i,j push-i,j W[1:2](k)-i,j (l:h0) (l!=i) k!=i,j "
     "| l!=j (l!=i) (l:N(i)) k!=i,j (l:N(i)) k!=i (k!=j) deg(k)-i,j (l!=i,j) (k:h0) "
-    "| k!=i (k:N(j)) (k:h5)",
+    "| k!=i (k:N(j)) (k:h4)",
     "path2": "- | (l:N(i)) deg(l)-i (l:N(i))",
     "path3": "- | push-i deg(k)-i (l:N(i)) k!=i (l:N(i)) | (k:h0) (k!=i) deg(k)-i",
     "path4": "- | push-i,j deg(k)-i,j (l:h0) (l!=i) k!=i,j | (k:h0) (k!=i,j) deg(k)-i,j",
@@ -612,7 +620,7 @@ _KERNEL_MD5 = {
     "cycle3": ("030f0d52c903e0307f73fe1349d3d9d1", "d82e8cf8fc9c8fd1dd01b2a28e012d05"),
     "cycle4": ("d5d46ce9d4b91de48233c1b543f3a35f", "1858ee36febe8dde986546cc26f7e025"),
     "cycle5": ("05431ea63d467c860bc936ed8b4281d1", "7ed4ba831a040e716134f2b370f6bd0b"),
-    "cycle6": ("677e38734848f5fc567713c28ea5a910", "4a6d0679fda01c739ae9a249ab093f0b"),
+    "cycle6": ("da3a693a9e3695381b44f59619e415cf", "156ba54458f058441f9d3f9a89046844"),
     "path2": ("60cb56b4abdaa91c42704565a5bdb2fc", "4dfff9ba7fcbbacdcd896bf77ba78dde"),
     "path3": ("823595bc1a6e2aedbd3798fc0e3eed01", "3f9ba485f486a6d127ef4596f9c74601"),
     "path4": ("20929578c6f00677e08b679fdb97bc7b", "91e86fd0be15a915c70c947a083b3e2e"),
@@ -629,7 +637,7 @@ _KERNEL_MD5 = {
     "path4_edge": ("cca6ed8e84ac90c1c89d9d9ece8b5040",),
     "walks2": ("e07410d434ed0a83e180cf80a41320d4",),
     "walks4": ("e5d6b5b18f6844b8debe8b48db78a4bf",),
-    "plain_cycle6": ("c6bb6fe43ef9ca0f186edacda07c10ba",),
+    "plain_cycle6": ("31cd00ee13bd69ac021ec8a006ee4184",),
     "plain_path4": ("57d67bae021208019e1f613f85eb258e",),
     "plain_clique4": ("7ce93b63847b1d559209e23c0947bbfe",),
     "plain_walk3": ("e79c8e6b8a7dd381b162545b1693dedb",),
@@ -1552,6 +1560,36 @@ def test_hand_written_plans_use_every_node_list_rule(hops, weight):
     assert _rules(spec.program, spec.readouts, spec.hops) == {1, 2, 3, 4, 5}
     spec = _PLANS["triangle_rectangle"]
     assert _rules(spec.program, spec.readouts, spec.hops) == {2, 5, 6}
+
+
+_SOURCES_UNDER_SEED = """
+import hashlib, pickle, sys
+from graphcount import engine
+for prog, readouts in pickle.load(sys.stdin.buffer):
+    for hops in (1, 2, 3):
+        try:
+            lines = engine._generate(prog, {layout!r}, hops, readouts, False)[0]
+        except engine.ProgramError as exc:
+            lines = [str(exc)]
+        print(hashlib.md5("\\n".join(lines).encode()).hexdigest())
+"""
+
+
+def test_kernel_sources_do_not_follow_the_hash_seed():
+    # a meet is a frozenset of label lists, whose order follows the string
+    # hash seed of the process; the kernel built from it must not
+    plans = [(prog, readouts) for _, prog, readouts in _RULE_PLANS]
+    script = _SOURCES_UNDER_SEED.format(layout=ROOTED_LAYOUT)
+    src = str(Path(E.__file__).resolve().parents[1])
+    sources = set()
+    for seed in range(6):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], input=pickle.dumps(plans),
+            capture_output=True, env=env, check=True,
+        )
+        sources.add(proc.stdout)
+    assert len(sources) == 1
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)

@@ -7,10 +7,15 @@ and verdicts against the README's witness verdicts.  These guards make such a
 break fail the tests instead.  Another keeps kernel compilation in each
 workload's warm-up, out of its timed ops, and two last ones find top-level
 names of the library that nothing uses, and imports that ``counting`` keeps
-only for the tracer."""
+only for the tracer.  The tools under ``tools/`` are checked too: the
+code-line counter, and the pytest plugin that records the kernel sources a
+run compiles."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +23,7 @@ import pytest
 import graphcount
 from graphcount import cli, counting, engine, oracle, refinement
 from graphcount.generators import gen_random
+from test_engine import _KERNEL_MD5
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -191,3 +197,21 @@ def test_code_line_counter_skips_blanks_comments_and_docstrings(monkeypatch, tmp
     assert tool.main([str(path), str(path)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "total\t44\t16"
     assert tool.main([]) == 2
+
+
+def test_kernel_capture_records_every_compiled_kernel(tmp_path):
+    # the plugin that proves kernels byte-identical between two checkouts
+    # must see each kernel the frozen-source test compiles
+    out = tmp_path / "kernels.txt"
+    src = Path(engine.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(ROOT / "tools")])}
+    test = "tests/test_engine.py::test_kernel_sources_are_frozen"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "kernel_capture",
+         "--kernel-md5", str(out), test],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stdout
+    digests = out.read_text().split()
+    assert digests == sorted(set(digests))
+    assert {d for row in _KERNEL_MD5.values() for d in row} <= set(digests)
