@@ -1,20 +1,7 @@
-"""Deterministic synchronous integer message passing over rooted subgraphs.
+"""Run message-passing programs (``program``) over rooted subgraphs.
 
-A program is a fixed pipeline of layers.  Each layer evaluates a tuple of
-message expressions on every directed edge (receiver <- sender), sums the
-messages per receiver component-wise, and then evaluates a tuple of update
-expressions per node over (previous state, label vector, message sums).
-Layers are synchronous, so evaluation order cannot affect the result.
-States are Python ints: results are exact and overflow cannot occur.
-
-Expressions form a small closed AST over integer arithmetic ({+, -, *,
-constants, component selects, zero/positivity indicators}).  One visitor,
-``_visit``, walks it with one table entry per node type, giving per
-expression its Python source, its audit text, what it reads, its witness
-(below) and the factors of its top-level product, and checking every
-select's context and width.  ``init`` is walked as a message-less layer
-over an empty state, so every step has one form; ``program_text``,
-``required_labels`` and the kernels read that one walk.
+Each program is compiled, once per plan, into one generated Python function
+that runs its layers over a parent graph's adjacency, root by root.
 States are columnar, ``state[c][k]`` for component c of node k.  A step
 binds only the columns it reads, fills each computed column in one loop over
 its nodes, and passes a bare ``Self(i)`` update's column through unchanged.
@@ -99,6 +86,12 @@ read:
   list lies within it already (N(N(i))), and an uncut step with one source,
   read at the node, takes that source's list.  ``_root`` builds only the
   balls some line reads.
+- A unit that only scatters into its columns' own buffers runs no loop
+  over its node list, so no set of that list is built unless another line
+  reads it (``_generate``, ``_rewalk``): the reset zeroes each buffer by
+  walking again the loops that wrote it, without their guards, which only
+  widens the zeroing to nodes that are 0 already (cycle4's N(N(i)),
+  cycle6's N(N(j))).
 
 The term form.  A kernel is written in one form before it is Python: each
 readout sum and each stored column is a list of terms, and a term is a
@@ -140,28 +133,36 @@ holds i) or its guard reads a column or label that is 0 there; turns the
 exclusions every term of the loop shares into one skip guard; and drops a
 label read, and the loop's test of it (``nonzero``), where the list makes
 it 1: the label's own list, or a meet that holds it.  So cycle6's layer 3
-sends ``(1 - L3[_l]) * (1 - L2[_l]) * L1[_l] * (H4[_l] - H0[_k])`` from the
-root's neighbors ``if _l != j:`` to receivers with the coefficient ``(1 -
-L3[_k]) * (1 - L2[_k])``: it adds ``(H4[_l] - H0[_k])`` under ``if _k != i
-and _k != j:``.  A skipped node keeps the 0 the loop's reset left there: no
+sends the sender part ``(1 - L3[_l]) * (1 - L2[_l]) * L1[_l] * H4[_l]`` of
+its second message from the root's neighbors: it adds ``H4[_l]``, times
+the count of its receivers, under ``if _l != j:``.  A skipped node keeps the 0 the loop's reset left there: no
 kernel without a hook loops over every node, as a step without a witness
 is cut to the root's ball.
 
 Closed form (``_split``, ``_Form.receiver``).  A message ``F * (g -
-h)``, F only exclusion factors at the sender, g reading only the sender
-and h only the receiver, sums at a receiver k to ``sum_l F(l) g(l) - h(k)
-Omega_F(k)``, with Omega_F of weight 1, ``deg(k) - sum_{x in F}
-in_n_x(k)``, the count of k's neighbors that F keeps, exact because the
-graph is simple and i != j.  So h's part needs no loop over k's
-neighbors, and F drops where g's read is 0 (the last messages of path3,
-path4 and cycle6 but cycle6's second, whose F also reads ``in_n_root``).
+h)``, F exclusion factors at the sender and at most one read there of a
+root label w (1 without one), g reading only the sender and h only the
+receiver, sums at a receiver k to ``sum_l F(l) g(l) - h(k) Omega_F(k)``,
+with ``Omega_F(k) = Omega(k) - sum_{x in F} w(x) in_n_x(k)``, the sum of
+F over k's neighbors, exact because the graph is simple and i != j.  For
+w = 1, ``Omega(k)`` is ``deg(k)``; for a label it is rule T's Omega of
+that weight (``_Form.omega``), scattered once per root.  So h's part needs
+no loop over k's neighbors, and F drops where g's read is 0 (the last
+messages of path3, path4 and cycle6).  A label in F can narrow the
+message's witness to the sender, so the receiver part is summed over h's
+list, and h must be a product of single reads.  cycle6's readout o1, the
+column of layer 3's second message, so becomes ``sum_{l in N(i)-j} H4(l)
+(deg(l) - 1 - in_n_branch(l)) - sum_{k in N(j)-i} (Omega(k) - 1)``, with
+``Omega(k) = |N(k) & N(i)|``, and no loop over the neighbors of N(i).
 
 Known-1 columns (``_Form.known_one``).  A stored column whose update is
 only exclusion factors and labels 1 on its list, computed over that list,
 is its exclusion factors wherever a loop over that list reads it, and the
 loop's test of it skips only the nodes it excludes.  A known-1 column that
 no statement reads after this rewrite is not stored (path4's init, 1 on
-N(j) but at i).
+N(j) but at i), and a readout of one over its own list, which holds no
+node its update excludes, is that list's length (cycle6's o3, the common
+neighbors of i and j).
 
 Rule T (``_transpose``, ``_Form.flat``).  A readout term ``sum_k w(k)
 E(k) sum_{l in N(k)} g(l)``, E only exclusion factors, is summed
@@ -173,7 +174,9 @@ readout, which its column's step then takes).  The weight-1 case is the
 closed form's count, with nothing stored; any other weight's Omega is
 scattered from its list once per root, before the branch loop, and paid
 back as each branch reads it, so T applies only to columns that depend on
-the branch, and in a cut step only where w's nodes lie within the cut.  A
+the branch, and in a cut step only where w's nodes lie within the cut.
+Omega_E's reads of a column weight at i or j are bound once per branch
+(``_Form.constant``).  A
 column's terms tagged ("T", w) add its receiver part, times w at the node,
 where it is computed; its sender part is summed per sender.
 
@@ -196,387 +199,26 @@ CHANGES.md holds the measurements behind the rules.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
 from functools import reduce
 from itertools import chain, compress
 from operator import mul
 from typing import TYPE_CHECKING, Mapping, Sequence
 
+# the public names of ``program`` are re-exported
+from .program import (
+    _ABSENT, _AROUND, _BRANCH_LABELS, _IDENTIFIERS, _ONE_NODE, _UNBOUNDED, Add, Const, Expr,
+    IsPos, IsZero, Layer, LNbr, LSelf, MissingLabelError, MPProgram, Msg, Mul, Nbr,
+    ProgramError, Readout, Self, Sub, _label_reach, _reach, _Step, _steps, program_text,
+    required_labels,
+)
+
 if TYPE_CHECKING:  # avoid a circular import; only needed for annotations
     from .extraction import RootedSubgraph
 
 
-class ProgramError(ValueError):
-    """Raised for malformed programs: bad widths, out-of-range selects."""
-
-
-class MissingLabelError(ProgramError):
-    """Raised when a program needs a label the subgraph labeling lacks."""
-
-
 # ---------------------------------------------------------------------------
-# Expression AST
+# Execution: one generated kernel per plan
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Expr:
-    def __add__(self, other: "Expr | int") -> "Expr":
-        return Add(self, _lift(other))
-
-    def __radd__(self, other: "Expr | int") -> "Expr":
-        return Add(_lift(other), self)
-
-    def __sub__(self, other: "Expr | int") -> "Expr":
-        return Sub(self, _lift(other))
-
-    def __rsub__(self, other: "Expr | int") -> "Expr":
-        return Sub(_lift(other), self)
-
-    def __mul__(self, other: "Expr | int") -> "Expr":
-        return Mul(self, _lift(other))
-
-    def __rmul__(self, other: "Expr | int") -> "Expr":
-        return Mul(_lift(other), self)
-
-
-def _lift(x: "Expr | int") -> "Expr":
-    return x if isinstance(x, Expr) else Const(int(x))
-
-
-@dataclass(frozen=True)
-class Const(Expr):
-    value: int
-
-
-@dataclass(frozen=True)
-class Self(Expr):
-    """Component of the receiving node's previous-layer state."""
-
-    index: int
-
-
-@dataclass(frozen=True)
-class Nbr(Expr):
-    """Component of the sending neighbor's previous-layer state (messages only)."""
-
-    index: int
-
-
-@dataclass(frozen=True)
-class Msg(Expr):
-    """Component of the aggregated message sum (updates only)."""
-
-    index: int
-
-
-@dataclass(frozen=True)
-class LSelf(Expr):
-    """Label component of the receiving node, selected by name."""
-
-    name: str
-
-
-@dataclass(frozen=True)
-class LNbr(Expr):
-    """Label component of the sending neighbor (messages only)."""
-
-    name: str
-
-
-@dataclass(frozen=True)
-class Add(Expr):
-    a: Expr
-    b: Expr
-
-
-@dataclass(frozen=True)
-class Sub(Expr):
-    a: Expr
-    b: Expr
-
-
-@dataclass(frozen=True)
-class Mul(Expr):
-    a: Expr
-    b: Expr
-
-
-@dataclass(frozen=True)
-class IsZero(Expr):
-    """1 if the operand is 0, else 0."""
-
-    a: Expr
-
-
-@dataclass(frozen=True)
-class IsPos(Expr):
-    """1 if the operand is > 0, else 0."""
-
-    a: Expr
-
-
-@dataclass(frozen=True)
-class Layer:
-    message: tuple[Expr, ...]
-    update: tuple[Expr, ...]
-
-
-@dataclass(frozen=True)
-class MPProgram:
-    """A named pipeline: initial state from labels, then message/update layers."""
-
-    name: str
-    init: tuple[Expr, ...]
-    layers: tuple[Layer, ...]
-
-    def __post_init__(self) -> None:
-        # the compile cache hashes its key on every run; the tree is immutable,
-        # so hash it once here
-        object.__setattr__(self, "_hash", hash((self.name, self.init, self.layers)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # string hashes differ between processes, so rebuild rather than
-        # carry the cached hash along
-        return (MPProgram, (self.name, self.init, self.layers))
-
-
-@dataclass(frozen=True)
-class Readout:
-    """Permutation-invariant component sum over subgraph nodes.
-
-    ``weight`` optionally multiplies each node's value by one of its label
-    components (e.g. restrict the sum to neighbors of the root).
-    """
-
-    component: int
-    weight: str | None = None
-
-
-# ---------------------------------------------------------------------------
-# The one walk over the AST: each expression's Python source and audit text,
-# what it reads, and where it can be nonzero.  Compiled steps are cached per
-# (program, label layout).
-# ---------------------------------------------------------------------------
-
-# The identifiers of a rooted run, whose sorted names are the label layout
-# of every rooted kernel: how far from the root each is nonzero (any other
-# label: unbounded), the node list it is 1 on, for root i and branching node
-# j, and whether it is set per branch.
-_IDENTIFIERS = {
-    "is_root": (0, "(i,)", False),
-    "in_n_root": (1, "adj[i]", False),
-    "is_branch": (1, "(j,)", True),
-    "in_n_branch": (2, "adj[j]", True),
-}
-_BRANCH_LABELS = {x for x, (*_, per_branch) in _IDENTIFIERS.items() if per_branch}
-# The identifiers whose list is one node, by that node's name in a kernel;
-# per one, the identifier whose list is that node's neighbors; and per
-# identifier the ones whose node its list never holds: a graph has no
-# self-loops, so adj[i] never holds i.
-_ONE_NODE = {x: nodes[1] for x, (_, nodes, _) in _IDENTIFIERS.items() if nodes.startswith("(")}
-_AROUND = {
-    x: y for x, v in _ONE_NODE.items()
-    for y, (_, nodes, _) in _IDENTIFIERS.items() if nodes == f"adj[{v}]"
-}
-_ABSENT = {y: frozenset(x for x, z in _AROUND.items() if z == y) for y in _IDENTIFIERS}
-_UNBOUNDED = math.inf
-
-
-def _label_reach(name) -> float:
-    return _IDENTIFIERS[name][0] if name in _IDENTIFIERS else _UNBOUNDED
-
-
-def _reach(witness, state, sender: bool = False) -> float:
-    """How far from the root an expression with this witness can be nonzero:
-    at the node that evaluates it or, with ``sender``, at the neighbor that
-    sends it (a message).  ``state`` gives the reach of each state column; -1
-    means never nonzero."""
-    if witness is None:
-        return _UNBOUNDED
-    out = -1
-    for var, key, hop in _plain(witness):
-        r = state[key] if var == "H" else _label_reach(key)
-        if r >= 0:
-            out = max(out, r + (1 - hop if sender else hop))
-    return out
-
-
-def _either(state, witnesses):
-    """Add, Sub, IsPos: zero where every operand is."""
-    return None if None in witnesses else frozenset().union(*witnesses)
-
-
-def _narrowest(state, witnesses):
-    """Mul: zero where one operand is; keep the one of least reach.  When
-    each operand is one label read at the node, the product is nonzero only
-    where all those labels are: it reads their meet, a tuple of the labels,
-    the kept operand's first."""
-    bounded = [w for w in witnesses if w is not None]
-    kept = min(bounded, key=lambda w: _reach(w, state), default=None)
-    labels = [_labels_at_node(w) for w in witnesses]
-    if not all(labels):
-        return kept
-    names = tuple(dict.fromkeys(labels[witnesses.index(kept)] + sum(labels, ())))
-    return frozenset({("L", names if len(names) > 1 else names[0], 0)})
-
-
-def _labels_at_node(witness) -> tuple:
-    """The labels of a witness that is one label read at the node: one
-    name, or the names of a meet; () for any other witness."""
-    if witness is None or len(witness) != 1:
-        return ()
-    ((var, key, hop),) = witness
-    if var != "L" or hop != 0:
-        return ()
-    return key if type(key) is tuple else (key,)
-
-
-def _plain(witness):
-    """A witness with each meet read as its first label: every rule but the
-    node list of a column in a kernel without a hook uses this form."""
-    if not witness:
-        return witness
-    return frozenset((var, key[0] if type(key) is tuple else key, hop) for var, key, hop in witness)
-
-
-# Composite nodes: Python form and text form, one {} per operand, and the
-# witness of the node, given those of its operands.
-_OPERATORS = {
-    Add: ("({} + {})", "({} + {})", _either),
-    Sub: ("({} - {})", "({} - {})", _either),
-    Mul: ("({} * {})", "({} * {})", _narrowest),
-    IsZero: ("(0 if {} else 1)", "[{} == 0]", lambda state, witnesses: None),
-    IsPos: ("(1 if {} > 0 else 0)", "[{} > 0]", _either),
-}
-
-# Leaves: the variable the Python form reads ("" for none, "M" for a message
-# sum), Python form and
-# text form of the node's field, the context the node is confined to (with
-# what the error calls it), the width that bounds its index, and the hop of
-# its read (0 at the evaluating node, 1 at the sending neighbor).
-_LEAVES = {
-    Const: ("", "{!r}", "{}", None, None, None),
-    Self: ("H", "H{}[_k]", "self.h{}", None, "state", 0),
-    Nbr: ("H", "H{}[_l]", "nbr.h{}", ("message", "neighbor state is"), "state", 1),
-    Msg: ("M", "_m{}", "m{}", ("update", "message sums are"), "message", None),
-    LSelf: ("L", "L{}[_k]", "self.{}", None, None, 0),
-    LNbr: ("L", "L{}[_l]", "nbr.{}", ("message", "neighbor labels are"), None, 1),
-}
-
-
-def _visit(
-    e: Expr, ctx: str, layout: Mapping[str, int], state: tuple, messages: tuple, reads: set
-) -> tuple[str, str, frozenset | None, tuple]:
-    """(Python source, audit text, witness, factors) of ``e`` in context
-    ``ctx``.
-
-    ``state`` holds the reach of each previous state column and ``messages``
-    the witness of each message.  The witness of ``e`` is a set of (variable,
-    index or label name, hop) reads such that ``e`` is 0 wherever all of them
-    are, or None when there is none.  The factors of ``e`` split its
-    top-level product: per factor, its Python source, what it reads, its
-    mark (``_mark``) and, for a ``Sub``, the (Python source, reads, factors)
-    of each operand, else None; an ``e`` that is no ``Mul`` is one factor.  Adds
-    what ``e`` reads to ``reads`` in the same form.  A label reads from its
-    position in ``layout``; names outside the layout never reach
-    compilation, because ``_steps`` rejects them.
-    """
-    kind = type(e)
-    if kind not in _OPERATORS and kind not in _LEAVES:
-        raise ProgramError(f"unknown expression node {kind.__name__}")
-    args = [getattr(e, f.name) for f in fields(e)]
-    if kind in _OPERATORS:
-        py, text, witness = _OPERATORS[kind]
-        each = [set() for _ in args]
-        parts = [_visit(a, ctx, layout, state, messages, r) for a, r in zip(args, each)]
-        reads.update(*each)
-        py, text = (form.format(*(p[n] for p in parts)) for n, form in enumerate((py, text)))
-        witness = witness(state, [p[2] for p in parts])
-        if kind is Mul:
-            return py, text, witness, parts[0][3] + parts[1][3]
-        sides = tuple((p[0], r, p[3]) for p, r in zip(parts, each)) if kind is Sub else None
-        return py, text, witness, ((py, frozenset().union(*each), _mark(e), sides),)
-    var, py, text, confined, bound, hop = _LEAVES[kind]
-    if confined and ctx != confined[0]:
-        raise ProgramError(f"{confined[1]} only visible in {confined[0]} expressions")
-    width = len(state if bound == "state" else messages)
-    if bound and not 0 <= args[0] < width:
-        raise ProgramError(f"{bound} select {args[0]} out of width {width}")
-    read = frozenset({(var, *args, hop)} if var else ())
-    reads.update(read)
-    if kind is Const:
-        witness = frozenset() if args[0] == 0 else None
-    elif kind is Msg:
-        witness = messages[args[0]]
-    else:
-        witness = frozenset({(var, args[0], hop)})
-    py = py.format(layout.get(args[0]) if var == "L" else args[0])
-    return py, text.format(*args), witness, ((py, read, _mark(e), None),)
-
-
-def _mark(e: Expr) -> tuple | None:
-    """(x, hop, False) when ``e`` is ``1 - x`` for a one-node identifier x
-    (the module docstring's exclusion factor), (x, hop, True) when it is
-    the label read x, with the hop of the read (0 at the node, 1 at the
-    sender), else None."""
-    x = getattr(e, "b", None)
-    if type(e) in (LSelf, LNbr):
-        return e.name, _LEAVES[type(e)][5], True
-    if type(e) is Sub and e.a == Const(1) and type(x) in (LSelf, LNbr) and x.name in _ONE_NODE:
-        return x.name, _LEAVES[type(x)][5], False
-    return None
-
-
-def _expr(e: Expr, ctx: str, layout: Mapping[str, int], state: tuple, messages: tuple) -> tuple:
-    """``_visit``'s (Python source, audit text, witness) of ``e``, what it
-    reads, and its factors."""
-    reads: set = set()
-    py, text, witness, factors = _visit(e, ctx, layout, state, messages, reads)
-    return py, text, witness, reads, factors
-
-
-@dataclass(frozen=True)
-class _Step:
-    """One walked step: the (Python source, text, witness, reads, factors)
-    of its messages and updates, the state index each update copies (None
-    when it computes), what the messages and computing updates read, the
-    reach of each output column, the union of the computing updates'
-    witnesses: the reads whose supports bound the nodes the step must
-    compute (None: every node), per update, when it is ``coef * Msg(m)``
-    with a coef that reads no message, (m, the coef's factors, () for a bare
-    ``Msg(m)``), else None, the (step, column) that computed each output
-    column, following copies back, per update, the labels of the meet its
-    witness reads (``_narrowest``), or () for none, the computing updates,
-    and per message the number of updates that read it.  Every witness it
-    holds is in ``_plain`` form."""
-
-    messages: list
-    updates: list
-    copies: list
-    reads: set
-    reach: tuple
-    sources: frozenset | None
-    linear: list
-    origins: tuple
-    meets: list
-    computed: list
-    readers: list
-
-
-def _linear(factors: tuple) -> tuple[int, tuple] | None:
-    """(m, the other factors) when one of a product's factors is a bare
-    ``Msg(m)`` and no other reads a message, else None."""
-    reads = [(f, r[1]) for f in factors for r in f[1] if r[0] == "M"]
-    if len(reads) == 1 and reads[0][0][0] == f"_m{reads[0][1]}":
-        (bare, m), = reads
-        return m, tuple(f for f in factors if f is not bare)
-    return None
-
 
 def _excludes(factors: tuple, hop: int = 0) -> frozenset:
     """The one-node identifiers of a product's exclusion factors read at
@@ -585,25 +227,37 @@ def _excludes(factors: tuple, hop: int = 0) -> frozenset:
 
 
 def _split(factors: tuple) -> tuple | None:
-    """A message ``F * (g - h)`` or ``F * (h - g)``, where F is only
-    exclusion factors at the sender, g reads only the sender and h only the
-    receiver, as (the factors of ``F * g`` or ``F * -g``, the Python source
-    of ``-h`` or ``h``, the identifiers F excludes, (the sign of g, the
-    factors of g, the factors of h)); else None.  Summed over a receiver's
-    neighbors, the message is the sum of the first part plus the second
-    times Omega_F of the third (``_Form.receiver``, module docstring)."""
-    rest = [f for f in factors if not (f[2] and f[2][1:] == (1, False))]
-    if len(rest) != 1 or rest[0][3] is None:
+    """A message ``F * (g - h)`` or ``F * (h - g)``, where F is exclusion
+    factors at the sender and at most one read there of a root label w, g
+    reads only the sender and h only the receiver, each factor of h one
+    value where F reads w, as (the factors of ``F * g`` or ``F * -g``, the
+    Python source of ``-h`` or ``h``, the identifiers F excludes, (the sign
+    of g, the factors of g, the factors of h), w or None); else None.
+    Summed over a receiver's neighbors, the message is the sum of the first
+    part plus the second times Omega_F of the third (``_Form.receiver``,
+    module docstring)."""
+    labels = {f[2][0] for f in factors if f[2] and f[2][1:] == (1, True)}
+    rest = [f for f in factors if not (f[2] and f[2][1] == 1)]
+    if len(rest) != 1 or rest[0][3] is None or len(labels) > 1 or labels & _BRANCH_LABELS:
         return None
     (_, _, _, sides), = rest
     hops = [{hop for *_, hop in reads} for _, reads, _ in sides]
     if hops not in ([{1}, {0}], [{0}, {1}]):
         return None
     (g, reads, gf), (h, _, hf) = sides if hops[0] == {1} else sides[::-1]
+    if labels and any(len(f[1]) != 1 for f in hf):
+        return None
     sign = "-" if hops[0] == {0} else ""
     excluded = tuple(f for f in factors if f is not rest[0])
     sent = (*excluded, (sign + g, reads, None, None))
-    return sent, "-"[:not sign] + h, _excludes(factors, 1), (sign, gf, hf)
+    return sent, "-"[:not sign] + h, _excludes(factors, 1), (sign, gf, hf), min(labels, default=None)
+
+
+def _summed(split) -> tuple:
+    """The log entry of a ``_split`` message's receiver part (``_Form``):
+    ("sum", 0, exclusions) for Omega_F of weight 1, else ("omega", 0, (w,
+    exclusions))."""
+    return ("sum", 0, split[2]) if split[4] is None else ("omega", 0, (split[4], split[2]))
 
 
 def _label_at(label: str, x: str) -> int:
@@ -612,79 +266,6 @@ def _label_at(label: str, x: str) -> int:
     nodes, node = _IDENTIFIERS[label][1], _ONE_NODE[x]
     return int(nodes == f"({node},)" or nodes.startswith("adj[") and nodes != f"adj[{node}]")
 
-
-def _walk(prog: MPProgram, layout: Mapping[str, int]) -> list[_Step]:
-    """Visit every expression of ``prog`` once, step by step: ``init`` first,
-    as a message-less layer over an empty state, then each layer.  An update
-    that is a bare ``Self`` copies its column; its read is not recorded, as
-    the step passes the column through."""
-    steps = []
-    reach: tuple = ()
-    origins: tuple = ()
-    layers = [("init", Layer((), prog.init))] + [("update", x) for x in prog.layers]
-    for s, (ctx, layer) in enumerate(layers):
-        messages = [_expr(e, "message", layout, reach, ()) for e in layer.message]
-        witnesses = tuple(m[2] for m in messages)
-        copies = [e.index if type(e) is Self else None for e in layer.update]
-        updates = [_expr(e, ctx, layout, reach, witnesses) for e in layer.update]
-        if ctx == "update" and not updates:
-            raise ProgramError("layer update must produce at least one component")
-        meets = [_labels_at_node(u[2]) for u in updates]
-        meets = [labels if len(labels) > 1 else () for labels in meets]
-        messages, updates = (
-            [(py, text, _plain(w), r, f) for py, text, w, r, f in xs] for xs in (messages, updates)
-        )
-        computed = [u for u, c in zip(updates, copies) if c is None]
-        reads = set().union(*(x[3] for x in messages + computed))
-        witness = [u[2] for u in computed]
-        sources = None if None in witness else frozenset().union(*witness)
-        linear = [_linear(u[4]) for u in updates]
-        reach = tuple(
-            _reach(u[2], reach) if c is None else reach[c] for u, c in zip(updates, copies)
-        )
-        origins = tuple((s, c) if src is None else origins[src] for c, src in enumerate(copies))
-        readers = [sum(("M", m, None) in u[3] for u in updates) for m in range(len(messages))]
-        steps.append(_Step(
-            messages, updates, copies, reads, reach, sources, linear, origins, meets, computed,
-            readers,
-        ))
-    return steps
-
-
-def required_labels(prog: MPProgram) -> frozenset[str]:
-    """Names of the labels ``prog`` reads."""
-    reads = set().union(*(step.reads for step in _walk(prog, {})))
-    return frozenset(r[1] for r in reads if r[0] == "L")
-
-
-def program_text(prog: MPProgram) -> str:
-    init, *layers = _walk(prog, {})
-    inits = "; ".join(f"h{i} = {u[1]}" for i, u in enumerate(init.updates)) or "-"
-    lines = [f"program {prog.name}", f"  init: {inits}"]
-    for number, layer in enumerate(layers, start=1):
-        msgs = "; ".join(f"m{i} = sum_nbr {m[1]}" for i, m in enumerate(layer.messages))
-        upds = "; ".join(f"h{i} = {u[1]}" for i, u in enumerate(layer.updates))
-        sep = " | " if msgs else ""
-        lines.append(f"  layer {number}: {msgs}{sep}{upds}")
-    return "\n".join(lines)
-
-
-def _steps(prog: MPProgram, layout: tuple[str, ...]) -> list[_Step]:
-    """The walked steps of ``prog`` over a label layout, which must hold every
-    label the program reads."""
-    steps = _walk(prog, {name: i for i, name in enumerate(layout)})
-    missing = {r[1] for step in steps for r in step.reads if r[0] == "L"} - set(layout)
-    if missing:
-        raise MissingLabelError(
-            f"program {prog.name!r} needs labels {sorted(missing)} "
-            f"not provided by this subgraph (has {sorted(layout)})"
-        )
-    return steps
-
-
-# ---------------------------------------------------------------------------
-# Execution: one generated kernel per plan
-# ---------------------------------------------------------------------------
 
 def _held(nodes, layout) -> tuple[frozenset, frozenset]:
     """What every node of a node list (``_nodes``) is, in a rooted kernel:
@@ -1220,6 +801,7 @@ class _Form:
         plan = _layout(steps, self.cuts, self.index, readouts if self.fusing else None)
         self.units, self.slot, self.sums, self.stored = plan
         self.omegas: dict = {}  # per weight of rule T, the buffer of its Omega
+        self.constants: dict = {}  # per read of such a weight at i or j, its local
         # known-1 columns: stored, 1 on their node list but where their
         # update excludes
         self.known = {
@@ -1325,7 +907,7 @@ class _Form:
         elif w is not None:
             name, update = "O{}_{}".format(*w), self.steps[w[0]].updates[w[1]]
             zeros = _held(self.slot[w], self.layout)[0] | _excludes(update[4])
-            at = lambda x: None if x in zeros else (f"{name}[{_ONE_NODE[x]}]", {name})
+            at = lambda x: None if x in zeros else (self.constant(name, _ONE_NODE[x]), {name})
         terms, known, reads = [f"{base}[{var}]"], 0, {base}
         for x in _ONE_NODE:
             value, label = at(x) if x in excluded else None, self.label(_AROUND[x])
@@ -1339,12 +921,17 @@ class _Form:
         terms += [str(known)] if known else []
         return (f"({' - '.join(terms)})" if len(terms) > 1 else terms[0]), frozenset(reads)
 
+    def constant(self, name: str, node: str) -> str:
+        """The local that each branch binds, before its steps, to the value
+        at ``node`` (i or j) of a column computed once per root."""
+        return self.constants.setdefault(f"{name}[{node}]", f"_c{len(self.constants)}")
+
     def receiver(self, split, here, dropped, ones) -> tuple:
         """The closed form of a ``_split`` message's receiver part at
         ``_k``: ``-h`` or ``h``, h's factors ``here`` without those that
-        ``dropped`` holds, times Omega_F of weight 1, the count of ``_k``'s
-        neighbors that its sender factors keep."""
-        py, reads = _times(_product(here, dropped), self.omega("_k", None, split[2], ones))
+        ``dropped`` holds, times Omega_F of the weight F reads (1 without
+        one): for weight 1 the count of ``_k``'s neighbors that F keeps."""
+        py, reads = _times(_product(here, dropped), self.omega("_k", split[4], split[2], ones))
         return "-"[:not split[3][0]] + py, reads
 
     def readout(self, xs, coef=None, ones=frozenset()) -> list:
@@ -1409,8 +996,8 @@ class _Form:
             msg, _, witness, _, factors = self.steps[self.s].messages[m]
             start, split = _ZERO, self.folds is not None and _split(factors)
             if split:
-                factors, _, excluded, _ = split
-                self.folds.append(("sum", 0, excluded))
+                factors, _, excluded, *_ = split
+                self.folds.append(_summed(split))
                 at = [(var, key) for var, key, hop in witness or () if hop == 1]
                 zeros = self.column(*at[0], False)[2] if len(at) == 1 else frozenset()
                 own = self.fold(1, frozenset(), [factors], zeros)[1]
@@ -1442,9 +1029,11 @@ class _Form:
             target = store and store.format(m)
             moved = self.sums[self.s].get(("m", m)) == []  # rule P took its per-sender sums
             at = {hop: (var, key) for var, key, hop in witness}
+            split = self.folds is not None and _split(factors)
+            if split:  # a label F reads can narrow the witness to the sender
+                at.setdefault(0, min(r for f in split[3][2] for r in f[1])[:2])
             receiver = self.column(*at[0], receive) if 0 in at else None
             sender = self.column(*at[1], not moved) if 1 in at else None
-            split = self.folds is not None and _split(factors)
             sends, whole = (split[0], None) if split else (factors, msg)
             # a value added at _k is 0 where the message is or every coef is
             adds = entries.get(m, ())
@@ -1471,7 +1060,7 @@ class _Form:
                     products.append(here)
                 guard, at_k = self.fold(0, skip, products, receiver[2], receiver[3])
                 if split:
-                    self.folds.append(("sum", 0, split[2]))
+                    self.folds.append(_summed(split))
                     value = self.receiver(split, here, at_k, receiver[3])
                     loop = self.add(adds, target, value, at_k, receiver[3])
                 else:
@@ -1527,7 +1116,8 @@ class _Form:
                 for x, v in _ONE_NODE.items() if x in _excludes(coef) and not into
             ]
         columns = [c for c in columns if c not in own]
-        if not columns:
+        if not columns:  # no loop runs over the unit's own list
+            del self.binds[0]
             return self.done(stmts, outs, [])
         reads = _reads(step, columns)
         messages = sorted(r[1] for r in reads if r[0] == "M")
@@ -1581,6 +1171,18 @@ class _Form:
         return self.binds, stmts, outs, used, self.folds or [], names
 
 
+def _rewalk(stmts: list, out: str, loops: tuple = ()):
+    """The chains of loops, (variable, node list) pairs, along which
+    ``stmts`` store into ``out`` at ``_k``."""
+    for kind, *args in stmts:
+        if kind == "for":
+            yield from _rewalk(args[2], out, (*loops, tuple(args[:2])))
+        elif kind == "if":
+            yield from _rewalk(args[1], out, loops)
+        elif kind == "set" and args[0] == f"{out}[_k]":
+            yield loops
+
+
 def _indent(lines: list, depth: int) -> list:
     return [" " * (4 * depth) + x for x in lines]
 
@@ -1599,11 +1201,18 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
     ]
     summed = {x for step_sums in sums for xs in step_sums.values() for x, _ in xs}
     last = steps[-1].origins
+    # a readout of a known-1 column over its own list, 1 at each of its
+    # nodes, is the list's length
+    counted = {
+        x for x, r in enumerate(readouts or ()) for t, c in [last[r.component]]
+        if x not in summed and r.weight is None and (t, c) in known
+        and _excludes(steps[t].updates[c][4]) <= _held(known[t, c], layout)[0]
+    }
     if fusing:
         # a known-1 column that no statement reads is not stored; a column
         # read by name is a readout's or Omega's weight
         read = {w for w in omegas if type(w) is tuple}
-        read |= {last[r.component] for x, r in enumerate(readouts) if x not in summed}
+        read |= {last[r.component] for x, r in enumerate(readouts) if x not in summed | counted}
         read |= {
             steps[s - 1].origins[int(x[1:])]
             for s, step_units in enumerate(built) for *_, unit in step_units
@@ -1619,6 +1228,7 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
     # loop over the branches: node lists of the root alone, and the units
     # (``_layout``) computed once
     prelude, stored_once, once_summed = [], {}, set()
+    rewalk: dict = {}  # the statements that wrote each buffer whose unit builds no list
     seen: set = set()  # the names the kernel's lines read
 
     def bind(spec) -> str:
@@ -1665,8 +1275,10 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
             if not columns:
                 continue
             spec, stmts, outs, used, _, unit_seen = unit
-            bound = [bind(x) for x in spec]  # the unit's own list first
-            name = nodes and bound[0]
+            for x in spec:  # the unit's own list first, where a loop runs over it
+                bind(x)
+            name = names.get(nodes, nodes)
+            rewalk.update(dict.fromkeys(outs if nodes not in spec else (), stmts))
             lines = _render(stmts, set(), names)
             seen.update(unit_seen)
             h_keys = {int(x[1:]) for x in unit_seen if x[:1] == "H"}
@@ -1747,7 +1359,8 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
             continue
         nodes = bind(slot[last[r.component]]) if r.weight is None else f"_U{index[r.weight]}"
         seen.add(nodes)
-        row.append("sum(map(O{}_{}.__getitem__, {})), ".format(*last[r.component], nodes))
+        column = "O{}_{}".format(*last[r.component])
+        row.append(f"len({nodes}), " if x in counted else f"sum(map({column}.__getitem__, {nodes})), ")
     row = "".join(row)
     balls = [f"_B{d}" for d in range(max(radii) + 1)]
     root = ([f"nonlocal {', '.join(balls)}", "_B0 = {i}"] if balls else []) + mark(False, 1)
@@ -1759,11 +1372,24 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
         return [f"{''.join(f'_r{x} = ' for x in sorted(xs))}0"] if xs else []
 
     def reset(stored):
-        return [
-            line
-            for nodes, outs in stored.items() if outs
-            for line in (f"for _k in {nodes}:", *(f"    {o}[_k] = 0" for o in outs))
-        ]
+        """Lines that zero each node list's buffers over it or, for a list
+        that no line builds, along the loops that wrote each buffer."""
+        walks: dict = {}
+        for nodes, outs in stored.items():
+            for o in outs:
+                if o not in rewalk or nodes in names:
+                    chains = [(("_k", names.get(nodes, nodes)),)]
+                else:
+                    chains = _rewalk(rewalk[o], o)
+                for loops in dict.fromkeys(chains):
+                    walks.setdefault(loops, []).append(o)
+        stmts = []
+        for loops, outs in walks.items():
+            body = [("set", f"{o}[_k]", "=", _ZERO) for o in outs]
+            for var, nodes in reversed(loops):
+                body = [("for", var, nodes, body)]
+            stmts += body
+        return _render(stmts, set(), names)
 
     subgraph = [*start(summed - once_summed), *body, f"_rows.append(({row}))"]
     subgraph += [*(hook if hooked else []), *reset(stored)]
@@ -1773,6 +1399,7 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
     kernel = ["_rows = []", *supports(False), *start(once_summed), *prelude]
     kernel.append(f"for j in {'adj[i]' if branching else '(None,)'}:")
     branch = supports(True) if branching else []
+    branch += [f"{local} = {py}" for py, local in form.constants.items()]
     kernel += _indent(branch + mark(True, 1) + subgraph + mark(True, 0), 1)
     kernel += [*_render(unspread, set(), names), *reset(stored_once), *mark(False, 0)]
     kernel.append("return _rows")

@@ -230,6 +230,21 @@ def test_no_plan_computes_a_readout_twice(kind):
     assert [(a, b) for a, b in combinations(range(len(columns)), 2) if columns[a] == columns[b]] == []
 
 
+@pytest.mark.parametrize("kind", ["cycle4", "cycle6", "walk4"])
+def test_counts_match_the_hooked_kernels_at_bench_size(kind):
+    # A second route at the benchmark's size, where the DFS oracle gives
+    # up: a kernel with a hook keeps every column over one list per step,
+    # and none of the hook-free kernels' rewrites applies to it.
+    spec = _PLANS[kind]
+    for g in (gen_random_regular(1000, 4, 7), gen_random(60, 0.3, 1)):
+        hooked = E.RootedRun(spec.program, g.adjacency, spec.hops, spec.readouts, lambda *_: None)
+        values = [spec.combine(hooked.rows(i)) for i in range(g.node_count)]
+        report = count(kind, g)
+        assert report.node_counts == tuple(v[0] for v in values)
+        if spec.patterns:
+            assert report.patterns == oracle.PatternCounts(*tuple(zip(*values))[1:])
+
+
 def test_insufficient_hops():
     # every plan refuses any radius below its own
     g = gen_cycle(6)

@@ -24,6 +24,7 @@ from conftest import (
     spd_label_program,
 )
 from graphcount import engine as E
+from graphcount import program as P
 from graphcount.counting import (
     PROG_P3,
     _PLANS,
@@ -301,7 +302,7 @@ _SPARSE_STEPS = {
 
 @pytest.mark.parametrize("prog", _audited_programs(), ids=lambda p: p.name)
 def test_vanishing_steps_are_frozen(prog):
-    steps = E._walk(prog, {})
+    steps = P._walk(prog, {})
     sparse = [i for i, step in enumerate(steps) if step.sources is not None]
     assert sparse == _SPARSE_STEPS[prog.name]
 
@@ -394,7 +395,8 @@ def test_plan_scatters_are_frozen(kind):
 # Per plan at its own radius and one more, in a kernel without a hook: how
 # each readout is summed: as its column's messages are scattered or pulled
 # ("s"), at the nodes of its weight label ("w"), in the loop that computes
-# its column ("l"), from a stored column ("c"), or by rule T, per sender of
+# its column ("l"), from a stored column or as the length of its node list
+# ("c"), or by rule T, per sender of
 # its message ("t"), or in the loop over the senders of the message of the
 # column that message reads (rule P, "p").
 _PLAN_FUSED = {
@@ -452,7 +454,7 @@ _PLAN_NODES = {
     "cycle3": "() | ^N(i)",
     "cycle4": "1 | N(N(i)) | N(i)",
     "cycle5": "N(j) | > | N(i)",
-    "cycle6": "N(j) N(i)&N(j) | ^N(N(i)) N(j) | N(N(j)) | N(j) > | - N(j) N(j) N(i)&N(j)",
+    "cycle6": "1 1 | ^N(N(i)) N(j) | N(N(j)) | N(j) > | - N(j) N(j) N(i)&N(j)",
     "tailed_triangle": "N(i) | N(i)",
     "chordal_cycle": "N(i) | N(j)",
     "clique4": "N(i)&N(j) | N(i)&N(j)",
@@ -542,7 +544,9 @@ def test_plan_node_lists_are_frozen(kind):
 # once, times the number of l's neighbors other than i and j, and
 # "W[N(i)](l)-j" once, times Omega_F(l), the sum of the weight (a label,
 # or "step:column" of a column computed once per root) over l's neighbors
-# other than j (rule T); "push-i,j" adds such per-sender sums in the loop
+# other than j (rule T), and "W[N(i)](k)-i,j" sums a receiver part at k
+# times that of in_n_root, whose read is a factor of the message at its
+# sender; "push-i,j" adds such per-sender sums in the loop
 # over the senders of their column's message, at its nodes other than i
 # and j (rule P); "own-i,j" scatters a message into its column's own
 # buffer, then zeroes i and j; "-" is a step with none.
@@ -553,10 +557,9 @@ _PLAN_FOLDS = {
     "cycle4": "- | own-i (l:N(i)) (l:N(i)) | (k!=i) deg(k)-i (l!=i) (k:h0)",
     "cycle5": "k!=i (k:N(j)) | push-i,j W[N(i)](k)-i,j (l:h0) (l!=i) k!=i,j "
     "| k!=j (k!=i) deg(k)-i,j (l!=i,j)",
-    "cycle6": "k!=i (k:N(j)) (k:N(i)&N(j)) | k!=i "
-    "| own-i,j push-i,j W[1:2](k)-i,j (l:h0) (l!=i) k!=i,j "
-    "| l!=j (l!=i) (l:N(i)) k!=i,j (l:N(i)) k!=i (k!=j) deg(k)-i,j (l!=i,j) (k:h0) "
-    "| k!=i (k:N(j)) (k:h4)",
+    "cycle6": "- | k!=i | own-i,j push-i,j W[1:2](k)-i,j (l:h0) (l!=i) k!=i,j "
+    "| l!=j (l!=i) (l:N(i)) deg(l)-i,j (l:N(i)) (k:h0) (k!=i,j) W[N(i)](k)-i,j "
+    "k!=i (k!=j) deg(k)-i,j (l!=i,j) (k:h0) | k!=i (k:N(j)) (k:h4)",
     "path2": "- | (l:N(i)) deg(l)-i (l:N(i))",
     "path3": "- | push-i deg(k)-i (l:N(i)) k!=i (l:N(i)) | (k:h0) (k!=i) deg(k)-i",
     "path4": "- | push-i,j deg(k)-i,j (l:h0) (l!=i) k!=i,j | (k:h0) (k!=i,j) deg(k)-i,j",
@@ -618,18 +621,18 @@ _KERNEL_MD5 = {
     "chordal_cycle": ("ebe77e82be5c301f93a9120d783cd8e2", "372197cf3b86e3aa8b69342e79fe7eb2"),
     "clique4": ("7d2f3fb528fdcbbafd2f772bed619fac", "1b3476c376545669655fc8445e16b8ec"),
     "cycle3": ("030f0d52c903e0307f73fe1349d3d9d1", "d82e8cf8fc9c8fd1dd01b2a28e012d05"),
-    "cycle4": ("d5d46ce9d4b91de48233c1b543f3a35f", "1858ee36febe8dde986546cc26f7e025"),
+    "cycle4": ("fc81eae3169dbd61bdf4857d8173d95a", "1858ee36febe8dde986546cc26f7e025"),
     "cycle5": ("05431ea63d467c860bc936ed8b4281d1", "7ed4ba831a040e716134f2b370f6bd0b"),
-    "cycle6": ("da3a693a9e3695381b44f59619e415cf", "156ba54458f058441f9d3f9a89046844"),
+    "cycle6": ("50c103586d6af8b247ed5907cc603f16", "156ba54458f058441f9d3f9a89046844"),
     "path2": ("60cb56b4abdaa91c42704565a5bdb2fc", "4dfff9ba7fcbbacdcd896bf77ba78dde"),
     "path3": ("823595bc1a6e2aedbd3798fc0e3eed01", "3f9ba485f486a6d127ef4596f9c74601"),
     "path4": ("20929578c6f00677e08b679fdb97bc7b", "91e86fd0be15a915c70c947a083b3e2e"),
     "tailed_triangle": ("71a4063d7526546e2ea20e141d310d52", "a3f46ab2699bfd09c823c9ccf440ebe4"),
     "triangle_rectangle": ("93b7077bedec5c184fa12c07e7e180d9", "762c7fe3b737867026a59409184bedf6"),
     "walk1": ("19ab9f99d5cb26cdb652d1f1d6111d6b", "79ceafc75590c0647d99b9397ee5519f"),
-    "walk2": ("96353389e6fc661db3b69a7bf9ec59fb", "be79c03acc282846876d840042d2387e"),
-    "walk3": ("593c21f1b2f44967a128da79b8ebb5d8", "ed1f7c0937ce7154a326b2a8cb197af2"),
-    "walk4": ("1a2626894f0e6821150c9aa7d316dbba", "48be375fe8c2fe3afff7c673c7c18163"),
+    "walk2": ("d394313692b0ac48d2af4b08123ecc5c", "be79c03acc282846876d840042d2387e"),
+    "walk3": ("ee383905a76662ab6fef078d6b25b4cb", "ed1f7c0937ce7154a326b2a8cb197af2"),
+    "walk4": ("811e42be26eb3095bf4b37cc3a19195c", "48be375fe8c2fe3afff7c673c7c18163"),
     "walk5": ("25602302ed8d2c7413785efb4d9ba4d5", "95785c5693bca47b4af0fc64ab733575"),
     "walk6": ("b748c3e36ab7a6fa2b9e53a4c7aac8b3", "d414d92fa8faf62f35c5e97017e0523c"),
     "walk7": ("8d20359ff2ffde183f066642c13bdf50", "e2d770fec8b7d4eaef6f8747385c0e13"),
@@ -703,7 +706,7 @@ def test_a_second_count_compiles_and_analyses_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("analysed again")
 
-    monkeypatch.setattr(E, "_walk", refuse)
+    monkeypatch.setattr(P, "_walk", refuse)
     monkeypatch.setattr(E, "_generate", refuse)
     for kind in kinds:  # a kernel does not depend on the graph's size
         count(kind, gen_random(45, 0.1, 2))
@@ -905,7 +908,7 @@ def test_engine_matches_reference_interpreter(prog, n, p, seed):
 
 def _node_types(e):
     yield type(e)
-    if type(e) in E._OPERATORS:
+    if type(e) in P._OPERATORS:
         for f in fields(e):
             yield from _node_types(getattr(e, f.name))
 
@@ -916,7 +919,7 @@ def test_reference_and_strategies_cover_every_node_type():
     sample = {"int": 1, "str": "a", "Expr": E.Const(2)}
     drawn = st.one_of(_exprs(2, "message"), _exprs(2, "update", 1))
     unshrunk = settings(derandomize=True, phases=[Phase.generate])
-    for kind in (*E._LEAVES, *E._OPERATORS):
+    for kind in (*P._LEAVES, *P._OPERATORS):
         assert isinstance(_row_source(kind(*(sample[f.type] for f in fields(kind)))), str)
         find(drawn, lambda e: kind in set(_node_types(e)), settings=unshrunk)
 
@@ -1271,7 +1274,8 @@ def test_hand_written_masked_plans_fold_every_way():
 # Under a readout weighted by in_n_root or is_branch, its layer 1 is not cut
 # and scatters into its column's own buffer.  Layer 2 of the second pulls
 # its messages, and is cut under a readout weighted by is_root; its second
-# message's sender factor reads in_n_root, so it stays whole.
+# message's sender factor reads the root label in_n_root, so its receiver
+# part is summed times that label's Omega less the factor's exclusion.
 _DIFFERENCES = E.MPProgram(
     "differences",
     (E.LSelf("in_n_root"), E.LSelf("in_n_branch")),
@@ -1333,17 +1337,25 @@ def _closed_form_uses(prog, readouts, hops):
 
 def test_hand_written_difference_plans_use_every_closed_form_rule():
     (_, sent, _), (_, pulled, _) = _DIFFERENCE_PLANS
-    # both operand orders split, with opposite signs; a sender factor that
-    # is no exclusion keeps a message whole
+    # both operand orders split, with opposite signs, and so does a sender
+    # factor that reads a root label as well as exclusions
     steps = E._steps(sent, ROOTED_LAYOUT)
     first, second = (E._split(m[4]) for m in steps[2].messages)
     assert first[1] == "-H1[_k]" and first[2] == {"is_root", "is_branch"}
     assert second[1] == "H1[_k]" and second[2] == {"is_branch"}
     assert first[0][-1][0] == "H0[_l]" and second[0][-1][0] == "-H0[_l]"
-    assert E._split(E._steps(pulled, ROOTED_LAYOUT)[2].messages[1][4]) is None
-    # a readout weight is not multiplied in a loop over its own label's list
+    assert first[4] is second[4] is None
+    third = E._split(E._steps(pulled, ROOTED_LAYOUT)[2].messages[1][4])
+    assert third[1:3] == ("-H1[_k]", {"is_branch"}) and third[4] == "in_n_root"
+    # its Omega_F is in_n_root's Omega less in_n_root at j times the label
+    # of j's neighbors: W0 counts the neighbors in N(i), scattered once per
+    # root, and in_n_root is 1 at j
     lines, _, _ = E._generate(pulled, ROOTED_LAYOUT, 2, _DIFFERENCE_PLANS[1][2], False)
-    loops = "\n".join(lines).split("for _k in _U1:")[1:]
+    source = "\n".join(lines)
+    assert "_m1 = -(W0[_k] - L0[_k])" in source
+    assert "for _l in _U1:\n            for _k in adj[_l]:\n                W0[_k] += 1" in source
+    # a readout weight is not multiplied in a loop over its own label's list
+    loops = source.split("for _k in _U1:")[1:]
     assert loops and not any("L1[_k] *" in loop.split("for ")[0] for loop in loops)
     used = set()
     for _, prog, readouts in _DIFFERENCE_PLANS:
@@ -1365,6 +1377,66 @@ def test_hand_written_difference_plans_use_every_closed_form_rule():
         ("own", "scatter"), ("one", "-"), ("one", "pull"), ("one", "scatter"), ("one", "cut"),
         ("sum", frozenset({"is_root", "is_branch"})), ("sum", frozenset({"is_branch"})),
     }
+
+
+# Two pair plans for the rewrites that apply to every hook-free kernel.  In
+# the first, layer 2's message has a sender factor that reads the root label
+# in_n_root besides its exclusions of i and j, and its column's messages are
+# sent: the message's witness reads only the sender, yet its receiver part
+# is summed over the nodes of h = h1, times in_n_root's Omega less the
+# exclusion of j.  Layer 1 is cut at radius 2, and at radius 3 it scatters
+# into its column's own buffer, whose list only the reset would read.  In the second, layer 1
+# scatters into its column's own buffer from the root's neighbors other
+# than j, and layer 2 reads that column only across an edge, so no line
+# reads the column's node list N(N(i)) but its reset: no set is built, and
+# the reset walks the scatter's loops again without their guards.
+_LABEL_SENT = E.MPProgram(
+    "label-sent",
+    (E.LSelf("in_n_branch") * (1 - E.LSelf("is_root")), E.LSelf("in_n_root")),
+    (
+        E.Layer(
+            (E.Nbr(0),),
+            ((1 - E.LSelf("is_root")) * (1 - E.LSelf("is_branch")) * E.Msg(0), E.Self(1)),
+        ),
+        E.Layer(
+            (
+                (1 - E.LNbr("is_root")) * (1 - E.LNbr("is_branch")) * E.LNbr("in_n_root")
+                * (E.Nbr(0) - E.Self(1)),
+            ),
+            ((1 - E.LSelf("is_root")) * (1 - E.LSelf("is_branch")) * E.Msg(0),),
+        ),
+    ),
+)
+_RESET_ONLY = E.MPProgram(
+    "reset-only",
+    (E.LSelf("in_n_root") * (1 - E.LSelf("is_branch")),),
+    (
+        E.Layer((E.Nbr(0),), ((1 - E.LSelf("is_root")) * (1 - E.LSelf("is_branch")) * E.Msg(0),)),
+        E.Layer((E.Nbr(0),), (E.LSelf("in_n_root") * E.Msg(0),)),
+    ),
+)
+_REWRITE_PLANS = (
+    (True, _LABEL_SENT, (E.Readout(0), E.Readout(0, "in_n_branch"))),
+    (True, _RESET_ONLY, (E.Readout(0),)),
+)
+
+
+def test_hand_written_plans_use_both_hook_free_rewrites():
+    (_, sent, readouts), (_, reset, alone) = _REWRITE_PLANS
+    for hops, cut in ((2, 2), (3, None)):
+        assert E._radii(E._steps(sent, ROOTED_LAYOUT), hops, readouts, sent.name)[1][1] == cut
+        lines, _, folds = E._generate(sent, ROOTED_LAYOUT, hops, readouts, False)
+        assert ("omega", 0, ("in_n_root", {"is_root", "is_branch"})) in folds[2]
+        assert "for _k in _U1:\n                if _k != j:\n                    _v = -(W0[_k] - L0[_k])" in (
+            "\n".join(lines)
+        )
+    lines, _, _ = E._generate(reset, ROOTED_LAYOUT, 2, alone, False)
+    source = "\n".join(lines)
+    assert "set(" not in source and "if _l != j:" in source
+    assert source.split("_rows.append")[1].split("\n")[1:4] == [
+        "            for _l in _U1:", "                for _k in adj[_l]:",
+        "                    O1_0[_k] = 0",
+    ]
 
 
 # Two pair plans for rules T and P (engine._transpose, engine._push).  The last step of
@@ -1437,7 +1509,7 @@ def _transposed_uses(prog, readouts, hops):
     "sent" or "lifted", "label", "column" or "1" by the weight), ("P",
     "stored" or "alone"), ("P", "cut") for a push into a cut step, and
     ("T", "i") and ("T", "j") where Omega_F subtracts the weight at i or j
-    read off a column."""
+    read off a column, which each branch binds once."""
     steps, cuts, _, _, terms = _hook_free_layout(prog, readouts, hops)
     index = {name: i for i, name in enumerate(ROOTED_LAYOUT)}
     stored = E._layout(steps, cuts, index, readouts)[3]
@@ -1456,7 +1528,9 @@ def _transposed_uses(prog, readouts, hops):
         if cuts[t] is not None:
             used.add(("P", "cut"))
     lines, _, _ = E._generate(prog, ROOTED_LAYOUT, hops, readouts, False)
-    used |= {("T", v) for v in "ij" for line in lines if re.search(rf"O\d+_\d+\[{v}\] \* L", line)}
+    source = "\n".join(lines)
+    for name, v in re.findall(r"^            (_c\d+) = O\d+_\d+\[([ij])\]$", source, re.M):
+        used |= {("T", v)} if re.search(rf"{name} \* L", source) else set()
     return used
 
 
@@ -1626,6 +1700,9 @@ def test_kernel_sources_do_not_follow_the_hash_seed():
 @example(_TRANSPOSED_PLANS[1], 40, 0.1, 6)
 @example(_TRANSPOSED_PLANS[0], 20, 0.25, 1)
 @example(_TRANSPOSED_PLANS[1], 22, 0.25, 9)
+@example(_REWRITE_PLANS[0], 40, 0.1, 2)
+@example(_REWRITE_PLANS[1], 40, 0.1, 3)
+@example(_REWRITE_PLANS[0], 20, 0.25, 4)
 # graphs of 16-24 nodes where some edges have common neighbors and some not
 @example(_RULE_PLANS[5], 16, 0.3, 3)
 @example(_RULE_PLANS[6], 20, 0.25, 5)

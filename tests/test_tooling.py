@@ -8,8 +8,8 @@ break fail the tests instead.  Another keeps kernel compilation in each
 workload's warm-up, out of its timed ops, and two last ones find top-level
 names of the library that nothing uses, and imports that ``counting`` keeps
 only for the tracer.  The tools under ``tools/`` are checked too: the
-code-line counter, and the pytest plugin that records the kernel sources a
-run compiles."""
+code-line counter, with the size of each module that it measures, and the
+pytest plugin that records the kernel sources a run compiles."""
 
 import ast
 import importlib
@@ -192,11 +192,29 @@ def test_code_line_counter_skips_blanks_comments_and_docstrings(monkeypatch, tmp
     # signature, the two of its return, the class line and the two lines of
     # the string assigned to x
     assert tool.code_lines(_FIXTURE) == (22, 8)
+    # its 38 parser tokens hold its NEWLINE, INDENT, DEDENT and ENDMARKER
+    # tokens, but neither its comments nor the NL of blank and continued lines
+    assert tool.parser_tokens(_FIXTURE) == 38
     path = tmp_path / "fixture.py"
     path.write_text(_FIXTURE)
     assert tool.main([str(path), str(path)]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "total\t44\t16"
+    assert capsys.readouterr().out.splitlines()[-1] == "total\t44\t16\t76"
     assert tool.main([]) == 2
+
+
+def test_every_module_stays_below_two_to_the_fourteen_parser_tokens(monkeypatch):
+    """Each process compiles the modules it imports where no bytecode is
+    written, as in the benchmark's runs.  With tracemalloc on Python 3.11,
+    compile() of engine.py peaked about 0.9 MB higher once its source
+    passed 16,384 parser tokens (CHANGES.md records the measurement), and
+    every workload's peak_rss_mb would carry that."""
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    tool = importlib.import_module("code_lines")
+    tokens = {
+        path.name: tool.parser_tokens(path.read_text())
+        for path in sorted((ROOT / "src" / "graphcount").glob("*.py"))
+    }
+    assert "engine.py" in tokens and max(tokens.values()) < 2**14, tokens
 
 
 def test_kernel_capture_records_every_compiled_kernel(tmp_path):
