@@ -9,6 +9,7 @@ subgraph refinement, and pair (root, branching-neighbor) refinement.
 
 from .counting import (
     InsufficientHopsError,
+    WorkerError,
     corpus_cycle_stats,
     count,
     count_path4_edge,
@@ -61,6 +62,7 @@ __all__ = [
     "PatternCounts",
     "RootedSubgraph",
     "UNREACHABLE",
+    "WorkerError",
     "corpus_cycle_stats",
     "count",
     "count_path4_edge",

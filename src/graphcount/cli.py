@@ -9,7 +9,8 @@ Exit code contract (for CI scripting):
      states are arbitrary-precision integers, so true overflow cannot occur
      and this code is effectively reserved)
   5  internal fault (a malformed counting program or a label it needs is
-     missing: a defect in graphcount, not in the input)
+     missing, or a worker process of ``--threads`` ended without returning
+     its result: a defect in graphcount or its host, not in the input)
 
 The ``count`` and ``oracle`` subcommands emit byte-identical CSV schemas
 (report schema v1, see README) so their outputs can be diffed directly.
@@ -26,7 +27,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from . import counting, generators, oracle, refinement
-from .counting import InsufficientHopsError
+from .counting import InsufficientHopsError, WorkerError
 from .engine import ProgramError
 from .extraction import LABELINGS, node_deletion
 from .graph import (
@@ -344,8 +345,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_joined_sizes(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except ProgramError as exc:
-        # a ValueError subclass, so it must be caught before input errors
+    except (ProgramError, WorkerError) as exc:
+        # ProgramError is a ValueError, so it must be caught before input errors
         print(f"error: internal fault: {exc}", file=sys.stderr)
         return 5
     except (GraphFormatError, GraphValidationError, OSError, ValueError) as exc:

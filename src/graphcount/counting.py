@@ -20,11 +20,13 @@ it exact, and runs at it by default.  Larger radii never change results.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 import time
 from dataclasses import dataclass
-from multiprocessing import get_context
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 # run, run_program, apply_readout, extract_rooted, with_branching and
 # identity_labeled_graph are not called here, but perfbench's tracer wraps
@@ -62,6 +64,15 @@ class InsufficientHopsError(ValueError):
         self.kind = kind
         self.hops = hops
         self.minimum = minimum
+
+
+class WorkerError(RuntimeError):
+    """Raised when a worker process ends without returning its share of roots."""
+
+    def __init__(self, pid: int, status: int):
+        code = os.waitstatus_to_exitcode(status)
+        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+        super().__init__(f"worker process {pid} ended without a result ({how})")
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +342,10 @@ def _resolve_hops(kind: str, hops: int | None) -> int:
 
 # ---------------------------------------------------------------------------
 # Per-root evaluation.  One root is one unit of work, so the roots can be
-# evaluated in chunks (and, with threads > 1, in worker processes, each with
-# its own copy of the buffers) while staying deterministic: results are
-# merged in root order.
+# evaluated in strided shares: with threads > 1 the parent counts share 0
+# and threads - 1 forked children count the others, each with its own copy
+# of the buffers, and the shares are merged back in root order, so results
+# stay deterministic.
 # ---------------------------------------------------------------------------
 
 _PHASES = ("extraction", "message_passing", "readout")
@@ -366,20 +378,66 @@ def _timed_values(
     return values
 
 
-# The plan's combine step and run a fork-pool worker counts with, built in
-# the parent before the pool forks, so that workers inherit the compiled
-# kernel and chunks carry only their roots.
-_worker: tuple = ()
+def _child(
+    values: Callable[[range], list], share: range, w: int, unread: list[int]
+) -> NoReturn:
+    """A forked child's whole life: close the pipe ends it does not write,
+    send ``values(share)`` (or the exception it raised) pickled down ``w``,
+    and end, exit status 0 only once the result is written."""
+    code = 1
+    try:
+        for fd in unread:
+            os.close(fd)
+        try:
+            result = values(share)
+        except Exception as exc:
+            result = exc
+        with open(w, "wb") as pipe:
+            pipe.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+        code = 0
+    finally:
+        os._exit(code)
 
 
-def _set_worker(combine, runner: RootedRun) -> None:
-    global _worker
-    _worker = (combine, runner)
-
-
-def _chunk_worker(roots: range) -> list:
-    combine, runner = _worker
-    return [combine(runner.rows(i)) for i in roots]
+def _fork_join(values: Callable[[range], list], roots: range, threads: int) -> list:
+    """``values(roots)`` in ``threads`` strided shares, share t being
+    ``roots[t::threads]``.  Children count shares 1.. and the parent share
+    0; it then reads each child's pipe and reaps it, in share order.  A
+    child's exception is raised again here, and a child that ends without
+    a result raises ``WorkerError``.  On any failure the unread pipes are
+    closed and the unreaped children killed and reaped."""
+    out: list = [None] * len(roots)
+    pipes: list[int] = []  # read ends not yet read, in share order
+    pids: list[int] = []  # children not yet reaped, in share order
+    try:
+        for t in range(1, threads):
+            r, w = os.pipe()
+            pipes.append(r)
+            try:
+                if (pid := os.fork()) == 0:
+                    _child(values, roots[t::threads], w, pipes)  # never returns
+            finally:
+                os.close(w)
+            pids.append(pid)
+        out[0::threads] = values(roots[0::threads])
+        for t in range(1, threads):
+            with open(pipes.pop(0), "rb") as pipe:
+                data = pipe.read()
+            pid, status = os.waitpid(pids[0], 0)
+            del pids[0]
+            if status:
+                raise WorkerError(pid, status)
+            part = pickle.loads(data)
+            if isinstance(part, BaseException):
+                raise part
+            out[t::threads] = part
+        return out
+    finally:
+        for r in pipes:
+            os.close(r)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _map_roots(
@@ -394,13 +452,13 @@ def _map_roots(
     roots = range(g.node_count)
     if timings is not None:
         return _timed_values(spec, runner, roots, timings)
+
+    def values(share: range) -> list:
+        return [spec.combine(runner.rows(i)) for i in share]
+
     if threads <= 1 or len(roots) < 64:
-        return [spec.combine(runner.rows(i)) for i in roots]
-    size = max(16, len(roots) // (threads * 8))
-    chunks = [roots[i : i + size] for i in range(0, len(roots), size)]
-    with get_context("fork").Pool(threads, _set_worker, (spec.combine, runner)) as pool:
-        parts = pool.map(_chunk_worker, chunks)
-    return [v for part in parts for v in part]
+        return values(roots)
+    return _fork_join(values, roots, min(threads, len(roots)))
 
 
 # ---------------------------------------------------------------------------

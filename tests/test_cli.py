@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -240,14 +242,42 @@ def test_threads_flag_deterministic(tmp_path, capsys):
     path = tmp_path / "g.el"
     save_graph(gen_random(70, 0.08, 5), path)
     outputs = []
-    for t in ("1", "2"):
+    for t in ("1", "2", "3"):
         code, out, _ = run_cli(
             ["count", "--input", str(path), "--substructure", "cycle6",
              "--threads", t], capsys
         )
         assert code == 0
         outputs.append(out)
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("error, code", [(ArithmeticError, 4), (ProgramError, 5)])
+def test_a_worker_exception_keeps_its_type(tmp_path, capsys, monkeypatch, error, code):
+    parent, spec = os.getpid(), counting._PLANS["cycle3"]
+
+    def combine(rows):
+        if os.getpid() != parent:
+            raise error("raised in a worker")
+        return spec.combine(rows)
+
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    monkeypatch.setitem(counting._PLANS, "cycle3", replace(spec, combine=combine))
+    g = gen_random(101, 0.1, 21)
+    with pytest.raises(error, match="raised in a worker") as exc:
+        counting.count("cycle3", g, threads=3)
+    assert type(exc.value) is error
+    assert_no_child_left()
+    path = tmp_path / "g.el"
+    save_graph(g, path)
+    result = run_cli(
+        ["count", "--input", str(path), "--substructure", "cycle3", "--threads", "3"], capsys
+    )
+    assert result[0] == code and "raised in a worker" in result[2]
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("threads", ["0", "-3", "two"])

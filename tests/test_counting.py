@@ -1,5 +1,10 @@
 import os
+import re
+import subprocess
+import sys
+import textwrap
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -266,24 +271,114 @@ def test_permutation_equivariance_counts():
 
 
 def test_threads_do_not_change_results():
-    g = gen_random(80, 0.1, 21)
+    # none of the thread counts divides the 101 roots into equal shares
+    g = gen_random(101, 0.1, 21)
     for kind in ("cycle6", "cycle3"):
         serial = count(kind, g, threads=1)
-        parallel = count(kind, g, threads=2)
-        assert serial == parallel
+        for threads in (2, 3, 4):
+            assert count(kind, g, threads=threads) == serial, (kind, threads)
 
 
 def test_fork_workers_inherit_the_kernel_compiled_before_the_fork(monkeypatch):
     parent, real = os.getpid(), E._generate
 
     def generate(*key):
-        assert os.getpid() == parent, "a fork-pool worker compiled a kernel"
+        assert os.getpid() == parent, "a worker compiled a kernel"
         return real(*key)
 
     monkeypatch.setattr(E, "_KERNELS", {})
     monkeypatch.setattr(E, "_generate", generate)
     g = gen_random(80, 0.1, 21)
     assert count("cycle5", g, threads=2) == count("cycle5", g, threads=1)
+
+
+# Run by ``_run_isolated`` ahead of each script: cycle3's combine step is
+# replaced through ``patch``, and ``no_child_left`` tells whether every
+# forked child has been reaped.
+_ISOLATED_PRELUDE = """
+import os, signal, time
+from dataclasses import replace
+from graphcount import cli, counting
+from graphcount.generators import gen_random
+from graphcount.graph import save_graph
+
+parent = os.getpid()
+real = counting._PLANS["cycle3"]
+
+
+def patch(combine):
+    counting._PLANS["cycle3"] = replace(real, combine=combine)
+
+
+def no_child_left():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+"""
+
+
+def _run_isolated(script: str, cwd) -> subprocess.CompletedProcess:
+    """``script`` in a fresh interpreter with a timeout, so that a hang
+    fails the test instead of stalling the suite."""
+    src = Path(E.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-c", _ISOLATED_PRELUDE + textwrap.dedent(script)],
+        cwd=cwd, env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_a_dead_worker_raises_instead_of_hanging(tmp_path):
+    proc = _run_isolated(
+        """
+        def combine(rows):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real.combine(rows)
+
+        patch(combine)
+        g = gen_random(80, 0.1, 21)
+        try:
+            counting.count("cycle3", g, threads=2)
+        except counting.WorkerError as exc:
+            print(exc, no_child_left())
+        save_graph(g, "g.el")
+        argv = ["count", "--input", "g.el", "--substructure", "cycle3", "--threads", "2"]
+        print(cli.main(argv), no_child_left())
+        """,
+        tmp_path,
+    )
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2, proc.stderr
+    assert re.fullmatch(
+        r"worker process \d+ ended without a result \(killed by signal 9\) True", lines[0]
+    )
+    # exit 5, an internal fault: not 2, which the CLI gives an OSError
+    assert lines[1] == "5 True"
+    assert "internal fault: worker process" in proc.stderr
+
+
+def test_a_failed_parent_share_leaves_no_child_blocked(tmp_path):
+    proc = _run_isolated(
+        """
+        def combine(rows):
+            if os.getpid() == parent:
+                time.sleep(0.5)  # the child is blocked writing its share by now
+                raise ArithmeticError("the parent's share failed")
+            return (0, bytes(4096))  # 50 roots: 200 KiB, more than a pipe holds
+
+        patch(combine)
+        start = time.perf_counter()
+        try:
+            counting.count("cycle3", gen_random(101, 0.1, 21), threads=2)
+        except ArithmeticError as exc:
+            print(exc, no_child_left(), time.perf_counter() - start < 10)
+        """,
+        tmp_path,
+    )
+    assert proc.stdout == "the parent's share failed True True\n", proc.stderr
 
 
 def test_kind_resolution():

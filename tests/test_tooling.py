@@ -5,10 +5,10 @@ graphcount breaks ``perfbench/run.py --trace 1``; and the workloads check
 counts against their own kind-to-oracle dispatch and ``graphcount oracle``,
 and verdicts against the README's witness verdicts.  These guards make such a
 break fail the tests instead.  Another keeps kernel compilation in each
-workload's warm-up, out of its timed ops, and two last ones find top-level
-names of the library that nothing uses, and imports that ``counting`` keeps
-only for the tracer.  The tools under ``tools/`` are checked too: the
-code-line counter, with the size of each module that it measures, and the
+workload's warm-up, out of its timed ops, two find top-level names of the
+library that nothing uses, and imports that ``counting`` keeps only for the
+tracer, and one keeps ``multiprocessing`` out of the CLI's imports.  The
+tools under ``tools/`` are checked too: the code-line counter, with the size of each module that it measures, and the
 pytest plugin that records the kernel sources a run compiles."""
 
 import ast
@@ -215,6 +215,17 @@ def test_every_module_stays_below_two_to_the_fourteen_parser_tokens(monkeypatch)
         for path in sorted((ROOT / "src" / "graphcount").glob("*.py"))
     }
     assert "engine.py" in tokens and max(tokens.values()) < 2**14, tokens
+
+
+def test_importing_the_cli_leaves_multiprocessing_out():
+    # count() forks its workers itself; importing multiprocessing cost every
+    # process that imports graphcount about 7 ms of start-up
+    src = Path(engine.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, graphcount.cli; print('multiprocessing' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.stdout == "False\n", proc.stderr
 
 
 def test_kernel_capture_records_every_compiled_kernel(tmp_path):
