@@ -3,9 +3,10 @@
 ``KIND_SPECS`` is the plan table: per kind, a program (see ``engine``), a
 subgraph radius, readouts, a combine step, and a graph divisor.  Programs
 that read only the root's identifiers, run on one ego-network per node,
-cover 2- and 3-paths, triangles, 4-cycles, and the closed walks; those that
-read the branching neighbor's, on one per (root, neighbor) pair, cover
-4-paths, 5-/6-cycles, and the size-4/5 graphlets.  One executor,
+cover 2- and 3-paths, triangles, 4-cycles, tailed triangles and the closed
+walks; those that read the branching neighbor's, on one per (root,
+neighbor) pair, cover 4-paths, 5-/6-cycles, chordal 4-cycles, 4-cliques and
+triangle-rectangles.  One executor,
 ``engine.RootedRun``, runs every plan and ``count_walks`` root by root on
 the parent graph itself, with one call of the plan's generated kernel per
 root: no subgraph is extracted, and the radius bounds which nodes each step
@@ -162,14 +163,6 @@ PROG_CHORDAL = MPProgram(
     ),
 )
 
-# Pair program: twice the number of triangles through the root that avoid the
-# branching node (each triangle is seen from both non-root corners).
-PROG_TAILED = MPProgram(
-    name="tailed-triangles",
-    init=(LSelf("in_n_root") * _NOT_BRANCH,),
-    layers=(Layer(message=(Nbr(0),), update=(Self(0) * Msg(0),)),),
-)
-
 # Merged pair program for the 6-cycle decomposition.  Final components:
 #   o0 = P4(root->branch->..->k) * P2(root,k)          (pattern 0 integrand)
 #   o1 = 4-paths whose second-last node neighbors root (pattern 1 integrand)
@@ -252,6 +245,14 @@ def _summed(divisor: int):
     return lambda rows: (exact_div(sum(row[0] for row in rows), divisor),)
 
 
+def _tailed(rows: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """The tailed triangles at a root i, (deg(i) - 2) * t(i) with t(i) the
+    triangles at i: its one row holds the closed 2-walks at i, deg(i), and
+    the 2-walks from i to its neighbors, 2 * t(i)."""
+    ((degree, twice),) = rows
+    return ((degree - 2) * exact_div(twice, 2),)
+
+
 def _cycle6_patterns(rows: list[tuple[int, ...]]) -> tuple[int, ...]:
     """The 6-cycle decomposition: (c6, p0, p1, p2, p3, p4) for one root.
     The last readout, o5, serves twice: it corrects the bowtie terms, and
@@ -304,7 +305,7 @@ KIND_SPECS: dict[str, KindSpec] = {
     "cycle4": KindSpec(PROG_P3, 2, _SUM_OVER_N_ROOT, _summed(2), 4),
     "cycle5": KindSpec(PROG_P4, 2, _SUM_OVER_N_ROOT, _summed(2), 5),
     "cycle6": KindSpec(PROG_CYCLE6, 3, _CYCLE6_READOUTS, _cycle6_patterns, 6, True),
-    "tailed_triangle": KindSpec(PROG_TAILED, 1, _SUM, _summed(2), 1),
+    "tailed_triangle": KindSpec(_walk_program(2), 1, _AT_ROOT + _SUM_OVER_N_ROOT, _tailed, 1),
     "chordal_cycle": KindSpec(PROG_CHORDAL, 2, _SUM, _summed(2), 2),
     "clique4": KindSpec(PROG_CLIQUE4, 1, _SUM, _summed(6), 4),
     "triangle_rectangle": KindSpec(PROG_TRIANGLE_RECTANGLE, 2, _SUM, _summed(2), 1),

@@ -718,8 +718,7 @@ def _render(stmts: list, seen: set, lists: Mapping) -> list:
     loops run over.  A statement is a loop ``("for", var, list, body)``, a
     guard ``("if", conditions, body)``, a store ``("set", target, op,
     code)``, or a sum ``("add", code, [(sum, weight code or None)])``: the
-    code times each weight, added to each sum, through ``_v`` when there
-    are several."""
+    code times each weight, added to each sum."""
     lines = []
     for kind, *args in stmts:
         if kind == "for":
@@ -741,9 +740,6 @@ def _render(stmts: list, seen: set, lists: Mapping) -> list:
             lines.append(f"{target} {op} {py}")
         else:  # "add": a value times each weight (None: 1), added to its sum
             (py, reads), terms = args
-            if len(terms) > 1:
-                lines.append(f"_v = {py}")
-                py = "_v"
             for name, w in terms:
                 seen.update(reads, w[1] if w else ())
                 value = py if w is None else w[0] if py == "1" else f"{w[0]} * {py}"
@@ -751,17 +747,14 @@ def _render(stmts: list, seen: set, lists: Mapping) -> list:
     return lines
 
 
-def _product(factors: tuple, dropped, whole: str | None = None):
+def _product(factors: tuple, dropped):
     """The code of a product without the factors whose mark (``_mark``) is
-    in ``dropped``: ``whole`` when it drops none, "1" (or None without
-    ``whole``) when it keeps none."""
+    in ``dropped``, or None when it keeps none."""
     kept = [f for f in factors if f[2] not in dropped]
-    reads = frozenset().union(*(f[1] for f in kept))
-    if whole is not None and len(kept) == len(factors):
-        return whole, reads
     if kept:
+        reads = frozenset().union(*(f[1] for f in kept))
         return reduce(lambda a, b: f"({a} * {b})", [f[0] for f in kept]), reads
-    return None if whole is None else _ONE
+    return None
 
 
 def _times(*codes):
@@ -991,9 +984,9 @@ class _Form:
         node where its sender-side read is 0.  ``early`` maps a message to
         the readout terms its receiver part is added to first (rule T); a
         message in ``bare`` sums no sender part, as nothing else reads it."""
-        stmts, summed = [], []  # summed: per message, its summed factors and their source
+        stmts, summed = [], []  # summed: per message, its summed factors
         for m in messages:
-            msg, _, witness, _, factors = self.steps[self.s].messages[m]
+            _, _, witness, _, factors = self.steps[self.s].messages[m]
             start, split = _ZERO, self.folds is not None and _split(factors)
             if split:
                 factors, _, excluded, *_ = split
@@ -1007,12 +1000,12 @@ class _Form:
                 stmts.append(("add", start, early[m]))
                 continue
             stmts += [("set", f"_m{m}", "=", start), ("add", (f"_m{m}", ()), early.get(m, []))]
-            summed.append((m, factors, None if split else msg))
+            summed.append((m, factors))
         if not summed:
             return stmts
-        skip = frozenset.intersection(*(_excludes(f, 1) for _, f, _ in summed))
-        guard, more = self.fold(1, skip, [f for _, f, _ in summed])
-        sums = [("set", f"_m{m}", "+=", _product(f, dropped | more, w)) for m, f, w in summed]
+        skip = frozenset.intersection(*(_excludes(f, 1) for _, f in summed))
+        guard, more = self.fold(1, skip, [f for _, f in summed])
+        sums = [("set", f"_m{m}", "+=", _product(f, dropped | more) or _ONE) for m, f in summed]
         return stmts + [_loop("_l", "adj[_k]", guard, sums)]
 
     def scatter(self, sent, entries: dict, store=None, receive=True) -> list:
@@ -1025,7 +1018,7 @@ class _Form:
         rule P moved sends nothing.  Without ``receive``, none is pulled."""
         stmts = []
         for m in sent:
-            msg, _, witness, _, factors = self.steps[self.s].messages[m]
+            _, _, witness, _, factors = self.steps[self.s].messages[m]
             target = store and store.format(m)
             moved = self.sums[self.s].get(("m", m)) == []  # rule P took its per-sender sums
             at = {hop: (var, key) for var, key, hop in witness}
@@ -1034,22 +1027,21 @@ class _Form:
                 at.setdefault(0, min(r for f in split[3][2] for r in f[1])[:2])
             receiver = self.column(*at[0], receive) if 0 in at else None
             sender = self.column(*at[1], not moved) if 1 in at else None
-            sends, whole = (split[0], None) if split else (factors, msg)
+            sends = split[0] if split else factors
             # a value added at _k is 0 where the message is or every coef is
             adds = entries.get(m, ())
             products = [sends, *(f for f, _ in adds)]
             skip = frozenset.intersection(*map(_excludes, products[1:] or [sends]))
             skip |= _excludes(sends)
             if sender and not moved:
-                known = self.known_one(sends, 1, sender[3])
-                sends, whole = known, whole if known == sends else None
+                sends = self.known_one(sends, 1, sender[3])
                 guard, dropped = self.fold(1, _excludes(sends, 1), [sends], sender[2], sender[3])
                 read_here = all(hop == 1 for f in sends for *_, hop in f[1])
-                value = _product(sends, dropped, whole) or _ONE
+                value = _product(sends, dropped) or _ONE
                 loop = read_here and self.flat(m, value, sender[3])
                 if not loop:
                     inner, at_k = self.fold(0, skip, products)
-                    value = _product(sends, dropped | at_k, whole) or _ONE
+                    value = _product(sends, dropped | at_k) or _ONE
                     loop = [_loop("_k", "adj[_l]", inner, self.add(adds, target, value, at_k))]
                 stmts.append(_loop("_l", sender[1], self.nonzero(sender, at[1], 1) + guard, loop))
             if receiver and receive:
@@ -1065,7 +1057,7 @@ class _Form:
                     loop = self.add(adds, target, value, at_k, receiver[3])
                 else:
                     inner, dropped = self.fold(1, _excludes(factors, 1), [factors])
-                    value = _product(factors, at_k | dropped, msg)
+                    value = _product(factors, at_k | dropped) or _ONE
                     # every edge from a sender is summed already
                     unsent = [(f"not ({sender[0]}[_l])", {sender[0]})] if sender else []
                     loop = [
@@ -1134,8 +1126,7 @@ class _Form:
         for c, product in zip(columns, products):
             if c in only:
                 continue
-            whole = step.updates[c][0] if product == step.updates[c][4] else None
-            value = _product(product, dropped, whole) or _ONE
+            value = _product(product, dropped) or _ONE
             body.append(
                 ("set", f"O{s}_{c}[_k]", "=", value) if (s, c) in self.stored
                 else ("add", value, self.readout(sums[c], None, ones))

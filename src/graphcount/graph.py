@@ -121,7 +121,7 @@ def from_edges(
 
 
 def parse_edgelist(text: str) -> Graph:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = list(filter(None, map(str.strip, text.splitlines())))
     if not lines:
         raise GraphFormatError("empty edge-list input")
     head = lines[0].split()

@@ -517,8 +517,7 @@ def test_the_bag_follows_from_the_identifiers_a_plan_reads():
         else:
             assert rows == [1] * g.node_count, kind
     assert pairs == {
-        "path4", "cycle5", "cycle6", "tailed_triangle", "chordal_cycle", "clique4",
-        "triangle_rectangle",
+        "path4", "cycle5", "cycle6", "chordal_cycle", "clique4", "triangle_rectangle",
     }
 
 
@@ -547,6 +546,30 @@ def test_hub_family_matches_the_twins():
     for g in (_regular_with_hub(), _hub_cliques(8, 6)):
         for kind in kinds:
             assert count(kind, g) == oracle.TWINS[kind](g, _HUB_BUDGET), kind
+
+
+# The pair plan that counted tailed triangles before they moved to the root
+# bag: per (root i, neighbor j), twice the triangles at i that avoid j.
+# Summed over j it is 2 * t(i) * (deg(i) - 2), t(i) being i's triangles.
+_TAILED_PAIRS = E.MPProgram(
+    "tailed-triangles",
+    (E.LSelf("in_n_root") * (1 - E.LSelf("is_branch")),),
+    (E.Layer((E.Nbr(0),), (E.Self(0) * E.Msg(0),)),),
+)
+_TAILED_GRAPHS = {
+    "regular": lambda: gen_random_regular(1000, 4, 7),
+    "hub": lambda: _hub_cliques(8, 6),
+    "dense": lambda: gen_random(60, 0.3, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TAILED_GRAPHS))
+def test_tailed_triangles_match_the_pair_plan(name):
+    # a second route at sizes where the DFS twin is out of reach
+    g = _TAILED_GRAPHS[name]()
+    runner = E.RootedRun(_TAILED_PAIRS, g.adjacency, 1, (E.Readout(0),))
+    want = tuple(E.exact_div(sum(r[0] for r in runner.rows(i)), 2) for i in range(g.node_count))
+    assert any(want) and count("tailed_triangle", g).node_counts == want
 
 
 @pytest.mark.parametrize("n", [31, 32, 33])

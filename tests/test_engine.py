@@ -292,7 +292,6 @@ _SPARSE_STEPS = {
     "triangle-rectangle": [0, 1, 2, 3],
     "four-cliques": [0, 1],
     "chordal-cycles": [0, 1],
-    "tailed-triangles": [0, 1],
     "six-cycle-patterns": [0, 1, 2, 3, 4],
     **{f"walks-{n}": list(range(n + 1)) for n in range(1, 9)},
     "ego-mask-2": [0, 1, 2],
@@ -317,7 +316,7 @@ _PLAN_RADII = {
     "cycle4": "- - 1",
     "cycle5": "- 2 1",
     "cycle6": "- 2 - 2 -",
-    "tailed_triangle": "- -",
+    "tailed_triangle": "- - 1",
     "chordal_cycle": "- -",
     "clique4": "- -",
     "triangle_rectangle": "- 2 1 -",
@@ -360,7 +359,7 @@ _PLAN_SCATTERS = {
     "cycle4": "- s p",
     "cycle5": "- p p",
     "cycle6": "- p s p -",
-    "tailed_triangle": "- p",
+    "tailed_triangle": "- s p",
     "chordal_cycle": "- p",
     "clique4": "- p",
     "triangle_rectangle": "- p p -",
@@ -407,7 +406,7 @@ _PLAN_FUSED = {
     "cycle4": "w",
     "cycle5": "p",
     "cycle6": "p s l c l l",
-    "tailed_triangle": "l",
+    "tailed_triangle": "l l",
     "chordal_cycle": "l",
     "clique4": "l",
     "triangle_rectangle": "l",
@@ -455,7 +454,7 @@ _PLAN_NODES = {
     "cycle4": "1 | N(N(i)) | N(i)",
     "cycle5": "N(j) | > | N(i)",
     "cycle6": "1 1 | ^N(N(i)) N(j) | N(N(j)) | N(j) > | - N(j) N(j) N(i)&N(j)",
-    "tailed_triangle": "N(i) | N(i)",
+    "tailed_triangle": "1 | N(i) | B1",
     "chordal_cycle": "N(i) | N(j)",
     "clique4": "N(i)&N(j) | N(i)&N(j)",
     "triangle_rectangle": "N(j) | N(N(i)&N(j)) | N(i)&N(j) | N(i)&N(j)",
@@ -563,7 +562,7 @@ _PLAN_FOLDS = {
     "path2": "- | (l:N(i)) deg(l)-i (l:N(i))",
     "path3": "- | push-i deg(k)-i (l:N(i)) k!=i (l:N(i)) | (k:h0) (k!=i) deg(k)-i",
     "path4": "- | push-i,j deg(k)-i,j (l:h0) (l!=i) k!=i,j | (k:h0) (k!=i,j) deg(k)-i,j",
-    "tailed_triangle": "k!=j (k:N(i)) | (k:h0) k!=j",
+    "tailed_triangle": "- | own (l:h0) | -",
     "triangle_rectangle": "k!=i (k:N(j)) | k!=i,j | (k!=i,j) deg(k)-i,j (l!=i,j) | (k:N(i)&N(j))",
     "walk1": "(k:i) | -",
     **{
@@ -627,7 +626,7 @@ _KERNEL_MD5 = {
     "path2": ("60cb56b4abdaa91c42704565a5bdb2fc", "4dfff9ba7fcbbacdcd896bf77ba78dde"),
     "path3": ("823595bc1a6e2aedbd3798fc0e3eed01", "3f9ba485f486a6d127ef4596f9c74601"),
     "path4": ("20929578c6f00677e08b679fdb97bc7b", "91e86fd0be15a915c70c947a083b3e2e"),
-    "tailed_triangle": ("71a4063d7526546e2ea20e141d310d52", "a3f46ab2699bfd09c823c9ccf440ebe4"),
+    "tailed_triangle": ("5c9353650db4f5e107e048aaf7a7bd37", "23e3d29cda917a17581de99973ac6bbd"),
     "triangle_rectangle": ("93b7077bedec5c184fa12c07e7e180d9", "762c7fe3b737867026a59409184bedf6"),
     "walk1": ("19ab9f99d5cb26cdb652d1f1d6111d6b", "79ceafc75590c0647d99b9397ee5519f"),
     "walk2": ("d394313692b0ac48d2af4b08123ecc5c", "be79c03acc282846876d840042d2387e"),
@@ -1427,9 +1426,10 @@ def test_hand_written_plans_use_both_hook_free_rewrites():
         assert E._radii(E._steps(sent, ROOTED_LAYOUT), hops, readouts, sent.name)[1][1] == cut
         lines, _, folds = E._generate(sent, ROOTED_LAYOUT, hops, readouts, False)
         assert ("omega", 0, ("in_n_root", {"is_root", "is_branch"})) in folds[2]
-        assert "for _k in _U1:\n                if _k != j:\n                    _v = -(W0[_k] - L0[_k])" in (
-            "\n".join(lines)
-        )
+        assert (
+            "for _k in _U1:\n                if _k != j:\n                    _r0 -= (W0[_k] - L0[_k])\n"
+            "                    _r1 += L0[_k] * -(W0[_k] - L0[_k])"
+        ) in "\n".join(lines)
     lines, _, _ = E._generate(reset, ROOTED_LAYOUT, 2, alone, False)
     source = "\n".join(lines)
     assert "set(" not in source and "if _l != j:" in source

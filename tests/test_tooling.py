@@ -8,10 +8,12 @@ break fail the tests instead.  Another keeps kernel compilation in each
 workload's warm-up, out of its timed ops, two find top-level names of the
 library that nothing uses, and imports that ``counting`` keeps only for the
 tracer, and one keeps ``multiprocessing`` out of the CLI's imports.  The
-tools under ``tools/`` are checked too: the code-line counter, with the size of each module that it measures, and the
-pytest plugin that records the kernel sources a run compiles."""
+tools under ``tools/`` are checked too: the code-line counter, with the size
+of each module that it measures, the pytest plugin that records the kernel
+sources a run compiles, and the script that digests every count report."""
 
 import ast
+import hashlib
 import importlib
 import os
 import subprocess
@@ -22,7 +24,7 @@ import pytest
 
 import graphcount
 from graphcount import cli, counting, engine, oracle, refinement
-from graphcount.generators import gen_random
+from graphcount.generators import gen_complete, gen_cycle, gen_random
 from test_engine import _KERNEL_MD5
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -226,6 +228,20 @@ def test_importing_the_cli_leaves_multiprocessing_out():
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
     )
     assert proc.stdout == "False\n", proc.stderr
+
+
+def test_count_digests_cover_every_report(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    tool = importlib.import_module("count_digests")
+    named = {"k4": gen_complete(4), "c7": gen_cycle(7)}
+    lines = tool.digests(named)
+    assert lines == sorted(lines) and len(set(lines)) == len(lines)
+    # per graph: 19 plans at two radii, two path4-edge tables, and the walks
+    # of 6 lengths from 2 nodes
+    assert len(lines) == 2 * (19 * 2 + 2 + 6 * 2)
+    report = hashlib.md5(repr(counting.count("tailed_triangle", named["k4"], 2)).encode())
+    assert f"k4 count-tailed_triangle-2 {report.hexdigest()}" in lines
+    assert len(tool.graphs()) == 87
 
 
 def test_kernel_capture_records_every_compiled_kernel(tmp_path):
