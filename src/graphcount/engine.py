@@ -93,6 +93,29 @@ read:
   widens the zeroing to nodes that are 0 already (cycle4's N(N(i)),
   cycle6's N(N(j))).
 
+Fusion (``loops``).  In a kernel without a hook, a state column is read
+by its buffer's name, and the branch's statements are rewritten after they
+are built; a kernel with a hook, and ``run``'s, is left as built.
+(a) Two loops over one node list fuse when every column that one stores
+and the other reads or stores is reached only at the loop's node; a
+statement in between that the second needs moves before the fused loop,
+and none may need the first loop and be needed by the second.  Guards
+that differ become inner ``if``s.  (b) Sibling inner loops over one list,
+such as ``adj[_k]``, merge by the same rule.  (c) A column stored once and
+read only at the node of one fused loop, after the store and under its
+guards, is a local of that loop, neither stored nor reset.  A part of a
+fused loop that only sets locals takes the guards shared by every part
+that reads them, where nothing in the loop changes what they read.  (d) A
+loop over a meet of labels' lists walks one of those lists under the other
+labels' tests when that lets it fuse, and a known-1 column's count over a
+meet is a counter in such a loop.  (e) At a loop's node, a known-1 column
+of a label's list read off that list is that label times its exclusions
+(``_Form.known_one``), so cycle5's init column is ``in_n_branch`` off i.
+(f) Resets that walk one list, marks included, share one loop.  Rule T's
+Omega of a label is read from a stored column computed once per root whose
+value it equals off the nodes the read never is (cycle6's ``O1_2``).  A
+kernel whose roots set nothing returns no root function.
+
 The term form.  A kernel is written in one form before it is Python: each
 readout sum and each stored column is a list of terms, and a term is a
 coefficient times a product of reads (labels, columns, degrees, Omega
@@ -211,6 +234,8 @@ from .program import (
     ProgramError, Readout, Self, Sub, _label_reach, _reach, _Step, _steps, program_text,
     required_labels,
 )
+
+from .loops import _demote, _merge, _regroup, _rename, _touches
 
 if TYPE_CHECKING:  # avoid a circular import; only needed for annotations
     from .extraction import RootedSubgraph
@@ -738,6 +763,9 @@ def _render(stmts: list, seen: set, lists: Mapping) -> list:
             target, op, (py, reads) = args
             seen.update(reads)
             lines.append(f"{target} {op} {py}")
+        elif kind == "line":  # lines made already, and the names they read
+            lines += args[0]
+            seen.update(args[2])
         else:  # "add": a value times each weight (None: 1), added to its sum
             (py, reads), terms = args
             for name, w in terms:
@@ -868,32 +896,52 @@ class _Form:
             return [(f"{v} != {node}", frozenset()) for x, node in _ONE_NODE.items() if x in end[4]]
         return [(f"{end[0]}[{v}]", {end[0]})]
 
-    def known_one(self, factors: tuple, hop: int, ones) -> tuple:
+    def known_one(self, factors: tuple, hop: int, ones, absent=frozenset()) -> tuple:
         """``factors`` with each bare read at ``hop`` of a known-1 column 1
         on the loop's node list (``ones`` holds its name) replaced by the
         exclusion factors of the nodes its update excludes, each logged as
-        ("one", hop, its name)."""
+        ("one", hop, its name).  At the node, a known-1 column of a label's
+        list read off that list is that label, unless ``ones`` holds it,
+        times its exclusions of nodes the loop's list holds (``absent``: the
+        one-node identifiers it never holds)."""
         out = []
         for f in factors:
             key = _bare(f, hop)
-            if key is None or f"H{key}" not in ones:
+            nodes = key is not None and self.known.get(self.steps[self.s - 1].origins[key])
+            label = hop == 0 and str(nodes)[:2] == "_U" and self.layout[int(nodes[2:])]
+            if key is None or f"H{key}" not in ones and not label:
                 out.append(f)
                 continue
             self.folds.append(("one", hop, frozenset({f"H{key}"})))
             own = self.column("H", key, False)[4]
+            if f"H{key}" not in ones:  # the label it equals there
+                read = (f"{self.label(label)}[_k]", frozenset({("L", label, 0)}), (label, 0, True), None)
+                out += [read] * (label not in ones)
+                own -= absent
             out += [self.exclusion(x, hop) for x in _ONE_NODE if x in own]
         return tuple(out)
 
-    def omega(self, var: str, w, excluded, ones) -> tuple:
+    def omega(self, var: str, w, excluded, ones, off=frozenset()) -> tuple:
         """The code of Omega_F at node ``var`` (module docstring) of weight
         w: None (1), a label, or the (step, column) of a column computed once
         per root.  It is the sum of w over the node's neighbors (for weight
-        1 the degree, else a buffer ``_generate`` fills once per root), less
-        w at the node of each one-node identifier in ``excluded`` times the
-        label that marks that node's neighbors, which is 1 where ``ones``
-        holds it."""
+        1 the degree, else a buffer ``_generate`` fills once per root, or a
+        stored column equal to it off the nodes the read never is, ``off``),
+        less w at the node of each one-node identifier in ``excluded`` times
+        the label that marks that node's neighbors, which is 1 where
+        ``ones`` holds it."""
         base, at = "_deg", lambda x: _ONE
-        if w is not None:
+        same = [
+            "O{}_{}".format(t, c) for t, units in enumerate(self.units)
+            for nodes, columns, once in units if once and type(w) is str
+            for c in columns if nodes == ((f"_U{self.index[w]}",), (), None) and (t, c) in self.stored
+            for m, coef in [self.steps[t].linear[c] or (0, (None,))]
+            if _only_excludes(coef) and _excludes(coef) <= off
+            and [f[2] for f in self.steps[t].messages[m][4]] == [(w, 1, True)]
+        ]
+        if same:  # one buffer per value
+            base = same[0]
+        elif w is not None:
             base = self.omegas.setdefault(w, f"W{len(self.omegas)}")
         if type(w) is str:
             at = lambda x: _ONE if _label_at(w, x) else None
@@ -924,7 +972,9 @@ class _Form:
         ``_k``: ``-h`` or ``h``, h's factors ``here`` without those that
         ``dropped`` holds, times Omega_F of the weight F reads (1 without
         one): for weight 1 the count of ``_k``'s neighbors that F keeps."""
-        py, reads = _times(_product(here, dropped), self.omega("_k", split[4], split[2], ones))
+        off = {x for x, hop, one in dropped if hop == 0 and not one}
+        omega = self.omega("_k", split[4], split[2], ones, off)
+        py, reads = _times(_product(here, dropped), omega)
         return "-"[:not split[3][0]] + py, reads
 
     def readout(self, xs, coef=None, ones=frozenset()) -> list:
@@ -976,7 +1026,7 @@ class _Form:
             self.folds.append(("flat", 1, e) if w is None else ("omega", 1, (w, e)))
         return [("add", value, [(f"_r{x}", self.omega("_l", w, e, ones)) for x, (w, e) in group])]
 
-    def pull(self, messages, dropped: set, ones, early: dict, bare) -> list:
+    def pull(self, messages, dropped: set, ones, early: dict, bare, absent) -> list:
         """Statements that sum each message in ``messages`` over the
         neighbors of ``_k`` into ``_m<m>``, without the factors ``dropped``;
         ``ones``: the labels 1 at ``_k``.  A split message starts from its
@@ -995,11 +1045,13 @@ class _Form:
                 zeros = self.column(*at[0], False)[2] if len(at) == 1 else frozenset()
                 own = self.fold(1, frozenset(), [factors], zeros)[1]
                 factors = tuple(f for f in factors if f[2] not in own)
-                start = self.receiver(split, self.known_one(split[3][2], 0, ones), dropped, ones)
+                here = self.known_one(split[3][2], 0, ones, absent)
+                start = self.receiver(split, here, dropped, ones)
             if m in bare:
                 stmts.append(("add", start, early[m]))
                 continue
-            stmts += [("set", f"_m{m}", "=", start), ("add", (f"_m{m}", ()), early.get(m, []))]
+            stmts.append(("set", f"_m{m}", "=", start))
+            stmts += [("add", (f"_m{m}", ()), early[m])] if early.get(m) else []
             summed.append((m, factors))
         if not summed:
             return stmts
@@ -1047,7 +1099,7 @@ class _Form:
             if receiver and receive:
                 if split:
                     # h is 0 where it reads a known-1 column but at the nodes it excludes
-                    here = self.known_one(split[3][2], 0, receiver[3])
+                    here = self.known_one(split[3][2], 0, receiver[3], receiver[2])
                     skip |= _excludes(here)
                     products.append(here)
                 guard, at_k = self.fold(0, skip, products, receiver[2], receiver[3])
@@ -1113,7 +1165,7 @@ class _Form:
             return self.done(stmts, outs, [])
         reads = _reads(step, columns)
         messages = sorted(r[1] for r in reads if r[0] == "M")
-        products = [self.known_one(step.updates[c][4], 0, ones) for c in columns]
+        products = [self.known_one(step.updates[c][4], 0, ones, absent) for c in columns]
         # a column is 0 where it excludes, and where a column it reads bare is
         zeros = []
         for p in products:
@@ -1138,7 +1190,7 @@ class _Form:
                 m, coef = step.linear[c]
                 early.setdefault(m, []).extend(self.readout(xs, _product(coef, dropped), ones))
             bare = {step.linear[c][0] for c in only}
-            pull = self.pull(messages, dropped, ones, early, bare)
+            pull = self.pull(messages, dropped, ones, early, bare, absent)
             stmts = [_loop("_k", nodes, guard, pull + body)]
             # and its sender part, summed per sender where rule P did not push it
             for m in sorted({step.linear[c][0] for c in trans}):
@@ -1152,7 +1204,11 @@ class _Form:
         return self.done(stmts, outs, [f"M{s}_{m}" for m in messages])
 
     def done(self, stmts, outs, used) -> tuple:
-        """A built unit (``unit``), with the names its statements read."""
+        """A built unit (``unit``), with the names its statements read; in a
+        kernel without a hook, a state column is read by its buffer's name."""
+        if self.fusing and self.s:
+            origins = self.steps[self.s - 1].origins
+            stmts = _rename(stmts, {f"H{k}": "O{}_{}".format(*o) for k, o in enumerate(origins)})
         reads: set = set()
         _render(stmts, reads, {})
         names = {
@@ -1205,9 +1261,8 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
         read = {w for w in omegas if type(w) is tuple}
         read |= {last[r.component] for x, r in enumerate(readouts) if x not in summed | counted}
         read |= {
-            steps[s - 1].origins[int(x[1:])]
-            for s, step_units in enumerate(built) for *_, unit in step_units
-            for x in unit[5] if x[0] == "H"
+            tuple(map(int, x[1:].split("_")))
+            for step_units in built for *_, unit in step_units for x in unit[5] if x[0] == "O"
         }
         for s, step_units in enumerate(built):
             for u, (nodes, columns, once, _) in enumerate(step_units):
@@ -1220,7 +1275,6 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
     # (``_layout``) computed once
     prelude, stored_once, once_summed = [], {}, set()
     rewalk: dict = {}  # the statements that wrote each buffer whose unit builds no list
-    seen: set = set()  # the names the kernel's lines read
 
     def bind(spec) -> str:
         """The name of a node list (``_nodes``), bound where first used."""
@@ -1247,61 +1301,136 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
             else:
                 made = [f" = {{{', '.join(f'*{x}' for x in here)}}}" if here else " = set()"]
             made += [f" &= {bind(f'_B{spec[2]}')}"] if spec[2] is not None else []
-        seen.update(parts)
         name = names[spec] = f"_N{len(names)}"
         out = prelude if fusing and _per_root(spec, index) else body
-        out.extend(name + line for line in made)
+        out.append(("line", [name + line for line in made], name, frozenset(parts)))
         return name
 
     def held(keys, s):
-        """Lines that bind the state columns ``keys`` as H<c>."""
-        return ["H{} = O{}_{}".format(key, *steps[s - 1].origins[key]) for key in sorted(keys)]
+        """A statement that binds the state columns ``keys`` as H<c>."""
+        made = ["H{} = O{}_{}".format(key, *steps[s - 1].origins[key]) for key in sorted(keys)]
+        return [("line", made, None, ())] * bool(made)
 
     for s, (step, step_units) in enumerate(zip(steps, built)):
         if not fusing and step_units:  # a kernel that keeps whole states binds all it reads
             body += held({r[1] for r in step.reads if r[0] == "H"}, s)
         shown.append("()")
-        step_body, step_seen = [], set()
+        step_body: list = []
         for nodes, columns, once, unit in step_units:
             if not columns:
                 continue
-            spec, stmts, outs, used, _, unit_seen = unit
+            spec, stmts, outs, used, _, _ = unit
             for x in spec:  # the unit's own list first, where a loop runs over it
                 bind(x)
             name = names.get(nodes, nodes)
             rewalk.update(dict.fromkeys(outs if nodes not in spec else (), stmts))
-            lines = _render(stmts, set(), names)
-            seen.update(unit_seen)
-            h_keys = {int(x[1:]) for x in unit_seen if x[:1] == "H"}
             if once:  # only a kernel without a hook computes a unit once per root
-                prelude += held(h_keys, s) + lines
+                prelude += stmts
                 once_summed.update(x for c in columns for x, _ in sums[s].get(c, ()))
-            elif fusing:
-                step_body += lines
-                step_seen |= h_keys
             else:
-                body += lines
+                (step_body if fusing else body).extend(stmts)
             buffers, shown[s] = buffers + outs + used, name
             # a loop over every node rewrites every node
             outs = outs if name != "_all" else []
             (stored_once if once else stored).setdefault(name, []).extend(outs)
-        body += held(step_seen, s) + step_body
+        body += step_body
     # rule T's Omega of each weight, scattered from the weight's list once
     # per root, and zeroed after the branches
-    spread, unspread = [], []
+    unspread = []
     for w, base in omegas.items():
         nodes, value = (f"_U{index[w]}", _ONE) if type(w) is str else (
             bind(slot[w]), ("O{}_{}[_l]".format(*w), ())
         )
         add = [_loop("_k", "adj[_l]", [], [("set", f"{base}[_k]", "+=", value)])]
-        spread.append(_loop("_l", nodes, [value] * (value != _ONE), add))
-        zero = [("for", "_k", "adj[_l]", [("set", f"{base}[_k]", "=", _ZERO)])]
-        unspread.append(("for", "_l", nodes, zero))
+        prelude.append(_loop("_l", nodes, [value] * (value != _ONE), add))
+        unspread.append(((("_l", nodes), ("_k", "adj[_l]")), base))
         buffers.append(base)
-    prelude += _render(spread, seen, names)
     folds = [None] * len(steps)
     if fusing:  # each step's folds, unit by unit
         folds = [[f for *_, unit in units if unit for f in unit[4]] for units in built]
+    row, counters = {}, {}
+    for x, r in enumerate(readouts or ()):
+        if x in summed:
+            continue
+        nodes = bind(slot[last[r.component]]) if r.weight is None else f"_U{index[r.weight]}"
+        column = "O{}_{}".format(*last[r.component])
+        row[x] = (f"len({nodes})" if x in counted else f"sum(map({column}.__getitem__, {nodes}))",
+                  {nodes, column})
+        if x in counted and fusing:  # rule d may count it in a loop
+            counters[x] = _loop("_k", slot[last[r.component]], [], [("add", _ONE, [(f"_r{x}", None)])])
+            body.append(counters[x])
+    if fusing:
+        body = _merge(body, names, layout, True)
+        for x, loop in counters.items():
+            if any(st is loop for st in body):
+                body.remove(loop)
+            else:
+                del row[x]
+                summed = summed | {x}
+        outside = {x[0] for x in _touches(prelude, names)}.union(*(r for _, r in row.values()))
+        body, demoted = _demote(body, names, layout, outside)
+        body = [
+            ("for", *st[1:3], _regroup(st[3], names, layout, True)) if st[:2] == ("for", "_k")
+            else st for st in body
+        ]
+        buffers = [x for x in buffers if x not in demoted]
+        stored = {nodes: [x for x in outs if x not in demoted] for nodes, outs in stored.items()}
+    row_reads = set().union(*(r for _, r in row.values()))
+    row = "".join(f"{row[x][0] if x in row else f'_r{x}'}, " for x in range(len(readouts or ())))
+
+    def walks(stored) -> list:
+        """The loops along which to zero each buffer: over its node list or,
+        for a list that no line builds, along the loops that wrote it."""
+        out = []
+        for nodes, outs in stored.items():
+            for o in outs:
+                if o not in rewalk or nodes in names:
+                    chains = [(("_k", names.get(nodes, nodes)),)]
+                else:
+                    chains = _rewalk(rewalk[o], o)
+                out += [(loops, o) for loops in dict.fromkeys(chains)]
+        return out
+
+    def reset(walks) -> list:
+        """Statements that zero each buffer along its loops; in a kernel
+        without a hook, the walks over one list share one loop (rule f)."""
+        groups: dict = {}
+        for loops, o in walks:
+            key = loops
+            if fusing:
+                key = names.get(loops[0][1], loops[0][1])
+                key = _IDENTIFIERS[layout[int(key[2:])]][1] if key[:2] == "_U" else key
+            groups.setdefault(key, {}).setdefault(loops, []).append(o)
+        stmts = []
+        for group in groups.values():
+            var, inner = "_l" if any(len(loops) > 1 for loops in group) else "_k", []
+            for loops, outs in group.items():
+                zero = [("set", f"{o}[_k]", "=", _ZERO) for o in outs]
+                for v, nodes in reversed(loops[1:]):
+                    zero = [("for", v, nodes, zero)]
+                inner += _rename(zero, {"_k": var}) if loops[0][0] != var else zero
+            stmts.append(("for", var, next(iter(group))[0][1], inner))
+        return stmts
+
+    def marks(per_branch) -> list:
+        return [
+            ((("_k", _IDENTIFIERS[layout[i]][1]),), f"L{i}")
+            for i in marked if (layout[i] in _BRANCH_LABELS) == per_branch
+        ]
+
+    ends = reset(walks(stored)), reset(walks(stored_once))
+    while fusing:  # a node set that no statement reads is not built
+        reads = {x[0] for x in _touches([*prelude, *body, *chain(*ends)], names) if x[2] == "r"}
+        dead = [st for st in prelude + body if st[0] == "line" and st[2] not in reads | row_reads]
+        if not dead:
+            break
+        prelude, body = ([st for st in x if st not in dead] for x in (prelude, body))
+    raw: set = set()
+    lines = [_render(x, raw, names) for x in (prelude, body)]
+    seen = {
+        r if type(r) is str else f"L{index[r[1]]}" if r[0] == "L" else f"{r[0]}{r[1]}"
+        for r in raw | row_reads if type(r) is str or type(r) is tuple and r[0] in ("H", "L", "M")
+    }
     # the labels the kernel's lines read, exclusion factors folded away
     marked = [x for x in range(len(layout)) if f"L{x}" in seen]
     states = "".join(
@@ -1323,12 +1452,12 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
         ]
 
     if readouts is None:
-        lines = ["def _run(adj, labels, supports, hook):", *_indent(setup(seen), 1)]
+        out = ["def _run(adj, labels, supports, hook):", *_indent(setup(seen), 1)]
         if layout:
-            lines.append(f"    {''.join(f'_U{i}, ' for i in range(len(layout)))}= supports")
+            out.append(f"    {''.join(f'_U{i}, ' for i in range(len(layout)))}= supports")
         final = "".join("O{}_{}, ".format(*o) for o in last)
-        lines += _indent(["j = None", *body, *hook, f"return ({final})"], 1)
-        return lines, "_run", folds
+        out += _indent(["j = None", *lines[1], *hook, f"return ({final})"], 1)
+        return out, "_run", folds
 
     def supports(per_branch):
         return [
@@ -1343,16 +1472,6 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
             for line in (f"for _k in {_IDENTIFIERS[layout[i]][1]}:", f"    L{i}[_k] = {value}")
         ]
 
-    row = []
-    for x, r in enumerate(readouts):
-        if x in summed:
-            row.append(f"_r{x}, ")
-            continue
-        nodes = bind(slot[last[r.component]]) if r.weight is None else f"_U{index[r.weight]}"
-        seen.add(nodes)
-        column = "O{}_{}".format(*last[r.component])
-        row.append(f"len({nodes}), " if x in counted else f"sum(map({column}.__getitem__, {nodes})), ")
-    row = "".join(row)
     balls = [f"_B{d}" for d in range(max(radii) + 1)]
     root = ([f"nonlocal {', '.join(balls)}", "_B0 = {i}"] if balls else []) + mark(False, 1)
     for d in range(1, len(balls)):
@@ -1362,38 +1481,25 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
     def start(xs):
         return [f"{''.join(f'_r{x} = ' for x in sorted(xs))}0"] if xs else []
 
-    def reset(stored):
-        """Lines that zero each node list's buffers over it or, for a list
-        that no line builds, along the loops that wrote each buffer."""
-        walks: dict = {}
-        for nodes, outs in stored.items():
-            for o in outs:
-                if o not in rewalk or nodes in names:
-                    chains = [(("_k", names.get(nodes, nodes)),)]
-                else:
-                    chains = _rewalk(rewalk[o], o)
-                for loops in dict.fromkeys(chains):
-                    walks.setdefault(loops, []).append(o)
-        stmts = []
-        for loops, outs in walks.items():
-            body = [("set", f"{o}[_k]", "=", _ZERO) for o in outs]
-            for var, nodes in reversed(loops):
-                body = [("for", var, nodes, body)]
-            stmts += body
-        return _render(stmts, set(), names)
+    def zero(walks):
+        return _render(reset(walks), set(), names)
 
-    subgraph = [*start(summed - once_summed), *body, f"_rows.append(({row}))"]
-    subgraph += [*(hook if hooked else []), *reset(stored)]
+    subgraph = [*start(summed - once_summed), *lines[1], f"_rows.append(({row}))"]
+    if fusing:  # the branch labels' marks are zeroed with the buffers
+        subgraph += zero(walks(stored) + marks(True))
+        after = zero(unspread + walks(stored_once) + marks(False))
+    else:
+        subgraph += [*(hook if hooked else []), *zero(walks(stored))]
+        after = [*zero(walks(stored_once)), *mark(False, 0)]
     # one branch per neighbor of the root for a plan that reads a branch label
     read = {r[1] for step in steps for r in step.reads if r[0] == "L"}
     branching = bool((read | {r.weight for r in readouts}) & _BRANCH_LABELS)
-    kernel = ["_rows = []", *supports(False), *start(once_summed), *prelude]
+    kernel = ["_rows = []", *supports(False), *start(once_summed), *lines[0]]
     kernel.append(f"for j in {'adj[i]' if branching else '(None,)'}:")
     branch = supports(True) if branching else []
     branch += [f"{local} = {py}" for py, local in form.constants.items()]
-    kernel += _indent(branch + mark(True, 1) + subgraph + mark(True, 0), 1)
-    kernel += [*_render(unspread, set(), names), *reset(stored_once), *mark(False, 0)]
-    kernel.append("return _rows")
+    kernel += _indent(branch + mark(True, 1) + subgraph + ([] if fusing else mark(True, 0)), 1)
+    kernel += [*after, "return _rows"]
     # the kernel takes what it reads as defaults, so its loops read locals
     shared = keep | seen
     bound = ", ".join(
@@ -1401,13 +1507,15 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
         for x in ["adj", *(x for x in ("_adj", "_all", "_deg") if x in shared)]
         + [*(["hook"] if hooked else []), *(f"L{i}" for i in marked), *buffers]
     )
-    lines = ["def _make(adj, labels, hook):"]
-    lines += _indent(setup(seen | ({"_adj"} if len(balls) > 2 else set())), 1)
-    lines += [f"    {x} = None" for x in balls]
-    lines += ["    def _root(i):", *_indent(root or ["pass"], 2)]
-    lines += [f"    def _kernel(i, {bound}):", *_indent(kernel, 2)]
-    lines.append("    return _root, _kernel")
-    return lines, "_make", folds
+    out = ["def _make(adj, labels, hook):"]
+    out += _indent(setup(seen | ({"_adj"} if len(balls) > 2 else set())), 1)
+    out += [f"    {x} = None" for x in balls]
+    # a kernel without a hook whose roots set nothing has no root function
+    if root or not fusing:
+        out += ["    def _root(i):", *_indent(root or ["pass"], 2)]
+    out += [f"    def _kernel(i, {bound}):", *_indent(kernel, 2)]
+    out.append(f"    return {'_root' if root or not fusing else 'None'}, _kernel")
+    return out, "_make", folds
 
 
 def _exec(lines: list, name: str):
@@ -1471,8 +1579,8 @@ class RootedRun:
     program or a readout weight reads ``is_branch`` or ``in_n_branch``, one
     copy of it per neighbor of the root, marked as the branching node.
     ``rows(i)`` gives root i's readout rows, one per subgraph: it calls
-    ``root(i)``, then ``kernel(i)`` (``_kernel``, which also says what
-    ``hook`` gets).  A readout weight outside ``_IDENTIFIERS`` raises
+    ``root(i)``, unless ``root`` is None, then ``kernel(i)`` (``_kernel``,
+    which also says what ``hook`` gets).  A readout weight outside ``_IDENTIFIERS`` raises
     MissingLabelError.
     """
 
@@ -1493,6 +1601,8 @@ class RootedRun:
         make = _kernel(prog, names, hops, tuple(readouts), hook is not None)
         labels = {name: [0] * len(adjacency) for name in names}
         self.root, self.kernel = make(adjacency, labels, hook)
+        if self.root is None:  # a root sets nothing: the kernel alone
+            self.rows = self.kernel
 
     def rows(self, i: int) -> list[tuple[int, ...]]:
         self.root(i)
