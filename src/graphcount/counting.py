@@ -366,8 +366,7 @@ def _timed_values(
     values = []
     for i in roots:
         t0 = time.perf_counter()
-        if runner.root is not None:
-            runner.root(i)
+        runner.root(i)
         t1 = time.perf_counter()
         rows = runner.kernel(i)
         t2 = time.perf_counter()

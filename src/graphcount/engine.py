@@ -107,8 +107,9 @@ guards, is a local of that loop, neither stored nor reset.  A part of a
 fused loop that only sets locals takes the guards shared by every part
 that reads them, where nothing in the loop changes what they read.  (d) A
 loop over a meet of labels' lists walks one of those lists under the other
-labels' tests when that lets it fuse, and a known-1 column's count over a
-meet is a counter in such a loop.  (e) At a loop's node, a known-1 column
+labels' tests when that lets it fuse.  A readout that counts a known-1
+column's list is a counter in a loop over that list, so rule (d) may fuse
+it into a loop that walks one side of a meet.  (e) At a loop's node, a known-1 column
 of a label's list read off that list is that label times its exclusions
 (``_Form.known_one``), so cycle5's init column is ``in_n_branch`` off i.
 (f) Resets that walk one list, marks included, share one loop.  Rule T's
@@ -1249,7 +1250,7 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
     summed = {x for step_sums in sums for xs in step_sums.values() for x, _ in xs}
     last = steps[-1].origins
     # a readout of a known-1 column over its own list, 1 at each of its
-    # nodes, is the list's length
+    # nodes, counts the nodes of that list
     counted = {
         x for x, r in enumerate(readouts or ()) for t, c in [last[r.component]]
         if x not in summed and r.weight is None and (t, c) in known
@@ -1348,25 +1349,19 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
     folds = [None] * len(steps)
     if fusing:  # each step's folds, unit by unit
         folds = [[f for *_, unit in units if unit for f in unit[4]] for units in built]
-    row, counters = {}, {}
+    row = {}
     for x, r in enumerate(readouts or ()):
         if x in summed:
             continue
         nodes = bind(slot[last[r.component]]) if r.weight is None else f"_U{index[r.weight]}"
+        if x in counted:  # a count, in a loop that rule d may fuse
+            body.append(_loop("_k", slot[last[r.component]], [], [("add", _ONE, [(f"_r{x}", None)])]))
+            continue
         column = "O{}_{}".format(*last[r.component])
-        row[x] = (f"len({nodes})" if x in counted else f"sum(map({column}.__getitem__, {nodes}))",
-                  {nodes, column})
-        if x in counted and fusing:  # rule d may count it in a loop
-            counters[x] = _loop("_k", slot[last[r.component]], [], [("add", _ONE, [(f"_r{x}", None)])])
-            body.append(counters[x])
+        row[x] = (f"sum(map({column}.__getitem__, {nodes}))", {nodes, column})
+    summed = summed | counted
     if fusing:
         body = _merge(body, names, layout, True)
-        for x, loop in counters.items():
-            if any(st is loop for st in body):
-                body.remove(loop)
-            else:
-                del row[x]
-                summed = summed | {x}
         outside = {x[0] for x in _touches(prelude, names)}.union(*(r for _, r in row.values()))
         body, demoted = _demote(body, names, layout, outside)
         body = [
@@ -1579,9 +1574,10 @@ class RootedRun:
     program or a readout weight reads ``is_branch`` or ``in_n_branch``, one
     copy of it per neighbor of the root, marked as the branching node.
     ``rows(i)`` gives root i's readout rows, one per subgraph: it calls
-    ``root(i)``, unless ``root`` is None, then ``kernel(i)`` (``_kernel``,
-    which also says what ``hook`` gets).  A readout weight outside ``_IDENTIFIERS`` raises
-    MissingLabelError.
+    ``root(i)``, then ``kernel(i)`` (``_kernel``, which also says what
+    ``hook`` gets).  Where a kernel's roots set nothing, ``root`` does
+    nothing and ``rows`` is the kernel alone.  A readout weight outside
+    ``_IDENTIFIERS`` raises MissingLabelError.
     """
 
     def __init__(
@@ -1600,13 +1596,18 @@ class RootedRun:
                 raise MissingLabelError(f"readout weight label {r.weight!r} not in subgraph labels")
         make = _kernel(prog, names, hops, tuple(readouts), hook is not None)
         labels = {name: [0] * len(adjacency) for name in names}
-        self.root, self.kernel = make(adjacency, labels, hook)
-        if self.root is None:  # a root sets nothing: the kernel alone
+        root, self.kernel = make(adjacency, labels, hook)
+        self.root = root or _no_root
+        if root is None:
             self.rows = self.kernel
 
     def rows(self, i: int) -> list[tuple[int, ...]]:
         self.root(i)
         return self.kernel(i)
+
+
+def _no_root(i: int) -> None:
+    """The root function of a kernel whose roots set nothing."""
 
 
 def _check_component(readout: Readout, width: int) -> None:

@@ -24,6 +24,7 @@ from conftest import (
     spd_label_program,
 )
 from graphcount import engine as E
+from graphcount import loops as fusion
 from graphcount import program as P
 from graphcount.counting import (
     PROG_P3,
@@ -1640,6 +1641,99 @@ def test_hand_written_plans_use_every_node_list_rule(hops, weight):
     assert _rules(spec.program, spec.readouts, spec.hops) == {2, 5, 6}
 
 
+# Hand-written plans for the fusion rules (a)-(f) of ``engine``'s module
+# docstring.  Two steps pull the same neighbors' column over N(j): their
+# loops fuse (a), their inner loops over adj[_k] merge (b), and the first
+# step's column, read only at the node of the fused loop, is a local (c).
+_PULLS_TWICE = E.MPProgram(
+    "pulls-twice",
+    (E.LSelf("in_n_branch"), E.LSelf("in_n_root")),
+    (
+        E.Layer((E.Nbr(1),), (E.Self(0) * E.Msg(0), E.Self(1))),
+        E.Layer((E.Nbr(1),), (E.Self(0) * E.Msg(0),)),
+    ),
+)
+# in_n_branch's init column, 1 on N(j), read at the node of a loop over the
+# ball of radius 1: there it is the label in_n_branch (e), and its reset and
+# that label's marks walk N(j) in one loop (f)
+_LABEL_OFF_ITS_LIST = E.MPProgram(
+    "label-off-its-list",
+    (E.LSelf("in_n_branch"), E.LSelf("in_n_root")),
+    (E.Layer((E.Nbr(0),), (E.Self(1) * E.Msg(0) * E.Self(0), E.Self(0))),),
+)
+# per rule, a plan whose kernel without a hook uses it at radius 2; rule d
+# walks _MEETS' meet N(i)∩N(j) as N(j) under in_n_root's test
+_FUSION_PLANS = {
+    **dict.fromkeys("abc", (True, _PULLS_TWICE, (E.Readout(0),))),
+    "d": _RULE_PLANS[5],
+    **dict.fromkeys("ef", (True, _LABEL_OFF_ITS_LIST, (E.Readout(0), E.Readout(1)))),
+}
+
+
+def _without_rule(monkeypatch, rule):
+    """Turn fusion rule ``rule`` (a-d) off in ``engine`` and ``loops``."""
+    merge = fusion._merge
+    off = {
+        "a": (E, "_merge", lambda stmts, *_: stmts),
+        "b": (fusion, "_merge", lambda stmts, lists, layout, top: (
+            merge(stmts, lists, layout, top) if top else stmts)),
+        "c": (E, "_demote", lambda body, *_: (body, set())),
+        "d": (fusion, "_along", lambda loop, nodes, _: loop if loop[2] == nodes else None),
+    }
+    monkeypatch.setattr(*off[rule])
+
+
+@pytest.mark.parametrize("rule", "abcd")
+def test_each_fusion_rule_rewrites_its_hand_written_plan(monkeypatch, rule):
+    _, prog, readouts = _FUSION_PLANS[rule]
+    fused = E._generate(prog, ROOTED_LAYOUT, 2, readouts, False)[0]
+    _without_rule(monkeypatch, rule)
+    assert E._generate(prog, ROOTED_LAYOUT, 2, readouts, False)[0] != fused
+
+
+def test_label_rule_and_shared_resets_show_in_their_plans_kernel():
+    _, prog, readouts = _FUSION_PLANS["e"]
+    lines = [x.strip() for x in E._generate(prog, ROOTED_LAYOUT, 2, readouts, False)[0]]
+    # O0_0 is stored and zeroed, but read as in_n_branch's label L0 (e)
+    assert [x for x in lines if "O0_0[_k]" in x] == ["O0_0[_k] = 1", "O0_0[_k] = 0"]
+    assert "_r0 += ((L1[_k] * _m0) * L0[_k])" in lines
+    # one loop over N(j) zeroes both the column and the label's marks (f)
+    reset = lines.index("for _k in _U0:", lines.index("_rows.append((_r0, _r1, ))"))
+    assert lines[reset + 1:reset + 3] == ["O0_0[_k] = 0", "L0[_k] = 0"]
+
+
+# Per plan at its own radius, in a kernel without a hook: the loops whose
+# list an earlier loop of the same block and indent walks already, which
+# fusion did not join (the parent of loop fusion had cycle6 12, cycle5,
+# triangle_rectangle and walk4 4 each, and walk8 7 of them).
+_PLAN_SIBLINGS = {
+    "chordal_cycle": 2, "clique4": 2, "cycle3": 0, "cycle4": 2, "cycle5": 2, "cycle6": 5,
+    "path2": 0, "path3": 1, "path4": 3, "tailed_triangle": 1, "triangle_rectangle": 2,
+    "walk1": 2, "walk2": 2, "walk3": 3, "walk4": 3, "walk5": 4, "walk6": 5, "walk7": 6,
+    "walk8": 7,
+}
+
+
+def _sibling_loops(lines) -> int:
+    count, blocks = 0, {}  # per indent, the lists the open block's loops walk
+    for line in lines:
+        indent = len(line) - len(line.lstrip())
+        blocks = {d: lists for d, lists in blocks.items() if d <= indent}
+        m = re.match(r"\s*for \w+ in (.+):$", line)
+        if m:
+            count += m[1] in blocks.setdefault(indent, set())
+            blocks[indent].add(m[1])
+    return count
+
+
+@pytest.mark.parametrize("kind", sorted(_PLAN_SIBLINGS))
+def test_plan_sibling_loops_are_frozen(kind):
+    spec = _PLANS[kind]
+    lines, _, _ = E._generate(spec.program, ROOTED_LAYOUT, spec.hops, spec.readouts, False)
+    assert _sibling_loops(lines) == _PLAN_SIBLINGS[kind]
+    assert sorted(_PLAN_SIBLINGS) == sorted(_PLANS)
+
+
 _SOURCES_UNDER_SEED = """
 import hashlib, pickle, sys
 from graphcount import engine
@@ -1656,7 +1750,7 @@ for prog, readouts in pickle.load(sys.stdin.buffer):
 def test_kernel_sources_do_not_follow_the_hash_seed():
     # a meet is a frozenset of label lists, whose order follows the string
     # hash seed of the process; the kernel built from it must not
-    plans = [(prog, readouts) for _, prog, readouts in _RULE_PLANS]
+    plans = [(prog, readouts) for _, prog, readouts in (*_RULE_PLANS, *_FUSION_PLANS.values())]
     script = _SOURCES_UNDER_SEED.format(layout=ROOTED_LAYOUT)
     src = str(Path(E.__file__).resolve().parents[1])
     sources = set()
@@ -1688,6 +1782,9 @@ def test_kernel_sources_do_not_follow_the_hash_seed():
 @example(_RULE_PLANS[4], 42, 0.1, 2)
 @example(_RULE_PLANS[5], 40, 0.1, 3)
 @example(_RULE_PLANS[6], 44, 0.1, 5)
+@example(_FUSION_PLANS["a"], 40, 0.1, 2)
+@example(_FUSION_PLANS["e"], 40, 0.1, 4)
+@example((True, _PLANS["cycle5"].program, _PLANS["cycle5"].readouts), 40, 0.1, 3)
 @example((True, _PLANS["cycle6"].program, _PLANS["cycle6"].readouts), 40, 0.1, 7)
 @example((True, _PLANS["clique4"].program, _PLANS["clique4"].readouts), 40, 0.15, 1)
 @example(

@@ -15,6 +15,7 @@ sources a run compiles, and the script that digests every count report."""
 import ast
 import hashlib
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -260,3 +261,49 @@ def test_kernel_capture_records_every_compiled_kernel(tmp_path):
     digests = out.read_text().split()
     assert digests == sorted(set(digests))
     assert {d for row in _KERNEL_MD5.values() for d in row} <= set(digests)
+
+
+_STUB_RUN = '''import json
+print("workload count-regular")
+print("  {passes} passes started, 12 ops per pass, threads=2; latency percentiles")
+print(json.dumps({{"correct": {correct}, "attempted": 12, "failed": {failed},
+                  "metrics": {{"ops_per_s": {{"value": {ops}, "unit": "1/s"}},
+                              "setup_s": {{"value": 0.2, "unit": "s"}}}}}}))
+'''
+
+
+def _stub_checkout(root, ops, correct=True):
+    (root / "perfbench").mkdir(parents=True)
+    (root / "src" / "graphcount").mkdir(parents=True)
+    (root / "src" / "graphcount" / "engine.py").write_text("x = 1\n")
+    (root / "BENCHMARK.json").write_text(
+        '{"run_seconds": 20, "end_to_end": [{"name": "ops_per_s", "better": "higher"}]}')
+    run = _STUB_RUN.format(passes=7, correct=correct, failed=int(not correct), ops=ops)
+    (root / "perfbench" / "run.py").write_text(run)
+    return root
+
+
+def test_bench_pairs_tabulates_alternating_runs_of_two_checkouts(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    tool = importlib.import_module("bench_pairs")
+    parent = _stub_checkout(tmp_path / "parent", 100.0)
+    change = _stub_checkout(tmp_path / "change", 110.0)
+    argv = [str(parent), str(change), "--workload", "count-regular", "--pairs", "3", "--label", "t"]
+    assert tool.main([*argv, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "BENCH_t.json").read_text())
+    # the parent runs first in even pairs, the change first in odd ones
+    assert [(r["pair"], r["side"]) for r in report["runs"]] == [
+        (0, "parent"), (0, "change"), (1, "change"), (1, "parent"), (2, "parent"), (2, "change")]
+    assert all(r["correct"] and r["failed"] == 0 and r["passes_started"] == 7 for r in report["runs"])
+    assert report["sides"]["change"]["ops_per_s"] == {"median": 110.0, "q1": 110.0, "q3": 110.0}
+    assert report["parent_quartile_distance"] == {"ops_per_s": 0.0, "setup_s": 0.0}
+    # higher ops_per_s wins by BENCHMARK.json; setup_s, not listed, ties
+    assert [p["winner"] for p in report["pairs"]] == [{"ops_per_s": "change", "setup_s": "tie"}] * 3
+    assert report["pairs"][0]["ratio"]["ops_per_s"] == pytest.approx(1.1)
+    assert report["wins"]["ops_per_s"] == 3 and report["seconds"] == 20
+    assert report["command"][-4:] == ["--seed", "0", "--seconds", "20"]
+    assert set(report["engine_compile_s"]) == {"parent", "change"}
+    assert set(report["host"]) == {"nproc", "python", "PYTHONDONTWRITEBYTECODE"}
+    # a run that is not correct makes the exit code nonzero
+    broken = _stub_checkout(tmp_path / "broken", 90.0, correct=False)
+    assert tool.main([str(parent), str(broken), *argv[2:], "--out", str(tmp_path)]) == 1
