@@ -93,13 +93,16 @@ read:
   widens the zeroing to nodes that are 0 already (cycle4's N(N(i)),
   cycle6's N(N(j))).
 
-Fusion (``loops``).  In a kernel without a hook, a state column is read
-by its buffer's name, and the branch's statements are rewritten after they
-are built; a kernel with a hook, and ``run``'s, is left as built.
-(a) Two loops over one node list fuse when every column that one stores
-and the other reads or stores is reached only at the loop's node; a
-statement in between that the second needs moves before the fused loop,
-and none may need the first loop and be needed by the second.  Guards
+Fusion (``loops``).  In a kernel without a hook, the branch's statements
+are rewritten after they are built; a kernel with a hook, and ``run``'s,
+is left as built.  The rewrites read each statement's record, never its
+source: a code's reads and a store's target are (name, subscript) pairs,
+and a loop temporary (``_m<m>``, ``_a``, a demoted column's local) is a
+name stored without a subscript.  (a) Two loops over one node list fuse
+when every column that one stores and the other reads or stores is
+reached only at the loop's node; a statement in between that the second
+needs moves before the fused loop, and none may need the first loop and
+be needed by the second.  Guards
 that differ become inner ``if``s.  (b) Sibling inner loops over one list,
 such as ``adj[_k]``, merge by the same rule.  (c) A column stored once and
 read only at the node of one fused loop, after the store and under its
@@ -109,9 +112,10 @@ that reads them, where nothing in the loop changes what they read.  (d) A
 loop over a meet of labels' lists walks one of those lists under the other
 labels' tests when that lets it fuse.  A readout that counts a known-1
 column's list is a counter in a loop over that list, so rule (d) may fuse
-it into a loop that walks one side of a meet.  (e) At a loop's node, a known-1 column
-of a label's list read off that list is that label times its exclusions
-(``_Form.known_one``), so cycle5's init column is ``in_n_branch`` off i.
+it into a loop that walks one side of a meet.  (e) At a loop's node, a
+known-1 column of a label's list read off that list is that label times
+its exclusions of nodes the loop's list holds (``_Form.known_one``), so
+cycle5's init column is ``in_n_branch`` off i.
 (f) Resets that walk one list, marks included, share one loop.  Rule T's
 Omega of a label is read from a stored column computed once per root whose
 value it equals off the nodes the read never is (cycle6's ``O1_2``).  A
@@ -127,10 +131,11 @@ an exclusion set: the one-node identifiers, ``is_root`` (i) and
 column's terms: stored over its node list, summed into its readouts by the
 loop that computes it, or sent.  ``_Form`` builds each unit's statements
 (loops, guards, stores and sums) from its terms, applying the rewrites
-below in a kernel without a hook, and ``_render`` turns them into lines,
-recording what each line reads, so a kernel binds, marks and stores
-exactly what its lines read.  A kernel with a hook, and ``run``'s, is the
-form with no rewrite applied.
+below in a kernel without a hook, and ``_render`` turns them into lines.
+Each code is made with the record of what it reads (``program._read``), a
+state column by its buffer's name, so a kernel binds, marks and stores
+exactly what its statements' records read (``loops._touches``).  A kernel
+with a hook, and ``run``'s, is the form with no rewrite applied.
 
 Readout terms (``_layout``).  A column that no later step reads is not
 stored: each readout of it is a running sum that the loop computing the
@@ -185,8 +190,9 @@ is its exclusion factors wherever a loop over that list reads it, and the
 loop's test of it skips only the nodes it excludes.  A known-1 column that
 no statement reads after this rewrite is not stored (path4's init, 1 on
 N(j) but at i), and a readout of one over its own list, which holds no
-node its update excludes, is that list's length (cycle6's o3, the common
-neighbors of i and j).
+node its update excludes, adds 1 per node of that list in a loop over it,
+which rule (d) may fuse: cycle6's ``_r3 += 1`` under ``if L1[_k]`` in its
+loop over N(j) counts the common neighbors of i and j.
 
 Rule T (``_transpose``, ``_Form.flat``).  A readout term ``sum_k w(k)
 E(k) sum_{l in N(k)} g(l)``, E only exclusion factors, is summed
@@ -232,11 +238,11 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from .program import (
     _ABSENT, _AROUND, _BRANCH_LABELS, _IDENTIFIERS, _ONE_NODE, _UNBOUNDED, Add, Const, Expr,
     IsPos, IsZero, Layer, LNbr, LSelf, MissingLabelError, MPProgram, Msg, Mul, Nbr,
-    ProgramError, Readout, Self, Sub, _label_reach, _reach, _Step, _steps, program_text,
-    required_labels,
+    ProgramError, Readout, Self, Sub, _SUBSCRIPT, _label_reach, _read, _reach, _Step, _steps,
+    _text, program_text, required_labels,
 )
 
-from .loops import _demote, _merge, _regroup, _rename, _touches
+from .loops import _demote, _merge, _over, _regroup, _touches, _unequal
 
 if TYPE_CHECKING:  # avoid a circular import; only needed for annotations
     from .extraction import RootedSubgraph
@@ -257,7 +263,7 @@ def _split(factors: tuple) -> tuple | None:
     factors at the sender and at most one read there of a root label w, g
     reads only the sender and h only the receiver, each factor of h one
     value where F reads w, as (the factors of ``F * g`` or ``F * -g``, the
-    Python source of ``-h`` or ``h``, the identifiers F excludes, (the sign
+    identifiers F excludes, (the sign
     of g, the factors of g, the factors of h), w or None); else None.
     Summed over a receiver's neighbors, the message is the sum of the first
     part plus the second times Omega_F of the third (``_Form.receiver``,
@@ -270,20 +276,20 @@ def _split(factors: tuple) -> tuple | None:
     hops = [{hop for *_, hop in reads} for _, reads, _ in sides]
     if hops not in ([{1}, {0}], [{0}, {1}]):
         return None
-    (g, reads, gf), (h, _, hf) = sides if hops[0] == {1} else sides[::-1]
+    (g, reads, gf), (_, _, hf) = sides if hops[0] == {1} else sides[::-1]
     if labels and any(len(f[1]) != 1 for f in hf):
         return None
     sign = "-" if hops[0] == {0} else ""
     excluded = tuple(f for f in factors if f is not rest[0])
-    sent = (*excluded, (sign + g, reads, None, None))
-    return sent, "-"[:not sign] + h, _excludes(factors, 1), (sign, gf, hf), min(labels, default=None)
+    sent = (*excluded, ((sign + g[0], g[1]), reads, None, None))
+    return sent, _excludes(factors, 1), (sign, gf, hf), min(labels, default=None)
 
 
 def _summed(split) -> tuple:
     """The log entry of a ``_split`` message's receiver part (``_Form``):
     ("sum", 0, exclusions) for Omega_F of weight 1, else ("omega", 0, (w,
     exclusions))."""
-    return ("sum", 0, split[2]) if split[4] is None else ("omega", 0, (split[4], split[2]))
+    return ("sum", 0, split[1]) if split[3] is None else ("omega", 0, (split[3], split[1]))
 
 
 def _label_at(label: str, x: str) -> int:
@@ -387,8 +393,8 @@ def _scatters(step: _Step, cut: int | None) -> bool:
 
 
 def _spread(nodes, names) -> float:
-    """How far from the root a node list (``_nodes``) reaches; ``names``
-    gives the label of each ``_U<x>``."""
+    """How far from the root a node list (``_nodes``) reaches, -1 for an
+    empty one; ``names`` gives the label of each ``_U<x>``."""
     if type(nodes) is str:
         if nodes in names:
             return _label_reach(names[nodes])
@@ -396,7 +402,7 @@ def _spread(nodes, names) -> float:
     if type(nodes) is frozenset:
         return min(_spread(x, names) for x in nodes)
     near, here, cut = nodes
-    spread = max([_spread(x, names) + 1 for x in near] + [_spread(x, names) for x in here])
+    spread = max([_spread(x, names) + 1 for x in near] + [_spread(x, names) for x in here] or [-1])
     return spread if cut is None else min(spread, cut)
 
 
@@ -568,12 +574,12 @@ def _layout(steps, cuts, index, readouts) -> tuple[list, dict, list, set]:
 
 
 def _bare(factor, hop: int):
-    """The state index a factor reads when it is a bare read at ``hop``
-    (``H<c>[_k]`` or ``H<c>[_l]``), else None."""
-    py, reads, _, _ = factor
-    if len(reads) == 1:
+    """The state index a factor reads when its code is that one read, at
+    ``hop``, else None."""
+    code, reads, _, _ = factor
+    if code[0] == "{}" and len(reads) == 1:
         ((var, key, at),) = reads
-        if var == "H" and at == hop and py == f"H{key}[{('_k', '_l')[hop]}]":
+        if var == "H" and at == hop:
             return key
     return None
 
@@ -629,7 +635,7 @@ def _transpose(steps, cuts, readouts, sends, terms, once, branchy) -> tuple[dict
         ):
             return False
         terms[t][c] = [(x, ("T", w)) for x, w in ws]
-        read_at[t, c] = min(r for f in split[3][2] for r in f[1])[:2]
+        read_at[t, c] = min(r for f in split[2][2] for r in f[1])[:2]
         groups.setdefault((t, m), ([], alone))[0].extend((x, w, _excludes(coef)) for x, w in ws)
         return True
 
@@ -688,7 +694,7 @@ def _push(steps, cuts, readouts, terms, once, stored, groups) -> None:
         split = _split(factors)
         sends = split[0] if split else factors
         rest = [f for f in sends if not (f[2] and f[2][1:] == (1, False))]
-        key = _bare(rest[0], 1) if len(rest) == 1 and not (split and split[3][0]) else None
+        key = _bare(rest[0], 1) if len(rest) == 1 and not (split and split[2][0]) else None
         x_col = key is not None and steps[s - 1].origins[key]
         lin = x_col and steps[x_col[0]].linear[x_col[1]]
         if lin and _only_excludes(lin[1]) and x_col not in once and x_col not in out:
@@ -732,66 +738,63 @@ def _reads(step: _Step, columns) -> set:
     return reads.union(*(step.messages[r[1]][3] for r in reads if r[0] == "M"))
 
 
-# A code is a Python expression and what it reads: AST reads (var, key,
-# hop) or the names of buffers and lists.
-_ONE = ("1", frozenset())
-_ZERO = ("0", frozenset())
+# A code (``program._read``) is a Python expression as a template and the
+# (name, subscript) of each read it makes.
+_ONE = ("1", ())
+_ZERO = ("0", ())
 
 
-def _render(stmts: list, seen: set, lists: Mapping) -> list:
-    """The Python lines of statements of the term form (module docstring),
-    adding each read they make to ``seen``; ``lists`` names the node lists
-    loops run over.  A statement is a loop ``("for", var, list, body)``, a
-    guard ``("if", conditions, body)``, a store ``("set", target, op,
-    code)``, or a sum ``("add", code, [(sum, weight code or None)])``: the
-    code times each weight, added to each sum."""
+def _render(stmts: list, lists: Mapping) -> list:
+    """The Python lines of statements of the term form (module docstring);
+    ``lists`` names the node lists loops run over.  A statement is a loop
+    ``("for", var, list, body)``, a guard ``("if", conditions, body)``, a
+    store ``("set", (name, subscript or None), op, code)``, a node set's
+    build ``("line", lines, name, reads)``, or a sum ``("add", code, [(sum,
+    weight code or None)])``: the code times each weight, added to each
+    sum."""
     lines = []
     for kind, *args in stmts:
         if kind == "for":
             var, nodes, body = args
-            name = lists.get(nodes, nodes)
-            seen.add(name)
-            lines += [f"for {var} in {name}:", *_indent(_render(body, seen, lists), 1)]
+            body = _indent(_render(body, lists), 1)
+            lines += [f"for {var} in {_text(_over(nodes, lists))}:", *body]
         elif kind == "if":
             conds, body = args
-            body = _render(body, seen, lists)
+            body = _render(body, lists)
             if conds:
-                seen.update(*(reads for _, reads in conds))
-                test = " and ".join(dict.fromkeys(py for py, _ in conds))
+                test = " and ".join(dict.fromkeys(map(_text, conds)))
                 body = [f"if {test}:", *_indent(body, 1)]
             lines += body
         elif kind == "set":
-            target, op, (py, reads) = args
-            seen.update(reads)
-            lines.append(f"{target} {op} {py}")
-        elif kind == "line":  # lines made already, and the names they read
+            target, op, code = args
+            lines.append(f"{_text(_read(*target))} {op} {_text(code)}")
+        elif kind == "line":  # lines made already
             lines += args[0]
-            seen.update(args[2])
         else:  # "add": a value times each weight (None: 1), added to its sum
-            (py, reads), terms = args
+            code, terms = args
             for name, w in terms:
-                seen.update(reads, w[1] if w else ())
-                value = py if w is None else w[0] if py == "1" else f"{w[0]} * {py}"
-                lines.append(f"{name} -= {value[1:]}" if value[0] == "-" else f"{name} += {value}")
+                py, reads = code if w is None else w if code == _ONE else _times(w, code)
+                sign = py[0] == "-"
+                lines.append(f"{name} {'+-'[sign]}= {_text((py[sign:], reads))}")
     return lines
 
 
 def _product(factors: tuple, dropped):
     """The code of a product without the factors whose mark (``_mark``) is
     in ``dropped``, or None when it keeps none."""
-    kept = [f for f in factors if f[2] not in dropped]
+    kept = [f[0] for f in factors if f[2] not in dropped]
     if kept:
-        reads = frozenset().union(*(f[1] for f in kept))
-        return reduce(lambda a, b: f"({a} * {b})", [f[0] for f in kept]), reads
+        return reduce(lambda a, b: (f"({a[0]} * {b[0]})", a[1] + b[1]), kept)
     return None
 
 
-def _times(*codes):
-    """The product of the codes that are not None, or None."""
+def _times(*codes, sep=" * "):
+    """The product of the codes that are not None, or None; with ``sep``
+    " - ", their difference."""
     codes = [c for c in codes if c is not None]
     if not codes:
         return None
-    return " * ".join(py for py, _ in codes), frozenset().union(*(r for _, r in codes))
+    return sep.join(py for py, _ in codes), sum((r for _, r in codes), ())
 
 
 def _only_excludes(factors: tuple) -> bool:
@@ -843,9 +846,9 @@ class _Form:
 
     def column(self, var: str, key, bound: bool = True) -> tuple:
         """The name and node list of a read in step ``s``, the one-node
-        identifiers at whose node the read is 0, the labels (and the column
-        itself, for a known-1 column) 1 on its list, and the identifiers its
-        update excludes; ``bound``: the unit binds the list."""
+        identifiers at whose node the read is 0, the labels (and ``H<key>``,
+        for a known-1 column) 1 on its list, and the identifiers its update
+        excludes; ``bound``: the unit binds the list."""
         if var == "L":
             nodes = f"_U{self.index[key]}"
             return self.label(key), nodes, *_held(nodes, self.layout), frozenset()
@@ -855,13 +858,13 @@ class _Form:
         own = _excludes(self.steps[t].updates[c][4])
         ones |= {f"H{key}"} if (t, c) in self.known else set()
         self.binds += [self.slot[t, c]] if bound else []
-        return f"H{key}", self.slot[t, c], absent | own, ones, own
+        return f"O{t}_{c}", self.slot[t, c], absent | own, ones, own
 
     def exclusion(self, x: str, hop: int) -> tuple:
         """The factor ``1 - x`` of the one-node identifier x at ``hop``, as
         ``_visit`` gives it."""
-        read = f"{self.label(x)}[{('_k', '_l')[hop]}]"
-        return f"(1 - {read})", frozenset({("L", x, hop)}), (x, hop, False), None
+        code = "(1 - {})", ((self.label(x), _SUBSCRIPT[hop]),)
+        return code, frozenset({("L", x, hop)}), (x, hop, False), None
 
     def fold(self, hop: int, skip, products, implied=frozenset(), ones=frozenset()):
         """Fold the exclusion factors and label reads that ``products``,
@@ -879,8 +882,7 @@ class _Form:
         held = ones & {x[0] for p in products for _, _, x, _ in p if x and x[1:] == (hop, True)}
         rules = (("skip", guard), ("implied", implied), ("one", held))
         self.folds += [(rule, hop, names) for rule, names in rules if names]
-        var = ("_k", "_l")[hop]
-        conds = [(f"{var} != {node}", frozenset()) for x, node in _ONE_NODE.items() if x in guard]
+        conds = [_unequal(_SUBSCRIPT[hop], x) for x in _ONE_NODE if x in guard]
         return conds, {(x, hop, False) for x in guard | implied} | {(x, hop, True) for x in held}
 
     def nonzero(self, end, read, hop: int) -> list:
@@ -889,13 +891,13 @@ class _Form:
         the read is a label that its list makes 1, and only the nodes it
         excludes where it is a known-1 column; both fold."""
         var, key = read
-        v = ("_k", "_l")[hop]
+        v = _SUBSCRIPT[hop]
         if self.folds is not None and var == "L" and key in end[3]:
             self.folds.append(("one", hop, frozenset({key})))
             return []
         if self.folds is not None and f"H{key}" in end[3]:
-            return [(f"{v} != {node}", frozenset()) for x, node in _ONE_NODE.items() if x in end[4]]
-        return [(f"{end[0]}[{v}]", {end[0]})]
+            return [_unequal(v, x) for x in _ONE_NODE if x in end[4]]
+        return [_read(end[0], v)]
 
     def known_one(self, factors: tuple, hop: int, ones, absent=frozenset()) -> tuple:
         """``factors`` with each bare read at ``hop`` of a known-1 column 1
@@ -916,7 +918,8 @@ class _Form:
             self.folds.append(("one", hop, frozenset({f"H{key}"})))
             own = self.column("H", key, False)[4]
             if f"H{key}" not in ones:  # the label it equals there
-                read = (f"{self.label(label)}[_k]", frozenset({("L", label, 0)}), (label, 0, True), None)
+                read = (_read(self.label(label), "_k"), frozenset({("L", label, 0)}),
+                        (label, 0, True), None)
                 out += [read] * (label not in ones)
                 own -= absent
             out += [self.exclusion(x, hop) for x in _ONE_NODE if x in own]
@@ -949,24 +952,23 @@ class _Form:
         elif w is not None:
             name, update = "O{}_{}".format(*w), self.steps[w[0]].updates[w[1]]
             zeros = _held(self.slot[w], self.layout)[0] | _excludes(update[4])
-            at = lambda x: None if x in zeros else (self.constant(name, _ONE_NODE[x]), {name})
-        terms, known, reads = [f"{base}[{var}]"], 0, {base}
+            at = lambda x: None if x in zeros else _read(self.constant(name, _ONE_NODE[x]))
+        terms, known = [_read(base, var)], 0
         for x in _ONE_NODE:
             value, label = at(x) if x in excluded else None, self.label(_AROUND[x])
             if value == _ONE and _AROUND[x] in ones:
                 known += 1
             elif value:
-                read = None if _AROUND[x] in ones else (f"{label}[{var}]", {label})
-                py, more = _times(None if value == _ONE else value, read)
-                terms.append(py)
-                reads |= more
-        terms += [str(known)] if known else []
-        return (f"({' - '.join(terms)})" if len(terms) > 1 else terms[0]), frozenset(reads)
+                read = None if _AROUND[x] in ones else _read(label, var)
+                terms.append(_times(None if value == _ONE else value, read))
+        terms += [(str(known), ())] if known else []
+        py, reads = _times(*terms, sep=" - ")
+        return (f"({py})", reads) if len(terms) > 1 else terms[0]
 
     def constant(self, name: str, node: str) -> str:
         """The local that each branch binds, before its steps, to the value
         at ``node`` (i or j) of a column computed once per root."""
-        return self.constants.setdefault(f"{name}[{node}]", f"_c{len(self.constants)}")
+        return self.constants.setdefault((name, node), f"_c{len(self.constants)}")
 
     def receiver(self, split, here, dropped, ones) -> tuple:
         """The closed form of a ``_split`` message's receiver part at
@@ -974,9 +976,9 @@ class _Form:
         ``dropped`` holds, times Omega_F of the weight F reads (1 without
         one): for weight 1 the count of ``_k``'s neighbors that F keeps."""
         off = {x for x, hop, one in dropped if hop == 0 and not one}
-        omega = self.omega("_k", split[4], split[2], ones, off)
+        omega = self.omega("_k", split[3], split[1], ones, off)
         py, reads = _times(_product(here, dropped), omega)
-        return "-"[:not split[3][0]] + py, reads
+        return "-"[:not split[2][0]] + py, reads
 
     def readout(self, xs, coef=None, ones=frozenset()) -> list:
         """(sum, weight code) per readout term (x, w) in ``xs``: coef times
@@ -990,7 +992,7 @@ class _Form:
             else:
                 w = w[1] if _tag(w) else w
                 name = w and (self.label(w) if type(w) is str else "O{}_{}".format(*w))
-                w = None if w is None or w in ones else (f"{name}[_k]", frozenset({name}))
+                w = None if w is None or w in ones else _read(name, "_k")
             out.append((f"_r{x}", _times(coef, w)))
         return out
 
@@ -1040,26 +1042,28 @@ class _Form:
             _, _, witness, _, factors = self.steps[self.s].messages[m]
             start, split = _ZERO, self.folds is not None and _split(factors)
             if split:
-                factors, _, excluded, *_ = split
+                factors = split[0]
                 self.folds.append(_summed(split))
                 at = [(var, key) for var, key, hop in witness or () if hop == 1]
                 zeros = self.column(*at[0], False)[2] if len(at) == 1 else frozenset()
                 own = self.fold(1, frozenset(), [factors], zeros)[1]
                 factors = tuple(f for f in factors if f[2] not in own)
-                here = self.known_one(split[3][2], 0, ones, absent)
+                here = self.known_one(split[2][2], 0, ones, absent)
                 start = self.receiver(split, here, dropped, ones)
             if m in bare:
                 stmts.append(("add", start, early[m]))
                 continue
-            stmts.append(("set", f"_m{m}", "=", start))
-            stmts += [("add", (f"_m{m}", ()), early[m])] if early.get(m) else []
+            stmts.append(("set", (f"_m{m}", None), "=", start))
+            stmts += [("add", _read(f"_m{m}"), early[m])] if early.get(m) else []
             summed.append((m, factors))
         if not summed:
             return stmts
         skip = frozenset.intersection(*(_excludes(f, 1) for _, f in summed))
         guard, more = self.fold(1, skip, [f for _, f in summed])
-        sums = [("set", f"_m{m}", "+=", _product(f, dropped | more) or _ONE) for m, f in summed]
-        return stmts + [_loop("_l", "adj[_k]", guard, sums)]
+        sums = [
+            ("set", (f"_m{m}", None), "+=", _product(f, dropped | more) or _ONE) for m, f in summed
+        ]
+        return stmts + [_loop("_l", _read("adj", "_k"), guard, sums)]
 
     def scatter(self, sent, entries: dict, store=None, receive=True) -> list:
         """Statements that scatter each message ``m`` in ``sent`` (module
@@ -1072,12 +1076,12 @@ class _Form:
         stmts = []
         for m in sent:
             _, _, witness, _, factors = self.steps[self.s].messages[m]
-            target = store and store.format(m)
+            target = store and (store.format(m), "_k")
             moved = self.sums[self.s].get(("m", m)) == []  # rule P took its per-sender sums
             at = {hop: (var, key) for var, key, hop in witness}
             split = self.folds is not None and _split(factors)
             if split:  # a label F reads can narrow the witness to the sender
-                at.setdefault(0, min(r for f in split[3][2] for r in f[1])[:2])
+                at.setdefault(0, min(r for f in split[2][2] for r in f[1])[:2])
             receiver = self.column(*at[0], receive) if 0 in at else None
             sender = self.column(*at[1], not moved) if 1 in at else None
             sends = split[0] if split else factors
@@ -1095,12 +1099,13 @@ class _Form:
                 if not loop:
                     inner, at_k = self.fold(0, skip, products)
                     value = _product(sends, dropped | at_k) or _ONE
-                    loop = [_loop("_k", "adj[_l]", inner, self.add(adds, target, value, at_k))]
+                    added = self.add(adds, target, value, at_k)
+                    loop = [_loop("_k", _read("adj", "_l"), inner, added)]
                 stmts.append(_loop("_l", sender[1], self.nonzero(sender, at[1], 1) + guard, loop))
             if receiver and receive:
                 if split:
                     # h is 0 where it reads a known-1 column but at the nodes it excludes
-                    here = self.known_one(split[3][2], 0, receiver[3], receiver[2])
+                    here = self.known_one(split[2][2], 0, receiver[3], receiver[2])
                     skip |= _excludes(here)
                     products.append(here)
                 guard, at_k = self.fold(0, skip, products, receiver[2], receiver[3])
@@ -1112,21 +1117,23 @@ class _Form:
                     inner, dropped = self.fold(1, _excludes(factors, 1), [factors])
                     value = _product(factors, at_k | dropped) or _ONE
                     # every edge from a sender is summed already
-                    unsent = [(f"not ({sender[0]}[_l])", {sender[0]})] if sender else []
+                    unsent = [("not ({})", ((sender[0], "_l"),))] if sender else []
                     loop = [
-                        ("set", "_a", "=", _ZERO),
-                        _loop("_l", "adj[_k]", unsent + inner, [("set", "_a", "+=", value)]),
-                        *self.add(adds, target, ("_a", frozenset()), at_k, receiver[3]),
+                        ("set", ("_a", None), "=", _ZERO),
+                        _loop("_l", _read("adj", "_k"), unsent + inner,
+                              [("set", ("_a", None), "+=", value)]),
+                        *self.add(adds, target, _read("_a"), at_k, receiver[3]),
                     ]
                 guard = self.nonzero(receiver, at[0], 0) + guard
                 stmts.append(_loop("_k", receiver[1], guard, loop))
         return stmts
 
     def unit(self, s: int, nodes, columns) -> tuple:
-        """One unit of step ``s`` (``_layout``), built (``done``): over the
-        node list ``nodes``, column c goes to ``O<s>_<c>`` or is added to
-        the readout sums its terms list; with ``nodes`` None, the unit sends
-        its columns (module docstring)."""
+        """One unit of step ``s`` (``_layout``), built: the node lists it
+        binds, its statements, the buffers it stores, the message buffers it
+        uses and its folds.  Over the node list ``nodes``, column c goes to
+        ``O<s>_<c>`` or is added to the readout sums its terms list; with
+        ``nodes`` None, the unit sends its columns (module docstring)."""
         self.s, step, sums = s, self.steps[s], self.sums[s]
         self.binds, self.folds = [nodes] if nodes else [], [] if self.fusing else None
         if nodes is None:
@@ -1134,7 +1141,7 @@ class _Form:
             for c in columns:
                 m, coef = step.linear[c]
                 sent.setdefault(m, []).extend(self.pushed(c, coef) or [(coef, sums[c])])
-            return self.done(self.scatter(sorted(sent), sent), [], [])
+            return self.binds, self.scatter(sorted(sent), sent), [], [], self.folds or []
         absent, ones = _held(nodes, self.layout)
         ones |= {
             f"H{k}" for k, o in enumerate(self.steps[s - 1].origins if s else ())
@@ -1154,16 +1161,16 @@ class _Form:
             m, coef = lin[c]
             self.folds.append(("own", 0, _excludes(coef)))
             into = self.pushed(c, coef)
-            stmts += self.scatter([m], {m: into}, f"O{s}_{c}[_k]")
+            stmts += self.scatter([m], {m: into}, f"O{s}_{c}")
             # a pushed sum's guard skips the nodes coef excludes already
             stmts += [
-                ("set", f"O{s}_{c}[{v}]", "=", _ZERO)
+                ("set", (f"O{s}_{c}", v), "=", _ZERO)
                 for x, v in _ONE_NODE.items() if x in _excludes(coef) and not into
             ]
         columns = [c for c in columns if c not in own]
         if not columns:  # no loop runs over the unit's own list
             del self.binds[0]
-            return self.done(stmts, outs, [])
+            return self.binds, stmts, outs, [], self.folds or []
         reads = _reads(step, columns)
         messages = sorted(r[1] for r in reads if r[0] == "M")
         products = [self.known_one(step.updates[c][4], 0, ones, absent) for c in columns]
@@ -1181,7 +1188,7 @@ class _Form:
                 continue
             value = _product(product, dropped) or _ONE
             body.append(
-                ("set", f"O{s}_{c}[_k]", "=", value) if (s, c) in self.stored
+                ("set", (f"O{s}_{c}", "_k"), "=", value) if (s, c) in self.stored
                 else ("add", value, self.readout(sums[c], None, ones))
             )
         if not buffered:
@@ -1197,26 +1204,12 @@ class _Form:
             for m in sorted({step.linear[c][0] for c in trans}):
                 if sums.get(("m", m)):
                     stmts += self.scatter([m], {}, receive=False)
-            return self.done(stmts, outs, [])
-        stmts += self.scatter(messages, {}, "M{}_{{}}[_k]".format(s))
-        loads = [("set", f"_m{m}", "=", (f"M{s}_{m}[_k]", {f"M{s}_{m}"})) for m in messages]
-        resets = [("set", f"M{s}_{m}[_k]", "=", _ZERO) for m in messages]
+            return self.binds, stmts, outs, [], self.folds or []
+        stmts += self.scatter(messages, {}, f"M{s}_{{}}")
+        loads = [("set", (f"_m{m}", None), "=", _read(f"M{s}_{m}", "_k")) for m in messages]
+        resets = [("set", (f"M{s}_{m}", "_k"), "=", _ZERO) for m in messages]
         stmts.append(("for", "_k", nodes, [*chain(*zip(loads, resets)), ("if", guard, body)]))
-        return self.done(stmts, outs, [f"M{s}_{m}" for m in messages])
-
-    def done(self, stmts, outs, used) -> tuple:
-        """A built unit (``unit``), with the names its statements read; in a
-        kernel without a hook, a state column is read by its buffer's name."""
-        if self.fusing and self.s:
-            origins = self.steps[self.s - 1].origins
-            stmts = _rename(stmts, {f"H{k}": "O{}_{}".format(*o) for k, o in enumerate(origins)})
-        reads: set = set()
-        _render(stmts, reads, {})
-        names = {
-            r if type(r) is str else f"L{self.index[r[1]]}" if r[0] == "L" else f"{r[0]}{r[1]}"
-            for r in reads if type(r) is str or type(r) is tuple and r[0] in ("H", "L", "M")
-        }
-        return self.binds, stmts, outs, used, self.folds or [], names
+        return self.binds, stmts, outs, [f"M{s}_{m}" for m in messages], self.folds or []
 
 
 def _rewalk(stmts: list, out: str, loops: tuple = ()):
@@ -1227,8 +1220,14 @@ def _rewalk(stmts: list, out: str, loops: tuple = ()):
             yield from _rewalk(args[2], out, (*loops, tuple(args[:2])))
         elif kind == "if":
             yield from _rewalk(args[1], out, loops)
-        elif kind == "set" and args[0] == f"{out}[_k]":
+        elif kind == "set" and args[0] == (out, "_k"):
             yield loops
+
+
+# each identifier's node list as a code (``program._read``)
+_SUPPORTS = {x: (f"({v},)", ()) for x, v in _ONE_NODE.items()} | {
+    _AROUND[x]: _read("adj", v) for x, v in _ONE_NODE.items()
+}
 
 
 def _indent(lines: list, depth: int) -> list:
@@ -1261,10 +1260,11 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
         # read by name is a readout's or Omega's weight
         read = {w for w in omegas if type(w) is tuple}
         read |= {last[r.component] for x, r in enumerate(readouts) if x not in summed | counted}
-        read |= {
-            tuple(map(int, x[1:].split("_")))
-            for step_units in built for *_, unit in step_units for x in unit[5] if x[0] == "O"
+        names = {
+            x[0] for step_units in built for *_, unit in step_units
+            for x in _touches(unit[1], {}) if x[2] == "r"
         }
+        read |= {o for o in known if "O{}_{}".format(*o) in names}
         for s, step_units in enumerate(built):
             for u, (nodes, columns, once, _) in enumerate(step_units):
                 kept = [c for c in columns if (s, c) not in known or (s, c) in read]
@@ -1301,26 +1301,21 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
                 parts.append("_adj")
             else:
                 made = [f" = {{{', '.join(f'*{x}' for x in here)}}}" if here else " = set()"]
-            made += [f" &= {bind(f'_B{spec[2]}')}"] if spec[2] is not None else []
+            if spec[2] is not None:
+                parts.append(bind(f"_B{spec[2]}"))
+                made.append(f" &= {parts[-1]}")
         name = names[spec] = f"_N{len(names)}"
         out = prelude if fusing and _per_root(spec, index) else body
-        out.append(("line", [name + line for line in made], name, frozenset(parts)))
+        out.append(("line", [name + line for line in made], name, tuple((x, None) for x in parts)))
         return name
 
-    def held(keys, s):
-        """A statement that binds the state columns ``keys`` as H<c>."""
-        made = ["H{} = O{}_{}".format(key, *steps[s - 1].origins[key]) for key in sorted(keys)]
-        return [("line", made, None, ())] * bool(made)
-
     for s, (step, step_units) in enumerate(zip(steps, built)):
-        if not fusing and step_units:  # a kernel that keeps whole states binds all it reads
-            body += held({r[1] for r in step.reads if r[0] == "H"}, s)
         shown.append("()")
         step_body: list = []
         for nodes, columns, once, unit in step_units:
             if not columns:
                 continue
-            spec, stmts, outs, used, _, _ = unit
+            spec, stmts, outs, used, _ = unit
             for x in spec:  # the unit's own list first, where a loop runs over it
                 bind(x)
             name = names.get(nodes, nodes)
@@ -1340,11 +1335,11 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
     unspread = []
     for w, base in omegas.items():
         nodes, value = (f"_U{index[w]}", _ONE) if type(w) is str else (
-            bind(slot[w]), ("O{}_{}[_l]".format(*w), ())
+            bind(slot[w]), _read("O{}_{}".format(*w), "_l")
         )
-        add = [_loop("_k", "adj[_l]", [], [("set", f"{base}[_k]", "+=", value)])]
+        add = [_loop("_k", _read("adj", "_l"), [], [("set", (base, "_k"), "+=", value)])]
         prelude.append(_loop("_l", nodes, [value] * (value != _ONE), add))
-        unspread.append(((("_l", nodes), ("_k", "adj[_l]")), base))
+        unspread.append(((("_l", nodes), ("_k", _read("adj", "_l"))), base))
         buffers.append(base)
     folds = [None] * len(steps)
     if fusing:  # each step's folds, unit by unit
@@ -1394,22 +1389,23 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
             key = loops
             if fusing:
                 key = names.get(loops[0][1], loops[0][1])
-                key = _IDENTIFIERS[layout[int(key[2:])]][1] if key[:2] == "_U" else key
+                key = _SUPPORTS[layout[int(key[2:])]] if key[:2] == "_U" else key
             groups.setdefault(key, {}).setdefault(loops, []).append(o)
         stmts = []
         for group in groups.values():
             var, inner = "_l" if any(len(loops) > 1 for loops in group) else "_k", []
             for loops, outs in group.items():
-                zero = [("set", f"{o}[_k]", "=", _ZERO) for o in outs]
-                for v, nodes in reversed(loops[1:]):
+                walk = ((var, loops[0][1]), *loops[1:])  # the first loop walks as var
+                zero = [("set", (o, walk[-1][0]), "=", _ZERO) for o in outs]
+                for v, nodes in reversed(walk[1:]):
                     zero = [("for", v, nodes, zero)]
-                inner += _rename(zero, {"_k": var}) if loops[0][0] != var else zero
+                inner += zero
             stmts.append(("for", var, next(iter(group))[0][1], inner))
         return stmts
 
     def marks(per_branch) -> list:
         return [
-            ((("_k", _IDENTIFIERS[layout[i]][1]),), f"L{i}")
+            ((("_k", _SUPPORTS[layout[i]]),), f"L{i}")
             for i in marked if (layout[i] in _BRANCH_LABELS) == per_branch
         ]
 
@@ -1420,12 +1416,8 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
         if not dead:
             break
         prelude, body = ([st for st in x if st not in dead] for x in (prelude, body))
-    raw: set = set()
-    lines = [_render(x, raw, names) for x in (prelude, body)]
-    seen = {
-        r if type(r) is str else f"L{index[r[1]]}" if r[0] == "L" else f"{r[0]}{r[1]}"
-        for r in raw | row_reads if type(r) is str or type(r) is tuple and r[0] in ("H", "L", "M")
-    }
+    lines = [_render(x, names) for x in (prelude, body)]
+    seen = {x[0] for x in _touches([*prelude, *body], names) if x[2] == "r"} | row_reads
     # the labels the kernel's lines read, exclusion factors folded away
     marked = [x for x in range(len(layout)) if f"L{x}" in seen]
     states = "".join(
@@ -1477,7 +1469,7 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
         return [f"{''.join(f'_r{x} = ' for x in sorted(xs))}0"] if xs else []
 
     def zero(walks):
-        return _render(reset(walks), set(), names)
+        return _render(reset(walks), names)
 
     subgraph = [*start(summed - once_summed), *lines[1], f"_rows.append(({row}))"]
     if fusing:  # the branch labels' marks are zeroed with the buffers
@@ -1492,7 +1484,7 @@ def _generate(prog: MPProgram, layout: tuple, hops, readouts, hooked: bool):
     kernel = ["_rows = []", *supports(False), *start(once_summed), *lines[0]]
     kernel.append(f"for j in {'adj[i]' if branching else '(None,)'}:")
     branch = supports(True) if branching else []
-    branch += [f"{local} = {py}" for py, local in form.constants.items()]
+    branch += [f"{local} = {_text(_read(*read))}" for read, local in form.constants.items()]
     kernel += _indent(branch + mark(True, 1) + subgraph + ([] if fusing else mark(True, 0)), 1)
     kernel += [*after, "return _rows"]
     # the kernel takes what it reads as defaults, so its loops read locals

@@ -4,65 +4,70 @@
 and their conditions.  A statement is a loop ``("for", var, list, body)``,
 a guard ``("if", conditions, body)``, a store ``("set", target, op,
 code)``, a readout sum ``("add", code, terms)`` or a node set's build
-``("line", lines, name, reads)``; a code is a Python expression and what it
-reads.  The functions here read and rewrite such lists: ``_touches`` gives
-what a statement reads and writes, ``_merge`` fuses sibling loops over one
-list, ``_regroup`` tests shared guards once, ``_demote`` makes a column a
-loop local and ``_rename`` rewrites names.
+``("line", lines, name, reads)``.  A code (``program._read``) is a Python
+expression as a template and the record of each read it makes, a (name,
+subscript or None) pair, in the template's order; a store's target, and
+each read of a node set's build, is such a pair too.  The functions here
+read and rewrite statements by those records alone, never by their source:
+``_touches`` gives what a statement reads and writes, ``_merge`` fuses
+sibling loops over one list, ``_regroup`` tests shared guards once,
+``_demote`` makes a column a loop local and ``_rename`` maps records.
 """
 
 from __future__ import annotations
 
-import re
 from itertools import compress
-from keyword import iskeyword
 from typing import Mapping
 
-from .program import _ABSENT, _ONE_NODE
+from .program import _ABSENT, _ONE_NODE, _read, _text
 
-# Fusion (module docstring): a name, with its subscript if it has one, and
-# the loop temporaries, which no statement reads before it sets them
-_WORD = re.compile(r"([A-Za-z_]\w*)(?:\[(\w+)\])?")
-_TEMP = re.compile(r"_m\d+$|_a$|_o\d+_\d+$")
+
+def _over(nodes, lists: Mapping) -> tuple:
+    """The code of a loop's node list: a code, or the read of a name, of
+    the name ``lists`` binds a node set to, or of an unbound node set."""
+    nodes = lists.get(nodes, nodes)
+    return nodes if type(nodes) is tuple and len(nodes) == 2 else _read(nodes)
 
 
 def _touches(stmts: list, lists: Mapping, conds: tuple = ()) -> list:
     """Each access of ``stmts``, in the order they run: (name, subscript or
-    None, "r" read, "w" store or "+" readout sum, the guards around it)."""
+    None, "r" read, "w" store, "t" store of a loop temporary, a name
+    without a subscript, or "+" readout sum, the guards around it)."""
     out: list = []
 
-    def read(py):
-        out.extend((m[1], m[2], "r", conds) for m in _WORD.finditer(py) if not iskeyword(m[1]))
+    def read(code):
+        out.extend((*r, "r", conds) for r in code[1])
 
     for kind, *args in stmts:
         if kind == "for":
-            name = lists.get(args[1], args[1])
-            read(name if type(name) is str else "")
+            read(_over(args[1], lists))
             out += _touches(args[2], lists, conds)
         elif kind == "if":
-            for py, _ in args[0]:
-                read(py)
-            out += _touches(args[1], lists, conds + tuple(py for py, _ in args[0]))
+            for code in args[0]:
+                read(code)
+            out += _touches(args[1], lists, conds + tuple(args[0]))
         elif kind == "set":
-            read(args[2][0])
-            target = _WORD.match(args[0])
-            out += [(*target.groups(), mode, conds) for mode in "rw"[args[1] == "=":]]
-        elif kind == "add":
-            for py in [args[0][0], *(w[0] for _, w in args[1] if w)]:
-                read(py)
-            out += [(x, None, "+", conds) for x, _ in args[1]]
+            read(args[2])
+            store = "wt"[args[0][1] is None]
+            out += [(*args[0], mode, conds) for mode in ("r", store)[args[1] == "=":]]
+        elif kind == "add":  # the value is read once per sum
+            for x, w in args[1]:
+                for code in [args[0], w] if w else [args[0]]:
+                    read(code)
+                out.append((x, None, "+", conds))
         else:  # a node set's build
-            out += [(x, None, "r", conds) for x in args[2]] + [(args[1], None, "w", conds)]
+            out += [(*r, "r", conds) for r in args[2]] + [(args[1], None, "w", conds)]
     return out
 
 
 def _modes(touches, temps: bool) -> dict:
-    """The names ``touches`` reads, stores and sums, by mode; loop
-    temporaries only with ``temps``."""
+    """The names ``touches`` reads, stores and sums, by mode, a temporary's
+    store as a store; loop temporaries only with ``temps``."""
     out: dict = {"r": set(), "w": set(), "+": set()}
+    local = set() if temps else {name for name, _, mode, _ in touches if mode == "t"}
     for name, _, mode, _ in touches:
-        if temps or not _TEMP.match(name):
-            out[mode].add(name)
+        if name not in local:
+            out["w" if mode == "t" else mode].add(name)
     return out
 
 
@@ -76,28 +81,31 @@ def _conflict(a, b, temps: bool) -> bool:
     )
 
 
+def _unequal(var: str, x: str) -> tuple:
+    """The guard that ``var`` is not the node of the one-node identifier x."""
+    return f"{var} != {_ONE_NODE[x]}", ()
+
+
 def _implied(conds, layout) -> set:
     """The guards a loop's guards imply: a label's read, the nodes its list
     never holds."""
     out = set(conds)
-    for py in conds:
-        m = re.fullmatch(r"L(\d+)\[(\w+)\]", py)
-        out |= {f"{m[2]} != {_ONE_NODE[x]}" for x in _ABSENT.get(layout[int(m[1])], ())} if m else set()
+    labels = {f"L{i}": x for i, x in enumerate(layout)}
+    for py, reads in conds:
+        if py == "{}" and reads[0][0] in labels:
+            ((name, var),) = reads
+            out |= {_unequal(var, x) for x in _ABSENT.get(labels[name], ())}
     return out
 
 
 def _rename(stmts: list, new: Mapping) -> list:
-    """``stmts`` with each name, or subscripted read, in ``new`` written as
-    its value."""
+    """``stmts`` with each read and store target in ``new``, a (name,
+    subscript) pair, made its value."""
     if not new:
         return stmts
-    pattern = re.compile("|".join(rf"\b{re.escape(x)}(?!\w)" for x in sorted(new, key=len)[::-1]))
 
     def code(c):
-        return c and (
-            pattern.sub(lambda m: new[m[0]], c[0]),
-            frozenset(new.get(f"H{r[1]}" if r[0] == "H" else r, r) for r in c[1]),
-        )
+        return c and (c[0], tuple(new.get(r, r) for r in c[1]))
 
     out = []
     for kind, *args in stmts:
@@ -106,10 +114,10 @@ def _rename(stmts: list, new: Mapping) -> list:
         elif kind == "if":
             args = [[code(c) for c in args[0]], _rename(args[1], new)]
         elif kind == "set":
-            args = [pattern.sub(lambda m: new[m[0]], args[0]), args[1], code(args[2])]
+            args = [new.get(args[0], args[0]), args[1], code(args[2])]
         elif kind == "add":
             args = [code(args[0]), [(x, w and code(w)) for x, w in args[1]]]
-        if kind != "set" or args[0] != args[2][0]:  # a copy into itself goes
+        if kind != "set" or args[2] != _read(*args[0]):  # a copy into itself goes
             out.append((kind, *args))
     return out
 
@@ -123,7 +131,7 @@ def _along(loop, nodes, layout):
         return loop
     if type(meet) is not frozenset or nodes not in meet:
         return None
-    conds = [(f"L{x[2:]}[{var}]", frozenset({f"L{x[2:]}"})) for x in sorted(meet - {nodes})]
+    conds = [_read(f"L{x[2:]}", var) for x in sorted(meet - {nodes})]
     return "for", var, nodes, [("if", conds, loop[3])]
 
 
@@ -140,33 +148,31 @@ def _regroup(body: list, lists, layout, sink: bool = False) -> list:
     blocks = list(parts(body, []))
     # a guard moves only where nothing in the body changes what it reads
     written = _modes(_touches(body, lists), True)["w"]
-    fixed = {py for conds, _ in blocks for py, _ in conds if not {
-        m[1] for m in _WORD.finditer(py)} & written}
+    fixed = {c for conds, _ in blocks for c in conds if not {name for name, _ in c[1]} & written}
     if sink:
         for n in reversed(range(len(blocks))):
             touched = _touches(blocks[n][1], lists)
-            sets = _modes(touched, True)
-            if sets["+"] or not all(_TEMP.match(x) for x in sets["w"]):
+            if any(x[2] in "w+" for x in touched):
                 continue
+            made = {x[0] for x in touched if x[2] == "t"}
             readers = [
-                _implied([py for py, _ in c], layout) for c, b in blocks[n + 1:]
-                if _modes(_touches(b, lists), True)["r"] & sets["w"]
+                _implied(c, layout) for c, b in blocks[n + 1:]
+                if _modes(_touches(b, lists), True)["r"] & made
             ]
-            have = {py for py, _ in blocks[n][0]}
-            extra = (set.intersection(*readers) & fixed) - have if readers else ()
-            blocks[n] = (blocks[n][0] + [(py, frozenset()) for py in sorted(extra)], blocks[n][1])
-    closures = [_implied([py for py, _ in c], layout) for c, _ in blocks]
-    first = {c[0]: c for conds, _ in blocks for c in conds}
-    shared = [c for py, c in first.items() if py in fixed and all(py in x for x in closures)]
+            extra = (set.intersection(*readers) & fixed) - set(blocks[n][0]) if readers else ()
+            blocks[n] = (blocks[n][0] + sorted(extra, key=_text), blocks[n][1])
+    closures = [_implied(c, layout) for c, _ in blocks]
+    first = dict.fromkeys(c for conds, _ in blocks for c in conds)
+    shared = [c for c in first if c in fixed and all(c in x for x in closures)]
     inner: list = []
     for conds, stmts in blocks:
-        rest = [c for c in conds if c[0] not in {py for py, _ in shared}]
-        if inner and inner[-1][0] == [py for py, _ in rest]:
-            inner[-1][2].extend(stmts)
+        rest = [c for c in conds if c not in shared]
+        if inner and inner[-1][0] == rest:
+            inner[-1][1].extend(stmts)
         else:
-            inner.append(([py for py, _ in rest], rest, list(stmts)))
+            inner.append((rest, list(stmts)))
     out = []
-    for _, rest, stmts in inner:
+    for rest, stmts in inner:
         stmts = _merge(stmts, lists, layout, False) if sink else stmts
         out += [("if", rest, stmts)] if rest else stmts
     return [("if", shared, out)]
@@ -191,9 +197,9 @@ def _merge(stmts: list, lists, layout, top: bool) -> list:
             if a is None:
                 continue
             if top:  # the second loop's temporaries get names of their own
-                mine, theirs = ({x for x, *_ in _touches([y], lists) if _TEMP.match(x)} for y in (a, b))
-                free = (f"_m{n}" for n in range(99) if f"_m{n}" not in mine | theirs)
-                b = _rename([b], dict(zip(sorted(theirs & mine), free)))[0] if theirs & mine else b
+                mine, theirs = ({x[0] for x in _touches([y], lists) if x[2] == "t"} for y in (a, b))
+                free = ((f"_m{n}", None) for n in range(99) if f"_m{n}" not in mine | theirs)
+                b = _rename([b], dict(zip(((x, None) for x in sorted(theirs & mine)), free)))[0]
             ta, tb = _touches([a], lists), _touches([b], lists)
             wa, wb = _modes(ta, not top)["w"], _modes(tb, not top)["w"]
             near = (wa & {x[0] for x in tb}) | (wb & {x[0] for x in ta})
@@ -242,11 +248,12 @@ def _demote(body: list, lists, layout, outside: set) -> tuple[list, set]:
                 for _, x in reads
             ):
                 continue
-            value = next(v for v in _stored(loop[3]) if v[0] == f"{name}[_k]")[1][0]
-            # a temporary set for the last time is the local itself
-            later = any(x[0] == value and x[2] == "w" for x in touched[at + 1:])
-            local = value if _TEMP.match(value) and not later else "_o" + name[1:]
-            body[n] = loop = _rename([loop], {f"{name}[_k]": local})[0]
+            value = next(code for target, code in _stored(loop[3]) if target == (name, "_k"))
+            # a name without a subscript that is not set again is the local itself
+            later = {x[0] for x in touched[at + 1:] if x[2] == "t"}
+            bare = value[0] == "{}" and value[1][0][1] is None and value[1][0][0] not in later
+            local = value[1][0] if bare else ("_o" + name[1:], None)
+            body[n] = loop = _rename([loop], {(name, "_k"): local})[0]
             touched = _touches([loop], lists)
             demoted.add(name)
     return body, demoted

@@ -10,7 +10,7 @@ States are Python ints: results are exact and overflow cannot occur.
 Expressions form a small closed AST over integer arithmetic ({+, -, *,
 constants, component selects, zero/positivity indicators}).  One visitor,
 ``_visit``, walks it with one table entry per node type, giving per
-expression its Python source, its audit text, what it reads, its witness
+expression its code (``_read``), its audit text, what it reads, its witness
 and the factors of its top-level product, and checking every select's
 context and width.  ``init`` is walked as a message-less layer over an
 empty state, so every step has one form; ``program_text``,
@@ -177,7 +177,7 @@ class Readout:
 
 
 # ---------------------------------------------------------------------------
-# The one walk over the AST: each expression's Python source and audit text,
+# The one walk over the AST: each expression's code and audit text,
 # what it reads, and where it can be nonzero.  Compiled steps are cached per
 # (program, label layout).
 # ---------------------------------------------------------------------------
@@ -274,36 +274,52 @@ _OPERATORS = {
 }
 
 # Leaves: the variable the Python form reads ("" for none, "M" for a message
-# sum), Python form and
-# text form of the node's field, the context the node is confined to (with
-# what the error calls it), the width that bounds its index, and the hop of
-# its read (0 at the evaluating node, 1 at the sending neighbor).
+# sum), the name it reads (a Const's Python form), its text form, the context
+# the node is confined to (with what the error calls it), the width that
+# bounds its index, and the hop of its read (0 at the evaluating node, 1 at
+# the sending neighbor), which gives its subscript.
 _LEAVES = {
     Const: ("", "{!r}", "{}", None, None, None),
-    Self: ("H", "H{}[_k]", "self.h{}", None, "state", 0),
-    Nbr: ("H", "H{}[_l]", "nbr.h{}", ("message", "neighbor state is"), "state", 1),
+    Self: ("H", "{}", "self.h{}", None, "state", 0),
+    Nbr: ("H", "{}", "nbr.h{}", ("message", "neighbor state is"), "state", 1),
     Msg: ("M", "_m{}", "m{}", ("update", "message sums are"), "message", None),
-    LSelf: ("L", "L{}[_k]", "self.{}", None, None, 0),
-    LNbr: ("L", "L{}[_l]", "nbr.{}", ("message", "neighbor labels are"), None, 1),
+    LSelf: ("L", "L{}", "self.{}", None, None, 0),
+    LNbr: ("L", "L{}", "nbr.{}", ("message", "neighbor labels are"), None, 1),
 }
+_SUBSCRIPT = {0: "_k", 1: "_l", None: None}
+
+
+def _read(name: str, sub: str | None = None) -> tuple:
+    """The code of one read: ``name``, or its item at ``sub``.  A code is a
+    Python expression as a template, one ``{}`` per read, and the
+    ``(name, subscript or None)`` of each read in the template's order."""
+    return "{}", ((name, sub),)
+
+
+def _text(code: tuple) -> str:
+    """The Python source of a code (``_read``)."""
+    return code[0].format(*(name if sub is None else f"{name}[{sub}]" for name, sub in code[1]))
 
 
 def _visit(
-    e: Expr, ctx: str, layout: Mapping[str, int], state: tuple, messages: tuple, reads: set
-) -> tuple[str, str, frozenset | None, tuple]:
-    """(Python source, audit text, witness, factors) of ``e`` in context
-    ``ctx``.
+    e: Expr, ctx: str, layout: Mapping[str, int], state: tuple, messages: tuple, names: tuple,
+    reads: set,
+) -> tuple[tuple, str, frozenset | None, tuple]:
+    """(code, audit text, witness, factors) of ``e`` in context ``ctx``.
 
-    ``state`` holds the reach of each previous state column and ``messages``
-    the witness of each message.  The witness of ``e`` is a set of (variable,
-    index or label name, hop) reads such that ``e`` is 0 wherever all of them
-    are, or None when there is none.  The factors of ``e`` split its
-    top-level product: per factor, its Python source, what it reads, its
-    mark (``_mark``) and, for a ``Sub``, the (Python source, reads, factors)
-    of each operand, else None; an ``e`` that is no ``Mul`` is one factor.  Adds
-    what ``e`` reads to ``reads`` in the same form.  A label reads from its
-    position in ``layout``; names outside the layout never reach
-    compilation, because ``_steps`` rejects them.
+    ``state`` holds the reach of each previous state column, ``names`` the
+    buffer each is read from and ``messages`` the witness of each message.
+    The code (``_read``) reads a state column by its buffer's name, a label
+    as ``L<index>`` and a message sum as ``_m<m>``.  The witness of ``e`` is
+    a set of (variable, index or label name, hop) reads such that ``e`` is 0
+    wherever all of them are, or None when there is none.  The factors of
+    ``e`` split its top-level product: per factor, its code, what it reads
+    in the witness's form, its mark (``_mark``) and, for a ``Sub``, the
+    (code, reads, factors) of each operand, else None; an ``e`` that is no
+    ``Mul`` is one factor.  Adds what ``e`` reads to ``reads`` in the
+    witness's form.  A label reads from its position in ``layout``; names
+    outside the layout never reach compilation, because ``_steps`` rejects
+    them.
     """
     kind = type(e)
     if kind not in _OPERATORS and kind not in _LEAVES:
@@ -312,15 +328,16 @@ def _visit(
     if kind in _OPERATORS:
         py, text, witness = _OPERATORS[kind]
         each = [set() for _ in args]
-        parts = [_visit(a, ctx, layout, state, messages, r) for a, r in zip(args, each)]
+        parts = [_visit(a, ctx, layout, state, messages, names, r) for a, r in zip(args, each)]
         reads.update(*each)
-        py, text = (form.format(*(p[n] for p in parts)) for n, form in enumerate((py, text)))
+        code = py.format(*(p[0][0] for p in parts)), sum((p[0][1] for p in parts), ())
+        text = text.format(*(p[1] for p in parts))
         witness = witness(state, [p[2] for p in parts])
         if kind is Mul:
-            return py, text, witness, parts[0][3] + parts[1][3]
+            return code, text, witness, parts[0][3] + parts[1][3]
         sides = tuple((p[0], r, p[3]) for p, r in zip(parts, each)) if kind is Sub else None
-        return py, text, witness, ((py, frozenset().union(*each), _mark(e), sides),)
-    var, py, text, confined, bound, hop = _LEAVES[kind]
+        return code, text, witness, ((code, frozenset().union(*each), _mark(e), sides),)
+    var, name, text, confined, bound, hop = _LEAVES[kind]
     if confined and ctx != confined[0]:
         raise ProgramError(f"{confined[1]} only visible in {confined[0]} expressions")
     width = len(state if bound == "state" else messages)
@@ -334,8 +351,11 @@ def _visit(
         witness = messages[args[0]]
     else:
         witness = frozenset({(var, args[0], hop)})
-    py = py.format(layout.get(args[0]) if var == "L" else args[0])
-    return py, text.format(*args), witness, ((py, read, _mark(e), None),)
+    name = name.format(
+        names[args[0]] if var == "H" else layout.get(args[0]) if var == "L" else args[0]
+    )
+    code = _read(name, _SUBSCRIPT[hop]) if var else (name, ())
+    return code, text.format(*args), witness, ((code, read, _mark(e), None),)
 
 
 def _mark(e: Expr) -> tuple | None:
@@ -351,17 +371,18 @@ def _mark(e: Expr) -> tuple | None:
     return None
 
 
-def _expr(e: Expr, ctx: str, layout: Mapping[str, int], state: tuple, messages: tuple) -> tuple:
-    """``_visit``'s (Python source, audit text, witness) of ``e``, what it
-    reads, and its factors."""
+def _expr(e: Expr, ctx: str, layout: Mapping[str, int], state: tuple, messages: tuple,
+          names: tuple) -> tuple:
+    """``_visit``'s (code, audit text, witness) of ``e``, what it reads, and
+    its factors."""
     reads: set = set()
-    py, text, witness, factors = _visit(e, ctx, layout, state, messages, reads)
-    return py, text, witness, reads, factors
+    code, text, witness, factors = _visit(e, ctx, layout, state, messages, names, reads)
+    return code, text, witness, reads, factors
 
 
 @dataclass(frozen=True)
 class _Step:
-    """One walked step: the (Python source, text, witness, reads, factors)
+    """One walked step: the (code, text, witness, reads, factors)
     of its messages and updates, the state index each update copies (None
     when it computes), what the messages and computing updates read, the
     reach of each output column, the union of the computing updates'
@@ -391,7 +412,7 @@ def _linear(factors: tuple) -> tuple[int, tuple] | None:
     """(m, the other factors) when one of a product's factors is a bare
     ``Msg(m)`` and no other reads a message, else None."""
     reads = [(f, r[1]) for f in factors for r in f[1] if r[0] == "M"]
-    if len(reads) == 1 and reads[0][0][0] == f"_m{reads[0][1]}":
+    if len(reads) == 1 and reads[0][0][0][0] == "{}":  # the factor is the read
         (bare, m), = reads
         return m, tuple(f for f in factors if f is not bare)
     return None
@@ -408,16 +429,17 @@ def _walk(prog: MPProgram, layout: Mapping[str, int]) -> list[_Step]:
     origins: tuple = ()
     layers = [("init", Layer((), prog.init))] + [("update", x) for x in prog.layers]
     for s, (ctx, layer) in enumerate(layers):
-        messages = [_expr(e, "message", layout, reach, ()) for e in layer.message]
+        names = tuple("O{}_{}".format(*o) for o in origins)
+        messages = [_expr(e, "message", layout, reach, (), names) for e in layer.message]
         witnesses = tuple(m[2] for m in messages)
         copies = [e.index if type(e) is Self else None for e in layer.update]
-        updates = [_expr(e, ctx, layout, reach, witnesses) for e in layer.update]
+        updates = [_expr(e, ctx, layout, reach, witnesses, names) for e in layer.update]
         if ctx == "update" and not updates:
             raise ProgramError("layer update must produce at least one component")
         meets = [_labels_at_node(u[2]) for u in updates]
         meets = [labels if len(labels) > 1 else () for labels in meets]
         messages, updates = (
-            [(py, text, _plain(w), r, f) for py, text, w, r, f in xs] for xs in (messages, updates)
+            [(c, text, _plain(w), r, f) for c, text, w, r, f in xs] for xs in (messages, updates)
         )
         computed = [u for u, c in zip(updates, copies) if c is None]
         reads = set().union(*(x[3] for x in messages + computed))

@@ -1,10 +1,13 @@
+import ast
 import hashlib
+import itertools
 import os
 import pickle
 import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -622,33 +625,33 @@ def test_plan_folds_are_frozen(kind):
 # programs over the rooted layout.  A kernel's source does not depend on the
 # graph, so a change to the generator shows here kernel by kernel.
 _KERNEL_MD5 = {
-    "chordal_cycle": ("0d475708d44bc587c3663620593b3ea4", "372197cf3b86e3aa8b69342e79fe7eb2"),
-    "clique4": ("dd9f9e2fa7db876b484e36376e1d3b51", "1b3476c376545669655fc8445e16b8ec"),
+    "chordal_cycle": ("0d475708d44bc587c3663620593b3ea4", "49ad0084a6b3f5ce9dc9855de484574f"),
+    "clique4": ("dd9f9e2fa7db876b484e36376e1d3b51", "a5e006aaca7df3364f4915b3c7eedbb7"),
     "cycle3": ("030f0d52c903e0307f73fe1349d3d9d1", "d82e8cf8fc9c8fd1dd01b2a28e012d05"),
-    "cycle4": ("be5023ddb52a8f0770419bb94aa5fe0c", "1858ee36febe8dde986546cc26f7e025"),
-    "cycle5": ("057b623ea64eeb71c91fe85a7c1e4bea", "7ed4ba831a040e716134f2b370f6bd0b"),
-    "cycle6": ("406b4aa79ddb871803a12e2834edd3f6", "156ba54458f058441f9d3f9a89046844"),
+    "cycle4": ("be5023ddb52a8f0770419bb94aa5fe0c", "a87a08c40a5a8a6b92210d3d5b1a68ec"),
+    "cycle5": ("057b623ea64eeb71c91fe85a7c1e4bea", "4f81c2d81c49fa76b2113262de7549ca"),
+    "cycle6": ("406b4aa79ddb871803a12e2834edd3f6", "367ff56566043ed522a3f5dc51d7d681"),
     "path2": ("08143827b3e986365764ccfbf4c9a7f0", "4dfff9ba7fcbbacdcd896bf77ba78dde"),
-    "path3": ("823595bc1a6e2aedbd3798fc0e3eed01", "3f9ba485f486a6d127ef4596f9c74601"),
-    "path4": ("20929578c6f00677e08b679fdb97bc7b", "91e86fd0be15a915c70c947a083b3e2e"),
-    "tailed_triangle": ("10437a6388f723ed12809f63ea00c4c9", "23e3d29cda917a17581de99973ac6bbd"),
-    "triangle_rectangle": ("8ea4c1d23299586c1ce4cb12bcd01084", "762c7fe3b737867026a59409184bedf6"),
-    "walk1": ("1bde402e1898fe2b83b042fda93d0518", "79ceafc75590c0647d99b9397ee5519f"),
-    "walk2": ("e242f5221faa468a7730badade00cee6", "be79c03acc282846876d840042d2387e"),
-    "walk3": ("edb2dcaebcab092b718430cd432f2440", "ed1f7c0937ce7154a326b2a8cb197af2"),
-    "walk4": ("c84f534e2b01e6650fffa07a30bf6707", "48be375fe8c2fe3afff7c673c7c18163"),
-    "walk5": ("61b37fcbd1ec17c9edf66db3b887c846", "95785c5693bca47b4af0fc64ab733575"),
-    "walk6": ("cb37befd777f88c0e01c4b9928c4c7e5", "d414d92fa8faf62f35c5e97017e0523c"),
-    "walk7": ("f13c186e9f8ab36e8be42d66b26f51ad", "e2d770fec8b7d4eaef6f8747385c0e13"),
-    "walk8": ("2c4e825e5fb3b840f67dd66f9e1ebf33", "1123154f7f41e2a735e3c7ad2dc181ec"),
-    "path4_edge": ("cca6ed8e84ac90c1c89d9d9ece8b5040",),
-    "walks2": ("e07410d434ed0a83e180cf80a41320d4",),
-    "walks4": ("e5d6b5b18f6844b8debe8b48db78a4bf",),
-    "plain_cycle6": ("31cd00ee13bd69ac021ec8a006ee4184",),
-    "plain_path4": ("57d67bae021208019e1f613f85eb258e",),
-    "plain_clique4": ("7ce93b63847b1d559209e23c0947bbfe",),
-    "plain_walk3": ("e79c8e6b8a7dd381b162545b1693dedb",),
-    "plain_walk4": ("8406cc922d9ad74760aa136ee8ca6a49",),
+    "path3": ("823595bc1a6e2aedbd3798fc0e3eed01", "0a91958be5bcb36aa103bace921c6c28"),
+    "path4": ("20929578c6f00677e08b679fdb97bc7b", "4c33f6cff0e934b49e019c3237014b6d"),
+    "tailed_triangle": ("10437a6388f723ed12809f63ea00c4c9", "638db3f8645738cf634cc0f8b344742f"),
+    "triangle_rectangle": ("8ea4c1d23299586c1ce4cb12bcd01084", "c2d975d7eff74e476a0db004ab884744"),
+    "walk1": ("1bde402e1898fe2b83b042fda93d0518", "e22310f606ca898335eb949728ed9518"),
+    "walk2": ("e242f5221faa468a7730badade00cee6", "b074564ed3bea0d000d8ecb2cc36d64d"),
+    "walk3": ("edb2dcaebcab092b718430cd432f2440", "e5c2010df37ff1239e3d1033c5dd16f5"),
+    "walk4": ("c84f534e2b01e6650fffa07a30bf6707", "d3cdb34564b1e06546048a2212336ce6"),
+    "walk5": ("61b37fcbd1ec17c9edf66db3b887c846", "8c14ae9bff5bc7d7ccde7295fbdced59"),
+    "walk6": ("cb37befd777f88c0e01c4b9928c4c7e5", "720c47c37ba31fc5ac932d7dc1d831df"),
+    "walk7": ("f13c186e9f8ab36e8be42d66b26f51ad", "d3fe14dbad0a7757236317c0947e93fe"),
+    "walk8": ("2c4e825e5fb3b840f67dd66f9e1ebf33", "88418a83cfbe9336908689f7aea2d6cc"),
+    "path4_edge": ("c603b7ea8d20a4eda8ab084637b5e954",),
+    "walks2": ("60797a30d3788aa8897ebfe49c22430f",),
+    "walks4": ("86d05c10e50d64a2521b059709b2c6ed",),
+    "plain_cycle6": ("d184bc927f5c3948f6fe0d7681bee7a4",),
+    "plain_path4": ("a6b38a1a5610a42c1a6de18d32bc79fd",),
+    "plain_clique4": ("5f351f3db17b69a579f00e7b00824be2",),
+    "plain_walk3": ("66afcc98f87560cdb150a3c3d9f5d4c5",),
+    "plain_walk4": ("4d0c20679f98e5501f70f71c8b983d94",),
 }
 
 
@@ -1054,6 +1057,16 @@ _SCATTER_SUMMED = E.MPProgram(
 )
 
 
+# A pair plan whose init column is 0 everywhere, so that its witness and
+# layer 1's first message's are empty: at radius 2 the node list of layer 1
+# is the neighbors of an empty list, which reaches nowhere (engine._spread).
+_EMPTY_WITNESS = E.MPProgram(
+    "empty-witness",
+    (E.LSelf("in_n_branch") * E.Const(0),),
+    (E.Layer((E.Nbr(0) * E.Const(0), E.LNbr("in_n_branch")), (E.Msg(0) + E.Msg(1),)),),
+)
+
+
 # A pair plan whose last column is nonzero on every neighbor of the branching
 # node: at radius 1 the rim of those lies beyond the radius, so the column
 # cannot be summed at the label's nodes.
@@ -1345,12 +1358,14 @@ def test_hand_written_difference_plans_use_every_closed_form_rule():
     # factor that reads a root label as well as exclusions
     steps = E._steps(sent, ROOTED_LAYOUT)
     first, second = (E._split(m[4]) for m in steps[2].messages)
-    assert first[1] == "-H1[_k]" and first[2] == {"is_root", "is_branch"}
-    assert second[1] == "H1[_k]" and second[2] == {"is_branch"}
-    assert first[0][-1][0] == "H0[_l]" and second[0][-1][0] == "-H0[_l]"
-    assert first[4] is second[4] is None
+    assert first[1] == {"is_root", "is_branch"} and second[1] == {"is_branch"}
+    # h0 is layer 1's column 0 and h1 the init's column 1, each read by its buffer
+    assert E._text(first[0][-1][0]) == "O1_0[_l]" and E._text(second[0][-1][0]) == "-O1_0[_l]"
+    assert [(sign, E._text(f[0])) for sign, _, (f,) in (first[2], second[2])] == [
+        ("", "O0_1[_k]"), ("-", "O0_1[_k]")]
+    assert first[3] is second[3] is None
     third = E._split(E._steps(pulled, ROOTED_LAYOUT)[2].messages[1][4])
-    assert third[1:3] == ("-H1[_k]", {"is_branch"}) and third[4] == "in_n_root"
+    assert third[1] == {"is_branch"} and third[3] == "in_n_root"
     # its Omega_F is in_n_root's Omega less in_n_root at j times the label
     # of j's neighbors: W0 counts the neighbors in N(i), scattered once per
     # root, and in_n_root is 1 at j
@@ -1661,12 +1676,43 @@ _LABEL_OFF_ITS_LIST = E.MPProgram(
     (E.LSelf("in_n_branch"), E.LSelf("in_n_root")),
     (E.Layer((E.Nbr(0),), (E.Self(1) * E.Msg(0) * E.Self(0), E.Self(0))),),
 )
+# in_n_branch's init column less i, read at the node of a loop over i and
+# N(i): there it is in_n_branch times 1 - is_root (e), and the loop skips i
+_LABEL_LESS_THE_ROOT = E.MPProgram(
+    "label-less-the-root",
+    (E.LSelf("in_n_branch") * (1 - E.LSelf("is_root")), E.LSelf("is_root") + E.LSelf("in_n_root")),
+    (E.Layer((E.Nbr(0),), (E.Self(1) * E.Msg(0) * E.Self(0), E.Self(0))),),
+)
+# layer 1 stores in_n_root's Omega less i once per root (cut by its unread
+# third column), and layer 2's receiver part reads that Omega over N(j),
+# which holds i: there it is read from W0, not from the stored column
+_OMEGA_AT_THE_ROOT = E.MPProgram(
+    "omega-at-the-root",
+    (E.LSelf("in_n_branch"),),
+    (
+        E.Layer(
+            (E.LNbr("in_n_root"), E.LNbr("in_n_branch")),
+            (E.Self(0), (1 - E.LSelf("is_root")) * E.Msg(0), E.Msg(1)),
+        ),
+        E.Layer(
+            (
+                (1 - E.LNbr("is_root")) * (1 - E.LNbr("is_branch")) * E.LNbr("in_n_root")
+                * (E.Nbr(1) - E.Self(0)),
+            ),
+            (E.Msg(0),),
+        ),
+    ),
+)
 # per rule, a plan whose kernel without a hook uses it at radius 2; rule d
-# walks _MEETS' meet N(i)∩N(j) as N(j) under in_n_root's test
+# walks _MEETS' meet N(i)∩N(j) as N(j) under in_n_root's test; "e-less"
+# keeps rule e's exclusions where the loop's list holds their node, and
+# "omega" keeps rule T's Omega off a stored column where the two differ
 _FUSION_PLANS = {
     **dict.fromkeys("abc", (True, _PULLS_TWICE, (E.Readout(0),))),
     "d": _RULE_PLANS[5],
     **dict.fromkeys("ef", (True, _LABEL_OFF_ITS_LIST, (E.Readout(0), E.Readout(1)))),
+    "e-less": (True, _LABEL_LESS_THE_ROOT, (E.Readout(0), E.Readout(1))),
+    "omega": (True, _OMEGA_AT_THE_ROOT, (E.Readout(0),)),
 }
 
 
@@ -1689,6 +1735,16 @@ def test_each_fusion_rule_rewrites_its_hand_written_plan(monkeypatch, rule):
     fused = E._generate(prog, ROOTED_LAYOUT, 2, readouts, False)[0]
     _without_rule(monkeypatch, rule)
     assert E._generate(prog, ROOTED_LAYOUT, 2, readouts, False)[0] != fused
+
+
+def test_legality_plans_keep_what_their_conditions_guard():
+    _, prog, readouts = _FUSION_PLANS["e-less"]
+    lines = [x.strip() for x in E._generate(prog, ROOTED_LAYOUT, 2, readouts, False)[0]]
+    assert lines[lines.index("for _k in _B1:") + 1] == "if _k != i:"
+    assert "_r0 += ((O0_1[_k] * _m0) * L0[_k])" in lines
+    _, prog, readouts = _FUSION_PLANS["omega"]
+    lines = [x.strip() for x in E._generate(prog, ROOTED_LAYOUT, 2, readouts, False)[0]]
+    assert lines[lines.index("for _k in _U0:") + 1] == "_r0 -= (W0[_k] - 1)"
 
 
 def test_label_rule_and_shared_resets_show_in_their_plans_kernel():
@@ -1732,6 +1788,66 @@ def test_plan_sibling_loops_are_frozen(kind):
     lines, _, _ = E._generate(spec.program, ROOTED_LAYOUT, spec.hops, spec.readouts, False)
     assert _sibling_loops(lines) == _PLAN_SIBLINGS[kind]
     assert sorted(_PLAN_SIBLINGS) == sorted(_PLANS)
+
+
+# The names a statement's record leaves out: the loop variables, the root
+# and the branching node, and the builtins and helper a node set's build calls.
+_UNRECORDED = {"_k", "_l", "i", "j", "set", "map", "_chain"}
+
+
+def _accesses(lines) -> tuple[Counter, Counter]:
+    """The (name, subscript or None) loads and stores of Python lines, by
+    ``ast``, each as often as it occurs: ``x[s]`` for a name subscripted by a
+    name, else each name; an augmented assignment's target both loads and
+    stores."""
+    loads, stores, inner, augmented = Counter(), Counter(), set(), set()
+    for node in ast.walk(ast.parse("\n".join(lines))):
+        if isinstance(node, ast.AugAssign):
+            augmented.add(id(node.target))
+        if type(node) is ast.Subscript and type(node.value) is type(node.slice) is ast.Name:
+            access = node.value.id, node.slice.id
+            inner.update((id(node.value), id(node.slice)))
+        elif type(node) is ast.Name and id(node) not in inner and node.id not in _UNRECORDED:
+            access = node.id, None
+        else:
+            continue
+        loads[access] += id(node) in augmented or type(node.ctx) is ast.Load
+        stores[access] += type(node.ctx) is ast.Store
+    return +loads, +stores
+
+
+def test_statement_records_match_their_rendered_source(monkeypatch):
+    # loop fusion reads and rewrites each statement by its record, never by
+    # its source, so every record must hold each read and store its
+    # statement's lines make, as often as they make it, and nothing else
+    render, checked = E._render, []
+
+    def check(stmts, lists):
+        for st in stmts:
+            loads, stores = _accesses(render([st], lists))
+            if st[0] == "line":  # a node set's build updates the set it makes
+                del loads[st[2], None]
+                stores[st[2], None] = 1
+            touched = fusion._touches([st], lists)
+            assert Counter(x[:2] for x in touched if x[2] in "r+") == loads, st
+            assert Counter(x[:2] for x in touched if x[2] in "wt+") == stores, st
+            checked.append(st[0])
+        return render(stmts, lists)
+
+    monkeypatch.setattr(E, "_render", check)
+    plans = [(spec.program, spec.readouts, (spec.hops, spec.hops + 1)) for spec in _PLANS.values()]
+    hand_written = (
+        *_RULE_PLANS, *_FUSION_PLANS.values(), *_MASKED_PLANS, *_DIFFERENCE_PLANS,
+        *_TRANSPOSED_PLANS, *_REWRITE_PLANS,
+    )
+    plans += [(prog, readouts, (1, 2, 3)) for _, prog, readouts in hand_written]
+    for prog, readouts, radii in plans:
+        for hops, hooked in itertools.product(radii, (False, True)):
+            try:
+                E._generate(prog, ROOTED_LAYOUT, hops, readouts, hooked)
+            except E.ProgramError as error:
+                assert "reads beyond subgraph radius" in str(error)
+    assert set(checked) == {"for", "if", "set", "add", "line"}
 
 
 _SOURCES_UNDER_SEED = """
@@ -1784,6 +1900,9 @@ def test_kernel_sources_do_not_follow_the_hash_seed():
 @example(_RULE_PLANS[6], 44, 0.1, 5)
 @example(_FUSION_PLANS["a"], 40, 0.1, 2)
 @example(_FUSION_PLANS["e"], 40, 0.1, 4)
+@example(_FUSION_PLANS["e-less"], 20, 0.25, 3)
+@example(_FUSION_PLANS["omega"], 20, 0.25, 4)
+@example((True, _EMPTY_WITNESS, (E.Readout(0),)), 20, 0.25, 1)
 @example((True, _PLANS["cycle5"].program, _PLANS["cycle5"].readouts), 40, 0.1, 3)
 @example((True, _PLANS["cycle6"].program, _PLANS["cycle6"].readouts), 40, 0.1, 7)
 @example((True, _PLANS["clique4"].program, _PLANS["clique4"].readouts), 40, 0.15, 1)

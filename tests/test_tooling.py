@@ -10,7 +10,8 @@ library that nothing uses, and imports that ``counting`` keeps only for the
 tracer, and one keeps ``multiprocessing`` out of the CLI's imports.  The
 tools under ``tools/`` are checked too: the code-line counter, with the size
 of each module that it measures, the pytest plugin that records the kernel
-sources a run compiles, and the script that digests every count report."""
+sources a run compiles, the script that digests every count report, and the
+one that digests every kernel source."""
 
 import ast
 import hashlib
@@ -243,6 +244,22 @@ def test_count_digests_cover_every_report(monkeypatch):
     report = hashlib.md5(repr(counting.count("tailed_triangle", named["k4"], 2)).encode())
     assert f"k4 count-tailed_triangle-2 {report.hexdigest()}" in lines
     assert len(tool.graphs()) == 87
+
+
+def test_kernel_sources_label_every_kernel_the_library_builds(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    tool = importlib.import_module("kernel_sources")
+    monkeypatch.setattr(engine, "_KERNELS", {})
+    rows = dict(line.rsplit(" ", 1) for line in tool.sources())
+    # 19 plans at 7 radii, with and without a hook, path4-edge at 7 radii,
+    # walks of 12 lengths and one plain kernel per plan
+    assert len(rows) == 19 * 7 * 2 + 7 + 12 + 19
+    for kind, spec in counting._PLANS.items():
+        pair = rows[f"plan {kind} {spec.hops} hook-free"], rows[f"plan {kind} {spec.hops} hooked"]
+        assert pair == _KERNEL_MD5[kind]
+    frozen = {"path4_edge 3": "path4_edge", "walks 2": "walks2", "plain cycle6": "plain_cycle6"}
+    for label, kind in frozen.items():
+        assert (rows[label],) == _KERNEL_MD5[kind]
 
 
 def test_kernel_capture_records_every_compiled_kernel(tmp_path):
