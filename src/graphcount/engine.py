@@ -162,11 +162,11 @@ holds i) or its guard reads a column or label that is 0 there; turns the
 exclusions every term of the loop shares into one skip guard; and drops a
 label read, and the loop's test of it (``nonzero``), where the list makes
 it 1: the label's own list, or a meet that holds it.  So cycle6's layer 3
-sends the sender part ``(1 - L3[_l]) * (1 - L2[_l]) * L1[_l] * H4[_l]`` of
-its second message from the root's neighbors: it adds ``H4[_l]``, times
-the count of its receivers, under ``if _l != j:``.  A skipped node keeps the 0 the loop's reset left there: no
-kernel without a hook loops over every node, as a step without a witness
-is cut to the root's ball.
+sends the sender part ``(1 - L3[_l]) * (1 - L2[_l]) * L1[_l] * O2_4[_l]``
+of its second message from the root's neighbors: it adds ``O2_4[_l]``,
+times the count of its receivers, under ``if _l != j:``.  A skipped node
+keeps the 0 the loop's reset left there: no kernel without a hook loops
+over every node, as a step without a witness is cut to the root's ball.
 
 Closed form (``_split``, ``_Form.receiver``).  A message ``F * (g -
 h)``, F exclusion factors at the sender and at most one read there of a
