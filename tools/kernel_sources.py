@@ -8,11 +8,12 @@ h+6, each without and with a hook (``plan <kind> <radius> hook-free`` and
 <radius>``); ``count_walks`` at lengths 1 to 12 (``walks <length>``); and
 ``run``'s plain kernel of each plan's program over the rooted labels
 (``plain <kind>``).  A kernel's source does not depend on the graph, so
-each is built once, on a 6-cycle.  A meet's node lists follow the string
-hash seed, so the script runs itself again under ``PYTHONHASHSEED=0``
-unless that is set.  Two checkouts build the same kernels when their
-outputs are equal: run the script with each checkout's ``src`` first on
-``PYTHONPATH``.
+each is built once, on a 6-cycle.  Nor should it follow the string hash
+seed (``tests/test_engine.py`` checks that it does not); the script runs
+itself again under ``PYTHONHASHSEED=0`` unless that is set, so that two
+checkouts compare alike even where one of them breaks that.  Two
+checkouts build the same kernels when their outputs are equal: run the
+script with each checkout's ``src`` first on ``PYTHONPATH``.
 """
 
 from __future__ import annotations
