@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import os
 import sys
 from collections import Counter
@@ -36,6 +37,7 @@ from .graph import (
     format_edgelist,
     iter_graph6,
     load_graph,
+    write_in_place,
 )
 
 _COUNT_KINDS = sorted(counting._PLANS) + sorted(counting.KIND_ALIASES)
@@ -65,33 +67,37 @@ def _sizes(text: str) -> tuple[int, ...]:
     return sizes
 
 
+def _emit(out: str | None, text: str) -> None:
+    """``text`` to the ``--out`` file, written over it in place, or to stdout."""
+    if out:
+        write_in_place(out, text)
+    else:
+        sys.stdout.write(text)
+
+
+def _csv(rows) -> str:
+    """``rows`` as CSV text, one line per row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def _write_report(
     out: str | None, level: str, rep: oracle.CountReport, verbose: bool
 ) -> None:
     """The report CSV, with pattern columns for ``verbose`` cycle6 reports."""
-    handle = open(out, "w", newline="") if out else sys.stdout
-    try:
-        writer = csv.writer(handle, lineterminator="\n")
-        if level == "graph":
-            writer.writerow(["count"])
-            writer.writerow([rep.graph_count])
-            return
-        pats = rep.patterns if verbose else None
-        if pats is not None:
-            writer.writerow(
-                ["node", "count", "pattern0", "pattern1", "pattern2", "pattern3", "pattern4"]
-            )
-            for i, c in enumerate(rep.node_counts):
-                writer.writerow(
-                    [i, c, pats.p0[i], pats.p1[i], pats.p2[i], pats.p3[i], pats.p4[i]]
-                )
-        else:
-            writer.writerow(["node", "count"])
-            for i, c in enumerate(rep.node_counts):
-                writer.writerow([i, c])
-    finally:
-        if out:
-            handle.close()
+    pats = rep.patterns if verbose else None
+    if level == "graph":
+        rows = [["count"], [rep.graph_count]]
+    elif pats is not None:
+        rows = [["node", "count", "pattern0", "pattern1", "pattern2", "pattern3", "pattern4"]]
+        rows += (
+            [i, c, pats.p0[i], pats.p1[i], pats.p2[i], pats.p3[i], pats.p4[i]]
+            for i, c in enumerate(rep.node_counts)
+        )
+    else:
+        rows = [["node", "count"], *enumerate(rep.node_counts)]
+    _emit(out, _csv(rows))
 
 
 def _cmd_count(args) -> int:
@@ -197,11 +203,7 @@ _GENERATORS = {
 
 def _cmd_gen(args) -> int:
     g = _GENERATORS[args.graph](args)
-    text = format_edgelist(g)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, format_edgelist(g))
     return 0
 
 
@@ -236,18 +238,12 @@ def _cmd_bench(args) -> int:
     rows = bench_mod.run_bench(
         sizes=args.sizes, degree=args.degree, kind=args.substructure, seed=args.seed
     )
-    handle = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["n", "seconds", *counting._PHASES, "graph_count", "ratio_vs_prev"])
-        for r in rows:
-            writer.writerow(
-                [r.n, *(f"{t:.4f}" for t in (r.seconds, *r.phases)), r.graph_count,
-                 "" if r.ratio is None else f"{r.ratio:.3f}"]
-            )
-    finally:
-        if args.out:
-            handle.close()
+    header = ["n", "seconds", *counting._PHASES, "graph_count", "ratio_vs_prev"]
+    _emit(args.out, _csv([header, *(
+        [r.n, *(f"{t:.4f}" for t in (r.seconds, *r.phases)), r.graph_count,
+         "" if r.ratio is None else f"{r.ratio:.3f}"]
+        for r in rows
+    )]))
     return 0
 
 

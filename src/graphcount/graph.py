@@ -9,6 +9,8 @@ producing garbage.
 
 from __future__ import annotations
 
+import os
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -155,7 +157,29 @@ def format_edgelist(g: Graph) -> str:
 
 
 def save_graph(g: Graph, path: str | Path) -> None:
-    Path(path).write_text(format_edgelist(g))
+    write_in_place(path, format_edgelist(g))
+
+
+def write_in_place(path: str | Path, text: str) -> None:
+    """Write ``text`` over the file at ``path``, then cut a regular file to
+    its length.  Opening with O_TRUNC would free the old file's blocks
+    first, which costs tens of ms on some file systems (ext4 mounted with
+    ``discard``); cutting a file to its own length frees nothing.  A failed
+    write cuts the file to the bytes written, as O_TRUNC would have left it,
+    and devices such as /dev/null are written and not cut."""
+    data = memoryview(text.encode())
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        done = 0
+        try:
+            while done < len(data):
+                done += os.write(fd, data[done:])
+        finally:
+            if regular:
+                os.ftruncate(fd, done)
+    finally:
+        os.close(fd)
 
 
 # ---------------------------------------------------------------------------

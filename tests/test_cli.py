@@ -1,3 +1,4 @@
+import errno
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import pytest
 
 from conftest import BAD_EDGELISTS, BAD_GRAPH6_FILES, to_graph6
 from graphcount import cli, counting, refinement
+from graphcount.bench import BenchRow
 from graphcount.cli import main
 from graphcount.engine import MissingLabelError, ProgramError
 from graphcount.extraction import node_deletion
@@ -212,6 +214,70 @@ def test_count_out_file(c6_file, tmp_path, capsys):
     assert out.read_text().splitlines()[0] == "node,count"
 
 
+def _count_c6(c6_file, capsys, out=None):
+    """``count`` of cycle6 with pattern columns, to ``out`` or to stdout."""
+    argv = ["count", "--input", c6_file, "--substructure", "cycle6", "--verbose",
+            "--threads", "1"]
+    return run_cli(argv + ([] if out is None else ["--out", str(out)]), capsys)
+
+
+def test_count_out_overwrites_a_longer_or_shorter_file_exactly(c6_file, tmp_path, capsys):
+    code, want, _ = _count_c6(c6_file, capsys)
+    assert code == 0
+    out = tmp_path / "report.csv"
+    for old in ("x" * (3 * len(want) + 5000), "y\n"):
+        out.write_text(old)
+        code, stdout, _ = _count_c6(c6_file, capsys, out)
+        assert (code, stdout) == (0, "")
+        assert out.read_text() == want
+
+
+def test_count_out_to_dev_null_exits_0(c6_file, capsys):
+    # a character device is written and not cut: ftruncate would fail on it
+    code, stdout, err = _count_c6(c6_file, capsys, os.devnull)
+    assert (code, stdout, err) == (0, "", "")
+
+
+def test_rewriting_a_report_neither_truncates_on_open_nor_cuts_below_it(
+    c6_file, tmp_path, capsys, monkeypatch
+):
+    # the saving of an in-place write, without timing it: opening with
+    # O_TRUNC frees the old file's blocks, which can cost tens of ms
+    out = tmp_path / "report.csv"
+    assert _count_c6(c6_file, capsys, out)[0] == 0
+    size = out.stat().st_size
+    opens, cuts = [], []
+    real_open, real_ftruncate = os.open, os.ftruncate
+    monkeypatch.setattr(os, "open", lambda path, flags, *a, **kw: opens.append(
+        (str(path), flags)) or real_open(path, flags, *a, **kw))
+    monkeypatch.setattr(os, "ftruncate", lambda fd, n: cuts.append(n) or real_ftruncate(fd, n))
+    assert _count_c6(c6_file, capsys, out)[0] == 0
+    written = [flags for path, flags in opens if path == str(out)]
+    assert len(written) == 1 and not written[0] & os.O_TRUNC
+    assert cuts == [size] and out.stat().st_size == size
+
+
+def test_a_failed_report_write_leaves_a_prefix_and_exits_2(c6_file, tmp_path, capsys, monkeypatch):
+    code, want, _ = _count_c6(c6_file, capsys)
+    out = tmp_path / "report.csv"
+    out.write_text("z" * (2 * len(want)))
+    real_write = os.write
+    calls = []
+
+    def write(fd, data):
+        # the first call writes one chunk, the next finds the disk full
+        calls.append(len(data))
+        if len(calls) > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real_write(fd, bytes(data[:10]))
+
+    monkeypatch.setattr(os, "write", write)
+    code, stdout, err = _count_c6(c6_file, capsys, out)
+    monkeypatch.undo()
+    assert (code, stdout) == (2, "") and "No space left on device" in err
+    assert len(calls) == 2 and out.read_text() == want[:10]
+
+
 def test_verbose_pattern_columns(c6_file, capsys):
     code, out, _ = run_cli(
         ["count", "--input", c6_file, "--substructure", "cycle6", "--verbose"],
@@ -404,6 +470,11 @@ def test_gen_subcommands(tmp_path, capsys):
          "--out", str(out_path)], capsys
     )
     assert out_path.read_text().splitlines()[0] == "6 6"
+    # over a longer file, gen --out leaves exactly its output
+    code, want, _ = run_cli(["gen", "petersen"], capsys)
+    out_path.write_text("9" * 1000)
+    assert run_cli(["gen", "petersen", "--out", str(out_path)], capsys)[:2] == (0, "")
+    assert out_path.read_text() == want
     code, out, _ = run_cli(["gen", "random", "--n", "6", "--p", "0.5", "--seed", "1"], capsys)
     code2, out2, _ = run_cli(["gen", "random", "--n", "6", "--p", "0.5", "--seed", "1"], capsys)
     assert out == out2
@@ -473,6 +544,19 @@ def test_bench_command_tiny(capsys):
     )
     assert lines[1].startswith("32,")
     assert lines[2].startswith("64,")
+
+
+def test_bench_out_overwrites_a_longer_file_exactly(tmp_path, capsys, monkeypatch):
+    # fixed rows, so that the file and stdout can be compared byte for byte
+    rows = [BenchRow(8, 0.5, (0.25, 0.125, 0.0625), 3, None),
+            BenchRow(16, 1.0, (0.5, 0.25, 0.125), 7, 2.0)]
+    monkeypatch.setattr(cli.bench_mod, "run_bench", lambda **kw: rows)
+    code, want, _ = run_cli(["bench", "--sizes", "8,16"], capsys)
+    assert code == 0 and len(want.splitlines()) == 3
+    out = tmp_path / "bench.csv"
+    out.write_text("w" * 5000)
+    assert run_cli(["bench", "--sizes", "8,16", "--out", str(out)], capsys)[:2] == (0, "")
+    assert out.read_text() == want
 
 
 @pytest.mark.parametrize("sizes, bad", [("0", "0"), ("-4", "-4"), ("64,0", "0")])

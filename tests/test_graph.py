@@ -20,6 +20,7 @@ from graphcount.graph import (
     parse_edgelist,
     parse_graph6,
     permute,
+    save_graph,
     shortest_path_distances,
 )
 
@@ -132,6 +133,15 @@ def test_roundtrip_canonical():
     canonical = format_edgelist(parse_edgelist(text))
     assert canonical == "4 3\n0 1\n1 2\n2 3\n"
     assert format_edgelist(parse_edgelist(canonical)) == canonical
+
+
+def test_save_graph_over_a_longer_file_round_trips(tmp_path):
+    path = tmp_path / "g.el"
+    big, small = gen_random(30, 0.5, 2), gen_cycle(5)
+    save_graph(big, path)
+    save_graph(small, path)
+    assert path.read_text() == format_edgelist(small)
+    assert load_graph(path) == small
 
 
 def test_handshake_identity():

@@ -320,7 +320,10 @@ def test_bench_pairs_tabulates_alternating_runs_of_two_checkouts(monkeypatch, tm
     assert report["wins"]["ops_per_s"] == 3 and report["seconds"] == 20
     assert report["command"][-4:] == ["--seed", "0", "--seconds", "20"]
     assert set(report["engine_compile_s"]) == {"parent", "change"}
-    assert set(report["host"]) == {"nproc", "python", "PYTHONDONTWRITEBYTECODE"}
+    assert set(report["host"]) == {"nproc", "python", "PYTHONDONTWRITEBYTECODE", "file_replace_ms"}
+    replace_ms = report["host"]["file_replace_ms"]
+    assert isinstance(replace_ms, float) and replace_ms >= 0
+    assert not (tmp_path / ".bench_pairs_probe").exists()
     # a run that is not correct makes the exit code nonzero
     broken = _stub_checkout(tmp_path / "broken", 90.0, correct=False)
     assert tool.main([str(parent), str(broken), *argv[2:], "--out", str(tmp_path)]) == 1

@@ -20,7 +20,8 @@ metric and the side that won it (by the ``better`` direction of
 ``BENCHMARK.json``'s end-to-end metrics, else lower); the parent's quartile
 distance per metric; the best of five ``compile()`` times of each side's
 ``src/graphcount/engine.py``; each side's git commit; the command line;
-and the host's ``nproc``, Python version and ``PYTHONDONTWRITEBYTECODE``.
+and the host's ``nproc``, Python version, ``PYTHONDONTWRITEBYTECODE`` and
+the median time to replace a one-block file in ``--out``.
 The tool judges no metric against a bound.  It exits 1 if any run is not
 correct (or prints no result), else 0.
 """
@@ -77,6 +78,23 @@ def compile_s(checkout: Path) -> float:
         compile(source, str(path), "exec")
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def replace_ms(directory: Path) -> float:
+    """Median of five wall times, in ms, to replace a one-block file in
+    ``directory`` by opening it with O_TRUNC: what freeing a file's blocks
+    costs there, which on some file systems (ext4 mounted with ``discard``)
+    is tens of ms."""
+    path = directory / ".bench_pairs_probe"
+    block = b"\0" * 4096
+    path.write_bytes(block)
+    samples = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        path.write_bytes(block)
+        samples.append((time.perf_counter() - t0) * 1e3)
+    path.unlink()
+    return statistics.median(samples)
 
 
 def commit(checkout: Path) -> str | None:
@@ -157,6 +175,7 @@ def main(argv: list[str] | None = None) -> int:
             "nproc": len(os.sched_getaffinity(0)),
             "python": platform.python_version(),
             "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            "file_replace_ms": replace_ms(args.out),
         },
         "engine_compile_s": {k: compile_s(v) for k, v in checkouts.items()},
         "runs": runs,
