@@ -90,11 +90,11 @@ def _write_report(
     if level == "graph":
         rows = [["count"], [rep.graph_count]]
     elif pats is not None:
-        rows = [["node", "count", "pattern0", "pattern1", "pattern2", "pattern3", "pattern4"]]
-        rows += (
+        header = ["node", "count", "pattern0", "pattern1", "pattern2", "pattern3", "pattern4"]
+        rows = [header, *(
             [i, c, pats.p0[i], pats.p1[i], pats.p2[i], pats.p3[i], pats.p4[i]]
             for i, c in enumerate(rep.node_counts)
-        )
+        )]
     else:
         rows = [["node", "count"], *enumerate(rep.node_counts)]
     _emit(out, _csv(rows))
